@@ -1,15 +1,13 @@
 """Uniform linked-list contraction on a checked EREW PRAM simulator."""
 
-from .errors import (BatchDependenceError, ContractPreconditionError,
-                     ErewViolationError, ForestFormatError,
-                     ImproperColoringError, ListContractError,
-                     OrientationError, UncoveredCaseError)
-from .pram import AccessLog, Engine, Memory, PramConfig, RoundMetrics, Task
-from .model import (Checkpoint, ContractionLog, LinkedForest, Machine,
-                    TwoRowArray, layout)
+from .errors import (BatchDependenceError, ErewViolationError,
+                     ForestFormatError, ImproperColoringError,
+                     ListContractError, OrientationError, UncoveredCaseError)
+from .pram import Engine, Memory, PramConfig, RoundMetrics
+from .model import ContractionLog, LinkedForest, Machine, TwoRowArray, layout
 from .coloring import ColorAssignment, dct_new_colors, three_color
 from .pairing import PairAssignment, eliminate_twos, form_pairs
-from .localize import CutSet, RunRecord, find_runs, localize
+from .localize import RunRecord, find_runs, localize
 from .uniform import (detect_marks, enforce_uniformity, opposite_pair_shortcut,
                       publish_mailboxes, row_color_and_pair)
 from .orientation import (OrientationKey, contract_along_orientation,

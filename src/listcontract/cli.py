@@ -7,7 +7,7 @@ import json
 import sys
 import time
 
-from .errors import ForestFormatError, UncoveredCaseError
+from .errors import ForestFormatError, ListContractError, UncoveredCaseError
 from .model import LinkedForest
 from .pram import PramConfig
 from .ranking import list_rank, sequential_rank, wyllie_rank
@@ -56,11 +56,20 @@ def _parse_dist(text):
     return text.upper(), 0
 
 
+def _usage_error(exc):
+    """Report a bad argument or input on one stderr line; exit code 2."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def cmd_generate(args):
-    dist, fixed = _parse_dist(args.dist)
-    forest = generate(Workload(n=args.n, num_lists=args.lists,
-                               length_distribution=dist, fixed_length=fixed,
-                               seed=args.seed, layout_shuffle=args.shuffle))
+    try:
+        dist, fixed = _parse_dist(args.dist)
+        forest = generate(Workload(n=args.n, num_lists=args.lists,
+                                   length_distribution=dist, fixed_length=fixed,
+                                   seed=args.seed, layout_shuffle=args.shuffle))
+    except ValueError as exc:
+        return _usage_error(exc)
     text = forest.to_text()
     if args.out == "-":
         sys.stdout.write(text)
@@ -70,10 +79,10 @@ def cmd_generate(args):
     return 0
 
 
-def run_report(forest, algo, p, verify=False, trace=False):
+def run_report(forest, algo, config, verify=False):
     """Execute one ranker and return the report dictionary."""
     n, l = forest.n, forest.longest()
-    report = {"n": n, "l": l, "p": p, "algorithm": algo}
+    report = {"n": n, "l": l, "p": config.num_processors, "algorithm": algo}
     t0 = time.perf_counter()
     trace_lines = []
     if algo == "sequential":
@@ -81,7 +90,6 @@ def run_report(forest, algo, p, verify=False, trace=False):
         report.update(rounds=n, total_work=n, erew_violations=0,
                       passes=0, survivor_counts=[], jump_rounds=0)
     else:
-        config = PramConfig(num_processors=p, record_trace=trace)
         if algo == "uniform":
             run = list_rank(forest, config=config)
         elif algo == "wyllie":
@@ -108,14 +116,20 @@ def cmd_run(args):
         with open(args.forest) as fh:
             forest = LinkedForest.from_text(fh.read())
     except (OSError, ForestFormatError) as exc:
-        print(f"error: cannot load forest: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(f"cannot load forest: {exc}")
     try:
-        report, _, trace_lines = run_report(forest, args.algo, args.p,
-                                            verify=args.verify, trace=args.trace)
+        config = PramConfig(num_processors=args.p, record_trace=args.trace)
+    except ValueError as exc:
+        return _usage_error(exc)
+    try:
+        report, _, trace_lines = run_report(forest, args.algo, config,
+                                            verify=args.verify)
     except UncoveredCaseError as exc:
         print(f"UNCOVERED_CASE: {exc}", file=sys.stderr)
         print(json.dumps(exc.snapshot, indent=2), file=sys.stderr)
+        return 3
+    except ListContractError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if args.trace:
         for line in trace_lines:
@@ -138,11 +152,14 @@ def cmd_sweep(args):
     triples = []
     if args.spec.strip():
         for part in args.spec.split(";"):
-            n, l, p = (int(x) for x in part.split(","))
+            try:
+                n, l, p = (int(x) for x in part.split(","))
+            except ValueError:
+                return _usage_error(f"sweep spec entry {part!r} is not an n,l,p triple")
             triples.append((n, l, p))
     algos = [a for a in args.algo.split(",") if a]
     for n, l, p in triples:
-        if n % l:
+        if l < 1 or n % l:
             rows.append({"n": n, "l": l, "p": p, "algorithm": "-",
                          "status": "FAILED"})
             continue
@@ -150,7 +167,7 @@ def cmd_sweep(args):
                                    fixed_length=l, seed=args.seed))
         for algo in algos:
             try:
-                report, _, _ = run_report(forest, algo, p)
+                report, _, _ = run_report(forest, algo, PramConfig(num_processors=p))
                 report["status"] = "OK"
             except Exception as exc:   # keep sweeping, mark the row
                 report = {"n": n, "l": l, "p": p, "algorithm": algo,

@@ -19,8 +19,6 @@ import numpy as np
 from .errors import ImproperColoringError
 from .pram import NONE
 
-CHECK_PROPER = True
-
 
 @dataclass
 class ColorAssignment:
@@ -48,14 +46,6 @@ def dct_new_colors(color, succ_color, has_succ):
     return np.where(has_succ, new, color & 1)
 
 
-def check_proper(color, succ_ids, colors_of=None):
-    """Raise unless colors differ across every live link."""
-    colors_of = color if colors_of is None else colors_of
-    mask = succ_ids >= 0
-    if mask.any() and (color[mask] == colors_of[succ_ids[mask]]).any():
-        raise ImproperColoringError("equal colors across a link")
-
-
 def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color",
                 color_store="color", scratch_prefix="clr"):
     """Proper 3-coloring of the chains given by succ_ids/pred_ids.
@@ -74,8 +64,8 @@ def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color",
     has_succ = succ_ids >= 0
     has_pred = pred_ids >= 0
 
-    inb_p = _scratch(memory, f"{scratch_prefix}_inb_p", memory.peek(color_store).size)
-    inb_s = _scratch(memory, f"{scratch_prefix}_inb_s", memory.peek(color_store).size)
+    inb_p = memory.scratch(f"{scratch_prefix}_inb_p", memory.peek(color_store).size)
+    inb_s = memory.scratch(f"{scratch_prefix}_inb_s", memory.peek(color_store).size)
 
     # colors live in registers between iterations; memory holds the
     # copy neighbors read
@@ -91,8 +81,7 @@ def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color",
         with engine.step(f"{phase}/dct_write", k) as s:
             s.write(color_store, ids, color)
         iterations += 1
-        if CHECK_PROPER:
-            _assert_proper(color, pos_arr, succ_ids)
+        _assert_proper(color, pos_arr, succ_ids)
 
     for drop in (5, 4, 3):
         with engine.step(f"{phase}/bcast", k) as s:
@@ -110,10 +99,9 @@ def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color",
                 new = np.where(~used[:, 0], 0, np.where(~used[:, 1], 1, 2))
                 color[sel] = new
                 s.write(color_store, ids[sel], new)
-        if CHECK_PROPER:
-            _assert_proper(color, pos_arr, succ_ids)
+        _assert_proper(color, pos_arr, succ_ids)
 
-    if CHECK_PROPER and (color > 2).any():
+    if (color > 2).any():
         raise ImproperColoringError("colors above 2 survived elimination")
     return ColorAssignment(ids, color, iterations + 3, iterations)
 
@@ -126,11 +114,3 @@ def _assert_proper(color, pos_arr, succ_ids):
         if (mine == theirs).any():
             raise ImproperColoringError("coloring became improper")
 
-
-def _scratch(memory, name, size):
-    if memory.has(name):
-        if memory.peek(name).size >= size:
-            return name
-        memory.free(name)
-    memory.alloc(name, size)
-    return name

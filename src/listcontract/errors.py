@@ -21,10 +21,6 @@ class BatchDependenceError(ListContractError):
     """
 
 
-class ContractPreconditionError(ListContractError):
-    """contract() called on non-adjacent or inactive nodes."""
-
-
 class ForestFormatError(ListContractError):
     """Forest text input is malformed or violates the list invariants."""
 
@@ -34,7 +30,7 @@ class ImproperColoringError(ListContractError):
 
 
 class OrientationError(ListContractError):
-    """Column keys of a chain match neither direction of the periodic pattern."""
+    """A pair has no forward column, or survivors miss the bottom row."""
 
 
 class UncoveredCaseError(ListContractError):

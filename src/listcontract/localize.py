@@ -9,11 +9,11 @@ cleared once the contraction pass finishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CutBatch, Machine, PRED_SIDE, SUCC_SIDE
+from .model import Machine, PRED_SIDE, SUCC_SIDE
 from .pram import NONE
 from .steps import contract_batch, restricted_neighbors, scratch
 
@@ -35,15 +35,6 @@ class RunRecord:
     node_count: int
     disposition: str
     over_max: bool = False
-
-
-@dataclass
-class CutSet:
-    tails: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    heads: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-
-    def __len__(self):
-        return int(self.tails.size)
 
 
 def find_runs(machine: Machine, min_run=MIN_RUN, max_run=MAX_RUN):
@@ -96,7 +87,7 @@ def localize(machine: Machine, min_run=MIN_RUN, phase="localize"):
     """
     _absorb_short_runs(machine, target_row=1, min_run=min_run, phase=f"{phase}/a")
     _absorb_short_runs(machine, target_row=0, min_run=min_run, phase=f"{phase}/b")
-    return _cut_cross_links(machine, phase=f"{phase}/cut")
+    _cut_cross_links(machine, phase=f"{phase}/cut")
 
 
 def _absorb_short_runs(machine: Machine, target_row, min_run, phase):
@@ -201,9 +192,8 @@ def _capped_distance(machine: Machine, ids, back, boundary_flag, phase):
 def _cut_cross_links(machine: Machine, phase):
     eng = machine.engine
     ids = machine.in_array_ids()
-    cs = CutSet()
     if ids.size == 0:
-        return cs
+        return
     with eng.step(f"{phase}/nbr", ids.size) as s:
         sv = s.read("succ", ids)
         my_row = s.read("row", ids)
@@ -213,9 +203,6 @@ def _cut_cross_links(machine: Machine, phase):
     if cross.any():
         with eng.step(f"{phase}/mark", int(cross.sum())) as s:
             s.write("cut", ids[cross], 1)
-        cs = CutSet(tails=ids[cross].copy(), heads=sv[cross].copy())
-        machine.log.append(CutBatch(tail=ids[cross].copy()))
-    return cs
 
 
 def clear_cuts(machine: Machine, phase="uncut"):

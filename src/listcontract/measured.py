@@ -1,8 +1,8 @@
 """Recorded measured constants for the regression acceptance checks.
 
-Regenerate with examples/measure_constants.py after intentional
-algorithm changes; the acceptance suite compares fresh measurements
-against these within +-10%.
+Regenerate from the functions in listcontract.benchmarks after
+intentional algorithm changes; the acceptance suite compares fresh
+measurements from the same functions against these within +-10%.
 """
 
 # rounds of one contraction pass vs one 3-coloring, single list of 2**e

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractPreconditionError, ForestFormatError, ListContractError
+from .errors import ForestFormatError, ListContractError
 from .pram import Engine, Memory, PramConfig, NONE
 
 UNPLACED = -1
@@ -151,61 +151,15 @@ class SwapBatch:
     node_b: np.ndarray
 
 
-@dataclass
-class CutBatch:
-    tail: np.ndarray  # link tail -> succ[tail]
-
-
-@dataclass
-class RecolorBatch:
-    node: np.ndarray
-    old: np.ndarray
-    new: np.ndarray
-
-
-class DeltaRecorder:
-    """Flat undo/redo tape of applied writes."""
-
-    def __init__(self):
-        self.entries = []
-
-    def record(self, store, idx, old, new):
-        self.entries.append((store, np.array(idx), np.array(old), np.array(new)))
-
-
-@dataclass(frozen=True)
-class Checkpoint:
-    batch_count: int
-    delta_count: int
-
-
 class ContractionLog:
-    """Append-only record of contraction events.
-
-    Semantic batches drive rank recovery; the optional delta tape gives
-    bit-for-bit undo (uncontract) and redo.
-    """
+    """Append-only record of contraction events; the replay reads its
+    ContractBatch entries to recover ranks."""
 
     def __init__(self):
         self.batches = []
-        self.delta = None
 
     def append(self, batch):
         self.batches.append(batch)
-
-    def start_recording(self, engine: Engine | None = None):
-        if self.delta is None:
-            self.delta = DeltaRecorder()
-        if engine is not None:
-            engine.delta_recorder = self.delta
-
-    def checkpoint(self) -> Checkpoint:
-        return Checkpoint(len(self.batches), len(self.delta.entries) if self.delta else 0)
-
-    def contract_events(self):
-        for b in self.batches:
-            if isinstance(b, ContractBatch):
-                yield b
 
 
 class Machine:
@@ -258,86 +212,10 @@ class Machine:
         st, row = self.peek("status"), self.peek("row")
         return np.flatnonzero((st == NONE) & (row == POOLED))
 
-    def apply(self, store, idx, values):
-        """Host-side write that still feeds the undo tape."""
-        idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
-        values = np.broadcast_to(np.asarray(values, dtype=np.int64), idx.shape)
-        arr = self.peek(store)
-        if self.log.delta is not None:
-            self.log.delta.record(store, idx, arr[idx].copy(), values.copy())
-        arr[idx] = values
-
     # -- two-row array --------------------------------------------------
 
     def two_rows(self):
         return TwoRowArray(self)
-
-    # -- model operations ------------------------------------------------
-
-    def contract(self, absorbed, host):
-        """Absorb one active node into an adjacent active host.
-
-        The host keeps its slot; the absorbed node's slot becomes
-        vacant. The host inherits the absorbed node's outer neighbor
-        and weight; the event is logged.
-        """
-        a, h = int(absorbed), int(host)
-        status, succ, pred = self.peek("status"), self.peek("succ"), self.peek("pred")
-        if status[a] != NONE or status[h] != NONE:
-            raise ContractPreconditionError("contract requires two active nodes")
-        if succ[a] == h:
-            side = PRED_SIDE
-        elif pred[a] == h:
-            side = SUCC_SIDE
-        else:
-            raise ContractPreconditionError(f"nodes {a} and {h} are not adjacent")
-        w = int(self.peek("weight")[a])
-        if side == PRED_SIDE:
-            outer = int(pred[a])
-            if outer != NONE:
-                self.apply("succ", outer, h)
-            self.apply("pred", h, outer)
-            self.apply("first", h, int(self.peek("first")[a]))
-        else:
-            outer = int(succ[a])
-            if outer != NONE:
-                self.apply("pred", outer, h)
-            self.apply("succ", h, outer)
-            self.apply("cut", h, int(self.peek("cut")[a]))
-        self.apply("status", a, h)
-        self.apply("weight", h, int(self.peek("weight")[h]) + w)
-        self._vacate(a)
-        self.log.append(
-            ContractBatch(
-                absorbed=np.array([a]), host=np.array([h]),
-                side=np.array([side]), weight=np.array([w]),
-            )
-        )
-
-    def _vacate(self, node):
-        r, c = int(self.peek("row")[node]), int(self.peek("col")[node])
-        if r >= 0:
-            self.apply("slot", r * self.columns + c, NONE)
-        self.apply("row", node, RETIRED)
-        self.apply("col", node, RETIRED)
-
-    def uncontract(self, back_to: Checkpoint):
-        """Restore the model to an earlier checkpoint, bit for bit.
-
-        Requires delta recording to have been active since the
-        checkpoint was taken.
-        """
-        if self.log.delta is None:
-            if back_to.batch_count == len(self.log.batches):
-                return
-            raise ListContractError("uncontract requires delta recording")
-        entries = self.log.delta.entries
-        if back_to.delta_count > len(entries) or back_to.batch_count > len(self.log.batches):
-            raise ListContractError("invalid checkpoint")
-        while len(entries) > back_to.delta_count:
-            store, idx, old, _ = entries.pop()
-            self.peek(store)[idx] = old
-        del self.log.batches[back_to.batch_count:]
 
     def check_consistency(self):
         """Bidirectional link and weight invariants; raises on failure."""

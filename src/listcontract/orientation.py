@@ -10,7 +10,7 @@ the bottom row and the array folds to half the columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,12 +18,9 @@ from .errors import OrientationError
 from .localize import clear_cuts, localize
 from .model import Machine, MoveBatch, PRED_SIDE, SUCC_SIDE
 from .pram import NONE
-from .steps import contract_batch, move_nodes
-from .uniform import (_mb, _read_mb, enforce_uniformity, opposite_pair_shortcut,
+from .steps import contract_batch, move_nodes, pair_leaders
+from .uniform import (_read_mb, enforce_uniformity, opposite_pair_shortcut,
                       publish_mailboxes, row_color_and_pair)
-
-FORWARD = 1
-BACKWARD = -1
 
 _CYCLE_NEXT = np.full(4, -1, dtype=np.int64)
 _CYCLE_NEXT[[0, 1, 3, 2]] = [1, 3, 2, 0]
@@ -32,7 +29,6 @@ _CYCLE_NEXT[[0, 1, 3, 2]] = [1, 3, 2, 0]
 @dataclass
 class OrientationKey:
     key: np.ndarray                  # per column, NONE where undefined
-    direction: dict = field(default_factory=dict)   # node -> FORWARD | BACKWARD
     # per-pair placement plan(leader node, partner, target column, needs row move)
     plan_host: np.ndarray = None
     plan_absorbed: np.ndarray = None
@@ -64,7 +60,7 @@ def derive_orientation(machine: Machine, phase="orient") -> OrientationKey:
 
     host_l, abs_l, col_l, fromtop_l = [], [], [], []
     for row in (0, 1):
-        leaders = _pair_leaders(machine, row)
+        leaders = pair_leaders(machine, row)
         if leaders.size == 0:
             continue
         colarr, pair = machine.peek("col"), machine.peek("pair")
@@ -122,11 +118,9 @@ def derive_orientation(machine: Machine, phase="orient") -> OrientationKey:
         raise OrientationError(
             f"bottom slots claimed twice at columns {uniq[counts > 1][:8].tolist()}")
 
-    ok = OrientationKey(key=key, plan_host=plan_host, plan_absorbed=plan_abs,
-                        plan_col=plan_col, plan_from_top=plan_ft,
-                        loose_nodes=loose, loose_cols=loose_cols)
-    ok.direction = _chain_directions(machine, key)
-    return ok
+    return OrientationKey(key=key, plan_host=plan_host, plan_absorbed=plan_abs,
+                          plan_col=plan_col, plan_from_top=plan_ft,
+                          loose_nodes=loose, loose_cols=loose_cols)
 
 
 def _cycle_next_of(k):
@@ -159,66 +153,6 @@ def grid_dump(machine: Machine):
         else:
             keys.append(str(int(2 * color[t] + color[b])))
     return f"row0: {top}\nrow1: {bot}\nkey : {' '.join(keys)}\n"
-
-
-def _pair_leaders(machine, row):
-    st, rw, pair, col = (machine.peek(n) for n in ("status", "row", "pair", "col"))
-    ids = np.flatnonzero((st == NONE) & (rw == row) & (pair != NONE))
-    if ids.size == 0:
-        return ids
-    return ids[col[ids] < col[pair[ids]]]
-
-
-def _chain_directions(machine, key):
-    """Diagnostic per-node direction labels: FORWARD when the oriented
-    walk of the node's chain ascends columns at the chain's lowest
-    column, BACKWARD otherwise."""
-    direction = {}
-    pair, col, row = (machine.peek(n) for n in ("pair", "col", "row"))
-    # pair edges keyed by (row, frozenset of columns)
-    edges = {}
-    for r in (0, 1):
-        for v in _pair_leaders(machine, r):
-            p = int(pair[v])
-            c1, c2 = int(col[v]), int(col[p])
-            k1, k2 = int(key[c1]), int(key[c2])
-            if k1 == NONE or k2 == NONE:
-                continue
-            if _CYCLE_NEXT[k2] != k1 and _CYCLE_NEXT[k1] != k2:
-                raise OrientationError(
-                    f"keys {k1},{k2} at columns {c1},{c2} match neither direction")
-            edges[(r, c1)] = (int(v), p, c1, c2)
-            edges[(r, c2)] = (int(v), p, c1, c2)
-    seen = set()
-    for start in list(edges):
-        if start in seen:
-            continue
-        # flood the chain across alternating-row edge hops
-        comp = []
-        comp_keys, work = set(), [start]
-        while work:
-            r, c = work.pop()
-            if (r, c) in comp_keys or (r, c) not in edges:
-                continue
-            comp_keys.add((r, c))
-            v, p, c1, c2 = edges[(r, c)]
-            comp_keys.add((r, c1))
-            comp_keys.add((r, c2))
-            comp.append((v, p, c1, c2))
-            for nxt in ((1 - r, c1), (1 - r, c2)):
-                if nxt in edges and nxt not in comp_keys:
-                    work.append(nxt)
-        seen |= comp_keys
-        pairs_of_chain = {(v, p, c1, c2) for v, p, c1, c2 in comp}
-        anchor = min(pairs_of_chain, key=lambda e: min(e[2], e[3]))
-        _, _, c1, c2 = anchor
-        fwd_col = c1 if _CYCLE_NEXT[int(key[c2])] == int(key[c1]) else c2
-        back_col = c2 if fwd_col == c1 else c1
-        lab = FORWARD if fwd_col > back_col else BACKWARD
-        for v, p, _, _ in pairs_of_chain:
-            direction[v] = lab
-            direction[p] = lab
-    return direction
 
 
 def contract_along_orientation(machine: Machine, plan: OrientationKey, phase="pack"):

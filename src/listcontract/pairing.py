@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ImproperColoringError
-from .model import Machine, RecolorBatch, PRED_SIDE, SUCC_SIDE
+from .model import Machine, PRED_SIDE, SUCC_SIDE
 from .pram import NONE
 from .steps import contract_batch, restricted_neighbors, scratch
 
@@ -68,8 +68,6 @@ def eliminate_twos(machine: Machine, ids, sv, pv, colors, phase="elim2"):
     if rec.any():
         with eng.step(f"{phase}/recolor", int(rec.sum())) as s:
             s.write("color", t_ids[rec], new[rec])
-        machine.log.append(RecolorBatch(node=t_ids[rec], old=np.full(int(rec.sum()), 2),
-                                        new=new[rec]))
         colors[twos[rec]] = new[rec]
 
     if mixed.any():

@@ -33,10 +33,9 @@ NONE = -1
 
 @dataclass
 class PramConfig:
-    """Machine parameters: processor count and checking/trace switches."""
+    """Machine parameters: processor count and the trace switch."""
 
     num_processors: int = 1
-    enforce_erew: bool = True
     record_trace: bool = False
 
     def __post_init__(self):
@@ -57,22 +56,6 @@ class RoundMetrics:
         self.phase_breakdown[phase] = self.phase_breakdown.get(phase, 0) + rounds
 
 
-class AccessLog:
-    """Per-round record of (cell, processor) reads and writes.
-
-    Populated only when ``record_trace`` is on; the exclusivity checks
-    themselves never depend on it.
-    """
-
-    def __init__(self):
-        self.reads = {}
-        self.writes = {}
-
-    def record(self, round_index, kind, store, idx, procs):
-        table = self.reads if kind == "r" else self.writes
-        table.setdefault(round_index, []).append((store, idx, procs))
-
-
 class Memory:
     """Named dense int64 stores addressed as (name, index) cells."""
 
@@ -88,6 +71,16 @@ class Memory:
     def free(self, name):
         del self._stores[name]
 
+    def scratch(self, name, size):
+        """Reuse store name when it holds at least size cells, else
+        (re)allocate it; returns the name."""
+        if self.has(name):
+            if self._stores[name].size >= size:
+                return name
+            self.free(name)
+        self.alloc(name, size)
+        return name
+
     def has(self, name):
         return name in self._stores
 
@@ -102,20 +95,6 @@ class Memory:
     def poke(self, name, idx, values):
         """Unmetered setup write; not for use inside algorithm phases."""
         self._stores[name][idx] = values
-
-    def snapshot(self, names=None):
-        names = names if names is not None else list(self._stores)
-        return {n: self._stores[n].copy() for n in names}
-
-
-class Task:
-    """Closure-style task: declared reads, then a compute returning writes."""
-
-    __slots__ = ("reads", "compute")
-
-    def __init__(self, reads, compute):
-        self.reads = list(reads)
-        self.compute = compute
 
 
 class _StepContext:
@@ -150,6 +129,14 @@ class _StepContext:
         values = np.broadcast_to(np.asarray(values, dtype=np.int64), (self.n_tasks,))
         self._writes.append((store, idx, values))
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.engine._finish_step(self)
+        return False
+
 
 class Engine:
     """Sequential reference implementation of the synchronous machine."""
@@ -158,9 +145,7 @@ class Engine:
         self.memory = memory
         self.config = config
         self._metrics = RoundMetrics()
-        self.access_log = AccessLog()
         self.trace = []
-        self.delta_recorder = None
         self._round_counter = 0
 
     # -- metrics ------------------------------------------------------
@@ -171,43 +156,8 @@ class Engine:
     # -- step execution -----------------------------------------------
 
     def step(self, label, n_tasks):
-        return _StepGuard(self, label, n_tasks)
-
-    def run_tasks(self, label, tasks):
-        """Run closure-style tasks as one step (mainly for small batches).
-
-        Each task declares its reads up front; its compute receives the
-        read values and returns an iterable of (store, index, value)
-        writes. Tasks are padded to a common read count internally.
-        """
-        n = len(tasks)
-        if n == 0:
-            return
-        max_reads = max(len(t.reads) for t in tasks)
-        with self.step(label, n) as s:
-            values = []
-            for slot in range(max_reads):
-                idx = np.full(n, NONE, dtype=np.int64)
-                stores = [None] * n
-                for i, t in enumerate(tasks):
-                    if slot < len(t.reads):
-                        stores[i], idx[i] = t.reads[slot]
-                # group by store to keep read() calls homogeneous
-                for store in {st for st in stores if st is not None}:
-                    sel = np.array([st == store for st in stores])
-                    part = np.where(sel, idx, NONE)
-                    got = s.read(store, part)
-                    if slot == len(values):
-                        values.append(np.zeros(n, dtype=np.int64))
-                    values[slot][sel] = got[sel]
-                if slot == len(values):
-                    values.append(np.zeros(n, dtype=np.int64))
-            for i, t in enumerate(tasks):
-                vals = [values[slot][i] for slot in range(len(t.reads))]
-                for store, idx_w, val in t.compute(vals):
-                    one_idx = np.full(n, NONE, dtype=np.int64)
-                    one_idx[i] = idx_w
-                    s.write(store, one_idx, np.full(n, val, dtype=np.int64))
+        """Context manager for one step; checks and writes run on exit."""
+        return _StepContext(self, label, n_tasks)
 
     # -- internals ------------------------------------------------------
 
@@ -219,28 +169,22 @@ class Engine:
         rounds = -(-t // p)
 
         violations_by_round = np.zeros(rounds, dtype=np.int64)
-        self._check_exclusive(ctx._reads, p, violations_by_round, "read", ctx.label)
-        self._check_exclusive(
-            [(st, ix) for st, ix, _ in ctx._writes], p, violations_by_round, "write", ctx.label
-        )
-        self._check_batch_isolation(ctx)
+        _check_exclusive(ctx._reads, p, violations_by_round)
+        _check_exclusive([(st, ix) for st, ix, _ in ctx._writes], p, violations_by_round)
+        _check_batch_isolation(ctx)
 
         total_viol = int(violations_by_round.sum())
         self._metrics.erew_violations += total_viol
 
         if self.config.record_trace:
-            self._record_access(ctx, p)
-
-        for r in range(rounds):
-            active = min(p, t - r * p)
-            if self.config.record_trace:
+            for r in range(rounds):
                 self.trace.append(
-                    f"round={self._round_counter} phase={ctx.label} "
-                    f"active={active} violations={int(violations_by_round[r])}"
+                    f"round={self._round_counter + r} phase={ctx.label} "
+                    f"active={min(p, t - r * p)} violations={int(violations_by_round[r])}"
                 )
-            self._round_counter += 1
+        self._round_counter += rounds
 
-        if total_viol and self.config.enforce_erew:
+        if total_viol:
             self._metrics.add(ctx.label, rounds, t)
             raise ErewViolationError(
                 f"{total_viol} EREW violation(s) in phase {ctx.label!r}",
@@ -250,62 +194,6 @@ class Engine:
         self._apply_writes(ctx)
         self._metrics.add(ctx.label, rounds, t)
 
-    def _check_exclusive(self, accesses, p, violations_by_round, kind, label):
-        nrounds = violations_by_round.size + 1
-        per_store = {}
-        for store, idx in accesses:
-            per_store.setdefault(store, []).append(idx)
-        for store, idx_list in per_store.items():
-            tasks = np.concatenate(
-                [np.flatnonzero(ix >= 0) for ix in idx_list]
-            )
-            cells = np.concatenate([ix[ix >= 0] for ix in idx_list])
-            if cells.size < 2:
-                continue
-            key = cells * nrounds + tasks // p
-            order = np.argsort(key, kind="stable")
-            k_s = key[order]
-            t_s = tasks[order]
-            # same task touching the same cell twice is allowed
-            bad = (k_s[1:] == k_s[:-1]) & (t_s[1:] != t_s[:-1])
-            if bad.any():
-                bad_rounds = np.unique(k_s[1:][bad]) % nrounds
-                np.add.at(violations_by_round, bad_rounds, 1)
-
-    def _check_batch_isolation(self, ctx):
-        reads = {}
-        for store, idx in ctx._reads:
-            reads.setdefault(store, []).append(idx)
-        for store, idx, _ in ctx._writes:
-            if store not in reads:
-                continue
-            w_mask = idx >= 0
-            if not w_mask.any():
-                continue
-            writers = np.flatnonzero(w_mask)
-            w_cells = idx[w_mask]
-            for r_idx in reads[store]:
-                r_mask = r_idx >= 0
-                readers = np.flatnonzero(r_mask)
-                r_cells = r_idx[r_mask]
-                order = np.argsort(w_cells, kind="stable")
-                pos = np.searchsorted(w_cells[order], r_cells)
-                pos_ok = pos < w_cells.size
-                hit = np.zeros(r_cells.size, dtype=bool)
-                hit[pos_ok] = w_cells[order][pos[pos_ok]] == r_cells[pos_ok]
-                if not hit.any():
-                    continue
-                same = np.zeros(r_cells.size, dtype=bool)
-                same[pos_ok] = writers[order][pos[pos_ok]] == readers[pos_ok]
-                # a cell written by several tasks is caught by the EREW
-                # check; here only reader != writer matters
-                if (hit & ~same).any():
-                    cell = int(r_cells[hit & ~same][0])
-                    raise BatchDependenceError(
-                        f"phase {ctx.label!r}: cell ({store}, {cell}) is read and "
-                        "written by different tasks of one step"
-                    )
-
     def _apply_writes(self, ctx):
         for store, idx, values in ctx._writes:
             mask = idx >= 0
@@ -314,34 +202,66 @@ class Engine:
             arr = self.memory.peek(store)
             ids = idx[mask]
             vals = values[mask]
-            if self.delta_recorder is not None:
-                self.delta_recorder.record(store, ids, arr[ids].copy(), vals)
             arr[ids] = vals
 
-    def _record_access(self, ctx, p):
-        base = self._round_counter
-        for store, idx in ctx._reads:
-            mask = idx >= 0
-            tasks = np.flatnonzero(mask)
-            for r in np.unique(tasks // p):
-                sel = tasks // p == r
-                self.access_log.record(base + int(r), "r", store, idx[mask][sel], tasks[sel] % p)
-        for store, idx, _ in ctx._writes:
-            mask = idx >= 0
-            tasks = np.flatnonzero(mask)
-            for r in np.unique(tasks // p):
-                sel = tasks // p == r
-                self.access_log.record(base + int(r), "w", store, idx[mask][sel], tasks[sel] % p)
+
+def _by_store(accesses):
+    """Group (store, idx) accesses into store -> list of idx arrays."""
+    grouped = {}
+    for store, idx in accesses:
+        grouped.setdefault(store, []).append(idx)
+    return grouped
 
 
-class _StepGuard:
-    def __init__(self, engine, label, n_tasks):
-        self.ctx = _StepContext(engine, label, n_tasks)
+def _check_exclusive(accesses, p, violations_by_round):
+    """Count, per round, the cells two distinct tasks of that round touch."""
+    nrounds = violations_by_round.size + 1
+    for idx_list in _by_store(accesses).values():
+        # one array per statement: the previous store's array is freed
+        # before the next is built, which keeps page faults down
+        tasks = np.concatenate([np.flatnonzero(ix >= 0) for ix in idx_list])
+        cells = np.concatenate([ix[ix >= 0] for ix in idx_list])
+        if cells.size < 2:
+            continue
+        key = cells * nrounds + tasks // p
+        order = np.argsort(key, kind="stable")
+        k_s = key[order]
+        t_s = tasks[order]
+        # same task touching the same cell twice is allowed
+        bad = (k_s[1:] == k_s[:-1]) & (t_s[1:] != t_s[:-1])
+        if bad.any():
+            bad_rounds = np.unique(k_s[1:][bad]) % nrounds
+            np.add.at(violations_by_round, bad_rounds, 1)
 
-    def __enter__(self):
-        return self.ctx
 
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.ctx.engine._finish_step(self.ctx)
-        return False
+def _check_batch_isolation(ctx):
+    """Refuse a step in which task i reads a cell that any task j != i
+    writes, whatever rounds i and j fall in."""
+    read_stores = {store for store, _ in ctx._reads}
+    writes = [(st, ix) for st, ix, _ in ctx._writes if st in read_stores]
+    if not writes:
+        return
+    reads = _by_store(ctx._reads)
+    for store, idx_list in _by_store(writes).items():
+        w_cells = np.concatenate([ix[ix >= 0] for ix in idx_list])
+        if w_cells.size == 0:
+            continue
+        order = np.argsort(w_cells, kind="stable")
+        w_tasks = np.concatenate([np.flatnonzero(ix >= 0) for ix in idx_list])[order]
+        w_cells = w_cells[order]
+        r_tasks = np.concatenate([np.flatnonzero(ix >= 0) for ix in reads[store]])
+        r_cells = np.concatenate([ix[ix >= 0] for ix in reads[store]])
+        # one group per written cell, with its lowest and highest writer
+        start = np.flatnonzero(np.r_[True, w_cells[1:] != w_cells[:-1]])
+        cells = w_cells[start]
+        lo = np.minimum.reduceat(w_tasks, start)
+        hi = np.maximum.reduceat(w_tasks, start)
+        pos = np.minimum(np.searchsorted(cells, r_cells), cells.size - 1)
+        hit = cells[pos] == r_cells
+        other = hit & ((lo[pos] != r_tasks) | (hi[pos] != r_tasks))
+        if other.any():
+            cell = int(r_cells[other][0])
+            raise BatchDependenceError(
+                f"phase {ctx.label!r}: cell ({store}, {cell}) is read and "
+                "written by different tasks of one step"
+            )

@@ -9,14 +9,17 @@ from .pram import NONE
 
 
 def scratch(machine: Machine, name, size=None):
-    size = machine.n if size is None else int(size)
-    mem = machine.memory
-    if mem.has(name):
-        if mem.peek(name).size >= size:
-            return name
-        mem.free(name)
-    mem.alloc(name, size)
-    return name
+    """Scratch store of size cells, machine.n by default."""
+    return machine.memory.scratch(name, machine.n if size is None else int(size))
+
+
+def pair_leaders(machine: Machine, row):
+    """Leader node of every pair on one row: the smaller-column member."""
+    st, rw, pair, col = (machine.peek(n) for n in ("status", "row", "pair", "col"))
+    ids = np.flatnonzero((st == NONE) & (rw == row) & (pair != NONE))
+    if ids.size == 0:
+        return ids
+    return ids[col[ids] < col[pair[ids]]]
 
 
 def restricted_neighbors(machine: Machine, ids, phase):

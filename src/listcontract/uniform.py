@@ -28,8 +28,12 @@ from .coloring import three_color
 from .errors import UncoveredCaseError
 from .model import Machine, PRED_SIDE, SUCC_SIDE
 from .pram import NONE
-from .steps import contract_batch, move_nodes, restricted_neighbors, scratch, swap_positions
+from .steps import (contract_batch, move_nodes, pair_leaders, restricted_neighbors,
+                    scratch, swap_positions)
 from . import pairing as _pairing
+
+# structural repair rounds of the top-row application before the sweep
+REPAIR_ITERATIONS = 6
 
 # -- column mailboxes ---------------------------------------------------
 
@@ -72,15 +76,6 @@ def _read_mb(machine, s, row, what, cols):
 
 # -- mark detection -----------------------------------------------------
 
-def _ref_leaders(machine, ref_row):
-    """Leader node per reference-row pair (the smaller-column member)."""
-    st, row, pair, col = (machine.peek(n) for n in ("status", "row", "pair", "col"))
-    ids = np.flatnonzero((st == NONE) & (row == ref_row) & (pair != NONE))
-    if ids.size == 0:
-        return ids
-    return ids[col[ids] < col[pair[ids]]]
-
-
 def detect_marks(machine: Machine, target_row, ref_row, phase):
     """Columns and mismatch flags of every reference pair.
 
@@ -89,7 +84,7 @@ def detect_marks(machine: Machine, target_row, ref_row, phase):
     marked.
     """
     eng = machine.engine
-    leaders = _ref_leaders(machine, ref_row)
+    leaders = pair_leaders(machine, ref_row)
     k = leaders.size
     empty = np.empty(0, dtype=np.int64)
     if k == 0:
@@ -177,8 +172,7 @@ def _contract_target_pair(machine, absorbed, host, phase):
         s.write("color", h, NONE)
 
 
-def enforce_uniformity(machine: Machine, target_row, reference_row, phase=None,
-                       max_iterations=4):
+def enforce_uniformity(machine: Machine, target_row, reference_row, phase=None):
     """Make both target cells equal-colored over every reference pair.
 
     The top-row application (target_row 0) uses the swap, contract and
@@ -189,9 +183,7 @@ def enforce_uniformity(machine: Machine, target_row, reference_row, phase=None,
     """
     phase = phase or f"uniform_t{target_row}"
     structural = target_row == 0
-    if structural:
-        max_iterations = max(max_iterations, 6)
-    for it in range(max_iterations):
+    for it in range(REPAIR_ITERATIONS):
         publish_mailboxes(machine, f"{phase}/it{it}")
         leaders, c_lo, c_hi, j0, j1, marked = detect_marks(
             machine, target_row, reference_row, f"{phase}/it{it}")
@@ -544,7 +536,7 @@ def opposite_pair_shortcut(machine: Machine, phase="shortcut"):
     """
     eng = machine.engine
     publish_mailboxes(machine, phase)
-    leaders = _ref_leaders(machine, 1)
+    leaders = pair_leaders(machine, 1)
     if leaders.size == 0:
         return 0
     col, pair, colr = machine.peek("col"), machine.peek("pair"), machine.peek("color")

@@ -120,7 +120,7 @@ def test_criterion_3_erew_compliance():
         run = list_rank(forest, p=p, min_run=4, layout_mode="rows")
         total += run.metrics.erew_violations
     report("criterion 3 (EREW compliance)", total == 0,
-           f"erew_violations = {total} (enforce_erew raises on any)")
+           f"erew_violations = {total} (the engine raises on any)")
 
 
 def test_criterion_4_pass_cost_tied_to_coloring():

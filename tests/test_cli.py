@@ -3,7 +3,7 @@ import json
 import pytest
 
 from listcontract.cli import main
-from listcontract import LinkedForest
+from listcontract import ErewViolationError, LinkedForest
 
 
 def run_cli(args):
@@ -20,10 +20,42 @@ def test_generate_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_generate_fixed_divisibility_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        run_cli(["generate", "--n", "10", "--dist", "FIXED:3", "--out",
-                 str(tmp_path / "x.forest")])
+def test_generate_fixed_divisibility_rejected(tmp_path, capsys):
+    out = tmp_path / "x.forest"
+    assert run_cli(["generate", "--n", "10", "--dist", "FIXED:3", "--out",
+                    str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["generate", "--n", "0"],
+    ["generate", "--n", "8", "--dist", "BOGUS"],
+    ["sweep", "--spec", "1,2"],
+    ["run", "FOREST", "--p", "0"],
+], ids=["n0", "bogus_dist", "spec_pair", "p0"])
+def test_bad_arguments_exit_2_with_one_error_line(args, tmp_path, capsys):
+    forest = tmp_path / "w.forest"
+    forest.write_text("0 1\n1 -1\n")
+    args = [str(forest) if a == "FOREST" else a for a in args]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_run_maps_package_errors_to_exit_3(tmp_path, capsys, monkeypatch):
+    import listcontract.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise ErewViolationError("1 EREW violation(s) in phase 'x'")
+
+    monkeypatch.setattr(cli, "list_rank", refuse)
+    forest = tmp_path / "w.forest"
+    forest.write_text("0 1\n1 -1\n")
+    assert run_cli(["run", str(forest)]) == 3
+    assert capsys.readouterr().err.startswith("ErewViolationError: ")
 
 
 def test_generate_single_one_list(tmp_path):

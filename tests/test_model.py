@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from listcontract import (ContractPreconditionError, ForestFormatError,
-                          LinkedForest, Machine, PramConfig, layout)
+from listcontract import ForestFormatError, LinkedForest, Machine, PramConfig, layout
+from listcontract.model import PRED_SIDE, SUCC_SIDE
 from listcontract.pram import NONE
-from conftest import forest_from_lists, path_forest, snapshot, states_equal
+from listcontract.steps import contract_batch
+from conftest import forest_from_lists, path_forest
 
 
 # -- forest text format -------------------------------------------------
@@ -86,35 +87,30 @@ def test_layout_rows_mode_splits_halves():
     assert [arr.slot(1, c) for c in range(4)] == [4, 5, 6, 7]
 
 
-# -- contract / uncontract ------------------------------------------------
+# -- metered contraction ---------------------------------------------------
+
+def contract_one(m, absorbed, host):
+    """contract_batch on one adjacent pair, side read from the links."""
+    side = PRED_SIDE if m.peek("succ")[absorbed] == host else SUCC_SIDE
+    contract_batch(m, [absorbed], [host], side, "test")
+    m.check_consistency()
+
 
 def test_contract_middle_into_predecessor():
     m = Machine(path_forest(3), PramConfig())
     layout(m)
-    m.contract(1, 0)   # a<-b,  a -> c remains
+    contract_one(m, 1, 0)   # a<-b,  a -> c remains
     assert m.peek("succ")[0] == 2
     assert m.peek("pred")[2] == 0
     assert m.peek("weight")[0] == 2
     assert m.peek("status")[1] == 0
-    m.check_consistency()
 
 
 def test_contract_tail_into_predecessor_makes_new_tail():
     m = Machine(path_forest(3), PramConfig())
     layout(m)
-    m.contract(2, 1)
+    contract_one(m, 2, 1)
     assert m.peek("succ")[1] == NONE
-    m.check_consistency()
-
-
-def test_contract_requires_adjacent_active():
-    m = Machine(path_forest(4), PramConfig())
-    layout(m)
-    with pytest.raises(ContractPreconditionError):
-        m.contract(0, 3)
-    m.contract(1, 0)
-    with pytest.raises(ContractPreconditionError):
-        m.contract(1, 0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -132,71 +128,4 @@ def test_weight_conservation_over_random_contractions(n, rnd):
         nbrs = [x for x in (succ[v], pred[v]) if x != NONE]
         if not nbrs:
             continue
-        m.contract(v, int(rnd.choice(nbrs)))
-        m.check_consistency()   # includes weight conservation
-
-
-def test_uncontract_inverse_pair():
-    m = Machine(path_forest(4), PramConfig())
-    layout(m)
-    m.log.start_recording()
-    before = snapshot(m)
-    cp = m.log.checkpoint()
-    m.contract(1, 0)
-    m.uncontract(cp)
-    assert states_equal(before, snapshot(m))
-
-
-def test_uncontract_partial_rollback_matches_snapshot():
-    rng = np.random.default_rng(5)
-    m = Machine(path_forest(16), PramConfig())
-    layout(m)
-    m.log.start_recording()
-    snaps = []
-    for _ in range(10):
-        snaps.append((m.log.checkpoint(), snapshot(m)))
-        active = m.active_ids()
-        active = active[active < 16]
-        v = int(rng.choice(active))
-        succ, pred = m.peek("succ"), m.peek("pred")
-        nbrs = [x for x in (succ[v], pred[v]) if x != NONE]
-        if not nbrs:
-            continue
-        m.contract(v, int(rng.choice(nbrs)))
-    m.uncontract(snaps[5][0])
-    assert states_equal(snaps[5][1], snapshot(m))
-
-
-def test_uncontract_empty_rollback_is_noop():
-    m = Machine(path_forest(4), PramConfig())
-    layout(m)
-    m.log.start_recording()
-    cp = m.log.checkpoint()
-    before = snapshot(m)
-    m.uncontract(cp)
-    assert states_equal(before, snapshot(m))
-
-
-def test_uncontract_invalid_checkpoint_rejected():
-    from listcontract import Checkpoint, ListContractError
-    m = Machine(path_forest(4), PramConfig())
-    m.log.start_recording()
-    with pytest.raises(ListContractError):
-        m.uncontract(Checkpoint(batch_count=5, delta_count=99))
-
-
-def test_delta_tape_replays_both_ways():
-    m = Machine(path_forest(6), PramConfig())
-    layout(m)
-    m.log.start_recording()
-    initial = snapshot(m)
-    m.contract(1, 0)
-    m.contract(3, 2)
-    final = snapshot(m)
-    entries = list(m.log.delta.entries)
-    for store, idx, old, _ in reversed(entries):
-        m.peek(store)[idx] = old
-    assert states_equal(initial, snapshot(m))
-    for store, idx, _, new in entries:
-        m.peek(store)[idx] = new
-    assert states_equal(final, snapshot(m))
+        contract_one(m, v, int(rnd.choice(nbrs)))   # checks weight conservation

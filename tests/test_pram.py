@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from listcontract import (BatchDependenceError, Engine, ErewViolationError,
-                          Memory, PramConfig, Task)
+                          Memory, PramConfig)
 from listcontract.pram import NONE
 
 
@@ -95,6 +95,18 @@ def test_cross_task_read_write_overlap_rejected():
             s.write("x", np.array([2, 3]), np.array([9, 9]))
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_read_of_cell_written_by_other_task_rejected_for_any_p(p):
+    # task 0 reads x[5], tasks 0 and 1 both write it; the outcome would
+    # depend on which writer lands last, so every p refuses the step
+    mem, eng = fresh(p=p)
+    with pytest.raises(BatchDependenceError):
+        with eng.step("rw", 2) as s:
+            s.read("x", np.array([5, NONE]))
+            s.write("x", np.array([5, 5]), np.array([10, 20]))
+    assert mem.peek("x")[5] == 0
+
+
 def test_masked_index_skips_task():
     mem, eng = fresh(p=4)
     mem.poke("x", np.arange(4), np.array([5, 6, 7, 8]))
@@ -127,17 +139,6 @@ def test_trace_one_record_per_round():
     assert len(eng.trace) == 3
     assert eng.trace[0] == "round=0 phase=phase_a active=2 violations=0"
     assert eng.trace[2].startswith("round=2 phase=phase_a active=1")
-
-
-def test_run_tasks_closure_form():
-    mem, eng = fresh(p=2)
-    mem.poke("x", np.arange(8), np.arange(8) * 10)
-    tasks = [Task(reads=[("x", i)],
-                  compute=lambda vals, i=i: [("y", i, vals[0] + 1)])
-             for i in range(8)]
-    eng.run_tasks("closure", tasks)
-    assert np.array_equal(mem.peek("y")[:8], np.arange(8) * 10 + 1)
-    assert eng.metrics().rounds == 4
 
 
 def test_phase_breakdown_accumulates():

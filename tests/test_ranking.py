@@ -4,7 +4,9 @@ import pytest
 from listcontract import (ForestFormatError, LinkedForest, Machine, PramConfig,
                           Workload, contract_to_threshold, generate, layout,
                           list_rank, pointer_jump, sequential_rank, wyllie_rank)
+from listcontract.model import SUCC_SIDE
 from listcontract.pram import NONE
+from listcontract.steps import contract_batch
 from conftest import forest_from_lists, path_forest
 
 
@@ -71,7 +73,7 @@ def test_jump_path_of_five_three_rounds():
 def test_jump_weighted_distances():
     m = Machine(path_forest(4), PramConfig(num_processors=4))
     layout(m)
-    m.contract(1, 0)    # weight(0) = 2
+    contract_batch(m, [1], [0], SUCC_SIDE, "test")    # weight(0) = 2
     ids, before, head, rounds = pointer_jump(m)
     got = dict(zip(ids.tolist(), before.tolist()))
     assert got[0] == 0 and got[2] == 2 and got[3] == 3

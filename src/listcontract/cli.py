@@ -62,6 +62,20 @@ def _usage_error(exc):
     return 2
 
 
+def _emit(path, text):
+    """Write text to path ("-" is stdout); exit code 0, or 2 when the
+    path cannot be written."""
+    if path == "-":
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return _usage_error(f"cannot write {path}: {exc}")
+    return 0
+
+
 def cmd_generate(args):
     try:
         dist, fixed = _parse_dist(args.dist)
@@ -70,13 +84,7 @@ def cmd_generate(args):
                                    seed=args.seed, layout_shuffle=args.shuffle))
     except ValueError as exc:
         return _usage_error(exc)
-    text = forest.to_text()
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    return 0
+    return _emit(args.out, forest.to_text())
 
 
 def run_report(forest, algo, config, verify=False):
@@ -88,7 +96,8 @@ def run_report(forest, algo, config, verify=False):
     if algo == "sequential":
         result = sequential_rank(forest)
         report.update(rounds=n, total_work=n, erew_violations=0,
-                      passes=0, survivor_counts=[], jump_rounds=0)
+                      passes=0, degraded_passes=0, survivor_counts=[],
+                      jump_rounds=0)
     else:
         if algo == "uniform":
             run = list_rank(forest, config=config)
@@ -101,8 +110,9 @@ def run_report(forest, algo, config, verify=False):
         trace_lines = run.trace
         report.update(rounds=m.rounds, total_work=m.total_work,
                       erew_violations=m.erew_violations,
-                      passes=len(run.passes) if hasattr(run, "passes") else 0,
-                      survivor_counts=getattr(run, "survivor_counts", []),
+                      passes=len(run.passes),
+                      degraded_passes=sum(not r.halved for r in run.passes),
+                      survivor_counts=run.survivor_counts,
                       jump_rounds=run.jump_rounds)
     report["wall_seconds"] = round(time.perf_counter() - t0, 6)
     if verify:
@@ -136,10 +146,8 @@ def cmd_run(args):
             print(line)
     for key, val in report.items():
         print(f"{key}: {val}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    if args.out and _emit(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n"):
+        return 2
     return 0 if report.get("verified", True) else 1
 
 
@@ -176,13 +184,7 @@ def cmd_sweep(args):
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
         lines.append(",".join(str(row.get(c, "")) for c in SWEEP_COLUMNS))
-    text = "\n".join(lines) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    return 0
+    return _emit(args.out, "\n".join(lines) + "\n")
 
 
 def main(argv=None):

@@ -21,8 +21,6 @@ MIN_RUN = 100
 MAX_RUN = 300
 
 KEPT = "KEPT"
-ABSORBED_UP = "ABSORBED_UP"
-ABSORBED_DOWN = "ABSORBED_DOWN"
 
 _CAP_BITS = 10  # doubling horizon; 2**10 comfortably exceeds MAX_RUN
 

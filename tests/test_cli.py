@@ -45,6 +45,21 @@ def test_bad_arguments_exit_2_with_one_error_line(args, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("command", [
+    ["generate", "--n", "4"],
+    ["run", "FOREST"],
+    ["sweep", "--spec", "64,16,4"],
+], ids=["generate", "run", "sweep"])
+def test_unwritable_out_exits_2_with_one_error_line(command, tmp_path, capsys):
+    forest = tmp_path / "w.forest"
+    forest.write_text("0 1\n1 -1\n")
+    out = tmp_path / "missing_dir" / "x.out"
+    args = [str(forest) if a == "FOREST" else a for a in command]
+    assert run_cli(args + ["--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write ")
+
+
 def test_run_maps_package_errors_to_exit_3(tmp_path, capsys, monkeypatch):
     import listcontract.cli as cli
 
@@ -91,6 +106,17 @@ def test_run_uniform_with_verify(tmp_path, capsys):
         assert field in data
     out = capsys.readouterr().out
     assert "verified: True" in out
+
+
+def test_run_reports_no_degraded_pass_on_fixed_forest(tmp_path, capsys):
+    forest = tmp_path / "w.forest"
+    report = tmp_path / "report.json"
+    run_cli(["generate", "--n", "256", "--dist", "FIXED:64", "--seed", "1",
+             "--out", str(forest)])
+    assert run_cli(["run", str(forest), "--p", "16", "--out", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert data["passes"] >= 1 and data["degraded_passes"] == 0
+    assert "degraded_passes: 0" in capsys.readouterr().out
 
 
 def test_run_sequential_unit_work_model(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from listcontract import (BatchDependenceError, Engine, ErewViolationError,
                           Memory, PramConfig)
@@ -147,3 +148,145 @@ def test_phase_breakdown_accumulates():
         with eng.step("loop", 4) as s:
             s.write("x", np.arange(4), np.zeros(4, dtype=np.int64))
     assert eng.metrics().phase_breakdown["loop"] == 6
+
+
+def test_all_skipped_step_accepted_and_changes_nothing():
+    mem, eng = fresh(p=2)
+    mem.poke("x", np.arange(16), np.arange(16))
+    skip = np.full(4, NONE)
+    with eng.step("skip", 4) as s:
+        assert np.array_equal(s.read("x", skip), skip)
+        s.read("y", skip)
+        s.write("x", skip, np.arange(4))
+        s.write("y", skip, np.arange(4))
+    assert eng.metrics().erew_violations == 0
+    assert np.array_equal(mem.peek("x"), np.arange(16))
+    assert not mem.peek("y").any()
+
+
+def test_last_cell_of_largest_store_with_other_tasks_skipping():
+    # skipped accesses share the cell just past the largest store; task 0
+    # alone on that store's last cell is not a conflict
+    mem, eng = fresh(p=4)
+    mem.alloc("big", 20, fill=3)
+    idx = np.array([19, NONE, NONE, NONE])
+    with eng.step("rw", 4) as s:
+        got = s.read("big", idx)
+        s.write("big", idx, got + 1)
+    assert got.tolist() == [3, NONE, NONE, NONE]
+    assert mem.peek("big")[19] == 4
+    assert eng.metrics().erew_violations == 0
+
+
+def test_two_writers_of_last_cell_of_largest_store_one_violation():
+    mem, eng = fresh(p=4)
+    mem.alloc("big", 20, fill=0)
+    with pytest.raises(ErewViolationError) as exc:
+        with eng.step("w", 4) as s:
+            s.write("big", np.array([19, 19, NONE, NONE]), np.array([1, 2, 3, 4]))
+    assert exc.value.violations == 1
+    assert not mem.peek("big").any()
+
+
+def test_store_grown_by_scratch_is_still_checked():
+    mem, eng = fresh(p=4)
+    with eng.step("small", 4) as s:
+        s.write("x", np.arange(4), np.arange(4))
+    assert mem.scratch("x", 64) == "x" and mem.peek("x").size == 64
+    with eng.step("grown", 2) as s:
+        s.write("x", np.array([63, NONE]), np.array([7, 0]))
+    assert mem.peek("x")[63] == 7
+    with pytest.raises(ErewViolationError) as exc:
+        with eng.step("grown", 2) as s:
+            s.write("x", np.array([40, 40]), np.array([1, 2]))
+    assert exc.value.violations == 1
+    assert mem.peek("x")[40] == NONE
+
+
+SIZES = {"x": 6, "y": 3}
+
+
+@st.composite
+def random_steps(draw):
+    """One step over two small stores: skips and repeated cells are
+    common, and an access may reuse an earlier access's indices."""
+    p = draw(st.integers(1, 4))
+    t = draw(st.integers(1, 12))
+    init = {name: draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+            for name, n in SIZES.items()}
+    accesses = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["read", "write"]))
+        store = draw(st.sampled_from(sorted(SIZES)))
+        earlier = [ix for _, name, ix, _ in accesses if name == store]
+        if earlier and draw(st.booleans()):
+            idx = draw(st.sampled_from(earlier))
+        else:
+            cell = st.one_of(st.just(NONE), st.integers(0, SIZES[store] - 1))
+            idx = draw(st.lists(cell, min_size=t, max_size=t))
+        vals = draw(st.lists(st.integers(10, 99), min_size=t, max_size=t))
+        accesses.append((kind, store, idx, vals))
+    return p, t, init, accesses
+
+
+def reference_step(p, t, init, accesses):
+    """Per-cell brute force of the engine's rules: ("isolation", None),
+    ("violation", count) or ("ok", memory after the step)."""
+    readers, writers = {}, {}   # (store, cell) -> tasks touching it
+    for kind, store, idx, _ in accesses:
+        seen = readers if kind == "read" else writers
+        for task, cell in enumerate(idx):
+            if cell >= 0:
+                seen.setdefault((store, cell), set()).add(task)
+    for key, tasks in writers.items():
+        if any(tasks - {i} for i in readers.get(key, ())):
+            return "isolation", None
+    violations = 0
+    for seen in (readers, writers):
+        for tasks in seen.values():
+            rounds = [task // p for task in tasks]
+            violations += sum(rounds.count(r) >= 2 for r in set(rounds))
+    if violations:
+        return "violation", violations
+    after = {name: list(cells) for name, cells in init.items()}
+    for kind, store, idx, vals in accesses:
+        if kind == "write":
+            for cell, v in zip(idx, vals):
+                if cell >= 0:
+                    after[store][cell] = v
+    return "ok", after
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_steps())
+def test_engine_matches_per_cell_reference(case):
+    p, t, init, accesses = case
+    mem = Memory()
+    for name, cells in init.items():
+        mem.alloc(name, len(cells))
+        mem.poke(name, np.arange(len(cells)), cells)
+    eng = Engine(mem, PramConfig(num_processors=p))
+
+    def run():
+        with eng.step("s", t) as s:
+            for kind, store, idx, vals in accesses:
+                if kind == "read":
+                    got = s.read(store, np.array(idx))
+                    assert got.tolist() == [init[store][c] if c >= 0 else NONE
+                                            for c in idx]
+                else:
+                    s.write(store, np.array(idx), np.array(vals))
+
+    outcome, expect = reference_step(p, t, init, accesses)
+    if outcome == "isolation":
+        with pytest.raises(BatchDependenceError):
+            run()
+    elif outcome == "violation":
+        with pytest.raises(ErewViolationError) as exc:
+            run()
+        assert exc.value.violations == expect
+    else:
+        run()
+    assert eng.metrics().erew_violations == (expect if outcome == "violation" else 0)
+    after = expect if outcome == "ok" else init
+    assert {name: mem.peek(name).tolist() for name in SIZES} == after

@@ -7,7 +7,7 @@ from .pram import Engine, Memory, PramConfig, RoundMetrics
 from .model import ContractionLog, LinkedForest, Machine, TwoRowArray, layout
 from .coloring import ColorAssignment, dct_new_colors, three_color
 from .pairing import PairAssignment, eliminate_twos, form_pairs
-from .localize import RunRecord, find_runs, localize
+from .localize import localize
 from .uniform import (detect_marks, enforce_uniformity, opposite_pair_shortcut,
                       publish_mailboxes, row_color_and_pair)
 from .orientation import (OrientationKey, contract_along_orientation,

@@ -9,8 +9,6 @@ cleared once the contraction pass finishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import Machine, PRED_SIDE, SUCC_SIDE
@@ -18,63 +16,10 @@ from .pram import NONE
 from .steps import contract_batch, restricted_neighbors, scratch
 
 MIN_RUN = 100
-MAX_RUN = 300
 
-KEPT = "KEPT"
-
-_CAP_BITS = 10  # doubling horizon; 2**10 comfortably exceeds MAX_RUN
-
-
-@dataclass
-class RunRecord:
-    row: int
-    start_column: int
-    end_column: int
-    node_count: int
-    disposition: str
-    over_max: bool = False
-
-
-def find_runs(machine: Machine, min_run=MIN_RUN, max_run=MAX_RUN):
-    """Exact run table of the current placement, in list order.
-
-    Host-side diagnostic scan; the parallel classification inside
-    localize() uses capped pointer doubling instead.
-    """
-    succ, pred = machine.peek("succ"), machine.peek("pred")
-    row, col, status = machine.peek("row"), machine.peek("col"), machine.peek("status")
-    cut = machine.peek("cut")
-    records = []
-    active = (status == NONE) & (row >= 0)
-    starts = []
-    for v in np.flatnonzero(active):
-        p = pred[v]
-        if p == NONE or cut[p] or not active[p] or row[p] != row[v]:
-            starts.append(v)
-    for start in starts:
-        v = start
-        count = 0
-        last = v
-        while v != NONE and active[v] and row[v] == row[start]:
-            count += 1
-            last = v
-            if cut[v]:
-                break
-            v = succ[v]
-        records.append(
-            RunRecord(row=int(row[start]), start_column=int(col[start]),
-                      end_column=int(col[last]), node_count=count,
-                      disposition=KEPT, over_max=count > max_run)
-        )
-    return records
-
-
-def runs_to_csv(records):
-    lines = ["row,start_column,end_column,node_count,disposition,over_max"]
-    for r in records:
-        lines.append(f"{r.row},{r.start_column},{r.end_column},{r.node_count},"
-                     f"{r.disposition},{int(r.over_max)}")
-    return "\n".join(lines) + "\n"
+# doubling horizon: a run whose boundary is 2**10 or more hops away is
+# classified as long, so min_run must stay at most 2**10
+_CAP_BITS = 10
 
 
 def localize(machine: Machine, min_run=MIN_RUN, phase="localize"):

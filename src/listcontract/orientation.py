@@ -248,6 +248,7 @@ class PassReport:
     columns_before: int
     columns_after: int
     shortcut_pairs: int
+    odd_cycles: int                  # odd closed chains the uniformity step shortened
     survivors_in_bottom_row: bool
     halved: bool
 
@@ -258,8 +259,7 @@ def uniform_contraction_pass(machine: Machine, min_run=100, phase="pass") -> Pas
     pooled = pool_short_lists(machine, phase=f"{phase}/pool")
     pre_active = machine.in_array_ids().size
     if pre_active == 0:
-        report = PassReport(0, pooled, 0, cols_before, cols_before, 0, True, True)
-        return report
+        return PassReport(0, pooled, 0, cols_before, cols_before, 0, 0, True, True)
     rows = machine.peek("row")[machine.in_array_ids()]
     both_rows = bool((rows == 0).any() and (rows == 1).any())
     if both_rows:
@@ -268,11 +268,10 @@ def uniform_contraction_pass(machine: Machine, min_run=100, phase="pass") -> Pas
         localize(machine, min_run=min_run, phase=f"{phase}/localize")
     row_color_and_pair(machine, 1, phase=f"{phase}/row1")
     row_color_and_pair(machine, 0, phase=f"{phase}/row0")
-    shortcut = 0
+    shortcut = odd_cycles = 0
     if both_rows:
         shortcut = opposite_pair_shortcut(machine, phase=f"{phase}/shortcut")
-        enforce_uniformity(machine, 0, 1, phase=f"{phase}/unif_top")
-        enforce_uniformity(machine, 1, 0, phase=f"{phase}/unif_bot")
+        odd_cycles = enforce_uniformity(machine, phase=f"{phase}/uniform")
     plan = derive_orientation(machine, phase=f"{phase}/orient")
     contract_along_orientation(machine, plan, phase=f"{phase}/pack")
     survivors = machine.in_array_ids().size
@@ -282,7 +281,7 @@ def uniform_contraction_pass(machine: Machine, min_run=100, phase="pass") -> Pas
     return PassReport(
         pre_active=pre_active, pooled=pooled, survivors=survivors,
         columns_before=cols_before, columns_after=machine.columns,
-        shortcut_pairs=shortcut,
+        shortcut_pairs=shortcut, odd_cycles=odd_cycles,
         survivors_in_bottom_row=in_bottom,
         halved=machine.columns <= -(-cols_before // 2),
     )

@@ -6,7 +6,8 @@ fixed set of cells, then writes a fixed set of cells. With ``p``
 processors a step with ``t`` tasks costs ``ceil(t / p)`` engine rounds
 (Brent scheduling) and ``t`` units of work. Reads observe the memory
 state at the start of the step; writes become visible when the step
-ends.
+ends, and a cell written in several rounds keeps the latest round's
+value.
 
 Exclusive access is checked per engine round: virtual task ``i`` runs
 in round ``i // p`` on processor ``i % p``, and no cell may be read,
@@ -203,7 +204,7 @@ class Engine:
                 violations=total_viol,
             )
 
-        self._apply_writes(ctx)
+        self._apply_writes(ctx, contested)
         self._metrics.add(ctx.label, rounds, t)
 
     def _contested_stores(self, ctx):
@@ -233,15 +234,30 @@ class Engine:
                     break
         return contested
 
-    def _apply_writes(self, ctx):
+    def _apply_writes(self, ctx, contested):
+        """Apply the buffered writes. Only a contested store can have
+        two tasks write one cell; there each cell keeps the write of
+        the latest round, the last one made by its task."""
+        p = self.config.num_processors
+        nrounds = -(-ctx.n_tasks // p) + 1
+        shared = {}
         for store, idx, values in ctx._writes:
-            mask = idx >= 0
-            if not mask.any():
+            if store in contested:
+                shared.setdefault(store, []).append((idx, values))
                 continue
-            arr = self.memory.peek(store)
-            ids = idx[mask]
-            vals = values[mask]
-            arr[ids] = vals
+            mask = idx >= 0
+            if mask.any():
+                self.memory.peek(store)[idx[mask]] = values[mask]
+        for store, accesses in shared.items():
+            tasks = np.concatenate([np.flatnonzero(ix >= 0) for ix, _ in accesses])
+            cells = np.concatenate([ix[ix >= 0] for ix, _ in accesses])
+            vals = np.concatenate([v[ix >= 0] for ix, v in accesses])
+            if cells.size == 0:
+                continue
+            order = np.argsort(cells * nrounds + tasks // p, kind="stable")
+            cells, vals = cells[order], vals[order]
+            last = np.r_[cells[1:] != cells[:-1], True]
+            self.memory.peek(store)[cells[last]] = vals[last]
 
 
 def _by_store(accesses):

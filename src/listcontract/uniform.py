@@ -1,19 +1,30 @@
 """The uniformity step: couple the two rows' pairings so the column
 keys form the periodic orientation pattern.
 
-For every 0-1 pair of the reference row, the two target-row cells
-above (or below) it must carry equal colors. Mismatched pairs are
-repaired with three families of local moves:
+The pairs of both rows link the columns into chains: column c is
+joined to its top partner's column by its top pair and to its bottom
+partner's column by its bottom pair. A pair is *marked* when the two
+cells of the other row over its columns carry different colors; the
+step is done when no pair of either row is marked.
 
-* swap cases: exchanging two target-row nodes fixes two mismatched
-  pairs at once (the facing configuration, and the window swaps along
-  mismatch chains);
-* contract cases: the target pair between a mismatch and a matched
-  neighbor is merged and one node moves back, detaching a fully
-  resolved two-column zone;
-* a prefix-parity sweep: remaining mismatches are cleared by swapping
-  the members of selected reference-linked pairs, scheduled by a
-  pointer-doubling prefix computation over the column chains.
+Swapping the two members of a pair keeps every column of the chain and
+toggles the marks of the two other-row pairs at its ends. So along a
+chain, walked from one end, a pair is swapped exactly when the marks
+of the other-row pairs before it have odd parity: one prefix XOR by
+pointer doubling over the chain states. A swap changes no column and
+no color of the other row, so the two rows' sweeps share the chains,
+their roots and walk directions, and run as one: each state carries
+its pair's mark in the bit of the row the mark is about.
+
+A closed chain with k top pairs also has k bottom pairs, and going
+once around it the colors of either row change an even number of
+times. k of those changes are inside that row's own pairs and the
+rest are the marks of the other row's pairs, so those marks number
+k mod 2 whatever the colors, and no swap can clear an odd chain. Each
+odd chain gets one structural move first: its root top pair merges
+into one exempt node, and the top beyond the next bottom pair moves
+into the vacated cell, which closes the chain with k - 1 pairs per
+row and leaves that bottom pair outside it.
 
 Everything runs as checked engine steps; all cross-pair information
 flows through per-column mailboxes so no cell is ever read twice in
@@ -31,9 +42,6 @@ from .pram import NONE
 from .steps import (contract_batch, move_nodes, pair_leaders, restricted_neighbors,
                     scratch, swap_positions)
 from . import pairing as _pairing
-
-# structural repair rounds of the top-row application before the sweep
-REPAIR_ITERATIONS = 6
 
 # -- column mailboxes ---------------------------------------------------
 
@@ -77,18 +85,19 @@ def _read_mb(machine, s, row, what, cols):
 # -- mark detection -----------------------------------------------------
 
 def detect_marks(machine: Machine, target_row, ref_row, phase):
-    """Columns and mismatch flags of every reference pair.
+    """Columns and mismatch flags of every reference pair, read pair
+    by pair; the final check, independent of the sweep's planning.
 
-    Returns (leaders, c_lo, c_hi, j0, j1, marked): j1 is the column
-    whose target cell is colored 1 (walk entry), defined only where
-    marked.
+    Returns (leaders, c_lo, c_hi, marked): a reference pair is marked
+    when both target cells over its columns are 0/1-colored nodes of
+    different colors.
     """
     eng = machine.engine
     leaders = pair_leaders(machine, ref_row)
     k = leaders.size
-    empty = np.empty(0, dtype=np.int64)
     if k == 0:
-        return leaders, empty, empty, empty, empty, np.empty(0, dtype=bool)
+        empty = np.empty(0, dtype=np.int64)
+        return leaders, empty, empty, np.empty(0, dtype=bool)
     col = machine.peek("col")
     c_lo = col[leaders]
     c_hi = col[machine.peek("pair")[leaders]]
@@ -100,61 +109,144 @@ def detect_marks(machine: Machine, target_row, ref_row, phase):
         n_hi = _read_mb(machine, s, target_row, "node", c_hi)
     constrained = (n_lo != NONE) & (n_hi != NONE) & \
         np.isin(t_lo, (0, 1)) & np.isin(t_hi, (0, 1))
-    marked = constrained & (t_lo != t_hi)
-    j1 = np.where(t_lo == 1, c_lo, c_hi)
-    j0 = np.where(t_lo == 1, c_hi, c_lo)
-    return leaders, c_lo, c_hi, j0, j1, marked
+    return leaders, c_lo, c_hi, constrained & (t_lo != t_hi)
 
 
-# -- the walk (top-row enforcement only) --------------------------------
+def _read_columns(machine, phase):
+    """Two column steps: each column's node and partner column on both
+    rows, then, across each partner column, that column's node of the
+    same row and color of the other row.
 
-def _walk(machine: Machine, target_row, ref_row, j0, j1, phase):
-    """Relay the six-column probe walk for each marked pair.
-
-    All reads are per-column and provably exclusive: distinct marked
-    pairs reach distinct columns at every hop because pair partners
-    are unique.
+    Returns (node, pcol, pnode, mark), each indexed [row, column];
+    mark[r, c] is set when the row-r pair at column c is marked.
     """
     eng = machine.engine
-    k = j1.size
-    out = {}
-    with eng.step(f"{phase}/w_j1", k) as s:
-        out["tn_j1"] = _read_mb(machine, s, target_row, "node", j1)
-        out["j2"] = _read_mb(machine, s, target_row, "pcol", j1)
-    j2 = out["j2"]
-    with eng.step(f"{phase}/w_j2", k) as s:
-        out["tn_j2"] = _read_mb(machine, s, target_row, "node", j2)
-        out["rn_j2"] = _read_mb(machine, s, ref_row, "node", j2)
-        out["j3"] = _read_mb(machine, s, ref_row, "pcol", j2)
-    j3 = np.where(out["rn_j2"] != NONE, out["j3"], NONE)
-    out["j3"] = j3
-    with eng.step(f"{phase}/w_j3", k) as s:
-        out["t3"] = _read_mb(machine, s, target_row, "color", j3)
-        out["tn_j3"] = _read_mb(machine, s, target_row, "node", j3)
-        out["rn_j3"] = _read_mb(machine, s, ref_row, "node", j3)
-        out["j4"] = _read_mb(machine, s, target_row, "pcol", j3)
-    j4 = np.where((out["tn_j3"] != NONE) & (out["t3"] == 0), out["j4"], NONE)
-    out["j4"] = j4
-    with eng.step(f"{phase}/w_j4", k) as s:
-        out["rn_j4"] = _read_mb(machine, s, ref_row, "node", j4)
-        out["j5"] = _read_mb(machine, s, ref_row, "pcol", j4)
-    j5 = np.where(out["rn_j4"] != NONE, out["j5"], NONE)
-    out["j5"] = j5
-    with eng.step(f"{phase}/w_j5", k) as s:
-        out["t5"] = _read_mb(machine, s, target_row, "color", j5)
-        out["tn_j5"] = _read_mb(machine, s, target_row, "node", j5)
-    # probe toward j0 for run membership seen from downstream
-    with eng.step(f"{phase}/w_l2", k) as s:
-        l2 = _read_mb(machine, s, target_row, "pcol", j0)
-        out["l2"] = l2
-    with eng.step(f"{phase}/w_l2r", k) as s:
-        out["tl2"] = _read_mb(machine, s, target_row, "color", l2)
-        out["l3"] = _read_mb(machine, s, ref_row, "pcol", l2)
-    l3 = out["l3"]
-    with eng.step(f"{phase}/w_l3", k) as s:
-        out["tl3"] = _read_mb(machine, s, target_row, "color", l3)
-        out["nl3"] = _read_mb(machine, s, target_row, "node", l3)
-    return out
+    cols = np.arange(machine.columns)
+    with eng.step(f"{phase}/col", cols.size) as s:
+        node = np.array([_read_mb(machine, s, r, "node", cols) for r in (0, 1)])
+        color = np.array([_read_mb(machine, s, r, "color", cols) for r in (0, 1)])
+        pcol = np.array([_read_mb(machine, s, r, "pcol", cols) for r in (0, 1)])
+    with eng.step(f"{phase}/far", cols.size) as s:
+        pnode = np.array([_read_mb(machine, s, r, "node", pcol[r]) for r in (0, 1)])
+        far = np.array([_read_mb(machine, s, 1 - r, "color", pcol[r]) for r in (0, 1)])
+    near = color[::-1]
+    mark = np.isin(near, (0, 1)) & np.isin(far, (0, 1)) & (near != far)
+    return node, pcol, pnode, mark
+
+
+# -- the sweep ------------------------------------------------------------
+
+def enforce_uniformity(machine: Machine, phase="uniform"):
+    """Make the two other-row cells over every pair of either row
+    equal-colored.
+
+    Shortens every closed chain with an odd number of top pairs by one
+    top pair, then swaps the members of the pairs the prefix-parity
+    sweep selects, on both rows at once. Column-aligned pair stacks
+    must be gone (opposite_pair_shortcut). Returns the number of chains
+    shortened. A pair still marked afterwards raises
+    UncoveredCaseError with a snapshot.
+    """
+    publish_mailboxes(machine, phase)
+    plan = _plan_swaps(machine, f"{phase}/plan")
+    if plan is None:
+        return 0
+    odd = plan["odd_cols"].size
+    if odd:
+        _shorten_odd_chains(machine, plan, f"{phase}/odd")
+        publish_mailboxes(machine, f"{phase}/replan")
+        plan = _plan_swaps(machine, f"{phase}/replan")
+    if plan is not None and plan["swap_a"].size:
+        swap_positions(machine, plan["swap_a"], plan["swap_b"], f"{phase}/swap")
+        publish_mailboxes(machine, f"{phase}/verify")
+    _verify_uniform(machine, f"{phase}/verify")
+    return odd
+
+
+def _plan_swaps(machine, phase):
+    """Pick the pairs to swap and the odd chains to shorten.
+
+    State 2c + r stands for column c leaving along its row-r pair; its
+    predecessor is the state that arrives at c along c's other-row
+    pair. Returns None when no pair is marked, else a dict with the
+    member nodes to swap and, per odd chain, its root's column, the
+    root pair's far column and both members.
+    """
+    eng = machine.engine
+    node, pcol, pnode, mark = _read_columns(machine, phase)
+    if not mark.any():
+        return None
+    # per-state registers, state ids 2c + r
+    st_pcol, st_mark = pcol.T.ravel(), mark.T.ravel()
+    em = np.flatnonzero(st_pcol != NONE)
+    row = em & 1
+    pc = st_pcol[em]
+    other = st_pcol[em ^ 1]
+    prv = np.where(other != NONE, 2 * other + 1 - row, NONE)
+    # weights: a row-r state carries its pair's mark in bit 1 - r; the
+    # predecessor's pair is the other-row pair at the same column
+    x0 = np.where(prv != NONE, st_mark[em ^ 1].astype(np.int64) << row, 0)
+    S = 2 * machine.columns
+    key = np.where(row == 0, em, S)    # closed chains are rooted at top-row states
+    bufs = [tuple(scratch(machine, f"cs_{f}{b}", S) for f in "jxrm") for b in (0, 1)]
+    limit = int(np.ceil(np.log2(max(2, em.size))))
+
+    # prefix XOR, root and the smallest top-row state by doubling over
+    # the predecessors; a pointer still live after limit rounds is on
+    # a closed chain
+    j, x, rt, mn, b1 = _double(eng, bufs, 0, em, prv, x0,
+                               np.where(prv == NONE, em, NONE), key, limit, f"{phase}/d")
+    cyc = j != NONE
+    roots = cyc & (mn == em)
+    b2 = b1
+    if cyc.any():
+        # open every closed chain at its smallest top-row state and
+        # redo the prefix on the closed chains alone
+        c_ids = em[cyc]
+        c_prv = np.where(roots, NONE, prv)[cyc]
+        _, cx, crt, _, b2 = _double(eng, bufs, b1, c_ids, c_prv,
+                                    np.where(c_prv != NONE, x0[cyc], 0),
+                                    np.where(c_prv == NONE, c_ids, NONE), key[cyc],
+                                    limit, f"{phase}/c")
+        x[cyc], rt[cyc] = cx, crt
+
+    # each chain is walked from the end whose root has the smaller id;
+    # a root learns its closed chain's parity from the last state
+    mirror = 2 * pc + row
+    with eng.step(f"{phase}/ends", em.size) as s:
+        their = np.where(cyc, s.read(bufs[b2][2], np.where(cyc, mirror, NONE)),
+                         s.read(bufs[b1][2], np.where(cyc, NONE, mirror)))
+        last_x = s.read(bufs[b2][1], np.where(roots, prv, NONE))
+    chosen = rt < their
+    odd = roots & chosen & (((last_x ^ x0) & 1) == 1)
+    swap = chosen & (((x >> row) & 1) == 1)
+    st_node, st_pnode = node.T.ravel()[em], pnode.T.ravel()[em]
+    return {"swap_a": st_node[swap], "swap_b": st_pnode[swap],
+            "odd_cols": em[odd] >> 1, "odd_far": pc[odd],
+            "odd_a": st_node[odd], "odd_b": st_pnode[odd]}
+
+
+def _double(eng, bufs, b, ids, j, x, rt, mn, limit, phase):
+    """Pointer doubling of states ids along j, seeded into buffer b:
+    x folds by XOR, mn by min, and rt picks up the root where j runs
+    out. Returns the final (j, x, rt, mn) and the buffer holding them."""
+    with eng.step(f"{phase}/seed", ids.size) as s:
+        for st, v in zip(bufs[b], (j, x, rt, mn)):
+            s.write(st, ids, v)
+    for it in range(limit):
+        live = j != NONE
+        if not live.any():
+            break
+        src, b = bufs[b], 1 - b
+        with eng.step(f"{phase}{it}", ids.size) as s:
+            jj, xj, rj, mj = (s.read(st, j) for st in src)
+            rt = np.where(live & (jj == NONE), rj, rt)
+            x = np.where(live, x ^ xj, x)
+            mn = np.where(live, np.minimum(mn, mj), mn)
+            j = np.where(live, jj, j)
+            for st, v in zip(bufs[b], (j, x, rt, mn)):
+                s.write(st, ids, v)
+    return j, x, rt, mn, b
 
 
 def _contract_target_pair(machine, absorbed, host, phase):
@@ -172,336 +264,43 @@ def _contract_target_pair(machine, absorbed, host, phase):
         s.write("color", h, NONE)
 
 
-def enforce_uniformity(machine: Machine, target_row, reference_row, phase=None):
-    """Make both target cells equal-colored over every reference pair.
+def _shorten_odd_chains(machine, plan, phase):
+    """Take one top pair out of each odd closed chain.
 
-    The top-row application (target_row 0) uses the swap, contract and
-    chain-window cases; the bottom-row application relies on member
-    swaps only, which suffice once the top row is uniform. Residual
-    mismatches fall through to the prefix-parity sweep; anything still
-    mismatched afterwards raises UncoveredCaseError with a snapshot.
+    The root's top pair (ca, cb) merges at cb into an exempt node; the
+    top at cc, the far end of the bottom pair at cb, moves into the
+    top cell of ca. The bottom pair (cb, cc) leaves the chain, whose
+    top pair at cc now starts at ca.
     """
-    phase = phase or f"uniform_t{target_row}"
-    structural = target_row == 0
-    for it in range(REPAIR_ITERATIONS):
-        publish_mailboxes(machine, f"{phase}/it{it}")
-        leaders, c_lo, c_hi, j0, j1, marked = detect_marks(
-            machine, target_row, reference_row, f"{phase}/it{it}")
-        if not marked.any():
-            return
-        if not structural:
-            break
-        sel = np.flatnonzero(marked)
-        w = _walk(machine, target_row, reference_row,
-                  j0[sel], j1[sel], f"{phase}/it{it}")
-        progressed = _repair_once(machine, leaders[sel], j0[sel], j1[sel], w,
-                                  f"{phase}/it{it}")
-        if not progressed:
-            break
-    _prefix_flip_sweep(machine, target_row, reference_row, f"{phase}/sweep")
-    _verify_uniform(machine, target_row, reference_row, f"{phase}/verify")
-
-
-def _repair_once(machine, leaders, j0, j1, w, phase):
-    """One round of the repair cases over the current mark set."""
-    k = leaders.size
-    run_next_ok = (w["tn_j3"] != NONE) & (w["t3"] == 1)           # chain continues
-    have_prev = (w["nl3"] != NONE) & (w["tl2"] == 1) & (w["tl3"] == 0)
-    in_run = run_next_ok | have_prev
-
-    boundary_e = w["rn_j2"] == NONE                                # no reference cell under j2
-    c2_case = ~boundary_e & ~in_run & ((w["tn_j3"] == NONE) | ~np.isin(w["t3"], (0, 1)))
-    s_case = ~boundary_e & ~in_run & ~c2_case & \
-        (w["j5"] != NONE) & (w["tn_j5"] != NONE) & (w["t5"] == 0)
-    c_case = ~boundary_e & ~in_run & ~c2_case & ~s_case & (w["t3"] == 0)
-
-    # mismatch chains restructure their whole neighborhood, so they get
-    # the iteration to themselves; leftovers become isolated next round
-    if in_run.any():
-        return _repair_runs(machine, leaders, j0, j1, w, in_run, phase)
-
-    did = False
-    if boundary_e.any():
-        sel = np.flatnonzero(boundary_e)
-        _contract_target_pair(machine, w["tn_j1"][sel], w["tn_j2"][sel], f"{phase}/E")
-        move_nodes(machine, w["tn_j2"][sel], 1, w["j2"][sel], f"{phase}/E")
-        did = True
-    if c2_case.any():
-        sel = np.flatnonzero(c2_case)
-        _contract_target_pair(machine, w["tn_j1"][sel], w["tn_j2"][sel], f"{phase}/C2")
-        did = True
-    if s_case.any():
-        # mutual configuration: exactly one of the two facing pairs
-        # executes, decided by the larger 1-end column
-        winners = np.flatnonzero(s_case & (j1 > w["j4"]))
-        if winners.size:
-            swap_positions(machine, w["tn_j1"][winners], w["tn_j5"][winners], f"{phase}/S")
-            did = True
-    if c_case.any():
-        sel = np.flatnonzero(c_case)
-        _contract_target_pair(machine, w["tn_j1"][sel], w["tn_j2"][sel], f"{phase}/C")
-        move_nodes(machine, w["tn_j3"][sel], 0, j1[sel], f"{phase}/C")
-        did = True
-    return did
-
-
-def _repair_runs(machine, leaders, j0, j1, w, in_run, phase):
-    """Chains of consecutive mismatched pairs: 3-color them, fire
-    repair windows at 0-colored positions, then sweep leftovers with
-    pair swaps scheduled by chain color."""
-    idx = np.flatnonzero(in_run)
-    if idx.size == 0:
-        return False
-    # chain successor: the next marked pair, identified by its leader
-    lead_of = {}
-    for i in idx:
-        lead_of[int(leaders[i])] = i
-    nxt = np.full(idx.size, NONE, dtype=np.int64)   # position in idx
-    rn2, rn3 = w["rn_j2"], w["rn_j3"]
-    for pos, i in enumerate(idx):
-        if not (w["tn_j3"][i] != NONE and w["t3"][i] == 1):
-            continue
-        cand = [int(rn2[i]), int(rn3[i])]
-        for c in cand:
-            if c in lead_of and lead_of[c] != i:
-                nxt[pos] = lead_of[c]
-                break
-    nxt_pos = np.full(idx.size, NONE, dtype=np.int64)
-    pos_of = {int(i): p for p, i in enumerate(idx)}
-    for p in range(idx.size):
-        if nxt[p] != NONE:
-            nxt_pos[p] = pos_of[int(nxt[p])]
-    prv_pos = np.full(idx.size, NONE, dtype=np.int64)
-    for p in range(idx.size):
-        if nxt_pos[p] != NONE:
-            prv_pos[nxt_pos[p]] = p
-
-    chain_store = scratch(machine, "chain_color", max(idx.size, 2))
-    chain_ids = np.arange(idx.size)
-    succ_ids = nxt_pos
-    pred_ids = prv_pos
-    coloring = three_color(machine.engine, machine.memory, chain_ids, succ_ids,
-                           pred_ids, phase=f"{phase}/chain",
-                           color_store=chain_store, scratch_prefix="chx")
-    cc = coloring.final_color
-    alive = np.ones(idx.size, dtype=bool)   # mark still unfixed
-
-    def fire_pair_swap(positions):
-        # swap the target pair between chain member p and its next
-        sel = idx[positions]
-        swap_positions(machine, w["tn_j1"][sel], w["tn_j2"][sel], f"{phase}/win_swap")
-
-    # windows start at 0-colored members whose next is 1-colored
-    win = [p for p in range(idx.size)
-           if cc[p] == 0 and nxt_pos[p] != NONE and cc[nxt_pos[p]] == 1]
-    trio, pair_only = [], []
-    for p in win:
-        q = nxt_pos[p]
-        r = nxt_pos[q]
-        if r != NONE and cc[r] == 2:
-            trio.append((p, int(q), int(r)))
-        else:
-            pair_only.append(p)
-    if pair_only:
-        fire_pair_swap(np.array(pair_only, dtype=np.int64))
-        for p in pair_only:
-            alive[p] = alive[nxt_pos[p]] = False
-    if trio:
-        ps = np.array([t[0] for t in trio], dtype=np.int64)
-        qs = np.array([t[1] for t in trio], dtype=np.int64)
-        rs = np.array([t[2] for t in trio], dtype=np.int64)
-        fire_pair_swap(ps)
-        _contract_target_pair(machine, w["tn_j1"][idx[qs]], w["tn_j2"][idx[qs]],
-                              f"{phase}/win_c")
-        move_nodes(machine, w["tn_j1"][idx[rs]], 0, j1[idx[qs]], f"{phase}/win_m")
-        for p, q, r in trio:
-            alive[p] = alive[q] = alive[r] = False
-
-    # color-scheduled sweep of what remains
-    for c in (0, 1, 2):
-        batch = [p for p in range(idx.size)
-                 if alive[p] and cc[p] == c and nxt_pos[p] != NONE and alive[nxt_pos[p]]]
-        if batch:
-            fire_pair_swap(np.array(batch, dtype=np.int64))
-            for p in batch:
-                alive[p] = alive[nxt_pos[p]] = False
-    return True
-
-
-# -- prefix-parity sweep -------------------------------------------------
-
-def _prefix_flip_repair_arrays(machine, target_row, ref_row, phase):
-    """Decide which target pairs to flip, via doubling over the column
-    chain states. Returns (flip_cols, flip_partner_cols)."""
     eng = machine.engine
-    C = machine.columns
-    S = 2 * C
-    st_nxt = scratch(machine, "cs_nxt", S)
-    st_prv = scratch(machine, "cs_prv", S)
-    st_w = scratch(machine, "cs_w", S)
-
-    cols = np.arange(C)
-    states = []
-    for r in (0, 1):
-        with eng.step(f"{phase}/st_r{r}", C) as s:
-            pc = _read_mb(machine, s, r, "pcol", cols)
-        states.append(pc)
-    pcol0, pcol1 = states
-    exists = np.concatenate([pcol0 != NONE, pcol1 != NONE])
-    s_id = np.concatenate([2 * cols + 0, 2 * cols + 1])
-    s_col = np.concatenate([cols, cols])
-    s_row = np.concatenate([np.zeros(C, np.int64), np.ones(C, np.int64)])
-    s_pcol = np.concatenate([pcol0, pcol1])
-    em = np.flatnonzero(exists)
-    if em.size == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-
-    nxt = 2 * s_pcol[em] + (1 - s_row[em])
-    with eng.step(f"{phase}/st_init", em.size) as s:
-        s.write(st_nxt, s_id[em], nxt)
-        s.write(st_w, s_id[em], 0)
-    with eng.step(f"{phase}/st_prv_clear", S) as s:
-        s.write(st_prv, np.arange(S), NONE)
-    with eng.step(f"{phase}/st_prv", em.size) as s:
-        s.write(st_prv, nxt, s_id[em])
-
-    # marks on reference-row edges
-    refs = em[s_row[em] == ref_row]
-    if refs.size:
-        rc = s_col[refs]
-        rp = s_pcol[refs]
-        with eng.step(f"{phase}/st_m1", refs.size) as s:
-            t_a = _read_mb(machine, s, target_row, "color", rc)
-            n_a = _read_mb(machine, s, target_row, "node", rc)
-        with eng.step(f"{phase}/st_m2", refs.size) as s:
-            t_b = _read_mb(machine, s, target_row, "color", rp)
-            n_b = _read_mb(machine, s, target_row, "node", rp)
-        conf = (n_a != NONE) & (n_b != NONE) & np.isin(t_a, (0, 1)) & np.isin(t_b, (0, 1))
-        mk = (conf & (t_a != t_b)).astype(np.int64)
-        with eng.step(f"{phase}/st_m3", refs.size) as s:
-            s.write(st_w, s_id[refs], mk)
-
-    # prefix xor + root discovery by saturating doubling over prev
-    with eng.step(f"{phase}/dx_prv", em.size) as s:
-        prv = s.read(st_prv, s_id[em])
-    rt = np.where(prv == NONE, s_id[em], NONE)
-    with eng.step(f"{phase}/dx_init", em.size) as s:
-        wv = s.read(st_w, prv)
-    x = np.where(prv != NONE, wv, 0)
-    mconst = s_id[em].copy()
-
-    jx = scratch(machine, "cs_j0", S)
-    jx2 = scratch(machine, "cs_j1", S)
-    xx_ = scratch(machine, "cs_x0", S)
-    xx2 = scratch(machine, "cs_x1", S)
-    rt_ = scratch(machine, "cs_r0", S)
-    rt2 = scratch(machine, "cs_r1", S)
-    mm_ = scratch(machine, "cs_m0", S)
-    mm2 = scratch(machine, "cs_m1", S)
-    names = [(jx, xx_, rt_, mm_), (jx2, xx2, rt2, mm2)]
-    cur_j, cur_x, cur_rt, cur_m = prv.copy(), x.copy(), rt.copy(), mconst.copy()
-    with eng.step(f"{phase}/dx_seed", em.size) as s:
-        s.write(jx, s_id[em], cur_j)
-        s.write(xx_, s_id[em], cur_x)
-        s.write(rt_, s_id[em], cur_rt)
-        s.write(mm_, s_id[em], cur_m)
-
-    rounds = max(1, int(np.ceil(np.log2(max(2, em.size)))) + 1)
-    for it in range(rounds):
-        src, dst = names[it % 2], names[(it + 1) % 2]
-        lv = cur_j != NONE
-        if not lv.any():
-            break
-        with eng.step(f"{phase}/dx{it}", em.size) as s:
-            jj = s.read(src[0], cur_j)
-            xj = s.read(src[1], cur_j)
-            rj = s.read(src[2], cur_j)
-            mj = s.read(src[3], cur_j)
-        new_rt = np.where(lv & (jj == NONE) & (rj != NONE), rj, cur_rt)
-        new_x = np.where(lv, cur_x ^ xj, cur_x)
-        new_m = np.where(lv, np.minimum(cur_m, mj), cur_m)
-        new_j = np.where(lv, jj, cur_j)
-        with eng.step(f"{phase}/dw{it}", em.size) as s:
-            s.write(dst[0], s_id[em], new_j)
-            s.write(dst[1], s_id[em], new_x)
-            s.write(dst[2], s_id[em], new_rt)
-            s.write(dst[3], s_id[em], new_m)
-        cur_j, cur_x, cur_rt, cur_m = new_j, new_x, new_rt, new_m
-
-    cyc = cur_j != NONE
-    if cyc.any():
-        # break every cycle at its minimum state and redo the prefix
-        root_mask = cyc & (cur_m == s_id[em])
-        prv2 = prv.copy()
-        prv2[root_mask] = NONE
-        cur_j = prv2.copy()
-        with eng.step(f"{phase}/cy_init", em.size) as s:
-            wv = s.read(st_w, prv2)
-        cur_x = np.where(prv2 != NONE, wv, 0)
-        cur_rt = np.where(prv2 == NONE, s_id[em], NONE)
-        with eng.step(f"{phase}/cy_seed", em.size) as s:
-            s.write(names[0][0], s_id[em], cur_j)
-            s.write(names[0][1], s_id[em], cur_x)
-            s.write(names[0][2], s_id[em], cur_rt)
-        for it in range(rounds):
-            src, dst = names[it % 2], names[(it + 1) % 2]
-            lv = cur_j != NONE
-            if not lv.any():
-                break
-            with eng.step(f"{phase}/cy{it}", em.size) as s:
-                jj = s.read(src[0], cur_j)
-                xj = s.read(src[1], cur_j)
-                rj = s.read(src[2], cur_j)
-            cur_rt = np.where(lv & (jj == NONE) & (rj != NONE), rj, cur_rt)
-            cur_x = np.where(lv, cur_x ^ xj, cur_x)
-            cur_j = np.where(lv, jj, cur_j)
-            with eng.step(f"{phase}/cw{it}", em.size) as s:
-                s.write(dst[0], s_id[em], cur_j)
-                s.write(dst[1], s_id[em], cur_x)
-                s.write(dst[2], s_id[em], cur_rt)
-
-    # reconcile the two walk directions of every chain
-    mirror = 2 * s_pcol[em] + s_row[em]
-    mrt = scratch(machine, "cs_mrt", S)
-    with eng.step(f"{phase}/mir_w", em.size) as s:
-        s.write(mrt, mirror, cur_rt)
-    with eng.step(f"{phase}/mir_r", em.size) as s:
-        their_rt = s.read(mrt, s_id[em])
-    chosen = cur_rt < their_rt
-
-    tgt = (s_row[em] == target_row) & chosen & (cur_x == 1)
-    return s_col[em][tgt], s_pcol[em][tgt]
+    k = plan["odd_cols"].size
+    with eng.step(f"{phase}/cc", k) as s:
+        cc = _read_mb(machine, s, 1, "pcol", plan["odd_far"])
+    if (cc == plan["odd_cols"]).any():
+        # a one-pair chain is an aligned stack: cc is ca itself
+        raise UncoveredCaseError("column-aligned pair stack in the uniformity step; "
+                                 "opposite_pair_shortcut consumes those first")
+    with eng.step(f"{phase}/top_cc", k) as s:
+        top_cc = _read_mb(machine, s, 0, "node", cc)
+    _contract_target_pair(machine, plan["odd_a"], plan["odd_b"], phase)
+    move_nodes(machine, top_cc, 0, plan["odd_cols"], phase)
 
 
-def _prefix_flip_sweep(machine, target_row, ref_row, phase):
-    publish_mailboxes(machine, phase)
-    flip_c, flip_p = _prefix_flip_repair_arrays(machine, target_row, ref_row, phase)
-    if flip_c.size == 0:
-        return
-    eng = machine.engine
-    with eng.step(f"{phase}/nodes_a", flip_c.size) as s:
-        a = _read_mb(machine, s, target_row, "node", flip_c)
-    with eng.step(f"{phase}/nodes_b", flip_c.size) as s:
-        b = _read_mb(machine, s, target_row, "node", flip_p)
-    swap_positions(machine, a, b, f"{phase}/flip")
-
-
-def _verify_uniform(machine, target_row, ref_row, phase):
-    publish_mailboxes(machine, phase)
-    leaders, c_lo, c_hi, j0, j1, marked = detect_marks(
-        machine, target_row, ref_row, phase)
-    if marked.any():
-        sel = np.flatnonzero(marked)[:8]
-        snap = {
-            "target_row": target_row,
-            "reference_row": ref_row,
-            "columns_lo": c_lo[sel].tolist(),
-            "columns_hi": c_hi[sel].tolist(),
-            "grid": machine.two_rows().grid().tolist(),
-            "colors": machine.peek("color").tolist(),
-        }
-        raise UncoveredCaseError(
-            f"{int(marked.sum())} reference pair(s) left non-uniform", snapshot=snap)
+def _verify_uniform(machine, phase):
+    for target_row, ref_row in ((0, 1), (1, 0)):
+        leaders, c_lo, c_hi, marked = detect_marks(machine, target_row, ref_row, phase)
+        if marked.any():
+            sel = np.flatnonzero(marked)[:8]
+            snap = {
+                "target_row": target_row,
+                "reference_row": ref_row,
+                "columns_lo": c_lo[sel].tolist(),
+                "columns_hi": c_hi[sel].tolist(),
+                "grid": machine.two_rows().grid().tolist(),
+                "colors": machine.peek("color").tolist(),
+            }
+            raise UncoveredCaseError(
+                f"{int(marked.sum())} reference pair(s) left non-uniform", snapshot=snap)
 
 
 # -- row pipeline pieces ------------------------------------------------

@@ -222,8 +222,8 @@ def _enumerated_states():
         yield ("stack",
                [((0, 1), (0, 1) if bits & 1 else (1, 0))],
                [((0, 1), (0, 1) if bits & 2 else (1, 0))], 2)
-    # closed chains: wrap-around top pair; 6 columns is the odd-parity
-    # configuration that needs a structural repair
+    # closed chains: wrap-around top pair; 6 columns has 3 top pairs,
+    # an odd chain that no swap can clear, so it is shortened first
     for cols in (4, 6, 8):
         b = cols // 2
         bottom_cols = [(2 * i, 2 * i + 1) for i in range(b)]
@@ -248,8 +248,7 @@ def test_criterion_8_uniformity_case_coverage():
             # pipeline order: aligned stacks are consumed before the
             # uniformity step, which assumes them gone
             opposite_pair_shortcut(m)
-            enforce_uniformity(m, 0, 1)
-            enforce_uniformity(m, 1, 0)
+            enforce_uniformity(m)
         except UncoveredCaseError as exc:
             uncovered.append((name, exc.snapshot.get("columns_lo")))
             continue

@@ -1,67 +1,9 @@
 import numpy as np
 
 from listcontract import Machine, PramConfig, layout
-from listcontract.localize import (clear_cuts, find_runs, localize,
-                                   runs_to_csv, KEPT)
+from listcontract.localize import clear_cuts, localize
 from listcontract.pram import NONE
 from conftest import path_forest, place
-
-
-def sequential_runs(machine):
-    """Independent oracle: scan each list in succ order, cutting runs
-    exactly where the row changes."""
-    succ = machine.peek("succ")
-    row = machine.peek("row")
-    status = machine.peek("status")
-    pred = machine.peek("pred")
-    runs = []
-    active = (status == NONE) & (row >= 0)
-    for h in np.flatnonzero(active & ((pred == NONE) | ~active[np.maximum(pred, 0)])):
-        v = int(h)
-        current = []
-        while v != NONE and active[v]:
-            if current and row[v] != row[current[-1]]:
-                runs.append(current)
-                current = []
-            current.append(v)
-            v = int(succ[v])
-        if current:
-            runs.append(current)
-    return runs
-
-
-def test_single_row_list_is_one_run():
-    m = Machine(path_forest(8), PramConfig())
-    place(m, {v: (1, v) for v in range(8)})
-    recs = find_runs(m)
-    assert len(recs) == 1
-    assert recs[0].node_count == 8 and recs[0].row == 1
-
-
-def test_alternating_rows_all_runs_length_one():
-    m = Machine(path_forest(8), PramConfig())
-    layout(m)   # the column layout alternates rows along each list
-    recs = find_runs(m)
-    assert len(recs) == 8
-    assert all(r.node_count == 1 for r in recs)
-
-
-def test_run_boundaries_match_sequential_oracle():
-    rng = np.random.default_rng(3)
-    m = Machine(path_forest(64), PramConfig())
-    cols = {0: 0, 1: 0}
-    pos = {}
-    c0 = c1 = 0
-    for v in range(64):
-        r = int(rng.integers(0, 2))
-        if r == 0:
-            pos[v] = (0, c0); c0 += 1
-        else:
-            pos[v] = (1, c1); c1 += 1
-    place(m, pos)
-    recs = find_runs(m)
-    oracle = sequential_runs(m)
-    assert [r.node_count for r in recs] == [len(r) for r in oracle]
 
 
 def test_localize_alternating_absorbs_into_upper_row():
@@ -148,18 +90,5 @@ def test_post_localize_invariants_random_placement():
         if s != NONE and not cut[v]:
             assert row[s] == row[v]
     assert int(m.peek("weight")[ids].sum()) == n
-    for rec in find_runs(m, min_run=20):
-        # runs still in place are either long enough or whole lists
-        assert rec.node_count >= 1
     clear_cuts(m)
     assert (m.peek("cut") == 0).all()
-
-
-def test_runs_csv_dump():
-    m = Machine(path_forest(4), PramConfig())
-    place(m, {0: (0, 0), 1: (0, 1), 2: (1, 2), 3: (1, 3)})
-    text = runs_to_csv(find_runs(m))
-    lines = text.strip().splitlines()
-    assert lines[0] == "row,start_column,end_column,node_count,disposition,over_max"
-    assert len(lines) == 3
-    assert lines[1].startswith("0,0,1,2,KEPT")

@@ -108,6 +108,26 @@ def test_read_of_cell_written_by_other_task_rejected_for_any_p(p):
     assert mem.peek("x")[5] == 0
 
 
+def write_x0_from_task_1_then_task_0(eng):
+    with eng.step("w", 2) as s:
+        s.write("x", np.array([NONE, 0]), np.array([0, 20]))
+        s.write("x", np.array([0, NONE]), np.array([10, 0]))
+
+
+def test_cell_written_in_two_rounds_keeps_the_later_round():
+    # at p=1 task 1 runs in round 1, after task 0, whatever the call order
+    mem, eng = fresh(p=1)
+    write_x0_from_task_1_then_task_0(eng)
+    assert mem.peek("x")[0] == 20
+
+
+def test_cell_written_by_two_tasks_of_one_round_rejected():
+    mem, eng = fresh(p=2)
+    with pytest.raises(ErewViolationError):
+        write_x0_from_task_1_then_task_0(eng)
+    assert mem.peek("x")[0] == 0
+
+
 def test_masked_index_skips_task():
     mem, eng = fresh(p=4)
     mem.poke("x", np.arange(4), np.array([5, 6, 7, 8]))
@@ -248,12 +268,14 @@ def reference_step(p, t, init, accesses):
             violations += sum(rounds.count(r) >= 2 for r in set(rounds))
     if violations:
         return "violation", violations
+    # writes land round by round, in call order within a round
     after = {name: list(cells) for name, cells in init.items()}
-    for kind, store, idx, vals in accesses:
-        if kind == "write":
-            for cell, v in zip(idx, vals):
-                if cell >= 0:
-                    after[store][cell] = v
+    for r in range(-(-t // p)):
+        for kind, store, idx, vals in accesses:
+            if kind == "write":
+                for task, (cell, v) in enumerate(zip(idx, vals)):
+                    if cell >= 0 and task // p == r:
+                        after[store][cell] = v
     return "ok", after
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from listcontract import Machine, PramConfig, layout
+from listcontract import Machine, PramConfig, UncoveredCaseError, layout
 from listcontract.model import ContractBatch, MoveBatch, SwapBatch
 from listcontract.orientation import (contract_along_orientation,
                                       derive_orientation, fold_array,
@@ -96,6 +96,12 @@ def test_shortcut_noop_without_top_pair():
     assert m.in_array_ids().size == 4
 
 
+def test_aligned_stack_left_for_uniformity_is_refused():
+    m, _ = aligned_stack()
+    with pytest.raises(UncoveredCaseError):
+        enforce_uniformity(m)
+
+
 def test_shortcut_weight_conservation():
     m, pairs = aligned_stack()
     total = int(m.peek("weight")[m.active_ids()].sum())
@@ -106,8 +112,9 @@ def test_shortcut_weight_conservation():
 # -- enforce_uniformity: the worked configurations ---------------------------
 
 def s_configuration():
-    """Walk top colors (0,1,0,0,1,0): two mismatched pairs facing each
-    other across one matched pair."""
+    """Top colors (0,1,0,0,1,0) over columns 0-5: the bottom pairs at
+    0,1 and 4,5 are mismatched, facing each other across the matched
+    pair at 2,3."""
     return paired_state(
         bottom=[((0, 1), (0, 1)), ((2, 3), (0, 1)), ((4, 5), (0, 1))],
         top=[((1, 2), (1, 0)), ((3, 4), (0, 1)),
@@ -117,8 +124,8 @@ def s_configuration():
 
 
 def c_configuration():
-    """Walk top colors (0,1,0,0,1,1): one mismatched pair, then two
-    matched pairs."""
+    """Top colors (0,1,0,0,1,1) over columns 0-5: the bottom pair at
+    0,1 is mismatched, the two after it are matched."""
     return paired_state(
         bottom=[((0, 1), (0, 1)), ((2, 3), (0, 1)), ((4, 5), (0, 1))],
         top=[((1, 2), (1, 0)), ((3, 4), (0, 1)),
@@ -127,40 +134,51 @@ def c_configuration():
     )
 
 
-def test_s_case_swaps_the_two_walk_tops():
-    m, pairs = s_configuration()
-    enforce_uniformity(m, 0, 1)
-    assert_uniform(m, 0, 1)
-    swaps = batches(m, SwapBatch)
-    assert len(swaps) == 1 and swaps[0].node_a.size == 1
-    assert not batches(m, ContractBatch)
-    # the winning mismatch has its 1-end at column 4 (4 > 1): its swap
-    # exchanges the tops of columns 4 and 0
-    grid = m.two_rows().grid()
-    col = m.peek("color")
-    assert col[grid[0, 0]] == 1 and col[grid[0, 4]] == 0
-    assert {int(swaps[0].node_a[0]), int(swaps[0].node_b[0])} == \
-        {int(grid[0, 0]), int(grid[0, 4])}
+def test_s_and_c_configurations_take_one_swap_batch():
+    for m, _ in (s_configuration(), c_configuration()):
+        assert enforce_uniformity(m) == 0
+        assert_uniform(m, 0, 1)
+        assert_uniform(m, 1, 0)
+        assert len(batches(m, SwapBatch)) == 1
+        assert not batches(m, ContractBatch) and not batches(m, MoveBatch)
 
 
-def test_c_case_contracts_and_moves_back():
-    m, pairs = c_configuration()
-    t_b0 = pairs[(0, 0)]        # top pair over columns 1,2
-    t_mid = pairs[(0, 1)]       # top pair over columns 3,4
-    enforce_uniformity(m, 0, 1)
-    assert_uniform(m, 0, 1)
-    cons = batches(m, ContractBatch)
+def closed_chain(k, seed):
+    """k bottom and k top pairs closing one chain over 2k permuted
+    columns, with random pair colors."""
+    rng = np.random.default_rng(seed)
+    p = rng.permutation(2 * k).tolist()
+    colors = [(0, 1) if rng.integers(0, 2) else (1, 0) for _ in range(2 * k)]
+    bottom = [((p[2 * i], p[2 * i + 1]), colors[i]) for i in range(k)]
+    top = [((p[2 * i + 1], p[(2 * i + 2) % (2 * k)]), colors[k + i]) for i in range(k)]
+    return paired_state(bottom=bottom, top=top, columns=2 * k)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_odd_closed_chain_is_shortened_once(k, seed):
+    m, _ = closed_chain(k, seed)
+    pre_weight = int(m.peek("weight")[m.active_ids()].sum())
+    assert enforce_uniformity(m) == 1
+    cons, moves = batches(m, ContractBatch), batches(m, MoveBatch)
     assert len(cons) == 1 and cons[0].absorbed.size == 1
-    # the top pair between the mismatch and its matched neighbor merges
-    # at the neighbor's near column; the neighbor's far top moves back
-    assert int(cons[0].absorbed[0]) == t_b0[0]   # the 1-colored top at column 1
-    assert int(cons[0].host[0]) == t_b0[1]
-    grid = m.two_rows().grid()
-    assert grid[0, 2] == t_b0[1]                 # merged node stays at column 2
-    assert m.peek("color")[t_b0[1]] == NONE      # and is exempt now
-    assert grid[0, 1] == t_mid[0]                # moved top fills column 1
-    moves = batches(m, MoveBatch)
-    assert any((b.to_row == 0).all() and (b.to_col == 1).all() for b in moves)
+    assert len(moves) == 1 and moves[0].node.size == 1
+    assert_uniform(m, 0, 1)
+    assert_uniform(m, 1, 0)
+    contract_along_orientation(m, derive_orientation(m))
+    survivors = m.in_array_ids()
+    assert (m.peek("row")[survivors] == 1).all()
+    assert int(m.peek("weight")[m.active_ids()].sum()) == pre_weight
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_even_closed_chain_takes_swaps_only(k, seed):
+    m, _ = closed_chain(k, seed)
+    assert enforce_uniformity(m) == 0
+    assert not batches(m, ContractBatch) and not batches(m, MoveBatch)
+    assert_uniform(m, 0, 1)
+    assert_uniform(m, 1, 0)
 
 
 def test_matched_pairs_are_left_alone():
@@ -170,9 +188,11 @@ def test_matched_pairs_are_left_alone():
         columns=4,
     )
     before = snapshot(m)
-    enforce_uniformity(m, 0, 1)
+    assert enforce_uniformity(m) == 0
     assert states_equal(before, snapshot(m))
     assert not batches(m, ContractBatch) and not batches(m, SwapBatch)
+    # nothing marked: the sweep's doubling stores are never allocated
+    assert not any(m.memory.has(f"cs_{f}{b}") for f in "jxrm" for b in (0, 1))
 
 
 def test_chain_case_clears_long_mismatch_runs():
@@ -184,19 +204,18 @@ def test_chain_case_clears_long_mismatch_runs():
     top.append(((0, 2 * k), (0, 1)))        # endpoints pair off-chain
     top.append(((2 * k - 1, 2 * k + 1), (1, 0)))
     m, pairs = paired_state(bottom=bottom, top=top, columns=2 * k + 2)
-    enforce_uniformity(m, 0, 1)
+    enforce_uniformity(m)
     assert_uniform(m, 0, 1)
+    assert_uniform(m, 1, 0)
 
 
-def test_bottom_row_application_after_top():
-    # mismatched bottoms under matched tops: the second application
+def test_mismatched_bottoms_under_matched_tops_cleared_in_one_call():
     m, pairs = paired_state(
         bottom=[((1, 2), (1, 0)), ((3, 4), (0, 1))],
         top=[((0, 1), (0, 1)), ((2, 3), (1, 0)), ((4, 5), (0, 1))],
         columns=6,
     )
-    enforce_uniformity(m, 0, 1)
-    enforce_uniformity(m, 1, 0)
+    enforce_uniformity(m)
     assert_uniform(m, 0, 1)
     assert_uniform(m, 1, 0)
 
@@ -259,6 +278,7 @@ def test_full_pass_packs_random_instance():
     m = Machine(fo, PramConfig(num_processors=64))
     layout(m, mode="rows")
     rep = uniform_contraction_pass(m, min_run=8)
+    assert rep.odd_cycles == 0
     assert rep.survivors_in_bottom_row
     assert rep.survivors <= rep.pre_active / 2
     assert rep.halved
@@ -305,8 +325,7 @@ def test_random_geometry_uniformity_and_packing(seed):
     m, _ = random_two_row_state(rng)
     pre_weight = int(m.peek("weight")[m.active_ids()].sum())
     opposite_pair_shortcut(m)
-    enforce_uniformity(m, 0, 1)
-    enforce_uniformity(m, 1, 0)
+    enforce_uniformity(m)
     assert_uniform(m, 0, 1)
     assert_uniform(m, 1, 0)
     plan = derive_orientation(m)

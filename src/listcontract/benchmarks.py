@@ -1,11 +1,16 @@
 """Benchmark runs behind the recorded regression constants.
 
-The acceptance suite and the constant-regeneration script both call
-these, so recorded values and checked values always come from the
-same workloads.
+The acceptance suite and the constant regeneration both call these,
+so recorded values and checked values always come from the same
+workloads. ``python -m listcontract.benchmarks`` prints measured.py
+with fresh values of its constants; ``--write`` saves it.
 """
 
 from __future__ import annotations
+
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -73,3 +78,28 @@ def work_ratio_sweep(lengths=(4, 16, 64, 256), exponent=16, seed=6):
                     "uniform_work": int(un.metrics.total_work),
                     "ratio": wy.metrics.total_work / un.metrics.total_work})
     return out
+
+
+def measured_constants():
+    """Fresh values of the four constants recorded in measured.py."""
+    k = {}
+    for e in (10, 12, 14, 16, 18):
+        pass_rounds, color_rounds, _ = pass_vs_coloring_rounds(e)
+        k[e] = round(pass_rounds / color_rounds, 4)
+    return {"PASS_OVER_COLORING_K": k,
+            "FIXED_L_ROUNDS": {r["exponent"]: r["rounds"] for r in fixed_l_round_sweep()},
+            "SINGLE_LIST_ROUNDS": {r["exponent"]: r["rounds"] for r in single_list_round_sweep()},
+            "WORK_RATIO": {r["l"]: round(r["ratio"], 4) for r in work_ratio_sweep()}}
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--write"]):
+        sys.exit("usage: python -m listcontract.benchmarks [--write]")
+    path = Path(__file__).with_name("measured.py")
+    text = path.read_text()
+    for name, value in measured_constants().items():
+        text = re.sub(rf"^{name} = {{.*?}}$", f"{name} = {value}", text, flags=re.M | re.S)
+    if sys.argv[1:]:
+        path.write_text(text)
+    else:
+        print(text, end="")

@@ -5,9 +5,8 @@ node's color with its successor's: the new color packs the position of
 the lowest differing bit with the node's own bit there. Once every
 color fits in {0..5} three elimination passes remove colors 5, 4, 3.
 
-The routines work over any chain shape: callers pass explicit id,
-successor and predecessor arrays, so the same code colors row
-restricted lists and the derived chains built by the uniformity step.
+Callers pass explicit id, successor and predecessor arrays, so the
+same code colors whole lists and row-restricted lists.
 """
 
 from __future__ import annotations
@@ -46,40 +45,40 @@ def dct_new_colors(color, succ_color, has_succ):
     return np.where(has_succ, new, color & 1)
 
 
-def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color",
-                color_store="color", scratch_prefix="clr"):
+def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color"):
     """Proper 3-coloring of the chains given by succ_ids/pred_ids.
 
     ids are machine node ids; succ_ids/pred_ids give each node's chain
     neighbors as node ids (-1 for none) and must describe disjoint
-    simple chains. Final colors land in color_store[ids].
+    simple chains. Final colors land in color[ids].
     """
     ids = np.asarray(ids, dtype=np.int64)
     k = ids.size
     if k == 0:
         return ColorAssignment(ids, np.empty(0, dtype=np.int64), 0, 0)
 
-    pos_arr = np.full(int(memory.peek(color_store).size), NONE, dtype=np.int64)
+    size = memory.peek("color").size
+    pos_arr = np.full(size, NONE, dtype=np.int64)
     pos_arr[ids] = np.arange(k)
     has_succ = succ_ids >= 0
     has_pred = pred_ids >= 0
 
-    inb_p = memory.scratch(f"{scratch_prefix}_inb_p", memory.peek(color_store).size)
-    inb_s = memory.scratch(f"{scratch_prefix}_inb_s", memory.peek(color_store).size)
+    inb_p = memory.scratch("clr_inb_p", size)
+    inb_s = memory.scratch("clr_inb_s", size)
 
     # colors live in registers between iterations; memory holds the
     # copy neighbors read
     color = ids.copy()
     with engine.step(f"{phase}/init", k) as s:
-        s.write(color_store, ids, color)
+        s.write("color", ids, color)
 
     iterations = 0
     while int(color.max()) > 5:
         with engine.step(f"{phase}/dct", k) as s:
-            cs = s.read(color_store, np.where(has_succ, succ_ids, NONE))
+            cs = s.read("color", np.where(has_succ, succ_ids, NONE))
         color = dct_new_colors(color, cs, has_succ)
         with engine.step(f"{phase}/dct_write", k) as s:
-            s.write(color_store, ids, color)
+            s.write("color", ids, color)
         iterations += 1
         _assert_proper(color, pos_arr, succ_ids)
 
@@ -98,7 +97,7 @@ def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color",
                     used[m, arr[m]] = True
                 new = np.where(~used[:, 0], 0, np.where(~used[:, 1], 1, 2))
                 color[sel] = new
-                s.write(color_store, ids[sel], new)
+                s.write("color", ids[sel], new)
         _assert_proper(color, pos_arr, succ_ids)
 
     if (color > 2).any():

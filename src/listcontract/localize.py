@@ -1,7 +1,11 @@
 """Confine every list to single-row runs of the two-row array.
 
 Short runs (fewer than min_run nodes on one row) are contracted into
-the flanking nodes of the other row, split at the run midpoint. Links
+the flanking nodes of the other row, split at the run midpoint. Each
+node finds its distance to both ends of its run by pointer doubling
+capped at ceil(log2 min_run) rounds: a short run has every node fewer
+than min_run hops from both ends, so a node whose end lies farther is
+on a long run, and any min_run is classified exactly. Links
 that still cross rows afterwards are virtually deleted: they get a cut
 flag, the lists are never physically severed, and the flags are
 cleared once the contraction pass finishes.
@@ -13,13 +17,9 @@ import numpy as np
 
 from .model import Machine, PRED_SIDE, SUCC_SIDE
 from .pram import NONE
-from .steps import contract_batch, restricted_neighbors, scratch
+from .steps import contract_batch, double, restricted_neighbors
 
 MIN_RUN = 100
-
-# doubling horizon: a run whose boundary is 2**10 or more hops away is
-# classified as long, so min_run must stay at most 2**10
-_CAP_BITS = 10
 
 
 def localize(machine: Machine, min_run=MIN_RUN, phase="localize"):
@@ -57,10 +57,13 @@ def _absorb_short_runs(machine: Machine, target_row, min_run, phase):
     sel = np.flatnonzero(on_row)
     if sel.size == 0:
         return
-    pos, head_flag = _capped_distance(machine, ids[sel], np.where(run_start[sel], NONE, pv[sel]),
-                                      start_flank[sel], f"{phase}/dhead")
-    rem, tail_flag = _capped_distance(machine, ids[sel], np.where(run_end[sel], NONE, sv[sel]),
-                                      end_flank[sel], f"{phase}/dtail")
+    # a run shorter than min_run has every node within min_run - 2
+    # hops of both its ends, which ceil(log2 min_run) rounds resolve
+    limit = max(0, min_run - 1).bit_length()
+    pos, head_flag = _boundary_distance(machine, ids[sel], np.where(run_start[sel], NONE, pv[sel]),
+                                        start_flank[sel], limit, f"{phase}/dhead")
+    rem, tail_flag = _boundary_distance(machine, ids[sel], np.where(run_end[sel], NONE, sv[sel]),
+                                        end_flank[sel], limit, f"{phase}/dtail")
 
     resolved = (pos != NONE) & (rem != NONE)
     length = np.where(resolved, pos + rem + 1, NONE)
@@ -88,48 +91,18 @@ def _absorb_short_runs(machine: Machine, target_row, min_run, phase):
             contract_batch(machine, nodes[right_k], hosts, PRED_SIDE, f"{phase}/R{k}")
 
 
-def _capped_distance(machine: Machine, ids, back, boundary_flag, phase):
+def _boundary_distance(machine: Machine, ids, back, boundary_flag, limit, phase):
     """Distance to the run boundary and the boundary's flank flag.
 
     back[i] is the in-run neighbor toward the boundary (NONE at the
-    boundary itself). Doubling is capped; unresolved entries return
-    NONE, which classifies the run as long.
+    boundary itself). Entries more than 2**limit - 1 hops from the
+    boundary return NONE, which classifies the run as long.
     """
-    eng = machine.engine
-    k = ids.size
-    j0 = scratch(machine, "run_j0")
-    j1 = scratch(machine, "run_j1")
-    d0 = scratch(machine, "run_d0")
-    d1 = scratch(machine, "run_d1")
-    f0 = scratch(machine, "run_f0")
-    f1 = scratch(machine, "run_f1")
-    with eng.step(f"{phase}/init", k) as s:
-        s.write(j0, ids, back)
-        s.write(d0, ids, np.where(back != NONE, 1, 0))
-        s.write(f0, ids, boundary_flag.astype(np.int64))
-    cur_j, cur_d, cur_f = back.copy(), np.where(back != NONE, 1, 0), boundary_flag.astype(np.int64)
-    names = [(j0, d0, f0), (j1, d1, f1)]
-    for it in range(_CAP_BITS):
-        src = names[it % 2]
-        dst = names[(it + 1) % 2]
-        live = cur_j != NONE
-        if not live.any():
-            break
-        with eng.step(f"{phase}/jump{it}", k) as s:
-            jj = s.read(src[0], cur_j)
-            dj = s.read(src[1], cur_j)
-            fj = s.read(src[2], cur_j)
-        new_j = np.where(live, jj, cur_j)
-        new_d = np.where(live, cur_d + dj, cur_d)
-        new_f = np.where(live & (new_j == NONE), fj, cur_f)
-        with eng.step(f"{phase}/jw{it}", k) as s:
-            s.write(dst[0], ids, new_j)
-            s.write(dst[1], ids, new_d)
-            s.write(dst[2], ids, new_f)
-        cur_j, cur_d, cur_f = new_j, new_d, new_f
-    dist = np.where(cur_j == NONE, cur_d, NONE)
-    flag = np.where(cur_j == NONE, cur_f, 0).astype(bool)
-    return dist, flag
+    j, (d, f), _, _ = double(machine, "run", ids,
+                             (back, [np.where(back != NONE, 1, 0), boundary_flag.astype(np.int64)]),
+                             (np.add, np.maximum), limit, phase)
+    done = j == NONE
+    return np.where(done, d, NONE), done & (f == 1)
 
 
 def _cut_cross_links(machine: Machine, phase):

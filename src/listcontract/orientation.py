@@ -210,22 +210,16 @@ def pool_short_lists(machine: Machine, min_len=4, phase="pool"):
     ids = machine.in_array_ids()
     if ids.size == 0:
         return 0
-    hops = min_len - 1
-    up = ids.copy()
-    a = np.zeros(ids.size, dtype=np.int64)
-    for i in range(hops):
-        with eng.step(f"{phase}/up{i}", ids.size) as s:
-            nxt = s.read("pred", up)
-        a = np.where(up != NONE, a + (nxt != NONE), a)
-        up = np.where(up != NONE, nxt, NONE)
-    down = ids.copy()
-    b = np.zeros(ids.size, dtype=np.int64)
-    for i in range(hops):
-        with eng.step(f"{phase}/dn{i}", ids.size) as s:
-            nxt = s.read("succ", down)
-        b = np.where(down != NONE, b + (nxt != NONE), b)
-        down = np.where(down != NONE, nxt, NONE)
-    short = a + b < min_len - 1
+    # walk min_len - 1 hops from each node toward both ends at once,
+    # counting the hops that reach a node
+    up, down = ids, ids
+    seen = np.zeros(ids.size, dtype=np.int64)
+    for i in range(min_len - 1):
+        with eng.step(f"{phase}/walk{i}", ids.size) as s:
+            up = s.read("pred", up)
+            down = s.read("succ", down)
+        seen = seen + (up != NONE) + (down != NONE)
+    short = seen < min_len - 1
     if not short.any():
         return 0
     sel = ids[short]

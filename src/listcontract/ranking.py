@@ -17,7 +17,7 @@ from .errors import ForestFormatError
 from .model import ContractBatch, LinkedForest, Machine, layout, PRED_SIDE
 from .orientation import uniform_contraction_pass
 from .pram import NONE, PramConfig
-from .steps import scratch
+from .steps import double, scratch
 
 
 @dataclass
@@ -76,42 +76,20 @@ def pointer_jump(machine: Machine, phase="jump"):
     jumps along predecessor pointers. Returns (ids, before, head,
     rounds).
     """
-    eng = machine.engine
     ids = machine.active_ids()
-    k = ids.size
-    if k == 0:
-        return ids, np.empty(0, np.int64), np.empty(0, np.int64), 0
-    names = [(scratch(machine, "pj_j0"), scratch(machine, "pj_d0"), scratch(machine, "pj_h0")),
-             (scratch(machine, "pj_j1"), scratch(machine, "pj_d1"), scratch(machine, "pj_h1"))]
-    # d counts the weight strictly between the jump target and the node,
-    # so no weight prefetch is needed: d += d[j] + weight[j]
-    with eng.step(f"{phase}/init", k) as s:
+    w = None
+
+    def seed(s):
+        # the weight folds inclusively, so before = d - weight
+        nonlocal w
         pv = s.read("pred", ids)
         first = s.read("first", ids)
-        s.write(names[0][0], ids, pv)
-        s.write(names[0][1], ids, 0)
-        s.write(names[0][2], ids, np.where(pv == NONE, first, NONE))
-    cur_j = pv.copy()
-    cur_d = np.zeros(k, dtype=np.int64)
-    cur_h = np.where(pv == NONE, first, NONE)
-    rounds = 0
-    while (cur_j != NONE).any():
-        src = names[rounds % 2]
-        dst = names[(rounds + 1) % 2]
-        with eng.step(f"{phase}/r{rounds}", k) as s:
-            jj = s.read(src[0], cur_j)
-            dj = s.read(src[1], cur_j)
-            hj = s.read(src[2], cur_j)
-            wj = s.read("weight", cur_j)
-            live = cur_j != NONE
-            cur_h = np.where(live & (jj == NONE) & (hj != NONE), hj, cur_h)
-            cur_d = np.where(live, cur_d + dj + wj, cur_d)
-            cur_j = np.where(live, jj, cur_j)
-            s.write(dst[0], ids, cur_j)
-            s.write(dst[1], ids, cur_d)
-            s.write(dst[2], ids, cur_h)
-        rounds += 1
-    return ids, cur_d, cur_h, rounds
+        w = s.read("weight", ids)
+        return pv, [w, np.where(pv == NONE, first, NONE)]
+
+    _, (d, head), _, rounds = double(machine, "pj", ids, seed, (np.add, np.maximum),
+                                     phase=phase)
+    return ids, d - w, head, rounds
 
 
 def contract_to_threshold(machine: Machine, threshold=None, max_passes=64,
@@ -171,21 +149,15 @@ def replay_ranks(machine: Machine, ids, before, head, phase="replay"):
 
 
 def list_rank(forest: LinkedForest, p=1, *, config=None, threshold=None,
-              min_run=100, layout_mode="columns", use_uniform=True) -> RankRun:
-    """Contract, pointer-jump, and replay; exact ranks for every node.
-
-    With use_uniform False the two-row machinery is skipped entirely
-    and ranking runs on pointer jumping alone over the original lists,
-    which serves as the no-localization reference path.
-    """
+              min_run=100, layout_mode="columns") -> RankRun:
+    """Contract, pointer-jump, and replay; exact ranks for every node."""
     config = config or PramConfig(num_processors=p)
     machine = Machine(forest, config)
     run = RankRun(result=None, metrics=None)
-    if use_uniform:
-        layout(machine, mode=layout_mode)
-        run.passes = contract_to_threshold(machine, threshold=threshold,
-                                           min_run=min_run)
-        run.survivor_counts = [r.survivors for r in run.passes]
+    layout(machine, mode=layout_mode)
+    run.passes = contract_to_threshold(machine, threshold=threshold,
+                                       min_run=min_run)
+    run.survivor_counts = [r.survivors for r in run.passes]
     ids, before, head, rounds = pointer_jump(machine)
     run.jump_rounds = rounds
     run.result = replay_ranks(machine, ids, before, head)

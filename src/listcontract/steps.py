@@ -13,6 +13,46 @@ def scratch(machine: Machine, name, size=None):
     return machine.memory.scratch(name, machine.n if size is None else int(size))
 
 
+def double(machine: Machine, name, ids, seed, ufuncs, limit=None, phase="double"):
+    """Pointer doubling of tasks ids along their pointers j.
+
+    seed is (j, values), one values array per ufunc, or a function
+    that reads them inside the init step and returns them. Each round
+    is one step of ids.size tasks: every task whose pointer is live
+    reads j and the values at j from one buffer, folds them into its
+    own values by the associative ufunc, and every task writes its
+    state at ids into the other buffer. A value only the root should
+    pass on is folded by np.maximum from the root's value, NONE
+    elsewhere. Stops when every pointer has run out, or after limit
+    rounds. Returns (j, values, stores, rounds); stores names the
+    pointer store and the value stores holding the result. Pointers
+    must stay within ids.
+    """
+    eng = machine.engine
+    k = ids.size
+    size = max(machine.n, int(ids.max(initial=-1)) + 1)
+    bufs = [[scratch(machine, f"{name}_{f}{b}", size)
+             for f in ["j"] + [f"v{i}" for i in range(len(ufuncs))]] for b in (0, 1)]
+    with eng.step(f"{phase}/init", k) as s:
+        j, values = seed(s) if callable(seed) else seed
+        for st, v in zip(bufs[0], [j, *values]):
+            s.write(st, ids, v)
+    rounds = 0
+    while limit is None or rounds < limit:
+        live = j != NONE
+        if not live.any():
+            break
+        src, dst = bufs[rounds % 2], bufs[(rounds + 1) % 2]
+        with eng.step(f"{phase}/r{rounds}", k) as s:
+            got = [s.read(st, j) for st in src]
+            j = np.where(live, got[0], j)
+            values = [np.where(live, f(v, g), v) for f, v, g in zip(ufuncs, values, got[1:])]
+            for st, v in zip(dst, [j, *values]):
+                s.write(st, ids, v)
+        rounds += 1
+    return j, values, bufs[rounds % 2], rounds
+
+
 def pair_leaders(machine: Machine, row):
     """Leader node of every pair on one row: the smaller-column member."""
     st, rw, pair, col = (machine.peek(n) for n in ("status", "row", "pair", "col"))

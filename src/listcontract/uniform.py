@@ -39,8 +39,8 @@ from .coloring import three_color
 from .errors import UncoveredCaseError
 from .model import Machine, PRED_SIDE, SUCC_SIDE
 from .pram import NONE
-from .steps import (contract_batch, move_nodes, pair_leaders, restricted_neighbors,
-                    scratch, swap_positions)
+from .steps import (contract_batch, double, move_nodes, pair_leaders,
+                    restricted_neighbors, scratch, swap_positions)
 from . import pairing as _pairing
 
 # -- column mailboxes ---------------------------------------------------
@@ -186,37 +186,37 @@ def _plan_swaps(machine, phase):
     # weights: a row-r state carries its pair's mark in bit 1 - r; the
     # predecessor's pair is the other-row pair at the same column
     x0 = np.where(prv != NONE, st_mark[em ^ 1].astype(np.int64) << row, 0)
-    S = 2 * machine.columns
-    key = np.where(row == 0, em, S)    # closed chains are rooted at top-row states
-    bufs = [tuple(scratch(machine, f"cs_{f}{b}", S) for f in "jxrm") for b in (0, 1)]
+    # closed chains are rooted at top-row states
+    key = np.where(row == 0, em, 2 * machine.columns)
     limit = int(np.ceil(np.log2(max(2, em.size))))
 
     # prefix XOR, root and the smallest top-row state by doubling over
     # the predecessors; a pointer still live after limit rounds is on
     # a closed chain
-    j, x, rt, mn, b1 = _double(eng, bufs, 0, em, prv, x0,
-                               np.where(prv == NONE, em, NONE), key, limit, f"{phase}/d")
+    j, (x, rt, mn), stores, _ = double(
+        machine, "cs", em, (prv, [x0, np.where(prv == NONE, em, NONE), key]),
+        (np.bitwise_xor, np.maximum, np.minimum), limit, f"{phase}/d")
     cyc = j != NONE
     roots = cyc & (mn == em)
-    b2 = b1
+    c_stores = stores
     if cyc.any():
         # open every closed chain at its smallest top-row state and
-        # redo the prefix on the closed chains alone
+        # redo the prefix on the closed chains alone; this writes only
+        # closed-chain cells, so the open chains' results stay put
         c_ids = em[cyc]
         c_prv = np.where(roots, NONE, prv)[cyc]
-        _, cx, crt, _, b2 = _double(eng, bufs, b1, c_ids, c_prv,
-                                    np.where(c_prv != NONE, x0[cyc], 0),
-                                    np.where(c_prv == NONE, c_ids, NONE), key[cyc],
-                                    limit, f"{phase}/c")
-        x[cyc], rt[cyc] = cx, crt
+        _, (x[cyc], rt[cyc]), c_stores, _ = double(
+            machine, "cs", c_ids,
+            (c_prv, [np.where(c_prv != NONE, x0[cyc], 0), np.where(c_prv == NONE, c_ids, NONE)]),
+            (np.bitwise_xor, np.maximum), limit, f"{phase}/c")
 
     # each chain is walked from the end whose root has the smaller id;
     # a root learns its closed chain's parity from the last state
     mirror = 2 * pc + row
     with eng.step(f"{phase}/ends", em.size) as s:
-        their = np.where(cyc, s.read(bufs[b2][2], np.where(cyc, mirror, NONE)),
-                         s.read(bufs[b1][2], np.where(cyc, NONE, mirror)))
-        last_x = s.read(bufs[b2][1], np.where(roots, prv, NONE))
+        their = np.where(cyc, s.read(c_stores[2], np.where(cyc, mirror, NONE)),
+                         s.read(stores[2], np.where(cyc, NONE, mirror)))
+        last_x = s.read(c_stores[1], np.where(roots, prv, NONE))
     chosen = rt < their
     odd = roots & chosen & (((last_x ^ x0) & 1) == 1)
     swap = chosen & (((x >> row) & 1) == 1)
@@ -224,29 +224,6 @@ def _plan_swaps(machine, phase):
     return {"swap_a": st_node[swap], "swap_b": st_pnode[swap],
             "odd_cols": em[odd] >> 1, "odd_far": pc[odd],
             "odd_a": st_node[odd], "odd_b": st_pnode[odd]}
-
-
-def _double(eng, bufs, b, ids, j, x, rt, mn, limit, phase):
-    """Pointer doubling of states ids along j, seeded into buffer b:
-    x folds by XOR, mn by min, and rt picks up the root where j runs
-    out. Returns the final (j, x, rt, mn) and the buffer holding them."""
-    with eng.step(f"{phase}/seed", ids.size) as s:
-        for st, v in zip(bufs[b], (j, x, rt, mn)):
-            s.write(st, ids, v)
-    for it in range(limit):
-        live = j != NONE
-        if not live.any():
-            break
-        src, b = bufs[b], 1 - b
-        with eng.step(f"{phase}{it}", ids.size) as s:
-            jj, xj, rj, mj = (s.read(st, j) for st in src)
-            rt = np.where(live & (jj == NONE), rj, rt)
-            x = np.where(live, x ^ xj, x)
-            mn = np.where(live, np.minimum(mn, mj), mn)
-            j = np.where(live, jj, j)
-            for st, v in zip(bufs[b], (j, x, rt, mn)):
-                s.write(st, ids, v)
-    return j, x, rt, mn, b
 
 
 def _contract_target_pair(machine, absorbed, host, phase):

@@ -62,15 +62,16 @@ def test_criterion_1_oracle_equivalence():
             failures += 1
         violations += run.metrics.erew_violations
         count += 1
-    # localization disabled entirely on small instances: ranks must be
-    # identical to the localized runs, validating cut-link stitching
+    # the contraction pipeline and plain pointer jumping over the
+    # original lists must both match the oracle on small instances
     for w, p in mixed_workloads(80, 512, seed0=3):
         forest = generate(w)
-        with_loc = list_rank(forest, p=p)
-        without = list_rank(forest, p=p, use_uniform=False)
+        contracted = list_rank(forest, p=p)
+        jumped = wyllie_rank(forest, p=p)
         oracle = sequential_rank(forest)
-        if not (with_loc.result.same_as(oracle) and without.result.same_as(oracle)):
+        if not (contracted.result.same_as(oracle) and jumped.result.same_as(oracle)):
             failures += 1
+        violations += contracted.metrics.erew_violations + jumped.metrics.erew_violations
         count += 1
     report("criterion 1 (oracle equivalence)", failures == 0 and violations == 0,
            f"{count} workloads, {failures} mismatches, {violations} EREW violations")

@@ -1,7 +1,8 @@
 import numpy as np
 
-from listcontract import Machine, PramConfig, layout
+from listcontract import Machine, PramConfig, Workload, generate, layout
 from listcontract.localize import clear_cuts, localize
+from listcontract.model import ContractBatch
 from listcontract.pram import NONE
 from conftest import path_forest, place
 
@@ -92,3 +93,34 @@ def test_post_localize_invariants_random_placement():
     assert int(m.peek("weight")[ids].sum()) == n
     clear_cuts(m)
     assert (m.peek("cut") == 0).all()
+
+
+def flanked_runs(m):
+    """Length of every single-row run with a neighbor on the other row."""
+    row, succ, pred = m.peek("row"), m.peek("succ"), m.peek("pred")
+    out = []
+    for v in m.in_array_ids():
+        p = pred[v]
+        if p != NONE and row[p] == row[v]:
+            continue
+        length, u = 0, v
+        while u != NONE and row[u] == row[v]:
+            length += 1
+            u = succ[u]
+        if p != NONE or u != NONE:
+            out.append(length)
+    return out
+
+
+def test_min_run_above_1024_absorbs_whole_short_runs():
+    # rows layout of three 2800-node lists: one list is split into two
+    # flanked 1400-node runs, each more than 1024 hops long
+    m = Machine(generate(Workload(n=8400, length_distribution="FIXED",
+                                  fixed_length=2800)), PramConfig(num_processors=64))
+    layout(m, mode="rows")
+    assert sorted(flanked_runs(m)) == [1400, 1400]
+    localize(m, min_run=2000)
+    assert not [r for r in flanked_runs(m) if r < 2000]
+    absorbed = sum(b.absorbed.size for b in m.log.batches if isinstance(b, ContractBatch))
+    assert absorbed == 1400
+    assert int(m.peek("weight")[m.in_array_ids()].sum()) == 8400

@@ -148,7 +148,7 @@ def test_list_rank_row_layout_small_runs(seed):
 
 def test_list_rank_without_contraction_matches():
     f = generate(Workload(n=300, num_lists=5, seed=3))
-    a = list_rank(f, p=8, use_uniform=False)
+    a = wyllie_rank(f, p=8)
     b = sequential_rank(f)
     assert a.result.same_as(b)
 

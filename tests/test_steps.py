@@ -1,0 +1,132 @@
+import numpy as np
+import pytest
+
+from listcontract import Machine, PramConfig
+from listcontract.pram import NONE
+from listcontract.steps import double
+from conftest import path_forest
+
+UFUNCS = (np.add, np.bitwise_xor, np.minimum, np.maximum)
+
+
+def reference(ptr, seeds, ufuncs, ids, rounds):
+    """Each id's pointer and folded values after 2**rounds hops."""
+    j = np.empty(ids.size, dtype=np.int64)
+    out = [np.empty(ids.size, dtype=np.int64) for _ in ufuncs]
+    for t, v in enumerate(ids):
+        acc = [s[v] for s in seeds]
+        u = ptr[v]
+        for _ in range(2 ** rounds - 1):
+            if u == NONE:
+                break
+            acc = [f(a, s[u]) for f, a, s in zip(ufuncs, acc, seeds)]
+            u = ptr[u]
+        j[t] = u
+        for o, a in zip(out, acc):
+            o[t] = a
+    return j, out
+
+
+def random_seeds(rng, size, ptr):
+    """One seed per ufunc; the maximum picks the root's value."""
+    return [rng.integers(1, 9, size), rng.integers(0, 16, size), rng.integers(0, 100, size),
+            np.where(ptr == NONE, rng.integers(0, 100, size), NONE)]
+
+
+def recording_machine(n, p):
+    m = Machine(path_forest(n), PramConfig(num_processors=p))
+    calls = []
+    step = m.engine.step
+    m.engine.step = lambda label, n_tasks: calls.append((label, n_tasks)) or step(label, n_tasks)
+    return m, calls
+
+
+def run_case(ptr, ids, limit, seed, p=4):
+    rng = np.random.default_rng(seed)
+    n = ptr.size
+    seeds = random_seeds(rng, n, ptr)
+    m, calls = recording_machine(n, p)
+    j, values, stores, rounds = double(m, "t", ids, (ptr[ids], [s[ids] for s in seeds]),
+                                       UFUNCS, limit, "dbl")
+    assert m.engine.metrics().erew_violations == 0
+    want_j, want = reference(ptr, seeds, UFUNCS, ids, rounds)
+    assert np.array_equal(j, want_j)
+    for got, exp in zip(values, want):
+        assert np.array_equal(got, exp)
+    # the result stores hold what was returned
+    assert np.array_equal(m.peek(stores[0])[ids], j)
+    for st, got in zip(stores[1:], values):
+        assert np.array_equal(m.peek(st)[ids], got)
+    # one init step, then one step of len(ids) tasks per round
+    assert calls == [("dbl/init", ids.size)] + [(f"dbl/r{r}", ids.size) for r in range(rounds)]
+    return j, rounds
+
+
+def chains(rng, n, count):
+    """Pointers of count open chains over a random permutation of n."""
+    order = rng.permutation(n)
+    cuts = np.sort(rng.choice(np.arange(1, n), count - 1, replace=False))
+    ptr = np.full(n, NONE, dtype=np.int64)
+    for part in np.split(order, cuts):
+        ptr[part[1:]] = part[:-1]
+    return ptr
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_open_chains_run_out_in_ceil_log2_rounds(seed):
+    rng = np.random.default_rng(seed)
+    n = 60
+    ptr = chains(rng, n, 5)
+    depth = np.zeros(n, dtype=np.int64)
+    for v in range(n):
+        u = ptr[v]
+        while u != NONE:
+            depth[v] += 1
+            u = ptr[u]
+    j, rounds = run_case(ptr, np.arange(n), None, seed)
+    assert (j == NONE).all()
+    assert rounds == int(np.ceil(np.log2(depth.max() + 1)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_subset_of_nodes_on_closed_cycles(seed):
+    rng = np.random.default_rng(10 + seed)
+    n = 40
+    ptr = np.full(n, NONE, dtype=np.int64)
+    # cycles of 3, 7 and 12 nodes; the rest takes no part
+    nodes = rng.permutation(n)[:22]
+    for cyc in np.split(nodes, [3, 10]):
+        ptr[cyc] = np.roll(cyc, 1)
+    j, rounds = run_case(ptr, np.sort(nodes), 3, seed)
+    assert rounds == 3 and (j != NONE).all()
+
+
+def test_limit_cuts_doubling_short():
+    ptr = chains(np.random.default_rng(0), 20, 1)
+    j, rounds = run_case(ptr, np.arange(20), 2, 0)
+    assert rounds == 2
+    assert (j != NONE).sum() == 20 - 4
+
+
+def test_empty_ids():
+    m, calls = recording_machine(4, 2)
+    empty = np.empty(0, dtype=np.int64)
+    j, values, _, rounds = double(m, "t", empty, (empty, [empty, empty]),
+                                  (np.add, np.maximum), None, "dbl")
+    assert rounds == 0 and j.size == 0 and all(v.size == 0 for v in values)
+    assert m.engine.metrics().rounds == 0
+    assert calls == [("dbl/init", 0)]
+
+
+def test_seed_function_reads_inside_the_init_step():
+    m, calls = recording_machine(8, 4)
+    ids = np.arange(8)
+
+    def seed(s):
+        pv = s.read("pred", ids)
+        return pv, [s.read("weight", ids)]
+
+    j, (d,), _, rounds = double(m, "t", ids, seed, (np.add,), None, "dbl")
+    assert (j == NONE).all() and rounds == 3
+    assert d.tolist() == list(range(1, 9))
+    assert len(calls) == 1 + rounds

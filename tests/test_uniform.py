@@ -20,6 +20,10 @@ def assert_uniform(machine, target_row, ref_row):
     assert not marked.any()
 
 
+# the pointer and the three value stores of the sweep's doubling, both buffers
+SWEEP_STORES = [f"cs_{f}{b}" for f in ("j", "v0", "v1", "v2") for b in (0, 1)]
+
+
 def batches(machine, kind):
     return [b for b in machine.log.batches if isinstance(b, kind)]
 
@@ -160,6 +164,7 @@ def test_odd_closed_chain_is_shortened_once(k, seed):
     m, _ = closed_chain(k, seed)
     pre_weight = int(m.peek("weight")[m.active_ids()].sum())
     assert enforce_uniformity(m) == 1
+    assert all(m.memory.has(st) for st in SWEEP_STORES)
     cons, moves = batches(m, ContractBatch), batches(m, MoveBatch)
     assert len(cons) == 1 and cons[0].absorbed.size == 1
     assert len(moves) == 1 and moves[0].node.size == 1
@@ -192,7 +197,7 @@ def test_matched_pairs_are_left_alone():
     assert states_equal(before, snapshot(m))
     assert not batches(m, ContractBatch) and not batches(m, SwapBatch)
     # nothing marked: the sweep's doubling stores are never allocated
-    assert not any(m.memory.has(f"cs_{f}{b}") for f in "jxrm" for b in (0, 1))
+    assert not any(m.memory.has(st) for st in SWEEP_STORES)
 
 
 def test_chain_case_clears_long_mismatch_runs():

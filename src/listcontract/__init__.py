@@ -4,15 +4,15 @@ from .errors import (BatchDependenceError, ErewViolationError,
                      ForestFormatError, ImproperColoringError,
                      ListContractError, OrientationError, UncoveredCaseError)
 from .pram import Engine, Memory, PramConfig, RoundMetrics
-from .model import ContractionLog, LinkedForest, Machine, TwoRowArray, layout
+from .model import LinkedForest, Machine, layout
 from .coloring import ColorAssignment, dct_new_colors, three_color
 from .pairing import PairAssignment, eliminate_twos, form_pairs
 from .localize import localize
-from .uniform import (detect_marks, enforce_uniformity, opposite_pair_shortcut,
-                      publish_mailboxes, row_color_and_pair)
+from .uniform import (color_and_pair, detect_marks, enforce_uniformity,
+                      opposite_pair_shortcut, publish_mailboxes)
 from .orientation import (OrientationKey, contract_along_orientation,
-                          derive_orientation, fold_array, grid_dump,
-                          pool_short_lists, uniform_contraction_pass)
+                          derive_orientation, fold_array, pool_short_lists,
+                          uniform_contraction_pass)
 from .ranking import (RankResult, RankRun, contract_to_threshold, list_rank,
                       pointer_jump, replay_ranks, sequential_rank, wyllie_rank)
 from .workloads import Workload, generate

@@ -54,9 +54,11 @@ def _absorb_short_runs(machine: Machine, target_row, min_run, phase):
     start_flank = run_start & (pv != NONE) & (row_p != target_row)
     end_flank = run_end & (sv != NONE) & (row_s != target_row)
 
-    sel = np.flatnonzero(on_row)
-    if sel.size == 0:
+    # every flank is on the target row, and a run without one is never
+    # short, so with no flank the distances would go unused
+    if not (start_flank | end_flank).any():
         return
+    sel = np.flatnonzero(on_row)
     # a run shorter than min_run has every node within min_run - 2
     # hops of both its ends, which ceil(log2 min_run) rounds resolve
     limit = max(0, min_run - 1).bit_length()

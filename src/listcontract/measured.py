@@ -7,16 +7,16 @@ measurements from the same functions against these within +-10%.
 """
 
 # rounds of one contraction pass vs one 3-coloring, single list of 2**e
-PASS_OVER_COLORING_K = {10: 5.5893, 12: 5.5893, 14: 5.5893, 16: 5.5893, 18: 5.5893}
+PASS_OVER_COLORING_K = {10: 4.4464, 12: 4.4464, 14: 4.4464, 16: 4.4464, 18: 4.4464}
 
 # list_rank rounds, l = 64 fixed, p = n / 6, n = 2**e
-FIXED_L_ROUNDS = {12: 374, 13: 374, 14: 374, 15: 374, 16: 374, 17: 374, 18: 374}
+FIXED_L_ROUNDS = {12: 326, 13: 326, 14: 326, 15: 326, 16: 326, 17: 326, 18: 326}
 
 # list_rank rounds, single list of length n = 2**e, p = n / 6
-SINGLE_LIST_ROUNDS = {12: 444, 14: 446, 16: 448, 18: 529}
+SINGLE_LIST_ROUNDS = {12: 380, 14: 382, 16: 384, 18: 449}
 
 # total_work(wyllie) / total_work(list_rank), n = 2**16, lists of length l
-WORK_RATIO = {4: 0.0828, 16: 0.1284, 64: 0.1463, 256: 0.1796}
+WORK_RATIO = {4: 0.0876, 16: 0.1431, 64: 0.1673, 256: 0.2137}
 
 # the work-advantage threshold at l = 256 is recorded, not asserted
 # against a theoretical target: per-step accounting keeps the

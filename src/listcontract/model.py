@@ -136,41 +136,19 @@ class ContractBatch:
     weight: np.ndarray  # weight of the absorbed node at contraction time
 
 
-@dataclass
-class MoveBatch:
-    node: np.ndarray
-    from_row: np.ndarray
-    from_col: np.ndarray
-    to_row: np.ndarray
-    to_col: np.ndarray
-
-
-@dataclass
-class SwapBatch:
-    node_a: np.ndarray
-    node_b: np.ndarray
-
-
-class ContractionLog:
-    """Append-only record of contraction events; the replay reads its
-    ContractBatch entries to recover ranks."""
-
-    def __init__(self):
-        self.batches = []
-
-    def append(self, batch):
-        self.batches.append(batch)
-
-
 class Machine:
-    """Engine, memory, log, and the store layout for one algorithm run."""
+    """Engine, memory, log, and the store layout for one algorithm run.
+
+    log is the list of ContractBatch entries, in contraction order,
+    that the rank replay walks backward.
+    """
 
     def __init__(self, forest: LinkedForest, config: PramConfig | None = None):
         self.forest = forest
         self.config = config or PramConfig()
         self.memory = Memory()
         self.engine = Engine(self.memory, self.config)
-        self.log = ContractionLog()
+        self.log = []
 
         n = forest.n
         self.sentinel = None
@@ -212,10 +190,9 @@ class Machine:
         st, row = self.peek("status"), self.peek("row")
         return np.flatnonzero((st == NONE) & (row == POOLED))
 
-    # -- two-row array --------------------------------------------------
-
-    def two_rows(self):
-        return TwoRowArray(self)
+    def grid(self):
+        """Copy of the 2 x columns slot array."""
+        return self.peek("slot")[: 2 * self.columns].reshape(2, self.columns).copy()
 
     def check_consistency(self):
         """Bidirectional link and weight invariants; raises on failure."""
@@ -234,41 +211,6 @@ class Machine:
         total = int(self.peek("weight")[ids].sum())
         if total != self.n:
             raise ListContractError(f"weight sum {total} != {self.n}")
-
-
-class TwoRowArray:
-    """View of the 2 x columns placement with the slot/position inverse."""
-
-    def __init__(self, machine: Machine):
-        self.machine = machine
-
-    @property
-    def columns(self):
-        return self.machine.columns
-
-    def slot(self, row, column):
-        return int(self.machine.peek("slot")[row * self.columns + column])
-
-    def position(self, node):
-        r = int(self.machine.peek("row")[node])
-        c = int(self.machine.peek("col")[node])
-        return (r, c) if r >= 0 else None
-
-    def grid(self):
-        return self.machine.peek("slot")[: 2 * self.columns].reshape(2, self.columns).copy()
-
-    def check_inverse(self):
-        grid = self.grid()
-        row, col = self.machine.peek("row"), self.machine.peek("col")
-        for r in range(2):
-            for c in range(self.columns):
-                v = grid[r, c]
-                if v != NONE and (row[v] != r or col[v] != c):
-                    raise ListContractError(f"slot ({r},{c}) holds {v} with stale position")
-        placed = np.flatnonzero(row >= 0)
-        for v in placed:
-            if grid[row[v], col[v]] != v:
-                raise ListContractError(f"node {v} position not mirrored in slot")
 
 
 def layout(machine: Machine, mode="columns"):
@@ -310,4 +252,3 @@ def layout(machine: Machine, mode="columns"):
     m.poke("row", order, rows)
     m.poke("col", order, cols)
     m.poke("slot", rows * machine.columns + cols, order)
-    return machine.two_rows()

@@ -16,11 +16,11 @@ import numpy as np
 
 from .errors import OrientationError
 from .localize import clear_cuts, localize
-from .model import Machine, MoveBatch, PRED_SIDE, SUCC_SIDE
+from .model import Machine, PRED_SIDE, SUCC_SIDE
 from .pram import NONE
 from .steps import contract_batch, move_nodes, pair_leaders
-from .uniform import (_read_mb, enforce_uniformity, opposite_pair_shortcut,
-                      publish_mailboxes, row_color_and_pair)
+from .uniform import (_read_mb, color_and_pair, enforce_uniformity,
+                      opposite_pair_shortcut, publish_mailboxes)
 
 _CYCLE_NEXT = np.full(4, -1, dtype=np.int64)
 _CYCLE_NEXT[[0, 1, 3, 2]] = [1, 3, 2, 0]
@@ -68,7 +68,6 @@ def derive_orientation(machine: Machine, phase="orient") -> OrientationKey:
         partner = pair[leaders]
         c2 = colarr[partner]
         k1, k2 = key[c1], key[c2]
-        other_tn = tn if row == 1 else None
         # pattern claim: the member whose key follows the other's
         follows_1 = (k1 != NONE) & (k2 != NONE) & (k1 == _cycle_next_of(k2))
         follows_2 = (k1 != NONE) & (k2 != NONE) & (k2 == _cycle_next_of(k1))
@@ -130,31 +129,6 @@ def _cycle_next_of(k):
     return out
 
 
-def grid_dump(machine: Machine):
-    """Text grid of the current placement: top colors, bottom colors,
-    and the column keys. Vacant cells print as dots."""
-    C = machine.columns
-    grid = machine.two_rows().grid()
-    color = machine.peek("color")
-
-    def cell(v):
-        if v == NONE:
-            return "."
-        c = color[v]
-        return "x" if c == NONE else str(int(c))
-
-    top = " ".join(cell(v) for v in grid[0])
-    bot = " ".join(cell(v) for v in grid[1])
-    keys = []
-    for c in range(C):
-        t, b = grid[0, c], grid[1, c]
-        if t == NONE or b == NONE or color[t] == NONE or color[b] == NONE:
-            keys.append(".")
-        else:
-            keys.append(str(int(2 * color[t] + color[b])))
-    return f"row0: {top}\nrow1: {bot}\nkey : {' '.join(keys)}\n"
-
-
 def contract_along_orientation(machine: Machine, plan: OrientationKey, phase="pack"):
     """Merge every pair into its claimed bottom slot; drop loose tops."""
     eng = machine.engine
@@ -197,9 +171,6 @@ def fold_array(machine: Machine, phase="fold"):
             s.write("row", ids, nr)
             s.write("col", ids, nc)
             s.write("slot", nr * new_c + nc, ids)
-        machine.log.append(MoveBatch(node=ids.copy(),
-                                     from_row=np.ones(ids.size, np.int64), from_col=oc,
-                                     to_row=nr, to_col=nc))
     machine.columns = new_c
 
 
@@ -260,8 +231,7 @@ def uniform_contraction_pass(machine: Machine, min_run=100, phase="pass") -> Pas
         # a single-row placement has no cross-row links; localization
         # and the uniformity coupling are vacuous for it
         localize(machine, min_run=min_run, phase=f"{phase}/localize")
-    row_color_and_pair(machine, 1, phase=f"{phase}/row1")
-    row_color_and_pair(machine, 0, phase=f"{phase}/row0")
+    color_and_pair(machine, phase=f"{phase}/rows")
     shortcut = odd_cycles = 0
     if both_rows:
         shortcut = opposite_pair_shortcut(machine, phase=f"{phase}/shortcut")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ForestFormatError
-from .model import ContractBatch, LinkedForest, Machine, layout, PRED_SIDE
+from .model import LinkedForest, Machine, layout, PRED_SIDE
 from .orientation import uniform_contraction_pass
 from .pram import NONE, PramConfig
 from .steps import double, scratch
@@ -127,9 +127,7 @@ def replay_ranks(machine: Machine, ids, before, head, phase="replay"):
             s.write(hed, ids, head)
         with eng.step(f"{phase}/seed2", ids.size) as s:
             s.write(wgt, ids, w_now)
-    for batch in reversed(machine.log.batches):
-        if not isinstance(batch, ContractBatch):
-            continue
+    for batch in reversed(machine.log):
         a, h, side, w = batch.absorbed, batch.host, batch.side, batch.weight
         with eng.step(f"{phase}/rd", a.size) as s:
             rh = s.read(rnk, h)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ContractBatch, Machine, MoveBatch, SwapBatch, PRED_SIDE, SUCC_SIDE, RETIRED
+from .model import ContractBatch, Machine, PRED_SIDE, SUCC_SIDE, RETIRED
 from .pram import NONE
 
 
@@ -130,7 +130,7 @@ def contract_batch(machine: Machine, absorbed, host, side, phase):
 
 
 def move_nodes(machine: Machine, nodes, to_row, to_col, phase):
-    """Relocate nodes to vacant slots; sources vacated, event logged."""
+    """Relocate nodes to vacant slots; sources vacated."""
     nodes = np.asarray(nodes, dtype=np.int64)
     if nodes.size == 0:
         return
@@ -149,8 +149,6 @@ def move_nodes(machine: Machine, nodes, to_row, to_col, phase):
         s.write("slot", dst, nodes)
         s.write("row", nodes, to_row)
         s.write("col", nodes, to_col)
-    machine.log.append(MoveBatch(node=nodes.copy(), from_row=fr, from_col=fc,
-                                 to_row=to_row.copy(), to_col=to_col.copy()))
 
 
 def swap_positions(machine: Machine, nodes_a, nodes_b, phase):
@@ -173,4 +171,3 @@ def swap_positions(machine: Machine, nodes_a, nodes_b, phase):
         s.write("col", a, cb)
         s.write("row", b, ra)
         s.write("col", b, ca)
-    machine.log.append(SwapBatch(node_a=a.copy(), node_b=b.copy()))

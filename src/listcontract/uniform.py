@@ -273,20 +273,22 @@ def _verify_uniform(machine, phase):
                 "reference_row": ref_row,
                 "columns_lo": c_lo[sel].tolist(),
                 "columns_hi": c_hi[sel].tolist(),
-                "grid": machine.two_rows().grid().tolist(),
+                "grid": machine.grid().tolist(),
                 "colors": machine.peek("color").tolist(),
             }
             raise UncoveredCaseError(
                 f"{int(marked.sum())} reference pair(s) left non-uniform", snapshot=snap)
 
 
-# -- row pipeline pieces ------------------------------------------------
+# -- coloring and pairing ----------------------------------------------
 
-def row_color_and_pair(machine: Machine, row, phase=None):
-    """Color one row's localized lists and pair them off."""
-    phase = phase or f"row{row}"
+def color_and_pair(machine: Machine, phase="rows"):
+    """Color the localized lists of both rows and pair them off.
+
+    After localization every uncut link joins two nodes of one row, so
+    each chain lies on one row and one call serves both.
+    """
     ids = machine.in_array_ids()
-    ids = ids[machine.peek("row")[ids] == row]
     if ids.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return None, _pairing.PairAssignment(empty, empty.copy(), empty.copy())

@@ -30,6 +30,18 @@ def states_equal(a, b):
     return all(np.array_equal(a[k], b[k]) for k in a)
 
 
+def check_inverse(machine):
+    """Every slot holds the node placed there, and every placed node's
+    row and column name its slot."""
+    grid = machine.grid()
+    row, col = machine.peek("row"), machine.peek("col")
+    r, c = np.nonzero(grid != NONE)
+    v = grid[r, c]
+    assert (row[v] == r).all() and (col[v] == c).all()
+    placed = np.flatnonzero(row >= 0)
+    assert (grid[row[placed], col[placed]] == placed).all()
+
+
 def place(machine, positions):
     """positions: {node: (row, col)}; overwrites the whole placement."""
     need = max((c for _, c in positions.values()), default=0) + 1

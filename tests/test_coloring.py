@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from listcontract import Machine, PramConfig
+from listcontract import ImproperColoringError, Machine, PramConfig
+from listcontract import coloring
 from listcontract.coloring import dct_new_colors, three_color
 from listcontract.pram import NONE
 from listcontract.steps import restricted_neighbors
@@ -133,3 +135,12 @@ def test_colors_final_range_and_properness_random_chains():
     ca = three_color(m.engine, m.memory, ids, sv, pv, phase="tc")
     assert set(np.unique(ca.final_color).tolist()) <= {0, 1, 2}
     assert proper(ca.final_color, ids, sv)
+
+
+def test_improper_final_coloring_raises(monkeypatch):
+    # a coin-tossing step that collapses every color to 0 leaves
+    # neighbors equal, and nothing after it is above 2 to drop
+    monkeypatch.setattr(coloring, "dct_new_colors", lambda color, *_: np.zeros_like(color))
+    m, ids, sv, pv = color_forest(64)
+    with pytest.raises(ImproperColoringError):
+        three_color(m.engine, m.memory, ids, sv, pv, phase="tc")

@@ -2,7 +2,6 @@ import numpy as np
 
 from listcontract import Machine, PramConfig, Workload, generate, layout
 from listcontract.localize import clear_cuts, localize
-from listcontract.model import ContractBatch
 from listcontract.pram import NONE
 from conftest import path_forest, place
 
@@ -121,6 +120,20 @@ def test_min_run_above_1024_absorbs_whole_short_runs():
     assert sorted(flanked_runs(m)) == [1400, 1400]
     localize(m, min_run=2000)
     assert not [r for r in flanked_runs(m) if r < 2000]
-    absorbed = sum(b.absorbed.size for b in m.log.batches if isinstance(b, ContractBatch))
+    absorbed = sum(b.absorbed.size for b in m.log)
     assert absorbed == 1400
     assert int(m.peek("weight")[m.in_array_ids()].sum()) == 8400
+
+
+def test_no_flank_skips_run_distances():
+    # columns layout of FIXED l=64: phase (a) absorbs the whole lower
+    # row, so no upper run has a flank and phase (b) has nothing short
+    n = 4096
+    m = Machine(generate(Workload(n=n, length_distribution="FIXED", fixed_length=64)),
+                PramConfig(num_processors=n // 6))
+    layout(m)
+    localize(m)
+    labels = m.engine.metrics().phase_breakdown
+    assert not [k for k in labels if k.startswith(("localize/b/dhead", "localize/b/dtail"))]
+    assert [k for k in labels if k.startswith("localize/a/dhead")]
+    assert int(m.peek("weight")[m.in_array_ids()].sum()) == n

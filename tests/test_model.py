@@ -6,7 +6,7 @@ from listcontract import ForestFormatError, LinkedForest, Machine, PramConfig, l
 from listcontract.model import PRED_SIDE, SUCC_SIDE
 from listcontract.pram import NONE
 from listcontract.steps import contract_batch
-from conftest import forest_from_lists, path_forest
+from conftest import check_inverse, forest_from_lists, path_forest
 
 
 # -- forest text format -------------------------------------------------
@@ -48,43 +48,41 @@ def test_forest_stats():
 
 def test_layout_four_node_list():
     m = Machine(path_forest(4), PramConfig())
-    arr = layout(m)
-    assert arr.slot(0, 0) == 0 and arr.slot(1, 0) == 1
-    assert arr.slot(0, 1) == 2 and arr.slot(1, 1) == 3
+    layout(m)
+    assert m.grid().tolist() == [[0, 2], [1, 3]]
 
 
 def test_layout_two_nodes_one_column():
     m = Machine(path_forest(2), PramConfig())
-    arr = layout(m)
-    assert arr.columns == 1
-    assert arr.slot(0, 0) == 0 and arr.slot(1, 0) == 1
+    layout(m)
+    assert m.columns == 1
+    assert m.grid().tolist() == [[0], [1]]
 
 
 def test_layout_two_lists_contiguous_four_columns():
     f = forest_from_lists([[0, 1, 2], [3, 4, 5, 6, 7]])
     m = Machine(f, PramConfig())
-    arr = layout(m)
-    assert arr.columns == 4
-    arr.check_inverse()
+    layout(m)
+    assert m.columns == 4
+    check_inverse(m)
     # reading the grid in column order recovers succ order
-    grid = arr.grid()
+    grid = m.grid()
     order = [int(grid[k % 2, k // 2]) for k in range(8)]
     assert order == [0, 1, 2, 3, 4, 5, 6, 7]
 
 
 def test_layout_pads_odd_n_with_sentinel():
     m = Machine(path_forest(3), PramConfig())
-    arr = layout(m)
+    layout(m)
     assert m.sentinel == 3
     assert m.n == 4
-    arr.check_inverse()
+    check_inverse(m)
 
 
 def test_layout_rows_mode_splits_halves():
     m = Machine(path_forest(8), PramConfig())
-    arr = layout(m, mode="rows")
-    assert [arr.slot(0, c) for c in range(4)] == [0, 1, 2, 3]
-    assert [arr.slot(1, c) for c in range(4)] == [4, 5, 6, 7]
+    layout(m, mode="rows")
+    assert m.grid().tolist() == [[0, 1, 2, 3], [4, 5, 6, 7]]
 
 
 # -- metered contraction ---------------------------------------------------

@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 
 from listcontract import Machine, PramConfig, UncoveredCaseError, layout
-from listcontract.model import ContractBatch, MoveBatch, SwapBatch
 from listcontract.orientation import (contract_along_orientation,
                                       derive_orientation, fold_array,
                                       uniform_contraction_pass)
 from listcontract.pram import NONE
-from listcontract.uniform import (detect_marks, enforce_uniformity,
-                                  opposite_pair_shortcut, publish_mailboxes,
-                                  row_color_and_pair)
+from listcontract.uniform import (color_and_pair, detect_marks, enforce_uniformity,
+                                  opposite_pair_shortcut, publish_mailboxes)
 from listcontract.pairing import validate_pairs
-from conftest import paired_state, path_forest, place, snapshot, states_equal
+from conftest import check_inverse, paired_state, path_forest, place, snapshot, states_equal
 
 
 def assert_uniform(machine, target_row, ref_row):
@@ -24,16 +22,18 @@ def assert_uniform(machine, target_row, ref_row):
 SWEEP_STORES = [f"cs_{f}{b}" for f in ("j", "v0", "v1", "v2") for b in (0, 1)]
 
 
-def batches(machine, kind):
-    return [b for b in machine.log.batches if isinstance(b, kind)]
+def step_rounds(machine, suffix):
+    """Rounds per step label, for the labels ending with suffix."""
+    return {k: v for k, v in machine.engine.metrics().phase_breakdown.items()
+            if k.endswith(suffix)}
 
 
-# -- row_color_and_pair -----------------------------------------------------
+# -- color_and_pair ---------------------------------------------------------
 
 def test_row_pipeline_pairs_all_bottom_nodes():
     m = Machine(path_forest(8), PramConfig(num_processors=8))
     place(m, {v: (1, v) for v in range(8)})
-    coloring, pairs = row_color_and_pair(m, 1)
+    coloring, pairs = color_and_pair(m)
     validate_pairs(m, pairs)
     live = m.in_array_ids()
     assert (m.peek("pair")[live] != NONE).all()
@@ -42,7 +42,7 @@ def test_row_pipeline_pairs_all_bottom_nodes():
 def test_row_pipeline_single_pair_idempotent_shape():
     m = Machine(path_forest(2), PramConfig(num_processors=4))
     place(m, {0: (1, 0), 1: (1, 1)})
-    _, pairs = row_color_and_pair(m, 1)
+    _, pairs = color_and_pair(m)
     assert pairs.ids.size == 2
     assert m.peek("pair")[0] == 1
 
@@ -52,15 +52,12 @@ def test_row_pipelines_independent_rows():
     place(m, {v: (0, v) for v in range(4)} | {v: (1, v - 4) for v in range(4, 8)})
     # the two placements belong to one list; cut the crossing link first
     m.memory.poke("cut", 3, 1)
-    _, top = row_color_and_pair(m, 0)
-    _, bot = row_color_and_pair(m, 1)
-    validate_pairs(m, top)
-    validate_pairs(m, bot)
-    # rows processed independently: no node crosses the cut
-    assert set(int(v) for v in top.ids) <= {0, 1, 2, 3}
-    assert set(int(v) for v in bot.ids) <= {4, 5, 6, 7}
-    assert (m.peek("pair")[top.ids] != NONE).all()
-    assert (m.peek("pair")[bot.ids] != NONE).all()
+    _, pairs = color_and_pair(m)
+    validate_pairs(m, pairs)
+    # both rows in one call: every node paired, no pair crosses the cut
+    pair = m.peek("pair")[pairs.ids]
+    assert (pair != NONE).all()
+    assert ((pairs.ids <= 3) == (pair <= 3)).all()
 
 
 # -- opposite_pair_shortcut ---------------------------------------------------
@@ -79,7 +76,7 @@ def test_shortcut_consumes_aligned_stack():
     assert consumed == 1
     b0, b1 = pairs[(1, 0)]
     t0, t1 = pairs[(0, 0)]
-    grid = m.two_rows().grid()
+    grid = m.grid()
     assert grid[0, 4] == NONE and grid[0, 5] == NONE     # tops vacant
     survivors = m.in_array_ids()
     rows = m.peek("row")[survivors]
@@ -143,8 +140,8 @@ def test_s_and_c_configurations_take_one_swap_batch():
         assert enforce_uniformity(m) == 0
         assert_uniform(m, 0, 1)
         assert_uniform(m, 1, 0)
-        assert len(batches(m, SwapBatch)) == 1
-        assert not batches(m, ContractBatch) and not batches(m, MoveBatch)
+        assert len(step_rounds(m, "/swap_wr")) == 1
+        assert not m.log and not step_rounds(m, "/move_wr")
 
 
 def closed_chain(k, seed):
@@ -155,7 +152,8 @@ def closed_chain(k, seed):
     colors = [(0, 1) if rng.integers(0, 2) else (1, 0) for _ in range(2 * k)]
     bottom = [((p[2 * i], p[2 * i + 1]), colors[i]) for i in range(k)]
     top = [((p[2 * i + 1], p[(2 * i + 2) % (2 * k)]), colors[k + i]) for i in range(k)]
-    return paired_state(bottom=bottom, top=top, columns=2 * k)
+    # one processor: a step's rounds count its tasks
+    return paired_state(bottom=bottom, top=top, columns=2 * k, p=1)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -165,9 +163,8 @@ def test_odd_closed_chain_is_shortened_once(k, seed):
     pre_weight = int(m.peek("weight")[m.active_ids()].sum())
     assert enforce_uniformity(m) == 1
     assert all(m.memory.has(st) for st in SWEEP_STORES)
-    cons, moves = batches(m, ContractBatch), batches(m, MoveBatch)
-    assert len(cons) == 1 and cons[0].absorbed.size == 1
-    assert len(moves) == 1 and moves[0].node.size == 1
+    assert len(m.log) == 1 and m.log[0].absorbed.size == 1
+    assert list(step_rounds(m, "/move_wr").values()) == [1]
     assert_uniform(m, 0, 1)
     assert_uniform(m, 1, 0)
     contract_along_orientation(m, derive_orientation(m))
@@ -181,7 +178,7 @@ def test_odd_closed_chain_is_shortened_once(k, seed):
 def test_even_closed_chain_takes_swaps_only(k, seed):
     m, _ = closed_chain(k, seed)
     assert enforce_uniformity(m) == 0
-    assert not batches(m, ContractBatch) and not batches(m, MoveBatch)
+    assert not m.log and not step_rounds(m, "/move_wr")
     assert_uniform(m, 0, 1)
     assert_uniform(m, 1, 0)
 
@@ -195,7 +192,7 @@ def test_matched_pairs_are_left_alone():
     before = snapshot(m)
     assert enforce_uniformity(m) == 0
     assert states_equal(before, snapshot(m))
-    assert not batches(m, ContractBatch) and not batches(m, SwapBatch)
+    assert not m.log and not step_rounds(m, "/swap_wr")
     # nothing marked: the sweep's doubling stores are never allocated
     assert not any(m.memory.has(st) for st in SWEEP_STORES)
 
@@ -296,14 +293,7 @@ def test_fold_halves_columns_and_keeps_inverse():
     contract_along_orientation(m, plan)
     fold_array(m)
     assert m.columns == 2
-    m.two_rows().check_inverse()
-
-
-def test_grid_dump_shows_periodic_pattern():
-    from listcontract.orientation import grid_dump
-    m, pairs = full_period_state()
-    text = grid_dump(m)
-    assert text == "row0: 0 0 1 1\nrow1: 0 1 1 0\nkey : 0 1 3 2\n"
+    check_inverse(m)
 
 
 def random_two_row_state(rng, columns=12):

@@ -167,7 +167,7 @@ def cmd_sweep(args):
             triples.append((n, l, p))
     algos = [a for a in args.algo.split(",") if a]
     for n, l, p in triples:
-        if l < 1 or n % l:
+        if n < 1 or l < 1 or n % l:
             rows.append({"n": n, "l": l, "p": p, "algorithm": "-",
                          "status": "FAILED"})
             continue

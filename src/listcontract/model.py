@@ -39,18 +39,29 @@ STORES = ("succ", "pred", "status", "weight", "color", "row", "col", "slot", "cu
 
 
 class LinkedForest:
-    """Immutable host-side forest: dense node ids, succ/pred arrays."""
+    """Immutable host-side forest: dense node ids, succ/pred arrays.
+
+    heads holds the list heads in ascending id; lengths[i] is the length
+    of the list headed by heads[i]; order is every node in list order,
+    the lists back to back in heads order.
+    """
 
     def __init__(self, succ):
         succ = np.asarray(succ, dtype=np.int64)
         self.n = succ.size
         self.succ = succ
-        self.pred = _invert(succ)
-        self._validate()
+        head, dist = self._validate()
         self.heads = np.flatnonzero(self.pred == NONE)
         self.list_count = self.heads.size
+        k = np.searchsorted(self.heads, head)   # list index of every node
+        self.lengths = np.bincount(k, minlength=self.list_count)
+        start = np.cumsum(self.lengths) - self.lengths
+        self.order = np.empty(self.n, dtype=np.int64)
+        self.order[start[k] + dist] = np.arange(self.n)
 
     def _validate(self):
+        """Check the forest and set pred; return each node's head and
+        its distance from it, found by pointer doubling along pred."""
         n = self.n
         if n == 0:
             raise ForestFormatError("empty forest")
@@ -59,34 +70,26 @@ class LinkedForest:
             raise ForestFormatError("successor id out of range")
         if (s == np.arange(n)).any():
             raise ForestFormatError("self-loop")
-        tgt = s[s >= 0]
-        if np.unique(tgt).size != tgt.size:
+        if np.bincount(s[s >= 0], minlength=n).max(initial=0) > 1:
             raise ForestFormatError("two nodes share a successor")
-        # acyclicity: every node must be reachable from a head
-        reached = np.zeros(n, dtype=bool)
-        cur = np.flatnonzero(self.pred == NONE)
-        while cur.size:
-            reached[cur] = True
-            nxt = s[cur]
-            cur = nxt[nxt >= 0]
-        if not reached.all():
+        self.pred = pred = _invert(s)
+        up = np.where(pred == NONE, np.arange(n), pred)
+        dist = (pred != NONE).astype(np.int64)
+        live = np.flatnonzero(pred != NONE)
+        for _ in range(n.bit_length()):
+            u = up[live]
+            dist[live] += dist[u]
+            up[live] = up[u]
+            live = live[pred[up[live]] != NONE]
+        # with one pred per node, a pointer that never reaches a head
+        # after 2^bit_length(n) > n hops lies on a cycle
+        if live.size:
             raise ForestFormatError("cycle detected")
+        return up, dist
 
     def longest(self):
         """Length of the longest list (the quantity written l)."""
-        lengths = self.list_lengths()
-        return int(lengths.max())
-
-    def list_lengths(self):
-        out = np.zeros(self.list_count, dtype=np.int64)
-        for i, h in enumerate(self.heads):
-            c = 0
-            v = h
-            while v != NONE:
-                c += 1
-                v = self.succ[v]
-            out[i] = c
-        return out
+        return int(self.lengths.max())
 
     # -- text format: one line per node, "node_id succ_id" -------------
 
@@ -186,10 +189,6 @@ class Machine:
         st, row = self.peek("status"), self.peek("row")
         return np.flatnonzero((st == NONE) & (row >= 0))
 
-    def pooled_ids(self):
-        st, row = self.peek("status"), self.peek("row")
-        return np.flatnonzero((st == NONE) & (row == POOLED))
-
     def grid(self):
         """Copy of the 2 x columns slot array."""
         return self.peek("slot")[: 2 * self.columns].reshape(2, self.columns).copy()
@@ -225,23 +224,10 @@ def layout(machine: Machine, mode="columns"):
     is harness setup, performed before the metered phases start. An odd
     node count is padded with one isolated sentinel node.
     """
-    forest = machine.forest
     m = machine.memory
+    order = machine.forest.order
     if machine.sentinel is not None:
-        m.poke("succ", machine.sentinel, NONE)
-        m.poke("pred", machine.sentinel, NONE)
-    pos = 0
-    order = np.empty(machine.n, dtype=np.int64)
-    for h in forest.heads:
-        v = int(h)
-        while v != NONE:
-            order[pos] = v
-            pos += 1
-            v = int(forest.succ[v])
-    if machine.sentinel is not None:
-        order[pos] = machine.sentinel
-        pos += 1
-    assert pos == machine.n
+        order = np.append(order, machine.sentinel)
     k = np.arange(machine.n)
     if mode == "columns":
         rows, cols = k % 2, k // 2

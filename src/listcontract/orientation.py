@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import OrientationError
 from .localize import clear_cuts, localize
-from .model import Machine, PRED_SIDE, SUCC_SIDE
+from .model import Machine, POOLED, PRED_SIDE, SUCC_SIDE
 from .pram import NONE
 from .steps import contract_batch, move_nodes, pair_leaders
 from .uniform import (_read_mb, color_and_pair, enforce_uniformity,
@@ -200,8 +200,8 @@ def pool_short_lists(machine: Machine, min_len=4, phase="pool"):
         c = s.read("col", sel)
     with eng.step(f"{phase}/out_wr", sel.size) as s:
         s.write("slot", r * C + c, NONE)
-        s.write("row", sel, -3)
-        s.write("col", sel, -3)
+        s.write("row", sel, POOLED)
+        s.write("col", sel, POOLED)
     return int(sel.size)
 
 

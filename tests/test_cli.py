@@ -86,7 +86,7 @@ def test_generate_fixed_counts(tmp_path):
              "--out", str(out)])
     f = LinkedForest.from_text(out.read_text())
     assert f.list_count == 2
-    assert sorted(f.list_lengths().tolist()) == [4, 4]
+    assert f.lengths.tolist() == [4, 4]
 
 
 def test_run_uniform_with_verify(tmp_path, capsys):
@@ -148,8 +148,9 @@ def test_run_trace_emits_round_records(tmp_path, capsys):
 
 def test_run_rejects_bad_forest(tmp_path, capsys):
     bad = tmp_path / "bad.forest"
-    bad.write_text("0 1\n1 0\n")
-    assert run_cli(["run", str(bad)]) == 2
+    for text in ("0 1\n1 0\n", "0 5\n1 -1\n"):
+        bad.write_text(text)
+        assert run_cli(["run", str(bad)]) == 2
 
 
 def test_sweep_csv(tmp_path):
@@ -174,9 +175,10 @@ def test_sweep_empty_spec_header_only(tmp_path):
 
 def test_sweep_bad_row_marked_failed_and_continues(tmp_path):
     out = tmp_path / "sweep.csv"
-    rc = run_cli(["sweep", "--spec", "63,16,4;64,16,4", "--algo", "uniform",
+    rc = run_cli(["sweep", "--spec", "63,16,4;0,4,4;64,16,4", "--algo", "uniform",
                   "--out", str(out)])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
     assert "FAILED" in lines[1]
-    assert lines[2].endswith("OK")
+    assert "FAILED" in lines[2]
+    assert lines[3].endswith("OK")

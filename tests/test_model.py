@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 from listcontract import ForestFormatError, LinkedForest, Machine, PramConfig, layout
 from listcontract.model import PRED_SIDE, SUCC_SIDE
 from listcontract.pram import NONE
+from listcontract.ranking import sequential_rank
 from listcontract.steps import contract_batch
+from listcontract.workloads import GEOMETRIC, Workload, generate
 from conftest import check_inverse, forest_from_lists, path_forest
 
 
@@ -18,8 +20,16 @@ def test_text_roundtrip():
 
 
 def test_loader_rejects_cycles():
-    with pytest.raises(ForestFormatError):
-        LinkedForest.from_text("0 1\n1 2\n2 0\n")
+    # all cycle, and a valid list beside a separate cycle
+    for text in ("0 1\n1 2\n2 0\n", "0 1\n1 -1\n2 3\n3 4\n4 2\n"):
+        with pytest.raises(ForestFormatError, match="cycle"):
+            LinkedForest.from_text(text)
+
+
+def test_loader_rejects_successor_out_of_range():
+    for text in ("0 5\n1 -1\n", "0 -3\n1 -1\n"):
+        with pytest.raises(ForestFormatError, match="out of range"):
+            LinkedForest.from_text(text)
 
 
 def test_loader_rejects_shared_successor():
@@ -41,7 +51,22 @@ def test_forest_stats():
     f = forest_from_lists([[0, 1, 2], [3, 4, 5, 6, 7]])
     assert f.list_count == 2
     assert f.longest() == 5
-    assert sorted(f.list_lengths().tolist()) == [3, 5]
+    assert f.lengths.tolist() == [3, 5]
+    assert f.order.tolist() == [0, 1, 2, 3, 4, 5, 6, 7]
+
+
+def test_one_node_forest():
+    f = LinkedForest.from_text("0 -1\n")
+    assert f.lengths.tolist() == [1]
+    assert f.longest() == 1
+
+
+def test_lengths_and_longest_match_sequential_rank():
+    f = generate(Workload(n=999, num_lists=13, length_distribution=GEOMETRIC,
+                          seed=5, layout_shuffle=True))
+    r = sequential_rank(f)
+    assert f.lengths.tolist() == [int((r.list_id == h).sum()) for h in f.heads]
+    assert f.longest() == int(r.rank.max()) + 1
 
 
 # -- layout --------------------------------------------------------------
@@ -83,6 +108,28 @@ def test_layout_rows_mode_splits_halves():
     m = Machine(path_forest(8), PramConfig())
     layout(m, mode="rows")
     assert m.grid().tolist() == [[0, 1, 2, 3], [4, 5, 6, 7]]
+
+
+@pytest.mark.parametrize("mode", ["columns", "rows"])
+def test_layout_shuffled_forest_odd_n(mode):
+    f = generate(Workload(n=301, num_lists=9, length_distribution=GEOMETRIC,
+                          seed=4, layout_shuffle=True))
+    order = []
+    for h in range(f.n):
+        if f.pred[h] == NONE:
+            v = h
+            while v != NONE:
+                order.append(v)
+                v = int(f.succ[v])
+    order.append(f.n)   # the sentinel
+    m = Machine(f, PramConfig())
+    layout(m, mode=mode)
+    C = m.columns
+    if mode == "columns":
+        expect = [[order[2 * c + r] for c in range(C)] for r in range(2)]
+    else:
+        expect = [order[:C], order[C:]]
+    assert m.grid().tolist() == expect
 
 
 # -- metered contraction ---------------------------------------------------

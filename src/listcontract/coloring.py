@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ImproperColoringError
+from .model import INBOX
 from .pram import NONE
 
 
@@ -61,8 +62,7 @@ def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color")
     has_succ = succ_ids >= 0
     has_pred = pred_ids >= 0
 
-    inb_p = memory.scratch("clr_inb_p", size)
-    inb_s = memory.scratch("clr_inb_s", size)
+    inb_p, inb_s = (memory.scratch(st, size) for st in INBOX)
 
     # colors live in registers between iterations; memory holds the
     # copy neighbors read

@@ -17,54 +17,48 @@ import numpy as np
 
 from .model import Machine, PRED_SIDE, SUCC_SIDE
 from .pram import NONE
-from .steps import contract_batch, double, restricted_neighbors
+# restricted_neighbors stays importable here for bench/tracing.py
+from .steps import PassState, contract_batch, double, restricted_neighbors  # noqa: F401
 
 MIN_RUN = 100
 
 
-def localize(machine: Machine, min_run=MIN_RUN, phase="localize"):
+def localize(machine: Machine, state: PassState, min_run=MIN_RUN, phase="localize"):
     """Absorb short runs into the other row, then cut remaining cross links.
 
     Phase (a) handles lower-row runs, phase (b) upper-row runs; after
-    both, every non-cut link joins two nodes of the same row.
+    both, every non-cut link joins two nodes of the same row. Links
+    and rows come from the pass state, which contract_batch keeps current.
     """
-    _absorb_short_runs(machine, target_row=1, min_run=min_run, phase=f"{phase}/a")
-    _absorb_short_runs(machine, target_row=0, min_run=min_run, phase=f"{phase}/b")
-    _cut_cross_links(machine, phase=f"{phase}/cut")
+    _absorb_short_runs(machine, state, target_row=1, min_run=min_run, phase=f"{phase}/a")
+    _absorb_short_runs(machine, state, target_row=0, min_run=min_run, phase=f"{phase}/b")
+    _cut_cross_links(machine, state, phase=f"{phase}/cut")
 
 
-def _absorb_short_runs(machine: Machine, target_row, min_run, phase):
-    eng = machine.engine
-    ids = machine.in_array_ids()
-    if ids.size == 0:
-        return
-    sv, pv = restricted_neighbors(machine, ids, phase)
-    with eng.step(f"{phase}/rows", ids.size) as s:
-        my_row = s.read("row", ids)
-    with eng.step(f"{phase}/row_s", ids.size) as s:
-        row_s = s.read("row", sv)
-    with eng.step(f"{phase}/row_p", ids.size) as s:
-        row_p = s.read("row", pv)
+def _absorb_short_runs(machine: Machine, state: PassState, target_row, min_run, phase):
+    ids = state.live()
+    row_s, row_p = state.row_s[ids], state.row_p[ids]   # NONE without a neighbor
 
-    on_row = my_row == target_row
-    run_start = on_row & ((pv == NONE) | (row_p != target_row))
-    run_end = on_row & ((sv == NONE) | (row_s != target_row))
+    on_row = state.row[ids] == target_row
+    run_start = on_row & (row_p != target_row)
+    run_end = on_row & (row_s != target_row)
     # flank exists when the neighbor beyond the run boundary sits on
     # the other row (rather than the list simply ending)
-    start_flank = run_start & (pv != NONE) & (row_p != target_row)
-    end_flank = run_end & (sv != NONE) & (row_s != target_row)
+    start_flank = run_start & (row_p != NONE)
+    end_flank = run_end & (row_s != NONE)
 
     # every flank is on the target row, and a run without one is never
     # short, so with no flank the distances would go unused
     if not (start_flank | end_flank).any():
         return
     sel = np.flatnonzero(on_row)
+    nodes = ids[sel]
     # a run shorter than min_run has every node within min_run - 2
     # hops of both its ends, which ceil(log2 min_run) rounds resolve
     limit = max(0, min_run - 1).bit_length()
-    pos, head_flag = _boundary_distance(machine, ids[sel], np.where(run_start[sel], NONE, pv[sel]),
+    pos, head_flag = _boundary_distance(machine, nodes, np.where(run_start[sel], NONE, state.pv[nodes]),
                                         start_flank[sel], limit, f"{phase}/dhead")
-    rem, tail_flag = _boundary_distance(machine, ids[sel], np.where(run_end[sel], NONE, sv[sel]),
+    rem, tail_flag = _boundary_distance(machine, nodes, np.where(run_end[sel], NONE, state.sv[nodes]),
                                         end_flank[sel], limit, f"{phase}/dtail")
 
     resolved = (pos != NONE) & (rem != NONE)
@@ -79,18 +73,12 @@ def _absorb_short_runs(machine: Machine, target_row, min_run, phase):
     step_idx = np.where(to_left, pos, np.where(to_right, rem, NONE))
     max_step = int(step_idx.max()) if (step_idx != NONE).any() else -1
 
-    nodes = ids[sel]
+    # wave k absorbs the nodes k hops from their run's end into the
+    # flank; by then the flank is their neighbor in the state
     for k in range(max_step + 1):
-        left_k = np.flatnonzero(to_left & (step_idx == k))
-        if left_k.size:
-            with eng.step(f"{phase}/hostL{k}", left_k.size) as s:
-                hosts = s.read("pred", nodes[left_k])
-            contract_batch(machine, nodes[left_k], hosts, SUCC_SIDE, f"{phase}/L{k}")
-        right_k = np.flatnonzero(to_right & (step_idx == k))
-        if right_k.size:
-            with eng.step(f"{phase}/hostR{k}", right_k.size) as s:
-                hosts = s.read("succ", nodes[right_k])
-            contract_batch(machine, nodes[right_k], hosts, PRED_SIDE, f"{phase}/R{k}")
+        for to, side, host in ((to_left, SUCC_SIDE, state.pv), (to_right, PRED_SIDE, state.sv)):
+            a = nodes[to & (step_idx == k)]
+            contract_batch(machine, a, host[a], side, f"{phase}/{'RL'[side]}{k}", state)
 
 
 def _boundary_distance(machine: Machine, ids, back, boundary_flag, limit, phase):
@@ -107,20 +95,17 @@ def _boundary_distance(machine: Machine, ids, back, boundary_flag, limit, phase)
     return np.where(done, d, NONE), done & (f == 1)
 
 
-def _cut_cross_links(machine: Machine, phase):
-    eng = machine.engine
-    ids = machine.in_array_ids()
-    if ids.size == 0:
-        return
-    with eng.step(f"{phase}/nbr", ids.size) as s:
-        sv = s.read("succ", ids)
-        my_row = s.read("row", ids)
-    with eng.step(f"{phase}/rows", ids.size) as s:
-        row_s = s.read("row", sv)
-    cross = (sv != NONE) & (row_s != my_row) & (row_s >= 0)
-    if cross.any():
-        with eng.step(f"{phase}/mark", int(cross.sum())) as s:
-            s.write("cut", ids[cross], 1)
+def _cut_cross_links(machine: Machine, state: PassState, phase):
+    """Cut every link whose ends sit on different rows. Both ends see
+    it in their own row registers, so the cut needs no read."""
+    ids = state.live()
+    row = state.row[ids]
+    cross_s = ids[(state.row_s[ids] >= 0) & (state.row_s[ids] != row)]
+    cross_p = ids[(state.row_p[ids] >= 0) & (state.row_p[ids] != row)]
+    with machine.engine.step(f"{phase}/mark", cross_s.size) as s:
+        s.write("cut", cross_s, 1)
+    state.sv[cross_s] = state.row_s[cross_s] = NONE
+    state.pv[cross_p] = state.row_p[cross_p] = NONE
 
 
 def clear_cuts(machine: Machine, phase="uncut"):

@@ -7,16 +7,16 @@ measurements from the same functions against these within +-10%.
 """
 
 # rounds of one contraction pass vs one 3-coloring, single list of 2**e
-PASS_OVER_COLORING_K = {10: 4.4464, 12: 4.4464, 14: 4.4464, 16: 4.4464, 18: 4.4464}
+PASS_OVER_COLORING_K = {10: 2.1607, 12: 2.1607, 14: 2.1607, 16: 2.1607, 18: 2.1607}
 
 # list_rank rounds, l = 64 fixed, p = n / 6, n = 2**e
-FIXED_L_ROUNDS = {12: 326, 13: 326, 14: 326, 15: 326, 16: 326, 17: 326, 18: 326}
+FIXED_L_ROUNDS = {12: 181, 13: 181, 14: 181, 15: 181, 16: 181, 17: 181, 18: 181}
 
 # list_rank rounds, single list of length n = 2**e, p = n / 6
-SINGLE_LIST_ROUNDS = {12: 380, 14: 382, 16: 384, 18: 449}
+SINGLE_LIST_ROUNDS = {12: 226, 14: 228, 16: 230, 18: 268}
 
 # total_work(wyllie) / total_work(list_rank), n = 2**16, lists of length l
-WORK_RATIO = {4: 0.0876, 16: 0.1431, 64: 0.1673, 256: 0.2137}
+WORK_RATIO = {4: 0.1714, 16: 0.2749, 64: 0.3048, 256: 0.3872}
 
 # the work-advantage threshold at l = 256 is recorded, not asserted
 # against a theoretical target: per-step accounting keeps the

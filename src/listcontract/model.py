@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ForestFormatError, ListContractError
+from .errors import ForestFormatError
 from .pram import Engine, Memory, PramConfig, NONE
 
 UNPLACED = -1
@@ -34,6 +34,10 @@ POOLED = -3
 
 PRED_SIDE = 0   # absorbed node preceded its host
 SUCC_SIDE = 1   # absorbed node followed its host
+
+# scratch stores, one cell per node, for a message from the node's
+# predecessor side and from its successor side; indexed by side
+INBOX = ("inbox_p", "inbox_s")
 
 STORES = ("succ", "pred", "status", "weight", "color", "row", "col", "slot", "cut", "pair")
 
@@ -152,6 +156,7 @@ class Machine:
         self.memory = Memory()
         self.engine = Engine(self.memory, self.config)
         self.log = []
+        self.published = None   # source-store versions of the last mailbox publish
 
         n = forest.n
         self.sentinel = None
@@ -192,24 +197,6 @@ class Machine:
     def grid(self):
         """Copy of the 2 x columns slot array."""
         return self.peek("slot")[: 2 * self.columns].reshape(2, self.columns).copy()
-
-    def check_consistency(self):
-        """Bidirectional link and weight invariants; raises on failure."""
-        status, succ, pred = self.peek("status"), self.peek("succ"), self.peek("pred")
-        active = status == NONE
-        ids = np.flatnonzero(active)
-        s = succ[ids]
-        ok = s == NONE
-        live = ids[~ok]
-        if live.size and not (pred[succ[live]] == live).all():
-            raise ListContractError("succ/pred inversion broken")
-        p = pred[ids]
-        live = ids[p != NONE]
-        if live.size and not (succ[pred[live]] == live).all():
-            raise ListContractError("pred/succ inversion broken")
-        total = int(self.peek("weight")[ids].sum())
-        if total != self.n:
-            raise ListContractError(f"weight sum {total} != {self.n}")
 
 
 def layout(machine: Machine, mode="columns"):

@@ -16,10 +16,11 @@ import numpy as np
 
 from .errors import OrientationError
 from .localize import clear_cuts, localize
-from .model import Machine, POOLED, PRED_SIDE, SUCC_SIDE
+from .model import Machine, POOLED
 from .pram import NONE
-from .steps import contract_batch, move_nodes, pair_leaders
-from .uniform import (_read_mb, color_and_pair, enforce_uniformity,
+# contract_batch stays importable here for bench/tracing.py
+from .steps import PassState, contract_batch, move_nodes, pair_leaders  # noqa: F401
+from .uniform import (_read_mb, color_and_pair, enforce_uniformity, merge_pairs,
                       opposite_pair_shortcut, publish_mailboxes)
 
 _CYCLE_NEXT = np.full(4, -1, dtype=np.int64)
@@ -131,19 +132,9 @@ def _cycle_next_of(k):
 
 def contract_along_orientation(machine: Machine, plan: OrientationKey, phase="pack"):
     """Merge every pair into its claimed bottom slot; drop loose tops."""
-    eng = machine.engine
-    h, a = plan.plan_host, plan.plan_absorbed
-    if h.size:
-        with eng.step(f"{phase}/sides", h.size) as s:
-            sa = s.read("succ", a)
-        side = np.where(sa == h, PRED_SIDE, SUCC_SIDE)
-        contract_batch(machine, a, h, side, phase)
-        ft = plan.plan_from_top
-        if ft.any():
-            move_nodes(machine, h[ft], 1, plan.plan_col[ft], f"{phase}/down")
-        with eng.step(f"{phase}/clear", h.size) as s:
-            s.write("pair", h, NONE)
-            s.write("color", h, NONE)
+    ft = plan.plan_from_top
+    merge_pairs(machine, plan.plan_absorbed, plan.plan_host, phase)
+    move_nodes(machine, plan.plan_host[ft], 1, plan.plan_col[ft], f"{phase}/down")
     if plan.loose_nodes is not None and plan.loose_nodes.size:
         move_nodes(machine, plan.loose_nodes, 1, plan.loose_cols, f"{phase}/drop")
     rows = machine.peek("row")[machine.in_array_ids()]
@@ -157,52 +148,58 @@ def fold_array(machine: Machine, phase="fold"):
     C = machine.columns
     new_c = -(-C // 2)
     ids = machine.in_array_ids()
-    if ids.size:
-        with eng.step(f"{phase}/rd", ids.size) as s:
-            oc = s.read("col", ids)
-            orow = s.read("row", ids)
-        if (orow != 1).any():
-            raise OrientationError("fold expects all survivors in the bottom row")
-    with eng.step(f"{phase}/clear", 2 * C) as s:
-        s.write("slot", np.arange(2 * C), NONE)
-    if ids.size:
-        nr, nc = oc % 2, oc // 2
-        with eng.step(f"{phase}/wr", ids.size) as s:
-            s.write("row", ids, nr)
-            s.write("col", ids, nc)
-            s.write("slot", nr * new_c + nc, ids)
+    with eng.step(f"{phase}/rd", ids.size) as s:
+        oc = s.read("col", ids)
+        orow = s.read("row", ids)
+    if (orow != 1).any():
+        raise OrientationError("fold expects all survivors in the bottom row")
+    # the top row is empty, and a new slot (below C) never meets an
+    # old one (C + oc), so each survivor vacates its old slot itself
+    nr, nc = oc % 2, oc // 2
+    with eng.step(f"{phase}/wr", ids.size) as s:
+        s.write("row", ids, nr)
+        s.write("col", ids, nc)
+        s.write("slot", C + oc, NONE)
+        s.write("slot", nr * new_c + nc, ids)
     machine.columns = new_c
 
 
 def pool_short_lists(machine: Machine, min_len=4, phase="pool"):
     """Move lists shorter than min_len out of the array; pointer
-    jumping will finish them. Their links stay intact."""
+    jumping will finish them. Their links stay intact. Returns the
+    count and the PassState of the rest, which the walks read (no link
+    is cut when a pass starts)."""
     eng = machine.engine
     ids = machine.in_array_ids()
-    if ids.size == 0:
-        return 0
-    # walk min_len - 1 hops from each node toward both ends at once,
-    # counting the hops that reach a node
+    # walk min_len - 1 hops, at least the three that carry the row
+    # reads, from each node toward both ends at once, counting the hops
+    # that reach a node
     up, down = ids, ids
     seen = np.zeros(ids.size, dtype=np.int64)
-    for i in range(min_len - 1):
+    at, rows = [ids], []    # own row, then the pred's, then the succ's
+    for i in range(max(3, min_len - 1)):
         with eng.step(f"{phase}/walk{i}", ids.size) as s:
+            if i < 3:
+                rows.append(s.read("row", at[i]))
             up = s.read("pred", up)
             down = s.read("succ", down)
+        if i == 0:
+            at += [up, down]
         seen = seen + (up != NONE) + (down != NONE)
-    short = seen < min_len - 1
-    if not short.any():
-        return 0
-    sel = ids[short]
-    C = machine.columns
+    keep = seen >= min_len - 1
+    regs = [np.full(machine.n, NONE, dtype=dt) for dt in (np.int64,) * 2 + (np.int8,) * 3]
+    for reg, got in zip(regs, (at[2], at[1], rows[0], rows[2], rows[1])):
+        reg[ids[keep]] = got[keep]
+    state = PassState(ids[keep], *regs)
+    sel = ids[~keep]
     with eng.step(f"{phase}/out_rd", sel.size) as s:
         r = s.read("row", sel)
         c = s.read("col", sel)
     with eng.step(f"{phase}/out_wr", sel.size) as s:
-        s.write("slot", r * C + c, NONE)
+        s.write("slot", r * machine.columns + c, NONE)
         s.write("row", sel, POOLED)
         s.write("col", sel, POOLED)
-    return int(sel.size)
+    return int(sel.size), state
 
 
 @dataclass
@@ -221,17 +218,17 @@ class PassReport:
 def uniform_contraction_pass(machine: Machine, min_run=100, phase="pass") -> PassReport:
     """One full contraction pass over the current two-row placement."""
     cols_before = machine.columns
-    pooled = pool_short_lists(machine, phase=f"{phase}/pool")
-    pre_active = machine.in_array_ids().size
+    pooled, state = pool_short_lists(machine, phase=f"{phase}/pool")
+    pre_active = state.ids.size
     if pre_active == 0:
         return PassReport(0, pooled, 0, cols_before, cols_before, 0, 0, True, True)
-    rows = machine.peek("row")[machine.in_array_ids()]
-    both_rows = bool((rows == 0).any() and (rows == 1).any())
+    both_rows = bool((state.row == 0).any() and (state.row == 1).any())
     if both_rows:
         # a single-row placement has no cross-row links; localization
         # and the uniformity coupling are vacuous for it
-        localize(machine, min_run=min_run, phase=f"{phase}/localize")
-    color_and_pair(machine, phase=f"{phase}/rows")
+        localize(machine, state, min_run=min_run, phase=f"{phase}/localize")
+    color_and_pair(machine, state, phase=f"{phase}/rows")
+    del state   # no phase reads the registers after pairing
     shortcut = odd_cycles = 0
     if both_rows:
         shortcut = opposite_pair_shortcut(machine, phase=f"{phase}/shortcut")

@@ -30,6 +30,7 @@ sound.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,12 +57,14 @@ class RoundMetrics:
     rounds: int = 0
     total_work: int = 0
     erew_violations: int = 0
-    phase_breakdown: dict = field(default_factory=dict)
+    phase_breakdown: dict = field(default_factory=dict)   # rounds per step label
+    phase_work: dict = field(default_factory=dict)        # work per step label
 
     def add(self, phase, rounds, work):
         self.rounds += rounds
         self.total_work += work
         self.phase_breakdown[phase] = self.phase_breakdown.get(phase, 0) + rounds
+        self.phase_work[phase] = self.phase_work.get(phase, 0) + work
 
 
 class Memory:
@@ -69,6 +72,7 @@ class Memory:
 
     def __init__(self):
         self._stores = {}
+        self.version = Counter()   # per store, the steps and pokes that wrote it
 
     def alloc(self, name, size, fill=NONE):
         if name in self._stores:
@@ -103,6 +107,7 @@ class Memory:
     def poke(self, name, idx, values):
         """Unmetered setup write; not for use inside algorithm phases."""
         self._stores[name][idx] = values
+        self.version[name] += 1
 
 
 class _StepContext:
@@ -242,11 +247,14 @@ class Engine:
         nrounds = -(-ctx.n_tasks // p) + 1
         shared = {}
         for store, idx, values in ctx._writes:
+            self.memory.version[store] += 1
             if store in contested:
                 shared.setdefault(store, []).append((idx, values))
                 continue
             mask = idx >= 0
-            if mask.any():
+            if mask.all():
+                self.memory.peek(store)[idx] = values
+            elif mask.any():
                 self.memory.peek(store)[idx[mask]] = values[mask]
         for store, accesses in shared.items():
             tasks = np.concatenate([np.flatnonzero(ix >= 0) for ix, _ in accesses])

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .model import ContractBatch, Machine, PRED_SIDE, SUCC_SIDE, RETIRED
+from .model import INBOX, ContractBatch, Machine, PRED_SIDE, SUCC_SIDE, RETIRED
 from .pram import NONE
 
 
@@ -83,19 +85,47 @@ def restricted_neighbors(machine: Machine, ids, phase):
     return sv, pv
 
 
-def contract_batch(machine: Machine, absorbed, host, side, phase):
+@dataclass
+class PassState:
+    """Task registers of one pass, indexed by node id: the virtual
+    successor and predecessor (NONE at a list end or across a cut
+    link), the row, and the rows of those two neighbors (NONE where
+    they are). contract_batch keeps them current and, as in memory,
+    retires the row of every task of ids it absorbs.
+    """
+
+    ids: np.ndarray
+    sv: np.ndarray
+    pv: np.ndarray
+    row: np.ndarray
+    row_s: np.ndarray
+    row_p: np.ndarray
+
+    def live(self):
+        return self.ids[self.row[self.ids] >= 0]
+
+    def side(self, d):
+        return (self.pv, self.row_p) if d == PRED_SIDE else (self.sv, self.row_s)
+
+
+def contract_batch(machine: Machine, absorbed, host, side, phase, state=None):
     """Contract absorbed[i] into adjacent host[i], all pairs independent.
 
     side is PRED_SIDE when the absorbed node precedes its host. Hosts
-    must be distinct; absorbed and host sets must not overlap.
+    must be distinct; absorbed and host sets must not overlap. With a
+    PassState, each absorbed task forwards its far neighbor and that
+    neighbor's row to its host, and its host and the host's row to the
+    far neighbor, through inbox cells the receivers own.
     """
     a = np.asarray(absorbed, dtype=np.int64)
     h = np.asarray(host, dtype=np.int64)
-    if a.size == 0:
-        return
     side_arr = np.broadcast_to(np.asarray(side, dtype=np.int64), a.shape)
     eng = machine.engine
     C = machine.columns
+    if state is not None:
+        # a receiver's new neighbor on side d arrives in inbox[d], packed
+        # with that neighbor's row (0 or 1) as 2 * id + row
+        inbox = [scratch(machine, st) for st in INBOX]
     for sd in (PRED_SIDE, SUCC_SIDE):
         m = side_arr == sd
         if not m.any():
@@ -123,10 +153,29 @@ def contract_batch(machine: Machine, absorbed, host, side, phase):
             s.write("slot", slot_idx, NONE)
             s.write("row", aa, RETIRED)
             s.write("col", aa, RETIRED)
+            if state is not None:
+                (far, far_row), (_, host_row) = state.side(sd), state.side(1 - sd)
+                far, far_row, host_row = far[aa], far_row[aa], host_row[aa]
+                s.write(inbox[sd], hh, np.where(far != NONE, 2 * far + far_row, NONE))
+                s.write(inbox[1 - sd], far, 2 * hh + host_row)
         machine.log.append(
             ContractBatch(absorbed=aa.copy(), host=hh.copy(),
                           side=np.full(aa.size, sd), weight=wa.copy())
         )
+        if state is not None:
+            # hosts read their side-sd inbox and far neighbors the other
+            # one; a task that is both reads both
+            state.row[aa] = RETIRED
+            got = np.zeros(state.row.size, dtype=np.int8)
+            got[hh] |= 1 << sd
+            got[far[far != NONE]] |= 1 << (1 - sd)
+            t = np.flatnonzero(got)
+            with eng.step(f"{phase}/refresh", t.size) as s:
+                for d in (PRED_SIDE, SUCC_SIDE):
+                    on = got[t] >> d & 1 == 1
+                    msg = s.read(inbox[d], np.where(on, t, NONE))[on]
+                    nbr, row = state.side(d)
+                    nbr[t[on]], row[t[on]] = msg >> 1, np.where(msg != NONE, msg & 1, NONE)
 
 
 def move_nodes(machine: Machine, nodes, to_row, to_col, phase):

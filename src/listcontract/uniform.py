@@ -39,7 +39,8 @@ from .coloring import three_color
 from .errors import UncoveredCaseError
 from .model import Machine, PRED_SIDE, SUCC_SIDE
 from .pram import NONE
-from .steps import (contract_batch, double, move_nodes, pair_leaders,
+# restricted_neighbors stays importable here for bench/tracing.py
+from .steps import (PassState, contract_batch, double, move_nodes, pair_leaders,  # noqa: F401
                     restricted_neighbors, scratch, swap_positions)
 from . import pairing as _pairing
 
@@ -51,9 +52,15 @@ def _mb(machine, row, what):
 
 def publish_mailboxes(machine: Machine, phase):
     """Write each placed node's color, id and partner column into its
-    column mailbox. One owner per cell, so every write is exclusive."""
+    column mailbox. One owner per cell, so every write is exclusive.
+    Skipped while no store they are built from has been written since
+    the last publish."""
     eng = machine.engine
     C = machine.columns
+    source = (C, *(machine.memory.version[st] for st in ("status", "row", "col", "color", "pair")))
+    if machine.published == source:
+        return
+    machine.published = source
     stores = {(r, w): _mb(machine, r, w) for r in (0, 1) for w in ("node", "color", "pcol")}
     with eng.step(f"{phase}/mb_clear", C) as s:
         cols = np.arange(C)
@@ -226,16 +233,14 @@ def _plan_swaps(machine, phase):
             "odd_a": st_node[odd], "odd_b": st_pnode[odd]}
 
 
-def _contract_target_pair(machine, absorbed, host, phase):
-    """Merge a target-row pair; the merged node becomes exempt."""
+def merge_pairs(machine: Machine, absorbed, host, phase):
+    """Contract each pair into its host member, which leaves the
+    pairing: its pair and color are cleared."""
     a = np.asarray(absorbed, dtype=np.int64)
     h = np.asarray(host, dtype=np.int64)
-    if a.size == 0:
-        return
     with machine.engine.step(f"{phase}/side", a.size) as s:
         sa = s.read("succ", a)
-    side = np.where(sa == h, PRED_SIDE, SUCC_SIDE)
-    contract_batch(machine, a, h, side, phase)
+    contract_batch(machine, a, h, np.where(sa == h, PRED_SIDE, SUCC_SIDE), phase)
     with machine.engine.step(f"{phase}/exempt", h.size) as s:
         s.write("pair", h, NONE)
         s.write("color", h, NONE)
@@ -259,7 +264,7 @@ def _shorten_odd_chains(machine, plan, phase):
                                  "opposite_pair_shortcut consumes those first")
     with eng.step(f"{phase}/top_cc", k) as s:
         top_cc = _read_mb(machine, s, 0, "node", cc)
-    _contract_target_pair(machine, plan["odd_a"], plan["odd_b"], phase)
+    merge_pairs(machine, plan["odd_a"], plan["odd_b"], phase)
     move_nodes(machine, top_cc, 0, plan["odd_cols"], phase)
 
 
@@ -282,25 +287,20 @@ def _verify_uniform(machine, phase):
 
 # -- coloring and pairing ----------------------------------------------
 
-def color_and_pair(machine: Machine, phase="rows"):
+def color_and_pair(machine: Machine, state: PassState, phase="rows"):
     """Color the localized lists of both rows and pair them off.
 
     After localization every uncut link joins two nodes of one row, so
-    each chain lies on one row and one call serves both.
+    each chain lies on one row and one call serves both. The chains
+    come from the pass state.
     """
-    ids = machine.in_array_ids()
-    if ids.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return None, _pairing.PairAssignment(empty, empty.copy(), empty.copy())
-    sv, pv = restricted_neighbors(machine, ids, f"{phase}/nbr")
-    coloring = three_color(machine.engine, machine.memory, ids, sv, pv,
+    ids = state.live()
+    coloring = three_color(machine.engine, machine.memory, ids, state.sv[ids], state.pv[ids],
                            phase=f"{phase}/color")
-    colors = _pairing.eliminate_twos(machine, ids, sv, pv, coloring.final_color,
-                                     f"{phase}/elim2")
-    alive = machine.peek("status")[ids] == NONE
-    ids2 = ids[alive]
-    sv2, pv2 = restricted_neighbors(machine, ids2, f"{phase}/nbr2")
-    pairs = _pairing.form_pairs(machine, ids2, sv2, pv2, colors[alive], f"{phase}/pairs")
+    colors = np.full(state.row.size, NONE, dtype=np.int64)
+    colors[ids] = coloring.final_color
+    colors = _pairing.eliminate_twos(machine, state, colors, f"{phase}/elim2")
+    pairs = _pairing.form_pairs(machine, state, colors, f"{phase}/pairs")
     return coloring, pairs
 
 
@@ -341,7 +341,7 @@ def opposite_pair_shortcut(machine: Machine, phase="shortcut"):
     top_i[:] = np.where(lo_is_zero, tn_lo[sel], tn_hi[sel])
     top_j[:] = np.where(lo_is_zero, tn_hi[sel], tn_lo[sel])
 
-    _contract_target_pair(machine, b_zero, b_one, f"{phase}/bot")
-    _contract_target_pair(machine, top_j, top_i, f"{phase}/top")
+    merge_pairs(machine, b_zero, b_one, f"{phase}/bot")
+    merge_pairs(machine, top_j, top_i, f"{phase}/top")
     move_nodes(machine, top_i, 1, ci, f"{phase}/drop")
     return int(sel.size)

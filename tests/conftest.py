@@ -3,6 +3,7 @@ import pytest
 
 from listcontract import LinkedForest, Machine, PramConfig
 from listcontract.pram import NONE
+from listcontract.steps import PassState, restricted_neighbors
 
 
 def path_forest(n):
@@ -40,6 +41,41 @@ def check_inverse(machine):
     assert (row[v] == r).all() and (col[v] == c).all()
     placed = np.flatnonzero(row >= 0)
     assert (grid[row[placed], col[placed]] == placed).all()
+
+
+def check_consistency(machine):
+    """Bidirectional links among the active nodes, and their weights
+    adding up to n."""
+    status, succ, pred = machine.peek("status"), machine.peek("succ"), machine.peek("pred")
+    ids = np.flatnonzero(status == NONE)
+    s, p = succ[ids], pred[ids]
+    assert (pred[s[s != NONE]] == ids[s != NONE]).all()
+    assert (succ[p[p != NONE]] == ids[p != NONE]).all()
+    assert int(machine.peek("weight")[ids].sum()) == machine.n
+
+
+def validate_pairs(machine, assignment):
+    """Pairs form an involution of adjacent nodes colored 0 and 1."""
+    ids, pair = assignment.ids, assignment.pair_of
+    paired = pair != NONE
+    me, p = ids[paired], pair[paired]
+    assert (machine.peek("pair")[p] == me).all()
+    assert ((machine.peek("succ")[me] == p) | (machine.peek("pred")[me] == p)).all()
+    col = machine.peek("color")
+    assert (col[me] + col[p] == 1).all()
+
+
+def read_state(machine, ids=None):
+    """The PassState of tasks ids, every node in the array by default,
+    as memory gives it: links by restricted_neighbors, rows by peek."""
+    ids = machine.in_array_ids() if ids is None else ids
+    sv, pv = restricted_neighbors(machine, ids, "state")
+    row = machine.peek("row")
+    regs = [np.full(machine.n, NONE, dtype=np.int64) for _ in range(5)]
+    for reg, got in zip(regs, (sv, pv, row[ids], np.where(sv != NONE, row[sv], NONE),
+                               np.where(pv != NONE, row[pv], NONE))):
+        reg[ids] = got
+    return PassState(ids, *regs)
 
 
 def place(machine, positions):

@@ -3,14 +3,14 @@ import numpy as np
 from listcontract import Machine, PramConfig, Workload, generate, layout
 from listcontract.localize import clear_cuts, localize
 from listcontract.pram import NONE
-from conftest import path_forest, place
+from conftest import path_forest, place, read_state
 
 
 def test_localize_alternating_absorbs_into_upper_row():
     # 200-node alternating list: every length-1 lower run is absorbed up
     m = Machine(path_forest(200), PramConfig(num_processors=16))
     layout(m)
-    localize(m, min_run=100)
+    localize(m, read_state(m), min_run=100)
     ids = m.in_array_ids()
     rows = m.peek("row")[ids]
     assert (rows == 0).all()
@@ -34,7 +34,7 @@ def test_long_lower_run_kept_with_boundary_links_cut():
         pos[300 + i] = (0, 150 + i)
         pos[450 + i] = (1, 150 + i)
     place(m, pos)
-    localize(m, min_run=100)
+    localize(m, read_state(m), min_run=100)
     # nothing absorbed: every run has >= 100 nodes
     assert m.in_array_ids().size == 600
     # the lower run 150..299 keeps its row; its two boundary links cut
@@ -55,7 +55,7 @@ def test_short_interior_run_absorbed_and_split_at_midpoint():
     for i in range(100):
         pos[130 + i] = (0, 100 + i)
     place(m, pos)
-    localize(m, min_run=100)
+    localize(m, read_state(m), min_run=100)
     ids = m.in_array_ids()
     assert (m.peek("row")[ids] == 0).all()
     # flank hosts absorbed half the run each
@@ -67,7 +67,7 @@ def test_short_interior_run_absorbed_and_split_at_midpoint():
 def test_list_on_one_row_is_noop():
     m = Machine(path_forest(8), PramConfig())
     place(m, {v: (0, v) for v in range(8)})
-    localize(m, min_run=100)
+    localize(m, read_state(m), min_run=100)
     assert m.peek("cut").sum() == 0
     assert m.in_array_ids().size == 8
 
@@ -82,7 +82,7 @@ def test_post_localize_invariants_random_placement():
         r = int(rng.integers(0, 2))
         pos[v] = (r, c[r]); c[r] += 1
     place(m, pos)
-    localize(m, min_run=20)
+    localize(m, read_state(m), min_run=20)
     ids = m.in_array_ids()
     succ, cut, row = m.peek("succ"), m.peek("cut"), m.peek("row")
     for v in ids:
@@ -118,7 +118,7 @@ def test_min_run_above_1024_absorbs_whole_short_runs():
                                   fixed_length=2800)), PramConfig(num_processors=64))
     layout(m, mode="rows")
     assert sorted(flanked_runs(m)) == [1400, 1400]
-    localize(m, min_run=2000)
+    localize(m, read_state(m), min_run=2000)
     assert not [r for r in flanked_runs(m) if r < 2000]
     absorbed = sum(b.absorbed.size for b in m.log)
     assert absorbed == 1400
@@ -132,7 +132,7 @@ def test_no_flank_skips_run_distances():
     m = Machine(generate(Workload(n=n, length_distribution="FIXED", fixed_length=64)),
                 PramConfig(num_processors=n // 6))
     layout(m)
-    localize(m)
+    localize(m, read_state(m))
     labels = m.engine.metrics().phase_breakdown
     assert not [k for k in labels if k.startswith(("localize/b/dhead", "localize/b/dtail"))]
     assert [k for k in labels if k.startswith("localize/a/dhead")]

@@ -8,7 +8,7 @@ from listcontract.pram import NONE
 from listcontract.ranking import sequential_rank
 from listcontract.steps import contract_batch
 from listcontract.workloads import GEOMETRIC, Workload, generate
-from conftest import check_inverse, forest_from_lists, path_forest
+from conftest import check_consistency, check_inverse, forest_from_lists, path_forest
 
 
 # -- forest text format -------------------------------------------------
@@ -138,7 +138,7 @@ def contract_one(m, absorbed, host):
     """contract_batch on one adjacent pair, side read from the links."""
     side = PRED_SIDE if m.peek("succ")[absorbed] == host else SUCC_SIDE
     contract_batch(m, [absorbed], [host], side, "test")
-    m.check_consistency()
+    check_consistency(m)
 
 
 def test_contract_middle_into_predecessor():

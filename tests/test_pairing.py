@@ -1,10 +1,9 @@
 import numpy as np
 
 from listcontract import Machine, PramConfig, layout
-from listcontract.pairing import eliminate_twos, form_pairs, validate_pairs
+from listcontract.pairing import eliminate_twos, form_pairs
 from listcontract.pram import NONE
-from listcontract.steps import restricted_neighbors
-from conftest import forest_from_lists
+from conftest import forest_from_lists, read_state, validate_pairs
 
 
 def machine_with_colors(lists, colors, p=8):
@@ -15,16 +14,14 @@ def machine_with_colors(lists, colors, p=8):
         m.memory.poke("color", node, c)
     ids = m.active_ids()
     ids = ids[ids < f.n]
-    sv, pv = restricted_neighbors(m, ids, "nbr")
-    col = m.peek("color")[ids]
-    return m, ids, sv, pv, col
+    return m, read_state(m, ids), m.peek("color").copy()
 
 
 # -- eliminate_twos --------------------------------------------------------
 
 def test_color2_between_zero_and_one_contracts_into_successor():
-    m, ids, sv, pv, col = machine_with_colors([[0, 1, 2]], {0: 0, 1: 2, 2: 1})
-    eliminate_twos(m, ids, sv, pv, col)
+    m, state, col = machine_with_colors([[0, 1, 2]], {0: 0, 1: 2, 2: 1})
+    eliminate_twos(m, state, col)
     assert m.peek("status")[1] == 2          # absorbed into its successor
     assert m.peek("weight")[2] == 2
     live = m.active_ids()
@@ -33,27 +30,27 @@ def test_color2_between_zero_and_one_contracts_into_successor():
 
 
 def test_color2_between_zeros_recolors_to_one():
-    m, ids, sv, pv, col = machine_with_colors([[0, 1, 2]], {0: 0, 1: 2, 2: 0})
-    eliminate_twos(m, ids, sv, pv, col)
+    m, state, col = machine_with_colors([[0, 1, 2]], {0: 0, 1: 2, 2: 0})
+    eliminate_twos(m, state, col)
     assert m.peek("status")[1] == NONE
     assert m.peek("color")[1] == 1
 
 
 def test_color2_between_ones_recolors_to_zero():
-    m, ids, sv, pv, col = machine_with_colors([[0, 1, 2]], {0: 1, 1: 2, 2: 1})
-    eliminate_twos(m, ids, sv, pv, col)
+    m, state, col = machine_with_colors([[0, 1, 2]], {0: 1, 1: 2, 2: 1})
+    eliminate_twos(m, state, col)
     assert m.peek("color")[1] == 0
 
 
 def test_isolated_color2_recolors_to_zero():
-    m, ids, sv, pv, col = machine_with_colors([[0]], {0: 2})
-    eliminate_twos(m, ids, sv, pv, col)
+    m, state, col = machine_with_colors([[0]], {0: 2})
+    eliminate_twos(m, state, col)
     assert m.peek("color")[0] == 0
 
 
 def test_endpoint_color2_takes_color_unused_by_neighbor():
-    m, ids, sv, pv, col = machine_with_colors([[0, 1]], {0: 2, 1: 0})
-    eliminate_twos(m, ids, sv, pv, col)
+    m, state, col = machine_with_colors([[0, 1]], {0: 2, 1: 0})
+    eliminate_twos(m, state, col)
     assert m.peek("color")[0] == 1
 
 
@@ -66,8 +63,8 @@ def test_no_active_color2_after_pass():
         choices = [c for c in (0, 1, 2) if c != prev]
         prev = int(rng.choice(choices))
         colors[v] = prev
-    m, ids, sv, pv, col = machine_with_colors([list(range(n))], colors)
-    eliminate_twos(m, ids, sv, pv, col)
+    m, state, col = machine_with_colors([list(range(n))], colors)
+    eliminate_twos(m, state, col)
     live = m.active_ids()
     live = live[live < n]
     assert (m.peek("color")[live] != 2).all()
@@ -82,8 +79,8 @@ def test_no_active_color2_after_pass():
 # -- form_pairs -------------------------------------------------------------
 
 def test_two_node_path_forms_one_pair():
-    m, ids, sv, pv, col = machine_with_colors([[0, 1]], {0: 1, 1: 0})
-    pa = form_pairs(m, ids, sv, pv, col)
+    m, state, col = machine_with_colors([[0, 1]], {0: 1, 1: 0})
+    pa = form_pairs(m, state, col)
     assert m.peek("pair")[0] == 1 and m.peek("pair")[1] == 0
     validate_pairs(m, pa)
 
@@ -92,11 +89,11 @@ def test_larger_address_wins_contested_zero():
     # path 10 -> 11 -> 12 colored (1, 0, 1): both ones want node 11
     lists = [[10, 11, 12]]
     filler = [[i] for i in range(10)]
-    m, ids, sv, pv, col = machine_with_colors(filler + lists,
+    m, state, col = machine_with_colors(filler + lists,
                                               {i: 0 for i in range(10)}
                                               | {10: 1, 11: 0, 12: 1})
-    sel = np.isin(ids, (10, 11, 12))
-    pa = form_pairs(m, ids[sel], sv[sel], pv[sel], col[sel])
+    sel = np.isin(state.ids, (10, 11, 12))
+    pa = form_pairs(m, read_state(m, state.ids[sel]), col)
     assert m.peek("pair")[11] == 12          # larger address won
     assert m.peek("pair")[12] == 11
     assert m.peek("status")[10] != NONE      # loser absorbed into the pair
@@ -114,8 +111,8 @@ def test_hundred_node_random_coloring_full_cover():
             c = 1 - c
         colors[v] = c
         prev = c
-    m, ids, sv, pv, col = machine_with_colors([list(range(n))], colors)
-    pa = form_pairs(m, ids, sv, pv, col)
+    m, state, col = machine_with_colors([list(range(n))], colors)
+    pa = form_pairs(m, state, col)
     validate_pairs(m, pa)
     live = m.active_ids()
     live = live[live < n]
@@ -126,7 +123,7 @@ def test_hundred_node_random_coloring_full_cover():
 
 
 def test_singleton_list_stays_unpaired_without_error():
-    m, ids, sv, pv, col = machine_with_colors([[0]], {0: 0})
-    pa = form_pairs(m, ids, sv, pv, col)
+    m, state, col = machine_with_colors([[0]], {0: 0})
+    pa = form_pairs(m, state, col)
     assert m.peek("pair")[0] == NONE
     assert m.peek("status")[0] == NONE

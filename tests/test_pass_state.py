@@ -1,0 +1,84 @@
+import importlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from listcontract import Machine, PramConfig, Workload, generate, layout
+from listcontract import orientation, pairing
+from listcontract.orientation import uniform_contraction_pass
+from listcontract.steps import PassState
+from conftest import read_state
+
+
+def assert_registers(machine, state):
+    """The live tasks are exactly the nodes in the array, and their
+    registers equal what restricted_neighbors and peek("row") give."""
+    ids = state.live()
+    assert np.array_equal(np.sort(ids), machine.in_array_ids())
+    want = read_state(machine, ids)
+    for name in ("sv", "pv", "row", "row_s", "row_p"):
+        assert np.array_equal(getattr(state, name)[ids], getattr(want, name)[ids]), name
+
+
+def checked(fn, calls):
+    """fn, then a register check of every PassState among its
+    arguments and results."""
+    def run(machine, *args, **kwargs):
+        out = fn(machine, *args, **kwargs)
+        found = [*args, *kwargs.values(), *(out if isinstance(out, tuple) else (out,))]
+        for state in (a for a in found if isinstance(a, PassState)):
+            assert_registers(machine, state)
+            calls.append(fn.__name__)
+        return out
+    return run
+
+
+# the package's localize function hides the module of that name
+localize_mod = importlib.import_module("listcontract.localize")
+
+# every phase that reads or updates the pass state, at the module
+# attribute its caller looks up
+PHASES = ((orientation, "pool_short_lists"), (localize_mod, "_absorb_short_runs"),
+          (localize_mod, "_cut_cross_links"), (localize_mod, "contract_batch"),
+          (pairing, "eliminate_twos"), (pairing, "form_pairs"),
+          (pairing, "contract_batch"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(2, 160), lists=st.integers(1, 6),
+       mode=st.sampled_from(["columns", "rows"]), min_run=st.sampled_from([2, 8, 100]),
+       p=st.integers(1, 8))
+def test_registers_match_memory_after_every_phase(seed, n, lists, mode, min_run, p):
+    forest = generate(Workload(n=n, num_lists=min(lists, n), length_distribution="GEOMETRIC",
+                               seed=seed, layout_shuffle=True))
+    m = Machine(forest, PramConfig(num_processors=p))
+    layout(m, mode=mode)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for mod, name in PHASES:
+            mp.setattr(mod, name, checked(getattr(mod, name), calls))
+        uniform_contraction_pass(m, min_run=min_run)
+    # a pass that pools every list stops after the pool
+    assert calls[0] == "pool_short_lists"
+    assert "form_pairs" in calls or m.in_array_ids().size == 0
+    assert m.engine.metrics().erew_violations == 0
+
+
+def test_pass_reads_links_and_rows_once():
+    # one FIXED l=64 pass: after the pool walks read the state, no step
+    # reads neighbors or rows again, the fold clears no slot range and
+    # the mailboxes are published once
+    n = 4096
+    m = Machine(generate(Workload(n=n, length_distribution="FIXED", fixed_length=64)),
+                PramConfig(num_processors=n // 6))
+    layout(m)
+    labels = []
+    step = m.engine.step
+    m.engine.step = lambda label, n_tasks: labels.append(label) or step(label, n_tasks)
+    rep = uniform_contraction_pass(m)
+    assert rep.shortcut_pairs == 0 and rep.halved
+    assert labels[:3] == ["pass/pool/walk0", "pass/pool/walk1", "pass/pool/walk2"]
+    rereads = ("/nbr1", "/nbr2", "/row_s", "/row_p", "fold/clear")
+    assert not [label for label in labels if label.endswith(rereads)]
+    assert [label for label in labels if label.endswith("/mb_clear")] == ["pass/shortcut/mb_clear"]

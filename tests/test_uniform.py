@@ -8,8 +8,8 @@ from listcontract.orientation import (contract_along_orientation,
 from listcontract.pram import NONE
 from listcontract.uniform import (color_and_pair, detect_marks, enforce_uniformity,
                                   opposite_pair_shortcut, publish_mailboxes)
-from listcontract.pairing import validate_pairs
-from conftest import check_inverse, paired_state, path_forest, place, snapshot, states_equal
+from conftest import (check_inverse, paired_state, path_forest, place, read_state,
+                      snapshot, states_equal, validate_pairs)
 
 
 def assert_uniform(machine, target_row, ref_row):
@@ -33,7 +33,7 @@ def step_rounds(machine, suffix):
 def test_row_pipeline_pairs_all_bottom_nodes():
     m = Machine(path_forest(8), PramConfig(num_processors=8))
     place(m, {v: (1, v) for v in range(8)})
-    coloring, pairs = color_and_pair(m)
+    coloring, pairs = color_and_pair(m, read_state(m))
     validate_pairs(m, pairs)
     live = m.in_array_ids()
     assert (m.peek("pair")[live] != NONE).all()
@@ -42,7 +42,7 @@ def test_row_pipeline_pairs_all_bottom_nodes():
 def test_row_pipeline_single_pair_idempotent_shape():
     m = Machine(path_forest(2), PramConfig(num_processors=4))
     place(m, {0: (1, 0), 1: (1, 1)})
-    _, pairs = color_and_pair(m)
+    _, pairs = color_and_pair(m, read_state(m))
     assert pairs.ids.size == 2
     assert m.peek("pair")[0] == 1
 
@@ -52,7 +52,7 @@ def test_row_pipelines_independent_rows():
     place(m, {v: (0, v) for v in range(4)} | {v: (1, v - 4) for v in range(4, 8)})
     # the two placements belong to one list; cut the crossing link first
     m.memory.poke("cut", 3, 1)
-    _, pairs = color_and_pair(m)
+    _, pairs = color_and_pair(m, read_state(m))
     validate_pairs(m, pairs)
     # both rows in one call: every node paired, no pair crosses the cut
     pair = m.peek("pair")[pairs.ids]

@@ -4,6 +4,10 @@ Colors start as the unique node ids and shrink by comparing each
 node's color with its successor's: the new color packs the position of
 the lowest differing bit with the node's own bit there. Once every
 color fits in {0..5} three elimination passes remove colors 5, 4, 3.
+The first iteration runs on the task registers and each later one is
+one engine step. The step that ends coin tossing, and each drop, write
+a node's color straight into its neighbors' inbox cells, where the
+drops and the color-2 elimination read it.
 
 Callers pass explicit id, successor and predecessor arrays, so the
 same code colors whole lists and row-restricted lists.
@@ -11,6 +15,7 @@ same code colors whole lists and row-restricted lists.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +29,6 @@ from .pram import NONE
 class ColorAssignment:
     ids: np.ndarray
     final_color: np.ndarray
-    rounds_used: int
     dct_iterations: int
 
 
@@ -51,50 +55,70 @@ def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color")
 
     ids are machine node ids; succ_ids/pred_ids give each node's chain
     neighbors as node ids (-1 for none) and must describe disjoint
-    simple chains. Final colors land in color[ids].
+    simple chains. Final colors land in color[ids], and each node's
+    inbox_p and inbox_s cells hold its predecessor's and successor's
+    final colors.
     """
     ids = np.asarray(ids, dtype=np.int64)
     k = ids.size
     if k == 0:
-        return ColorAssignment(ids, np.empty(0, dtype=np.int64), 0, 0)
+        return ColorAssignment(ids, np.empty(0, dtype=np.int64), 0)
 
     size = memory.peek("color").size
-    has_succ = succ_ids >= 0
-    has_pred = pred_ids >= 0
-
+    has_succ, has_pred = succ_ids >= 0, pred_ids >= 0
     inb_p, inb_s = (memory.scratch(st, size) for st in INBOX)
 
-    # colors live in registers between iterations; memory holds the
-    # copy neighbors read
+    # colors live in registers. The initial colors are the ids, so a
+    # task already holds its successor's and the first iteration needs
+    # no step.
     color = ids.copy()
-    with engine.step(f"{phase}/init", k) as s:
-        s.write("color", ids, color)
-
     iterations = 0
-    while int(color.max()) > 5:
+    if int(color.max()) > 5:
+        color = dct_new_colors(color, succ_ids, has_succ)
+        iterations = 1
+    # Each later iteration is one step: a task reads its successor's
+    # color from the buffer the previous step wrote and writes its own
+    # into the other, as (store, write cells, read cells). In color a
+    # node's color goes to its predecessor's cell, in inbox_p to its
+    # own. Either way no other task writes the cell a task reads when
+    # the step publishes (color[own], inbox_p[succ], inbox_s[pred]), so
+    # any iteration can be the last and no store is added.
+    bufs = (("color", pred_ids, np.where(has_succ, ids, NONE)),
+            (inb_p, ids, succ_ids))
+    for t in itertools.count():
         with engine.step(f"{phase}/dct", k) as s:
-            cs = s.read("color", np.where(has_succ, succ_ids, NONE))
-        color = dct_new_colors(color, cs, has_succ)
-        with engine.step(f"{phase}/dct_write", k) as s:
-            s.write("color", ids, color)
-        iterations += 1
+            if t > 0:
+                store, _, read_at = bufs[1 - t % 2]
+                color = dct_new_colors(color, s.read(store, read_at), has_succ)
+                iterations += 1
+            if int(color.max()) <= 5:
+                s.write("color", ids, color)
+                s.write(inb_p, succ_ids, color)
+                s.write(inb_s, pred_ids, color)
+                break
+            store, write_at, _ = bufs[t % 2]
+            s.write(store, write_at, color)
 
+    # a proper coloring never recolors two neighbors in one drop, so
+    # each recolored node forwards its new color itself. An inbox cell
+    # with no neighbor behind it may hold a buffer value and is not read.
     for drop in (5, 4, 3):
-        with engine.step(f"{phase}/bcast", k) as s:
-            s.write(inb_p, np.where(has_succ, succ_ids, NONE), color)
-            s.write(inb_s, np.where(has_pred, pred_ids, NONE), color)
         sel = np.flatnonzero(color == drop)
-        if sel.size:
-            with engine.step(f"{phase}/drop{drop}", sel.size) as s:
-                cp = s.read(inb_p, ids[sel])
-                cn = s.read(inb_s, ids[sel])
-                used = np.zeros((sel.size, 3), dtype=bool)
-                for arr, have in ((cp, has_pred[sel]), (cn, has_succ[sel])):
-                    m = have & (arr >= 0) & (arr <= 2)
-                    used[m, arr[m]] = True
-                new = np.where(~used[:, 0], 0, np.where(~used[:, 1], 1, 2))
-                color[sel] = new
-                s.write("color", ids[sel], new)
+        if sel.size == 0:
+            continue
+        t_ids = ids[sel]
+        with engine.step(f"{phase}/drop{drop}", sel.size) as s:
+            cp = s.read(inb_p, np.where(has_pred[sel], t_ids, NONE))
+            cn = s.read(inb_s, np.where(has_succ[sel], t_ids, NONE))
+            used = np.zeros((sel.size, 3), dtype=bool)
+            for arr in (cp, cn):
+                m = (arr >= 0) & (arr <= 2)
+                used[m, arr[m]] = True
+            new = np.where(~used[:, 0], 0, np.where(~used[:, 1], 1, 2))
+            color[sel] = new
+            s.write("color", t_ids, new)
+            s.write(inb_p, succ_ids[sel], new)
+            s.write(inb_s, pred_ids[sel], new)
 
     # callers read only the final colors, so one host-side check of
     # them guards every iteration and drop
@@ -104,5 +128,4 @@ def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color")
     pos_arr[ids] = np.arange(k)
     if (color[has_succ] == color[pos_arr[succ_ids[has_succ]]]).any():
         raise ImproperColoringError("coloring is improper")
-    return ColorAssignment(ids, color, iterations + 3, iterations)
-
+    return ColorAssignment(ids, color, iterations)

@@ -7,16 +7,16 @@ measurements from the same functions against these within +-10%.
 """
 
 # rounds of one contraction pass vs one 3-coloring, single list of 2**e
-PASS_OVER_COLORING_K = {10: 2.1607, 12: 2.1607, 14: 2.1607, 16: 2.1607, 18: 2.1607}
+PASS_OVER_COLORING_K = {10: 4.7143, 12: 4.7143, 14: 4.7143, 16: 4.7143, 18: 4.7143}
 
 # list_rank rounds, l = 64 fixed, p = n / 6, n = 2**e
-FIXED_L_ROUNDS = {12: 181, 13: 181, 14: 181, 15: 181, 16: 181, 17: 181, 18: 181}
+FIXED_L_ROUNDS = {12: 149, 13: 149, 14: 149, 15: 149, 16: 149, 17: 149, 18: 149}
 
 # list_rank rounds, single list of length n = 2**e, p = n / 6
-SINGLE_LIST_ROUNDS = {12: 226, 14: 228, 16: 230, 18: 268}
+SINGLE_LIST_ROUNDS = {12: 187, 14: 189, 16: 191, 18: 223}
 
 # total_work(wyllie) / total_work(list_rank), n = 2**16, lists of length l
-WORK_RATIO = {4: 0.1714, 16: 0.2749, 64: 0.3048, 256: 0.3872}
+WORK_RATIO = {4: 0.2034, 16: 0.3239, 64: 0.369, 256: 0.4677}
 
 # the work-advantage threshold at l = 256 is recorded, not asserted
 # against a theoretical target: per-step accounting keeps the

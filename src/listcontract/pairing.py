@@ -31,18 +31,20 @@ def eliminate_twos(machine: Machine, state: PassState, colors, phase="elim2"):
     contracting.
 
     colors, indexed by node id, holds the colors of the tasks in their
-    registers. Returns them updated.
+    registers, and each task's inbox_p and inbox_s cells its
+    predecessor's and successor's, as three_color leaves them. Returns
+    the colors updated.
     """
     eng = machine.engine
     ids = state.live()
     t_ids = ids[colors[ids] == 2]
     colors = colors.copy()
     t_sv, t_pv = state.sv[t_ids], state.pv[t_ids]
-    with eng.step(f"{phase}/read_succ_color", t_ids.size) as s:
-        cn = s.read("color", t_sv)
-    with eng.step(f"{phase}/read_pred_color", t_ids.size) as s:
-        cp = s.read("color", t_pv)
     has_s, has_p = t_sv != NONE, t_pv != NONE
+    inb_p, inb_s = (scratch(machine, st) for st in INBOX)
+    with eng.step(f"{phase}/read_colors", t_ids.size) as s:
+        cp = s.read(inb_p, np.where(has_p, t_ids, NONE))
+        cn = s.read(inb_s, np.where(has_s, t_ids, NONE))
     if ((has_s & (cn == 2)) | (has_p & (cp == 2))).any():
         raise ImproperColoringError("adjacent color-2 nodes")
 

@@ -145,9 +145,9 @@ def test_criterion_5_round_scaling():
     within_recorded = all(abs(r["rounds"] - recorded[r["exponent"]])
                           <= 0.10 * recorded[r["exponent"]] for r in sweep)
     # the permitted growth: +-20% plus the measured coin-tossing
-    # increment (two engine steps per extra iteration per coloring)
+    # increment (one engine step per extra iteration per coloring)
     iters = [benchmarks.pass_vs_coloring_rounds(e)[2] for e in (12, 18)]
-    slack = (iters[1] - iters[0]) * 2 * 8
+    slack = (iters[1] - iters[0]) * 1 * 8
     flat = max(rounds) <= 1.2 * min(rounds) + slack
     single = benchmarks.single_list_round_sweep()
     srounds = [r["rounds"] for r in single]

@@ -85,11 +85,19 @@ def test_two_node_list_proper():
     assert ca.final_color[0] != ca.final_color[1]
 
 
-def test_rounds_used_bound_on_2_16_path():
+def test_one_step_per_iteration_on_2_16_path():
     m, ids, sv, pv = color_forest(2**16)
     ca = three_color(m.engine, m.memory, ids, sv, pv, phase="tc")
-    assert ca.rounds_used <= 8
-    assert ca.rounds_used == ca.dct_iterations + 3
+    rounds = {label[3:]: r for label, r in m.engine.metrics().phase_breakdown.items()
+              if label.startswith("tc/")}
+    # the first iteration runs on registers and the last one publishes
+    # the colors, so each iteration costs one full-width step
+    per_step = -(-ids.size // m.engine.config.num_processors)
+    assert ca.dct_iterations <= 5
+    assert rounds.pop("dct") == max(1, ca.dct_iterations) * per_step
+    # recolored nodes forward their colors: no write-back or broadcast
+    assert not {"init", "dct_write", "bcast"} & set(rounds)
+    assert set(rounds) <= {"drop5", "drop4", "drop3"}
     assert proper(ca.final_color, ids, sv)
 
 
@@ -135,6 +143,48 @@ def test_colors_final_range_and_properness_random_chains():
     ca = three_color(m.engine, m.memory, ids, sv, pv, phase="tc")
     assert set(np.unique(ca.final_color).tolist()) <= {0, 1, 2}
     assert proper(ca.final_color, ids, sv)
+
+
+def reference_colors(ids, sv, pv):
+    """Host model of three_color: coin tossing from the ids while a
+    color is above 5, then colors 5, 4 and 3 each drop to the least
+    color neither neighbor has, one node at a time."""
+    pos = np.full(int(ids.max()) + 1, NONE, dtype=np.int64)
+    pos[ids] = np.arange(ids.size)
+    has_s = sv != NONE
+    c = ids.copy()
+    while int(c.max()) > 5:
+        c = dct_new_colors(c, c[pos[np.where(has_s, sv, ids)]], has_s)
+    for drop in (5, 4, 3):
+        for i in np.flatnonzero(c == drop):
+            taken = {int(c[pos[v]]) for v in (sv[i], pv[i]) if v != NONE}
+            c[i] = min({0, 1, 2} - taken)
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 400), lists=st.integers(1, 40), seed=st.integers(0, 2**16),
+       p=st.integers(1, 64), keep=st.floats(0.3, 1.0),
+       dist=st.sampled_from(["UNIFORM", "GEOMETRIC"]))
+def test_colors_and_inboxes_match_host_reference(n, lists, seed, p, keep, dist):
+    from listcontract import Workload, generate
+    fo = generate(Workload(n=n, num_lists=min(n, lists), length_distribution=dist,
+                           seed=seed, layout_shuffle=True))
+    m = Machine(fo, PramConfig(num_processors=p))
+    # color a random subset of the lists, so the ids are sparse
+    chosen = np.random.default_rng(seed).random(fo.list_count) < keep
+    chosen[0] = True
+    ids = np.sort(fo.order[np.repeat(chosen, fo.lengths)])
+    sv, pv = restricted_neighbors(m, ids, "nbr")
+    ca = three_color(m.engine, m.memory, ids, sv, pv, phase="tc")
+    ref = reference_colors(ids, sv, pv)
+    assert np.array_equal(ca.final_color, ref)
+    assert np.array_equal(m.peek("color")[ids], ref)
+    color = np.full(m.n, NONE, dtype=np.int64)
+    color[ids] = ref
+    for inbox, nbr in (("inbox_p", pv), ("inbox_s", sv)):
+        has = nbr != NONE
+        assert np.array_equal(m.peek(inbox)[ids[has]], color[nbr[has]])
 
 
 def test_improper_final_coloring_raises(monkeypatch):

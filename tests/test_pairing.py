@@ -1,12 +1,16 @@
 import numpy as np
 
 from listcontract import Machine, PramConfig, layout
+from listcontract.model import INBOX
 from listcontract.pairing import eliminate_twos, form_pairs
 from listcontract.pram import NONE
+from listcontract.steps import scratch
 from conftest import forest_from_lists, read_state, validate_pairs
 
 
 def machine_with_colors(lists, colors, p=8):
+    """A laid-out machine with the given colors, each also in its
+    neighbors' inboxes, as three_color leaves them."""
     f = forest_from_lists(lists)
     m = Machine(f, PramConfig(num_processors=p))
     layout(m)
@@ -14,7 +18,14 @@ def machine_with_colors(lists, colors, p=8):
         m.memory.poke("color", node, c)
     ids = m.active_ids()
     ids = ids[ids < f.n]
-    return m, read_state(m, ids), m.peek("color").copy()
+    state = read_state(m, ids)
+    color = m.peek("color").copy()
+    for inbox, nbr in zip(INBOX, (state.sv, state.pv)):
+        # a node's color reaches its successor's inbox_p and its
+        # predecessor's inbox_s
+        has = ids[nbr[ids] != NONE]
+        m.memory.poke(scratch(m, inbox), nbr[has], color[has])
+    return m, state, color
 
 
 # -- eliminate_twos --------------------------------------------------------

@@ -88,6 +88,9 @@ def _boundary_distance(machine: Machine, ids, back, boundary_flag, limit, phase)
     boundary itself). Entries more than 2**limit - 1 hops from the
     boundary return NONE, which classifies the run as long.
     """
+    if (back == NONE).all():
+        # every node is its own boundary
+        return np.zeros(ids.size, dtype=np.int64), boundary_flag
     j, (d, f), _, _ = double(machine, "run", ids,
                              (back, [np.where(back != NONE, 1, 0), boundary_flag.astype(np.int64)]),
                              (np.add, np.maximum), limit, phase)

@@ -156,7 +156,6 @@ class Machine:
         self.memory = Memory()
         self.engine = Engine(self.memory, self.config)
         self.log = []
-        self.published = None   # source-store versions of the last mailbox publish
 
         n = forest.n
         self.sentinel = None

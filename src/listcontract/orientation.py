@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OrientationError
+from .errors import OrientationError, UncoveredCaseError
 from .localize import clear_cuts, localize
 from .model import Machine, POOLED
 from .pram import NONE
@@ -31,12 +31,12 @@ _CYCLE_NEXT[[0, 1, 3, 2]] = [1, 3, 2, 0]
 class OrientationKey:
     key: np.ndarray                  # per column, NONE where undefined
     # per-pair placement plan(leader node, partner, target column, needs row move)
-    plan_host: np.ndarray = None
-    plan_absorbed: np.ndarray = None
-    plan_col: np.ndarray = None
-    plan_from_top: np.ndarray = None
-    loose_nodes: np.ndarray = None   # unpaired tops to drop into their column
-    loose_cols: np.ndarray = None
+    plan_host: np.ndarray
+    plan_absorbed: np.ndarray
+    plan_col: np.ndarray
+    plan_from_top: np.ndarray
+    loose_nodes: np.ndarray          # unpaired tops to drop into their column
+    loose_cols: np.ndarray
 
 
 def derive_orientation(machine: Machine, phase="orient") -> OrientationKey:
@@ -44,11 +44,13 @@ def derive_orientation(machine: Machine, phase="orient") -> OrientationKey:
 
     Pattern-valid pairs claim the member column whose key is the cycle
     successor of the other member's key. Pairs bordering vacancies or
-    exempt nodes claim the free side. Conflicting or underivable
-    claims raise OrientationError.
+    exempt nodes claim the free side. The column mailboxes must be
+    current. A pair whose two keys are defined but neither follows the
+    other is marked, which the uniformity step should have cleared: it
+    raises UncoveredCaseError with a snapshot. Conflicting or other
+    underivable claims raise OrientationError.
     """
     eng = machine.engine
-    publish_mailboxes(machine, phase)
     C = machine.columns
     cols = np.arange(C)
     with eng.step(f"{phase}/keys", C) as s:
@@ -87,6 +89,19 @@ def derive_orientation(machine: Machine, phase="orient") -> OrientationKey:
                            np.where(o2 & ~o1, c2,
                                     np.where(o1 & o2, zero_col, NONE)))
             claim = np.where(need, vac, claim)
+        marked = (claim == NONE) & (k1 != NONE) & (k2 != NONE)
+        if marked.any():
+            sel = np.flatnonzero(marked)[:8]
+            snap = {
+                "target_row": 1 - row,
+                "reference_row": row,
+                "columns_lo": c1[sel].tolist(),
+                "columns_hi": c2[sel].tolist(),
+                "grid": machine.grid().tolist(),
+                "colors": machine.peek("color").tolist(),
+            }
+            raise UncoveredCaseError(
+                f"{int(marked.sum())} reference pair(s) left non-uniform", snapshot=snap)
         if (claim == NONE).any():
             bad = np.flatnonzero(claim == NONE)[:8]
             raise OrientationError(
@@ -135,8 +150,7 @@ def contract_along_orientation(machine: Machine, plan: OrientationKey, phase="pa
     ft = plan.plan_from_top
     merge_pairs(machine, plan.plan_absorbed, plan.plan_host, phase)
     move_nodes(machine, plan.plan_host[ft], 1, plan.plan_col[ft], f"{phase}/down")
-    if plan.loose_nodes is not None and plan.loose_nodes.size:
-        move_nodes(machine, plan.loose_nodes, 1, plan.loose_cols, f"{phase}/drop")
+    move_nodes(machine, plan.loose_nodes, 1, plan.loose_cols, f"{phase}/drop")
     rows = machine.peek("row")[machine.in_array_ids()]
     if rows.size and (rows != 1).any():
         raise OrientationError("survivors left outside the bottom row")
@@ -233,6 +247,8 @@ def uniform_contraction_pass(machine: Machine, min_run=100, phase="pass") -> Pas
     if both_rows:
         shortcut = opposite_pair_shortcut(machine, phase=f"{phase}/shortcut")
         odd_cycles = enforce_uniformity(machine, phase=f"{phase}/uniform")
+    else:
+        publish_mailboxes(machine, f"{phase}/orient")
     plan = derive_orientation(machine, phase=f"{phase}/orient")
     contract_along_orientation(machine, plan, phase=f"{phase}/pack")
     survivors = machine.in_array_ids().size

@@ -30,7 +30,6 @@ sound.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +71,6 @@ class Memory:
 
     def __init__(self):
         self._stores = {}
-        self.version = Counter()   # per store, the steps and pokes that wrote it
 
     def alloc(self, name, size, fill=NONE):
         if name in self._stores:
@@ -107,7 +105,6 @@ class Memory:
     def poke(self, name, idx, values):
         """Unmetered setup write; not for use inside algorithm phases."""
         self._stores[name][idx] = values
-        self.version[name] += 1
 
 
 class _StepContext:
@@ -247,7 +244,6 @@ class Engine:
         nrounds = -(-ctx.n_tasks // p) + 1
         shared = {}
         for store, idx, values in ctx._writes:
-            self.memory.version[store] += 1
             if store in contested:
                 shared.setdefault(store, []).append((idx, values))
                 continue

@@ -198,25 +198,3 @@ def move_nodes(machine: Machine, nodes, to_row, to_col, phase):
         s.write("slot", dst, nodes)
         s.write("row", nodes, to_row)
         s.write("col", nodes, to_col)
-
-
-def swap_positions(machine: Machine, nodes_a, nodes_b, phase):
-    """Exchange the slots of node pairs (a[i], b[i])."""
-    a = np.asarray(nodes_a, dtype=np.int64)
-    b = np.asarray(nodes_b, dtype=np.int64)
-    if a.size == 0:
-        return
-    eng = machine.engine
-    C = machine.columns
-    with eng.step(f"{phase}/swap_rd", a.size) as s:
-        ra = s.read("row", a)
-        ca = s.read("col", a)
-        rb = s.read("row", b)
-        cb = s.read("col", b)
-    with eng.step(f"{phase}/swap_wr", a.size) as s:
-        s.write("slot", ra * C + ca, b)
-        s.write("slot", rb * C + cb, a)
-        s.write("row", a, rb)
-        s.write("col", a, cb)
-        s.write("row", b, ra)
-        s.write("col", b, ca)

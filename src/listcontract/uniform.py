@@ -28,7 +28,10 @@ row and leaves that bottom pair outside it.
 
 Everything runs as checked engine steps; all cross-pair information
 flows through per-column mailboxes so no cell is ever read twice in
-one step.
+one step. The step publishes them once, when it starts, and again only
+after shortening odd chains; each swap patches its own two cells, so
+they stay current for the orientation keys, which are the check that
+the step left no pair marked.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .model import Machine, PRED_SIDE, SUCC_SIDE
 from .pram import NONE
 # restricted_neighbors stays importable here for bench/tracing.py
 from .steps import (PassState, contract_batch, double, move_nodes, pair_leaders,  # noqa: F401
-                    restricted_neighbors, scratch, swap_positions)
+                    restricted_neighbors, scratch)
 from . import pairing as _pairing
 
 # -- column mailboxes ---------------------------------------------------
@@ -52,15 +55,9 @@ def _mb(machine, row, what):
 
 def publish_mailboxes(machine: Machine, phase):
     """Write each placed node's color, id and partner column into its
-    column mailbox. One owner per cell, so every write is exclusive.
-    Skipped while no store they are built from has been written since
-    the last publish."""
+    column mailbox. One owner per cell, so every write is exclusive."""
     eng = machine.engine
     C = machine.columns
-    source = (C, *(machine.memory.version[st] for st in ("status", "row", "col", "color", "pair")))
-    if machine.published == source:
-        return
-    machine.published = source
     stores = {(r, w): _mb(machine, r, w) for r in (0, 1) for w in ("node", "color", "pcol")}
     with eng.step(f"{phase}/mb_clear", C) as s:
         cols = np.arange(C)
@@ -87,36 +84,6 @@ def publish_mailboxes(machine: Machine, phase):
 
 def _read_mb(machine, s, row, what, cols):
     return s.read(_mb(machine, row, what), cols)
-
-
-# -- mark detection -----------------------------------------------------
-
-def detect_marks(machine: Machine, target_row, ref_row, phase):
-    """Columns and mismatch flags of every reference pair, read pair
-    by pair; the final check, independent of the sweep's planning.
-
-    Returns (leaders, c_lo, c_hi, marked): a reference pair is marked
-    when both target cells over its columns are 0/1-colored nodes of
-    different colors.
-    """
-    eng = machine.engine
-    leaders = pair_leaders(machine, ref_row)
-    k = leaders.size
-    if k == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return leaders, empty, empty, np.empty(0, dtype=bool)
-    col = machine.peek("col")
-    c_lo = col[leaders]
-    c_hi = col[machine.peek("pair")[leaders]]
-    with eng.step(f"{phase}/det_lo", k) as s:
-        t_lo = _read_mb(machine, s, target_row, "color", c_lo)
-        n_lo = _read_mb(machine, s, target_row, "node", c_lo)
-    with eng.step(f"{phase}/det_hi", k) as s:
-        t_hi = _read_mb(machine, s, target_row, "color", c_hi)
-        n_hi = _read_mb(machine, s, target_row, "node", c_hi)
-    constrained = (n_lo != NONE) & (n_hi != NONE) & \
-        np.isin(t_lo, (0, 1)) & np.isin(t_hi, (0, 1))
-    return leaders, c_lo, c_hi, constrained & (t_lo != t_hi)
 
 
 def _read_columns(machine, phase):
@@ -150,9 +117,9 @@ def enforce_uniformity(machine: Machine, phase="uniform"):
     Shortens every closed chain with an odd number of top pairs by one
     top pair, then swaps the members of the pairs the prefix-parity
     sweep selects, on both rows at once. Column-aligned pair stacks
-    must be gone (opposite_pair_shortcut). Returns the number of chains
-    shortened. A pair still marked afterwards raises
-    UncoveredCaseError with a snapshot.
+    must be gone (opposite_pair_shortcut). Publishes the column
+    mailboxes and leaves them current. Returns the number of chains
+    shortened.
     """
     publish_mailboxes(machine, phase)
     plan = _plan_swaps(machine, f"{phase}/plan")
@@ -163,10 +130,8 @@ def enforce_uniformity(machine: Machine, phase="uniform"):
         _shorten_odd_chains(machine, plan, f"{phase}/odd")
         publish_mailboxes(machine, f"{phase}/replan")
         plan = _plan_swaps(machine, f"{phase}/replan")
-    if plan is not None and plan["swap_a"].size:
+    if plan is not None:
         swap_positions(machine, plan["swap_a"], plan["swap_b"], f"{phase}/swap")
-        publish_mailboxes(machine, f"{phase}/verify")
-    _verify_uniform(machine, f"{phase}/verify")
     return odd
 
 
@@ -268,21 +233,30 @@ def _shorten_odd_chains(machine, plan, phase):
     move_nodes(machine, top_cc, 0, plan["odd_cols"], phase)
 
 
-def _verify_uniform(machine, phase):
-    for target_row, ref_row in ((0, 1), (1, 0)):
-        leaders, c_lo, c_hi, marked = detect_marks(machine, target_row, ref_row, phase)
-        if marked.any():
-            sel = np.flatnonzero(marked)[:8]
-            snap = {
-                "target_row": target_row,
-                "reference_row": ref_row,
-                "columns_lo": c_lo[sel].tolist(),
-                "columns_hi": c_hi[sel].tolist(),
-                "grid": machine.grid().tolist(),
-                "colors": machine.peek("color").tolist(),
-            }
-            raise UncoveredCaseError(
-                f"{int(marked.sum())} reference pair(s) left non-uniform", snapshot=snap)
+def swap_positions(machine: Machine, nodes_a, nodes_b, phase):
+    """Exchange the columns of the two members of each pair (a[i], b[i]),
+    which share a row, and their node and color mailbox entries; the
+    pair's partner columns stay the same."""
+    a = np.asarray(nodes_a, dtype=np.int64)
+    b = np.asarray(nodes_b, dtype=np.int64)
+    if a.size == 0:
+        return
+    eng = machine.engine
+    C = machine.columns
+    with eng.step(f"{phase}/swap_rd", a.size) as s:
+        row = s.read("row", a)
+        ca, cb = s.read("col", a), s.read("col", b)
+        wa, wb = s.read("color", a), s.read("color", b)
+    with eng.step(f"{phase}/swap_wr", a.size) as s:
+        s.write("slot", row * C + ca, b)
+        s.write("slot", row * C + cb, a)
+        s.write("col", a, cb)
+        s.write("col", b, ca)
+        for r in (0, 1):
+            on = row == r
+            for what, va, vb in (("node", a, b), ("color", wa, wb)):
+                s.write(_mb(machine, r, what), np.where(on, ca, NONE), vb)
+                s.write(_mb(machine, r, what), np.where(on, cb, NONE), va)
 
 
 # -- coloring and pairing ----------------------------------------------
@@ -313,7 +287,6 @@ def opposite_pair_shortcut(machine: Machine, phase="shortcut"):
     other. Returns the number of aligned stacks consumed.
     """
     eng = machine.engine
-    publish_mailboxes(machine, phase)
     leaders = pair_leaders(machine, 1)
     if leaders.size == 0:
         return 0
@@ -322,12 +295,14 @@ def opposite_pair_shortcut(machine: Machine, phase="shortcut"):
     partner = pair[leaders]
     c_hi = col[partner]
     k = leaders.size
-    with eng.step(f"{phase}/rd_lo", k) as s:
-        tn_lo = _read_mb(machine, s, 0, "node", c_lo)
-        tp_lo = _read_mb(machine, s, 0, "pcol", c_lo)
-    with eng.step(f"{phase}/rd_hi", k) as s:
-        tn_hi = _read_mb(machine, s, 0, "node", c_hi)
-    aligned = (tn_lo != NONE) & (tn_hi != NONE) & (tp_lo == c_hi)
+    # the top cells of a bottom pair's columns, then the partner of the
+    # c_lo top: the stack is aligned when that is the c_hi top
+    with eng.step(f"{phase}/rd_tops", k) as s:
+        tn_lo = s.read("slot", c_lo)
+        tn_hi = s.read("slot", c_hi)
+    with eng.step(f"{phase}/rd_pair", k) as s:
+        tp_lo = s.read("pair", tn_lo)
+    aligned = (tn_hi != NONE) & (tp_lo == tn_hi)
     if not aligned.any():
         return 0
     sel = np.flatnonzero(aligned)

@@ -134,6 +134,66 @@ def paired_state(bottom, top, columns, p=8):
     return machine, pairs
 
 
+def marked_pairs(machine):
+    """Host-side mark check from the placement alone: (row, c_lo, c_hi)
+    of every pair over whose columns the other row holds two 0/1-colored
+    nodes of different colors."""
+    grid = machine.grid()
+    color, pair, col = (machine.peek(s) for s in ("color", "pair", "col"))
+    out = []
+    for row in (0, 1):
+        nodes = grid[row][grid[row] != NONE]
+        nodes = nodes[pair[nodes] != NONE]
+        lead = nodes[col[nodes] < col[pair[nodes]]]
+        c_lo, c_hi = col[lead], col[pair[lead]]
+        far = grid[1 - row][[c_lo, c_hi]]
+        far_color = np.where(far != NONE, color[far], NONE)
+        binary = np.isin(far_color, (0, 1)).all(axis=0)
+        marked = binary & (far_color[0] != far_color[1])
+        out += [(row, int(lo), int(hi)) for lo, hi in zip(c_lo[marked], c_hi[marked])]
+    return out
+
+
+def enumerated_states():
+    """All pair-color patterns over small two-row geometries.
+
+    Geometries: straight alternating chains (the generic interleaving),
+    aligned stacks, and closed chains of length 4, 6, 8 columns; 4 to
+    16 nodes each. Colors enumerate every proper {0,1} assignment,
+    i.e. each pair's orientation bit.
+    """
+    # straight chains: b bottom pairs, b-1 interleaved top pairs, two
+    # boundary tops paired off to vacant-bottom columns
+    for b in (2, 3, 4):
+        cols = 2 * b
+        bottom_cols = [(2 * i, 2 * i + 1) for i in range(b)]
+        top_cols = [(2 * i + 1, 2 * i + 2) for i in range(b - 1)]
+        top_cols = top_cols + [(0, cols), (cols - 1, cols + 1)]
+        n_pairs = len(bottom_cols) + len(top_cols)
+        for bits in range(1 << n_pairs):
+            colors = [((0, 1) if bits >> i & 1 else (1, 0))
+                      for i in range(n_pairs)]
+            yield (f"chain{b}", list(zip(bottom_cols, colors[:b])),
+                   list(zip(top_cols, colors[b:])), cols + 2)
+    # aligned stacks
+    for bits in range(4):
+        yield ("stack",
+               [((0, 1), (0, 1) if bits & 1 else (1, 0))],
+               [((0, 1), (0, 1) if bits & 2 else (1, 0))], 2)
+    # closed chains: wrap-around top pair; 6 columns has 3 top pairs,
+    # an odd chain that no swap can clear, so it is shortened first
+    for cols in (4, 6, 8):
+        b = cols // 2
+        bottom_cols = [(2 * i, 2 * i + 1) for i in range(b)]
+        top_cols = [(2 * i + 1, (2 * i + 2) % cols) for i in range(b)]
+        n_pairs = 2 * b
+        for bits in range(1 << n_pairs):
+            colors = [((0, 1) if bits >> i & 1 else (1, 0))
+                      for i in range(n_pairs)]
+            yield (f"cycle{cols}", list(zip(bottom_cols, colors[:b])),
+                   list(zip(top_cols, colors[b:])), cols)
+
+
 @pytest.fixture
 def small_machine():
     m = Machine(path_forest(8), PramConfig(num_processors=4))

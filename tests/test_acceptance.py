@@ -17,9 +17,8 @@ from listcontract.orientation import (contract_along_orientation,
 from listcontract.pram import NONE
 from listcontract.ranking import contract_to_threshold
 from listcontract.steps import restricted_neighbors
-from listcontract.uniform import (detect_marks, enforce_uniformity,
-                                  opposite_pair_shortcut, publish_mailboxes)
-from conftest import paired_state
+from listcontract.uniform import enforce_uniformity, opposite_pair_shortcut
+from conftest import enumerated_states, marked_pairs, paired_state
 
 
 def report(name, ok, detail=""):
@@ -125,16 +124,18 @@ def test_criterion_3_erew_compliance():
 
 
 def test_criterion_4_pass_cost_tied_to_coloring():
-    ks = {}
+    ks, passes = {}, {}
     for e in (10, 12, 14, 16, 18):
-        pass_rounds, color_rounds, _ = benchmarks.pass_vs_coloring_rounds(e)
-        ks[e] = pass_rounds / color_rounds
+        passes[e], color_rounds, _ = benchmarks.pass_vs_coloring_rounds(e)
+        ks[e] = passes[e] / color_rounds
     recorded = measured.PASS_OVER_COLORING_K
     ok = all(abs(ks[e] - recorded[e]) <= 0.10 * recorded[e] for e in ks)
     bounded = max(ks.values()) <= 1.5 * min(ks.values())
-    report("criterion 4 (pass cost ~ coloring cost)", ok and bounded,
+    # the absolute target: one single-list pass in at most 100 rounds
+    within_target = max(passes.values()) <= 100
+    report("criterion 4 (pass cost ~ coloring cost)", ok and bounded and within_target,
            f"K = { {e: round(v, 3) for e, v in ks.items()} } vs recorded "
-           f"{recorded} (+-10%)")
+           f"{recorded} (+-10%), pass rounds {passes} (<= 100)")
 
 
 def test_criterion_5_round_scaling():
@@ -197,51 +198,11 @@ def test_criterion_7_coloring_properties():
            f"proper 3-colorings, dct iterations at 2^20 = {ca.dct_iterations} <= 5")
 
 
-def _enumerated_states():
-    """All pair-color patterns over small two-row geometries.
-
-    Geometries: straight alternating chains (the generic interleaving),
-    aligned stacks, and closed chains of length 4, 6, 8 columns; 4 to
-    16 nodes each. Colors enumerate every proper {0,1} assignment,
-    i.e. each pair's orientation bit.
-    """
-    # straight chains: b bottom pairs, b-1 interleaved top pairs, two
-    # boundary tops paired off to vacant-bottom columns
-    for b in (2, 3, 4):
-        cols = 2 * b
-        bottom_cols = [(2 * i, 2 * i + 1) for i in range(b)]
-        top_cols = [(2 * i + 1, 2 * i + 2) for i in range(b - 1)]
-        top_cols = top_cols + [(0, cols), (cols - 1, cols + 1)]
-        n_pairs = len(bottom_cols) + len(top_cols)
-        for bits in range(1 << n_pairs):
-            colors = [((0, 1) if bits >> i & 1 else (1, 0))
-                      for i in range(n_pairs)]
-            yield (f"chain{b}", list(zip(bottom_cols, colors[:b])),
-                   list(zip(top_cols, colors[b:])), cols + 2)
-    # aligned stacks
-    for bits in range(4):
-        yield ("stack",
-               [((0, 1), (0, 1) if bits & 1 else (1, 0))],
-               [((0, 1), (0, 1) if bits & 2 else (1, 0))], 2)
-    # closed chains: wrap-around top pair; 6 columns has 3 top pairs,
-    # an odd chain that no swap can clear, so it is shortened first
-    for cols in (4, 6, 8):
-        b = cols // 2
-        bottom_cols = [(2 * i, 2 * i + 1) for i in range(b)]
-        top_cols = [(2 * i + 1, (2 * i + 2) % cols) for i in range(b)]
-        n_pairs = 2 * b
-        for bits in range(1 << n_pairs):
-            colors = [((0, 1) if bits >> i & 1 else (1, 0))
-                      for i in range(n_pairs)]
-            yield (f"cycle{cols}", list(zip(bottom_cols, colors[:b])),
-                   list(zip(top_cols, colors[b:])), cols)
-
-
 def test_criterion_8_uniformity_case_coverage():
     uncovered = []
     broken = []
     total = 0
-    for name, bottom, top, cols in _enumerated_states():
+    for name, bottom, top, cols in enumerated_states():
         total += 1
         m, _ = paired_state(bottom=bottom, top=top, columns=cols, p=8)
         pre_weight = int(m.peek("weight")[m.active_ids()].sum())
@@ -253,15 +214,12 @@ def test_criterion_8_uniformity_case_coverage():
         except UncoveredCaseError as exc:
             uncovered.append((name, exc.snapshot.get("columns_lo")))
             continue
-        publish_mailboxes(m, "chk")
-        for tgt, ref in ((0, 1), (1, 0)):
-            *_, marked = detect_marks(m, tgt, ref, "chk")
-            if marked.any():
-                broken.append((name, "residual mismatch"))
+        if marked_pairs(m):
+            broken.append((name, "residual mismatch"))
         try:
             plan = derive_orientation(m)
             contract_along_orientation(m, plan)
-        except OrientationError as exc:
+        except (OrientationError, UncoveredCaseError) as exc:
             broken.append((name, str(exc)[:60]))
             continue
         survivors = m.in_array_ids()

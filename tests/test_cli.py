@@ -3,7 +3,7 @@ import json
 import pytest
 
 from listcontract.cli import main
-from listcontract import ErewViolationError, LinkedForest
+from listcontract import ErewViolationError, LinkedForest, UncoveredCaseError
 
 
 def run_cli(args):
@@ -71,6 +71,25 @@ def test_run_maps_package_errors_to_exit_3(tmp_path, capsys, monkeypatch):
     forest.write_text("0 1\n1 -1\n")
     assert run_cli(["run", str(forest)]) == 3
     assert capsys.readouterr().err.startswith("ErewViolationError: ")
+
+
+def test_run_reports_uncovered_case_with_snapshot(tmp_path, capsys, monkeypatch):
+    import listcontract.cli as cli
+
+    snap = {"target_row": 0, "reference_row": 1, "columns_lo": [0], "columns_hi": [1],
+            "grid": [[0, 1], [2, 3]], "colors": [0, 1, 0, 1]}
+
+    def refuse(*args, **kwargs):
+        raise UncoveredCaseError("1 reference pair(s) left non-uniform", snapshot=snap)
+
+    monkeypatch.setattr(cli, "list_rank", refuse)
+    forest = tmp_path / "w.forest"
+    forest.write_text("0 1\n1 -1\n")
+    assert run_cli(["run", str(forest)]) == 3
+    err = capsys.readouterr().err
+    first, rest = err.split("\n", 1)
+    assert first == "UNCOVERED_CASE: 1 reference pair(s) left non-uniform"
+    assert json.loads(rest) == snap
 
 
 def test_generate_single_one_list(tmp_path):

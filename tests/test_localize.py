@@ -127,7 +127,9 @@ def test_min_run_above_1024_absorbs_whole_short_runs():
 
 def test_no_flank_skips_run_distances():
     # columns layout of FIXED l=64: phase (a) absorbs the whole lower
-    # row, so no upper run has a flank and phase (b) has nothing short
+    # row, so no upper run has a flank and phase (b) has nothing short;
+    # every lower run is one node long, so phase (a) has no distance to
+    # double either
     n = 4096
     m = Machine(generate(Workload(n=n, length_distribution="FIXED", fixed_length=64)),
                 PramConfig(num_processors=n // 6))
@@ -135,5 +137,7 @@ def test_no_flank_skips_run_distances():
     localize(m, read_state(m))
     labels = m.engine.metrics().phase_breakdown
     assert not [k for k in labels if k.startswith(("localize/b/dhead", "localize/b/dtail"))]
-    assert [k for k in labels if k.startswith("localize/a/dhead")]
+    assert not [k for k in labels if k.startswith(("localize/a/dhead", "localize/a/dtail"))]
+    assert [k for k in labels if k.startswith("localize/a/")]
+    assert (m.peek("row")[m.in_array_ids()] == 0).all()
     assert int(m.peek("weight")[m.in_array_ids()].sum()) == n

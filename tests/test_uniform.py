@@ -1,21 +1,16 @@
 import numpy as np
 import pytest
 
-from listcontract import Machine, PramConfig, UncoveredCaseError, layout
+from listcontract import Machine, OrientationError, PramConfig, UncoveredCaseError, layout
 from listcontract.orientation import (contract_along_orientation,
                                       derive_orientation, fold_array,
                                       uniform_contraction_pass)
 from listcontract.pram import NONE
-from listcontract.uniform import (color_and_pair, detect_marks, enforce_uniformity,
+from listcontract.uniform import (color_and_pair, enforce_uniformity,
                                   opposite_pair_shortcut, publish_mailboxes)
-from conftest import (check_inverse, paired_state, path_forest, place, read_state,
-                      snapshot, states_equal, validate_pairs)
-
-
-def assert_uniform(machine, target_row, ref_row):
-    publish_mailboxes(machine, "assert")
-    *_, marked = detect_marks(machine, target_row, ref_row, "assert")
-    assert not marked.any()
+from conftest import (check_inverse, enumerated_states, marked_pairs, paired_state,
+                      path_forest, place, read_state, snapshot, states_equal,
+                      validate_pairs)
 
 
 # the pointer and the three value stores of the sweep's doubling, both buffers
@@ -138,8 +133,7 @@ def c_configuration():
 def test_s_and_c_configurations_take_one_swap_batch():
     for m, _ in (s_configuration(), c_configuration()):
         assert enforce_uniformity(m) == 0
-        assert_uniform(m, 0, 1)
-        assert_uniform(m, 1, 0)
+        assert not marked_pairs(m)
         assert len(step_rounds(m, "/swap_wr")) == 1
         assert not m.log and not step_rounds(m, "/move_wr")
 
@@ -165,8 +159,7 @@ def test_odd_closed_chain_is_shortened_once(k, seed):
     assert all(m.memory.has(st) for st in SWEEP_STORES)
     assert len(m.log) == 1 and m.log[0].absorbed.size == 1
     assert list(step_rounds(m, "/move_wr").values()) == [1]
-    assert_uniform(m, 0, 1)
-    assert_uniform(m, 1, 0)
+    assert not marked_pairs(m)
     contract_along_orientation(m, derive_orientation(m))
     survivors = m.in_array_ids()
     assert (m.peek("row")[survivors] == 1).all()
@@ -179,8 +172,7 @@ def test_even_closed_chain_takes_swaps_only(k, seed):
     m, _ = closed_chain(k, seed)
     assert enforce_uniformity(m) == 0
     assert not m.log and not step_rounds(m, "/move_wr")
-    assert_uniform(m, 0, 1)
-    assert_uniform(m, 1, 0)
+    assert not marked_pairs(m)
 
 
 def test_matched_pairs_are_left_alone():
@@ -207,8 +199,7 @@ def test_chain_case_clears_long_mismatch_runs():
     top.append(((2 * k - 1, 2 * k + 1), (1, 0)))
     m, pairs = paired_state(bottom=bottom, top=top, columns=2 * k + 2)
     enforce_uniformity(m)
-    assert_uniform(m, 0, 1)
-    assert_uniform(m, 1, 0)
+    assert not marked_pairs(m)
 
 
 def test_mismatched_bottoms_under_matched_tops_cleared_in_one_call():
@@ -218,8 +209,7 @@ def test_mismatched_bottoms_under_matched_tops_cleared_in_one_call():
         columns=6,
     )
     enforce_uniformity(m)
-    assert_uniform(m, 0, 1)
-    assert_uniform(m, 1, 0)
+    assert not marked_pairs(m)
 
 
 # -- orientation and packing ---------------------------------------------
@@ -236,6 +226,7 @@ def full_period_state():
 
 def test_orientation_keys_full_period():
     m, pairs = full_period_state()
+    publish_mailboxes(m, "setup")
     plan = derive_orientation(m)
     assert plan.key[:4].tolist() == [0, 1, 3, 2]
 
@@ -246,12 +237,14 @@ def test_orientation_reversed_pattern_is_backward():
         top=[((1, 2), (1, 0)), ((3, 0), (0, 1))],
         columns=4,
     )
+    publish_mailboxes(m, "setup")
     plan = derive_orientation(m)
     assert plan.key[:4].tolist() == [2, 3, 1, 0]
 
 
 def test_contract_along_orientation_packs_full_period():
     m, pairs = full_period_state()
+    publish_mailboxes(m, "setup")
     plan = derive_orientation(m)
     contract_along_orientation(m, plan)
     survivors = m.in_array_ids()
@@ -265,6 +258,7 @@ def test_contract_along_orientation_packs_full_period():
 def test_aligned_shortcut_survivors_left_untouched_by_packing():
     m, pairs = aligned_stack()
     opposite_pair_shortcut(m)
+    publish_mailboxes(m, "setup")
     before = {int(v): (int(m.peek("row")[v]), int(m.peek("col")[v]))
               for v in m.in_array_ids()}
     plan = derive_orientation(m)
@@ -289,6 +283,7 @@ def test_full_pass_packs_random_instance():
 
 def test_fold_halves_columns_and_keeps_inverse():
     m, pairs = full_period_state()
+    publish_mailboxes(m, "setup")
     plan = derive_orientation(m)
     contract_along_orientation(m, plan)
     fold_array(m)
@@ -321,8 +316,7 @@ def test_random_geometry_uniformity_and_packing(seed):
     pre_weight = int(m.peek("weight")[m.active_ids()].sum())
     opposite_pair_shortcut(m)
     enforce_uniformity(m)
-    assert_uniform(m, 0, 1)
-    assert_uniform(m, 1, 0)
+    assert not marked_pairs(m)
     plan = derive_orientation(m)
     contract_along_orientation(m, plan)
     survivors = m.in_array_ids()
@@ -332,3 +326,59 @@ def test_random_geometry_uniformity_and_packing(seed):
         assert np.unique(cols).size == survivors.size
     assert int(m.peek("weight")[m.active_ids()].sum()) == pre_weight
     assert m.engine.metrics().erew_violations == 0
+
+
+# -- mailboxes and the uniformity check --------------------------------------
+
+MAILBOXES = [f"mb_{r}_{w}" for r in (0, 1) for w in ("node", "color", "pcol")]
+
+
+def uniformity_states():
+    for seed in range(60):
+        yield random_two_row_state(np.random.default_rng(seed))
+    for _, bottom, top, cols in enumerated_states():
+        yield paired_state(bottom=bottom, top=top, columns=cols, p=8)
+
+
+def test_swaps_keep_mailboxes_equal_to_a_fresh_publish():
+    swapped = 0
+    for m, _ in uniformity_states():
+        opposite_pair_shortcut(m)
+        enforce_uniformity(m)
+        swapped += bool(step_rounds(m, "/swap_wr"))
+        kept = {st: m.peek(st)[: m.columns].copy() for st in MAILBOXES}
+        publish_mailboxes(m, "fresh")
+        for st in MAILBOXES:
+            assert np.array_equal(m.peek(st)[: m.columns], kept[st]), st
+    assert swapped > 1000
+
+
+def test_marked_pair_raises_uncovered_case_with_snapshot():
+    m, _ = s_configuration()
+    publish_mailboxes(m, "setup")
+    with pytest.raises(UncoveredCaseError) as exc:
+        derive_orientation(m)
+    assert set(exc.value.snapshot) == {"target_row", "reference_row", "columns_lo",
+                                       "columns_hi", "grid", "colors"}
+    # the first row with a marked pair is reported, all of its marks
+    snap = exc.value.snapshot
+    ref = snap["reference_row"]
+    assert snap["target_row"] == 1 - ref
+    assert [(ref, lo, hi) for lo, hi in zip(snap["columns_lo"], snap["columns_hi"])] ==         [mk for mk in marked_pairs(m) if mk[0] == ref]
+
+
+def test_unclaimed_pair_that_is_not_marked_raises_orientation_error():
+    # the bottom pair at 0,1 has an exempt top over column 1: its key
+    # there is undefined and neither opposite cell is vacant
+    m, pairs = paired_state(
+        bottom=[((0, 1), (0, 1))],
+        top=[((0, 2), (0, 1)), ((1, 3), (0, 1))],
+        columns=4,
+    )
+    exempt = list(pairs[(0, 1)])
+    m.memory.poke("pair", exempt, NONE)
+    m.memory.poke("color", exempt, NONE)
+    publish_mailboxes(m, "setup")
+    assert not marked_pairs(m)
+    with pytest.raises(OrientationError, match="no forward column"):
+        derive_orientation(m)

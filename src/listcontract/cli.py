@@ -112,7 +112,7 @@ def run_report(forest, algo, config, verify=False):
                       erew_violations=m.erew_violations,
                       passes=len(run.passes),
                       degraded_passes=sum(not r.halved for r in run.passes),
-                      survivor_counts=run.survivor_counts,
+                      survivor_counts=[r.survivors for r in run.passes],
                       jump_rounds=run.jump_rounds)
     report["wall_seconds"] = round(time.perf_counter() - t0, 6)
     if verify:

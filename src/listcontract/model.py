@@ -3,20 +3,22 @@
 All mutable algorithm state lives in named engine stores so that the
 parallel phases can be metered and checked:
 
-====== =====================================================
-store   meaning
-====== =====================================================
-succ    next node id, -1 at a list tail
-pred    previous node id, -1 at a list head
-status  -1 while active, else the id of the node absorbed into
-weight  number of original nodes this node represents
-color   working color, -1 when unset
-row     0 or 1 while placed; -1 unplaced, -2 retired, -3 pooled
-col     column while placed
-slot    flattened 2 x columns array of node ids, -1 when vacant
-cut     1 when the link node -> succ[node] is virtually deleted
-pair    pairing partner, -1 when unpaired
-====== =====================================================
+======== ===================================================
+store    meaning
+======== ===================================================
+succ     next node id, -1 at a list tail
+pred     previous node id, -1 at a list head
+status   -1 while active, else the id of the node absorbed into
+weight   number of original nodes this node represents
+color    working color, -1 when unset
+row      0 or 1 while placed; -1 unplaced, -2 retired, -3 pooled
+col      column while placed
+slot     flattened 2 x columns array of node ids, -1 when vacant
+cut      1 when the link node -> succ[node] is virtually deleted
+pair     pairing partner, -1 when unpaired
+mb_color scratch, indexed like slot: color of the cell's node
+mb_pcol  scratch, indexed like slot: column of that node's partner
+======== ===================================================
 """
 
 from __future__ import annotations
@@ -197,6 +199,13 @@ class Machine:
         """Copy of the 2 x columns slot array."""
         return self.peek("slot")[: 2 * self.columns].reshape(2, self.columns).copy()
 
+    def cell(self, row, col):
+        """Slot index of each (row, col) under the current column count;
+        NONE wherever the row or the column is negative (unplaced,
+        retired or pooled nodes, missing partners)."""
+        row, col = np.asarray(row, dtype=np.int64), np.asarray(col, dtype=np.int64)
+        return np.where((row >= 0) & (col >= 0), row * self.columns + col, NONE)
+
 
 def layout(machine: Machine, mode="columns"):
     """Place lists in succ order, back to back, two nodes per column.
@@ -223,4 +232,4 @@ def layout(machine: Machine, mode="columns"):
         raise ValueError(f"unknown layout mode {mode!r}")
     m.poke("row", order, rows)
     m.poke("col", order, cols)
-    m.poke("slot", rows * machine.columns + cols, order)
+    m.poke("slot", machine.cell(rows, cols), order)

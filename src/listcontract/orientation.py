@@ -20,7 +20,7 @@ from .model import Machine, POOLED
 from .pram import NONE
 # contract_batch stays importable here for bench/tracing.py
 from .steps import PassState, contract_batch, move_nodes, pair_leaders  # noqa: F401
-from .uniform import (_read_mb, color_and_pair, enforce_uniformity, merge_pairs,
+from .uniform import (color_and_pair, enforce_uniformity, merge_pairs,
                       opposite_pair_shortcut, publish_mailboxes)
 
 _CYCLE_NEXT = np.full(4, -1, dtype=np.int64)
@@ -44,7 +44,7 @@ def derive_orientation(machine: Machine, phase="orient") -> OrientationKey:
 
     Pattern-valid pairs claim the member column whose key is the cycle
     successor of the other member's key. Pairs bordering vacancies or
-    exempt nodes claim the free side. The column mailboxes must be
+    exempt nodes claim the free side. The cell mailboxes must be
     current. A pair whose two keys are defined but neither follows the
     other is marked, which the uniformity step should have cleared: it
     raises UncoveredCaseError with a snapshot. Conflicting or other
@@ -53,11 +53,10 @@ def derive_orientation(machine: Machine, phase="orient") -> OrientationKey:
     eng = machine.engine
     C = machine.columns
     cols = np.arange(C)
+    top, bottom = machine.cell(0, cols), machine.cell(1, cols)
     with eng.step(f"{phase}/keys", C) as s:
-        tc = _read_mb(machine, s, 0, "color", cols)
-        bc = _read_mb(machine, s, 1, "color", cols)
-        tn = _read_mb(machine, s, 0, "node", cols)
-        bn = _read_mb(machine, s, 1, "node", cols)
+        tc, bc = s.read("mb_color", top), s.read("mb_color", bottom)
+        tn, bn = s.read("slot", top), s.read("slot", bottom)
     valid = np.isin(tc, (0, 1)) & np.isin(bc, (0, 1)) & (tn != NONE) & (bn != NONE)
     key = np.where(valid, 2 * tc + bc, NONE)
 
@@ -170,12 +169,13 @@ def fold_array(machine: Machine, phase="fold"):
     # the top row is empty, and a new slot (below C) never meets an
     # old one (C + oc), so each survivor vacates its old slot itself
     nr, nc = oc % 2, oc // 2
+    old = machine.cell(orow, oc)
+    machine.columns = new_c   # cell() now gives the folded indices
     with eng.step(f"{phase}/wr", ids.size) as s:
         s.write("row", ids, nr)
         s.write("col", ids, nc)
-        s.write("slot", C + oc, NONE)
-        s.write("slot", nr * new_c + nc, ids)
-    machine.columns = new_c
+        s.write("slot", old, NONE)
+        s.write("slot", machine.cell(nr, nc), ids)
 
 
 def pool_short_lists(machine: Machine, min_len=4, phase="pool"):
@@ -210,7 +210,7 @@ def pool_short_lists(machine: Machine, min_len=4, phase="pool"):
         r = s.read("row", sel)
         c = s.read("col", sel)
     with eng.step(f"{phase}/out_wr", sel.size) as s:
-        s.write("slot", r * machine.columns + c, NONE)
+        s.write("slot", machine.cell(r, c), NONE)
         s.write("row", sel, POOLED)
         s.write("col", sel, POOLED)
     return int(sel.size), state

@@ -179,33 +179,31 @@ class Engine:
         p = self.config.num_processors
         rounds = -(-t // p)
 
-        violations_by_round = np.zeros(rounds, dtype=np.int64)
+        violations = 0
         contested = self._contested_stores(ctx)
         if contested:
             reads = [(st, ix) for st, ix in ctx._reads if st in contested]
             writes = [(st, ix) for st, ix, _ in ctx._writes if st in contested]
-            _check_exclusive(reads, p, violations_by_round)
-            _check_exclusive(writes, p, violations_by_round)
+            violations = (_check_exclusive(reads, p, rounds)
+                          + _check_exclusive(writes, p, rounds))
             _check_batch_isolation(ctx.label, reads, writes)
 
-        total_viol = int(violations_by_round.sum())
-        self._metrics.erew_violations += total_viol
+        if violations:
+            # any violation raises, so a recorded round always has none
+            self._metrics.erew_violations += violations
+            self._metrics.add(ctx.label, rounds, t)
+            raise ErewViolationError(
+                f"{violations} EREW violation(s) in phase {ctx.label!r}",
+                violations=violations,
+            )
 
         if self.config.record_trace:
             for r in range(rounds):
                 self.trace.append(
                     f"round={self._round_counter + r} phase={ctx.label} "
-                    f"active={min(p, t - r * p)} violations={int(violations_by_round[r])}"
+                    f"active={min(p, t - r * p)} violations=0"
                 )
         self._round_counter += rounds
-
-        if total_viol:
-            self._metrics.add(ctx.label, rounds, t)
-            raise ErewViolationError(
-                f"{total_viol} EREW violation(s) in phase {ctx.label!r}",
-                violations=total_viol,
-            )
-
         self._apply_writes(ctx, contested)
         self._metrics.add(ctx.label, rounds, t)
 
@@ -272,9 +270,10 @@ def _by_store(accesses):
     return grouped
 
 
-def _check_exclusive(accesses, p, violations_by_round):
-    """Count, per round, the cells two distinct tasks of that round touch."""
-    nrounds = violations_by_round.size + 1
+def _check_exclusive(accesses, p, nrounds):
+    """Count the (cell, round) pairs that two distinct tasks of the
+    round touch, over a step of nrounds rounds."""
+    count = 0
     for idx_list in _by_store(accesses).values():
         # one array per statement: the previous store's array is freed
         # before the next is built, which keeps page faults down
@@ -288,9 +287,8 @@ def _check_exclusive(accesses, p, violations_by_round):
         t_s = tasks[order]
         # same task touching the same cell twice is allowed
         bad = (k_s[1:] == k_s[:-1]) & (t_s[1:] != t_s[:-1])
-        if bad.any():
-            bad_rounds = np.unique(k_s[1:][bad]) % nrounds
-            np.add.at(violations_by_round, bad_rounds, 1)
+        count += np.unique(k_s[1:][bad]).size
+    return count
 
 
 def _check_batch_isolation(label, reads, writes):

@@ -42,7 +42,6 @@ class RankRun:
     metrics: object
     passes: list = field(default_factory=list)
     jump_rounds: int = 0
-    survivor_counts: list = field(default_factory=list)
     trace: list = field(default_factory=list)
 
 
@@ -125,7 +124,6 @@ def replay_ranks(machine: Machine, ids, before, head, phase="replay"):
             w_now = s.read("weight", ids)
             s.write(rnk, ids, before)
             s.write(hed, ids, head)
-        with eng.step(f"{phase}/seed2", ids.size) as s:
             s.write(wgt, ids, w_now)
     for batch in reversed(machine.log):
         a, h, side, w = batch.absorbed, batch.host, batch.side, batch.weight
@@ -155,7 +153,6 @@ def list_rank(forest: LinkedForest, p=1, *, config=None, threshold=None,
     layout(machine, mode=layout_mode)
     run.passes = contract_to_threshold(machine, threshold=threshold,
                                        min_run=min_run)
-    run.survivor_counts = [r.survivors for r in run.passes]
     ids, before, head, rounds = pointer_jump(machine)
     run.jump_rounds = rounds
     run.result = replay_ranks(machine, ids, before, head)

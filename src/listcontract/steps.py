@@ -121,7 +121,6 @@ def contract_batch(machine: Machine, absorbed, host, side, phase, state=None):
     h = np.asarray(host, dtype=np.int64)
     side_arr = np.broadcast_to(np.asarray(side, dtype=np.int64), a.shape)
     eng = machine.engine
-    C = machine.columns
     if state is not None:
         # a receiver's new neighbor on side d arrives in inbox[d], packed
         # with that neighbor's row (0 or 1) as 2 * id + row
@@ -149,8 +148,7 @@ def contract_batch(machine: Machine, absorbed, host, side, phase, state=None):
                 s.write("cut", hh, cuta)
             s.write("status", aa, hh)
             s.write("weight", hh, wa + wh)
-            slot_idx = np.where(ra >= 0, ra * C + ca, NONE)
-            s.write("slot", slot_idx, NONE)
+            s.write("slot", machine.cell(ra, ca), NONE)
             s.write("row", aa, RETIRED)
             s.write("col", aa, RETIRED)
             if state is not None:
@@ -186,13 +184,12 @@ def move_nodes(machine: Machine, nodes, to_row, to_col, phase):
     to_row = np.broadcast_to(np.asarray(to_row, dtype=np.int64), nodes.shape)
     to_col = np.broadcast_to(np.asarray(to_col, dtype=np.int64), nodes.shape)
     eng = machine.engine
-    C = machine.columns
     with eng.step(f"{phase}/move_rd", nodes.size) as s:
         fr = s.read("row", nodes)
         fc = s.read("col", nodes)
     with eng.step(f"{phase}/move_wr", nodes.size) as s:
-        src = np.where(fr >= 0, fr * C + fc, NONE)
-        dst = to_row * C + to_col
+        src = machine.cell(fr, fc)
+        dst = machine.cell(to_row, to_col)
         keep = src != dst
         s.write("slot", np.where(keep, src, NONE), NONE)
         s.write("slot", dst, nodes)

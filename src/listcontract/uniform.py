@@ -27,11 +27,13 @@ into the vacated cell, which closes the chain with k - 1 pairs per
 row and leaves that bottom pair outside it.
 
 Everything runs as checked engine steps; all cross-pair information
-flows through per-column mailboxes so no cell is ever read twice in
-one step. The step publishes them once, when it starts, and again only
-after shortening odd chains; each swap patches its own two cells, so
-they stay current for the orientation keys, which are the check that
-the step left no pair marked.
+flows through the slot array and two cell mailboxes beside it, the
+color of each cell's node (mb_color) and its partner's column
+(mb_pcol), so no cell is ever read twice in one step. The step
+publishes the mailboxes once, when it starts, and again only after
+shortening odd chains; each swap patches the colors of its own two
+cells, so they stay current for the orientation keys, which are the
+check that the step left no pair marked.
 """
 
 from __future__ import annotations
@@ -47,62 +49,49 @@ from .steps import (PassState, contract_batch, double, move_nodes, pair_leaders,
                     restricted_neighbors, scratch)
 from . import pairing as _pairing
 
-# -- column mailboxes ---------------------------------------------------
-
-def _mb(machine, row, what):
-    return scratch(machine, f"mb_{row}_{what}", machine.memory.peek("slot").size // 2)
-
+# -- cell mailboxes -----------------------------------------------------
 
 def publish_mailboxes(machine: Machine, phase):
-    """Write each placed node's color, id and partner column into its
-    column mailbox. One owner per cell, so every write is exclusive."""
+    """Write the color of each cell's node into mb_color and the column
+    of its partner into mb_pcol, NONE at a vacant cell or a missing
+    partner. Three steps of one task per column: read the column's two
+    slot cells, then those nodes' color and pair, then the partners'
+    col, and write both cells. Each task owns its column, so every
+    access is exclusive, and every cell is written, so none is stale."""
     eng = machine.engine
-    C = machine.columns
-    stores = {(r, w): _mb(machine, r, w) for r in (0, 1) for w in ("node", "color", "pcol")}
-    with eng.step(f"{phase}/mb_clear", C) as s:
-        cols = np.arange(C)
-        for st in stores.values():
-            s.write(st, cols, NONE)
-    ids = machine.in_array_ids()
-    if ids.size == 0:
-        return
-    with eng.step(f"{phase}/mb_self", ids.size) as s:
-        col = s.read("col", ids)
-        row = s.read("row", ids)
-        color = s.read("color", ids)
-        partner = s.read("pair", ids)
-    with eng.step(f"{phase}/mb_pc", ids.size) as s:
-        pcol = s.read("col", partner)
-    pcol = np.where(partner != NONE, pcol, NONE)
-    with eng.step(f"{phase}/mb_pub", ids.size) as s:
-        for r in (0, 1):
-            m = row == r
-            s.write(stores[(r, "node")], np.where(m, col, NONE), ids)
-            s.write(stores[(r, "color")], np.where(m, col, NONE), color)
-            s.write(stores[(r, "pcol")], np.where(m, col, NONE), pcol)
-
-
-def _read_mb(machine, s, row, what, cols):
-    return s.read(_mb(machine, row, what), cols)
+    for st in ("mb_color", "mb_pcol"):
+        scratch(machine, st, machine.peek("slot").size)
+    cols = np.arange(machine.columns)
+    cells = [machine.cell(r, cols) for r in (0, 1)]
+    with eng.step(f"{phase}/mb_slot", cols.size) as s:
+        node = [s.read("slot", c) for c in cells]
+    with eng.step(f"{phase}/mb_self", cols.size) as s:
+        color = [s.read("color", v) for v in node]
+        partner = [s.read("pair", v) for v in node]
+    with eng.step(f"{phase}/mb_pub", cols.size) as s:
+        for c, w, v in zip(cells, color, partner):
+            s.write("mb_color", c, w)
+            s.write("mb_pcol", c, s.read("col", v))
 
 
 def _read_columns(machine, phase):
-    """Two column steps: each column's node and partner column on both
-    rows, then, across each partner column, that column's node of the
-    same row and color of the other row.
+    """Two column steps: each column's node, color and partner column
+    on both rows, then, across each partner column, that column's node
+    of the same row and color of the other row.
 
     Returns (node, pcol, pnode, mark), each indexed [row, column];
     mark[r, c] is set when the row-r pair at column c is marked.
     """
     eng = machine.engine
     cols = np.arange(machine.columns)
+    cells = [machine.cell(r, cols) for r in (0, 1)]
     with eng.step(f"{phase}/col", cols.size) as s:
-        node = np.array([_read_mb(machine, s, r, "node", cols) for r in (0, 1)])
-        color = np.array([_read_mb(machine, s, r, "color", cols) for r in (0, 1)])
-        pcol = np.array([_read_mb(machine, s, r, "pcol", cols) for r in (0, 1)])
+        node = np.array([s.read("slot", c) for c in cells])
+        color = np.array([s.read("mb_color", c) for c in cells])
+        pcol = np.array([s.read("mb_pcol", c) for c in cells])
     with eng.step(f"{phase}/far", cols.size) as s:
-        pnode = np.array([_read_mb(machine, s, r, "node", pcol[r]) for r in (0, 1)])
-        far = np.array([_read_mb(machine, s, 1 - r, "color", pcol[r]) for r in (0, 1)])
+        pnode = np.array([s.read("slot", machine.cell(r, pcol[r])) for r in (0, 1)])
+        far = np.array([s.read("mb_color", machine.cell(1 - r, pcol[r])) for r in (0, 1)])
     near = color[::-1]
     mark = np.isin(near, (0, 1)) & np.isin(far, (0, 1)) & (near != far)
     return node, pcol, pnode, mark
@@ -117,7 +106,7 @@ def enforce_uniformity(machine: Machine, phase="uniform"):
     Shortens every closed chain with an odd number of top pairs by one
     top pair, then swaps the members of the pairs the prefix-parity
     sweep selects, on both rows at once. Column-aligned pair stacks
-    must be gone (opposite_pair_shortcut). Publishes the column
+    must be gone (opposite_pair_shortcut). Publishes the cell
     mailboxes and leaves them current. Returns the number of chains
     shortened.
     """
@@ -222,41 +211,39 @@ def _shorten_odd_chains(machine, plan, phase):
     eng = machine.engine
     k = plan["odd_cols"].size
     with eng.step(f"{phase}/cc", k) as s:
-        cc = _read_mb(machine, s, 1, "pcol", plan["odd_far"])
+        cc = s.read("mb_pcol", machine.cell(1, plan["odd_far"]))
     if (cc == plan["odd_cols"]).any():
         # a one-pair chain is an aligned stack: cc is ca itself
         raise UncoveredCaseError("column-aligned pair stack in the uniformity step; "
                                  "opposite_pair_shortcut consumes those first")
     with eng.step(f"{phase}/top_cc", k) as s:
-        top_cc = _read_mb(machine, s, 0, "node", cc)
+        top_cc = s.read("slot", machine.cell(0, cc))
     merge_pairs(machine, plan["odd_a"], plan["odd_b"], phase)
     move_nodes(machine, top_cc, 0, plan["odd_cols"], phase)
 
 
 def swap_positions(machine: Machine, nodes_a, nodes_b, phase):
-    """Exchange the columns of the two members of each pair (a[i], b[i]),
-    which share a row, and their node and color mailbox entries; the
-    pair's partner columns stay the same."""
+    """Exchange the cells of the two members of each pair (a[i], b[i]),
+    which share a row, and the mb_color entries of those two cells; the
+    cells' mb_pcol entries stay, since each member's partner is the
+    other one."""
     a = np.asarray(nodes_a, dtype=np.int64)
     b = np.asarray(nodes_b, dtype=np.int64)
     if a.size == 0:
         return
     eng = machine.engine
-    C = machine.columns
     with eng.step(f"{phase}/swap_rd", a.size) as s:
         row = s.read("row", a)
         ca, cb = s.read("col", a), s.read("col", b)
         wa, wb = s.read("color", a), s.read("color", b)
+    cell_a, cell_b = machine.cell(row, ca), machine.cell(row, cb)
     with eng.step(f"{phase}/swap_wr", a.size) as s:
-        s.write("slot", row * C + ca, b)
-        s.write("slot", row * C + cb, a)
+        s.write("slot", cell_a, b)
+        s.write("slot", cell_b, a)
         s.write("col", a, cb)
         s.write("col", b, ca)
-        for r in (0, 1):
-            on = row == r
-            for what, va, vb in (("node", a, b), ("color", wa, wb)):
-                s.write(_mb(machine, r, what), np.where(on, ca, NONE), vb)
-                s.write(_mb(machine, r, what), np.where(on, cb, NONE), va)
+        s.write("mb_color", cell_a, wb)
+        s.write("mb_color", cell_b, wa)
 
 
 # -- coloring and pairing ----------------------------------------------
@@ -298,8 +285,8 @@ def opposite_pair_shortcut(machine: Machine, phase="shortcut"):
     # the top cells of a bottom pair's columns, then the partner of the
     # c_lo top: the stack is aligned when that is the c_hi top
     with eng.step(f"{phase}/rd_tops", k) as s:
-        tn_lo = s.read("slot", c_lo)
-        tn_hi = s.read("slot", c_hi)
+        tn_lo = s.read("slot", machine.cell(0, c_lo))
+        tn_hi = s.read("slot", machine.cell(0, c_hi))
     with eng.step(f"{phase}/rd_pair", k) as s:
         tp_lo = s.read("pair", tn_lo)
     aligned = (tn_hi != NONE) & (tp_lo == tn_hi)

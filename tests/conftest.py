@@ -85,14 +85,13 @@ def place(machine, positions):
         machine.memory.free("slot")
         machine.memory.alloc("slot", 2 * need, fill=NONE)
         machine.columns = need
-    C = machine.columns
     machine.peek("slot")[:] = NONE
     machine.peek("row")[:] = -1
     machine.peek("col")[:] = -1
     for node, (r, c) in positions.items():
         machine.memory.poke("row", node, r)
         machine.memory.poke("col", node, c)
-        machine.memory.poke("slot", r * C + c, node)
+        machine.memory.poke("slot", machine.cell(r, c), node)
 
 
 def paired_state(bottom, top, columns, p=8):

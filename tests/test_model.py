@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from listcontract import ForestFormatError, LinkedForest, Machine, PramConfig, layout
-from listcontract.model import PRED_SIDE, SUCC_SIDE
+from listcontract.model import POOLED, PRED_SIDE, RETIRED, SUCC_SIDE, UNPLACED
 from listcontract.pram import NONE
 from listcontract.ranking import sequential_rank
 from listcontract.steps import contract_batch
@@ -108,6 +108,19 @@ def test_layout_rows_mode_splits_halves():
     m = Machine(path_forest(8), PramConfig())
     layout(m, mode="rows")
     assert m.grid().tolist() == [[0, 1, 2, 3], [4, 5, 6, 7]]
+
+
+def test_cell_is_none_off_the_grid():
+    m = Machine(path_forest(8), PramConfig())
+    assert m.cell(0, 3) == 3 and m.cell(1, 0) == 4
+    # unplaced, retired and pooled nodes carry their marker in row and
+    # col; a missing partner has column NONE on a placed row
+    rows = [UNPLACED, RETIRED, POOLED, RETIRED, 0, 1, 1]
+    cols = [UNPLACED, RETIRED, POOLED, 2, NONE, NONE, 3]
+    assert m.cell(rows, cols).tolist() == [NONE] * 6 + [7]
+    # the index follows the current column count
+    m.columns = 2
+    assert m.cell([1, 1], [0, 1]).tolist() == [2, 3]
 
 
 @pytest.mark.parametrize("mode", ["columns", "rows"])

@@ -81,4 +81,4 @@ def test_pass_reads_links_and_rows_once():
     assert labels[:3] == ["pass/pool/walk0", "pass/pool/walk1", "pass/pool/walk2"]
     rereads = ("/nbr1", "/nbr2", "/row_s", "/row_p", "fold/clear")
     assert not [label for label in labels if label.endswith(rereads)]
-    assert [label for label in labels if label.endswith("/mb_clear")] == ["pass/uniform/mb_clear"]
+    assert [label for label in labels if label.endswith("/mb_slot")] == ["pass/uniform/mb_slot"]

@@ -192,5 +192,5 @@ def test_pipeline_determinism():
     assert runs[0].result.same_as(runs[1].result)
     assert runs[0].metrics.rounds == runs[1].metrics.rounds
     assert runs[0].metrics.total_work == runs[1].metrics.total_work
-    assert runs[0].survivor_counts == runs[1].survivor_counts
+    assert [r.survivors for r in runs[0].passes] == [r.survivors for r in runs[1].passes]
     assert runs[0].metrics.phase_breakdown == runs[1].metrics.phase_breakdown

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from listcontract import Machine, OrientationError, PramConfig, UncoveredCaseError, layout
+from listcontract import (Machine, OrientationError, PramConfig, UncoveredCaseError, Workload,
+                          generate, layout, list_rank, orientation, sequential_rank, uniform)
 from listcontract.orientation import (contract_along_orientation,
                                       derive_orientation, fold_array,
                                       uniform_contraction_pass)
@@ -330,7 +331,7 @@ def test_random_geometry_uniformity_and_packing(seed):
 
 # -- mailboxes and the uniformity check --------------------------------------
 
-MAILBOXES = [f"mb_{r}_{w}" for r in (0, 1) for w in ("node", "color", "pcol")]
+MAILBOXES = ("mb_color", "mb_pcol")
 
 
 def uniformity_states():
@@ -346,11 +347,57 @@ def test_swaps_keep_mailboxes_equal_to_a_fresh_publish():
         opposite_pair_shortcut(m)
         enforce_uniformity(m)
         swapped += bool(step_rounds(m, "/swap_wr"))
-        kept = {st: m.peek(st)[: m.columns].copy() for st in MAILBOXES}
+        kept = {st: m.peek(st)[: 2 * m.columns].copy() for st in MAILBOXES}
         publish_mailboxes(m, "fresh")
         for st in MAILBOXES:
-            assert np.array_equal(m.peek(st)[: m.columns], kept[st]), st
+            assert np.array_equal(m.peek(st)[: 2 * m.columns], kept[st]), st
     assert swapped > 1000
+
+
+def assert_mailboxes_match_grid(m):
+    """Per-cell reference: every cell of the 2 x columns grid holds its
+    node's color and its partner's column, NONE where either is absent."""
+    node = m.grid().ravel()
+    color, pair, col = m.peek("color"), m.peek("pair"), m.peek("col")
+    partner = np.where(node != NONE, pair[node], NONE)
+    cells = 2 * m.columns
+    assert np.array_equal(m.peek("mb_color")[:cells], np.where(node != NONE, color[node], NONE))
+    assert np.array_equal(m.peek("mb_pcol")[:cells], np.where(partner != NONE, col[partner], NONE))
+
+
+def checked_publish(calls):
+    """publish_mailboxes that checks every cell after it publishes and
+    appends (phase, cells it left vacant that held a node before)."""
+    def publish(m, phase):
+        before = m.peek("mb_color")[: 2 * m.columns].copy() if m.memory.has("mb_color") else None
+        publish_mailboxes(m, phase)
+        assert_mailboxes_match_grid(m)
+        emptied = 0 if before is None else int(((before != NONE) & (m.grid().ravel() == NONE)).sum())
+        calls.append((phase, emptied))
+    return publish
+
+
+def test_every_uniformity_publish_matches_the_grid(monkeypatch):
+    # each state's first publish, and the one after an odd-chain replan,
+    # which must clear the cells the shortening vacated
+    calls = []
+    monkeypatch.setattr(uniform, "publish_mailboxes", checked_publish(calls))
+    for m, _ in uniformity_states():
+        opposite_pair_shortcut(m)
+        enforce_uniformity(m)
+    replans = [emptied for phase, emptied in calls if phase.endswith("/replan")]
+    assert len(replans) > 10 and sum(replans) > 0
+
+
+def test_second_publish_of_a_list_rank_matches_the_grid(monkeypatch):
+    calls = []
+    for mod in (uniform, orientation):
+        monkeypatch.setattr(mod, "publish_mailboxes", checked_publish(calls))
+    f = generate(Workload(n=2000, num_lists=8, seed=3, layout_shuffle=True))
+    run = list_rank(f, p=64, min_run=8, layout_mode="rows")
+    assert run.result.same_as(sequential_rank(f))
+    # later publishes find cells that earlier passes filled vacant now
+    assert len(calls) >= 2 and sum(emptied for _, emptied in calls[1:]) > 0
 
 
 def test_marked_pair_raises_uncovered_case_with_snapshot():

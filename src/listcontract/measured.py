@@ -7,16 +7,16 @@ measurements from the same functions against these within +-10%.
 """
 
 # rounds of one contraction pass vs one 3-coloring, single list of 2**e
-PASS_OVER_COLORING_K = {10: 4.1429, 12: 4.1429, 14: 4.1429, 16: 4.1429, 18: 4.1429}
+PASS_OVER_COLORING_K = {10: 2.8095, 12: 2.8095, 14: 2.8095, 16: 2.8095, 18: 2.8095}
 
 # list_rank rounds, l = 64 fixed, p = n / 6, n = 2**e
-FIXED_L_ROUNDS = {12: 134, 13: 134, 14: 134, 15: 134, 16: 134, 17: 134, 18: 134}
+FIXED_L_ROUNDS = {12: 97, 13: 97, 14: 97, 15: 97, 16: 97, 17: 97, 18: 97}
 
 # list_rank rounds, single list of length n = 2**e, p = n / 6
-SINGLE_LIST_ROUNDS = {12: 171, 14: 173, 16: 175, 18: 204}
+SINGLE_LIST_ROUNDS = {12: 129, 14: 131, 16: 133, 18: 154}
 
 # total_work(wyllie) / total_work(list_rank), n = 2**16, lists of length l
-WORK_RATIO = {4: 0.2308, 16: 0.3653, 64: 0.4095, 256: 0.5182}
+WORK_RATIO = {4: 0.3158, 16: 0.4908, 64: 0.5614, 256: 0.7063}
 
 # the work-advantage threshold at l = 256 is recorded, not asserted
 # against a theoretical target: per-step accounting keeps the

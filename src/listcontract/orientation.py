@@ -20,8 +20,7 @@ from .model import Machine, POOLED
 from .pram import NONE
 # contract_batch stays importable here for bench/tracing.py
 from .steps import PassState, contract_batch, move_nodes, pair_leaders  # noqa: F401
-from .uniform import (color_and_pair, enforce_uniformity, merge_pairs,
-                      opposite_pair_shortcut, publish_mailboxes)
+from .uniform import color_and_pair, enforce_uniformity, merge_pairs, opposite_pair_shortcut
 
 _CYCLE_NEXT = np.full(4, -1, dtype=np.int64)
 _CYCLE_NEXT[[0, 1, 3, 2]] = [1, 3, 2, 0]
@@ -30,13 +29,11 @@ _CYCLE_NEXT[[0, 1, 3, 2]] = [1, 3, 2, 0]
 @dataclass
 class OrientationKey:
     key: np.ndarray                  # per column, NONE where undefined
-    # per-pair placement plan(leader node, partner, target column, needs row move)
-    plan_host: np.ndarray
-    plan_absorbed: np.ndarray
-    plan_col: np.ndarray
-    plan_from_top: np.ndarray
-    loose_nodes: np.ndarray          # unpaired tops to drop into their column
-    loose_cols: np.ndarray
+    plan_host: np.ndarray            # each pair's member at its claimed column
+    plan_absorbed: np.ndarray        # the member merged into it
+    survivors: np.ndarray            # the pair hosts, then the unpaired nodes
+    columns: np.ndarray              # each survivor's bottom column
+    from_top: np.ndarray             # whether the survivor sits in the top row
 
 
 def derive_orientation(machine: Machine, phase="orient") -> OrientationKey:
@@ -44,23 +41,30 @@ def derive_orientation(machine: Machine, phase="orient") -> OrientationKey:
 
     Pattern-valid pairs claim the member column whose key is the cycle
     successor of the other member's key. Pairs bordering vacancies or
-    exempt nodes claim the free side. The cell mailboxes must be
-    current. A pair whose two keys are defined but neither follows the
+    exempt nodes claim the free side. The keys are read from the slot
+    array and the cell mailboxes, which must be current, when both rows
+    hold a node; otherwise every key and every opposite cell is NONE,
+    and every pair claims its 0-colored member's column by the vacancy
+    rule without a step. Unpaired nodes survive in their own column.
+    A pair whose two keys are defined but neither follows the
     other is marked, which the uniformity step should have cleared: it
     raises UncoveredCaseError with a snapshot. Conflicting or other
     underivable claims raise OrientationError.
     """
-    eng = machine.engine
     C = machine.columns
-    cols = np.arange(C)
-    top, bottom = machine.cell(0, cols), machine.cell(1, cols)
-    with eng.step(f"{phase}/keys", C) as s:
-        tc, bc = s.read("mb_color", top), s.read("mb_color", bottom)
-        tn, bn = s.read("slot", top), s.read("slot", bottom)
-    valid = np.isin(tc, (0, 1)) & np.isin(bc, (0, 1)) & (tn != NONE) & (bn != NONE)
-    key = np.where(valid, 2 * tc + bc, NONE)
+    key = tn = bn = np.full(C, NONE, dtype=np.int64)
+    placed = machine.peek("row")[machine.in_array_ids()]
+    if (placed == 0).any() and (placed == 1).any():
+        cols = np.arange(C)
+        top, bottom = machine.cell(0, cols), machine.cell(1, cols)
+        with machine.engine.step(f"{phase}/keys", C) as s:
+            tc, bc = s.read("mb_color", top), s.read("mb_color", bottom)
+            tn, bn = s.read("slot", top), s.read("slot", bottom)
+        valid = np.isin(tc, (0, 1)) & np.isin(bc, (0, 1)) & (tn != NONE) & (bn != NONE)
+        key = np.where(valid, 2 * tc + bc, NONE)
 
-    host_l, abs_l, col_l, fromtop_l = [], [], [], []
+    empty = np.empty(0, dtype=np.int64)
+    host_l, abs_l, col_l = [empty], [empty], [empty]
     for row in (0, 1):
         leaders = pair_leaders(machine, row)
         if leaders.size == 0:
@@ -112,29 +116,19 @@ def derive_orientation(machine: Machine, phase="orient") -> OrientationKey:
         host_l.append(host)
         abs_l.append(absorbed)
         col_l.append(claim)
-        fromtop_l.append(np.full(claim.size, row == 0))
 
-    plan_host = np.concatenate(host_l) if host_l else np.empty(0, np.int64)
-    plan_abs = np.concatenate(abs_l) if abs_l else np.empty(0, np.int64)
-    plan_col = np.concatenate(col_l) if col_l else np.empty(0, np.int64)
-    plan_ft = np.concatenate(fromtop_l) if fromtop_l else np.empty(0, bool)
-
-    # unpaired actives: bottom nodes stay put, top nodes drop straight down
     st, row_a, pair_a = machine.peek("status"), machine.peek("row"), machine.peek("pair")
-    colarr = machine.peek("col")
-    loose = np.flatnonzero((st == NONE) & (row_a == 0) & (pair_a == NONE))
-    loose_cols = colarr[loose]
-    stay = np.flatnonzero((st == NONE) & (row_a == 1) & (pair_a == NONE))
-
-    taken = np.concatenate([plan_col, loose_cols, colarr[stay]])
-    uniq, counts = np.unique(taken, return_counts=True)
+    loose = np.flatnonzero((st == NONE) & (row_a >= 0) & (pair_a == NONE))
+    hosts = np.concatenate(host_l)
+    survivors = np.concatenate([hosts, loose])
+    columns = np.concatenate([*col_l, machine.peek("col")[loose]])
+    uniq, counts = np.unique(columns, return_counts=True)
     if (counts > 1).any():
         raise OrientationError(
             f"bottom slots claimed twice at columns {uniq[counts > 1][:8].tolist()}")
 
-    return OrientationKey(key=key, plan_host=plan_host, plan_absorbed=plan_abs,
-                          plan_col=plan_col, plan_from_top=plan_ft,
-                          loose_nodes=loose, loose_cols=loose_cols)
+    return OrientationKey(key=key, plan_host=hosts, plan_absorbed=np.concatenate(abs_l),
+                          survivors=survivors, columns=columns, from_top=row_a[survivors] == 0)
 
 
 def _cycle_next_of(k):
@@ -145,33 +139,26 @@ def _cycle_next_of(k):
 
 
 def contract_along_orientation(machine: Machine, plan: OrientationKey, phase="pack"):
-    """Merge every pair into its claimed bottom slot; drop loose tops."""
-    ft = plan.plan_from_top
+    """Merge every pair into its host, then drop every top-row survivor
+    into the bottom cell of its column in one move."""
     merge_pairs(machine, plan.plan_absorbed, plan.plan_host, phase)
-    move_nodes(machine, plan.plan_host[ft], 1, plan.plan_col[ft], f"{phase}/down")
-    move_nodes(machine, plan.loose_nodes, 1, plan.loose_cols, f"{phase}/drop")
+    top, cols = plan.survivors[plan.from_top], plan.columns[plan.from_top]
+    move_nodes(machine, top, machine.cell(0, cols), machine.cell(1, cols), f"{phase}/drop")
     rows = machine.peek("row")[machine.in_array_ids()]
     if rows.size and (rows != 1).any():
         raise OrientationError("survivors left outside the bottom row")
 
 
-def fold_array(machine: Machine, phase="fold"):
-    """Halve the array: bottom column c moves to (c % 2, c // 2)."""
-    eng = machine.engine
-    C = machine.columns
-    new_c = -(-C // 2)
-    ids = machine.in_array_ids()
-    with eng.step(f"{phase}/rd", ids.size) as s:
-        oc = s.read("col", ids)
-        orow = s.read("row", ids)
-    if (orow != 1).any():
-        raise OrientationError("fold expects all survivors in the bottom row")
+def fold_array(machine: Machine, ids, cols, phase="fold"):
+    """Halve the array in one write step: survivor ids[i], packed at
+    bottom column cols[i] (the plan's column), moves to
+    (cols[i] % 2, cols[i] // 2)."""
     # the top row is empty, and a new slot (below C) never meets an
     # old one (C + oc), so each survivor vacates its old slot itself
-    nr, nc = oc % 2, oc // 2
-    old = machine.cell(orow, oc)
-    machine.columns = new_c   # cell() now gives the folded indices
-    with eng.step(f"{phase}/wr", ids.size) as s:
+    nr, nc = cols % 2, cols // 2
+    old = machine.cell(1, cols)
+    machine.columns = -(-machine.columns // 2)   # cell() now gives the folded indices
+    with machine.engine.step(f"{phase}/wr", ids.size) as s:
         s.write("row", ids, nr)
         s.write("col", ids, nc)
         s.write("slot", old, NONE)
@@ -230,30 +217,33 @@ class PassReport:
 
 
 def uniform_contraction_pass(machine: Machine, min_run=100, phase="pass") -> PassReport:
-    """One full contraction pass over the current two-row placement."""
+    """One full contraction pass over the current two-row placement.
+
+    Pools the short lists, localizes the rest (free when one row is
+    empty: no link crosses rows), then colors and pairs both rows.
+    The aligned-stack shortcut and the uniformity coupling run only
+    when the pass registers show both rows still holding a node, which
+    a columns placement loses to localization; with one row empty every
+    pair claims its 0-colored member's column.
+    """
     cols_before = machine.columns
     pooled, state = pool_short_lists(machine, phase=f"{phase}/pool")
     pre_active = state.ids.size
     if pre_active == 0:
         return PassReport(0, pooled, 0, cols_before, cols_before, 0, 0, True, True)
-    both_rows = bool((state.row == 0).any() and (state.row == 1).any())
-    if both_rows:
-        # a single-row placement has no cross-row links; localization
-        # and the uniformity coupling are vacuous for it
-        localize(machine, state, min_run=min_run, phase=f"{phase}/localize")
+    localize(machine, state, min_run=min_run, phase=f"{phase}/localize")
     color_and_pair(machine, state, phase=f"{phase}/rows")
+    rows = state.row[state.live()]
     del state   # no phase reads the registers after pairing
     shortcut = odd_cycles = 0
-    if both_rows:
+    if (rows == 0).any() and (rows == 1).any():
         shortcut = opposite_pair_shortcut(machine, phase=f"{phase}/shortcut")
         odd_cycles = enforce_uniformity(machine, phase=f"{phase}/uniform")
-    else:
-        publish_mailboxes(machine, f"{phase}/orient")
     plan = derive_orientation(machine, phase=f"{phase}/orient")
     contract_along_orientation(machine, plan, phase=f"{phase}/pack")
-    survivors = machine.in_array_ids().size
-    in_bottom = bool((machine.peek("row")[machine.in_array_ids()] == 1).all())
-    fold_array(machine, phase=f"{phase}/fold")
+    survivors = plan.survivors.size
+    in_bottom = bool((machine.peek("row")[plan.survivors] == 1).all())
+    fold_array(machine, plan.survivors, plan.columns, phase=f"{phase}/fold")
     clear_cuts(machine, phase=f"{phase}/uncut")
     return PassReport(
         pre_active=pre_active, pooled=pooled, survivors=survivors,

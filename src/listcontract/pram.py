@@ -251,8 +251,7 @@ class Engine:
             elif mask.any():
                 self.memory.peek(store)[idx[mask]] = values[mask]
         for store, accesses in shared.items():
-            tasks = np.concatenate([np.flatnonzero(ix >= 0) for ix, _ in accesses])
-            cells = np.concatenate([ix[ix >= 0] for ix, _ in accesses])
+            tasks, cells = _flat([ix for ix, _ in accesses])
             vals = np.concatenate([v[ix >= 0] for ix, v in accesses])
             if cells.size == 0:
                 continue
@@ -270,15 +269,20 @@ def _by_store(accesses):
     return grouped
 
 
+def _flat(idx_list):
+    """(tasks, cells) of every access that idx_list does not skip,
+    each index array's in task order, back to back."""
+    tasks = np.concatenate([np.flatnonzero(ix >= 0) for ix in idx_list])
+    cells = np.concatenate([ix[ix >= 0] for ix in idx_list])
+    return tasks, cells
+
+
 def _check_exclusive(accesses, p, nrounds):
     """Count the (cell, round) pairs that two distinct tasks of the
     round touch, over a step of nrounds rounds."""
     count = 0
     for idx_list in _by_store(accesses).values():
-        # one array per statement: the previous store's array is freed
-        # before the next is built, which keeps page faults down
-        tasks = np.concatenate([np.flatnonzero(ix >= 0) for ix in idx_list])
-        cells = np.concatenate([ix[ix >= 0] for ix in idx_list])
+        tasks, cells = _flat(idx_list)
         if cells.size < 2:
             continue
         key = cells * nrounds + tasks // p
@@ -300,14 +304,12 @@ def _check_batch_isolation(label, reads, writes):
         return
     reads = _by_store(reads)
     for store, idx_list in _by_store(writes).items():
-        w_cells = np.concatenate([ix[ix >= 0] for ix in idx_list])
+        w_tasks, w_cells = _flat(idx_list)
         if w_cells.size == 0:
             continue
         order = np.argsort(w_cells, kind="stable")
-        w_tasks = np.concatenate([np.flatnonzero(ix >= 0) for ix in idx_list])[order]
-        w_cells = w_cells[order]
-        r_tasks = np.concatenate([np.flatnonzero(ix >= 0) for ix in reads[store]])
-        r_cells = np.concatenate([ix[ix >= 0] for ix in reads[store]])
+        w_tasks, w_cells = w_tasks[order], w_cells[order]
+        r_tasks, r_cells = _flat(reads[store])
         # one group per written cell, with its lowest and highest writer
         start = np.flatnonzero(np.r_[True, w_cells[1:] != w_cells[:-1]])
         cells = w_cells[start]

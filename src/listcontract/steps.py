@@ -176,22 +176,13 @@ def contract_batch(machine: Machine, absorbed, host, side, phase, state=None):
                     nbr[t[on]], row[t[on]] = msg >> 1, np.where(msg != NONE, msg & 1, NONE)
 
 
-def move_nodes(machine: Machine, nodes, to_row, to_col, phase):
-    """Relocate nodes to vacant slots; sources vacated."""
-    nodes = np.asarray(nodes, dtype=np.int64)
-    if nodes.size == 0:
-        return
-    to_row = np.broadcast_to(np.asarray(to_row, dtype=np.int64), nodes.shape)
-    to_col = np.broadcast_to(np.asarray(to_col, dtype=np.int64), nodes.shape)
-    eng = machine.engine
-    with eng.step(f"{phase}/move_rd", nodes.size) as s:
-        fr = s.read("row", nodes)
-        fc = s.read("col", nodes)
-    with eng.step(f"{phase}/move_wr", nodes.size) as s:
-        src = machine.cell(fr, fc)
-        dst = machine.cell(to_row, to_col)
-        keep = src != dst
-        s.write("slot", np.where(keep, src, NONE), NONE)
-        s.write("slot", dst, nodes)
-        s.write("row", nodes, to_row)
-        s.write("col", nodes, to_col)
+def move_nodes(machine: Machine, nodes, frm, to, phase):
+    """Move each node from the slot cell frm[i] that holds it to the
+    vacant cell to[i], in one step: the caller already holds both
+    cells, from the read or the plan that chose the node."""
+    row, col = np.divmod(to, machine.columns)
+    with machine.engine.step(f"{phase}/move_wr", np.size(nodes)) as s:
+        s.write("slot", frm, NONE)
+        s.write("slot", to, nodes)
+        s.write("row", nodes, row)
+        s.write("col", nodes, col)

@@ -107,8 +107,9 @@ def enforce_uniformity(machine: Machine, phase="uniform"):
     top pair, then swaps the members of the pairs the prefix-parity
     sweep selects, on both rows at once. Column-aligned pair stacks
     must be gone (opposite_pair_shortcut). Publishes the cell
-    mailboxes and leaves them current. Returns the number of chains
-    shortened.
+    mailboxes and leaves them current for the orientation keys. The
+    pass calls it only when both rows hold a node: with one row empty
+    no pair can be marked. Returns the number of chains shortened.
     """
     publish_mailboxes(machine, phase)
     plan = _plan_swaps(machine, f"{phase}/plan")
@@ -216,10 +217,11 @@ def _shorten_odd_chains(machine, plan, phase):
         # a one-pair chain is an aligned stack: cc is ca itself
         raise UncoveredCaseError("column-aligned pair stack in the uniformity step; "
                                  "opposite_pair_shortcut consumes those first")
+    cell_cc = machine.cell(0, cc)
     with eng.step(f"{phase}/top_cc", k) as s:
-        top_cc = s.read("slot", machine.cell(0, cc))
+        top_cc = s.read("slot", cell_cc)
     merge_pairs(machine, plan["odd_a"], plan["odd_b"], phase)
-    move_nodes(machine, top_cc, 0, plan["odd_cols"], phase)
+    move_nodes(machine, top_cc, cell_cc, machine.cell(0, plan["odd_cols"]), phase)
 
 
 def swap_positions(machine: Machine, nodes_a, nodes_b, phase):
@@ -305,5 +307,5 @@ def opposite_pair_shortcut(machine: Machine, phase="shortcut"):
 
     merge_pairs(machine, b_zero, b_one, f"{phase}/bot")
     merge_pairs(machine, top_j, top_i, f"{phase}/top")
-    move_nodes(machine, top_i, 1, ci, f"{phase}/drop")
+    move_nodes(machine, top_i, machine.cell(0, ci), machine.cell(1, ci), f"{phase}/drop")
     return int(sel.size)

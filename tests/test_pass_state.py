@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from listcontract import Machine, PramConfig, Workload, generate, layout
 from listcontract import orientation, pairing
-from listcontract.orientation import uniform_contraction_pass
+from listcontract.orientation import PassReport, uniform_contraction_pass
 from listcontract.steps import PassState
 from conftest import read_state
 
@@ -65,20 +65,48 @@ def test_registers_match_memory_after_every_phase(seed, n, lists, mode, min_run,
     assert m.engine.metrics().erew_violations == 0
 
 
-def test_pass_reads_links_and_rows_once():
-    # one FIXED l=64 pass: after the pool walks read the state, no step
-    # reads neighbors or rows again, the fold clears no slot range and
-    # the mailboxes are published once
-    n = 4096
-    m = Machine(generate(Workload(n=n, length_distribution="FIXED", fixed_length=64)),
-                PramConfig(num_processors=n // 6))
-    layout(m)
+def recorded_pass(forest, p, mode, **kwargs):
+    """One pass over forest; returns its report and its step labels."""
+    m = Machine(forest, PramConfig(num_processors=p))
+    layout(m, mode=mode)
     labels = []
     step = m.engine.step
     m.engine.step = lambda label, n_tasks: labels.append(label) or step(label, n_tasks)
-    rep = uniform_contraction_pass(m)
+    return uniform_contraction_pass(m, **kwargs), labels
+
+
+def fixed64_pass():
+    n = 4096
+    forest = generate(Workload(n=n, length_distribution="FIXED", fixed_length=64))
+    return recorded_pass(forest, n // 6, "columns")
+
+
+def test_pass_reads_links_and_rows_once():
+    # one FIXED l=64 pass: after the pool walks read the state, no step
+    # reads neighbors or rows again and the fold clears no slot range;
+    # localization leaves one row, so no mailbox is published
+    rep, labels = fixed64_pass()
     assert rep.shortcut_pairs == 0 and rep.halved
     assert labels[:3] == ["pass/pool/walk0", "pass/pool/walk1", "pass/pool/walk2"]
     rereads = ("/nbr1", "/nbr2", "/row_s", "/row_p", "fold/clear")
     assert not [label for label in labels if label.endswith(rereads)]
-    assert [label for label in labels if label.endswith("/mb_slot")] == ["pass/uniform/mb_slot"]
+    assert not [label for label in labels if label.endswith("/mb_slot")]
+
+
+def test_two_row_steps_run_only_when_both_rows_hold_a_node():
+    # the columns layout loses its lower row to localization, so the
+    # pass takes no shortcut, uniformity or key step, and packs as before
+    rep, labels = fixed64_pass()
+    assert not [label for label in labels
+                if "/shortcut/" in label or "/uniform/" in label or "/orient/keys" in label]
+    assert rep == PassReport(pre_active=4096, pooled=0, survivors=1024, columns_before=2048,
+                             columns_after=1024, shortcut_pairs=0, odd_cycles=0,
+                             survivors_in_bottom_row=True, halved=True)
+    # the rows layout keeps both rows: one publish and one key step
+    forest = generate(Workload(n=4096, num_lists=16, seed=3, layout_shuffle=True))
+    rep, labels = recorded_pass(forest, 512, "rows", min_run=8)
+    for suffix in ("/uniform/mb_slot", "/orient/keys"):
+        assert [label for label in labels if label.endswith(suffix)] == ["pass" + suffix]
+    assert rep == PassReport(pre_active=4096, pooled=0, survivors=1676, columns_before=2048,
+                             columns_after=1024, shortcut_pairs=226, odd_cycles=0,
+                             survivors_in_bottom_row=True, halved=True)

@@ -1,13 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 from listcontract import (ForestFormatError, LinkedForest, Machine, PramConfig,
                           Workload, contract_to_threshold, generate, layout,
-                          list_rank, pointer_jump, sequential_rank, wyllie_rank)
+                          list_rank, pointer_jump, ranking, sequential_rank, wyllie_rank)
 from listcontract.model import SUCC_SIDE
 from listcontract.pram import NONE
 from listcontract.steps import contract_batch
-from conftest import forest_from_lists, path_forest
+from conftest import check_inverse, forest_from_lists, path_forest
 
 
 # -- sequential oracle -------------------------------------------------------
@@ -144,6 +146,42 @@ def test_list_rank_row_layout_small_runs(seed):
     run = list_rank(f, p=16, min_run=4, layout_mode="rows")
     assert run.result.same_as(sequential_rank(f))
     assert run.metrics.erew_violations == 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("min_run", [8, 100])
+@pytest.mark.parametrize("mode", ["columns", "rows"])
+def test_grid_and_placement_agree_after_every_pass(mode, min_run, seed, monkeypatch):
+    # the moves write from the source cells their callers hold; a wrong
+    # one would leave a node behind in a cell it no longer occupies
+    contract_pass, reports = ranking.uniform_contraction_pass, []
+
+    def checked(machine, *args, **kwargs):
+        reports.append(contract_pass(machine, *args, **kwargs))
+        check_inverse(machine)
+        return reports[-1]
+
+    monkeypatch.setattr(ranking, "uniform_contraction_pass", checked)
+    f = generate(Workload(n=1500, num_lists=6, seed=seed, layout_shuffle=True))
+    run = list_rank(f, p=32, min_run=min_run, layout_mode=mode)
+    assert run.result.same_as(sequential_rank(f))
+    assert len(reports) >= 2
+
+
+# the layers under a pass, as the second part of contract/p<i>/<layer>/...
+PASS_LAYERS = {"pool", "localize", "rows", "shortcut", "uniform", "orient", "pack", "fold", "uncut"}
+
+
+def test_every_step_label_belongs_to_a_known_layer():
+    # per-layer accounting groups the step labels by these prefixes
+    seen = set()
+    for mode in ("columns", "rows"):
+        f = generate(Workload(n=1000, num_lists=8, seed=5, layout_shuffle=True))
+        for label in list_rank(f, p=32, min_run=8, layout_mode=mode).metrics.phase_breakdown:
+            m = re.fullmatch(r"contract/p\d+/(\w+)/.+|(jump|replay)/.+", label)
+            assert m and (m[2] or m[1] in PASS_LAYERS), label
+            seen.add(m[1] or m[2])
+    assert seen == PASS_LAYERS | {"jump", "replay"}
 
 
 def test_list_rank_without_contraction_matches():

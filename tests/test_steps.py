@@ -3,8 +3,8 @@ import pytest
 
 from listcontract import Machine, PramConfig
 from listcontract.pram import NONE
-from listcontract.steps import double
-from conftest import path_forest
+from listcontract.steps import double, move_nodes
+from conftest import check_inverse, path_forest, place
 
 UFUNCS = (np.add, np.bitwise_xor, np.minimum, np.maximum)
 
@@ -130,3 +130,15 @@ def test_seed_function_reads_inside_the_init_step():
     assert (j == NONE).all() and rounds == 3
     assert d.tolist() == list(range(1, 9))
     assert len(calls) == 1 + rounds
+
+
+def test_move_nodes_writes_from_the_cells_it_is_given():
+    # nodes 0 and 1 at (0, 2) and (0, 3) move to (1, 2) and (0, 1); the
+    # caller holds both cells, so the move is one write step
+    m, calls = recording_machine(8, 4)
+    place(m, {0: (0, 2), 1: (0, 3)})
+    move_nodes(m, np.array([0, 1]), m.cell(0, [2, 3]), m.cell([1, 0], [2, 1]), "mv")
+    assert calls == [("mv/move_wr", 2)]
+    assert m.peek("row")[[0, 1]].tolist() == [1, 0]
+    assert m.peek("col")[[0, 1]].tolist() == [2, 1]
+    check_inverse(m)

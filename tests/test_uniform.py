@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from listcontract import (Machine, OrientationError, PramConfig, UncoveredCaseError, Workload,
-                          generate, layout, list_rank, orientation, sequential_rank, uniform)
+                          generate, layout, list_rank, sequential_rank, uniform)
 from listcontract.orientation import (contract_along_orientation,
                                       derive_orientation, fold_array,
                                       uniform_contraction_pass)
@@ -160,6 +160,7 @@ def test_odd_closed_chain_is_shortened_once(k, seed):
     assert all(m.memory.has(st) for st in SWEEP_STORES)
     assert len(m.log) == 1 and m.log[0].absorbed.size == 1
     assert list(step_rounds(m, "/move_wr").values()) == [1]
+    check_inverse(m)
     assert not marked_pairs(m)
     contract_along_orientation(m, derive_orientation(m))
     survivors = m.in_array_ids()
@@ -243,6 +244,22 @@ def test_orientation_reversed_pattern_is_backward():
     assert plan.key[:4].tolist() == [2, 3, 1, 0]
 
 
+@pytest.mark.parametrize("row", [0, 1])
+def test_single_row_pairs_claim_their_zero_colored_column(row):
+    # with the other row empty every key is NONE: no key step, no
+    # mailbox, and each pair claims its 0-colored member's column
+    pairs = [((0, 1), (1, 0)), ((2, 5), (0, 1)), ((4, 3), (0, 1))]
+    m, nodes = paired_state(bottom=pairs if row else [], top=[] if row else pairs, columns=6)
+    plan = derive_orientation(m)
+    assert not m.engine.metrics().phase_breakdown
+    assert (plan.key == NONE).all()
+    claimed = dict(zip(plan.survivors.tolist(), plan.columns.tolist()))
+    zero_cols = {nodes[(row, i)][colors.index(0)]: cols[colors.index(0)]
+                 for i, (cols, colors) in enumerate(pairs)}
+    assert claimed == zero_cols
+    assert (plan.from_top == (row == 0)).all()
+
+
 def test_contract_along_orientation_packs_full_period():
     m, pairs = full_period_state()
     publish_mailboxes(m, "setup")
@@ -287,7 +304,7 @@ def test_fold_halves_columns_and_keeps_inverse():
     publish_mailboxes(m, "setup")
     plan = derive_orientation(m)
     contract_along_orientation(m, plan)
-    fold_array(m)
+    fold_array(m, plan.survivors, plan.columns)
     assert m.columns == 2
     check_inverse(m)
 
@@ -391,8 +408,7 @@ def test_every_uniformity_publish_matches_the_grid(monkeypatch):
 
 def test_second_publish_of_a_list_rank_matches_the_grid(monkeypatch):
     calls = []
-    for mod in (uniform, orientation):
-        monkeypatch.setattr(mod, "publish_mailboxes", checked_publish(calls))
+    monkeypatch.setattr(uniform, "publish_mailboxes", checked_publish(calls))
     f = generate(Workload(n=2000, num_lists=8, seed=3, layout_shuffle=True))
     run = list_rank(f, p=64, min_run=8, layout_mode="rows")
     assert run.result.same_as(sequential_rank(f))

@@ -3,7 +3,7 @@
 from .errors import (BatchDependenceError, ErewViolationError,
                      ForestFormatError, ImproperColoringError,
                      ListContractError, OrientationError, UncoveredCaseError)
-from .pram import Engine, Memory, PramConfig, RoundMetrics
+from .pram import Engine, Memory, PramConfig, RoundMetrics, StepRecord
 from .model import LinkedForest, Machine, layout
 from .coloring import ColorAssignment, dct_new_colors, three_color
 from .pairing import PairAssignment, eliminate_twos, form_pairs

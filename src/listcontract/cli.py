@@ -92,7 +92,7 @@ def run_report(forest, algo, config, verify=False):
     n, l = forest.n, forest.longest()
     report = {"n": n, "l": l, "p": config.num_processors, "algorithm": algo}
     t0 = time.perf_counter()
-    trace_lines = []
+    trace = []
     if algo == "sequential":
         result = sequential_rank(forest)
         report.update(rounds=n, total_work=n, erew_violations=0,
@@ -107,7 +107,7 @@ def run_report(forest, algo, config, verify=False):
             raise ValueError(f"unknown algorithm {algo!r}")
         result = run.result
         m = run.metrics
-        trace_lines = run.trace
+        trace = run.trace
         report.update(rounds=m.rounds, total_work=m.total_work,
                       erew_violations=m.erew_violations,
                       passes=len(run.passes),
@@ -118,7 +118,7 @@ def run_report(forest, algo, config, verify=False):
     if verify:
         oracle = sequential_rank(forest)
         report["verified"] = bool(result.same_as(oracle))
-    return report, result, trace_lines
+    return report, result, trace
 
 
 def cmd_run(args):
@@ -132,8 +132,8 @@ def cmd_run(args):
     except ValueError as exc:
         return _usage_error(exc)
     try:
-        report, _, trace_lines = run_report(forest, args.algo, config,
-                                            verify=args.verify)
+        report, _, trace = run_report(forest, args.algo, config,
+                                      verify=args.verify)
     except UncoveredCaseError as exc:
         print(f"UNCOVERED_CASE: {exc}", file=sys.stderr)
         print(json.dumps(exc.snapshot, indent=2), file=sys.stderr)
@@ -142,8 +142,9 @@ def cmd_run(args):
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if args.trace:
-        for line in trace_lines:
-            print(line)
+        for i, r in enumerate(trace):
+            print(f"step={i} phase={r.label} tasks={r.tasks} rounds={r.rounds} "
+                  f"work={r.work} check_s={r.check_s:.6f} apply_s={r.apply_s:.6f}")
     for key, val in report.items():
         print(f"{key}: {val}")
     if args.out and _emit(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n"):

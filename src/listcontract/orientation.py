@@ -45,7 +45,8 @@ def derive_orientation(machine: Machine, phase="orient") -> OrientationKey:
     array and the cell mailboxes, which must be current, when both rows
     hold a node; otherwise every key and every opposite cell is NONE,
     and every pair claims its 0-colored member's column by the vacancy
-    rule without a step. Unpaired nodes survive in their own column.
+    rule without a step. Unpaired nodes survive in their own column,
+    and a pair whose claim falls on one of those takes its other column.
     A pair whose two keys are defined but neither follows the
     other is marked, which the uniformity step should have cleared: it
     raises UncoveredCaseError with a snapshot. Conflicting or other
@@ -63,6 +64,9 @@ def derive_orientation(machine: Machine, phase="orient") -> OrientationKey:
         valid = np.isin(tc, (0, 1)) & np.isin(bc, (0, 1)) & (tn != NONE) & (bn != NONE)
         key = np.where(valid, 2 * tc + bc, NONE)
 
+    st, row_a, pair_a = machine.peek("status"), machine.peek("row"), machine.peek("pair")
+    loose = np.flatnonzero((st == NONE) & (row_a >= 0) & (pair_a == NONE))
+    loose_cols = machine.peek("col")[loose]
     empty = np.empty(0, dtype=np.int64)
     host_l, abs_l, col_l = [empty], [empty], [empty]
     for row in (0, 1):
@@ -111,17 +115,16 @@ def derive_orientation(machine: Machine, phase="orient") -> OrientationKey:
                 "no forward column for pairs at columns "
                 f"{list(zip(c1[bad].tolist(), c2[bad].tolist()))} "
                 f"(keys {list(zip(k1[bad].tolist(), k2[bad].tolist()))})")
+        claim = np.where(np.isin(claim, loose_cols), np.where(claim == c1, c2, c1), claim)
         host = np.where(claim == c1, leaders, partner)
         absorbed = np.where(claim == c1, partner, leaders)
         host_l.append(host)
         abs_l.append(absorbed)
         col_l.append(claim)
 
-    st, row_a, pair_a = machine.peek("status"), machine.peek("row"), machine.peek("pair")
-    loose = np.flatnonzero((st == NONE) & (row_a >= 0) & (pair_a == NONE))
     hosts = np.concatenate(host_l)
     survivors = np.concatenate([hosts, loose])
-    columns = np.concatenate([*col_l, machine.peek("col")[loose]])
+    columns = np.concatenate([*col_l, loose_cols])
     uniq, counts = np.unique(columns, return_counts=True)
     if (counts > 1).any():
         raise OrientationError(

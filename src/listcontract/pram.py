@@ -17,11 +17,18 @@ a different task writes, because the outcome of such a step would
 depend on the processor count.
 
 Both rules can only fail on a cell that two distinct tasks of the step
-touch. So every step first scatters each access's task ids into one
-reusable owner buffer and gathers them back, per store; a store where
-some task reads back another task's id is *contested*. The exact,
-sort-based rules then run on the contested stores alone, which costs
-O(m) per step for m accesses when no store is contested.
+touch, so the checks first look for such cells store by store. When
+every access to a store uses one index array whose non-negative
+entries strictly increase, task ``i`` alone touches cell ``idx[i]``,
+and one sequential compare proves the store uncontested. The other
+stores scatter each access's task ids into a reusable owner buffer and
+gather them back; a store where some task reads back another task's id
+is *contested*. The exact, sort-based rules then run on the contested
+stores alone, so a step costs O(m) for m accesses when none is.
+
+With ``record_trace`` set, every step appends one ``StepRecord`` to
+``Engine.trace``: its label, tasks, rounds, work and the wall seconds
+of its checks and of applying its writes.
 
 Execution is sequential under the hood; the contract is observational
 equivalence to the synchronous machine, which the access checks make
@@ -30,6 +37,7 @@ sound.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +72,19 @@ class RoundMetrics:
         self.total_work += work
         self.phase_breakdown[phase] = self.phase_breakdown.get(phase, 0) + rounds
         self.phase_work[phase] = self.phase_work.get(phase, 0) + work
+
+
+@dataclass(frozen=True)
+class StepRecord:
+    """One traced step: wall seconds of its access checks and of
+    applying its writes, beside its metered cost."""
+
+    label: str
+    tasks: int
+    rounds: int
+    work: int
+    check_s: float
+    apply_s: float
 
 
 class Memory:
@@ -153,8 +174,7 @@ class Engine:
         self.memory = memory
         self.config = config
         self._metrics = RoundMetrics()
-        self.trace = []
-        self._round_counter = 0
+        self.trace = []   # StepRecord per step when config.record_trace
         # one cell longer than the largest store a step has touched, so
         # that index -1 lands past every store's cells
         self._owner = np.empty(1, dtype=np.int64)
@@ -178,6 +198,9 @@ class Engine:
             return
         p = self.config.num_processors
         rounds = -(-t // p)
+        timed = self.config.record_trace
+        if timed:
+            start = time.perf_counter()
 
         violations = 0
         contested = self._contested_stores(ctx)
@@ -189,7 +212,7 @@ class Engine:
             _check_batch_isolation(ctx.label, reads, writes)
 
         if violations:
-            # any violation raises, so a recorded round always has none
+            # any violation raises, so a recorded step always has none
             self._metrics.erew_violations += violations
             self._metrics.add(ctx.label, rounds, t)
             raise ErewViolationError(
@@ -197,35 +220,35 @@ class Engine:
                 violations=violations,
             )
 
-        if self.config.record_trace:
-            for r in range(rounds):
-                self.trace.append(
-                    f"round={self._round_counter + r} phase={ctx.label} "
-                    f"active={min(p, t - r * p)} violations=0"
-                )
-        self._round_counter += rounds
+        if timed:
+            checked = time.perf_counter()
         self._apply_writes(ctx, contested)
         self._metrics.add(ctx.label, rounds, t)
+        if timed:
+            self.trace.append(StepRecord(ctx.label, t, rounds, t, checked - start,
+                                         time.perf_counter() - checked))
 
     def _contested_stores(self, ctx):
         """Stores in which two distinct tasks of the step touch one cell.
 
-        Per store, every access scatters its task ids into the owner
+        A store that ``_one_increasing`` proves is left out at once.
+        Every other store scatters its accesses' task ids into the owner
         buffer, then every access gathers them back. A cell that tasks
         i != j both touch keeps only one id, so i or j reads back
         another: a store left out of the result has no shared cell, and
         no exclusive-access or isolation rule can fail on it.
         """
         by_store = _by_store(ctx._reads + [(st, ix) for st, ix, _ in ctx._writes])
-        if not by_store:
+        scatter = {st: ixs for st, ixs in by_store.items() if not _one_increasing(ixs)}
+        if not scatter:
             return set()
-        need = 1 + max(self.memory.peek(st).size for st in by_store)
+        need = 1 + max(self.memory.peek(st).size for st in scatter)
         if self._owner.size < need:
             self._owner = np.empty(need, dtype=np.int64)
         owner = self._owner
         tasks = np.arange(ctx.n_tasks, dtype=np.int64)
         contested = set()
-        for store, idx_list in by_store.items():
+        for store, idx_list in scatter.items():
             for ix in idx_list:
                 owner[ix] = tasks
             for ix in idx_list:
@@ -267,6 +290,25 @@ def _by_store(accesses):
     for store, idx in accesses:
         grouped.setdefault(store, []).append(idx)
     return grouped
+
+
+def _one_increasing(idx_list):
+    """True when every index array in idx_list equals the first and the
+    first's non-negative entries strictly increase: then task i alone
+    touches cell idx[i]. A False only means the store is not proved."""
+    ix = idx_list[0]
+    if any(other is not ix and not np.array_equal(other, ix)
+           for other in idx_list[1:]):
+        return False
+    # a fully increasing array has its skips (negatives) first
+    up = ix[1:] > ix[:-1]
+    if up.all():
+        return True
+    # a drop onto a kept cell repeats or reverses two kept cells
+    if ix[up.argmin() + 1] >= 0:
+        return False
+    kept = ix[ix >= 0]
+    return bool((kept[1:] > kept[:-1]).all())
 
 
 def _flat(idx_list):

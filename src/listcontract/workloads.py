@@ -30,6 +30,8 @@ def generate(workload: Workload) -> LinkedForest:
     w = workload
     if w.n < 1:
         raise ValueError("n must be >= 1")
+    if w.num_lists < 1:
+        raise ValueError("num_lists must be >= 1")
     rng = np.random.default_rng(np.uint64(w.seed))
     if w.length_distribution == SINGLE:
         lengths = [w.n]
@@ -58,7 +60,7 @@ def generate(workload: Workload) -> LinkedForest:
 
 
 def _partition_uniform(n, k, rng):
-    k = max(1, min(k, n))
+    k = min(k, n)
     if k == 1:
         return [n]
     cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False))
@@ -67,7 +69,7 @@ def _partition_uniform(n, k, rng):
 
 
 def _partition_geometric(n, k, rng):
-    k = max(1, min(k, n))
+    k = min(k, n)
     mean = max(1.0, n / k)
     lengths = []
     left = n

@@ -31,9 +31,10 @@ def test_generate_fixed_divisibility_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("args", [
     ["generate", "--n", "0"],
     ["generate", "--n", "8", "--dist", "BOGUS"],
+    ["generate", "--n", "10", "--lists", "0"],
     ["sweep", "--spec", "1,2"],
     ["run", "FOREST", "--p", "0"],
-], ids=["n0", "bogus_dist", "spec_pair", "p0"])
+], ids=["n0", "bogus_dist", "lists0", "spec_pair", "p0"])
 def test_bad_arguments_exit_2_with_one_error_line(args, tmp_path, capsys):
     forest = tmp_path / "w.forest"
     forest.write_text("0 1\n1 -1\n")
@@ -156,13 +157,18 @@ def test_run_wyllie_jump_rounds(tmp_path, capsys):
     assert "jump_rounds: 4" in capsys.readouterr().out
 
 
-def test_run_trace_emits_round_records(tmp_path, capsys):
+def test_run_trace_emits_step_records(tmp_path, capsys):
     forest = tmp_path / "w.forest"
     run_cli(["generate", "--n", "16", "--dist", "SINGLE", "--out", str(forest)])
     rc = run_cli(["run", str(forest), "--algo", "wyllie", "--p", "4", "--trace"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "round=0 phase=wyllie/init active=4 violations=0" in out
+    out = capsys.readouterr().out.splitlines()
+    steps = [dict(f.split("=") for f in line.split()) for line in out
+             if line.startswith("step=")]
+    assert [int(s["step"]) for s in steps] == list(range(len(steps)))
+    assert steps[0]["phase"] == "wyllie/init"
+    assert (steps[0]["tasks"], steps[0]["rounds"], steps[0]["work"]) == ("16", "4", "16")
+    assert f"rounds: {sum(int(s['rounds']) for s in steps)}" in out
 
 
 def test_run_rejects_bad_forest(tmp_path, capsys):

@@ -153,13 +153,23 @@ def test_determinism():
     assert outs[0][2:] == outs[1][2:]
 
 
-def test_trace_one_record_per_round():
+def test_trace_one_record_per_step():
     mem, eng = fresh(p=2, record_trace=True)
     with eng.step("phase_a", 5) as s:
         s.write("x", np.arange(5), np.arange(5))
-    assert len(eng.trace) == 3
-    assert eng.trace[0] == "round=0 phase=phase_a active=2 violations=0"
-    assert eng.trace[2].startswith("round=2 phase=phase_a active=1")
+    with eng.step("phase_b", 1) as s:
+        s.read("y", np.array([3]))
+    a, b = eng.trace
+    assert (a.label, a.tasks, a.rounds, a.work) == ("phase_a", 5, 3, 5)
+    assert (b.label, b.tasks, b.rounds, b.work) == ("phase_b", 1, 1, 1)
+    assert min(a.check_s, a.apply_s, b.check_s, b.apply_s) >= 0
+
+
+def test_no_trace_records_unless_asked():
+    mem, eng = fresh(p=2)
+    with eng.step("phase_a", 5) as s:
+        s.write("x", np.arange(5), np.arange(5))
+    assert eng.trace == []
 
 
 def test_phase_breakdown_accumulates():
@@ -312,3 +322,94 @@ def test_engine_matches_per_cell_reference(case):
     assert eng.metrics().erew_violations == (expect if outcome == "violation" else 0)
     after = expect if outcome == "ok" else init
     assert {name: mem.peek(name).tolist() for name in SIZES} == after
+
+
+def one_increasing(draw, t, size):
+    """An index array over t tasks whose kept cells never decrease, with
+    skips at random positions; mostly strictly increasing, sometimes
+    with a repeated cell."""
+    cells = sorted(draw(st.lists(st.integers(0, size - 1), max_size=t)))
+    if draw(st.integers(0, 3)):
+        cells = sorted(set(cells))
+    at = sorted(draw(st.permutations(range(t)))[:len(cells)])
+    idx = np.full(t, NONE, dtype=np.int64)
+    idx[at] = cells
+    return idx
+
+
+@st.composite
+def increasing_steps(draw):
+    """One step whose first two accesses share a store: a (mostly)
+    increasing index array, then the same object, an equal copy or a
+    different array; random accesses to either store may follow."""
+    p = draw(st.integers(1, 4))
+    t = draw(st.integers(1, 12))
+    init = {name: draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+            for name, n in SIZES.items()}
+    store = draw(st.sampled_from(sorted(SIZES)))
+    ix = one_increasing(draw, t, SIZES[store])
+    how = draw(st.sampled_from(["same", "copy", "other"]))
+    kinds = ["read", "write"]
+    if how == "same":
+        second = ix
+    elif how == "copy":
+        second = ix.copy()
+    else:
+        cell = st.one_of(st.just(NONE), st.integers(0, SIZES[store] - 1))
+        second = np.array(draw(st.lists(cell, min_size=t, max_size=t)), dtype=np.int64)
+        kinds = draw(st.lists(st.sampled_from(kinds), min_size=2, max_size=2))
+    vals = st.lists(st.integers(10, 99), min_size=t, max_size=t)
+    accesses = [(kind, store, idx, draw(vals)) for kind, idx in zip(kinds, (ix, second))]
+    for _ in range(draw(st.integers(0, 2))):
+        name = draw(st.sampled_from(sorted(SIZES)))
+        accesses.append((draw(st.sampled_from(["read", "write"])), name,
+                         one_increasing(draw, t, SIZES[name]), draw(vals)))
+    return p, t, init, accesses
+
+
+@settings(max_examples=400, deadline=None)
+@given(increasing_steps())
+def test_increasing_index_arrays_match_per_cell_reference(case):
+    # the index arrays go to the engine as they are, so "same" passes one
+    # object to both accesses and "copy" two equal ones
+    p, t, init, accesses = case
+    mem = Memory()
+    for name, cells in init.items():
+        mem.alloc(name, len(cells))
+        mem.poke(name, np.arange(len(cells)), cells)
+    eng = Engine(mem, PramConfig(num_processors=p))
+
+    def run():
+        with eng.step("s", t) as s:
+            for kind, store, idx, vals in accesses:
+                if kind == "read":
+                    s.read(store, idx)
+                else:
+                    s.write(store, idx, np.array(vals))
+
+    outcome, expect = reference_step(p, t, init, accesses)
+    if outcome == "isolation":
+        with pytest.raises(BatchDependenceError):
+            run()
+    elif outcome == "violation":
+        with pytest.raises(ErewViolationError) as exc:
+            run()
+        assert exc.value.violations == expect
+    else:
+        run()
+    after = expect if outcome == "ok" else init
+    assert {name: mem.peek(name).tolist() for name in SIZES} == after
+
+
+def test_increasing_stores_skip_the_owner_scatter():
+    mem, eng = fresh(p=4)
+    ids = np.array([NONE, 1, 4, NONE, 9, 15])
+    with eng.step("proved", 6) as s:
+        got = s.read("x", ids)
+        s.write("x", ids, got + 1)
+        s.write("y", ids.copy(), got)
+        s.read("y", ids.copy())
+    assert eng._owner.size == 1
+    with eng.step("scattered", 2) as s:
+        s.read("x", np.array([3, 2]))
+    assert eng._owner.size == 17

@@ -148,6 +148,18 @@ def test_list_rank_row_layout_small_runs(seed):
     assert run.metrics.erew_violations == 0
 
 
+@pytest.mark.parametrize("p", [1, 8])
+def test_pair_claiming_an_unpaired_nodes_column_takes_its_other_column(p):
+    # rows layout: after localization a one-node list sits in the top row
+    # of the column a bottom pair's keys point it to; both would survive
+    # into that column's bottom cell
+    f = generate(Workload(n=56, num_lists=3, length_distribution="GEOMETRIC",
+                          seed=40219035, layout_shuffle=True))
+    run = list_rank(f, p=p, layout_mode="rows", min_run=100)
+    assert run.result.same_as(sequential_rank(f))
+    assert run.metrics.erew_violations == 0
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("min_run", [8, 100])
 @pytest.mark.parametrize("mode", ["columns", "rows"])

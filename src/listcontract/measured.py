@@ -10,13 +10,13 @@ measurements from the same functions against these within +-10%.
 PASS_OVER_COLORING_K = {10: 2.8095, 12: 2.8095, 14: 2.8095, 16: 2.8095, 18: 2.8095}
 
 # list_rank rounds, l = 64 fixed, p = n / 6, n = 2**e
-FIXED_L_ROUNDS = {12: 97, 13: 97, 14: 97, 15: 97, 16: 97, 17: 97, 18: 97}
+FIXED_L_ROUNDS = {12: 90, 13: 90, 14: 90, 15: 90, 16: 90, 17: 90, 18: 90}
 
 # list_rank rounds, single list of length n = 2**e, p = n / 6
-SINGLE_LIST_ROUNDS = {12: 129, 14: 131, 16: 133, 18: 154}
+SINGLE_LIST_ROUNDS = {12: 118, 14: 120, 16: 122, 18: 141}
 
 # total_work(wyllie) / total_work(list_rank), n = 2**16, lists of length l
-WORK_RATIO = {4: 0.3158, 16: 0.4908, 64: 0.5614, 256: 0.7063}
+WORK_RATIO = {4: 0.3429, 16: 0.5298, 64: 0.6038, 256: 0.7584}
 
 # the work-advantage threshold at l = 256 is recorded, not asserted
 # against a theoretical target: per-step accounting keeps the

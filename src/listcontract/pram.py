@@ -307,8 +307,16 @@ def _one_increasing(idx_list):
     # a drop onto a kept cell repeats or reverses two kept cells
     if ix[up.argmin() + 1] >= 0:
         return False
-    kept = ix[ix >= 0]
-    return bool((kept[1:] > kept[:-1]).all())
+    # the kept cells increase when every other drop lands on a skip too
+    # and the cell after each run of skips tops the cell before it
+    skip = ix < 0
+    if not (up | skip[1:]).all():
+        return False
+    edge = np.flatnonzero(skip[1:] != skip[:-1])
+    before, after = edge[skip[edge + 1]], edge[skip[edge]] + 1
+    if skip[0]:
+        after = after[1:]   # a leading run of skips has no cell before it
+    return bool((ix[after] > ix[before[:after.size]]).all())
 
 
 def _flat(idx_list):

@@ -111,9 +111,31 @@ def contract_to_threshold(machine: Machine, threshold=None, max_passes=64,
     return reports
 
 
+def replay_groups(log, n):
+    """The log entries in replay order, newest first, cut into runs
+    whose entries touch pairwise disjoint cells (absorbed and host
+    nodes, ids below n). Entries of one run read no cell another one
+    writes, so each run replays in one step with the ranks the
+    one-by-one replay gives."""
+    groups, touched = [], np.zeros(n, dtype=bool)
+    for batch in reversed(log):
+        cells = np.concatenate([batch.absorbed, batch.host])
+        if not groups or touched[cells].any():
+            groups.append([])
+            touched[:] = False
+        groups[-1].append(batch)
+        touched[cells] = True
+    return groups
+
+
 def replay_ranks(machine: Machine, ids, before, head, phase="replay"):
     """Walk the contraction log backward, assigning each absorbed node
-    its rank interval start from its host's."""
+    its rank interval start from its host's.
+
+    A log entry reads its hosts' rank, weight and head and writes its
+    hosts and absorbed nodes, which are distinct, so it replays in one
+    step; each group of replay_groups shares that step.
+    """
     eng = machine.engine
     n = machine.n
     rnk = scratch(machine, "rp_rank", n)
@@ -125,16 +147,16 @@ def replay_ranks(machine: Machine, ids, before, head, phase="replay"):
             s.write(rnk, ids, before)
             s.write(hed, ids, head)
             s.write(wgt, ids, w_now)
-    for batch in reversed(machine.log):
-        a, h, side, w = batch.absorbed, batch.host, batch.side, batch.weight
-        with eng.step(f"{phase}/rd", a.size) as s:
+    for group in replay_groups(machine.log, n):
+        # a lone entry's arrays serve as they are, without a copy
+        fields = [[getattr(b, f) for b in group] for f in ("absorbed", "host", "side", "weight")]
+        a, h, side, w = (x[0] if len(x) == 1 else np.concatenate(x) for x in fields)
+        pred_side = side == PRED_SIDE
+        with eng.step(f"{phase}/group", a.size) as s:
             rh = s.read(rnk, h)
             wh = s.read(wgt, h)
             hh = s.read(hed, h)
-        pred_side = side == PRED_SIDE
-        ra = np.where(pred_side, rh, rh + wh - w)
-        with eng.step(f"{phase}/wr", a.size) as s:
-            s.write(rnk, a, ra)
+            s.write(rnk, a, np.where(pred_side, rh, rh + wh - w))
             s.write(rnk, np.where(pred_side, h, NONE), rh + w)
             s.write(wgt, h, wh - w)
             s.write(wgt, a, w)

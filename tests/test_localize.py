@@ -1,9 +1,17 @@
-import numpy as np
+import importlib
 
-from listcontract import Machine, PramConfig, Workload, generate, layout
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from listcontract import (Machine, PramConfig, Workload, generate, layout, list_rank,
+                          sequential_rank)
 from listcontract.localize import clear_cuts, localize
 from listcontract.pram import NONE
 from conftest import path_forest, place, read_state
+
+# the package's localize function hides the module of that name
+localize_mod = importlib.import_module("listcontract.localize")
 
 
 def test_localize_alternating_absorbs_into_upper_row():
@@ -136,8 +144,115 @@ def test_no_flank_skips_run_distances():
     layout(m)
     localize(m, read_state(m))
     labels = m.engine.metrics().phase_breakdown
-    assert not [k for k in labels if k.startswith(("localize/b/dhead", "localize/b/dtail"))]
-    assert not [k for k in labels if k.startswith(("localize/a/dhead", "localize/a/dtail"))]
+    assert not [k for k in labels if k.startswith(("localize/b/dhead", "localize/b/dtail",
+                                                   "localize/b/walk"))]
+    assert not [k for k in labels if k.startswith(("localize/a/dhead", "localize/a/dtail",
+                                                   "localize/a/walk"))]
     assert [k for k in labels if k.startswith("localize/a/")]
     assert (m.peek("row")[m.in_array_ids()] == 0).all()
     assert int(m.peek("weight")[m.in_array_ids()].sum()) == n
+
+
+# -- flank walk against run-distance doubling ------------------------------
+
+def assert_same_classes(walk, dbl):
+    """Equal short flags, and equal distances and flank flags on every
+    short-run node."""
+    short = dbl[4]
+    assert np.array_equal(walk[4], short)
+    for got, want in zip(walk[:4], dbl[:4]):
+        assert np.array_equal(got[short], want[short])
+
+
+def random_rows(machine, forest, rng, q):
+    """Place every node on row 1 with probability q, in list order."""
+    r = (rng.random(forest.n) < q).astype(int)
+    col, pos = [0, 0], {}
+    for v in forest.order:
+        pos[int(v)] = (int(r[v]), col[r[v]])
+        col[r[v]] += 1
+    place(machine, pos)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(2, 400), lists=st.integers(1, 8),
+       mode=st.sampled_from(["columns", "rows", "random"]),
+       min_run=st.sampled_from([2, 3, 8, 100, 1025]), p=st.integers(1, 16))
+def test_walk_classifies_short_runs_as_doubling_does(seed, n, lists, mode, min_run, p):
+    # every localization of a whole ranking call, and of a random
+    # placement, runs both classifiers on the same pass state first
+    forest = generate(Workload(n=n, num_lists=min(lists, n), length_distribution="GEOMETRIC",
+                               seed=seed, layout_shuffle=True))
+    absorb = localize_mod._absorb_short_runs
+
+    def compared(machine, state, target_row, min_run, phase):
+        walk = localize_mod.classify_by_walk(machine, state, target_row, min_run, "cmp/w")
+        dbl = localize_mod.classify_by_doubling(machine, state, target_row, min_run, "cmp/d")
+        assert_same_classes(walk, dbl)
+        return absorb(machine, state, target_row, min_run, phase)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(localize_mod, "_absorb_short_runs", compared)
+        if mode == "random":
+            m = Machine(forest, PramConfig(num_processors=p))
+            random_rows(m, forest, np.random.default_rng(seed), 0.5)
+            localize(m, read_state(m), min_run=min_run)
+            assert m.engine.metrics().erew_violations == 0
+        else:
+            run = list_rank(forest, p=p, min_run=min_run, layout_mode=mode)
+            assert run.result.same_as(sequential_rank(forest))
+            assert run.metrics.erew_violations == 0
+
+
+def test_walk_and_doubling_agree_on_dense_random_runs():
+    # many short and long runs on both rows; min_run 3 walks runs of two
+    rng = np.random.default_rng(7)
+    for min_run in (3, 8, 100):
+        forest = generate(Workload(n=3000, num_lists=5, length_distribution="GEOMETRIC",
+                                   seed=min_run, layout_shuffle=True))
+        m = Machine(forest, PramConfig(num_processors=8))
+        random_rows(m, forest, rng, 0.3)
+        state = read_state(m)
+        for target_row in (1, 0):
+            dbl = localize_mod.classify_by_doubling(m, state, target_row, min_run, "d")
+            assert dbl[4].sum() > 0
+            assert_same_classes(localize_mod.classify_by_walk(m, state, target_row, min_run, "w"),
+                                dbl)
+        assert m.engine.metrics().erew_violations == 0
+
+
+def test_walk_rule_prices_both_classifiers():
+    # min_run 8: a walk of at most 15 steps of the walkers against two
+    # doublings of 4 steps of every target-row node
+    assert localize_mod.walk_is_cheaper(walkers=1, tasks=1000, p=100, min_run=8)
+    assert localize_mod.walk_is_cheaper(walkers=500, tasks=1000, p=100, min_run=8)   # 75 <= 80
+    assert not localize_mod.walk_is_cheaper(walkers=600, tasks=1000, p=100, min_run=8)
+    assert localize_mod.walk_is_cheaper(walkers=0, tasks=10, p=1, min_run=100)
+    assert not localize_mod.walk_is_cheaper(walkers=1, tasks=30, p=16, min_run=100)
+
+
+def localize_labels(positions, n, p, min_run):
+    m = Machine(path_forest(n), PramConfig(num_processors=p))
+    place(m, positions)
+    localize(m, read_state(m), min_run=min_run)
+    assert int(m.peek("weight")[m.in_array_ids()].sum()) == n
+    return m, list(m.engine.metrics().phase_breakdown)
+
+
+def test_localize_walks_few_runs_and_doubles_many():
+    # one 5-node lower run inside a 2000-node upper run: one walker
+    # against 5 target-row tasks, so min_run 8 walks
+    pos = {v: (0, v) for v in range(1000)}
+    pos.update({1000 + i: (1, i) for i in range(5)})
+    pos.update({1005 + i: (0, 1000 + i) for i in range(995)})
+    m, labels = localize_labels(pos, 2000, 1, 8)
+    assert [k for k in labels if k.startswith("localize/a/walk")]
+    assert not [k for k in labels if "/dhead" in k or "/dtail" in k]
+    assert m.peek("weight")[999] == 1 + 3 and m.peek("weight")[1005] == 1 + 2
+    # 300 two-node lower runs between two-node upper runs: 300 walkers
+    # of up to 199 steps against two 8-step doublings of 600 tasks
+    pos = {v: ((v // 2) % 2, (v // 4) * 2 + v % 2) for v in range(1200)}
+    m, labels = localize_labels(pos, 1200, 16, 100)
+    assert [k for k in labels if k.startswith("localize/a/dhead")]
+    assert not [k for k in labels if "/walk" in k]
+    assert (m.peek("row")[m.in_array_ids()] == 0).all()

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from listcontract import (BatchDependenceError, Engine, ErewViolationError,
                           Memory, PramConfig)
+from listcontract import pram
 from listcontract.pram import NONE
 
 
@@ -399,6 +400,30 @@ def test_increasing_index_arrays_match_per_cell_reference(case):
         run()
     after = expect if outcome == "ok" else init
     assert {name: mem.peek(name).tolist() for name in SIZES} == after
+
+
+@pytest.mark.parametrize("cells, proved", [
+    ([-1, 0, 1, 3], True), ([0, 1, -1, -1, 4], True), ([2, -1, -1], True), ([-1, -1], True),
+    ([-1, 4, -1, 5], True), ([0, 5, -1, 3], False), ([-1, 4, -1, 4], False),
+    ([0, -1, 2, 2], False), ([0, -1, 3, 1, 5], False), ([0, -1, 2, -1, 7, 7], False),
+])
+def test_one_increasing_checks_kept_cells_across_and_between_skips(cells, proved):
+    # every kept cell must top every kept cell before it, whether a run
+    # of skips or nothing lies between them
+    assert pram._one_increasing([np.array(cells, dtype=np.int64)]) == proved
+
+
+def test_one_increasing_matches_compressed_compare():
+    rng = np.random.default_rng(5)
+    for _ in range(3000):
+        t = int(rng.integers(1, 40))
+        ix = np.sort(rng.integers(0, 60, t))
+        ix[rng.random(t) < rng.random()] = NONE
+        if rng.random() < 0.5:
+            i = int(rng.integers(0, t))
+            ix[i] = rng.integers(-1, 60)
+        kept = ix[ix >= 0]
+        assert pram._one_increasing([ix]) == bool((kept[1:] > kept[:-1]).all())
 
 
 def test_increasing_stores_skip_the_owner_scatter():

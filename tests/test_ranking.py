@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from listcontract import (ForestFormatError, LinkedForest, Machine, PramConfig,
                           Workload, contract_to_threshold, generate, layout,
                           list_rank, pointer_jump, ranking, sequential_rank, wyllie_rank)
-from listcontract.model import SUCC_SIDE
+from listcontract.model import PRED_SIDE, SUCC_SIDE, ContractBatch
 from listcontract.pram import NONE
 from listcontract.steps import contract_batch
 from conftest import check_inverse, forest_from_lists, path_forest
@@ -113,6 +114,73 @@ def test_threshold_met_on_random_forests(seed):
     assert m.active_ids().size <= threshold
 
 
+# -- log replay -------------------------------------------------------------------
+
+def batch(absorbed, host, side=SUCC_SIDE):
+    a = np.asarray(absorbed, dtype=np.int64)
+    return ContractBatch(absorbed=a, host=np.asarray(host, dtype=np.int64),
+                         side=np.full(a.size, side), weight=np.ones(a.size, dtype=np.int64))
+
+
+def test_replay_groups_split_at_a_shared_cell():
+    # newest first: entries 4 and 3 touch disjoint cells; 2 reuses
+    # host 4 of entry 3, 1 is disjoint from 2, and 0 reuses host 8 of 1
+    log = [batch([9], [8]), batch([5], [8], PRED_SIDE), batch([6], [4]), batch([2], [4]),
+           batch([1, 3], [0, 7])]
+    groups = ranking.replay_groups(log, 10)
+    order = {id(b): i for i, b in enumerate(log)}
+    assert [[order[id(b)] for b in g] for g in groups] == [[4, 3], [2, 1], [0]]
+    # entries that share an absorbed node never share a group either
+    assert len(ranking.replay_groups([batch([1], [0]), batch([1], [2])], 3)) == 2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_grouped_replay_matches_one_entry_at_a_time(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(50, 3000))
+    f = generate(Workload(n=n, num_lists=max(1, n // int(rng.integers(8, 200))),
+                          length_distribution="GEOMETRIC", seed=seed, layout_shuffle=True))
+    kwargs = dict(p=int(rng.integers(1, 64)), min_run=(4, 8, 100)[seed % 3],
+                  layout_mode=("columns", "rows")[seed % 2])
+    grouped = list_rank(f, **kwargs)
+    monkeypatch.setattr(ranking, "replay_groups", lambda log, n: [[b] for b in reversed(log)])
+    single = list_rank(f, **kwargs)
+    assert grouped.result.same_as(single.result)
+    assert grouped.result.same_as(sequential_rank(f))
+    assert grouped.metrics.erew_violations == 0
+    replay = [sum(v for k, v in run.metrics.phase_breakdown.items() if k.startswith("replay/"))
+              for run in (grouped, single)]
+    assert replay[0] <= replay[1]
+
+
+def log_digest(log):
+    h = hashlib.sha1()
+    for b in log:
+        for arr in (b.absorbed, b.host, b.side, b.weight):
+            h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
+    return len(log), h.hexdigest()
+
+
+@pytest.mark.parametrize("n, seed, digest", [
+    (4096, 3, (43, "9a1191de54836f08e7db09c4ac5084d85a41d4fa")),
+    (2 ** 14, 1, (54, "ca9e92833e1798de300f0645176b52cccf194357")),
+])
+def test_contraction_log_matches_recorded_run(n, seed, digest, monkeypatch):
+    # GEOMETRIC lists of mean 256, shuffled, rows layout, min_run 8,
+    # p = n/8; the entries (absorbed, host, side, weight) were recorded
+    # when every localization doubled its run distances
+    logs = []
+    replay = ranking.replay_ranks
+    monkeypatch.setattr(ranking, "replay_ranks",
+                        lambda machine, *a: logs.append(machine.log) or replay(machine, *a))
+    f = generate(Workload(n=n, num_lists=n // 256, length_distribution="GEOMETRIC",
+                          seed=seed, layout_shuffle=True))
+    run = list_rank(f, p=n // 8, layout_mode="rows", min_run=8)
+    assert run.result.same_as(sequential_rank(f))
+    assert log_digest(logs[0]) == digest
+    assert [k for k in run.metrics.phase_breakdown if "/localize/" in k and "/walk" in k]
+
+
 # -- end to end -----------------------------------------------------------------
 
 def test_list_rank_single_node():
@@ -158,6 +226,25 @@ def test_pair_claiming_an_unpaired_nodes_column_takes_its_other_column(p):
     run = list_rank(f, p=p, layout_mode="rows", min_run=100)
     assert run.result.same_as(sequential_rank(f))
     assert run.metrics.erew_violations == 0
+
+
+@pytest.mark.parametrize("n, lists, seed, p, min_run", [
+    (18, 3, 1309607927, 4, 100), (82, 3, 151439735, 5, 8), (116, 1, 533436600, 2, 100),
+    (50, 2, 1637311011, 7, 100), (74, 2, 1495382808, 8, 100),
+])
+def test_open_chain_walks_from_its_colored_end(n, lists, seed, p, min_run):
+    # open column chains with a colored unpaired node in the other-row
+    # cell at one end. Walked from the other end, the first three kept
+    # a mark on their last pair that no swap could clear, and the keys
+    # raised UncoveredCaseError. Walked from that end without turning
+    # the root pair away from the node, the last three sent a pair to
+    # the node's column, which was then claimed twice
+    f = generate(Workload(n=n, num_lists=lists, length_distribution="GEOMETRIC",
+                          seed=seed, layout_shuffle=True))
+    for procs in (1, p):
+        run = list_rank(f, p=procs, layout_mode="rows", min_run=min_run)
+        assert run.result.same_as(sequential_rank(f))
+        assert run.metrics.erew_violations == 0
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -125,7 +125,7 @@ def cmd_run(args):
     try:
         with open(args.forest) as fh:
             forest = LinkedForest.from_text(fh.read())
-    except (OSError, ForestFormatError) as exc:
+    except (OSError, UnicodeDecodeError, ForestFormatError) as exc:
         return _usage_error(f"cannot load forest: {exc}")
     try:
         config = PramConfig(num_processors=args.p, record_trace=args.trace)

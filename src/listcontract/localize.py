@@ -22,9 +22,8 @@ price lower:
   long run.
 
 Both classify any min_run exactly. Links that still cross rows
-afterwards are virtually deleted: they get a cut flag, the lists are
-never physically severed, and the flags are cleared once the
-contraction pass finishes.
+afterwards are virtually deleted: both ends drop them from their pass
+registers, memory keeps them, and the next pass reads them again.
 """
 
 from __future__ import annotations
@@ -40,15 +39,17 @@ MIN_RUN = 100
 
 
 def localize(machine: Machine, state: PassState, min_run=MIN_RUN, phase="localize"):
-    """Absorb short runs into the other row, then cut remaining cross links.
+    """Absorb short runs into the other row, then cut the remaining
+    cross links in the pass registers.
 
     Phase (a) handles lower-row runs, phase (b) upper-row runs; after
-    both, every non-cut link joins two nodes of the same row. Links
-    and rows come from the pass state, which contract_batch keeps current.
+    both, every link left in the registers joins two nodes of the same
+    row. Links and rows come from the pass state, which contract_batch
+    keeps current.
     """
     _absorb_short_runs(machine, state, target_row=1, min_run=min_run, phase=f"{phase}/a")
     _absorb_short_runs(machine, state, target_row=0, min_run=min_run, phase=f"{phase}/b")
-    _cut_cross_links(machine, state, phase=f"{phase}/cut")
+    _cut_cross_links(state)
 
 
 def _run_ends(state: PassState, target_row):
@@ -205,21 +206,18 @@ def _boundary_distance(machine: Machine, ids, back, boundary_flag, limit, phase)
     return np.where(done, d, NONE), done & (f == 1)
 
 
-def _cut_cross_links(machine: Machine, state: PassState, phase):
-    """Cut every link whose ends sit on different rows. Both ends see
-    it in their own row registers, so the cut needs no read."""
+def _cut_cross_links(state: PassState):
+    """Cut every link whose ends sit on different rows, in the pass
+    registers alone: both ends see it in their own row registers, so
+    the cut takes no step."""
     ids = state.live()
     row = state.row[ids]
     cross_s = ids[(state.row_s[ids] >= 0) & (state.row_s[ids] != row)]
     cross_p = ids[(state.row_p[ids] >= 0) & (state.row_p[ids] != row)]
-    with machine.engine.step(f"{phase}/mark", cross_s.size) as s:
-        s.write("cut", cross_s, 1)
     state.sv[cross_s] = state.row_s[cross_s] = NONE
     state.pv[cross_p] = state.row_p[cross_p] = NONE
 
 
 def clear_cuts(machine: Machine, phase="uncut"):
-    ids = np.flatnonzero(machine.peek("cut") == 1)
-    if ids.size:
-        with machine.engine.step(f"{phase}/clear", ids.size) as s:
-            s.write("cut", ids, 0)
+    """No-op, kept only because bench/tracing.py wraps it by name:
+    cuts live in the pass registers, which die with the pass."""

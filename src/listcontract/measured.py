@@ -7,7 +7,7 @@ measurements from the same functions against these within +-10%.
 """
 
 # rounds of one contraction pass vs one 3-coloring, single list of 2**e
-PASS_OVER_COLORING_K = {10: 2.8095, 12: 2.8095, 14: 2.8095, 16: 2.8095, 18: 2.8095}
+PASS_OVER_COLORING_K = {10: 4.2143, 12: 4.2143, 14: 4.2143, 16: 4.2143, 18: 4.2143}
 
 # list_rank rounds, l = 64 fixed, p = n / 6, n = 2**e
 FIXED_L_ROUNDS = {12: 90, 13: 90, 14: 90, 15: 90, 16: 90, 17: 90, 18: 90}

@@ -8,17 +8,18 @@ store    meaning
 ======== ===================================================
 succ     next node id, -1 at a list tail
 pred     previous node id, -1 at a list head
-status   -1 while active, else the id of the node absorbed into
 weight   number of original nodes this node represents
 color    working color, -1 when unset
 row      0 or 1 while placed; -1 unplaced, -2 retired, -3 pooled
 col      column while placed
 slot     flattened 2 x columns array of node ids, -1 when vacant
-cut      1 when the link node -> succ[node] is virtually deleted
 pair     pairing partner, -1 when unpaired
 mb_color scratch, indexed like slot: color of the cell's node
 mb_pcol  scratch, indexed like slot: column of that node's partner
 ======== ===================================================
+
+row alone records an absorbed (retired) node, and memory keeps every
+link: a pass cuts cross-row links in its registers (steps.PassState).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ SUCC_SIDE = 1   # absorbed node followed its host
 # predecessor side and from its successor side; indexed by side
 INBOX = ("inbox_p", "inbox_s")
 
-STORES = ("succ", "pred", "status", "weight", "color", "row", "col", "slot", "cut", "pair")
+STORES = ("succ", "pred", "weight", "color", "row", "col", "slot", "pair")
 
 
 class LinkedForest:
@@ -119,6 +120,9 @@ class LinkedForest:
         n = len(succ_map)
         if sorted(succ_map) != list(range(n)):
             raise ForestFormatError("node ids must be dense 0..n-1")
+        # checked on the Python ints, which may not fit in int64
+        if any(not -1 <= s < n for s in succ_map.values()):
+            raise ForestFormatError("successor id out of range")
         succ = np.array([succ_map[i] for i in range(n)], dtype=np.int64)
         return cls(succ)
 
@@ -170,13 +174,11 @@ class Machine:
         m = self.memory
         m.alloc("succ", n)
         m.alloc("pred", n)
-        m.alloc("status", n, fill=NONE)
         m.alloc("weight", n, fill=1)
         m.alloc("color", n, fill=NONE)
         m.alloc("row", n, fill=UNPLACED)
         m.alloc("col", n, fill=UNPLACED)
         m.alloc("slot", 2 * self.columns, fill=NONE)
-        m.alloc("cut", n, fill=0)
         m.alloc("pair", n, fill=NONE)
         m.alloc("first", n)   # first original node of this node's segment
         m.poke("succ", np.arange(forest.n), forest.succ)
@@ -189,11 +191,10 @@ class Machine:
         return self.memory.peek(name)
 
     def active_ids(self):
-        return np.flatnonzero(self.peek("status") == NONE)
+        return np.flatnonzero(self.peek("row") != RETIRED)
 
     def in_array_ids(self):
-        st, row = self.peek("status"), self.peek("row")
-        return np.flatnonzero((st == NONE) & (row >= 0))
+        return np.flatnonzero(self.peek("row") >= 0)
 
     def grid(self):
         """Copy of the 2 x columns slot array."""

@@ -15,12 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrientationError, UncoveredCaseError
-from .localize import clear_cuts, localize
+# clear_cuts stays importable here for bench/tracing.py
+from .localize import MIN_RUN, clear_cuts, localize  # noqa: F401
 from .model import Machine, POOLED
 from .pram import NONE
 # contract_batch stays importable here for bench/tracing.py
 from .steps import PassState, contract_batch, move_nodes, pair_leaders  # noqa: F401
 from .uniform import color_and_pair, enforce_uniformity, merge_pairs, opposite_pair_shortcut
+
+# lists shorter than this leave the array at the start of a pass
+POOL_MIN_LEN = 4
 
 _CYCLE_NEXT = np.full(4, -1, dtype=np.int64)
 _CYCLE_NEXT[[0, 1, 3, 2]] = [1, 3, 2, 0]
@@ -64,8 +68,8 @@ def derive_orientation(machine: Machine, phase="orient") -> OrientationKey:
         valid = np.isin(tc, (0, 1)) & np.isin(bc, (0, 1)) & (tn != NONE) & (bn != NONE)
         key = np.where(valid, 2 * tc + bc, NONE)
 
-    st, row_a, pair_a = machine.peek("status"), machine.peek("row"), machine.peek("pair")
-    loose = np.flatnonzero((st == NONE) & (row_a >= 0) & (pair_a == NONE))
+    row_a, pair_a = machine.peek("row"), machine.peek("pair")
+    loose = np.flatnonzero((row_a >= 0) & (pair_a == NONE))
     loose_cols = machine.peek("col")[loose]
     empty = np.empty(0, dtype=np.int64)
     host_l, abs_l, col_l = [empty], [empty], [empty]
@@ -168,20 +172,20 @@ def fold_array(machine: Machine, ids, cols, phase="fold"):
         s.write("slot", machine.cell(nr, nc), ids)
 
 
-def pool_short_lists(machine: Machine, min_len=4, phase="pool"):
-    """Move lists shorter than min_len out of the array; pointer
+def pool_short_lists(machine: Machine, phase="pool"):
+    """Move lists shorter than POOL_MIN_LEN out of the array; pointer
     jumping will finish them. Their links stay intact. Returns the
-    count and the PassState of the rest, which the walks read (no link
-    is cut when a pass starts)."""
+    count and the PassState of the rest, which the walks read (memory
+    holds no cut)."""
     eng = machine.engine
     ids = machine.in_array_ids()
-    # walk min_len - 1 hops, at least the three that carry the row
+    # walk POOL_MIN_LEN - 1 hops, at least the three that carry the row
     # reads, from each node toward both ends at once, counting the hops
     # that reach a node
     up, down = ids, ids
     seen = np.zeros(ids.size, dtype=np.int64)
     at, rows = [ids], []    # own row, then the pred's, then the succ's
-    for i in range(max(3, min_len - 1)):
+    for i in range(max(3, POOL_MIN_LEN - 1)):
         with eng.step(f"{phase}/walk{i}", ids.size) as s:
             if i < 3:
                 rows.append(s.read("row", at[i]))
@@ -190,7 +194,7 @@ def pool_short_lists(machine: Machine, min_len=4, phase="pool"):
         if i == 0:
             at += [up, down]
         seen = seen + (up != NONE) + (down != NONE)
-    keep = seen >= min_len - 1
+    keep = seen >= POOL_MIN_LEN - 1
     regs = [np.full(machine.n, NONE, dtype=dt) for dt in (np.int64,) * 2 + (np.int8,) * 3]
     for reg, got in zip(regs, (at[2], at[1], rows[0], rows[2], rows[1])):
         reg[ids[keep]] = got[keep]
@@ -219,7 +223,7 @@ class PassReport:
     halved: bool
 
 
-def uniform_contraction_pass(machine: Machine, min_run=100, phase="pass") -> PassReport:
+def uniform_contraction_pass(machine: Machine, min_run=MIN_RUN, phase="pass") -> PassReport:
     """One full contraction pass over the current two-row placement.
 
     Pools the short lists, localizes the rest (free when one row is
@@ -247,7 +251,6 @@ def uniform_contraction_pass(machine: Machine, min_run=100, phase="pass") -> Pas
     survivors = plan.survivors.size
     in_bottom = bool((machine.peek("row")[plan.survivors] == 1).all())
     fold_array(machine, plan.survivors, plan.columns, phase=f"{phase}/fold")
-    clear_cuts(machine, phase=f"{phase}/uncut")
     return PassReport(
         pre_active=pre_active, pooled=pooled, survivors=survivors,
         columns_before=cols_before, columns_after=machine.columns,

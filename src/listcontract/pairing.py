@@ -21,9 +21,8 @@ from .steps import PassState, contract_batch, restricted_neighbors, scratch  # n
 
 @dataclass
 class PairAssignment:
-    ids: np.ndarray        # nodes inspected (active after the pass)
+    ids: np.ndarray        # the live tasks after pairing
     pair_of: np.ndarray    # partner id per node, NONE when unpaired
-    role: np.ndarray       # 0 or 1, the node's pairing color
 
 
 def eliminate_twos(machine: Machine, state: PassState, colors, phase="elim2"):
@@ -77,6 +76,7 @@ def form_pairs(machine: Machine, state: PassState, colors, phase="pairs"):
     1-node proposes to an adjacent 0-node (successor preferred); the
     larger proposer id wins a contested 0-node; unpaired nodes are
     contracted into a neighboring pair. Singleton lists stay unpaired.
+    Returns the live tasks and their partners, from the registers.
     """
     eng = machine.engine
     ids = state.live()
@@ -135,8 +135,8 @@ def form_pairs(machine: Machine, state: PassState, colors, phase="pairs"):
         side = np.where(use_s[ok], PRED_SIDE, SUCC_SIDE)
         contract_batch(machine, u_ids[ok], host[ok], side, f"{phase}/abs{wave}", state)
 
-    out_ids = state.live()
-    pair_now = machine.peek("pair")[out_ids]
-    color_now = machine.peek("color")[out_ids]
-    return PairAssignment(out_ids, pair_now, color_now)
+    # absorbing an unpaired node changes no partner, so the registers
+    # of the tasks still live hold every pair
+    live = state.row[ids] >= 0
+    return PairAssignment(ids[live], my_pair[live])
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ForestFormatError
 from .model import LinkedForest, Machine, layout, PRED_SIDE
+from .localize import MIN_RUN
 from .orientation import uniform_contraction_pass
 from .pram import NONE, PramConfig
 from .steps import double, scratch
@@ -92,7 +93,7 @@ def pointer_jump(machine: Machine, phase="jump"):
 
 
 def contract_to_threshold(machine: Machine, threshold=None, max_passes=64,
-                          min_run=100, phase="contract"):
+                          min_run=MIN_RUN, phase="contract"):
     """Repeat uniform contraction passes until the active count is at
     or below the threshold (default n / ceil(log2 l))."""
     if threshold is None:
@@ -167,7 +168,7 @@ def replay_ranks(machine: Machine, ids, before, head, phase="replay"):
 
 
 def list_rank(forest: LinkedForest, p=1, *, config=None, threshold=None,
-              min_run=100, layout_mode="columns") -> RankRun:
+              min_run=MIN_RUN, layout_mode="columns") -> RankRun:
     """Contract, pointer-jump, and replay; exact ranks for every node."""
     config = config or PramConfig(num_processors=p)
     machine = Machine(forest, config)

@@ -57,32 +57,24 @@ def double(machine: Machine, name, ids, seed, ufuncs, limit=None, phase="double"
 
 def pair_leaders(machine: Machine, row):
     """Leader node of every pair on one row: the smaller-column member."""
-    st, rw, pair, col = (machine.peek(n) for n in ("status", "row", "pair", "col"))
-    ids = np.flatnonzero((st == NONE) & (rw == row) & (pair != NONE))
+    rw, pair, col = (machine.peek(n) for n in ("row", "pair", "col"))
+    ids = np.flatnonzero((rw == row) & (pair != NONE))
     if ids.size == 0:
         return ids
     return ids[col[ids] < col[pair[ids]]]
 
 
 def restricted_neighbors(machine: Machine, ids, phase):
-    """Metered read of each node's same-chain neighbors.
-
-    A link is followed only when it exists and is not cut; the result
-    arrays give the virtual successor and predecessor node ids.
+    """Metered read of each node's neighbors in one step: the
+    successor and predecessor node ids, NONE at a list end. Memory
+    keeps every link, so a caller that needs them cut where they cross
+    rows drops those links itself, as a pass does in its registers.
     """
     k = ids.size
     if k == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    eng = machine.engine
-    with eng.step(f"{phase}/nbr1", k) as s:
-        sv = s.read("succ", ids)
-        pv = s.read("pred", ids)
-        cut_own = s.read("cut", ids)
-    with eng.step(f"{phase}/nbr2", k) as s:
-        cut_in = s.read("cut", pv)
-    sv = np.where((sv != NONE) & (cut_own == 0), sv, NONE)
-    pv = np.where((pv != NONE) & (cut_in == 0), pv, NONE)
-    return sv, pv
+    with machine.engine.step(f"{phase}/nbr", k) as s:
+        return s.read("succ", ids), s.read("pred", ids)
 
 
 @dataclass
@@ -90,8 +82,8 @@ class PassState:
     """Task registers of one pass, indexed by node id: the virtual
     successor and predecessor (NONE at a list end or across a cut
     link), the row, and the rows of those two neighbors (NONE where
-    they are). contract_batch keeps them current and, as in memory,
-    retires the row of every task of ids it absorbs.
+    they are); memory holds no cut. contract_batch keeps them current
+    and, as in memory, retires the row of every task of ids it absorbs.
     """
 
     ids: np.ndarray
@@ -112,10 +104,12 @@ def contract_batch(machine: Machine, absorbed, host, side, phase, state=None):
     """Contract absorbed[i] into adjacent host[i], all pairs independent.
 
     side is PRED_SIDE when the absorbed node precedes its host. Hosts
-    must be distinct; absorbed and host sets must not overlap. With a
-    PassState, each absorbed task forwards its far neighbor and that
-    neighbor's row to its host, and its host and the host's row to the
-    far neighbor, through inbox cells the receivers own.
+    must be distinct; absorbed and host sets must not overlap. Its row
+    alone records that an absorbed node is retired. With a PassState,
+    each absorbed task forwards its far neighbor and that neighbor's
+    row to its host, and its host and the host's row to the far
+    neighbor, through inbox cells the receivers own; a far neighbor
+    across a cut link is NONE there, so the link stays cut.
     """
     a = np.asarray(absorbed, dtype=np.int64)
     h = np.asarray(host, dtype=np.int64)
@@ -135,7 +129,6 @@ def contract_batch(machine: Machine, absorbed, host, side, phase, state=None):
             wh = s.read("weight", hh)
             ra = s.read("row", aa)
             ca = s.read("col", aa)
-            cuta = s.read("cut", aa)
             outer = s.read("pred" if sd == PRED_SIDE else "succ", aa)
             if sd == PRED_SIDE:
                 fa = s.read("first", aa)
@@ -145,8 +138,6 @@ def contract_batch(machine: Machine, absorbed, host, side, phase, state=None):
             else:
                 s.write("pred", outer, hh)
                 s.write("succ", hh, outer)
-                s.write("cut", hh, cuta)
-            s.write("status", aa, hh)
             s.write("weight", hh, wa + wh)
             s.write("slot", machine.cell(ra, ca), NONE)
             s.write("row", aa, RETIRED)

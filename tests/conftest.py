@@ -46,8 +46,8 @@ def check_inverse(machine):
 def check_consistency(machine):
     """Bidirectional links among the active nodes, and their weights
     adding up to n."""
-    status, succ, pred = machine.peek("status"), machine.peek("succ"), machine.peek("pred")
-    ids = np.flatnonzero(status == NONE)
+    succ, pred = machine.peek("succ"), machine.peek("pred")
+    ids = machine.active_ids()
     s, p = succ[ids], pred[ids]
     assert (pred[s[s != NONE]] == ids[s != NONE]).all()
     assert (succ[p[p != NONE]] == ids[p != NONE]).all()

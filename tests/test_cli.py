@@ -173,9 +173,13 @@ def test_run_trace_emits_step_records(tmp_path, capsys):
 
 def test_run_rejects_bad_forest(tmp_path, capsys):
     bad = tmp_path / "bad.forest"
-    for text in ("0 1\n1 0\n", "0 5\n1 -1\n"):
-        bad.write_text(text)
+    # a cycle, a successor out of range, successors beyond int64 either
+    # way, and bytes that are not UTF-8
+    for data in (b"0 1\n1 0\n", b"0 5\n1 -1\n", b"0 99999999999999999999\n1 -1\n",
+                 b"0 -99999999999999999999\n1 -1\n", b"\xff\xfe"):
+        bad.write_bytes(data)
         assert run_cli(["run", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot load forest: ")
 
 
 def test_sweep_csv(tmp_path):

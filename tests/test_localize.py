@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from listcontract import (Machine, PramConfig, Workload, generate, layout, list_rank,
                           sequential_rank)
-from listcontract.localize import clear_cuts, localize
+from listcontract.localize import localize
 from listcontract.pram import NONE
 from conftest import path_forest, place, read_state
 
@@ -14,22 +14,31 @@ from conftest import path_forest, place, read_state
 localize_mod = importlib.import_module("listcontract.localize")
 
 
+def cut_links(m, state):
+    """The live tasks whose successor link, and those whose predecessor
+    link, the pass state dropped; every link it kept is memory's."""
+    ids = state.live()
+    succ, pred = m.peek("succ")[ids], m.peek("pred")[ids]
+    sv, pv = state.sv[ids], state.pv[ids]
+    assert ((sv == succ) | (sv == NONE)).all() and ((pv == pred) | (pv == NONE)).all()
+    return ids[(succ != NONE) & (sv == NONE)], ids[(pred != NONE) & (pv == NONE)]
+
+
 def test_localize_alternating_absorbs_into_upper_row():
     # 200-node alternating list: every length-1 lower run is absorbed up
     m = Machine(path_forest(200), PramConfig(num_processors=16))
     layout(m)
-    localize(m, read_state(m), min_run=100)
+    state = read_state(m)
+    localize(m, state, min_run=100)
     ids = m.in_array_ids()
     rows = m.peek("row")[ids]
     assert (rows == 0).all()
-    assert m.peek("cut").sum() == 0
+    cut_s, cut_p = cut_links(m, state)
+    assert cut_s.size == 0 and cut_p.size == 0
     assert int(m.peek("weight")[ids].sum()) == 200
-    # zero non-cut cross-row links
-    succ, cut = m.peek("succ"), m.peek("cut")
-    for v in ids:
-        s = succ[v]
-        if s != NONE and not cut[v]:
-            assert m.peek("row")[s] == m.peek("row")[v]
+    # zero kept cross-row links
+    sv = state.sv[ids]
+    assert (m.peek("row")[sv[sv != NONE]] == rows[sv != NONE]).all()
 
 
 def test_long_lower_run_kept_with_boundary_links_cut():
@@ -42,14 +51,17 @@ def test_long_lower_run_kept_with_boundary_links_cut():
         pos[300 + i] = (0, 150 + i)
         pos[450 + i] = (1, 150 + i)
     place(m, pos)
-    localize(m, read_state(m), min_run=100)
+    state = read_state(m)
+    localize(m, state, min_run=100)
     # nothing absorbed: every run has >= 100 nodes
     assert m.in_array_ids().size == 600
     # the lower run 150..299 keeps its row; its two boundary links cut
     assert (m.peek("row")[np.arange(150, 300)] == 1).all()
-    cut = m.peek("cut")
-    assert cut[149] == 1 and cut[299] == 1
-    assert cut.sum() == 3   # three row changes along the list
+    # three row changes along the list, each cut at both ends
+    cut_s, cut_p = cut_links(m, state)
+    assert cut_s.tolist() == [149, 299, 449] and cut_p.tolist() == [150, 300, 450]
+    # memory keeps every link
+    assert (m.peek("succ")[cut_s] == cut_p).all()
 
 
 def test_short_interior_run_absorbed_and_split_at_midpoint():
@@ -75,8 +87,10 @@ def test_short_interior_run_absorbed_and_split_at_midpoint():
 def test_list_on_one_row_is_noop():
     m = Machine(path_forest(8), PramConfig())
     place(m, {v: (0, v) for v in range(8)})
-    localize(m, read_state(m), min_run=100)
-    assert m.peek("cut").sum() == 0
+    state = read_state(m)
+    localize(m, state, min_run=100)
+    cut_s, cut_p = cut_links(m, state)
+    assert cut_s.size == 0 and cut_p.size == 0
     assert m.in_array_ids().size == 8
 
 
@@ -90,16 +104,17 @@ def test_post_localize_invariants_random_placement():
         r = int(rng.integers(0, 2))
         pos[v] = (r, c[r]); c[r] += 1
     place(m, pos)
-    localize(m, read_state(m), min_run=20)
+    state = read_state(m)
+    localize(m, state, min_run=20)
     ids = m.in_array_ids()
-    succ, cut, row = m.peek("succ"), m.peek("cut"), m.peek("row")
+    succ, row = m.peek("succ"), m.peek("row")
+    # a link is kept exactly when its ends share a row
+    cut_s, _ = cut_links(m, state)
     for v in ids:
         s = succ[v]
-        if s != NONE and not cut[v]:
-            assert row[s] == row[v]
+        if s != NONE:
+            assert (row[s] == row[v]) == (v not in cut_s)
     assert int(m.peek("weight")[ids].sum()) == n
-    clear_cuts(m)
-    assert (m.peek("cut") == 0).all()
 
 
 def flanked_runs(m):

@@ -161,7 +161,8 @@ def test_contract_middle_into_predecessor():
     assert m.peek("succ")[0] == 2
     assert m.peek("pred")[2] == 0
     assert m.peek("weight")[0] == 2
-    assert m.peek("status")[1] == 0
+    assert m.peek("row")[1] == RETIRED
+    assert (m.log[-1].absorbed.tolist(), m.log[-1].host.tolist()) == ([1], [0])
 
 
 def test_contract_tail_into_predecessor_makes_new_tail():

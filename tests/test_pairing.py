@@ -1,7 +1,7 @@
 import numpy as np
 
 from listcontract import Machine, PramConfig, layout
-from listcontract.model import INBOX
+from listcontract.model import INBOX, RETIRED
 from listcontract.pairing import eliminate_twos, form_pairs
 from listcontract.pram import NONE
 from listcontract.steps import scratch
@@ -33,7 +33,8 @@ def machine_with_colors(lists, colors, p=8):
 def test_color2_between_zero_and_one_contracts_into_successor():
     m, state, col = machine_with_colors([[0, 1, 2]], {0: 0, 1: 2, 2: 1})
     eliminate_twos(m, state, col)
-    assert m.peek("status")[1] == 2          # absorbed into its successor
+    assert m.peek("row")[1] == RETIRED       # absorbed into its successor
+    assert m.log[-1].host.tolist() == [2]
     assert m.peek("weight")[2] == 2
     live = m.active_ids()
     live = live[live < 3]
@@ -43,7 +44,7 @@ def test_color2_between_zero_and_one_contracts_into_successor():
 def test_color2_between_zeros_recolors_to_one():
     m, state, col = machine_with_colors([[0, 1, 2]], {0: 0, 1: 2, 2: 0})
     eliminate_twos(m, state, col)
-    assert m.peek("status")[1] == NONE
+    assert m.peek("row")[1] != RETIRED
     assert m.peek("color")[1] == 1
 
 
@@ -107,7 +108,9 @@ def test_larger_address_wins_contested_zero():
     pa = form_pairs(m, read_state(m, state.ids[sel]), col)
     assert m.peek("pair")[11] == 12          # larger address won
     assert m.peek("pair")[12] == 11
-    assert m.peek("status")[10] != NONE      # loser absorbed into the pair
+    assert m.peek("row")[10] == RETIRED      # loser absorbed into the pair
+    assert m.log[-1].absorbed.tolist() == [10]
+    assert m.log[-1].host.tolist() == [11]
     validate_pairs(m, pa)
 
 
@@ -137,4 +140,4 @@ def test_singleton_list_stays_unpaired_without_error():
     m, state, col = machine_with_colors([[0]], {0: 0})
     pa = form_pairs(m, state, col)
     assert m.peek("pair")[0] == NONE
-    assert m.peek("status")[0] == NONE
+    assert m.peek("row")[0] != RETIRED

@@ -268,7 +268,7 @@ def test_grid_and_placement_agree_after_every_pass(mode, min_run, seed, monkeypa
 
 
 # the layers under a pass, as the second part of contract/p<i>/<layer>/...
-PASS_LAYERS = {"pool", "localize", "rows", "shortcut", "uniform", "orient", "pack", "fold", "uncut"}
+PASS_LAYERS = {"pool", "localize", "rows", "shortcut", "uniform", "orient", "pack", "fold"}
 
 
 def test_every_step_label_belongs_to_a_known_layer():
@@ -281,6 +281,20 @@ def test_every_step_label_belongs_to_a_known_layer():
             assert m and (m[2] or m[1] in PASS_LAYERS), label
             seen.add(m[1] or m[2])
     assert seen == PASS_LAYERS | {"jump", "replay"}
+
+
+def test_list_rank_keeps_cuts_and_retirement_out_of_memory(monkeypatch):
+    # the pass registers hold every cut and row marks every absorbed
+    # node, so no store or step keeps either
+    made = []
+    monkeypatch.setattr(ranking, "Machine", lambda *a, **k: made.append(Machine(*a, **k)) or made[-1])
+    f = generate(Workload(n=1000, num_lists=8, seed=5, layout_shuffle=True))
+    run = list_rank(f, p=32, min_run=8, layout_mode="rows")
+    assert run.result.same_as(sequential_rank(f))
+    assert len(run.passes) >= 2 and made[0].log
+    assert not [s for s in ("cut", "status") if made[0].memory.has(s)]
+    assert not [label for label in run.metrics.phase_breakdown
+                if label.endswith(("/cut/mark", "/uncut/clear", "/nbr2"))]
 
 
 def test_list_rank_without_contraction_matches():

@@ -46,9 +46,11 @@ def test_row_pipeline_single_pair_idempotent_shape():
 def test_row_pipelines_independent_rows():
     m = Machine(path_forest(8), PramConfig(num_processors=8))
     place(m, {v: (0, v) for v in range(4)} | {v: (1, v - 4) for v in range(4, 8)})
-    # the two placements belong to one list; cut the crossing link first
-    m.memory.poke("cut", 3, 1)
-    _, pairs = color_and_pair(m, read_state(m))
+    # the two placements belong to one list; cut the crossing link
+    # first, in the registers, as localization does
+    state = read_state(m)
+    state.sv[3] = state.row_s[3] = state.pv[4] = state.row_p[4] = NONE
+    _, pairs = color_and_pair(m, state)
     validate_pairs(m, pairs)
     # both rows in one call: every node paired, no pair crosses the cut
     pair = m.peek("pair")[pairs.ids]

@@ -21,9 +21,14 @@ price lower:
   ceil(log2 min_run) rounds, so a node whose end lies farther is on a
   long run.
 
-Both classify any min_run exactly. Links that still cross rows
-afterwards are virtually deleted: both ends drop them from their pass
-registers, memory keeps them, and the next pass reads them again.
+Both classify any min_run exactly. A short run then goes into its
+flanks in log-depth waves: each half counts its nodes q = 1, 2, ...
+from its flank, and wave j absorbs the nodes whose q has lowest set
+bit 2**j into their register neighbor toward the flank, so a half of
+h nodes takes ceil(log2(h + 1)) waves, both halves of every run in one
+contract step and one refresh step per wave. Links that still cross
+rows afterwards are virtually deleted: both ends drop them from their
+pass registers, memory keeps them, and the next pass reads them again.
 """
 
 from __future__ import annotations
@@ -88,23 +93,43 @@ def _absorb_short_runs(machine: Machine, state: PassState, target_row, min_run, 
         classify = classify_by_walk
     else:
         classify = classify_by_doubling
-    pos, rem, head_flag, tail_flag, short = classify(machine, state, target_row, min_run, phase)
-    if not short.any():
-        return
+    to_left, wave, meet_row = _plan_waves(*classify(machine, state, target_row, min_run, phase),
+                                          target_row)
+    for j in range(int(wave.max()) + 1):
+        on = wave == j
+        a = nodes[on]
+        contract_batch(machine, a, np.where(to_left[on], state.pv[a], state.sv[a]),
+                       np.where(to_left[on], SUCC_SIDE, PRED_SIDE), f"{phase}/w{j}", state,
+                       meet_row[on])
 
+
+def _plan_waves(pos, rem, head_flag, tail_flag, short, target_row):
+    """Each target-row node's absorption wave (NONE off short runs),
+    whether it goes to the left flank, and, where its half meets the
+    other one in that wave, the row of the other frontier's host (NONE
+    elsewhere); from the classifier's outputs alone.
+
+    A short run splits at its midpoint, and each half counts its nodes
+    q = 1, 2, ... from its flank. Wave j absorbs the nodes whose q has
+    lowest set bit 2**j into their neighbor toward the flank, which
+    after the earlier waves is the node at q - 2**j (the flank at 0)
+    and stays this wave: a host takes at most one node per side. The
+    two halves' frontiers (their farthest nodes left) meet when both
+    go in one wave; the other frontier's host is the flank when that
+    frontier sits at q = 2**j.
+    """
     length = pos + rem + 1
     half = -(-length // 2)  # ceil; left half gets the extra node
     to_left = short & head_flag & ((pos < half) | ~tail_flag)
     to_right = short & tail_flag & ~to_left
-    step_idx = np.where(to_left, pos, np.where(to_right, rem, NONE))
-    max_step = int(step_idx.max()) if (step_idx != NONE).any() else -1
-
-    # wave k absorbs the nodes k hops from their run's end into the
-    # flank; by then the flank is their neighbor in the state
-    for k in range(max_step + 1):
-        for to, side, host in ((to_left, SUCC_SIDE, state.pv), (to_right, PRED_SIDE, state.sv)):
-            a = nodes[to & (step_idx == k)]
-            contract_batch(machine, a, host[a], side, f"{phase}/{'RL'[side]}{k}", state)
+    left = np.where(head_flag, np.where(tail_flag, half, length), 0)
+    q = np.where(to_left, pos + 1, np.where(to_right, rem + 1, 0))
+    low = q & -q
+    wave = np.where(short, np.log2(np.maximum(low, 1)), NONE).astype(np.int64)  # exact on 2**j
+    mine = np.where(to_left, left, length - left)   # the node's half, in nodes
+    other = (length - mine) >> np.maximum(wave, 0)   # the other half, in units of 2**wave
+    meets = short & (q + low > mine) & (other & 1 == 1)
+    return to_left, wave, np.where(meets, np.where(other == 1, 1 - target_row, target_row), NONE)
 
 
 def classify_by_walk(machine: Machine, state: PassState, target_row, min_run, phase):

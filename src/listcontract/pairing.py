@@ -131,9 +131,10 @@ def form_pairs(machine: Machine, state: PassState, colors, phase="pairs"):
         use_s = (u_sv != NONE) & (succ_pair != NONE)
         use_p = ~use_s & (u_pv != NONE) & (pred_pair != NONE)
         host = np.where(use_s, u_sv, np.where(use_p, u_pv, NONE))
-        ok = host != NONE
-        side = np.where(use_s[ok], PRED_SIDE, SUCC_SIDE)
-        contract_batch(machine, u_ids[ok], host[ok], side, f"{phase}/abs{wave}", state)
+        # one side at a time: two adjacent unpaired nodes can take
+        # opposite sides, which contract_batch cannot tell in one step
+        for side, on in ((PRED_SIDE, use_s), (SUCC_SIDE, use_p)):
+            contract_batch(machine, u_ids[on], host[on], side, f"{phase}/abs{wave}", state)
 
     # absorbing an unpaired node changes no partner, so the registers
     # of the tasks still live hold every pair

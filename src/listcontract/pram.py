@@ -18,8 +18,9 @@ depend on the processor count.
 
 Both rules can only fail on a cell that two distinct tasks of the step
 touch, so the checks first look for such cells store by store. When
-every access to a store uses one index array whose non-negative
-entries strictly increase, task ``i`` alone touches cell ``idx[i]``,
+every access to a store that keeps a cell at all uses one index array
+whose non-negative entries strictly increase, task ``i`` alone touches
+cell ``idx[i]``,
 and one sequential compare proves the store uncontested. The other
 stores scatter each access's task ids into a reusable owner buffer and
 gather them back; a store where some task reads back another task's id
@@ -293,13 +294,16 @@ def _by_store(accesses):
 
 
 def _one_increasing(idx_list):
-    """True when every index array in idx_list equals the first and the
-    first's non-negative entries strictly increase: then task i alone
-    touches cell idx[i]. A False only means the store is not proved."""
+    """True when every index array in idx_list that keeps a cell equals
+    the first such one, and its non-negative entries strictly increase:
+    then task i alone touches cell idx[i]. A False only means the store
+    is not proved."""
     ix = idx_list[0]
     if any(other is not ix and not np.array_equal(other, ix)
            for other in idx_list[1:]):
-        return False
+        # an access that skips every task touches no cell
+        kept = [other for other in idx_list if other.max() >= 0]
+        return not kept or (len(kept) < len(idx_list) and _one_increasing(kept))
     # a fully increasing array has its skips (negatives) first
     up = ix[1:] > ix[:-1]
     if up.all():

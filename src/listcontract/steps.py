@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,7 +83,8 @@ class PassState:
     successor and predecessor (NONE at a list end or across a cut
     link), the row, and the rows of those two neighbors (NONE where
     they are); memory holds no cut. contract_batch keeps them current
-    and, as in memory, retires the row of every task of ids it absorbs.
+    and, as in memory, retires the row of every task of ids it absorbs,
+    dropping it from the live tasks.
     """
 
     ids: np.ndarray
@@ -92,79 +93,147 @@ class PassState:
     row: np.ndarray
     row_s: np.ndarray
     row_p: np.ndarray
+    live_ids: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.live_ids = self.ids[self.row[self.ids] >= 0]
 
     def live(self):
-        return self.ids[self.row[self.ids] >= 0]
+        return self.live_ids
 
     def side(self, d):
         return (self.pv, self.row_p) if d == PRED_SIDE else (self.sv, self.row_s)
 
 
-def contract_batch(machine: Machine, absorbed, host, side, phase, state=None):
-    """Contract absorbed[i] into adjacent host[i], all pairs independent.
+def contract_batch(machine: Machine, absorbed, host, side, phase, state=None, meet_row=None):
+    """Contract absorbed[i] into adjacent host[i] in one step.
 
-    side is PRED_SIDE when the absorbed node precedes its host. Hosts
-    must be distinct; absorbed and host sets must not overlap. Its row
-    alone records that an absorbed node is retired. With a PassState,
-    each absorbed task forwards its far neighbor and that neighbor's
-    row to its host, and its host and the host's row to the far
-    neighbor, through inbox cells the receivers own; a far neighbor
-    across a cut link is NONE there, so the link stays cut.
+    side[i] is PRED_SIDE when absorbed[i] precedes its host. The hosts
+    of one side must be distinct, and absorbed and host sets must not
+    overlap. Its row alone records that an absorbed node is retired;
+    the log gets one entry per side.
+
+    An absorbed node's far neighbor (the one beyond it from its host)
+    may be absorbed in the same batch only toward the other side, as a
+    meeting pair x, y between hosts hx, hy; meet_row marks both, with
+    the row of the other one's host, NONE elsewhere. Each of x and y
+    reads the other's host from memory and links its own host to it.
+
+    Without a PassState the hosts must be distinct over the batch,
+    and the step sums each host's weight. With one, a host may take one
+    node on each side: each absorbed task forwards its weight, its far
+    neighbor and that neighbor's row to its host, and its host and the
+    host's row to the far neighbor, through inbox cells the receivers
+    own, and the refresh step sums the weights. A far neighbor across a
+    cut link is NONE there, so the link stays cut.
     """
     a = np.asarray(absorbed, dtype=np.int64)
     h = np.asarray(host, dtype=np.int64)
-    side_arr = np.broadcast_to(np.asarray(side, dtype=np.int64), a.shape)
-    eng = machine.engine
+    if a.size == 0:
+        return
+    sd = np.broadcast_to(np.asarray(side, dtype=np.int64), a.shape)
+    wa, far = _contract_step(machine, a, h, sd == PRED_SIDE, meet_row, phase, state)
+    for d in (PRED_SIDE, SUCC_SIDE):
+        on = sd == d
+        if on.any():
+            machine.log.append(ContractBatch(absorbed=a[on], host=h[on],
+                                             side=np.full(int(on.sum()), d), weight=wa[on]))
     if state is not None:
-        # a receiver's new neighbor on side d arrives in inbox[d], packed
-        # with that neighbor's row (0 or 1) as 2 * id + row
-        inbox = [scratch(machine, st) for st in INBOX]
-    for sd in (PRED_SIDE, SUCC_SIDE):
-        m = side_arr == sd
-        if not m.any():
-            continue
-        aa, hh = a[m], h[m]
-        with eng.step(f"{phase}/contract", aa.size) as s:
-            wa = s.read("weight", aa)
-            wh = s.read("weight", hh)
-            ra = s.read("row", aa)
-            ca = s.read("col", aa)
-            outer = s.read("pred" if sd == PRED_SIDE else "succ", aa)
-            if sd == PRED_SIDE:
-                fa = s.read("first", aa)
-                s.write("succ", outer, hh)
-                s.write("pred", hh, outer)
-                s.write("first", hh, fa)
-            else:
-                s.write("pred", outer, hh)
-                s.write("succ", hh, outer)
-            s.write("weight", hh, wa + wh)
-            s.write("slot", machine.cell(ra, ca), NONE)
-            s.write("row", aa, RETIRED)
-            s.write("col", aa, RETIRED)
-            if state is not None:
-                (far, far_row), (_, host_row) = state.side(sd), state.side(1 - sd)
-                far, far_row, host_row = far[aa], far_row[aa], host_row[aa]
-                s.write(inbox[sd], hh, np.where(far != NONE, 2 * far + far_row, NONE))
-                s.write(inbox[1 - sd], far, 2 * hh + host_row)
-        machine.log.append(
-            ContractBatch(absorbed=aa.copy(), host=hh.copy(),
-                          side=np.full(aa.size, sd), weight=wa.copy())
-        )
-        if state is not None:
-            # hosts read their side-sd inbox and far neighbors the other
-            # one; a task that is both reads both
-            state.row[aa] = RETIRED
-            got = np.zeros(state.row.size, dtype=np.int8)
-            got[hh] |= 1 << sd
-            got[far[far != NONE]] |= 1 << (1 - sd)
-            t = np.flatnonzero(got)
-            with eng.step(f"{phase}/refresh", t.size) as s:
-                for d in (PRED_SIDE, SUCC_SIDE):
-                    on = got[t] >> d & 1 == 1
-                    msg = s.read(inbox[d], np.where(on, t, NONE))[on]
-                    nbr, row = state.side(d)
-                    nbr[t[on]], row[t[on]] = msg >> 1, np.where(msg != NONE, msg & 1, NONE)
+        state.row[a] = RETIRED
+        state.live_ids = state.live_ids[state.row[state.live_ids] >= 0]
+        _refresh_step(machine, state, h, sd, far, phase)
+
+
+# a receiver's new neighbor on side d arrives in its inbox[d] cell,
+# packed with that neighbor's row (0 or 1) and, for a host, the
+# absorbed weight w, as ((w << bits) + id + 1) * 2 + row, where
+# id + 1 <= n < 2**bits
+def _contract_step(machine: Machine, a, h, ps, meet_row, phase, state):
+    """The contract step of contract_batch, ps marking its pred-side
+    tasks; returns the absorbed weights and, with a state, each task's
+    far neighbor that hears from it (NONE where none does)."""
+    skip = np.full(a.size, NONE)
+    meet_row = skip if meet_row is None else np.asarray(meet_row)
+    meet = meet_row != NONE
+    far = None
+    with machine.engine.step(f"{phase}/contract", a.size) as s:
+        wa = s.read("weight", a)
+        ra = s.read("row", a)
+        ca = s.read("col", a)
+        # the outer neighbor, and in a meeting the other host beyond it
+        outer = _pick(ps, s.read("pred", _pick(ps, a, skip)), s.read("succ", _pick(ps, skip, a)))
+        link = outer
+        if meet.any():
+            beyond = _pick(ps, s.read("pred", np.where(meet & ps, outer, NONE)),
+                           s.read("succ", np.where(meet & ~ps, outer, NONE)))
+            link, outer = np.where(meet, beyond, outer), np.where(meet, NONE, outer)
+        fa = s.read("first", _pick(ps, a, skip))
+        s.write("succ", _pick(ps, outer, h), _pick(ps, h, link))
+        s.write("pred", _pick(ps, h, outer), _pick(ps, link, h))
+        s.write("first", _pick(ps, h, skip), fa)
+        s.write("slot", machine.cell(ra, ca), NONE)
+        s.write("row", a, RETIRED)
+        s.write("col", a, RETIRED)
+        if state is None:
+            s.write("weight", h, wa + s.read("weight", h))
+        else:
+            bits = machine.n.bit_length()
+            far = _at(ps, a, state.pv, state.sv)
+            far_row = _at(ps, a, state.row_p, state.row_s)
+            # in a meeting the host's new neighbor is the other host,
+            # and the far neighbor, absorbed too, hears nothing
+            new, new_row = _pick(meet, link, far), _pick(meet, meet_row, far_row)
+            to_host = ((wa << bits) + new + 1) * 2 + np.where(new != NONE, new_row, 0)
+            to_far = (h + 1) * 2 + _at(ps, a, state.row_s, state.row_p)
+            far = _pick(meet, skip, far)
+            inbox = [scratch(machine, st) for st in INBOX]
+            s.write(inbox[PRED_SIDE], _pick(ps, h, far), _pick(ps, to_host, to_far))
+            s.write(inbox[SUCC_SIDE], _pick(ps, far, h), _pick(ps, to_far, to_host))
+    return wa, far
+
+
+def _refresh_step(machine: Machine, state: PassState, h, sd, far, phase):
+    """The refresh step of contract_batch: hosts read their side-d
+    inbox and far neighbors the other one (a task that is both, or a
+    host on both sides, reads both) into their registers, and each
+    host adds the weights it took."""
+    got = np.zeros(state.row.size, dtype=np.int8)
+    for d in (PRED_SIDE, SUCC_SIDE):
+        on = sd == d
+        got[h[on]] |= 1 << d
+        got[far[on & (far != NONE)]] |= 1 << (1 - d)
+    t = np.flatnonzero(got)
+    got = got[t]
+    bits = machine.n.bit_length()
+    with machine.engine.step(f"{phase}/refresh", t.size) as s:
+        add = np.zeros(t.size, dtype=np.int64)
+        for d, store in zip((PRED_SIDE, SUCC_SIDE), INBOX):
+            on = (got >> d) & 1 == 1
+            msg = s.read(store, t if on.all() else np.where(on, t, NONE))[on]
+            nbr, row = state.side(d)
+            rest = (msg >> 1) & ((1 << bits) - 1)   # id + 1, 0 for NONE
+            tt = t[on]
+            nbr[tt] = rest - 1
+            row[tt] = np.where(rest > 0, msg & 1, NONE)
+            add[on] += msg >> (bits + 1)
+        hosts = np.where(add > 0, t, NONE)
+        s.write("weight", hosts, s.read("weight", hosts) + add)
+
+
+def _pick(mask, x, y):
+    """np.where(mask, x, y), returning x or y itself where mask is
+    uniform: the engine then sees one index array where it can."""
+    if mask.all():
+        return x
+    return np.where(mask, x, y) if mask.any() else y
+
+
+def _at(mask, a, x, y):
+    """x[a] where mask holds and y[a] elsewhere, for registers x, y
+    indexed by node; reads only the one in use where mask is uniform."""
+    if mask.all():
+        return x[a]
+    return np.where(mask, x[a], y[a]) if mask.any() else y[a]
 
 
 def move_nodes(machine: Machine, nodes, frm, to, phase):

@@ -224,7 +224,9 @@ def merge_pairs(machine: Machine, absorbed, host, phase):
     h = np.asarray(host, dtype=np.int64)
     with machine.engine.step(f"{phase}/side", a.size) as s:
         sa = s.read("succ", a)
-    contract_batch(machine, a, h, np.where(sa == h, PRED_SIDE, SUCC_SIDE), phase)
+    # one side at a time: two merged members can be adjacent
+    for side, on in ((PRED_SIDE, sa == h), (SUCC_SIDE, sa != h)):
+        contract_batch(machine, a[on], h[on], side, phase)
     with machine.engine.step(f"{phase}/exempt", h.size) as s:
         s.write("pair", h, NONE)
         s.write("color", h, NONE)

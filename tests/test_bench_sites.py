@@ -1,15 +1,22 @@
 """The benchmark's tracer wraps package attributes by name, so a renamed
 or deleted function makes every traced call fail. Check that each one
-it names still resolves, without running the tracer."""
+it names still resolves, without running the tracer, and that one
+untraced and one traced benchmark run still end correct."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from listcontract import pram
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def test_every_traced_site_resolves_to_a_callable(monkeypatch):
@@ -23,3 +30,14 @@ def test_every_traced_site_resolves_to_a_callable(monkeypatch):
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert not missing
     assert callable(pram.Engine.step)
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_benchmark_run_ends_correct(trace):
+    # --seconds 0 times one call after the set-up
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
+                           "geo_rows", "--seconds", "0", "--trace", str(trace)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout.strip().splitlines()[-1])["correct"] is True

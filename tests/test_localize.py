@@ -8,6 +8,7 @@ from listcontract import (Machine, PramConfig, Workload, generate, layout, list_
                           sequential_rank)
 from listcontract.localize import localize
 from listcontract.pram import NONE
+from listcontract.ranking import pointer_jump, replay_ranks
 from conftest import path_forest, place, read_state
 
 # the package's localize function hides the module of that name
@@ -271,3 +272,75 @@ def test_localize_walks_few_runs_and_doubles_many():
     assert [k for k in labels if k.startswith("localize/a/dhead")]
     assert not [k for k in labels if "/walk" in k]
     assert (m.peek("row")[m.in_array_ids()] == 0).all()
+
+
+# -- log-depth absorption waves --------------------------------------------
+
+def localize_runs(runs, p=16):
+    """Localize one path laid out as consecutive single-row runs, runs
+    a list of (row, length), at min_run 100; returns the machine, its
+    pass state and its step labels in order."""
+    n = sum(length for _, length in runs)
+    m = Machine(path_forest(n), PramConfig(num_processors=p, record_trace=True))
+    pos, col, v = {}, [0, 0], 0
+    for row, length in runs:
+        for _ in range(length):
+            pos[v] = (row, col[row])
+            col[row] += 1
+            v += 1
+    place(m, pos)
+    state = read_state(m)
+    localize(m, state, min_run=100)
+    assert m.engine.metrics().erew_violations == 0
+    # the contraction log replays to the path's ranks
+    ids, before, head, _ = pointer_jump(m)
+    assert replay_ranks(m, ids, before, head).rank.tolist() == list(range(n))
+    cut_s, cut_p = cut_links(m, state)
+    assert cut_s.size == 0 and cut_p.size == 0
+    return m, state, [r.label for r in m.engine.trace]
+
+
+def wave_labels(labels):
+    return [k for k in labels if k.startswith("localize/a/w")]
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4, 7, 8, 50])
+def test_half_run_takes_log_depth_waves(h):
+    # a lower run of h nodes ends the list after a long upper run: all
+    # of it is one half, flanked by node 9
+    m, state, labels = localize_runs([(0, 10), (1, h)])
+    waves = int(np.ceil(np.log2(h + 1)))
+    assert wave_labels(labels) == [f"localize/a/w{j}/{step}" for j in range(waves)
+                                   for step in ("contract", "refresh")]
+    assert m.peek("weight")[9] == 1 + h
+    assert (m.peek("row")[m.in_array_ids()] == 0).all()
+    assert state.live().tolist() == list(range(10))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_meeting_pair_links_both_hosts(k):
+    # lower runs of 2 and 2**k + 2 nodes, each between upper runs: the
+    # two halves' last nodes meet in one wave, into the flanks (run of
+    # 2, and k = 1) or into run nodes
+    long = 2 ** k + 2
+    m, state, labels = localize_runs([(0, 10), (1, 2), (0, 10), (1, long), (0, 10)])
+    succ, weight = m.peek("succ"), m.peek("weight")
+    b, c = 22, 22 + long   # first nodes of the second and third upper runs
+    assert succ[9] == 12 and succ[b - 1] == c
+    assert state.sv[9] == 12 and state.pv[c] == b - 1
+    assert weight[[9, 12, b - 1, c]].tolist() == [2, 2, 1 + long // 2, 1 + long // 2]
+    assert len(wave_labels(labels)) == 2 * int(np.ceil(np.log2(long // 2 + 1)))
+
+
+@pytest.mark.parametrize("h", [1, 3])
+def test_runs_on_both_sides_of_one_node_absorb_into_it_in_one_step(h):
+    # lower runs open and close the list around a single upper node f,
+    # their only flank: both sides go into f in the same waves
+    m, state, labels = localize_runs([(1, h), (0, 1), (1, h)])
+    f = h
+    assert wave_labels(labels) == [f"localize/a/w{j}/{step}"
+                                   for j in range(int(np.ceil(np.log2(h + 1))))
+                                   for step in ("contract", "refresh")]
+    assert m.peek("weight")[f] == 1 + 2 * h
+    assert m.in_array_ids().tolist() == [f]
+    assert state.sv[f] == NONE and state.pv[f] == NONE

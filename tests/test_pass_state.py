@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from listcontract import Machine, PramConfig, Workload, generate, layout
+from listcontract import (Machine, PramConfig, Workload, generate, layout, list_rank,
+                          sequential_rank)
 from listcontract import orientation, pairing
 from listcontract.orientation import PassReport, uniform_contraction_pass
 from listcontract.pram import NONE
@@ -116,3 +117,29 @@ def test_two_row_steps_run_only_when_both_rows_hold_a_node():
     assert rep == PassReport(pre_active=4096, pooled=0, survivors=1676, columns_before=2048,
                              columns_after=1024, shortcut_pairs=226, odd_cycles=0,
                              survivors_in_bottom_row=True, halved=True)
+
+
+def test_kept_live_ids_match_rows_after_every_contraction():
+    # a shuffled GEOMETRIC call whose localization and pairing both
+    # absorb nodes; every contract_batch given a pass state drops its
+    # absorbed tasks from the kept live ids
+    forest = generate(Workload(n=4096, num_lists=16, length_distribution="GEOMETRIC",
+                               seed=5, layout_shuffle=True))
+    checked_calls = []
+
+    def wrapped(contract):
+        def run(machine, absorbed, host, side, phase, state=None, *args):
+            contract(machine, absorbed, host, side, phase, state, *args)
+            if state is not None:
+                assert np.array_equal(state.live(), state.ids[state.row[state.ids] >= 0])
+                checked_calls.append(phase)
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (localize_mod, pairing):
+            mp.setattr(mod, "contract_batch", wrapped(mod.contract_batch))
+        run = list_rank(forest, p=512, layout_mode="rows", min_run=8)
+    assert run.result.same_as(sequential_rank(forest))
+    assert run.metrics.erew_violations == 0
+    assert any("/localize/" in k for k in checked_calls)
+    assert any("/rows/" in k for k in checked_calls)

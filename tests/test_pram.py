@@ -438,3 +438,16 @@ def test_increasing_stores_skip_the_owner_scatter():
     with eng.step("scattered", 2) as s:
         s.read("x", np.array([3, 2]))
     assert eng._owner.size == 17
+
+
+def test_accesses_that_skip_every_task_leave_a_store_proved():
+    # a masked access with no kept cell, as a one-sided batch gives
+    mem, eng = fresh(p=4)
+    ids = np.array([1, 4, 9])
+    with eng.step("proved", 3) as s:
+        s.read("x", np.full(3, NONE))
+        s.write("x", ids, 7)
+        s.write("y", np.full(3, NONE), 1)
+    assert eng._owner.size == 1
+    assert mem.peek("x")[ids].tolist() == [7, 7, 7]
+    assert pram._one_increasing([np.full(3, NONE), np.array([2, 1, NONE])]) is False

@@ -162,13 +162,13 @@ def log_digest(log):
 
 
 @pytest.mark.parametrize("n, seed, digest", [
-    (4096, 3, (43, "9a1191de54836f08e7db09c4ac5084d85a41d4fa")),
-    (2 ** 14, 1, (54, "ca9e92833e1798de300f0645176b52cccf194357")),
+    (4096, 3, (30, "119fe0e2ecc31b4f1d5456c319c0aee3f8325b41")),
+    (2 ** 14, 1, (40, "ce6458b465cf21954385e81729cf9bde42fb367e")),
 ])
 def test_contraction_log_matches_recorded_run(n, seed, digest, monkeypatch):
     # GEOMETRIC lists of mean 256, shuffled, rows layout, min_run 8,
     # p = n/8; the entries (absorbed, host, side, weight) were recorded
-    # when every localization doubled its run distances
+    # when localization absorbed short runs in log-depth waves
     logs = []
     replay = ranking.replay_ranks
     monkeypatch.setattr(ranking, "replay_ranks",
@@ -178,6 +178,10 @@ def test_contraction_log_matches_recorded_run(n, seed, digest, monkeypatch):
     run = list_rank(f, p=n // 8, layout_mode="rows", min_run=8)
     assert run.result.same_as(sequential_rank(f))
     assert log_digest(logs[0]) == digest
+    # the replay reads each entry's hosts in one step
+    for b in logs[0]:
+        assert np.unique(b.host).size == b.host.size
+        assert not np.isin(b.host, b.absorbed).any()
     assert [k for k in run.metrics.phase_breakdown if "/localize/" in k and "/walk" in k]
 
 

@@ -2,12 +2,14 @@
 
 Colors start as the unique node ids and shrink by comparing each
 node's color with its successor's: the new color packs the position of
-the lowest differing bit with the node's own bit there. Once every
-color fits in {0..5} three elimination passes remove colors 5, 4, 3.
-The first iteration runs on the task registers and each later one is
-one engine step. The step that ends coin tossing, and each drop, write
-a node's color straight into its neighbors' inbox cells, where the
-drops and the color-2 elimination read it.
+the lowest differing bit with the node's own bit there. Coin tossing
+stops once dropping the colors above 2 costs no more than going on
+would, and then one drop step per color present, highest first,
+recolors the nodes of that color; with every color in {0..5} these are
+the drops of 5, 4 and 3. The first iteration runs on the task registers
+and each later one is one engine step. The step that ends coin tossing,
+and each drop, write a node's color straight into its neighbors' inbox
+cells, where the drops and the color-2 elimination read it.
 
 Callers pass explicit id, successor and predecessor arrays, so the
 same code colors whole lists and row-restricted lists.
@@ -50,6 +52,16 @@ def dct_new_colors(color, succ_color, has_succ):
     return np.where(has_succ, new, color & 1)
 
 
+def drops_are_cheaper(color, p):
+    """Whether one drop step per color above 2, each of the tasks that
+    hold it, costs at most the ceil(k/p) + 3 rounds that going on pays:
+    one more full-width iteration, then drops of 5, 4 and 3. Every
+    color in {0..5} passes, so coin tossing always ends."""
+    counts = np.bincount(color)[3:]
+    k = color.size
+    return int((-(-counts // p)).sum()) <= -(-k // p) + 3
+
+
 def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color"):
     """Proper 3-coloring of the chains given by succ_ids/pred_ids.
 
@@ -58,12 +70,19 @@ def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color")
     simple chains. Final colors land in color[ids], and each node's
     inbox_p and inbox_s cells hold its predecessor's and successor's
     final colors.
+
+    Coin tossing publishes after the first iteration whose colors
+    drops_are_cheaper accepts: one more iteration costs a full-width
+    step and still leaves colors 5, 4 and 3 to drop, so stopping pays
+    off once the drops of every color above 2 cost at most that. The
+    colors above 2 are then dropped in any number, highest first.
     """
     ids = np.asarray(ids, dtype=np.int64)
     k = ids.size
     if k == 0:
         return ColorAssignment(ids, np.empty(0, dtype=np.int64), 0)
 
+    p = engine.config.num_processors
     size = memory.peek("color").size
     has_succ, has_pred = succ_ids >= 0, pred_ids >= 0
     inb_p, inb_s = (memory.scratch(st, size) for st in INBOX)
@@ -91,7 +110,7 @@ def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color")
                 store, _, read_at = bufs[1 - t % 2]
                 color = dct_new_colors(color, s.read(store, read_at), has_succ)
                 iterations += 1
-            if int(color.max()) <= 5:
+            if drops_are_cheaper(color, p):
                 s.write("color", ids, color)
                 s.write(inb_p, succ_ids, color)
                 s.write(inb_s, pred_ids, color)
@@ -102,10 +121,8 @@ def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color")
     # a proper coloring never recolors two neighbors in one drop, so
     # each recolored node forwards its new color itself. An inbox cell
     # with no neighbor behind it may hold a buffer value and is not read.
-    for drop in (5, 4, 3):
+    for drop in np.unique(color[color > 2])[::-1]:
         sel = np.flatnonzero(color == drop)
-        if sel.size == 0:
-            continue
         t_ids = ids[sel]
         with engine.step(f"{phase}/drop{drop}", sel.size) as s:
             cp = s.read(inb_p, np.where(has_pred[sel], t_ids, NONE))

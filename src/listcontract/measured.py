@@ -7,16 +7,16 @@ measurements from the same functions against these within +-10%.
 """
 
 # rounds of one contraction pass vs one 3-coloring, single list of 2**e
-PASS_OVER_COLORING_K = {10: 4.2143, 12: 4.2143, 14: 4.2143, 16: 4.2143, 18: 4.2143}
+PASS_OVER_COLORING_K = {10: 3.7857, 12: 3.7857, 14: 3.7857, 16: 3.7857, 18: 3.7857}
 
 # list_rank rounds, l = 64 fixed, p = n / 6, n = 2**e
-FIXED_L_ROUNDS = {12: 90, 13: 90, 14: 90, 15: 90, 16: 90, 17: 90, 18: 90}
+FIXED_L_ROUNDS = {12: 83, 13: 83, 14: 83, 15: 83, 16: 83, 17: 83, 18: 83}
 
 # list_rank rounds, single list of length n = 2**e, p = n / 6
-SINGLE_LIST_ROUNDS = {12: 118, 14: 120, 16: 122, 18: 141}
+SINGLE_LIST_ROUNDS = {12: 103, 14: 105, 16: 107, 18: 123}
 
 # total_work(wyllie) / total_work(list_rank), n = 2**16, lists of length l
-WORK_RATIO = {4: 0.3429, 16: 0.5298, 64: 0.6038, 256: 0.7584}
+WORK_RATIO = {4: 0.3636, 16: 0.5839, 64: 0.6727, 256: 0.8464}
 
 # the work-advantage threshold at l = 256 is recorded, not asserted
 # against a theoretical target: per-step accounting keeps the

@@ -17,13 +17,15 @@ import numpy as np
 from .errors import OrientationError, UncoveredCaseError
 # clear_cuts stays importable here for bench/tracing.py
 from .localize import MIN_RUN, clear_cuts, localize  # noqa: F401
-from .model import Machine, POOLED
+from .model import INBOX, Machine, POOLED, SUCC_SIDE
 from .pram import NONE
 # contract_batch stays importable here for bench/tracing.py
-from .steps import PassState, contract_batch, move_nodes, pair_leaders  # noqa: F401
+from .steps import PassState, contract_batch, move_nodes, pair_leaders, scratch  # noqa: F401
 from .uniform import color_and_pair, enforce_uniformity, merge_pairs, opposite_pair_shortcut
 
-# lists shorter than this leave the array at the start of a pass
+# lists shorter than this leave the array at the start of a pass; the
+# pool sees two hops each way in its two wide steps, and only the nodes
+# near a list end walk the hops past that
 POOL_MIN_LEN = 4
 
 _CYCLE_NEXT = np.full(4, -1, dtype=np.int64)
@@ -175,28 +177,42 @@ def fold_array(machine: Machine, ids, cols, phase="fold"):
 def pool_short_lists(machine: Machine, phase="pool"):
     """Move lists shorter than POOL_MIN_LEN out of the array; pointer
     jumping will finish them. Their links stay intact. Returns the
-    count and the PassState of the rest, which the walks read (memory
-    holds no cut)."""
+    count and the PassState of the rest (memory holds no cut).
+
+    Two full-width steps read the state and see two hops each way: in
+    the send step each node reads its row and links and hands its
+    successor and row to its predecessor's inbox_s cell, and in the
+    recv step it reads the row and predecessor of its predecessor and
+    that cell. The nodes that still see fewer than POOL_MIN_LEN - 1
+    others, the ones near a list end, then walk one hop further out
+    per narrow step until they do or their walks run out."""
     eng = machine.engine
     ids = machine.in_array_ids()
-    # walk POOL_MIN_LEN - 1 hops, at least the three that carry the row
-    # reads, from each node toward both ends at once, counting the hops
-    # that reach a node
-    up, down = ids, ids
-    seen = np.zeros(ids.size, dtype=np.int64)
-    at, rows = [ids], []    # own row, then the pred's, then the succ's
-    for i in range(max(3, POOL_MIN_LEN - 1)):
-        with eng.step(f"{phase}/walk{i}", ids.size) as s:
-            if i < 3:
-                rows.append(s.read("row", at[i]))
-            up = s.read("pred", up)
-            down = s.read("succ", down)
-        if i == 0:
-            at += [up, down]
-        seen = seen + (up != NONE) + (down != NONE)
+    inbox_s = scratch(machine, INBOX[SUCC_SIDE])
+    with eng.step(f"{phase}/send", ids.size) as s:
+        row = s.read("row", ids)
+        pv = s.read("pred", ids)
+        sv = s.read("succ", ids)
+        s.write(inbox_s, pv, (sv + 1) * 2 + row)
+    has_s = sv != NONE
+    with eng.step(f"{phase}/recv", ids.size) as s:
+        row_p = s.read("row", pv)
+        up = s.read("pred", pv)
+        msg = s.read(inbox_s, np.where(has_s, ids, NONE))
+    down = np.where(has_s, (msg >> 1) - 1, NONE)
+    row_s = np.where(has_s, msg & 1, NONE)
+    seen = (pv != NONE).astype(np.int64) + (sv != NONE) + (up != NONE) + (down != NONE)
+    for _ in range(2, POOL_MIN_LEN - 1):
+        walk = np.flatnonzero((seen < POOL_MIN_LEN - 1) & ((up != NONE) | (down != NONE)))
+        if walk.size == 0:
+            break
+        with eng.step(f"{phase}/far", walk.size) as s:
+            up[walk] = s.read("pred", up[walk])
+            down[walk] = s.read("succ", down[walk])
+        seen[walk] += (up[walk] != NONE).astype(np.int64) + (down[walk] != NONE)
     keep = seen >= POOL_MIN_LEN - 1
     regs = [np.full(machine.n, NONE, dtype=dt) for dt in (np.int64,) * 2 + (np.int8,) * 3]
-    for reg, got in zip(regs, (at[2], at[1], rows[0], rows[2], rows[1])):
+    for reg, got in zip(regs, (sv, pv, row, row_s, row_p)):
         reg[ids[keep]] = got[keep]
     state = PassState(ids[keep], *regs)
     sel = ids[~keep]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from listcontract import ImproperColoringError, Machine, PramConfig
+from listcontract import ImproperColoringError, Machine, PramConfig, Workload, generate
 from listcontract import coloring
 from listcontract.coloring import dct_new_colors, three_color
 from listcontract.pram import NONE
@@ -85,11 +85,15 @@ def test_two_node_list_proper():
     assert ca.final_color[0] != ca.final_color[1]
 
 
+def coloring_rounds(m, phase="tc"):
+    return {label[len(phase) + 1:]: r for label, r in m.engine.metrics().phase_breakdown.items()
+            if label.startswith(phase + "/")}
+
+
 def test_one_step_per_iteration_on_2_16_path():
     m, ids, sv, pv = color_forest(2**16)
     ca = three_color(m.engine, m.memory, ids, sv, pv, phase="tc")
-    rounds = {label[3:]: r for label, r in m.engine.metrics().phase_breakdown.items()
-              if label.startswith("tc/")}
+    rounds = coloring_rounds(m)
     # the first iteration runs on registers and the last one publishes
     # the colors, so each iteration costs one full-width step
     per_step = -(-ids.size // m.engine.config.num_processors)
@@ -99,6 +103,31 @@ def test_one_step_per_iteration_on_2_16_path():
     assert not {"init", "dct_write", "bcast"} & set(rounds)
     assert set(rounds) <= {"drop5", "drop4", "drop3"}
     assert proper(ca.final_color, ids, sv)
+
+
+def test_priced_stop_publishes_above_five_on_shuffled_2_16_chain(monkeypatch):
+    # at p = k/8 a coin-tossing step costs 8 rounds, while after the
+    # second iteration every color above 2 drops in one round: seven
+    # one-round drops replace two more full-width steps
+    def run():
+        fo = generate(Workload(n=2**16, length_distribution="SINGLE", seed=0,
+                               layout_shuffle=True))
+        m = Machine(fo, PramConfig(num_processors=2**13))
+        ids = m.active_ids()
+        sv, pv = restricted_neighbors(m, ids, "nbr")
+        ca = three_color(m.engine, m.memory, ids, sv, pv, phase="tc")
+        assert proper(ca.final_color, ids, sv) and ca.final_color.max() <= 2
+        return ca, coloring_rounds(m)
+
+    ca, rounds = run()
+    assert ca.dct_iterations == 2
+    assert rounds == {"dct": 16, **{f"drop{c}": 1 for c in range(9, 2, -1)}}
+    # the six-color schedule tosses on until no color is above 5
+    monkeypatch.setattr(coloring, "drops_are_cheaper", lambda color, p: color.max() <= 5)
+    six, six_rounds = run()
+    assert six.dct_iterations == 4
+    assert six_rounds == {"dct": 32, "drop5": 1, "drop4": 1, "drop3": 1}
+    assert sum(rounds.values()) == 23 < sum(six_rounds.values()) == 35
 
 
 def test_iterated_log_recurrence():
@@ -135,7 +164,6 @@ def test_determinism_identical_forests_identical_colorings():
 def test_colors_final_range_and_properness_random_chains():
     rng = np.random.default_rng(3)
     # a forest of several lists via a shuffled machine
-    from listcontract import Workload, generate
     fo = generate(Workload(n=777, num_lists=13, seed=9, layout_shuffle=True))
     m = Machine(fo, PramConfig(num_processors=64))
     ids = m.active_ids()
@@ -145,17 +173,25 @@ def test_colors_final_range_and_properness_random_chains():
     assert proper(ca.final_color, ids, sv)
 
 
-def reference_colors(ids, sv, pv):
-    """Host model of three_color: coin tossing from the ids while a
-    color is above 5, then colors 5, 4 and 3 each drop to the least
-    color neither neighbor has, one node at a time."""
+def reference_colors(ids, sv, pv, p):
+    """Host model of three_color: one coin-tossing iteration from the
+    ids when one is above 5, then more while dropping the colors above
+    2 would cost more than ceil(k/p) + 3 rounds at p processors; then
+    each color above 2, highest first, drops to the least color neither
+    neighbor has, one node at a time."""
     pos = np.full(int(ids.max()) + 1, NONE, dtype=np.int64)
     pos[ids] = np.arange(ids.size)
     has_s = sv != NONE
     c = ids.copy()
-    while int(c.max()) > 5:
-        c = dct_new_colors(c, c[pos[np.where(has_s, sv, ids)]], has_s)
-    for drop in (5, 4, 3):
+
+    def toss(c):
+        return dct_new_colors(c, c[pos[np.where(has_s, sv, ids)]], has_s)
+
+    if int(c.max()) > 5:
+        c = toss(c)
+    while sum(-(-int((c == x).sum()) // p) for x in set(c.tolist()) if x > 2) > -(-c.size // p) + 3:
+        c = toss(c)
+    for drop in sorted({x for x in c.tolist() if x > 2}, reverse=True):
         for i in np.flatnonzero(c == drop):
             taken = {int(c[pos[v]]) for v in (sv[i], pv[i]) if v != NONE}
             c[i] = min({0, 1, 2} - taken)
@@ -167,7 +203,6 @@ def reference_colors(ids, sv, pv):
        p=st.integers(1, 64), keep=st.floats(0.3, 1.0),
        dist=st.sampled_from(["UNIFORM", "GEOMETRIC"]))
 def test_colors_and_inboxes_match_host_reference(n, lists, seed, p, keep, dist):
-    from listcontract import Workload, generate
     fo = generate(Workload(n=n, num_lists=min(n, lists), length_distribution=dist,
                            seed=seed, layout_shuffle=True))
     m = Machine(fo, PramConfig(num_processors=p))
@@ -177,7 +212,7 @@ def test_colors_and_inboxes_match_host_reference(n, lists, seed, p, keep, dist):
     ids = np.sort(fo.order[np.repeat(chosen, fo.lengths)])
     sv, pv = restricted_neighbors(m, ids, "nbr")
     ca = three_color(m.engine, m.memory, ids, sv, pv, phase="tc")
-    ref = reference_colors(ids, sv, pv)
+    ref = reference_colors(ids, sv, pv, p)
     assert np.array_equal(ca.final_color, ref)
     assert np.array_equal(m.peek("color")[ids], ref)
     color = np.full(m.n, NONE, dtype=np.int64)

@@ -8,9 +8,10 @@ from listcontract import (Machine, PramConfig, Workload, generate, layout, list_
                           sequential_rank)
 from listcontract import orientation, pairing
 from listcontract.orientation import PassReport, uniform_contraction_pass
+from listcontract.model import POOLED
 from listcontract.pram import NONE
 from listcontract.steps import PassState
-from conftest import read_state
+from conftest import forest_from_lists, read_state
 
 
 def assert_registers(machine, state, cut):
@@ -72,6 +73,45 @@ def test_registers_match_memory_after_every_phase(seed, n, lists, mode, min_run,
     assert m.engine.metrics().erew_violations == 0
 
 
+@pytest.mark.parametrize("mode", ["columns", "rows"])
+@pytest.mark.parametrize("p", [1, 3, None])
+def test_pool_takes_out_short_lists_in_two_wide_steps(mode, p):
+    # lists of every length from 1 to 6 plus a long one, on shuffled ids
+    lengths = [1, 2, 3, 4, 5, 6, 41]
+    ids = np.random.default_rng(7).permutation(sum(lengths))
+    ends = np.cumsum(lengths)
+    forest = forest_from_lists(np.split(ids, ends[:-1]))
+    n = forest.n
+    m = Machine(forest, PramConfig(num_processors=p or n))
+    layout(m, mode=mode)
+    row = m.peek("row").copy()
+    steps = []
+    step = m.engine.step
+    m.engine.step = lambda label, n_tasks: steps.append((label, n_tasks)) or step(label, n_tasks)
+    pooled, state = orientation.pool_short_lists(m)
+
+    length = np.empty(n, dtype=np.int64)
+    length[forest.order] = np.repeat(forest.lengths, forest.lengths)
+    keep = np.flatnonzero(length >= orientation.POOL_MIN_LEN)
+    assert pooled == n - keep.size == 6
+    assert np.array_equal(state.ids, keep) and np.array_equal(m.in_array_ids(), keep)
+    assert (m.peek("row")[length < orientation.POOL_MIN_LEN] == POOLED).all()
+    succ, pred = forest.succ, forest.pred
+    want = {"sv": succ, "pv": pred, "row": row,
+            "row_s": np.where(succ != NONE, row[succ], NONE),
+            "row_p": np.where(pred != NONE, row[pred], NONE)}
+    for name, reg in want.items():
+        got = getattr(state, name)
+        assert np.array_equal(got[keep], reg[keep]), name
+        assert (np.delete(got, keep) == NONE).all(), name
+    # two steps over every node in the array, then one narrower walk
+    # from the list ends; the out steps move the pooled nodes
+    walks = [(label, t) for label, t in steps if not label.endswith(("/out_rd", "/out_wr"))]
+    assert walks[:2] == [("pool/send", n), ("pool/recv", n)]
+    assert [label for label, _ in walks[2:]] == ["pool/far"] and walks[2][1] < n
+    assert m.engine.metrics().erew_violations == 0
+
+
 def recorded_pass(forest, p, mode, **kwargs):
     """One pass over forest; returns its report and its step labels."""
     m = Machine(forest, PramConfig(num_processors=p))
@@ -89,12 +129,12 @@ def fixed64_pass():
 
 
 def test_pass_reads_links_and_rows_once():
-    # one FIXED l=64 pass: after the pool walks read the state, no step
-    # reads neighbors or rows again and the fold clears no slot range;
-    # localization leaves one row, so no mailbox is published
+    # one FIXED l=64 pass: after the two wide pool steps read the state,
+    # no step reads neighbors or rows again and the fold clears no slot
+    # range; localization leaves one row, so no mailbox is published
     rep, labels = fixed64_pass()
     assert rep.shortcut_pairs == 0 and rep.halved
-    assert labels[:3] == ["pass/pool/walk0", "pass/pool/walk1", "pass/pool/walk2"]
+    assert labels[:2] == ["pass/pool/send", "pass/pool/recv"]
     rereads = ("/nbr", "/row_s", "/row_p", "fold/clear")
     assert not [label for label in labels if label.endswith(rereads)]
     assert not [label for label in labels if label.endswith("/mb_slot")]
@@ -114,8 +154,8 @@ def test_two_row_steps_run_only_when_both_rows_hold_a_node():
     rep, labels = recorded_pass(forest, 512, "rows", min_run=8)
     for suffix in ("/uniform/mb_slot", "/orient/keys"):
         assert [label for label in labels if label.endswith(suffix)] == ["pass" + suffix]
-    assert rep == PassReport(pre_active=4096, pooled=0, survivors=1676, columns_before=2048,
-                             columns_after=1024, shortcut_pairs=226, odd_cycles=0,
+    assert rep == PassReport(pre_active=4096, pooled=0, survivors=1649, columns_before=2048,
+                             columns_after=1024, shortcut_pairs=218, odd_cycles=0,
                              survivors_in_bottom_row=True, halved=True)
 
 

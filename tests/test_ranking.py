@@ -162,13 +162,14 @@ def log_digest(log):
 
 
 @pytest.mark.parametrize("n, seed, digest", [
-    (4096, 3, (30, "119fe0e2ecc31b4f1d5456c319c0aee3f8325b41")),
-    (2 ** 14, 1, (40, "ce6458b465cf21954385e81729cf9bde42fb367e")),
+    (4096, 3, (30, "d475a356787ad83985b8e91b373447d625c7a24e")),
+    (2 ** 14, 1, (25, "0b19bf691ef9e5a581fba399c576f9e7a7b34533")),
 ])
 def test_contraction_log_matches_recorded_run(n, seed, digest, monkeypatch):
     # GEOMETRIC lists of mean 256, shuffled, rows layout, min_run 8,
     # p = n/8; the entries (absorbed, host, side, weight) were recorded
-    # when localization absorbed short runs in log-depth waves
+    # when localization absorbed short runs in log-depth waves and coin
+    # tossing stopped once the color drops were cheaper
     logs = []
     replay = ranking.replay_ranks
     monkeypatch.setattr(ranking, "replay_ranks",

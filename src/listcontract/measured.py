@@ -16,7 +16,7 @@ FIXED_L_ROUNDS = {12: 83, 13: 83, 14: 83, 15: 83, 16: 83, 17: 83, 18: 83}
 SINGLE_LIST_ROUNDS = {12: 103, 14: 105, 16: 107, 18: 123}
 
 # total_work(wyllie) / total_work(list_rank), n = 2**16, lists of length l
-WORK_RATIO = {4: 0.3636, 16: 0.5839, 64: 0.6727, 256: 0.8464}
+WORK_RATIO = {4: 0.3333, 16: 0.5401, 64: 0.6366, 256: 0.8112}
 
 # the work-advantage threshold at l = 256 is recorded, not asserted
 # against a theoretical target: per-step accounting keeps the

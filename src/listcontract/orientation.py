@@ -180,7 +180,7 @@ def pool_short_lists(machine: Machine, phase="pool"):
     count and the PassState of the rest (memory holds no cut).
 
     Two full-width steps read the state and see two hops each way: in
-    the send step each node reads its row and links and hands its
+    the send step each node reads its cell and links and hands its
     successor and row to its predecessor's inbox_s cell, and in the
     recv step it reads the row and predecessor of its predecessor and
     that cell. The nodes that still see fewer than POOL_MIN_LEN - 1
@@ -191,6 +191,7 @@ def pool_short_lists(machine: Machine, phase="pool"):
     inbox_s = scratch(machine, INBOX[SUCC_SIDE])
     with eng.step(f"{phase}/send", ids.size) as s:
         row = s.read("row", ids)
+        col = s.read("col", ids)
         pv = s.read("pred", ids)
         sv = s.read("succ", ids)
         s.write(inbox_s, pv, (sv + 1) * 2 + row)
@@ -210,17 +211,19 @@ def pool_short_lists(machine: Machine, phase="pool"):
             up[walk] = s.read("pred", up[walk])
             down[walk] = s.read("succ", down[walk])
         seen[walk] += (up[walk] != NONE).astype(np.int64) + (down[walk] != NONE)
-    keep = seen >= POOL_MIN_LEN - 1
+    keep = np.flatnonzero(seen >= POOL_MIN_LEN - 1)
+    out = np.flatnonzero(seen < POOL_MIN_LEN - 1)
+    # the pooled nodes' cells, from the send step's reads
+    out_cell = machine.cell(row[out], col[out])
+    del col
     regs = [np.full(machine.n, NONE, dtype=dt) for dt in (np.int64,) * 2 + (np.int8,) * 3]
+    kept = ids[keep]
     for reg, got in zip(regs, (sv, pv, row, row_s, row_p)):
-        reg[ids[keep]] = got[keep]
-    state = PassState(ids[keep], *regs)
-    sel = ids[~keep]
-    with eng.step(f"{phase}/out_rd", sel.size) as s:
-        r = s.read("row", sel)
-        c = s.read("col", sel)
+        reg[kept] = got[keep]
+    state = PassState(kept, *regs)
+    sel = ids[out]
     with eng.step(f"{phase}/out_wr", sel.size) as s:
-        s.write("slot", machine.cell(r, c), NONE)
+        s.write("slot", out_cell, NONE)
         s.write("row", sel, POOLED)
         s.write("col", sel, POOLED)
     return int(sel.size), state

@@ -185,7 +185,9 @@ def list_rank(forest: LinkedForest, p=1, *, config=None, threshold=None,
 
 
 def wyllie_rank(forest: LinkedForest, p=1, *, config=None) -> RankRun:
-    """Pure pointer-jumping baseline over all n nodes."""
+    """Pure pointer-jumping baseline: every node starts, and each round
+    runs the nodes whose pointer was live the round before, as double
+    does."""
     config = config or PramConfig(num_processors=p)
     machine = Machine(forest, config)
     ids, before, head, rounds = pointer_jump(machine, phase="wyllie")

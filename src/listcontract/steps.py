@@ -20,17 +20,27 @@ def double(machine: Machine, name, ids, seed, ufuncs, limit=None, phase="double"
 
     seed is (j, values), one values array per ufunc, or a function
     that reads them inside the init step and returns them. Each round
-    is one step of ids.size tasks: every task whose pointer is live
-    reads j and the values at j from one buffer, folds them into its
-    own values by the associative ufunc, and every task writes its
-    state at ids into the other buffer. A value only the root should
-    pass on is folded by np.maximum from the root's value, NONE
-    elsewhere. Stops when every pointer has run out, or after limit
-    rounds. Returns (j, values, stores, rounds); stores names the
-    pointer store and the value stores holding the result. Pointers
+    is one step: every task whose pointer is live reads j and the
+    values at j from one buffer and folds them into its own values by
+    the associative ufunc, and every task of the step writes its state
+    at ids into the other buffer. A value only the root should pass on
+    is folded by np.maximum from the root's value, NONE elsewhere.
+    Stops when every pointer has run out, or after limit rounds.
+    Returns (j, values, stores, rounds); stores names the pointer store
+    and the value stores holding the result, for every task. Pointers
     must stay within ids.
+
+    Round 0 runs every task, and round r > 0 those whose pointer was
+    live at the start of round r - 1: a task whose pointer runs out
+    writes its final state once more, into the buffer it did not just
+    write, so a task that reaches it later reads that state from
+    either buffer. The step's tasks stay a superset of those: the
+    finished ones leave the registers only when that lowers the step's
+    ceil(t / p), and until then keep rewriting their final state,
+    reading nothing. Their results wait in chunks until the end.
     """
     eng = machine.engine
+    p = eng.config.num_processors
     k = ids.size
     size = max(machine.n, int(ids.max(initial=-1)) + 1)
     bufs = [[scratch(machine, f"{name}_{f}{b}", size)
@@ -39,20 +49,56 @@ def double(machine: Machine, name, ids, seed, ufuncs, limit=None, phase="double"
         j, values = seed(s) if callable(seed) else seed
         for st, v in zip(bufs[0], [j, *values]):
             s.write(st, ids, v)
+    # the registers hold the tasks at positions run of ids, all while
+    # run is None; the dropped tasks' positions and values, in chunks
+    run, tid, gone_at, gone_values = None, ids, [], []
+    need = None   # pointer live at the start of the last round
     rounds = 0
     while limit is None or rounds < limit:
         live = j != NONE
         if not live.any():
             break
+        if need is not None and -(-np.count_nonzero(need) // p) < -(-j.size // p):
+            keep, gone = np.flatnonzero(need), np.flatnonzero(~need)
+            gone_at.append(gone if run is None else run[gone])
+            gone_values.append([v[gone] for v in values])
+            run = keep if run is None else run[keep]
+            tid, j = ids[run], j[keep]
+            live = j != NONE
+            for i, v in enumerate(values):   # each old register goes as it is replaced
+                values[i] = v[keep]
         src, dst = bufs[rounds % 2], bufs[(rounds + 1) % 2]
-        with eng.step(f"{phase}/r{rounds}", k) as s:
-            got = [s.read(st, j) for st in src]
-            j = np.where(live, got[0], j)
-            values = [np.where(live, f(v, g), v) for f, v, g in zip(ufuncs, values, got[1:])]
+        with eng.step(f"{phase}/r{rounds}", j.size) as s:
+            # a finished task's pointer is NONE, so it reads nothing
+            j, *got = [s.read(st, j) for st in src]
+            # fold into the arrays the reads returned; a finished task keeps
+            # its own values
+            dead = ~live
+            for f, v, g in zip(ufuncs, values, got):
+                f(v, g, out=g, where=live)
+                np.copyto(g, v, where=dead)
+            values = got
             for st, v in zip(dst, [j, *values]):
-                s.write(st, ids, v)
+                s.write(st, tid, v)
+        del s   # its buffered accesses hold the round's arrays
+        need = live
         rounds += 1
+    if run is not None:
+        j_all = np.full(k, NONE, dtype=np.int64)
+        j_all[run] = j
+        j, values = j_all, [_gather(k, run, v, [g[i] for g in gone_values], gone_at)
+                            for i, v in enumerate(values)]
     return j, values, bufs[rounds % 2], rounds
+
+
+def _gather(k, run, v, chunks, at):
+    """The k results of one value register: v at positions run, each
+    chunk at its positions in at."""
+    out = np.empty(k, dtype=v.dtype)
+    out[run] = v
+    for pos, c in zip(at, chunks):
+        out[pos] = c
+    return out
 
 
 def pair_leaders(machine: Machine, row):

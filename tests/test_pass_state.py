@@ -84,7 +84,7 @@ def test_pool_takes_out_short_lists_in_two_wide_steps(mode, p):
     n = forest.n
     m = Machine(forest, PramConfig(num_processors=p or n))
     layout(m, mode=mode)
-    row = m.peek("row").copy()
+    row, col = m.peek("row").copy(), m.peek("col").copy()
     steps = []
     step = m.engine.step
     m.engine.step = lambda label, n_tasks: steps.append((label, n_tasks)) or step(label, n_tasks)
@@ -105,10 +105,16 @@ def test_pool_takes_out_short_lists_in_two_wide_steps(mode, p):
         assert np.array_equal(got[keep], reg[keep]), name
         assert (np.delete(got, keep) == NONE).all(), name
     # two steps over every node in the array, then one narrower walk
-    # from the list ends; the out steps move the pooled nodes
-    walks = [(label, t) for label, t in steps if not label.endswith(("/out_rd", "/out_wr"))]
+    # from the list ends; the out step clears the pooled nodes' cells,
+    # which the send step read
+    walks = [(label, t) for label, t in steps if not label.endswith("/out_wr")]
     assert walks[:2] == [("pool/send", n), ("pool/recv", n)]
     assert [label for label, _ in walks[2:]] == ["pool/far"] and walks[2][1] < n
+    assert steps[-1] == ("pool/out_wr", 6) and len(steps) == len(walks) + 1
+    out = length < orientation.POOL_MIN_LEN
+    slot = m.peek("slot")
+    assert (slot[m.cell(row[out], col[out])] == NONE).all()
+    assert np.array_equal(slot[m.cell(row[keep], col[keep])], keep)
     assert m.engine.metrics().erew_violations == 0
 
 

@@ -57,9 +57,23 @@ def run_case(ptr, ids, limit, seed, p=4):
     assert np.array_equal(m.peek(stores[0])[ids], j)
     for st, got in zip(stores[1:], values):
         assert np.array_equal(m.peek(st)[ids], got)
-    # one init step, then one step of len(ids) tasks per round
-    assert calls == [("dbl/init", ids.size)] + [(f"dbl/r{r}", ids.size) for r in range(rounds)]
+    # one init step, then one step per round of the tasks task_counts gives
+    assert calls == ([("dbl/init", ids.size)]
+                     + [(f"dbl/r{r}", t) for r, t in enumerate(task_counts(ptr, ids, rounds, p))])
     return j, rounds
+
+
+def task_counts(ptr, ids, rounds, p):
+    """Tasks of each round's step: every task in round 0, then those
+    whose pointer was live at the start of the round before, topped up
+    with the last step's finished tasks unless dropping them lowers
+    ceil(t / p)."""
+    counts = [ids.size]
+    for r in range(1, rounds):
+        was_live, _ = reference(ptr, [], (), ids, r - 1)
+        need = int((was_live != NONE).sum())
+        counts.append(need if -(-need // p) < -(-counts[-1] // p) else counts[-1])
+    return counts
 
 
 def chains(rng, n, count):
@@ -106,6 +120,37 @@ def test_limit_cuts_doubling_short():
     j, rounds = run_case(ptr, np.arange(20), 2, 0)
     assert rounds == 2
     assert (j != NONE).sum() == 20 - 4
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_task_finished_in_round_r_is_read_in_round_r_plus_2(seed):
+    # chain 0 <- 1 <- ... <- 7: node 1's pointer runs out in round 0,
+    # and node 5 reads node 1 in round 2, which reads the buffer round
+    # 0 did not write; at p = 1 every drop lowers the step's rounds, so
+    # node 1 runs only its copy-forward round 1. A stale read would
+    # leave node 5 a live pointer that a fourth round could follow to
+    # the right sums, so the limit stops at the chain's 3 rounds
+    n = 8
+    ptr = np.arange(-1, n - 1)
+    j, rounds = run_case(ptr, np.arange(n), 3, seed, p=1)
+    assert rounds == 3 and (j == NONE).all()
+    assert task_counts(ptr, np.arange(n), rounds, 1) == [8, 7, 6]
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_limit_leaves_live_tasks_their_pointers(p):
+    # chain of 20 over shuffled ids: after 2 rounds a node at depth d
+    # points 4 hops back, NONE when d < 4
+    rng = np.random.default_rng(p)
+    n = 20
+    order = rng.permutation(n)
+    ptr = np.full(n, NONE, dtype=np.int64)
+    ptr[order[1:]] = order[:-1]
+    j, rounds = run_case(ptr, np.arange(n), 2, p, p=p)
+    depth = np.argsort(order)
+    live = depth >= 4
+    assert rounds == 2
+    assert np.array_equal(j[live], order[depth[live] - 4]) and (j[~live] == NONE).all()
 
 
 def test_empty_ids():

@@ -141,16 +141,17 @@ def test_s_and_c_configurations_take_one_swap_batch():
         assert not m.log and not step_rounds(m, "/move_wr")
 
 
-def closed_chain(k, seed):
+def closed_chain(k, seed, bottom=(), top=(), columns=0):
     """k bottom and k top pairs closing one chain over 2k permuted
-    columns, with random pair colors."""
+    columns, with random pair colors, beside the given pairs on
+    columns 2k to 2k + columns - 1."""
     rng = np.random.default_rng(seed)
     p = rng.permutation(2 * k).tolist()
     colors = [(0, 1) if rng.integers(0, 2) else (1, 0) for _ in range(2 * k)]
-    bottom = [((p[2 * i], p[2 * i + 1]), colors[i]) for i in range(k)]
-    top = [((p[2 * i + 1], p[(2 * i + 2) % (2 * k)]), colors[k + i]) for i in range(k)]
+    bottom = [((p[2 * i], p[2 * i + 1]), colors[i]) for i in range(k)] + list(bottom)
+    top = [((p[2 * i + 1], p[(2 * i + 2) % (2 * k)]), colors[k + i]) for i in range(k)] + list(top)
     # one processor: a step's rounds count its tasks
-    return paired_state(bottom=bottom, top=top, columns=2 * k, p=1)
+    return paired_state(bottom=bottom, top=top, columns=2 * k + columns, p=1)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -177,6 +178,30 @@ def test_even_closed_chain_takes_swaps_only(k, seed):
     assert enforce_uniformity(m) == 0
     assert not m.log and not step_rounds(m, "/move_wr")
     assert not marked_pairs(m)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sweep_doubling_runs_only_the_closed_chain_once_open_chains_finish(seed):
+    # an even closed chain of 8 pairs a row (32 states, one per column
+    # and row) beside an open chain of bottom pairs (16, 17), (18, 19) and
+    # top pair (17, 18): its 6 states walk two 3-state chains, whose
+    # pointers have all run out by the start of round 2. At p = 1 every
+    # drop lowers the step's rounds, so round 2 adds only the two states
+    # whose pointer ran out in round 1, and later rounds run the closed
+    # chain's states alone
+    k = 8
+    o = 2 * k
+    m, _ = closed_chain(k, seed, bottom=[((o, o + 1), (0, 1)), ((o + 2, o + 3), (1, 0))],
+                        top=[((o + 1, o + 2), (1, 0))], columns=4)
+    m.config.record_trace = True
+    assert marked_pairs(m)
+    assert enforce_uniformity(m) == 0
+    assert not marked_pairs(m)
+    d = [(r.label.rsplit("/", 1)[1], r.tasks) for r in m.engine.trace if "/plan/d/" in r.label]
+    limit = int(np.ceil(np.log2(4 * k + 6)))
+    assert d == [("init", 38), ("r0", 38), ("r1", 36), ("r2", 34)] + [
+        (f"r{r}", 4 * k) for r in range(3, limit)]
+    assert m.engine.metrics().erew_violations == 0
 
 
 def test_matched_pairs_are_left_alone():

@@ -147,10 +147,13 @@ def _cycle_next_of(k):
     return out
 
 
-def contract_along_orientation(machine: Machine, plan: OrientationKey, phase="pack"):
-    """Merge every pair into its host, then drop every top-row survivor
-    into the bottom cell of its column in one move."""
-    merge_pairs(machine, plan.plan_absorbed, plan.plan_host, phase)
+def contract_along_orientation(machine: Machine, plan: OrientationKey, at_succ, phase="pack"):
+    """Merge every pair into its host, on the sides the pass's side
+    register at_succ gives, then drop every top-row survivor into the
+    bottom cell of its column in one move. The hosts keep their pair
+    and color: nothing reads them before the next pass's coloring and
+    pairing rewrite both."""
+    merge_pairs(machine, plan.plan_absorbed, plan.plan_host, at_succ, phase)
     top, cols = plan.survivors[plan.from_top], plan.columns[plan.from_top]
     move_nodes(machine, top, machine.cell(0, cols), machine.cell(1, cols), f"{phase}/drop")
     rows = machine.peek("row")[machine.in_array_ids()]
@@ -250,7 +253,8 @@ def uniform_contraction_pass(machine: Machine, min_run=MIN_RUN, phase="pass") ->
     The aligned-stack shortcut and the uniformity coupling run only
     when the pass registers show both rows still holding a node, which
     a columns placement loses to localization; with one row empty every
-    pair claims its 0-colored member's column.
+    pair claims its 0-colored member's column. Of the registers only
+    the side of each node's partner stays, for the merges.
     """
     cols_before = machine.columns
     pooled, state = pool_short_lists(machine, phase=f"{phase}/pool")
@@ -258,15 +262,18 @@ def uniform_contraction_pass(machine: Machine, min_run=MIN_RUN, phase="pass") ->
     if pre_active == 0:
         return PassReport(0, pooled, 0, cols_before, cols_before, 0, 0, True, True)
     localize(machine, state, min_run=min_run, phase=f"{phase}/localize")
-    color_and_pair(machine, state, phase=f"{phase}/rows")
+    pairs = color_and_pair(machine, state, phase=f"{phase}/rows")[1]
+    # the side register: whether each node's partner is its successor
+    at_succ = np.zeros(machine.n, dtype=bool)
+    at_succ[pairs.ids] = pairs.at_succ
     rows = state.row[state.live()]
-    del state   # no phase reads the registers after pairing
+    del state, pairs   # no phase reads the other registers after pairing
     shortcut = odd_cycles = 0
     if (rows == 0).any() and (rows == 1).any():
-        shortcut = opposite_pair_shortcut(machine, phase=f"{phase}/shortcut")
-        odd_cycles = enforce_uniformity(machine, phase=f"{phase}/uniform")
+        shortcut = opposite_pair_shortcut(machine, at_succ, phase=f"{phase}/shortcut")
+        odd_cycles = enforce_uniformity(machine, at_succ, phase=f"{phase}/uniform")
     plan = derive_orientation(machine, phase=f"{phase}/orient")
-    contract_along_orientation(machine, plan, phase=f"{phase}/pack")
+    contract_along_orientation(machine, plan, at_succ, phase=f"{phase}/pack")
     survivors = plan.survivors.size
     in_bottom = bool((machine.peek("row")[plan.survivors] == 1).all())
     fold_array(machine, plan.survivors, plan.columns, phase=f"{phase}/fold")

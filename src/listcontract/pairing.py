@@ -4,6 +4,17 @@ First every color-2 node is recolored or contracted away, then 1-nodes
 propose to adjacent 0-nodes, address ties are broken toward the larger
 node id, and leftover unpaired nodes are absorbed into a neighboring
 pair.
+
+Pairing clears no scratch: every cell a step reads has exactly one
+writer in the step before. A 1-node writes its id into prop_p at its
+successor, into prop_s at its predecessor its id when it has no
+successor and NONE otherwise, and NONE into its own pair cell. A
+0-node reads prop_p only when its registers show a predecessor and
+prop_s only when they show a successor, and writes its own pair cell,
+its winner or NONE. Each node then knows, without a read, on which side
+its partner sits: a 0-node took its winner from one side, and a 1-node
+proposed to its successor when it has one. That bit reaches the merges
+of the pass in a register.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ from .steps import PassState, contract_batch, restricted_neighbors, scratch  # n
 class PairAssignment:
     ids: np.ndarray        # the live tasks after pairing
     pair_of: np.ndarray    # partner id per node, NONE when unpaired
+    at_succ: np.ndarray    # per node, whether its partner is its successor
 
 
 def eliminate_twos(machine: Machine, state: PassState, colors, phase="elim2"):
@@ -31,8 +43,10 @@ def eliminate_twos(machine: Machine, state: PassState, colors, phase="elim2"):
 
     colors, indexed by node id, holds the colors of the tasks in their
     registers, and each task's inbox_p and inbox_s cells its
-    predecessor's and successor's, as three_color leaves them. Returns
-    the colors updated.
+    predecessor's and successor's, as three_color leaves them. One step
+    reads both inbox cells of every color-2 task and writes the colors
+    of the recolored ones, a different store. Returns the colors
+    updated.
     """
     eng = machine.engine
     ids = state.live()
@@ -41,29 +55,19 @@ def eliminate_twos(machine: Machine, state: PassState, colors, phase="elim2"):
     t_sv, t_pv = state.sv[t_ids], state.pv[t_ids]
     has_s, has_p = t_sv != NONE, t_pv != NONE
     inb_p, inb_s = (scratch(machine, st) for st in INBOX)
-    with eng.step(f"{phase}/read_colors", t_ids.size) as s:
+    with eng.step(f"{phase}/recolor", t_ids.size) as s:
         cp = s.read(inb_p, np.where(has_p, t_ids, NONE))
         cn = s.read(inb_s, np.where(has_s, t_ids, NONE))
-    if ((has_s & (cn == 2)) | (has_p & (cp == 2))).any():
-        raise ImproperColoringError("adjacent color-2 nodes")
-
-    both = has_s & has_p
-    recolor_one = both & (cp == 0) & (cn == 0)
-    recolor_zero = both & (cp == 1) & (cn == 1)
-    mixed = both & (cp != cn)
-    only_s = has_s & ~has_p
-    only_p = has_p & ~has_s
-    isolated = ~has_s & ~has_p
-
-    new = np.full(t_ids.size, NONE, dtype=np.int64)
-    new[recolor_one] = 1
-    new[recolor_zero] = 0
-    new[only_s] = 1 - cn[only_s]
-    new[only_p] = 1 - cp[only_p]
-    new[isolated] = 0
-    rec = new != NONE
-    with eng.step(f"{phase}/recolor", int(rec.sum())) as s:
-        s.write("color", t_ids[rec], new[rec])
+        if ((has_s & (cn == 2)) | (has_p & (cp == 2))).any():
+            raise ImproperColoringError("adjacent color-2 nodes")
+        both = has_s & has_p
+        mixed = both & (cp != cn)
+        # between two equal colors take the other one, beside one
+        # neighbor the color it lacks, and 0 alone
+        new = np.where(both, np.where(mixed, NONE, 1 - cp),
+                       np.where(has_s, 1 - cn, np.where(has_p, 1 - cp, 0)))
+        rec = new != NONE
+        s.write("color", np.where(rec, t_ids, NONE), new)
     colors[t_ids[rec]] = new[rec]
     contract_batch(machine, t_ids[mixed], t_sv[mixed], PRED_SIDE, phase, state)
     return colors
@@ -76,7 +80,8 @@ def form_pairs(machine: Machine, state: PassState, colors, phase="pairs"):
     1-node proposes to an adjacent 0-node (successor preferred); the
     larger proposer id wins a contested 0-node; unpaired nodes are
     contracted into a neighboring pair. Singleton lists stay unpaired.
-    Returns the live tasks and their partners, from the registers.
+    Returns the live tasks, their partners and the side of each
+    partner, from the registers.
     """
     eng = machine.engine
     ids = state.live()
@@ -85,35 +90,33 @@ def form_pairs(machine: Machine, state: PassState, colors, phase="pairs"):
     if not np.isin(colors, (0, 1)).all():
         raise ImproperColoringError("form_pairs needs colors in {0, 1}")
 
-    # a proposal arrives from the target's predecessor or successor
+    # a proposal arrives from the target's predecessor or successor.
+    # Each task keeps its partner and that partner's side in registers:
+    # a 0-node picks them, a 1-node reads whether its proposal won
     prop_p, prop_s = (scratch(machine, st) for st in INBOX)
-    with eng.step(f"{phase}/clear", k) as s:
-        s.write(prop_p, ids, NONE)
-        s.write(prop_s, ids, NONE)
-        s.write("pair", ids, NONE)
-
-    # each task keeps its partner in a register: a 0-node picks it, a
-    # 1-node reads whether its proposal won
     my_pair = np.full(k, NONE, dtype=np.int64)
+    at_succ = np.zeros(k, dtype=bool)
     ones = np.flatnonzero(colors == 1)
     o_ids, o_sv, o_pv = ids[ones], sv[ones], pv[ones]
     to_succ = o_sv != NONE
     with eng.step(f"{phase}/propose", ones.size) as s:
-        s.write(prop_p, np.where(to_succ, o_sv, NONE), o_ids)
-        s.write(prop_s, np.where(~to_succ, o_pv, NONE), o_ids)
+        s.write(prop_p, o_sv, o_ids)
+        s.write(prop_s, o_pv, np.where(to_succ, NONE, o_ids))
+        s.write("pair", o_ids, NONE)
 
     zeros = np.flatnonzero(colors == 0)
     z_ids = ids[zeros]
     with eng.step(f"{phase}/resolve", zeros.size) as s:
-        a = s.read(prop_p, z_ids)
-        b = s.read(prop_s, z_ids)
+        a = s.read(prop_p, np.where(pv[zeros] != NONE, z_ids, NONE))
+        b = s.read(prop_s, np.where(sv[zeros] != NONE, z_ids, NONE))
         win = np.maximum(a, b)
-        got = win != NONE
-        s.write("pair", np.where(got, z_ids, NONE), win)
-        s.write("pair", np.where(got, win, NONE), z_ids)
+        s.write("pair", z_ids, win)
+        s.write("pair", win, z_ids)
     my_pair[zeros] = win
+    at_succ[zeros] = (win == b) & (win != NONE)
     with eng.step(f"{phase}/won", ones.size) as s:
         my_pair[ones] = s.read("pair", o_ids)
+    at_succ[ones] = to_succ
 
     # absorb the unpaired into neighboring pairs; two waves cover
     # chains of two unpaired nodes
@@ -139,5 +142,5 @@ def form_pairs(machine: Machine, state: PassState, colors, phase="pairs"):
     # absorbing an unpaired node changes no partner, so the registers
     # of the tasks still live hold every pair
     live = state.row[ids] >= 0
-    return PairAssignment(ids[live], my_pair[live])
+    return PairAssignment(ids[live], my_pair[live], at_succ[live])
 

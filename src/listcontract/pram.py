@@ -163,8 +163,14 @@ class _StepContext:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.engine._finish_step(self)
+        # the buffered accesses hold every index and value array of the
+        # step; release them once it is applied or has raised
+        try:
+            if exc_type is None:
+                self.engine._finish_step(self)
+        finally:
+            self._reads.clear()
+            self._writes.clear()
         return False
 
 

@@ -80,7 +80,6 @@ def double(machine: Machine, name, ids, seed, ufuncs, limit=None, phase="double"
             values = got
             for st, v in zip(dst, [j, *values]):
                 s.write(st, tid, v)
-        del s   # its buffered accesses hold the round's arrays
         need = live
         rounds += 1
     if run is not None:

@@ -111,7 +111,7 @@ def _read_columns(machine, phase):
 
 # -- the sweep ------------------------------------------------------------
 
-def enforce_uniformity(machine: Machine, phase="uniform"):
+def enforce_uniformity(machine: Machine, at_succ, phase="uniform"):
     """Make the two other-row cells over every pair of either row
     equal-colored.
 
@@ -121,7 +121,9 @@ def enforce_uniformity(machine: Machine, phase="uniform"):
     must be gone (opposite_pair_shortcut). Publishes the cell
     mailboxes and leaves them current for the orientation keys. The
     pass calls it only when both rows hold a node: with one row empty
-    no pair can be marked. Returns the number of chains shortened.
+    no pair can be marked. at_succ is the pass's side register, True
+    at a node whose partner is its successor. Returns the number of
+    chains shortened.
     """
     publish_mailboxes(machine, phase)
     plan = _plan_swaps(machine, f"{phase}/plan")
@@ -129,7 +131,7 @@ def enforce_uniformity(machine: Machine, phase="uniform"):
         return 0
     odd = plan["odd_cols"].size
     if odd:
-        _shorten_odd_chains(machine, plan, f"{phase}/odd")
+        _shorten_odd_chains(machine, plan, at_succ, f"{phase}/odd")
         publish_mailboxes(machine, f"{phase}/replan")
         plan = _plan_swaps(machine, f"{phase}/replan")
     if plan is not None:
@@ -217,22 +219,31 @@ def _plan_swaps(machine, phase):
             "odd_a": st_node[odd], "odd_b": st_pnode[odd]}
 
 
-def merge_pairs(machine: Machine, absorbed, host, phase):
-    """Contract each pair into its host member, which leaves the
-    pairing: its pair and color are cleared."""
+def merge_pairs(machine: Machine, absorbed, host, at_succ, phase):
+    """Contract each pair into its host member, with no read: the side
+    register at_succ, indexed by node, tells whether each absorbed node
+    precedes its host. It holds from pairing to the merge, since
+    partners stay adjacent: swaps move cells, not links, and only whole
+    pairs merge. The host keeps its pair and color; a caller whose
+    later steps read them clears them with exempt."""
     a = np.asarray(absorbed, dtype=np.int64)
     h = np.asarray(host, dtype=np.int64)
-    with machine.engine.step(f"{phase}/side", a.size) as s:
-        sa = s.read("succ", a)
+    precedes = at_succ[a]
     # one side at a time: two merged members can be adjacent
-    for side, on in ((PRED_SIDE, sa == h), (SUCC_SIDE, sa != h)):
+    for side, on in ((PRED_SIDE, precedes), (SUCC_SIDE, ~precedes)):
         contract_batch(machine, a[on], h[on], side, phase)
-    with machine.engine.step(f"{phase}/exempt", h.size) as s:
-        s.write("pair", h, NONE)
-        s.write("color", h, NONE)
 
 
-def _shorten_odd_chains(machine, plan, phase):
+def exempt(machine: Machine, hosts, phase):
+    """Take merged hosts out of the pairing in one step: their pair and
+    color are cleared, so the mailboxes and the orientation keys see
+    uncolored, unpaired nodes."""
+    with machine.engine.step(f"{phase}/exempt", np.size(hosts)) as s:
+        s.write("pair", hosts, NONE)
+        s.write("color", hosts, NONE)
+
+
+def _shorten_odd_chains(machine, plan, at_succ, phase):
     """Take one top pair out of each odd closed chain.
 
     The root's top pair (ca, cb) merges at cb into an exempt node; the
@@ -251,7 +262,8 @@ def _shorten_odd_chains(machine, plan, phase):
     cell_cc = machine.cell(0, cc)
     with eng.step(f"{phase}/top_cc", k) as s:
         top_cc = s.read("slot", cell_cc)
-    merge_pairs(machine, plan["odd_a"], plan["odd_b"], phase)
+    merge_pairs(machine, plan["odd_a"], plan["odd_b"], at_succ, phase)
+    exempt(machine, plan["odd_b"], phase)
     move_nodes(machine, top_cc, cell_cc, machine.cell(0, plan["odd_cols"]), phase)
 
 
@@ -298,13 +310,15 @@ def color_and_pair(machine: Machine, state: PassState, phase="rows"):
     return coloring, pairs
 
 
-def opposite_pair_shortcut(machine: Machine, phase="shortcut"):
+def opposite_pair_shortcut(machine: Machine, at_succ, phase="shortcut"):
     """Consume column-aligned pair stacks directly.
 
     When the tops over a bottom pair form a pair themselves, both pairs
     merge at once: the merged top pair lands in the bottom row slot of
     the 0-colored bottom member's column, the merged bottom pair in the
-    other. Returns the number of aligned stacks consumed.
+    other; both merged nodes leave the pairing in one exempt step.
+    at_succ is the pass's side register. Returns the number of aligned
+    stacks consumed.
     """
     eng = machine.engine
     leaders = pair_leaders(machine, 1)
@@ -336,7 +350,8 @@ def opposite_pair_shortcut(machine: Machine, phase="shortcut"):
     top_i[:] = np.where(lo_is_zero, tn_lo[sel], tn_hi[sel])
     top_j[:] = np.where(lo_is_zero, tn_hi[sel], tn_lo[sel])
 
-    merge_pairs(machine, b_zero, b_one, f"{phase}/bot")
-    merge_pairs(machine, top_j, top_i, f"{phase}/top")
+    merge_pairs(machine, b_zero, b_one, at_succ, f"{phase}/bot")
+    merge_pairs(machine, top_j, top_i, at_succ, f"{phase}/top")
+    exempt(machine, np.concatenate([b_one, top_i]), phase)
     move_nodes(machine, top_i, machine.cell(0, ci), machine.cell(1, ci), f"{phase}/drop")
     return int(sel.size)

@@ -65,6 +65,13 @@ def validate_pairs(machine, assignment):
     assert (col[me] + col[p] == 1).all()
 
 
+def pair_sides(machine):
+    """The side register a pass hands to its merges, from memory: True
+    at a node whose partner is its successor."""
+    pair = machine.peek("pair")
+    return (pair != NONE) & (machine.peek("succ") == pair)
+
+
 def read_state(machine, ids=None):
     """The PassState of tasks ids, every node in the array by default,
     as memory gives it: links by restricted_neighbors, rows by peek."""

@@ -18,7 +18,7 @@ from listcontract.pram import NONE
 from listcontract.ranking import contract_to_threshold
 from listcontract.steps import restricted_neighbors
 from listcontract.uniform import enforce_uniformity, opposite_pair_shortcut
-from conftest import enumerated_states, marked_pairs, paired_state
+from conftest import enumerated_states, marked_pairs, pair_sides, paired_state
 
 
 def report(name, ok, detail=""):
@@ -209,8 +209,8 @@ def test_criterion_8_uniformity_case_coverage():
         try:
             # pipeline order: aligned stacks are consumed before the
             # uniformity step, which assumes them gone
-            opposite_pair_shortcut(m)
-            enforce_uniformity(m)
+            opposite_pair_shortcut(m, pair_sides(m))
+            enforce_uniformity(m, pair_sides(m))
         except UncoveredCaseError as exc:
             uncovered.append((name, exc.snapshot.get("columns_lo")))
             continue
@@ -218,7 +218,7 @@ def test_criterion_8_uniformity_case_coverage():
             broken.append((name, "residual mismatch"))
         try:
             plan = derive_orientation(m)
-            contract_along_orientation(m, plan)
+            contract_along_orientation(m, plan, pair_sides(m))
         except (OrientationError, UncoveredCaseError) as exc:
             broken.append((name, str(exc)[:60]))
             continue

@@ -32,12 +32,16 @@ def test_every_traced_site_resolves_to_a_callable(monkeypatch):
     assert callable(pram.Engine.step)
 
 
-@pytest.mark.parametrize("trace", [0, 1])
-def test_benchmark_run_ends_correct(trace):
+# geo_rows runs the two-row steps, fixed64 the columns-layout pack; the
+# geo_rows runs are named by the trace flag alone
+@pytest.mark.parametrize("workload, trace", [
+    pytest.param("geo_rows", 0, id="0"), pytest.param("geo_rows", 1, id="1"),
+    pytest.param("fixed64", 0, id="fixed64-0"), pytest.param("fixed64", 1, id="fixed64-1")])
+def test_benchmark_run_ends_correct(workload, trace):
     # --seconds 0 times one call after the set-up
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run([sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
-                           "geo_rows", "--seconds", "0", "--trace", str(trace)],
+                           workload, "--seconds", "0", "--trace", str(trace)],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr[-2000:]
     assert json.loads(done.stdout.strip().splitlines()[-1])["correct"] is True

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from listcontract import Machine, PramConfig, layout
 from listcontract.model import INBOX, RETIRED
@@ -141,3 +142,34 @@ def test_singleton_list_stays_unpaired_without_error():
     pa = form_pairs(m, state, col)
     assert m.peek("pair")[0] == NONE
     assert m.peek("row")[0] != RETIRED
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pairing_ignores_stale_scratch(seed):
+    # every cell pairing reads has one writer in the step before, so
+    # garbage left in the inboxes and the pair store changes nothing
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, 10, size=12)
+    n = int(lengths.sum())
+    order = rng.permutation(n)
+    lists = np.split(order, np.cumsum(lengths)[:-1])
+    # a proper {0, 1} coloring alternates along each list
+    colors = {int(v): (int(first) + i) % 2
+              for chain, first in zip(lists, rng.integers(0, 2, size=len(lists)))
+              for i, v in enumerate(chain)}
+    runs = []
+    for stale in (False, True):
+        m, state, col = machine_with_colors(lists, colors)
+        if stale:
+            for st in (*INBOX, "pair"):
+                m.memory.poke(st, slice(None), rng.integers(0, n, size=m.peek(st).size))
+        runs.append((m, form_pairs(m, state, col)))
+    (m, clean), (dirty_m, dirty) = runs
+    for name in ("ids", "pair_of", "at_succ"):
+        assert np.array_equal(getattr(clean, name), getattr(dirty, name)), name
+    assert np.array_equal(m.peek("pair")[:n], dirty_m.peek("pair")[:n])
+    # the side bits name each partner's side in memory
+    paired = clean.pair_of != NONE
+    succ = m.peek("succ")[clean.ids[paired]]
+    assert np.array_equal(clean.at_succ[paired], succ == clean.pair_of[paired])
+    assert not clean.at_succ[~paired].any()

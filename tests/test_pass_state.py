@@ -146,6 +146,23 @@ def test_pass_reads_links_and_rows_once():
     assert not [label for label in labels if label.endswith("/mb_slot")]
 
 
+def test_pass_rereads_no_pair_side_and_clears_no_pairing_scratch():
+    # pairing writes every cell it reads, the merges take each pair's
+    # side from a register, the pack leaves its hosts' pair and color
+    # to the next pass, and color-2 elimination is one step
+    _, labels = fixed64_pass()
+    gone = ("/pairs/clear", "/side", "pack/exempt", "elim2/read_colors")
+    assert not [label for label in labels if label.endswith(gone)]
+    assert "pass/rows/pairs/propose" in labels
+    # the shortcut still clears its merged nodes' pair and color, which
+    # the uniformity step's mailboxes read, in one step for both rows
+    forest = generate(Workload(n=4096, num_lists=16, seed=3, layout_shuffle=True))
+    rep, labels = recorded_pass(forest, 512, "rows", min_run=8)
+    assert rep.shortcut_pairs > 0
+    assert [label for label in labels if label.endswith("/exempt")] == ["pass/shortcut/exempt"]
+    assert not [label for label in labels if label.endswith("/side")]
+
+
 def test_two_row_steps_run_only_when_both_rows_hold_a_node():
     # the columns layout loses its lower row to localization, so the
     # pass takes no shortcut, uniformity or key step, and packs as before

@@ -26,9 +26,10 @@ flanks in log-depth waves: each half counts its nodes q = 1, 2, ...
 from its flank, and wave j absorbs the nodes whose q has lowest set
 bit 2**j into their register neighbor toward the flank, so a half of
 h nodes takes ceil(log2(h + 1)) waves, both halves of every run in one
-contract step and one refresh step per wave. Links that still cross
-rows afterwards are virtually deleted: both ends drop them from their
-pass registers, memory keeps them, and the next pass reads them again.
+contract step and one refresh step per wave. A list the waves leave
+as one node is pooled. Links that still cross rows afterwards are
+virtually deleted: both ends drop them from their pass registers,
+memory keeps them, and the next pass reads them again.
 """
 
 from __future__ import annotations
@@ -38,23 +39,33 @@ import numpy as np
 from .model import Machine, PRED_SIDE, SUCC_SIDE
 from .pram import NONE
 # restricted_neighbors stays importable here for bench/tracing.py
-from .steps import PassState, contract_batch, double, restricted_neighbors, scratch  # noqa: F401
+from .steps import (PassState, contract_batch, double, pool_nodes,  # noqa: F401
+                    restricted_neighbors, scratch)
 
 MIN_RUN = 100
 
 
 def localize(machine: Machine, state: PassState, min_run=MIN_RUN, phase="localize"):
-    """Absorb short runs into the other row, then cut the remaining
-    cross links in the pass registers.
+    """Absorb short runs into the other row, pool the lists that leaves
+    as one node (pairing would leave them colored and unpaired), then
+    cut the remaining cross links in the pass registers. Returns the
+    number pooled.
 
     Phase (a) handles lower-row runs, phase (b) upper-row runs; after
     both, every link left in the registers joins two nodes of the same
-    row. Links and rows come from the pass state, which contract_batch
-    keeps current.
+    row. Links, rows and cells come from the pass state, which
+    contract_batch keeps current. With min_run >= 2 the cut leaves no
+    node without a link, since a one-node run with a flank is short.
     """
     _absorb_short_runs(machine, state, target_row=1, min_run=min_run, phase=f"{phase}/a")
     _absorb_short_runs(machine, state, target_row=0, min_run=min_run, phase=f"{phase}/b")
+    ids = state.live()
+    lone = ids[(state.sv[ids] == NONE) & (state.pv[ids] == NONE)]
+    if lone.size:
+        pool_nodes(machine, lone, machine.cell(state.row[lone], state.col[lone]),
+                   f"{phase}/lone", state)
     _cut_cross_links(state)
+    return int(lone.size)
 
 
 def _run_ends(state: PassState, target_row):

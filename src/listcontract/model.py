@@ -49,26 +49,21 @@ class LinkedForest:
     """Immutable host-side forest: dense node ids, succ/pred arrays.
 
     heads holds the list heads in ascending id; lengths[i] is the length
-    of the list headed by heads[i]; order is every node in list order,
-    the lists back to back in heads order.
+    of the list headed by heads[i].
     """
 
     def __init__(self, succ):
         succ = np.asarray(succ, dtype=np.int64)
         self.n = succ.size
         self.succ = succ
-        head, dist = self._validate()
+        head = self._validate()
         self.heads = np.flatnonzero(self.pred == NONE)
         self.list_count = self.heads.size
-        k = np.searchsorted(self.heads, head)   # list index of every node
-        self.lengths = np.bincount(k, minlength=self.list_count)
-        start = np.cumsum(self.lengths) - self.lengths
-        self.order = np.empty(self.n, dtype=np.int64)
-        self.order[start[k] + dist] = np.arange(self.n)
+        self.lengths = np.bincount(head, minlength=self.n)[self.heads]
 
     def _validate(self):
-        """Check the forest and set pred; return each node's head and
-        its distance from it, found by pointer doubling along pred."""
+        """Check the forest and set pred; return each node's head, found
+        by pointer doubling along pred."""
         n = self.n
         if n == 0:
             raise ForestFormatError("empty forest")
@@ -81,18 +76,15 @@ class LinkedForest:
             raise ForestFormatError("two nodes share a successor")
         self.pred = pred = _invert(s)
         up = np.where(pred == NONE, np.arange(n), pred)
-        dist = (pred != NONE).astype(np.int64)
         live = np.flatnonzero(pred != NONE)
         for _ in range(n.bit_length()):
-            u = up[live]
-            dist[live] += dist[u]
-            up[live] = up[u]
+            up[live] = up[up[live]]
             live = live[pred[up[live]] != NONE]
         # with one pred per node, a pointer that never reaches a head
         # after 2^bit_length(n) > n hops lies on a cycle
         if live.size:
             raise ForestFormatError("cycle detected")
-        return up, dist
+        return up
 
     def longest(self):
         """Length of the longest list (the quantity written l)."""
@@ -209,28 +201,23 @@ class Machine:
 
 
 def layout(machine: Machine, mode="columns"):
-    """Place lists in succ order, back to back, two nodes per column.
+    """Place node v by its id alone, reading no link: at (v % 2, v // 2)
+    by default, at (v // C, v % C) for C columns with mode="rows". Where
+    ids follow list order, the default puts consecutive list nodes in
+    one column, and rows splits each long list into an upper and a
+    lower part, which keeps both rows populated through localization.
 
-    The default fills column by column (consecutive list nodes share a
-    column). mode="rows" fills row 0 first and then row 1, which
-    splits each long list into an upper and a lower part; that is the
-    placement that keeps both rows populated through localization.
-
-    This is the input placement the contraction machinery assumes; it
-    is harness setup, performed before the metered phases start. An odd
-    node count is padded with one isolated sentinel node.
+    This is harness setup, performed before the metered phases start.
+    An odd node count is padded with one isolated sentinel node.
     """
     m = machine.memory
-    order = machine.forest.order
-    if machine.sentinel is not None:
-        order = np.append(order, machine.sentinel)
-    k = np.arange(machine.n)
+    v = np.arange(machine.n)
     if mode == "columns":
-        rows, cols = k % 2, k // 2
+        rows, cols = v % 2, v // 2
     elif mode == "rows":
-        rows, cols = k // machine.columns, k % machine.columns
+        rows, cols = np.divmod(v, machine.columns)
     else:
         raise ValueError(f"unknown layout mode {mode!r}")
-    m.poke("row", order, rows)
-    m.poke("col", order, cols)
-    m.poke("slot", machine.cell(rows, cols), order)
+    m.poke("row", v, rows)
+    m.poke("col", v, cols)
+    m.poke("slot", machine.cell(rows, cols), v)

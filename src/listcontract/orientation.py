@@ -17,10 +17,11 @@ import numpy as np
 from .errors import OrientationError, UncoveredCaseError
 # clear_cuts stays importable here for bench/tracing.py
 from .localize import MIN_RUN, clear_cuts, localize  # noqa: F401
-from .model import INBOX, Machine, POOLED, SUCC_SIDE
+from .model import INBOX, Machine, SUCC_SIDE
 from .pram import NONE
 # contract_batch stays importable here for bench/tracing.py
-from .steps import PassState, contract_batch, move_nodes, pair_leaders, scratch  # noqa: F401
+from .steps import (PassState, contract_batch, move_nodes, pair_leaders,  # noqa: F401
+                    pool_nodes, scratch)
 from .uniform import color_and_pair, enforce_uniformity, merge_pairs, opposite_pair_shortcut
 
 # lists shorter than this leave the array at the start of a pass; the
@@ -51,12 +52,12 @@ def derive_orientation(machine: Machine, phase="orient") -> OrientationKey:
     array and the cell mailboxes, which must be current, when both rows
     hold a node; otherwise every key and every opposite cell is NONE,
     and every pair claims its 0-colored member's column by the vacancy
-    rule without a step. Unpaired nodes survive in their own column,
-    and a pair whose claim falls on one of those takes its other column.
-    A pair whose two keys are defined but neither follows the
-    other is marked, which the uniformity step should have cleared: it
-    raises UncoveredCaseError with a snapshot. Conflicting or other
-    underivable claims raise OrientationError.
+    rule without a step. Unpaired nodes, in a pass only exempt merged
+    hosts, survive in their own column. A pair whose two keys are
+    defined but neither follows the other is marked, which the
+    uniformity step should have cleared: it raises UncoveredCaseError
+    with a snapshot. Conflicting or other underivable claims, a column
+    claimed twice among them, raise OrientationError.
     """
     C = machine.columns
     key = tn = bn = np.full(C, NONE, dtype=np.int64)
@@ -121,7 +122,6 @@ def derive_orientation(machine: Machine, phase="orient") -> OrientationKey:
                 "no forward column for pairs at columns "
                 f"{list(zip(c1[bad].tolist(), c2[bad].tolist()))} "
                 f"(keys {list(zip(k1[bad].tolist(), k2[bad].tolist()))})")
-        claim = np.where(np.isin(claim, loose_cols), np.where(claim == c1, c2, c1), claim)
         host = np.where(claim == c1, leaders, partner)
         absorbed = np.where(claim == c1, partner, leaders)
         host_l.append(host)
@@ -216,20 +216,15 @@ def pool_short_lists(machine: Machine, phase="pool"):
         seen[walk] += (up[walk] != NONE).astype(np.int64) + (down[walk] != NONE)
     keep = np.flatnonzero(seen >= POOL_MIN_LEN - 1)
     out = np.flatnonzero(seen < POOL_MIN_LEN - 1)
-    # the pooled nodes' cells, from the send step's reads
-    out_cell = machine.cell(row[out], col[out])
-    del col
-    regs = [np.full(machine.n, NONE, dtype=dt) for dt in (np.int64,) * 2 + (np.int8,) * 3]
+    regs = [np.full(machine.n, NONE, dtype=dt)
+            for dt in [np.int64] * 2 + [np.int8] * 3 + [np.int64]]
     kept = ids[keep]
-    for reg, got in zip(regs, (sv, pv, row, row_s, row_p)):
+    for reg, got in zip(regs, (sv, pv, row, row_s, row_p, col)):
         reg[kept] = got[keep]
     state = PassState(kept, *regs)
-    sel = ids[out]
-    with eng.step(f"{phase}/out_wr", sel.size) as s:
-        s.write("slot", out_cell, NONE)
-        s.write("row", sel, POOLED)
-        s.write("col", sel, POOLED)
-    return int(sel.size), state
+    # the pooled nodes' cells, from the send step's reads
+    pool_nodes(machine, ids[out], machine.cell(row[out], col[out]), phase)
+    return int(out.size), state
 
 
 @dataclass
@@ -249,7 +244,8 @@ def uniform_contraction_pass(machine: Machine, min_run=MIN_RUN, phase="pass") ->
     """One full contraction pass over the current two-row placement.
 
     Pools the short lists, localizes the rest (free when one row is
-    empty: no link crosses rows), then colors and pairs both rows.
+    empty: no link crosses rows) and pools the lists that leaves as one
+    node, then colors and pairs both rows.
     The aligned-stack shortcut and the uniformity coupling run only
     when the pass registers show both rows still holding a node, which
     a columns placement loses to localization; with one row empty every
@@ -261,7 +257,7 @@ def uniform_contraction_pass(machine: Machine, min_run=MIN_RUN, phase="pass") ->
     pre_active = state.ids.size
     if pre_active == 0:
         return PassReport(0, pooled, 0, cols_before, cols_before, 0, 0, True, True)
-    localize(machine, state, min_run=min_run, phase=f"{phase}/localize")
+    pooled += localize(machine, state, min_run=min_run, phase=f"{phase}/localize")
     pairs = color_and_pair(machine, state, phase=f"{phase}/rows")[1]
     # the side register: whether each node's partner is its successor
     at_succ = np.zeros(machine.n, dtype=bool)

@@ -95,7 +95,10 @@ def pointer_jump(machine: Machine, phase="jump"):
 def contract_to_threshold(machine: Machine, threshold=None, max_passes=64,
                           min_run=MIN_RUN, phase="contract"):
     """Repeat uniform contraction passes until the active count is at
-    or below the threshold (default n / ceil(log2 l))."""
+    or below the threshold (default n / ceil(log2 l)). min_run must be
+    at least 2, so that localization leaves every node a link."""
+    if min_run < 2:
+        raise ValueError(f"min_run must be at least 2, got {min_run}")
     if threshold is None:
         l = machine.forest.longest()
         denom = max(1, int(np.ceil(np.log2(l)))) if l >= 2 else 1

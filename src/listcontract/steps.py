@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import INBOX, ContractBatch, Machine, PRED_SIDE, SUCC_SIDE, RETIRED
+from .model import INBOX, ContractBatch, Machine, POOLED, PRED_SIDE, SUCC_SIDE, RETIRED
 from .pram import NONE
 
 
@@ -126,10 +126,10 @@ def restricted_neighbors(machine: Machine, ids, phase):
 class PassState:
     """Task registers of one pass, indexed by node id: the virtual
     successor and predecessor (NONE at a list end or across a cut
-    link), the row, and the rows of those two neighbors (NONE where
-    they are); memory holds no cut. contract_batch keeps them current
-    and, as in memory, retires the row of every task of ids it absorbs,
-    dropping it from the live tasks.
+    link), the row, the rows of those two neighbors (NONE where they
+    are) and the column, which no step changes while they live; memory
+    holds no cut. contract_batch keeps them current and, as in memory,
+    retires the row of every task it absorbs, as pool_nodes pools it.
     """
 
     ids: np.ndarray
@@ -138,6 +138,7 @@ class PassState:
     row: np.ndarray
     row_s: np.ndarray
     row_p: np.ndarray
+    col: np.ndarray
     live_ids: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -145,6 +146,11 @@ class PassState:
 
     def live(self):
         return self.live_ids
+
+    def drop(self, ids, row):
+        """Give tasks ids the off-array row and drop them from the live tasks."""
+        self.row[ids] = row
+        self.live_ids = self.live_ids[self.row[self.live_ids] >= 0]
 
     def side(self, d):
         return (self.pv, self.row_p) if d == PRED_SIDE else (self.sv, self.row_s)
@@ -184,8 +190,7 @@ def contract_batch(machine: Machine, absorbed, host, side, phase, state=None, me
             machine.log.append(ContractBatch(absorbed=a[on], host=h[on],
                                              side=np.full(int(on.sum()), d), weight=wa[on]))
     if state is not None:
-        state.row[a] = RETIRED
-        state.live_ids = state.live_ids[state.row[state.live_ids] >= 0]
+        state.drop(a, RETIRED)
         _refresh_step(machine, state, h, sd, far, phase)
 
 
@@ -279,6 +284,19 @@ def _at(mask, a, x, y):
     if mask.all():
         return x[a]
     return np.where(mask, x[a], y[a]) if mask.any() else y[a]
+
+
+def pool_nodes(machine: Machine, nodes, cells, phase, state=None):
+    """Take nodes out of the array in one write step: clear their cells
+    and set their row and col to POOLED. Their links stay intact, and
+    pointer jumping finishes their lists; with a PassState, they leave
+    its live tasks too."""
+    with machine.engine.step(f"{phase}/out_wr", np.size(nodes)) as s:
+        s.write("slot", cells, NONE)
+        s.write("row", nodes, POOLED)
+        s.write("col", nodes, POOLED)
+    if state is not None:
+        state.drop(nodes, POOLED)
 
 
 def move_nodes(machine: Machine, nodes, frm, to, phase):

@@ -16,14 +16,6 @@ no color of the other row, so the two rows' sweeps share the chains,
 their roots and walk directions, and run as one: each state carries
 its pair's mark in the bit of the row the mark is about.
 
-Walked from one end, an open chain's last pair keeps the parity of
-its row's marks. An end whose other-row cell is vacant or holds an
-uncolored node cannot mark that pair, so the walk starts from an end
-whose other-row cell holds a colored node. That node is unpaired and
-survives in its column, so the keys must not send the root pair
-there: the root pair swaps when they would, which flips every pair of
-its row along the chain and keeps the chain uniform.
-
 A closed chain with k top pairs also has k bottom pairs, and going
 once around it the colors of either row change an even number of
 times. k of those changes are inside that row's own pairs and the
@@ -87,11 +79,8 @@ def _read_columns(machine, phase):
     on both rows, then, across each partner column, that column's node
     of the same row and color of the other row.
 
-    Returns (node, pcol, pnode, mark, lit, even), each indexed [row,
-    column]; mark[r, c] is set when the row-r pair at column c is
-    marked, lit[r, c] when the other-row cell at c holds a 0- or
-    1-colored node, and even[r, c] when that node's color is the color
-    of the row-r cell's node.
+    Returns (node, pcol, pnode, mark), each indexed [row, column];
+    mark[r, c] is set when the row-r pair at column c is marked.
     """
     eng = machine.engine
     cols = np.arange(machine.columns)
@@ -104,9 +93,8 @@ def _read_columns(machine, phase):
         pnode = np.array([s.read("slot", machine.cell(r, pcol[r])) for r in (0, 1)])
         far = np.array([s.read("mb_color", machine.cell(1 - r, pcol[r])) for r in (0, 1)])
     near = color[::-1]
-    lit = np.isin(near, (0, 1))
-    mark = lit & np.isin(far, (0, 1)) & (near != far)
-    return node, pcol, pnode, mark, lit, lit & (near == color)
+    mark = np.isin(near, (0, 1)) & np.isin(far, (0, 1)) & (near != far)
+    return node, pcol, pnode, mark
 
 
 # -- the sweep ------------------------------------------------------------
@@ -149,11 +137,11 @@ def _plan_swaps(machine, phase):
     root pair's far column and both members.
     """
     eng = machine.engine
-    node, pcol, pnode, mark, lit, even = _read_columns(machine, phase)
+    node, pcol, pnode, mark = _read_columns(machine, phase)
     if not mark.any():
         return None
     # per-state registers, state ids 2c + r
-    st_pcol, st_mark, st_lit = pcol.T.ravel(), mark.T.ravel(), lit.T.ravel()
+    st_pcol, st_mark = pcol.T.ravel(), mark.T.ravel()
     em = np.flatnonzero(st_pcol != NONE)
     row = em & 1
     pc = st_pcol[em]
@@ -162,22 +150,10 @@ def _plan_swaps(machine, phase):
     # weights: a row-r state carries its pair's mark in bit 1 - r; the
     # predecessor's pair is the other-row pair at the same column
     x0 = np.where(prv != NONE, st_mark[em ^ 1].astype(np.int64) << row, 0)
-    # an open chain is walked from a root whose other-row cell holds a
-    # colored node, which is unpaired and survives in that column, so
-    # the root pair, when the keys at both its columns orient it, must
-    # point away. The keys point a top pair at its member of the other
-    # row's color and a bottom pair at its other member, so the root
-    # swaps when its member at the root column is the one pointed at.
-    # Swapping every row-r pair of the chain keeps it uniform, as its
-    # other end marks nothing
-    flip = ((prv == NONE) & st_lit[em] & st_lit[2 * pc + row]
-            & (even.T.ravel()[em] ^ (row == 1)))
-    x0 = np.where(flip, 1 << row, x0)
     # closed chains are rooted at top-row states
     key = np.where(row == 0, em, 2 * machine.columns)
-    # an open chain's root passes on its rank: its id, plus 2C when the
-    # other-row cell at its column holds no colored node
-    rank = np.where(prv == NONE, em + 2 * machine.columns * ~st_lit[em], NONE)
+    # an open chain's root passes on its id as its rank
+    rank = np.where(prv == NONE, em, NONE)
     limit = int(np.ceil(np.log2(max(2, em.size))))
 
     # prefix XOR, root and the smallest top-row state by doubling over
@@ -201,10 +177,10 @@ def _plan_swaps(machine, phase):
             (np.bitwise_xor, np.maximum), limit, f"{phase}/c")
 
     # each chain is walked from the end whose root has the smaller
-    # rank. The last pair of an open chain keeps the parity of its
-    # row's marks, so the walk starts from an end whose other-row cell
-    # holds a colored node, and ends where none can mark that pair. A
-    # root learns its closed chain's parity from the last state
+    # rank. Either end of an open chain serves: its other-row cell is
+    # vacant or holds an exempt node (unpaired colored nodes were
+    # pooled), so neither end pair can be marked. A root learns its
+    # closed chain's parity from the last state
     mirror = 2 * pc + row
     with eng.step(f"{phase}/ends", em.size) as s:
         their = np.where(cyc, s.read(c_stores[2], np.where(cyc, mirror, NONE)),

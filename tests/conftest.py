@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from listcontract import LinkedForest, Machine, PramConfig
+from listcontract import LinkedForest, Machine, PramConfig, sequential_rank
 from listcontract.pram import NONE
 from listcontract.steps import PassState, restricted_neighbors
 
@@ -20,6 +20,13 @@ def forest_from_lists(lists):
         for a, b in zip(chain, chain[1:]):
             succ[a] = b
     return LinkedForest(succ)
+
+
+def list_order(forest):
+    """Every node in list order, the lists back to back in ascending
+    head id, from the oracle's ranks."""
+    r = sequential_rank(forest)
+    return np.lexsort((r.rank, r.list_id))
 
 
 def snapshot(machine):
@@ -74,13 +81,14 @@ def pair_sides(machine):
 
 def read_state(machine, ids=None):
     """The PassState of tasks ids, every node in the array by default,
-    as memory gives it: links by restricted_neighbors, rows by peek."""
+    as memory gives it: links by restricted_neighbors, rows and columns
+    by peek."""
     ids = machine.in_array_ids() if ids is None else ids
     sv, pv = restricted_neighbors(machine, ids, "state")
     row = machine.peek("row")
-    regs = [np.full(machine.n, NONE, dtype=np.int64) for _ in range(5)]
+    regs = [np.full(machine.n, NONE, dtype=np.int64) for _ in range(6)]
     for reg, got in zip(regs, (sv, pv, row[ids], np.where(sv != NONE, row[sv], NONE),
-                               np.where(pv != NONE, row[pv], NONE))):
+                               np.where(pv != NONE, row[pv], NONE), machine.peek("col")[ids])):
         reg[ids] = got
     return PassState(ids, *regs)
 

@@ -3,6 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the report.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,25 @@ def test_criterion_1_oracle_equivalence():
         count += 1
     report("criterion 1 (oracle equivalence)", failures == 0 and violations == 0,
            f"{count} workloads, {failures} mismatches, {violations} EREW violations")
+
+
+def test_lone_nodes_over_a_bottom_pair_are_pooled_not_claimed_twice():
+    # criterion 1's columns input 571: FIXED l=4, n=3224, shuffled ids,
+    # p=62. Placed by id, pass 0's localization leaves a one-node list
+    # in the top cell over each column of a bottom pair; kept in the
+    # array, the two would survive into the pair's bottom slots with it,
+    # claiming columns 313 and 730 twice
+    w, p = next(itertools.islice(mixed_workloads(850, 4096, seed0=1), 571, None))
+    assert (w.n, w.length_distribution, w.fixed_length, w.layout_shuffle, p) == \
+        (3224, "FIXED", 4, True, 62)
+    forest = generate(w)
+    run = list_rank(forest, p=p)
+    assert run.result.same_as(sequential_rank(forest))
+    assert run.metrics.erew_violations == 0
+    # the lists of four are too long for the pool at the pass start
+    assert run.metrics.phase_breakdown["contract/p0/localize/lone/out_wr"] == 4
+    assert "contract/p0/pool/out_wr" not in run.metrics.phase_breakdown
+    assert run.passes[0].pooled > 0
 
 
 def test_criterion_2_uniform_packing():

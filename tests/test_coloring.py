@@ -7,7 +7,7 @@ from listcontract import coloring
 from listcontract.coloring import dct_new_colors, three_color
 from listcontract.pram import NONE
 from listcontract.steps import restricted_neighbors
-from conftest import path_forest
+from conftest import list_order, path_forest
 
 
 def color_forest(n, shuffle_seed=None):
@@ -209,7 +209,7 @@ def test_colors_and_inboxes_match_host_reference(n, lists, seed, p, keep, dist):
     # color a random subset of the lists, so the ids are sparse
     chosen = np.random.default_rng(seed).random(fo.list_count) < keep
     chosen[0] = True
-    ids = np.sort(fo.order[np.repeat(chosen, fo.lengths)])
+    ids = np.sort(list_order(fo)[np.repeat(chosen, fo.lengths)])
     sv, pv = restricted_neighbors(m, ids, "nbr")
     ca = three_color(m.engine, m.memory, ids, sv, pv, phase="tc")
     ref = reference_colors(ids, sv, pv, p)

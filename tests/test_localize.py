@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from listcontract import (Machine, PramConfig, Workload, generate, layout, list_rank,
                           sequential_rank)
 from listcontract.localize import localize
+from listcontract.model import POOLED
 from listcontract.pram import NONE
 from listcontract.ranking import pointer_jump, replay_ranks
-from conftest import path_forest, place, read_state
+from conftest import list_order, path_forest, place, read_state
 
 # the package's localize function hides the module of that name
 localize_mod = importlib.import_module("listcontract.localize")
@@ -184,7 +185,7 @@ def random_rows(machine, forest, rng, q):
     """Place every node on row 1 with probability q, in list order."""
     r = (rng.random(forest.n) < q).astype(int)
     col, pos = [0, 0], {}
-    for v in forest.order:
+    for v in list_order(forest):
         pos[int(v)] = (int(r[v]), col[r[v]])
         col[r[v]] += 1
     place(machine, pos)
@@ -335,12 +336,15 @@ def test_meeting_pair_links_both_hosts(k):
 @pytest.mark.parametrize("h", [1, 3])
 def test_runs_on_both_sides_of_one_node_absorb_into_it_in_one_step(h):
     # lower runs open and close the list around a single upper node f,
-    # their only flank: both sides go into f in the same waves
+    # their only flank: both sides go into f in the same waves, and f,
+    # now the whole list, leaves the array in one pool step
     m, state, labels = localize_runs([(1, h), (0, 1), (1, h)])
     f = h
     assert wave_labels(labels) == [f"localize/a/w{j}/{step}"
                                    for j in range(int(np.ceil(np.log2(h + 1))))
                                    for step in ("contract", "refresh")]
     assert m.peek("weight")[f] == 1 + 2 * h
-    assert m.in_array_ids().tolist() == [f]
+    assert m.in_array_ids().size == 0 and m.peek("row")[f] == POOLED
+    assert labels.count("localize/lone/out_wr") == 1 and state.live().size == 0
+    assert labels.index("localize/lone/out_wr") > labels.index(wave_labels(labels)[-1])
     assert state.sv[f] == NONE and state.pv[f] == NONE

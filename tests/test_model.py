@@ -52,7 +52,6 @@ def test_forest_stats():
     assert f.list_count == 2
     assert f.longest() == 5
     assert f.lengths.tolist() == [3, 5]
-    assert f.order.tolist() == [0, 1, 2, 3, 4, 5, 6, 7]
 
 
 def test_one_node_forest():
@@ -125,24 +124,20 @@ def test_cell_is_none_off_the_grid():
 
 @pytest.mark.parametrize("mode", ["columns", "rows"])
 def test_layout_shuffled_forest_odd_n(mode):
+    # the placement reads ids alone: node v, the sentinel 301 among
+    # them, sits at (v % 2, v // 2) or (v // C, v % C) whatever the links
     f = generate(Workload(n=301, num_lists=9, length_distribution=GEOMETRIC,
                           seed=4, layout_shuffle=True))
-    order = []
-    for h in range(f.n):
-        if f.pred[h] == NONE:
-            v = h
-            while v != NONE:
-                order.append(v)
-                v = int(f.succ[v])
-    order.append(f.n)   # the sentinel
     m = Machine(f, PramConfig())
     layout(m, mode=mode)
     C = m.columns
+    assert C == 151
     if mode == "columns":
-        expect = [[order[2 * c + r] for c in range(C)] for r in range(2)]
+        expect = [[2 * c + r for c in range(C)] for r in range(2)]
     else:
-        expect = [order[:C], order[C:]]
+        expect = [list(range(C)), list(range(C, 2 * C))]
     assert m.grid().tolist() == expect
+    check_inverse(m)
 
 
 # -- metered contraction ---------------------------------------------------

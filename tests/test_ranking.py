@@ -162,14 +162,14 @@ def log_digest(log):
 
 
 @pytest.mark.parametrize("n, seed, digest", [
-    (4096, 3, (30, "d475a356787ad83985b8e91b373447d625c7a24e")),
-    (2 ** 14, 1, (25, "0b19bf691ef9e5a581fba399c576f9e7a7b34533")),
+    (4096, 3, (21, "e4667b761dda3a8c2353aadd03379be6d764cc57")),
+    (2 ** 14, 1, (26, "78680ab371deba08551cc1d5d20edfff74dae6d3")),
 ])
 def test_contraction_log_matches_recorded_run(n, seed, digest, monkeypatch):
     # GEOMETRIC lists of mean 256, shuffled, rows layout, min_run 8,
     # p = n/8; the entries (absorbed, host, side, weight) were recorded
-    # when localization absorbed short runs in log-depth waves and coin
-    # tossing stopped once the color drops were cheaper
+    # when the layout placed nodes by id and localization pooled the
+    # lists it left as one node
     logs = []
     replay = ranking.replay_ranks
     monkeypatch.setattr(ranking, "replay_ranks",
@@ -223,9 +223,10 @@ def test_list_rank_row_layout_small_runs(seed):
 
 @pytest.mark.parametrize("p", [1, 8])
 def test_pair_claiming_an_unpaired_nodes_column_takes_its_other_column(p):
-    # rows layout: after localization a one-node list sits in the top row
-    # of the column a bottom pair's keys point it to; both would survive
-    # into that column's bottom cell
+    # rows layout: when the layout placed lists in list order, a one-node
+    # list was left by localization in the top row of the column a bottom
+    # pair's keys pointed it to, and both would have survived into that
+    # column's bottom cell; localization now pools such a list
     f = generate(Workload(n=56, num_lists=3, length_distribution="GEOMETRIC",
                           seed=40219035, layout_shuffle=True))
     run = list_rank(f, p=p, layout_mode="rows", min_run=100)
@@ -238,12 +239,11 @@ def test_pair_claiming_an_unpaired_nodes_column_takes_its_other_column(p):
     (50, 2, 1637311011, 7, 100), (74, 2, 1495382808, 8, 100),
 ])
 def test_open_chain_walks_from_its_colored_end(n, lists, seed, p, min_run):
-    # open column chains with a colored unpaired node in the other-row
-    # cell at one end. Walked from the other end, the first three kept
-    # a mark on their last pair that no swap could clear, and the keys
-    # raised UncoveredCaseError. Walked from that end without turning
-    # the root pair away from the node, the last three sent a pair to
-    # the node's column, which was then claimed twice
+    # when the layout placed lists in list order, these gave open column
+    # chains with a colored unpaired node in the other-row cell at one
+    # end, which the uniformity walk had to start from and turn its root
+    # pair away from; localization now pools those one-node lists, and
+    # either end of a chain serves
     f = generate(Workload(n=n, num_lists=lists, length_distribution="GEOMETRIC",
                           seed=seed, layout_shuffle=True))
     for procs in (1, p):
@@ -300,6 +300,22 @@ def test_list_rank_keeps_cuts_and_retirement_out_of_memory(monkeypatch):
     assert not [s for s in ("cut", "status") if made[0].memory.has(s)]
     assert not [label for label in run.metrics.phase_breakdown
                 if label.endswith(("/cut/mark", "/uncut/clear", "/nbr2"))]
+
+
+@pytest.mark.parametrize("min_run", [1, 0, -3])
+def test_min_run_below_two_is_rejected(min_run):
+    # a one-node run must be short, or localization could leave a node
+    # of a longer list without a link; with min_run 1 FIXED l=256 lists
+    # broke the orientation of the columns layout
+    f = generate(Workload(n=4096, length_distribution="FIXED", fixed_length=256))
+    with pytest.raises(ValueError, match="min_run"):
+        list_rank(f, p=64, min_run=min_run)
+    m = Machine(f, PramConfig(num_processors=64))
+    layout(m)
+    with pytest.raises(ValueError, match="min_run"):
+        contract_to_threshold(m, min_run=min_run)
+    assert m.engine.metrics().rounds == 0
+    assert list_rank(f, p=64, min_run=2).result.same_as(sequential_rank(f))
 
 
 def test_list_rank_without_contraction_matches():

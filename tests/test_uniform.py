@@ -228,6 +228,18 @@ def test_even_closed_chain_takes_swaps_only(k, seed):
     assert not marked_pairs(m)
 
 
+def test_list_rank_meets_a_closed_chain_and_matches_the_oracle():
+    # placed by id, the shuffled lists of a rows layout leave closed
+    # column chains in pass 0, which the sweep opens at their smallest
+    # top-row state and walks again; none of them is odd
+    f = generate(Workload(n=600, num_lists=9, seed=2, layout_shuffle=True))
+    run = list_rank(f, p=64, min_run=2, layout_mode="rows")
+    assert [k for k in run.metrics.phase_breakdown if "/uniform/plan/c/" in k]
+    assert run.result.same_as(sequential_rank(f))
+    assert run.metrics.erew_violations == 0
+    assert sum(rep.odd_cycles for rep in run.passes) == 0
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_sweep_doubling_runs_only_the_closed_chain_once_open_chains_finish(seed):
     # an even closed chain of 8 pairs a row (32 states, one per column
@@ -484,7 +496,8 @@ def test_every_uniformity_publish_matches_the_grid(monkeypatch):
 def test_second_publish_of_a_list_rank_matches_the_grid(monkeypatch):
     calls = []
     monkeypatch.setattr(uniform, "publish_mailboxes", checked_publish(calls))
-    f = generate(Workload(n=2000, num_lists=8, seed=3, layout_shuffle=True))
+    # unshuffled ids keep both rows of the rows layout through passes
+    f = generate(Workload(n=2000, num_lists=8, seed=3))
     run = list_rank(f, p=64, min_run=8, layout_mode="rows")
     assert run.result.same_as(sequential_rank(f))
     # later publishes find cells that earlier passes filled vacant now

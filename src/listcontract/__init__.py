@@ -8,8 +8,8 @@ from .model import LinkedForest, Machine, layout
 from .coloring import ColorAssignment, dct_new_colors, three_color
 from .pairing import PairAssignment, eliminate_twos, form_pairs
 from .localize import localize
-from .uniform import (color_and_pair, enforce_uniformity, opposite_pair_shortcut,
-                      publish_mailboxes)
+from .uniform import (BothColumns, both_columns, color_and_pair, enforce_uniformity,
+                      opposite_pair_shortcut, publish_mailboxes)
 from .orientation import (OrientationKey, contract_along_orientation,
                           derive_orientation, fold_array, pool_short_lists,
                           uniform_contraction_pass)

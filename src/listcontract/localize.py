@@ -45,6 +45,14 @@ from .steps import (PassState, contract_batch, double, pool_nodes,  # noqa: F401
 MIN_RUN = 100
 
 
+def check_min_run(min_run):
+    """Refuse a min_run below 2: a one-node run with a flank must be
+    short, or localization can leave a node of a longer list without a
+    link."""
+    if min_run < 2:
+        raise ValueError(f"min_run must be at least 2, got {min_run}")
+
+
 def localize(machine: Machine, state: PassState, min_run=MIN_RUN, phase="localize"):
     """Absorb short runs into the other row, pool the lists that leaves
     as one node (pairing would leave them colored and unpaired), then
@@ -54,9 +62,10 @@ def localize(machine: Machine, state: PassState, min_run=MIN_RUN, phase="localiz
     Phase (a) handles lower-row runs, phase (b) upper-row runs; after
     both, every link left in the registers joins two nodes of the same
     row. Links, rows and cells come from the pass state, which
-    contract_batch keeps current. With min_run >= 2 the cut leaves no
-    node without a link, since a one-node run with a flank is short.
+    contract_batch keeps current. min_run must be at least 2, so that
+    the cut leaves no node without a link.
     """
+    check_min_run(min_run)
     _absorb_short_runs(machine, state, target_row=1, min_run=min_run, phase=f"{phase}/a")
     _absorb_short_runs(machine, state, target_row=0, min_run=min_run, phase=f"{phase}/b")
     ids = state.live()

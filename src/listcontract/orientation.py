@@ -16,13 +16,14 @@ import numpy as np
 
 from .errors import OrientationError, UncoveredCaseError
 # clear_cuts stays importable here for bench/tracing.py
-from .localize import MIN_RUN, clear_cuts, localize  # noqa: F401
+from .localize import MIN_RUN, check_min_run, clear_cuts, localize  # noqa: F401
 from .model import INBOX, Machine, SUCC_SIDE
 from .pram import NONE
 # contract_batch stays importable here for bench/tracing.py
 from .steps import (PassState, contract_batch, move_nodes, pair_leaders,  # noqa: F401
                     pool_nodes, scratch)
-from .uniform import color_and_pair, enforce_uniformity, merge_pairs, opposite_pair_shortcut
+from .uniform import (BothColumns, both_columns, color_and_pair, enforce_uniformity,
+                      merge_pairs, opposite_pair_shortcut)
 
 # lists shorter than this leave the array at the start of a pass; the
 # pool sees two hops each way in its two wide steps, and only the nodes
@@ -43,33 +44,29 @@ class OrientationKey:
     from_top: np.ndarray             # whether the survivor sits in the top row
 
 
-def derive_orientation(machine: Machine, phase="orient") -> OrientationKey:
+def derive_orientation(machine: Machine, both: BothColumns, phase="orient") -> OrientationKey:
     """Compute column keys and every pair's forward-column claim.
 
     Pattern-valid pairs claim the member column whose key is the cycle
     successor of the other member's key. Pairs bordering vacancies or
-    exempt nodes claim the free side. The keys are read from the slot
-    array and the cell mailboxes, which must be current, when both rows
-    hold a node; otherwise every key and every opposite cell is NONE,
-    and every pair claims its 0-colored member's column by the vacancy
-    rule without a step. Unpaired nodes, in a pass only exempt merged
-    hosts, survive in their own column. A pair whose two keys are
-    defined but neither follows the other is marked, which the
-    uniformity step should have cleared: it raises UncoveredCaseError
-    with a snapshot. Conflicting or other underivable claims, a column
-    claimed twice among them, raise OrientationError.
+    exempt nodes claim the free side. Keys are defined only at the both
+    columns, which the pass hands in, and one step reads them from the
+    cell mailboxes there, which must be current; every other column's
+    key is NONE, and its cell across from a pair is vacant. With no
+    both column, as when a row is empty, no step runs, and every pair
+    claims its 0-colored member's column by the vacancy rule. Unpaired
+    nodes, in a pass only exempt merged hosts, survive in their own
+    column. A pair whose two keys are defined but neither follows the
+    other is marked, which the uniformity step should have cleared: it
+    raises UncoveredCaseError with a snapshot. Conflicting or other
+    underivable claims, a column claimed twice among them, raise
+    OrientationError.
     """
-    C = machine.columns
-    key = tn = bn = np.full(C, NONE, dtype=np.int64)
-    placed = machine.peek("row")[machine.in_array_ids()]
-    if (placed == 0).any() and (placed == 1).any():
-        cols = np.arange(C)
-        top, bottom = machine.cell(0, cols), machine.cell(1, cols)
-        with machine.engine.step(f"{phase}/keys", C) as s:
-            tc, bc = s.read("mb_color", top), s.read("mb_color", bottom)
-            tn, bn = s.read("slot", top), s.read("slot", bottom)
-        valid = np.isin(tc, (0, 1)) & np.isin(bc, (0, 1)) & (tn != NONE) & (bn != NONE)
-        key = np.where(valid, 2 * tc + bc, NONE)
+    key = np.full(machine.columns, NONE, dtype=np.int64)
+    if both.cols.size:
+        with machine.engine.step(f"{phase}/keys", both.cols.size) as s:
+            tc, bc = (s.read("mb_color", machine.cell(r, both.cols)) for r in (0, 1))
+        key[both.cols] = np.where(np.isin(tc, (0, 1)) & np.isin(bc, (0, 1)), 2 * tc + bc, NONE)
 
     row_a, pair_a = machine.peek("row"), machine.peek("pair")
     loose = np.flatnonzero((row_a >= 0) & (pair_a == NONE))
@@ -94,9 +91,8 @@ def derive_orientation(machine: Machine, phase="orient") -> OrientationKey:
         if need.any():
             # vacancy rule: claim the member column whose opposite cell
             # is empty; with both empty, the 0-colored member's column
-            opp = bn if row == 0 else tn
-            o1 = opp[c1] == NONE
-            o2 = opp[c2] == NONE
+            o1 = both.at(c1) == NONE
+            o2 = both.at(c2) == NONE
             colr = machine.peek("color")
             zero_col = np.where(colr[leaders] == 0, c1, c2)
             vac = np.where(o1 & ~o2, c1,
@@ -245,13 +241,15 @@ def uniform_contraction_pass(machine: Machine, min_run=MIN_RUN, phase="pass") ->
 
     Pools the short lists, localizes the rest (free when one row is
     empty: no link crosses rows) and pools the lists that leaves as one
-    node, then colors and pairs both rows.
-    The aligned-stack shortcut and the uniformity coupling run only
-    when the pass registers show both rows still holding a node, which
-    a columns placement loses to localization; with one row empty every
-    pair claims its 0-colored member's column. Of the registers only
-    the side of each node's partner stays, for the merges.
+    node, then colors and pairs both rows. The pass registers then give
+    the both columns (both_columns), which a columns placement loses
+    with a row to localization; the aligned-stack shortcut, the
+    uniformity coupling and the orientation keys run over them alone.
+    Without them every pair claims its 0-colored member's column. Of
+    the registers only the side of each node's partner stays, for the
+    merges. min_run must be at least 2.
     """
+    check_min_run(min_run)
     cols_before = machine.columns
     pooled, state = pool_short_lists(machine, phase=f"{phase}/pool")
     pre_active = state.ids.size
@@ -262,13 +260,14 @@ def uniform_contraction_pass(machine: Machine, min_run=MIN_RUN, phase="pass") ->
     # the side register: whether each node's partner is its successor
     at_succ = np.zeros(machine.n, dtype=bool)
     at_succ[pairs.ids] = pairs.at_succ
-    rows = state.row[state.live()]
+    live = state.live()
+    both = both_columns(machine, live, state.row[live], state.col, f"{phase}/both")
     del state, pairs   # no phase reads the other registers after pairing
     shortcut = odd_cycles = 0
-    if (rows == 0).any() and (rows == 1).any():
-        shortcut = opposite_pair_shortcut(machine, at_succ, phase=f"{phase}/shortcut")
-        odd_cycles = enforce_uniformity(machine, at_succ, phase=f"{phase}/uniform")
-    plan = derive_orientation(machine, phase=f"{phase}/orient")
+    if both.cols.size:
+        shortcut = opposite_pair_shortcut(machine, at_succ, both, phase=f"{phase}/shortcut")
+        odd_cycles = enforce_uniformity(machine, at_succ, both, phase=f"{phase}/uniform")
+    plan = derive_orientation(machine, both, phase=f"{phase}/orient")
     contract_along_orientation(machine, plan, at_succ, phase=f"{phase}/pack")
     survivors = plan.survivors.size
     in_bottom = bool((machine.peek("row")[plan.survivors] == 1).all())

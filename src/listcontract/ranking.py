@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ForestFormatError
 from .model import LinkedForest, Machine, layout, PRED_SIDE
-from .localize import MIN_RUN
+from .localize import MIN_RUN, check_min_run
 from .orientation import uniform_contraction_pass
 from .pram import NONE, PramConfig
 from .steps import double, scratch
@@ -97,8 +97,7 @@ def contract_to_threshold(machine: Machine, threshold=None, max_passes=64,
     """Repeat uniform contraction passes until the active count is at
     or below the threshold (default n / ceil(log2 l)). min_run must be
     at least 2, so that localization leaves every node a link."""
-    if min_run < 2:
-        raise ValueError(f"min_run must be at least 2, got {min_run}")
+    check_min_run(min_run)
     if threshold is None:
         l = machine.forest.longest()
         denom = max(1, int(np.ceil(np.log2(l)))) if l >= 2 else 1

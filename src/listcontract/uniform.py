@@ -26,17 +26,32 @@ into one exempt node, and the top beyond the next bottom pair moves
 into the vacated cell, which closes the chain with k - 1 pairs per
 row and leaves that bottom pair outside it.
 
+Only the columns where both rows hold a node, the *both* columns, have
+work: a pair can be marked only when the other row is occupied over
+both of its columns, and a key is defined only at such a column. The
+pass finds them in one step from the row with fewer nodes
+(both_columns), and every later step of the shortcut, the sweep and
+the keys runs over them and over the pairs and chain states that touch
+them. A chain passes through a column only where both rows hold a
+paired node, so every chain of two or more pairs, read in either
+direction, lies in those states whole; a lone pair outside them can be
+neither marked nor swapped.
+
 Everything runs as checked engine steps; all cross-pair information
 flows through the slot array and two cell mailboxes beside it, the
 color of each cell's node (mb_color) and its partner's column
 (mb_pcol), so no cell is ever read twice in one step. The step
-publishes the mailboxes once, when it starts, and again only after
-shortening odd chains; each swap patches the colors of its own two
-cells, so they stay current for the orientation keys, which are the
-check that the step left no pair marked.
+publishes the mailboxes of the both columns when it starts, and again
+only after shortening odd chains; each swap patches the colors of its
+own two cells, so they stay current for the orientation keys, which
+are the check that the step left no pair marked. A mailbox cell
+outside the both columns may still hold what an earlier pass wrote
+there, so no step reads one: such a cell is known to be vacant.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,111 +60,173 @@ from .errors import UncoveredCaseError
 from .model import Machine, PRED_SIDE, SUCC_SIDE
 from .pram import NONE
 # restricted_neighbors stays importable here for bench/tracing.py
-from .steps import (PassState, contract_batch, double, move_nodes, pair_leaders,  # noqa: F401
+from .steps import (PassState, contract_batch, double, move_nodes,  # noqa: F401
                     restricted_neighbors, scratch)
 from . import pairing as _pairing
 
+# -- the both columns ---------------------------------------------------
+
+@dataclass
+class BothColumns:
+    """The columns where both rows hold a node, ascending, and the node
+    of each row there (node[r]), as both_columns read them. The steps
+    that empty a cell of them or move a node into one update them. A
+    swap changes which node holds a cell, not whether one does, so
+    node is not read after the swaps."""
+
+    cols: np.ndarray
+    node: np.ndarray   # 2 x cols.size
+
+    def at(self, cols):
+        """Each column's position in cols, NONE where it is not one of
+        them (NONE columns included)."""
+        cols = np.asarray(cols, dtype=np.int64)
+        if self.cols.size == 0:
+            return np.full(cols.shape, NONE, dtype=np.int64)
+        i = np.minimum(np.searchsorted(self.cols, cols), self.cols.size - 1)
+        return np.where(self.cols[i] == cols, i, NONE)
+
+    def drop(self, cols):
+        keep = ~np.isin(self.cols, cols)
+        self.cols, self.node = self.cols[keep], self.node[:, keep]
+
+
+def both_columns(machine: Machine, ids, rows, col, phase):
+    """The both columns of the nodes ids in the array, from their rows
+    and the column register col, indexed by node: the nodes of the row
+    with fewer of them read the other row's cell at their own column,
+    in one step. With a row empty there are none, and no step runs."""
+    n1 = int(np.count_nonzero(rows == 1))
+    if n1 in (0, ids.size):
+        return BothColumns(np.empty(0, dtype=np.int64), np.empty((2, 0), dtype=np.int64))
+    small = int(2 * n1 <= ids.size)
+    v = ids[rows == small]
+    c = col[v]
+    with machine.engine.step(f"{phase}/opp", v.size) as s:
+        opp = s.read("slot", machine.cell(1 - small, c))
+    has = np.flatnonzero(opp != NONE)
+    has = has[np.argsort(c[has])]
+    node = np.empty((2, has.size), dtype=np.int64)
+    node[small], node[1 - small] = v[has], opp[has]
+    return BothColumns(c[has], node)
+
+
 # -- cell mailboxes -----------------------------------------------------
 
-def publish_mailboxes(machine: Machine, phase):
-    """Write the color of each cell's node into mb_color and the column
-    of its partner into mb_pcol, NONE at a vacant cell or a missing
-    partner. Three steps of one task per column: read the column's two
-    slot cells, then those nodes' color and pair, then the partners'
-    col, and write both cells. Each task owns its column, so every
-    access is exclusive, and every cell is written, so none is stale."""
+def publish_mailboxes(machine: Machine, both: BothColumns, phase):
+    """Write the color of each both-column cell's node into mb_color
+    and the column of its partner into mb_pcol, NONE at a missing
+    partner. Two steps of one task per both column: read the column's
+    two nodes' color and pair, then the partners' col, and write both
+    cells. Each task owns its column, so every access is exclusive.
+    The nodes come from both, so no step reads a slot; the cells of the
+    other columns keep whatever they held."""
     eng = machine.engine
     for st in ("mb_color", "mb_pcol"):
         scratch(machine, st, machine.peek("slot").size)
-    cols = np.arange(machine.columns)
-    cells = [machine.cell(r, cols) for r in (0, 1)]
-    with eng.step(f"{phase}/mb_slot", cols.size) as s:
-        node = [s.read("slot", c) for c in cells]
-    with eng.step(f"{phase}/mb_self", cols.size) as s:
-        color = [s.read("color", v) for v in node]
-        partner = [s.read("pair", v) for v in node]
-    with eng.step(f"{phase}/mb_pub", cols.size) as s:
+    cells = [machine.cell(r, both.cols) for r in (0, 1)]
+    with eng.step(f"{phase}/mb_self", both.cols.size) as s:
+        color = [s.read("color", v) for v in both.node]
+        partner = [s.read("pair", v) for v in both.node]
+    with eng.step(f"{phase}/mb_pub", both.cols.size) as s:
         for c, w, v in zip(cells, color, partner):
             s.write("mb_color", c, w)
             s.write("mb_pcol", c, s.read("col", v))
 
 
-def _read_columns(machine, phase):
-    """Two column steps: each column's node, color and partner column
-    on both rows, then, across each partner column, that column's node
-    of the same row and color of the other row.
+def _read_columns(machine, both, phase):
+    """Two steps over the both columns: each one's color and partner
+    column on both rows, then, across each partner column, that
+    column's node of the same row and, where it is a both column too,
+    the color of the other row; elsewhere that cell is vacant.
 
-    Returns (node, pcol, pnode, mark), each indexed [row, column];
-    mark[r, c] is set when the row-r pair at column c is marked.
+    Returns (pcol, pnode, mark), each indexed [row, position in both];
+    mark[r, i] is set when the row-r pair at column both.cols[i] is
+    marked.
     """
     eng = machine.engine
-    cols = np.arange(machine.columns)
-    cells = [machine.cell(r, cols) for r in (0, 1)]
-    with eng.step(f"{phase}/col", cols.size) as s:
-        node = np.array([s.read("slot", c) for c in cells])
+    cells = [machine.cell(r, both.cols) for r in (0, 1)]
+    with eng.step(f"{phase}/col", both.cols.size) as s:
         color = np.array([s.read("mb_color", c) for c in cells])
         pcol = np.array([s.read("mb_pcol", c) for c in cells])
-    with eng.step(f"{phase}/far", cols.size) as s:
+    inside = np.where(both.at(pcol) != NONE, pcol, NONE)
+    with eng.step(f"{phase}/far", both.cols.size) as s:
         pnode = np.array([s.read("slot", machine.cell(r, pcol[r])) for r in (0, 1)])
-        far = np.array([s.read("mb_color", machine.cell(1 - r, pcol[r])) for r in (0, 1)])
+        far = np.array([s.read("mb_color", machine.cell(1 - r, inside[r])) for r in (0, 1)])
     near = color[::-1]
     mark = np.isin(near, (0, 1)) & np.isin(far, (0, 1)) & (near != far)
-    return node, pcol, pnode, mark
+    return pcol, pnode, mark
 
 
 # -- the sweep ------------------------------------------------------------
 
-def enforce_uniformity(machine: Machine, at_succ, phase="uniform"):
+def enforce_uniformity(machine: Machine, at_succ, both: BothColumns, phase="uniform"):
     """Make the two other-row cells over every pair of either row
     equal-colored.
 
     Shortens every closed chain with an odd number of top pairs by one
     top pair, then swaps the members of the pairs the prefix-parity
     sweep selects, on both rows at once. Column-aligned pair stacks
-    must be gone (opposite_pair_shortcut). Publishes the cell
-    mailboxes and leaves them current for the orientation keys. The
-    pass calls it only when both rows hold a node: with one row empty
-    no pair can be marked. at_succ is the pass's side register, True
-    at a node whose partner is its successor. Returns the number of
-    chains shortened.
+    must be gone (opposite_pair_shortcut). Publishes the mailboxes of
+    the both columns and leaves them current for the orientation keys;
+    without a both column no pair can be marked, and no step runs.
+    at_succ is the pass's side register, True at a node whose partner
+    is its successor. Returns the number of chains shortened.
     """
-    publish_mailboxes(machine, phase)
-    plan = _plan_swaps(machine, f"{phase}/plan")
+    if both.cols.size == 0:
+        return 0
+    publish_mailboxes(machine, both, phase)
+    plan = _plan_swaps(machine, both, f"{phase}/plan")
     if plan is None:
         return 0
     odd = plan["odd_cols"].size
     if odd:
-        _shorten_odd_chains(machine, plan, at_succ, f"{phase}/odd")
-        publish_mailboxes(machine, f"{phase}/replan")
-        plan = _plan_swaps(machine, f"{phase}/replan")
+        _shorten_odd_chains(machine, plan, at_succ, both, f"{phase}/odd")
+        publish_mailboxes(machine, both, f"{phase}/replan")
+        plan = _plan_swaps(machine, both, f"{phase}/replan")
     if plan is not None:
         swap_positions(machine, plan["swap_a"], plan["swap_b"], f"{phase}/swap")
     return odd
 
 
-def _plan_swaps(machine, phase):
+def _plan_swaps(machine, both, phase):
     """Pick the pairs to swap and the odd chains to shorten.
 
     State 2c + r stands for column c leaving along its row-r pair; its
     predecessor is the state that arrives at c along c's other-row
-    pair. Returns None when no pair is marked, else a dict with the
-    member nodes to swap and, per odd chain, its root's column, the
-    root pair's far column and both members.
+    pair. The states are those at the both columns and, for a pair
+    that leaves them, the one at its far end, which has no predecessor
+    and no mark: predecessors stay among them. Returns None when no
+    pair is marked, else a dict with the member nodes to swap and, per
+    odd chain, its root's column, the root pair's far column and both
+    members.
     """
     eng = machine.engine
-    node, pcol, pnode, mark = _read_columns(machine, phase)
+    pcol, pnode, mark = _read_columns(machine, both, phase)
     if not mark.any():
         return None
-    # per-state registers, state ids 2c + r
-    st_pcol, st_mark = pcol.T.ravel(), mark.T.ravel()
-    em = np.flatnonzero(st_pcol != NONE)
-    row = em & 1
-    pc = st_pcol[em]
-    other = st_pcol[em ^ 1]
-    prv = np.where(other != NONE, 2 * other + 1 - row, NONE)
+    # per-state registers at the both columns, at 2i + r for position i
+    b_pcol, b_mark = pcol.T.ravel(), mark.T.ravel()
+    b_node, b_pnode = both.node.T.ravel(), pnode.T.ravel()
+    on = np.flatnonzero(b_pcol != NONE)
+    b_row = on & 1
+    other = b_pcol[on ^ 1]
     # weights: a row-r state carries its pair's mark in bit 1 - r; the
     # predecessor's pair is the other-row pair at the same column
-    x0 = np.where(prv != NONE, st_mark[em ^ 1].astype(np.int64) << row, 0)
+    b_prv = np.where(other != NONE, 2 * other + 1 - b_row, NONE)
+    b_x0 = np.where(other != NONE, b_mark[on ^ 1].astype(np.int64) << b_row, 0)
+    # then the far end of each pair that leaves the both columns: its
+    # other-row cell is vacant, so it has no predecessor and no mark
+    out = on[both.at(b_pcol[on]) == NONE]
+    ids = np.r_[2 * both.cols[on >> 1] + b_row, 2 * b_pcol[out] + (out & 1)]
+    order = np.argsort(ids)
+    em = ids[order]
+    row = em & 1
+    pc = np.r_[b_pcol[on], both.cols[out >> 1]][order]
+    prv = np.r_[b_prv, np.full(out.size, NONE)][order]
+    x0 = np.r_[b_x0, np.zeros(out.size, dtype=np.int64)][order]
+    st_node = np.r_[b_node[on], b_pnode[out]][order]
+    st_pnode = np.r_[b_pnode[on], b_node[out]][order]
     # closed chains are rooted at top-row states
     key = np.where(row == 0, em, 2 * machine.columns)
     # an open chain's root passes on its id as its rank
@@ -189,7 +266,6 @@ def _plan_swaps(machine, phase):
     chosen = rt < their
     odd = roots & chosen & (((last_x ^ x0) & 1) == 1)
     swap = chosen & (((x >> row) & 1) == 1)
-    st_node, st_pnode = node.T.ravel()[em], pnode.T.ravel()[em]
     return {"swap_a": st_node[swap], "swap_b": st_pnode[swap],
             "odd_cols": em[odd] >> 1, "odd_far": pc[odd],
             "odd_a": st_node[odd], "odd_b": st_pnode[odd]}
@@ -219,13 +295,14 @@ def exempt(machine: Machine, hosts, phase):
         s.write("color", hosts, NONE)
 
 
-def _shorten_odd_chains(machine, plan, at_succ, phase):
+def _shorten_odd_chains(machine, plan, at_succ, both, phase):
     """Take one top pair out of each odd closed chain.
 
     The root's top pair (ca, cb) merges at cb into an exempt node; the
     top at cc, the far end of the bottom pair at cb, moves into the
     top cell of ca. The bottom pair (cb, cc) leaves the chain, whose
-    top pair at cc now starts at ca.
+    top pair at cc now starts at ca. Column cc leaves both, and ca's
+    top node there is the moved one.
     """
     eng = machine.engine
     k = plan["odd_cols"].size
@@ -241,6 +318,8 @@ def _shorten_odd_chains(machine, plan, at_succ, phase):
     merge_pairs(machine, plan["odd_a"], plan["odd_b"], at_succ, phase)
     exempt(machine, plan["odd_b"], phase)
     move_nodes(machine, top_cc, cell_cc, machine.cell(0, plan["odd_cols"]), phase)
+    both.drop(cc)
+    both.node[0, both.at(plan["odd_cols"])] = top_cc
 
 
 def swap_positions(machine: Machine, nodes_a, nodes_b, phase):
@@ -286,48 +365,54 @@ def color_and_pair(machine: Machine, state: PassState, phase="rows"):
     return coloring, pairs
 
 
-def opposite_pair_shortcut(machine: Machine, at_succ, phase="shortcut"):
+def opposite_pair_shortcut(machine: Machine, at_succ, both: BothColumns, phase="shortcut"):
     """Consume column-aligned pair stacks directly.
 
-    When the tops over a bottom pair form a pair themselves, both pairs
-    merge at once: the merged top pair lands in the bottom row slot of
-    the 0-colored bottom member's column, the merged bottom pair in the
-    other; both merged nodes leave the pairing in one exempt step.
+    A stack is a pair of each row over the same two both columns. The
+    pairs over two both columns of the row that has fewer of them read
+    the pair of the other row's node at their smaller column, in one
+    step: the stack is aligned when that is the other row's node at
+    the larger one. Both pairs then merge at once: the merged top pair
+    lands in the bottom row slot of the 0-colored bottom member's
+    column, the merged bottom pair in the other; both merged nodes
+    leave the pairing in one exempt step, and both columns leave both.
     at_succ is the pass's side register. Returns the number of aligned
     stacks consumed.
     """
-    eng = machine.engine
-    leaders = pair_leaders(machine, 1)
-    if leaders.size == 0:
-        return 0
     col, pair, colr = machine.peek("col"), machine.peek("pair"), machine.peek("color")
-    c_lo = col[leaders]
-    partner = pair[leaders]
-    c_hi = col[partner]
-    k = leaders.size
-    # the top cells of a bottom pair's columns, then the partner of the
-    # c_lo top: the stack is aligned when that is the c_hi top
-    with eng.step(f"{phase}/rd_tops", k) as s:
-        tn_lo = s.read("slot", machine.cell(0, c_lo))
-        tn_hi = s.read("slot", machine.cell(0, c_hi))
-    with eng.step(f"{phase}/rd_pair", k) as s:
-        tp_lo = s.read("pair", tn_lo)
-    aligned = (tn_hi != NONE) & (tp_lo == tn_hi)
+    # per row, the positions in both of each such pair's two columns
+    spans = []
+    for v in both.node:
+        partner = pair[v]
+        hi = both.at(np.where(partner != NONE, col[partner], NONE))
+        lo = np.flatnonzero(hi > np.arange(hi.size))
+        spans.append((lo, hi[lo]))
+    r = int(spans[1][0].size <= spans[0][0].size)
+    lo, hi = spans[r]
+    if lo.size == 0:
+        return 0
+    opp = both.node[1 - r]
+    with machine.engine.step(f"{phase}/rd_pair", lo.size) as s:
+        aligned = s.read("pair", opp[lo]) == opp[hi]
     if not aligned.any():
         return 0
-    sel = np.flatnonzero(aligned)
-    b_lead, b_part = leaders[sel], partner[sel]
+    # the stacks in their bottom leaders' id order, whichever row was
+    # read, so the contraction log does not depend on it
+    lo, hi = lo[aligned], hi[aligned]
+    order = np.argsort(both.node[1, lo])
+    lo, hi = lo[order], hi[order]
+    b_lead, b_part = both.node[1, lo], both.node[1, hi]
+    t_lo, t_hi = both.node[0, lo], both.node[0, hi]
     zero_first = colr[b_lead] == 0
     b_zero = np.where(zero_first, b_lead, b_part)
     b_one = np.where(zero_first, b_part, b_lead)
-    ci = col[b_zero]
-    top_i, top_j = np.empty(sel.size, np.int64), np.empty(sel.size, np.int64)
-    lo_is_zero = c_lo[sel] == ci
-    top_i[:] = np.where(lo_is_zero, tn_lo[sel], tn_hi[sel])
-    top_j[:] = np.where(lo_is_zero, tn_hi[sel], tn_lo[sel])
+    ci = np.where(zero_first, both.cols[lo], both.cols[hi])
+    top_i = np.where(zero_first, t_lo, t_hi)
+    top_j = np.where(zero_first, t_hi, t_lo)
 
     merge_pairs(machine, b_zero, b_one, at_succ, f"{phase}/bot")
     merge_pairs(machine, top_j, top_i, at_succ, f"{phase}/top")
     exempt(machine, np.concatenate([b_one, top_i]), phase)
     move_nodes(machine, top_i, machine.cell(0, ci), machine.cell(1, ci), f"{phase}/drop")
-    return int(sel.size)
+    both.drop(both.cols[np.r_[lo, hi]])
+    return int(lo.size)

@@ -4,6 +4,7 @@ import pytest
 from listcontract import LinkedForest, Machine, PramConfig, sequential_rank
 from listcontract.pram import NONE
 from listcontract.steps import PassState, restricted_neighbors
+from listcontract.uniform import both_columns
 
 
 def path_forest(n):
@@ -91,6 +92,13 @@ def read_state(machine, ids=None):
                                np.where(pv != NONE, row[pv], NONE), machine.peek("col")[ids])):
         reg[ids] = got
     return PassState(ids, *regs)
+
+
+def read_both(machine):
+    """The both columns of the nodes in the array, read by the step a
+    pass runs on its registers; no step runs with a row empty."""
+    ids = machine.in_array_ids()
+    return both_columns(machine, ids, machine.peek("row")[ids], machine.peek("col"), "both")
 
 
 def place(machine, positions):

@@ -43,6 +43,17 @@ def test_localize_alternating_absorbs_into_upper_row():
     assert (m.peek("row")[sv[sv != NONE]] == rows[sv != NONE]).all()
 
 
+@pytest.mark.parametrize("min_run", [1, 0])
+def test_localize_rejects_min_run_below_two(min_run):
+    m = Machine(path_forest(200), PramConfig(num_processors=16))
+    layout(m)
+    state = read_state(m)
+    rounds = m.engine.metrics().rounds
+    with pytest.raises(ValueError, match="min_run must be at least 2"):
+        localize(m, state, min_run=min_run)
+    assert m.engine.metrics().rounds == rounds
+
+
 def test_long_lower_run_kept_with_boundary_links_cut():
     # list of 600: 150 upper, 150 lower, 150 upper, 150 lower
     m = Machine(path_forest(600), PramConfig(num_processors=32))

@@ -143,7 +143,7 @@ def test_pass_reads_links_and_rows_once():
     assert labels[:2] == ["pass/pool/send", "pass/pool/recv"]
     rereads = ("/nbr", "/row_s", "/row_p", "fold/clear")
     assert not [label for label in labels if label.endswith(rereads)]
-    assert not [label for label in labels if label.endswith("/mb_slot")]
+    assert not [label for label in labels if label.endswith("/mb_self")]
 
 
 def test_pass_rereads_no_pair_side_and_clears_no_pairing_scratch():
@@ -166,22 +166,35 @@ def test_pass_rereads_no_pair_side_and_clears_no_pairing_scratch():
 
 def test_two_row_steps_run_only_when_both_rows_hold_a_node():
     # the columns layout loses its lower row to localization, so the
-    # pass takes no shortcut, uniformity or key step, and packs as before
+    # pass reads no both column and takes no shortcut, uniformity or key
+    # step, and packs as before
     rep, labels = fixed64_pass()
-    assert not [label for label in labels
-                if "/shortcut/" in label or "/uniform/" in label or "/orient/keys" in label]
+    assert not [label for label in labels if "/both/" in label or "/shortcut/" in label
+                or "/uniform/" in label or "/orient/keys" in label]
     assert rep == PassReport(pre_active=4096, pooled=0, survivors=1024, columns_before=2048,
                              columns_after=1024, shortcut_pairs=0, odd_cycles=0,
                              survivors_in_bottom_row=True, halved=True)
-    # the rows layout of unshuffled ids keeps both rows: one publish
-    # and one key step
+    # the rows layout of unshuffled ids keeps both rows: one read of
+    # the both columns, one publish and one key step
     forest = generate(Workload(n=4096, num_lists=16, seed=3))
     rep, labels = recorded_pass(forest, 512, "rows", min_run=8)
-    for suffix in ("/uniform/mb_slot", "/orient/keys"):
+    for suffix in ("/both/opp", "/uniform/mb_self", "/orient/keys"):
         assert [label for label in labels if label.endswith(suffix)] == ["pass" + suffix]
     assert rep == PassReport(pre_active=4096, pooled=0, survivors=2039, columns_before=2048,
                              columns_after=1024, shortcut_pairs=1009, odd_cycles=0,
                              survivors_in_bottom_row=True, halved=True)
+
+
+@pytest.mark.parametrize("min_run", [1, 0])
+def test_pass_rejects_min_run_below_two(min_run):
+    # with min_run 1 this columns-layout pass used to end in
+    # OrientationError: bottom slots claimed twice
+    forest = generate(Workload(n=4096, length_distribution="FIXED", fixed_length=256))
+    m = Machine(forest, PramConfig(num_processors=64))
+    layout(m)
+    with pytest.raises(ValueError, match="min_run must be at least 2"):
+        uniform_contraction_pass(m, min_run=min_run)
+    assert m.engine.metrics().rounds == 0
 
 
 def test_kept_live_ids_match_rows_after_every_contraction():

@@ -273,7 +273,8 @@ def test_grid_and_placement_agree_after_every_pass(mode, min_run, seed, monkeypa
 
 
 # the layers under a pass, as the second part of contract/p<i>/<layer>/...
-PASS_LAYERS = {"pool", "localize", "rows", "shortcut", "uniform", "orient", "pack", "fold"}
+PASS_LAYERS = {"pool", "localize", "rows", "both", "shortcut", "uniform", "orient", "pack",
+               "fold"}
 
 
 def test_every_step_label_belongs_to_a_known_layer():

@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,11 +9,13 @@ from listcontract import (Machine, OrientationError, PramConfig, UncoveredCaseEr
 from listcontract.orientation import (contract_along_orientation,
                                       derive_orientation, fold_array,
                                       uniform_contraction_pass)
+from listcontract import pram
 from listcontract.pram import NONE
-from listcontract.uniform import (color_and_pair, enforce_uniformity,
+from listcontract.steps import pool_nodes
+from listcontract.uniform import (both_columns, color_and_pair, enforce_uniformity,
                                   opposite_pair_shortcut, publish_mailboxes)
 from conftest import (check_inverse, enumerated_states, marked_pairs, pair_sides,
-                      paired_state, path_forest, place, read_state, snapshot,
+                      paired_state, path_forest, place, read_both, read_state, snapshot,
                       states_equal, validate_pairs)
 
 
@@ -71,8 +75,10 @@ def aligned_stack(c1=4, c2=5):
 
 def test_shortcut_consumes_aligned_stack():
     m, pairs = aligned_stack()
-    consumed = opposite_pair_shortcut(m, pair_sides(m))
+    both = read_both(m)
+    consumed = opposite_pair_shortcut(m, pair_sides(m), both)
     assert consumed == 1
+    assert both.cols.size == 0          # the stack's columns leave both
     b0, b1 = pairs[(1, 0)]
     t0, t1 = pairs[(0, 0)]
     grid = m.grid()
@@ -92,20 +98,37 @@ def test_shortcut_noop_without_top_pair():
         top=[((5, 6), (1, 0))],   # offset by one: not aligned
         columns=8,
     )
-    assert opposite_pair_shortcut(m, pair_sides(m)) == 0
+    assert opposite_pair_shortcut(m, pair_sides(m), read_both(m)) == 0
     assert m.in_array_ids().size == 4
+
+
+def test_shortcut_from_the_top_row_merges_stacks_in_bottom_leader_order():
+    # the top row has fewer pairs over two both columns (the two stacks)
+    # than the bottom row (three), so the shortcut reads from it; the
+    # merges still take the stacks in their bottom leaders' id order, as
+    # a read from the bottom row does, and log the same entries
+    m, pairs = paired_state(
+        bottom=[((2, 3), (0, 1)), ((0, 1), (0, 1)), ((4, 5), (0, 1))],
+        top=[((0, 1), (1, 0)), ((2, 3), (1, 0)), ((4, 6), (0, 1)), ((5, 7), (0, 1))],
+        columns=8,
+    )
+    assert opposite_pair_shortcut(m, pair_sides(m), read_both(m)) == 2
+    assert m.engine.metrics().phase_work["shortcut/rd_pair"] == 2
+    # the bottom merge hosts the 1-colored members: pair 0 (columns 2,
+    # 3) has the smaller leader id, though pair 1 has the smaller column
+    assert m.log[0].host.tolist() == [pairs[(1, 0)][1], pairs[(1, 1)][1]]
 
 
 def test_aligned_stack_left_for_uniformity_is_refused():
     m, _ = aligned_stack()
     with pytest.raises(UncoveredCaseError):
-        enforce_uniformity(m, pair_sides(m))
+        enforce_uniformity(m, pair_sides(m), read_both(m))
 
 
 def test_shortcut_weight_conservation():
     m, pairs = aligned_stack()
     total = int(m.peek("weight")[m.active_ids()].sum())
-    opposite_pair_shortcut(m, pair_sides(m))
+    opposite_pair_shortcut(m, pair_sides(m), read_both(m))
     assert int(m.peek("weight")[m.active_ids()].sum()) == total
 
 
@@ -136,7 +159,7 @@ def c_configuration():
 
 def test_s_and_c_configurations_take_one_swap_batch():
     for m, _ in (s_configuration(), c_configuration()):
-        assert enforce_uniformity(m, pair_sides(m)) == 0
+        assert enforce_uniformity(m, pair_sides(m), read_both(m)) == 0
         assert not marked_pairs(m)
         assert len(step_rounds(m, "/swap_wr")) == 1
         assert not m.log and not step_rounds(m, "/move_wr")
@@ -160,13 +183,16 @@ def closed_chain(k, seed, bottom=(), top=(), columns=0):
 def test_odd_closed_chain_is_shortened_once(k, seed):
     m, _ = closed_chain(k, seed)
     pre_weight = int(m.peek("weight")[m.active_ids()].sum())
-    assert enforce_uniformity(m, pair_sides(m)) == 1
+    both = read_both(m)
+    assert enforce_uniformity(m, pair_sides(m), both) == 1
     assert all(m.memory.has(st) for st in SWEEP_STORES)
     assert len(m.log) == 1 and m.log[0].absorbed.size == 1
     assert list(step_rounds(m, "/move_wr").values()) == [1]
     check_inverse(m)
     assert not marked_pairs(m)
-    contract_along_orientation(m, derive_orientation(m), pair_sides(m))
+    # the shortening kept the column set current: one column less
+    assert np.array_equal(both.cols, read_both(m).cols) and both.cols.size == 2 * k - 1
+    contract_along_orientation(m, derive_orientation(m, both), pair_sides(m))
     survivors = m.in_array_ids()
     assert (m.peek("row")[survivors] == 1).all()
     assert int(m.peek("weight")[m.active_ids()].sum()) == pre_weight
@@ -195,7 +221,7 @@ def test_odd_chain_merge_takes_its_sides_from_the_register(k, seed, monkeypatch)
     m, _ = closed_chain(k, seed)
     seen = []
     monkeypatch.setattr(uniform, "merge_pairs", checked_merges(seen))
-    assert enforce_uniformity(m, pair_sides(m)) == 1
+    assert enforce_uniformity(m, pair_sides(m), read_both(m)) == 1
     assert seen == ["uniform/odd"]
 
 
@@ -223,7 +249,7 @@ def test_side_register_matches_memory_at_every_merge(seed, n, lists, mode, min_r
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_even_closed_chain_takes_swaps_only(k, seed):
     m, _ = closed_chain(k, seed)
-    assert enforce_uniformity(m, pair_sides(m)) == 0
+    assert enforce_uniformity(m, pair_sides(m), read_both(m)) == 0
     assert not m.log and not step_rounds(m, "/move_wr")
     assert not marked_pairs(m)
 
@@ -255,13 +281,39 @@ def test_sweep_doubling_runs_only_the_closed_chain_once_open_chains_finish(seed)
                         top=[((o + 1, o + 2), (1, 0))], columns=4)
     m.config.record_trace = True
     assert marked_pairs(m)
-    assert enforce_uniformity(m, pair_sides(m)) == 0
+    assert enforce_uniformity(m, pair_sides(m), read_both(m)) == 0
     assert not marked_pairs(m)
     d = [(r.label.rsplit("/", 1)[1], r.tasks) for r in m.engine.trace if "/plan/d/" in r.label]
     limit = int(np.ceil(np.log2(4 * k + 6)))
     assert d == [("init", 38), ("r0", 38), ("r1", 36), ("r2", 34)] + [
         (f"r{r}", 4 * k) for r in range(3, limit)]
     assert m.engine.metrics().erew_violations == 0
+
+
+@pytest.mark.parametrize("n", [2 ** 12, 2 ** 14])
+def test_two_row_steps_scale_with_the_both_columns(n, monkeypatch):
+    # shuffled GEOMETRIC lists in the rows layout leave a few nodes on
+    # one row after localization, over a small share of the columns
+    both_count = {}
+
+    def counted(machine, ids, rows, col, phase):
+        both = both_columns(machine, ids, rows, col, phase)
+        both_count[phase.rsplit("/", 1)[0]] = both.cols.size
+        return both
+    monkeypatch.setattr(orientation, "both_columns", counted)
+    f = generate(Workload(n=n, num_lists=n // 256, length_distribution="GEOMETRIC", seed=1,
+                          layout_shuffle=True))
+    run = list_rank(f, config=PramConfig(num_processors=n // 8, record_trace=True), min_run=8,
+                    layout_mode="rows")
+    assert run.result.same_as(sequential_rank(f))
+    assert run.metrics.erew_violations == 0
+    steps = [r for r in run.trace
+             if any(f"/{layer}/" in r.label for layer in ("shortcut", "uniform", "orient"))]
+    assert [r for r in steps if "/uniform/plan/d/" in r.label]
+    for r in steps:
+        count = both_count["/".join(r.label.split("/")[:2])]   # contract/p<i>
+        assert r.tasks <= 4 * count, (r.label, r.tasks, count)
+    assert 0 < max(both_count.values()) < n // 8
 
 
 def test_matched_pairs_are_left_alone():
@@ -271,7 +323,7 @@ def test_matched_pairs_are_left_alone():
         columns=4,
     )
     before = snapshot(m)
-    assert enforce_uniformity(m, pair_sides(m)) == 0
+    assert enforce_uniformity(m, pair_sides(m), read_both(m)) == 0
     assert states_equal(before, snapshot(m))
     assert not m.log and not step_rounds(m, "/swap_wr")
     # nothing marked: the sweep's doubling stores are never allocated
@@ -287,7 +339,7 @@ def test_chain_case_clears_long_mismatch_runs():
     top.append(((0, 2 * k), (0, 1)))        # endpoints pair off-chain
     top.append(((2 * k - 1, 2 * k + 1), (1, 0)))
     m, pairs = paired_state(bottom=bottom, top=top, columns=2 * k + 2)
-    enforce_uniformity(m, pair_sides(m))
+    enforce_uniformity(m, pair_sides(m), read_both(m))
     assert not marked_pairs(m)
 
 
@@ -297,7 +349,7 @@ def test_mismatched_bottoms_under_matched_tops_cleared_in_one_call():
         top=[((0, 1), (0, 1)), ((2, 3), (1, 0)), ((4, 5), (0, 1))],
         columns=6,
     )
-    enforce_uniformity(m, pair_sides(m))
+    enforce_uniformity(m, pair_sides(m), read_both(m))
     assert not marked_pairs(m)
 
 
@@ -315,8 +367,9 @@ def full_period_state():
 
 def test_orientation_keys_full_period():
     m, pairs = full_period_state()
-    publish_mailboxes(m, "setup")
-    plan = derive_orientation(m)
+    both = read_both(m)
+    publish_mailboxes(m, both, "setup")
+    plan = derive_orientation(m, both)
     assert plan.key[:4].tolist() == [0, 1, 3, 2]
 
 
@@ -326,8 +379,9 @@ def test_orientation_reversed_pattern_is_backward():
         top=[((1, 2), (1, 0)), ((3, 0), (0, 1))],
         columns=4,
     )
-    publish_mailboxes(m, "setup")
-    plan = derive_orientation(m)
+    both = read_both(m)
+    publish_mailboxes(m, both, "setup")
+    plan = derive_orientation(m, both)
     assert plan.key[:4].tolist() == [2, 3, 1, 0]
 
 
@@ -337,7 +391,7 @@ def test_single_row_pairs_claim_their_zero_colored_column(row):
     # mailbox, and each pair claims its 0-colored member's column
     pairs = [((0, 1), (1, 0)), ((2, 5), (0, 1)), ((4, 3), (0, 1))]
     m, nodes = paired_state(bottom=pairs if row else [], top=[] if row else pairs, columns=6)
-    plan = derive_orientation(m)
+    plan = derive_orientation(m, read_both(m))
     assert not m.engine.metrics().phase_breakdown
     assert (plan.key == NONE).all()
     claimed = dict(zip(plan.survivors.tolist(), plan.columns.tolist()))
@@ -349,8 +403,9 @@ def test_single_row_pairs_claim_their_zero_colored_column(row):
 
 def test_contract_along_orientation_packs_full_period():
     m, pairs = full_period_state()
-    publish_mailboxes(m, "setup")
-    plan = derive_orientation(m)
+    both = read_both(m)
+    publish_mailboxes(m, both, "setup")
+    plan = derive_orientation(m, both)
     contract_along_orientation(m, plan, pair_sides(m))
     survivors = m.in_array_ids()
     assert survivors.size == 4           # each pair merged once
@@ -362,11 +417,12 @@ def test_contract_along_orientation_packs_full_period():
 
 def test_aligned_shortcut_survivors_left_untouched_by_packing():
     m, pairs = aligned_stack()
-    opposite_pair_shortcut(m, pair_sides(m))
-    publish_mailboxes(m, "setup")
+    both = read_both(m)
+    opposite_pair_shortcut(m, pair_sides(m), both)
+    publish_mailboxes(m, both, "setup")
     before = {int(v): (int(m.peek("row")[v]), int(m.peek("col")[v]))
               for v in m.in_array_ids()}
-    plan = derive_orientation(m)
+    plan = derive_orientation(m, both)
     contract_along_orientation(m, plan, pair_sides(m))
     after = {int(v): (int(m.peek("row")[v]), int(m.peek("col")[v]))
              for v in m.in_array_ids()}
@@ -388,8 +444,9 @@ def test_full_pass_packs_random_instance():
 
 def test_fold_halves_columns_and_keeps_inverse():
     m, pairs = full_period_state()
-    publish_mailboxes(m, "setup")
-    plan = derive_orientation(m)
+    both = read_both(m)
+    publish_mailboxes(m, both, "setup")
+    plan = derive_orientation(m, both)
     contract_along_orientation(m, plan, pair_sides(m))
     fold_array(m, plan.survivors, plan.columns)
     assert m.columns == 2
@@ -419,10 +476,11 @@ def test_random_geometry_uniformity_and_packing(seed):
     rng = np.random.default_rng(seed)
     m, _ = random_two_row_state(rng)
     pre_weight = int(m.peek("weight")[m.active_ids()].sum())
-    opposite_pair_shortcut(m, pair_sides(m))
-    enforce_uniformity(m, pair_sides(m))
+    both = read_both(m)
+    opposite_pair_shortcut(m, pair_sides(m), both)
+    enforce_uniformity(m, pair_sides(m), both)
     assert not marked_pairs(m)
-    plan = derive_orientation(m)
+    plan = derive_orientation(m, both)
     contract_along_orientation(m, plan, pair_sides(m))
     survivors = m.in_array_ids()
     if survivors.size:
@@ -445,70 +503,138 @@ def uniformity_states():
         yield paired_state(bottom=bottom, top=top, columns=cols, p=8)
 
 
+def fresh(memory, store, cells):
+    """What a publish of every cell would hold at cells now: the color
+    of the cell's node in mb_color and its partner's column in mb_pcol,
+    NONE where either is absent."""
+    node = memory.peek("slot")[cells]
+    got = np.where(node != NONE, memory.peek("color" if store == "mb_color" else "pair")[node],
+                   NONE)
+    if store == "mb_color":
+        return got
+    return np.where(got != NONE, memory.peek("col")[got], NONE)
+
+
+def stale_cells(m):
+    """Vacant cells of the grid whose mailbox still holds a color: an
+    earlier publish filled them, and no publish since covered them."""
+    cells = np.arange(2 * m.columns)
+    return int(((m.peek("slot")[cells] == NONE) & (m.peek("mb_color")[cells] != NONE)).sum())
+
+
+@contextmanager
+def checked_mailbox_reads(reads):
+    """Check that every mailbox value any step reads equals fresh() at
+    the start of the step, and append each such read's label."""
+    read = pram._StepContext.read
+
+    def checked(ctx, store, idx):
+        out = read(ctx, store, idx)
+        if store in MAILBOXES:
+            kept = np.asarray(idx) >= 0
+            want = fresh(ctx.engine.memory, store, np.asarray(idx)[kept])
+            assert np.array_equal(out[kept], want), (ctx.label, store)
+            reads.append(ctx.label)
+        return out
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pram._StepContext, "read", checked)
+        yield
+
+
 def test_swaps_keep_mailboxes_equal_to_a_fresh_publish():
+    # every mailbox value the sweep and the key step read, the key step
+    # after the swaps among them, is what a fresh publish would hold
     swapped = 0
     for m, _ in uniformity_states():
-        opposite_pair_shortcut(m, pair_sides(m))
-        enforce_uniformity(m, pair_sides(m))
-        swapped += bool(step_rounds(m, "/swap_wr"))
-        kept = {st: m.peek(st)[: 2 * m.columns].copy() for st in MAILBOXES}
-        publish_mailboxes(m, "fresh")
-        for st in MAILBOXES:
-            assert np.array_equal(m.peek(st)[: 2 * m.columns], kept[st]), st
+        reads = []
+        with checked_mailbox_reads(reads):
+            both = read_both(m)
+            opposite_pair_shortcut(m, pair_sides(m), both)
+            enforce_uniformity(m, pair_sides(m), both)
+            derive_orientation(m, both)
+        if step_rounds(m, "/swap_wr"):
+            swapped += 1
+            assert reads[-1] == "orient/keys"
     assert swapped > 1000
 
 
-def assert_mailboxes_match_grid(m):
-    """Per-cell reference: every cell of the 2 x columns grid holds its
-    node's color and its partner's column, NONE where either is absent."""
-    node = m.grid().ravel()
-    color, pair, col = m.peek("color"), m.peek("pair"), m.peek("col")
-    partner = np.where(node != NONE, pair[node], NONE)
-    cells = 2 * m.columns
-    assert np.array_equal(m.peek("mb_color")[:cells], np.where(node != NONE, color[node], NONE))
-    assert np.array_equal(m.peek("mb_pcol")[:cells], np.where(partner != NONE, col[partner], NONE))
-
-
 def checked_publish(calls):
-    """publish_mailboxes that checks every cell after it publishes and
-    appends (phase, cells it left vacant that held a node before)."""
-    def publish(m, phase):
-        before = m.peek("mb_color")[: 2 * m.columns].copy() if m.memory.has("mb_color") else None
-        publish_mailboxes(m, phase)
-        assert_mailboxes_match_grid(m)
-        emptied = 0 if before is None else int(((before != NONE) & (m.grid().ravel() == NONE)).sum())
-        calls.append((phase, emptied))
+    """publish_mailboxes that checks the cells it publishes against
+    fresh() and appends (phase, stale cells it leaves)."""
+    def publish(m, both, phase):
+        publish_mailboxes(m, both, phase)
+        cells = np.sort(m.cell([[0], [1]], both.cols).ravel())
+        for st in MAILBOXES:
+            assert np.array_equal(m.peek(st)[cells], fresh(m.memory, st, cells)), st
+        calls.append((phase, stale_cells(m)))
     return publish
 
 
 def test_every_uniformity_publish_matches_the_grid(monkeypatch):
     # each state's first publish, and the one after an odd-chain replan,
-    # which must clear the cells the shortening vacated
-    calls = []
+    # which leaves the top cell the shortening vacated as it was: it is
+    # no longer a both column, and no step reads it
+    calls, reads = [], []
     monkeypatch.setattr(uniform, "publish_mailboxes", checked_publish(calls))
-    for m, _ in uniformity_states():
-        opposite_pair_shortcut(m, pair_sides(m))
-        enforce_uniformity(m, pair_sides(m))
-    replans = [emptied for phase, emptied in calls if phase.endswith("/replan")]
+    with checked_mailbox_reads(reads):
+        for m, _ in uniformity_states():
+            both = read_both(m)
+            opposite_pair_shortcut(m, pair_sides(m), both)
+            enforce_uniformity(m, pair_sides(m), both)
+    replans = [stale for phase, stale in calls if phase.endswith("/replan")]
     assert len(replans) > 10 and sum(replans) > 0
 
 
 def test_second_publish_of_a_list_rank_matches_the_grid(monkeypatch):
-    calls = []
+    calls, reads = [], []
     monkeypatch.setattr(uniform, "publish_mailboxes", checked_publish(calls))
     # unshuffled ids keep both rows of the rows layout through passes
     f = generate(Workload(n=2000, num_lists=8, seed=3))
-    run = list_rank(f, p=64, min_run=8, layout_mode="rows")
+    with checked_mailbox_reads(reads):
+        run = list_rank(f, p=64, min_run=8, layout_mode="rows")
     assert run.result.same_as(sequential_rank(f))
-    # later publishes find cells that earlier passes filled vacant now
-    assert len(calls) >= 2 and sum(emptied for _, emptied in calls[1:]) > 0
+    # later publishes leave cells that earlier passes filled vacant and
+    # stale, and every read still finds a fresh value
+    assert len(calls) >= 2 and sum(stale for _, stale in calls[1:]) > 0
+    assert [label for label in reads if label.endswith("/orient/keys")]
+
+
+def test_stale_mailbox_cells_outside_the_both_columns_are_never_read():
+    # an earlier publish fills the bottom cells of columns 6 and 7, then
+    # their pair leaves the array. Those cells are vacant and outside
+    # the both columns, and their colors would mark the top pairs (0, 6)
+    # and (5, 7) of the S configuration if a step trusted them
+    bottom = [((0, 1), (0, 1)), ((2, 3), (0, 1)), ((4, 5), (0, 1))]
+    top = [((1, 2), (1, 0)), ((3, 4), (0, 1)), ((0, 6), (0, 1)), ((5, 7), (0, 1))]
+    m, pairs = paired_state(bottom=bottom + [((6, 7), (1, 0))], top=top, columns=8)
+    publish_mailboxes(m, read_both(m), "earlier")
+    pool_nodes(m, list(pairs[(1, 3)]), m.cell(1, [6, 7]), "pool")
+    both = read_both(m)
+    assert not np.isin([6, 7], both.cols).any()
+    assert stale_cells(m) == 2
+    reads = []
+    with checked_mailbox_reads(reads):
+        enforce_uniformity(m, pair_sides(m), both)
+        plan = derive_orientation(m, both)
+    assert reads and not marked_pairs(m)
+    # the run matches the same state that no earlier publish touched
+    ref, _ = s_configuration()
+    ref_both = read_both(ref)
+    enforce_uniformity(ref, pair_sides(ref), ref_both)
+    assert np.array_equal(plan.key, derive_orientation(ref, ref_both).key)
+    grids = [machine.grid() for machine in (m, ref)]
+    colors = [np.where(g != NONE, machine.peek("color")[g], NONE)
+              for g, machine in zip(grids, (m, ref))]
+    assert np.array_equal(*colors)
+    assert m.engine.metrics().erew_violations == 0
 
 
 def test_marked_pair_raises_uncovered_case_with_snapshot():
     m, _ = s_configuration()
-    publish_mailboxes(m, "setup")
+    both = read_both(m)
+    publish_mailboxes(m, both, "setup")
     with pytest.raises(UncoveredCaseError) as exc:
-        derive_orientation(m)
+        derive_orientation(m, both)
     assert set(exc.value.snapshot) == {"target_row", "reference_row", "columns_lo",
                                        "columns_hi", "grid", "colors"}
     # the first row with a marked pair is reported, all of its marks
@@ -529,7 +655,8 @@ def test_unclaimed_pair_that_is_not_marked_raises_orientation_error():
     exempt = list(pairs[(0, 1)])
     m.memory.poke("pair", exempt, NONE)
     m.memory.poke("color", exempt, NONE)
-    publish_mailboxes(m, "setup")
+    both = read_both(m)
+    publish_mailboxes(m, both, "setup")
     assert not marked_pairs(m)
     with pytest.raises(OrientationError, match="no forward column"):
-        derive_orientation(m)
+        derive_orientation(m, both)

@@ -9,7 +9,6 @@ import time
 
 from .errors import ForestFormatError, ListContractError, UncoveredCaseError
 from .model import LinkedForest
-from .pram import PramConfig
 from .ranking import list_rank, sequential_rank, wyllie_rank
 from .workloads import Workload, generate
 
@@ -87,10 +86,11 @@ def cmd_generate(args):
     return _emit(args.out, forest.to_text())
 
 
-def run_report(forest, algo, config, verify=False):
-    """Execute one ranker and return the report dictionary."""
+def run_report(forest, algo, p, verify=False):
+    """Execute one ranker on p processors; return the report
+    dictionary, the result and the run's step ledger."""
     n, l = forest.n, forest.longest()
-    report = {"n": n, "l": l, "p": config.num_processors, "algorithm": algo}
+    report = {"n": n, "l": l, "p": p, "algorithm": algo}
     t0 = time.perf_counter()
     trace = []
     if algo == "sequential":
@@ -100,9 +100,9 @@ def run_report(forest, algo, config, verify=False):
                       jump_rounds=0)
     else:
         if algo == "uniform":
-            run = list_rank(forest, config=config)
+            run = list_rank(forest, p=p)
         elif algo == "wyllie":
-            run = wyllie_rank(forest, config=config)
+            run = wyllie_rank(forest, p=p)
         else:
             raise ValueError(f"unknown algorithm {algo!r}")
         result = run.result
@@ -127,13 +127,10 @@ def cmd_run(args):
             forest = LinkedForest.from_text(fh.read())
     except (OSError, UnicodeDecodeError, ForestFormatError) as exc:
         return _usage_error(f"cannot load forest: {exc}")
+    if args.p < 1:
+        return _usage_error("--p must be >= 1")
     try:
-        config = PramConfig(num_processors=args.p, record_trace=args.trace)
-    except ValueError as exc:
-        return _usage_error(exc)
-    try:
-        report, _, trace = run_report(forest, args.algo, config,
-                                      verify=args.verify)
+        report, _, trace = run_report(forest, args.algo, args.p, verify=args.verify)
     except UncoveredCaseError as exc:
         print(f"UNCOVERED_CASE: {exc}", file=sys.stderr)
         print(json.dumps(exc.snapshot, indent=2), file=sys.stderr)
@@ -176,7 +173,7 @@ def cmd_sweep(args):
                                    fixed_length=l, seed=args.seed))
         for algo in algos:
             try:
-                report, _, _ = run_report(forest, algo, PramConfig(num_processors=p))
+                report, _, _ = run_report(forest, algo, p)
                 report["status"] = "OK"
             except Exception as exc:   # keep sweeping, mark the row
                 report = {"n": n, "l": l, "p": p, "algorithm": algo,

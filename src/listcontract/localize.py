@@ -175,8 +175,7 @@ def classify_by_walk(machine: Machine, state: PassState, target_row, min_run, ph
     eng = machine.engine
     nodes, start, end, start_flank, end_flank = _run_ends(state, target_row)
     hop = np.where(start, 0, NONE)
-    word = np.where(start & end & (start_flank | end_flank) & (min_run > 1),
-                    4 + 2 * end_flank + start_flank, NONE)
+    word = np.where(start & end & (start_flank | end_flank), 4 + 2 * end_flank + start_flank, NONE)
     fwd = nodes[_walkers(start, end, min_run)]
     if fwd.size:   # the loop below runs only then; its stores cost n cells each
         hop_st, run_st = scratch(machine, "walk_hop"), scratch(machine, "walk_run")

@@ -27,9 +27,10 @@ gather them back; a store where some task reads back another task's id
 is *contested*. The exact, sort-based rules then run on the contested
 stores alone, so a step costs O(m) for m accesses when none is.
 
-With ``record_trace`` set, every step appends one ``StepRecord`` to
-``Engine.trace``: its label, tasks, rounds, work and the wall seconds
-of its checks and of applying its writes.
+Every step with tasks, one that raises on a violation too, appends
+one ``StepRecord`` to the ledger ``Engine.trace``: its label, tasks,
+rounds, work and the wall seconds of its checks and of applying its
+writes. ``RoundMetrics`` rolls the ledger up per label.
 
 Execution is sequential under the hood; the contract is observational
 equivalence to the synchronous machine, which the access checks make
@@ -50,10 +51,9 @@ NONE = -1
 
 @dataclass
 class PramConfig:
-    """Machine parameters: processor count and the trace switch."""
+    """Machine parameters: the processor count."""
 
     num_processors: int = 1
-    record_trace: bool = False
 
     def __post_init__(self):
         if self.num_processors < 1:
@@ -62,22 +62,34 @@ class PramConfig:
 
 @dataclass
 class RoundMetrics:
+    """Running totals beside the ledger, with its per-label sums."""
+
+    trace: list = field(default_factory=list)
     rounds: int = 0
     total_work: int = 0
     erew_violations: int = 0
-    phase_breakdown: dict = field(default_factory=dict)   # rounds per step label
-    phase_work: dict = field(default_factory=dict)        # work per step label
 
-    def add(self, phase, rounds, work):
-        self.rounds += rounds
-        self.total_work += work
-        self.phase_breakdown[phase] = self.phase_breakdown.get(phase, 0) + rounds
-        self.phase_work[phase] = self.phase_work.get(phase, 0) + work
+    @property
+    def phase_breakdown(self):
+        """Rounds per step label, in order of first use."""
+        return _per_label(self.trace, "rounds")
+
+    @property
+    def phase_work(self):
+        """Work per step label, in order of first use."""
+        return _per_label(self.trace, "work")
+
+
+def _per_label(trace, name):
+    out = {}
+    for r in trace:
+        out[r.label] = out.get(r.label, 0) + getattr(r, name)
+    return out
 
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One traced step: wall seconds of its access checks and of
+    """One step of the ledger: wall seconds of its access checks and of
     applying its writes, beside its metered cost."""
 
     label: str
@@ -181,7 +193,7 @@ class Engine:
         self.memory = memory
         self.config = config
         self._metrics = RoundMetrics()
-        self.trace = []   # StepRecord per step when config.record_trace
+        self.trace = self._metrics.trace   # the ledger, one StepRecord per step
         # one cell longer than the largest store a step has touched, so
         # that index -1 lands past every store's cells
         self._owner = np.empty(1, dtype=np.int64)
@@ -205,9 +217,7 @@ class Engine:
             return
         p = self.config.num_processors
         rounds = -(-t // p)
-        timed = self.config.record_trace
-        if timed:
-            start = time.perf_counter()
+        start = time.perf_counter()
 
         violations = 0
         contested = self._contested_stores(ctx)
@@ -218,22 +228,20 @@ class Engine:
                           + _check_exclusive(writes, p, rounds))
             _check_batch_isolation(ctx.label, reads, writes)
 
+        checked = time.perf_counter()
+        if not violations:
+            self._apply_writes(ctx, contested)
+        m = self._metrics
+        m.rounds += rounds
+        m.total_work += t
+        m.erew_violations += violations
+        m.trace.append(StepRecord(ctx.label, t, rounds, t, checked - start,
+                                  time.perf_counter() - checked))
         if violations:
-            # any violation raises, so a recorded step always has none
-            self._metrics.erew_violations += violations
-            self._metrics.add(ctx.label, rounds, t)
             raise ErewViolationError(
                 f"{violations} EREW violation(s) in phase {ctx.label!r}",
                 violations=violations,
             )
-
-        if timed:
-            checked = time.perf_counter()
-        self._apply_writes(ctx, contested)
-        self._metrics.add(ctx.label, rounds, t)
-        if timed:
-            self.trace.append(StepRecord(ctx.label, t, rounds, t, checked - start,
-                                         time.perf_counter() - checked))
 
     def _contested_stores(self, ctx):
         """Stores in which two distinct tasks of the step touch one cell.

@@ -43,7 +43,11 @@ class RankRun:
     metrics: object
     passes: list = field(default_factory=list)
     jump_rounds: int = 0
-    trace: list = field(default_factory=list)
+
+    @property
+    def trace(self):
+        """The engine's ledger: one StepRecord per step."""
+        return self.metrics.trace
 
 
 def sequential_rank(forest: LinkedForest) -> RankResult:
@@ -169,34 +173,29 @@ def replay_ranks(machine: Machine, ids, before, head, phase="replay"):
     return RankResult(rank=rank, list_id=heads)
 
 
-def list_rank(forest: LinkedForest, p=1, *, config=None, threshold=None,
-              min_run=MIN_RUN, layout_mode="columns") -> RankRun:
+def list_rank(forest: LinkedForest, p=1, *, min_run=MIN_RUN,
+              layout_mode="columns") -> RankRun:
     """Contract, pointer-jump, and replay; exact ranks for every node."""
-    config = config or PramConfig(num_processors=p)
-    machine = Machine(forest, config)
+    machine = Machine(forest, PramConfig(num_processors=p))
     run = RankRun(result=None, metrics=None)
     layout(machine, mode=layout_mode)
-    run.passes = contract_to_threshold(machine, threshold=threshold,
-                                       min_run=min_run)
+    run.passes = contract_to_threshold(machine, min_run=min_run)
     ids, before, head, rounds = pointer_jump(machine)
     run.jump_rounds = rounds
     run.result = replay_ranks(machine, ids, before, head)
     run.metrics = machine.engine.metrics()
-    run.trace = machine.engine.trace
     return run
 
 
-def wyllie_rank(forest: LinkedForest, p=1, *, config=None) -> RankRun:
+def wyllie_rank(forest: LinkedForest, p=1) -> RankRun:
     """Pure pointer-jumping baseline: every node starts, and each round
     runs the nodes whose pointer was live the round before, as double
     does."""
-    config = config or PramConfig(num_processors=p)
-    machine = Machine(forest, config)
+    machine = Machine(forest, PramConfig(num_processors=p))
     ids, before, head, rounds = pointer_jump(machine, phase="wyllie")
     rank = np.full(machine.n, NONE, dtype=np.int64)
     heads = np.full(machine.n, NONE, dtype=np.int64)
     rank[ids] = before
     heads[ids] = head
     result = RankResult(rank=rank[: forest.n], list_id=heads[: forest.n])
-    return RankRun(result=result, metrics=machine.engine.metrics(),
-                   jump_rounds=rounds, trace=machine.engine.trace)
+    return RankRun(result=result, metrics=machine.engine.metrics(), jump_rounds=rounds)

@@ -42,11 +42,13 @@ flows through the slot array and two cell mailboxes beside it, the
 color of each cell's node (mb_color) and its partner's column
 (mb_pcol), so no cell is ever read twice in one step. The step
 publishes the mailboxes of the both columns when it starts, and again
-only after shortening odd chains; each swap patches the colors of its
-own two cells, so they stay current for the orientation keys, which
-are the check that the step left no pair marked. A mailbox cell
-outside the both columns may still hold what an earlier pass wrote
-there, so no step reads one: such a cell is known to be vacant.
+only after shortening odd chains, and plans from the colors, partners
+and partner columns that the publish read. Each swap patches the
+colors of its own two cells, so they stay current for the orientation
+keys, which are the check that the step left no pair marked. A
+mailbox cell outside the both columns may still hold what an earlier
+pass wrote there, so no step reads one: such a cell is known to be
+vacant.
 """
 
 from __future__ import annotations
@@ -120,42 +122,22 @@ def publish_mailboxes(machine: Machine, both: BothColumns, phase):
     two nodes' color and pair, then the partners' col, and write both
     cells. Each task owns its column, so every access is exclusive.
     The nodes come from both, so no step reads a slot; the cells of the
-    other columns keep whatever they held."""
+    other columns keep whatever they held. Returns what the tasks read,
+    each indexed [row, position in both]: the color of each cell's
+    node, its partner and the partner's column."""
     eng = machine.engine
     for st in ("mb_color", "mb_pcol"):
         scratch(machine, st, machine.peek("slot").size)
     cells = [machine.cell(r, both.cols) for r in (0, 1)]
     with eng.step(f"{phase}/mb_self", both.cols.size) as s:
-        color = [s.read("color", v) for v in both.node]
-        partner = [s.read("pair", v) for v in both.node]
+        color = np.array([s.read("color", v) for v in both.node])
+        partner = np.array([s.read("pair", v) for v in both.node])
     with eng.step(f"{phase}/mb_pub", both.cols.size) as s:
-        for c, w, v in zip(cells, color, partner):
+        pcol = np.array([s.read("col", v) for v in partner])
+        for c, w, pc in zip(cells, color, pcol):
             s.write("mb_color", c, w)
-            s.write("mb_pcol", c, s.read("col", v))
-
-
-def _read_columns(machine, both, phase):
-    """Two steps over the both columns: each one's color and partner
-    column on both rows, then, across each partner column, that
-    column's node of the same row and, where it is a both column too,
-    the color of the other row; elsewhere that cell is vacant.
-
-    Returns (pcol, pnode, mark), each indexed [row, position in both];
-    mark[r, i] is set when the row-r pair at column both.cols[i] is
-    marked.
-    """
-    eng = machine.engine
-    cells = [machine.cell(r, both.cols) for r in (0, 1)]
-    with eng.step(f"{phase}/col", both.cols.size) as s:
-        color = np.array([s.read("mb_color", c) for c in cells])
-        pcol = np.array([s.read("mb_pcol", c) for c in cells])
-    inside = np.where(both.at(pcol) != NONE, pcol, NONE)
-    with eng.step(f"{phase}/far", both.cols.size) as s:
-        pnode = np.array([s.read("slot", machine.cell(r, pcol[r])) for r in (0, 1)])
-        far = np.array([s.read("mb_color", machine.cell(1 - r, inside[r])) for r in (0, 1)])
-    near = color[::-1]
-    mark = np.isin(near, (0, 1)) & np.isin(far, (0, 1)) & (near != far)
-    return pcol, pnode, mark
+            s.write("mb_pcol", c, pc)
+    return color, partner, pcol
 
 
 # -- the sweep ------------------------------------------------------------
@@ -175,62 +157,63 @@ def enforce_uniformity(machine: Machine, at_succ, both: BothColumns, phase="unif
     """
     if both.cols.size == 0:
         return 0
-    publish_mailboxes(machine, both, phase)
-    plan = _plan_swaps(machine, both, f"{phase}/plan")
+    plan = _plan_swaps(machine, both, publish_mailboxes(machine, both, phase), f"{phase}/plan")
     if plan is None:
         return 0
     odd = plan["odd_cols"].size
     if odd:
         _shorten_odd_chains(machine, plan, at_succ, both, f"{phase}/odd")
-        publish_mailboxes(machine, both, f"{phase}/replan")
-        plan = _plan_swaps(machine, both, f"{phase}/replan")
+        replan = f"{phase}/replan"
+        plan = _plan_swaps(machine, both, publish_mailboxes(machine, both, replan), replan)
     if plan is not None:
         swap_positions(machine, plan["swap_a"], plan["swap_b"], f"{phase}/swap")
     return odd
 
 
-def _plan_swaps(machine, both, phase):
-    """Pick the pairs to swap and the odd chains to shorten.
+def _plan_swaps(machine, both, published, phase):
+    """Pick the pairs to swap and the odd chains to shorten, from what
+    publish_mailboxes read and returned (published).
 
-    State 2c + r stands for column c leaving along its row-r pair; its
-    predecessor is the state that arrives at c along c's other-row
-    pair. The states are those at the both columns and, for a pair
-    that leaves them, the one at its far end, which has no predecessor
-    and no mark: predecessors stay among them. Returns None when no
-    pair is marked, else a dict with the member nodes to swap and, per
-    odd chain, its root's column, the root pair's far column and both
-    members.
+    State 2c + r stands for both column c leaving along its row-r pair;
+    its predecessor is the state that arrives at c along c's other-row
+    pair. Where that pair leaves the both columns, its far end would
+    arrive with no predecessor and no mark, so the state is a root
+    instead and passes on that far end's state id as its rank.
+    Returns None when no pair is marked, else a dict with the member
+    nodes to swap and, per odd chain, its root's column, the root
+    pair's far column and both members.
     """
     eng = machine.engine
-    pcol, pnode, mark = _read_columns(machine, both, phase)
+    color, partner, pcol = published
+    # one step reads, across each partner column that is a both column
+    # too, the color of the other row; elsewhere that cell is vacant.
+    # mark[r, i] is set when the row-r pair at both.cols[i] is marked
+    inside = np.where(both.at(pcol) != NONE, pcol, NONE)
+    with eng.step(f"{phase}/far", both.cols.size) as s:
+        far = np.array([s.read("mb_color", machine.cell(1 - r, inside[r])) for r in (0, 1)])
+    near = color[::-1]
+    mark = np.isin(near, (0, 1)) & np.isin(far, (0, 1)) & (near != far)
     if not mark.any():
         return None
-    # per-state registers at the both columns, at 2i + r for position i
+    # per-state registers at the both columns, at 2i + r for position i;
+    # both.cols ascends, so the state ids em do too
     b_pcol, b_mark = pcol.T.ravel(), mark.T.ravel()
-    b_node, b_pnode = both.node.T.ravel(), pnode.T.ravel()
     on = np.flatnonzero(b_pcol != NONE)
-    b_row = on & 1
+    row = on & 1
+    em = 2 * both.cols[on >> 1] + row
+    pc = b_pcol[on]
+    st_node, st_pnode = both.node.T.ravel()[on], partner.T.ravel()[on]
     other = b_pcol[on ^ 1]
+    far_end = np.where(other != NONE, 2 * other + 1 - row, NONE)
+    prv = np.where(both.at(other) != NONE, far_end, NONE)
     # weights: a row-r state carries its pair's mark in bit 1 - r; the
-    # predecessor's pair is the other-row pair at the same column
-    b_prv = np.where(other != NONE, 2 * other + 1 - b_row, NONE)
-    b_x0 = np.where(other != NONE, b_mark[on ^ 1].astype(np.int64) << b_row, 0)
-    # then the far end of each pair that leaves the both columns: its
-    # other-row cell is vacant, so it has no predecessor and no mark
-    out = on[both.at(b_pcol[on]) == NONE]
-    ids = np.r_[2 * both.cols[on >> 1] + b_row, 2 * b_pcol[out] + (out & 1)]
-    order = np.argsort(ids)
-    em = ids[order]
-    row = em & 1
-    pc = np.r_[b_pcol[on], both.cols[out >> 1]][order]
-    prv = np.r_[b_prv, np.full(out.size, NONE)][order]
-    x0 = np.r_[b_x0, np.zeros(out.size, dtype=np.int64)][order]
-    st_node = np.r_[b_node[on], b_pnode[out]][order]
-    st_pnode = np.r_[b_pnode[on], b_node[out]][order]
+    # predecessor's pair is the other-row pair at the same column, which
+    # is unmarked where it is missing or leaves the both columns
+    x0 = b_mark[on ^ 1].astype(np.int64) << row
     # closed chains are rooted at top-row states
     key = np.where(row == 0, em, 2 * machine.columns)
-    # an open chain's root passes on its id as its rank
-    rank = np.where(prv == NONE, em, NONE)
+    # an open chain's root passes on its id, or its far end's, as its rank
+    rank = np.where(prv != NONE, NONE, np.where(far_end != NONE, far_end, em))
     limit = int(np.ceil(np.log2(max(2, em.size))))
 
     # prefix XOR, root and the smallest top-row state by doubling over
@@ -257,12 +240,15 @@ def _plan_swaps(machine, both, phase):
     # rank. Either end of an open chain serves: its other-row cell is
     # vacant or holds an exempt node (unpaired colored nodes were
     # pooled), so neither end pair can be marked. A root learns its
-    # closed chain's parity from the last state
+    # closed chain's parity from the last state. A mirror outside the
+    # both columns is a far end, whose rank is its own id
     mirror = 2 * pc + row
+    out = both.at(pc) == NONE
     with eng.step(f"{phase}/ends", em.size) as s:
         their = np.where(cyc, s.read(c_stores[2], np.where(cyc, mirror, NONE)),
-                         s.read(stores[2], np.where(cyc, NONE, mirror)))
+                         s.read(stores[2], np.where(cyc | out, NONE, mirror)))
         last_x = s.read(c_stores[1], np.where(roots, prv, NONE))
+    their[out] = mirror[out]
     chosen = rt < their
     odd = roots & chosen & (((last_x ^ x0) & 1) == 1)
     swap = chosen & (((x >> row) & 1) == 1)

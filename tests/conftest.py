@@ -23,6 +23,13 @@ def forest_from_lists(lists):
     return LinkedForest(succ)
 
 
+def odd_chain_forest():
+    """Two lists of 7 whose columns-layout pass 0 closes one column
+    chain with an odd number of top pairs, which the uniformity step
+    must shorten before it can swap."""
+    return forest_from_lists([[12, 2, 0, 10, 4, 6, 8], [1, 13, 9, 3, 5, 7, 11]])
+
+
 def list_order(forest):
     """Every node in list order, the lists back to back in ascending
     head id, from the oracle's ranks."""

@@ -293,7 +293,7 @@ def localize_runs(runs, p=16):
     a list of (row, length), at min_run 100; returns the machine, its
     pass state and its step labels in order."""
     n = sum(length for _, length in runs)
-    m = Machine(path_forest(n), PramConfig(num_processors=p, record_trace=True))
+    m = Machine(path_forest(n), PramConfig(num_processors=p))
     pos, col, v = {}, [0, 0], 0
     for row, length in runs:
         for _ in range(length):

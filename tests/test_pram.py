@@ -8,11 +8,11 @@ from listcontract import pram
 from listcontract.pram import NONE
 
 
-def fresh(p=2, **kw):
+def fresh(p=2):
     mem = Memory()
     mem.alloc("x", 16, fill=0)
     mem.alloc("y", 16, fill=0)
-    return mem, Engine(mem, PramConfig(num_processors=p, **kw))
+    return mem, Engine(mem, PramConfig(num_processors=p))
 
 
 def test_metrics_start_at_zero():
@@ -155,7 +155,7 @@ def test_determinism():
 
 
 def test_trace_one_record_per_step():
-    mem, eng = fresh(p=2, record_trace=True)
+    mem, eng = fresh(p=2)
     with eng.step("phase_a", 5) as s:
         s.write("x", np.arange(5), np.arange(5))
     with eng.step("phase_b", 1) as s:
@@ -166,11 +166,16 @@ def test_trace_one_record_per_step():
     assert min(a.check_s, a.apply_s, b.check_s, b.apply_s) >= 0
 
 
-def test_no_trace_records_unless_asked():
-    mem, eng = fresh(p=2)
-    with eng.step("phase_a", 5) as s:
-        s.write("x", np.arange(5), np.arange(5))
-    assert eng.trace == []
+def test_a_step_that_raises_keeps_its_record():
+    mem, eng = fresh(p=4)
+    with pytest.raises(ErewViolationError):
+        with eng.step("w", 6) as s:
+            s.write("x", np.array([5, 5, 0, 1, 2, 3]), np.arange(6))
+    (r,) = eng.trace
+    assert (r.label, r.tasks, r.rounds, r.work) == ("w", 6, 2, 6)
+    m = eng.metrics()
+    assert (m.rounds, m.total_work, m.phase_breakdown, m.phase_work) == (2, 6, {"w": 2}, {"w": 6})
+    assert mem.peek("x")[5] == 0
 
 
 def test_phase_breakdown_accumulates():

@@ -10,7 +10,7 @@ from listcontract import (ForestFormatError, LinkedForest, Machine, PramConfig,
 from listcontract.model import PRED_SIDE, SUCC_SIDE, ContractBatch
 from listcontract.pram import NONE
 from listcontract.steps import contract_batch
-from conftest import check_inverse, forest_from_lists, path_forest
+from conftest import check_inverse, forest_from_lists, odd_chain_forest, path_forest
 
 
 # -- sequential oracle -------------------------------------------------------
@@ -367,3 +367,32 @@ def test_pipeline_determinism():
     assert runs[0].metrics.total_work == runs[1].metrics.total_work
     assert [r.survivors for r in runs[0].passes] == [r.survivors for r in runs[1].passes]
     assert runs[0].metrics.phase_breakdown == runs[1].metrics.phase_breakdown
+
+
+def ledger_runs():
+    """A list_rank call that wakes the two-row layers, one that shortens
+    an odd closed chain, and a wyllie_rank call."""
+    shuffled = generate(Workload(n=600, num_lists=9, seed=2, layout_shuffle=True))
+    yield "two_rows", list_rank(shuffled, p=64, min_run=2, layout_mode="rows")
+    yield "odd_chain", list_rank(odd_chain_forest(), p=4)
+    yield "wyllie", wyllie_rank(shuffled, p=16)
+
+
+def test_the_ledger_adds_up_to_the_metrics():
+    # one record per step: its totals and per-label sums are the
+    # call's, and every step of every layer the call ran is in it
+    layers = {}
+    for name, run in ledger_runs():
+        m = run.metrics
+        assert sum(r.rounds for r in run.trace) == m.rounds, name
+        assert sum(r.work for r in run.trace) == m.total_work, name
+        assert all(r.work == r.tasks > 0 and r.rounds >= 1 for r in run.trace), name
+        rounds, work = {}, {}
+        for r in run.trace:
+            rounds[r.label] = rounds.get(r.label, 0) + r.rounds
+            work[r.label] = work.get(r.label, 0) + r.work
+        assert rounds == m.phase_breakdown and work == m.phase_work, name
+        layers[name] = {r.label.split("/")[2] for r in run.trace if r.label.count("/") > 2}
+    assert {"shortcut", "uniform", "orient"} <= layers["two_rows"]
+    assert "uniform" in layers["odd_chain"]
+    assert not layers["wyllie"]

@@ -14,9 +14,9 @@ from listcontract.pram import NONE
 from listcontract.steps import pool_nodes
 from listcontract.uniform import (both_columns, color_and_pair, enforce_uniformity,
                                   opposite_pair_shortcut, publish_mailboxes)
-from conftest import (check_inverse, enumerated_states, marked_pairs, pair_sides,
-                      paired_state, path_forest, place, read_both, read_state, snapshot,
-                      states_equal, validate_pairs)
+from conftest import (check_inverse, enumerated_states, marked_pairs, odd_chain_forest,
+                      pair_sides, paired_state, path_forest, place, read_both, read_state,
+                      snapshot, states_equal, validate_pairs)
 
 
 # the pointer and the three value stores of the sweep's doubling, both buffers
@@ -216,8 +216,9 @@ def checked_merges(seen):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("k", [3, 5])
 def test_odd_chain_merge_takes_its_sides_from_the_register(k, seed, monkeypatch):
-    # list_rank calls seldom meet an odd closed chain, so its merge is
-    # checked here, with the register taken before the step starts
+    # closed chains of 3 and 5 pairs a row check the odd-chain merge
+    # beyond the one list_rank input below, with the register taken
+    # before the step starts
     m, _ = closed_chain(k, seed)
     seen = []
     monkeypatch.setattr(uniform, "merge_pairs", checked_merges(seen))
@@ -266,27 +267,42 @@ def test_list_rank_meets_a_closed_chain_and_matches_the_oracle():
     assert sum(rep.odd_cycles for rep in run.passes) == 0
 
 
+@pytest.mark.parametrize("p", [1, 4, 14])
+def test_list_rank_shortens_an_odd_closed_chain_and_matches_the_oracle(p):
+    # pairing in pass 0 closes one column chain with an odd number of
+    # top pairs, which no swap can clear: the step shortens it, then
+    # publishes and plans again
+    f = odd_chain_forest()
+    run = list_rank(f, p=p)
+    labels = list(run.metrics.phase_breakdown)
+    assert [k for k in labels if k.startswith("contract/p0/uniform/odd/")]
+    assert [k for k in labels if k.startswith("contract/p0/uniform/replan/")]
+    assert run.passes[0].odd_cycles == 1
+    assert run.result.same_as(sequential_rank(f))
+    assert run.metrics.erew_violations == 0
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_sweep_doubling_runs_only_the_closed_chain_once_open_chains_finish(seed):
     # an even closed chain of 8 pairs a row (32 states, one per column
     # and row) beside an open chain of bottom pairs (16, 17), (18, 19) and
-    # top pair (17, 18): its 6 states walk two 3-state chains, whose
-    # pointers have all run out by the start of round 2. At p = 1 every
-    # drop lowers the step's rounds, so round 2 adds only the two states
-    # whose pointer ran out in round 1, and later rounds run the closed
-    # chain's states alone
+    # top pair (17, 18): only 17 and 18 are both columns, so its 4 states
+    # walk two 2-state chains, each rooted at the state its bottom pair's
+    # far end would have fed, and their pointers have all run out by the
+    # start of round 1. At p = 1 every drop lowers the step's rounds, so
+    # round 1 adds only the two states whose pointer ran out in round 0,
+    # and later rounds run the closed chain's states alone
     k = 8
     o = 2 * k
     m, _ = closed_chain(k, seed, bottom=[((o, o + 1), (0, 1)), ((o + 2, o + 3), (1, 0))],
                         top=[((o + 1, o + 2), (1, 0))], columns=4)
-    m.config.record_trace = True
     assert marked_pairs(m)
     assert enforce_uniformity(m, pair_sides(m), read_both(m)) == 0
     assert not marked_pairs(m)
     d = [(r.label.rsplit("/", 1)[1], r.tasks) for r in m.engine.trace if "/plan/d/" in r.label]
-    limit = int(np.ceil(np.log2(4 * k + 6)))
-    assert d == [("init", 38), ("r0", 38), ("r1", 36), ("r2", 34)] + [
-        (f"r{r}", 4 * k) for r in range(3, limit)]
+    limit = int(np.ceil(np.log2(4 * k + 4)))
+    assert d == [("init", 36), ("r0", 36), ("r1", 34)] + [
+        (f"r{r}", 4 * k) for r in range(2, limit)]
     assert m.engine.metrics().erew_violations == 0
 
 
@@ -303,8 +319,7 @@ def test_two_row_steps_scale_with_the_both_columns(n, monkeypatch):
     monkeypatch.setattr(orientation, "both_columns", counted)
     f = generate(Workload(n=n, num_lists=n // 256, length_distribution="GEOMETRIC", seed=1,
                           layout_shuffle=True))
-    run = list_rank(f, config=PramConfig(num_processors=n // 8, record_trace=True), min_run=8,
-                    layout_mode="rows")
+    run = list_rank(f, p=n // 8, min_run=8, layout_mode="rows")
     assert run.result.same_as(sequential_rank(f))
     assert run.metrics.erew_violations == 0
     steps = [r for r in run.trace
@@ -562,11 +577,12 @@ def checked_publish(calls):
     """publish_mailboxes that checks the cells it publishes against
     fresh() and appends (phase, stale cells it leaves)."""
     def publish(m, both, phase):
-        publish_mailboxes(m, both, phase)
+        published = publish_mailboxes(m, both, phase)
         cells = np.sort(m.cell([[0], [1]], both.cols).ravel())
         for st in MAILBOXES:
             assert np.array_equal(m.peek(st)[cells], fresh(m.memory, st, cells)), st
         calls.append((phase, stale_cells(m)))
+        return published
     return publish
 
 

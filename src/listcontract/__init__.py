@@ -6,7 +6,7 @@ from .errors import (BatchDependenceError, ErewViolationError,
 from .pram import Engine, Memory, PramConfig, RoundMetrics, StepRecord
 from .model import LinkedForest, Machine, layout
 from .coloring import ColorAssignment, dct_new_colors, three_color
-from .pairing import PairAssignment, eliminate_twos, form_pairs
+from .pairing import eliminate_twos, form_pairs
 from .localize import localize
 from .uniform import (BothColumns, both_columns, color_and_pair, enforce_uniformity,
                       opposite_pair_shortcut, publish_mailboxes)

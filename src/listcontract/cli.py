@@ -12,6 +12,8 @@ from .model import LinkedForest
 from .ranking import list_rank, sequential_rank, wyllie_rank
 from .workloads import Workload, generate
 
+ALGORITHMS = ("uniform", "wyllie", "sequential")
+
 
 def build_parser():
     p = argparse.ArgumentParser(prog="listcontract",
@@ -29,8 +31,7 @@ def build_parser():
 
     r = sub.add_parser("run", help="rank a forest file")
     r.add_argument("forest")
-    r.add_argument("--algo", choices=("uniform", "wyllie", "sequential"),
-                   default="uniform")
+    r.add_argument("--algo", choices=ALGORITHMS, default="uniform")
     r.add_argument("--p", type=int, default=1)
     r.add_argument("--verify", action="store_true")
     r.add_argument("--trace", action="store_true")
@@ -111,7 +112,7 @@ def run_report(forest, algo, p, verify=False):
         report.update(rounds=m.rounds, total_work=m.total_work,
                       erew_violations=m.erew_violations,
                       passes=len(run.passes),
-                      degraded_passes=sum(not r.halved for r in run.passes),
+                      degraded_passes=sum(r.degraded for r in run.passes),
                       survivor_counts=[r.survivors for r in run.passes],
                       jump_rounds=run.jump_rounds)
     report["wall_seconds"] = round(time.perf_counter() - t0, 6)
@@ -164,6 +165,9 @@ def cmd_sweep(args):
                 return _usage_error(f"sweep spec entry {part!r} is not an n,l,p triple")
             triples.append((n, l, p))
     algos = [a for a in args.algo.split(",") if a]
+    unknown = [a for a in algos if a not in ALGORITHMS]
+    if unknown:
+        return _usage_error(f"unknown algorithm {unknown[0]!r}, not one of {ALGORITHMS}")
     for n, l, p in triples:
         if n < 1 or l < 1 or n % l:
             rows.append({"n": n, "l": l, "p": p, "algorithm": "-",

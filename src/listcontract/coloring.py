@@ -83,7 +83,7 @@ def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color")
         return ColorAssignment(ids, np.empty(0, dtype=np.int64), 0)
 
     p = engine.config.num_processors
-    size = memory.peek("color").size
+    size = memory.size("color")
     has_succ, has_pred = succ_ids >= 0, pred_ids >= 0
     inb_p, inb_s = (memory.scratch(st, size) for st in INBOX)
 

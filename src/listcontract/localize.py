@@ -104,17 +104,15 @@ def walk_is_cheaper(walkers, tasks, p, min_run):
 
 
 def _absorb_short_runs(machine: Machine, state: PassState, target_row, min_run, phase):
-    nodes, start, end, start_flank, end_flank = _run_ends(state, target_row)
+    nodes, start, end, start_flank, end_flank = ends = _run_ends(state, target_row)
     # a run without a flank is never short
     if not (start_flank | end_flank).any():
         return
-    if walk_is_cheaper(_walkers(start, end, min_run).size, nodes.size,
-                       machine.config.num_processors, min_run):
-        classify = classify_by_walk
-    else:
-        classify = classify_by_doubling
-    to_left, wave, meet_row = _plan_waves(*classify(machine, state, target_row, min_run, phase),
-                                          target_row)
+    walk = walk_is_cheaper(_walkers(start, end, min_run).size, nodes.size,
+                           machine.config.num_processors, min_run)
+    to_left, wave, meet_row = _plan_waves(
+        *(classify_by_walk(machine, state, target_row, ends, min_run, phase) if walk
+          else classify_by_doubling(machine, state, ends, min_run, phase)), target_row)
     for j in range(int(wave.max()) + 1):
         on = wave == j
         a = nodes[on]
@@ -152,11 +150,12 @@ def _plan_waves(pos, rem, head_flag, tail_flag, short, target_row):
     return to_left, wave, np.where(meets, np.where(other == 1, 1 - target_row, target_row), NONE)
 
 
-def classify_by_walk(machine: Machine, state: PassState, target_row, min_run, phase):
-    """Classify the target-row runs with one walker per run.
+def classify_by_walk(machine: Machine, state: PassState, target_row, ends, min_run, phase):
+    """Classify the target-row runs with one walker per run; ends is
+    what _run_ends gives for target_row.
 
     Returns (pos, rem, head_flag, tail_flag, short) over the live
-    target-row nodes, in _run_ends order: the distances to the run's
+    target-row nodes, in the order of ends: the distances to the run's
     start and end and the flags of those ends, exact wherever short is
     set, which it is on every node of a flanked run of fewer than
     min_run nodes.
@@ -173,7 +172,7 @@ def classify_by_walk(machine: Machine, state: PassState, target_row, min_run, ph
     succ and pred are the state's links.
     """
     eng = machine.engine
-    nodes, start, end, start_flank, end_flank = _run_ends(state, target_row)
+    nodes, start, end, start_flank, end_flank = ends
     hop = np.where(start, 0, NONE)
     word = np.where(start & end & (start_flank | end_flank), 4 + 2 * end_flank + start_flank, NONE)
     fwd = nodes[_walkers(start, end, min_run)]
@@ -216,10 +215,11 @@ def classify_by_walk(machine: Machine, state: PassState, target_row, min_run, ph
             short & (word & 1 == 1), short & (word >> 1 & 1 == 1), short)
 
 
-def classify_by_doubling(machine: Machine, state: PassState, target_row, min_run, phase):
+def classify_by_doubling(machine: Machine, state: PassState, ends, min_run, phase):
     """Classify the target-row runs by run-distance doubling over
-    every target-row node; returns what classify_by_walk returns."""
-    nodes, start, end, start_flank, end_flank = _run_ends(state, target_row)
+    every node of ends, what _run_ends gives for the target row;
+    returns what classify_by_walk returns."""
+    nodes, start, end, start_flank, end_flank = ends
     # a run shorter than min_run has every node within min_run - 2
     # hops of both its ends, which ceil(log2 min_run) rounds resolve
     limit = max(0, min_run - 1).bit_length()

@@ -20,8 +20,7 @@ from .localize import MIN_RUN, check_min_run, clear_cuts, localize  # noqa: F401
 from .model import INBOX, Machine, SUCC_SIDE
 from .pram import NONE
 # contract_batch stays importable here for bench/tracing.py
-from .steps import (PassState, contract_batch, move_nodes, pair_leaders,  # noqa: F401
-                    pool_nodes, scratch)
+from .steps import PassState, contract_batch, move_nodes, pool_nodes, scratch  # noqa: F401
 from .uniform import (BothColumns, both_columns, color_and_pair, enforce_uniformity,
                       merge_pairs, opposite_pair_shortcut)
 
@@ -30,8 +29,8 @@ from .uniform import (BothColumns, both_columns, color_and_pair, enforce_uniform
 # near a list end walk the hops past that
 POOL_MIN_LEN = 4
 
-_CYCLE_NEXT = np.full(4, -1, dtype=np.int64)
-_CYCLE_NEXT[[0, 1, 3, 2]] = [1, 3, 2, 0]
+# the key after each key along the pattern 0, 1, 3, 2; NONE after NONE
+_CYCLE_NEXT = np.array([1, 3, 0, 2, NONE])
 
 
 @dataclass
@@ -41,10 +40,10 @@ class OrientationKey:
     plan_absorbed: np.ndarray        # the member merged into it
     survivors: np.ndarray            # the pair hosts, then the unpaired nodes
     columns: np.ndarray              # each survivor's bottom column
-    from_top: np.ndarray             # whether the survivor sits in the top row
 
 
-def derive_orientation(machine: Machine, both: BothColumns, phase="orient") -> OrientationKey:
+def derive_orientation(machine: Machine, state: PassState, both: BothColumns,
+                       phase="orient") -> OrientationKey:
     """Compute column keys and every pair's forward-column claim.
 
     Pattern-valid pairs claim the member column whose key is the cycle
@@ -54,11 +53,16 @@ def derive_orientation(machine: Machine, both: BothColumns, phase="orient") -> O
     cell mailboxes there, which must be current; every other column's
     key is NONE, and its cell across from a pair is vacant. With no
     both column, as when a row is empty, no step runs, and every pair
-    claims its 0-colored member's column by the vacancy rule. Unpaired
-    nodes, in a pass only exempt merged hosts, survive in their own
-    column. A pair whose two keys are defined but neither follows the
-    other is marked, which the uniformity step should have cleared: it
-    raises UncoveredCaseError with a snapshot. Conflicting or other
+    claims its 0-colored member's column by the vacancy rule.
+
+    The rest comes from the pass registers in state: a pair's leader
+    is the member whose col is below its pcol, and holds both columns
+    and its own color. The leaders go row 0 first, each row in id
+    order, then the unpaired live nodes, in a pass only exempt merged
+    hosts, which survive in their own column. A pair whose two keys are
+    defined but neither follows the other is marked, which the
+    uniformity step should have cleared: it raises UncoveredCaseError
+    with a snapshot of the first such row. Conflicting or other
     underivable claims, a column claimed twice among them, raise
     OrientationError.
     """
@@ -68,90 +72,63 @@ def derive_orientation(machine: Machine, both: BothColumns, phase="orient") -> O
             tc, bc = (s.read("mb_color", machine.cell(r, both.cols)) for r in (0, 1))
         key[both.cols] = np.where(np.isin(tc, (0, 1)) & np.isin(bc, (0, 1)), 2 * tc + bc, NONE)
 
-    row_a, pair_a = machine.peek("row"), machine.peek("pair")
-    loose = np.flatnonzero((row_a >= 0) & (pair_a == NONE))
-    loose_cols = machine.peek("col")[loose]
-    empty = np.empty(0, dtype=np.int64)
-    host_l, abs_l, col_l = [empty], [empty], [empty]
-    for row in (0, 1):
-        leaders = pair_leaders(machine, row)
-        if leaders.size == 0:
-            continue
-        colarr, pair = machine.peek("col"), machine.peek("pair")
-        c1 = colarr[leaders]
-        partner = pair[leaders]
-        c2 = colarr[partner]
-        k1, k2 = key[c1], key[c2]
-        # pattern claim: the member whose key follows the other's
-        follows_1 = (k1 != NONE) & (k2 != NONE) & (k1 == _cycle_next_of(k2))
-        follows_2 = (k1 != NONE) & (k2 != NONE) & (k2 == _cycle_next_of(k1))
-        pattern = follows_1 ^ follows_2
-        claim = np.where(pattern & follows_1, c1, np.where(pattern & follows_2, c2, NONE))
-        need = claim == NONE
-        if need.any():
-            # vacancy rule: claim the member column whose opposite cell
-            # is empty; with both empty, the 0-colored member's column
-            o1 = both.at(c1) == NONE
-            o2 = both.at(c2) == NONE
-            colr = machine.peek("color")
-            zero_col = np.where(colr[leaders] == 0, c1, c2)
-            vac = np.where(o1 & ~o2, c1,
-                           np.where(o2 & ~o1, c2,
-                                    np.where(o1 & o2, zero_col, NONE)))
-            claim = np.where(need, vac, claim)
-        marked = (claim == NONE) & (k1 != NONE) & (k2 != NONE)
-        if marked.any():
-            sel = np.flatnonzero(marked)[:8]
-            snap = {
-                "target_row": 1 - row,
-                "reference_row": row,
-                "columns_lo": c1[sel].tolist(),
-                "columns_hi": c2[sel].tolist(),
-                "grid": machine.grid().tolist(),
-                "colors": machine.peek("color").tolist(),
-            }
-            raise UncoveredCaseError(
-                f"{int(marked.sum())} reference pair(s) left non-uniform", snapshot=snap)
-        if (claim == NONE).any():
-            bad = np.flatnonzero(claim == NONE)[:8]
-            raise OrientationError(
-                "no forward column for pairs at columns "
-                f"{list(zip(c1[bad].tolist(), c2[bad].tolist()))} "
-                f"(keys {list(zip(k1[bad].tolist(), k2[bad].tolist()))})")
-        host = np.where(claim == c1, leaders, partner)
-        absorbed = np.where(claim == c1, partner, leaders)
-        host_l.append(host)
-        abs_l.append(absorbed)
-        col_l.append(claim)
-
-    hosts = np.concatenate(host_l)
+    live = state.live()
+    paired = state.pair[live] != NONE
+    loose = live[~paired]
+    lead = live[paired & (state.col[live] < state.pcol[live])]
+    lead = lead[np.argsort(state.row[lead], kind="stable")]
+    partner = state.pair[lead]
+    c1, c2 = state.col[lead], state.pcol[lead]
+    k1, k2 = key[c1], key[c2]
+    # pattern claim: the member whose key follows the other's
+    follows_1 = (k1 != NONE) & (k1 == _CYCLE_NEXT[k2])
+    follows_2 = (k2 != NONE) & (k2 == _CYCLE_NEXT[k1])
+    # vacancy rule: claim the member column whose opposite cell is
+    # empty; with both empty, the 0-colored member's column
+    o1, o2 = both.at(c1) == NONE, both.at(c2) == NONE
+    zero_col = np.where(state.color[lead] == 0, c1, c2)
+    vac = np.where(o1 & ~o2, c1, np.where(o2 & ~o1, c2, np.where(o1 & o2, zero_col, NONE)))
+    claim = np.where(follows_1 ^ follows_2, np.where(follows_1, c1, c2), vac)
+    marked = (claim == NONE) & (k1 != NONE) & (k2 != NONE)
+    if marked.any():
+        row = int(state.row[lead[marked]][0])
+        in_row = marked & (state.row[lead] == row)
+        sel = np.flatnonzero(in_row)[:8]
+        snap = {"target_row": 1 - row, "reference_row": row, "columns_lo": c1[sel].tolist(),
+                "columns_hi": c2[sel].tolist(), "grid": machine.grid().tolist(),
+                "colors": machine.peek("color").tolist()}
+        raise UncoveredCaseError(f"{int(in_row.sum())} reference pair(s) left non-uniform",
+                                 snapshot=snap)
+    if (claim == NONE).any():
+        bad = np.flatnonzero(claim == NONE)[:8]
+        raise OrientationError(
+            "no forward column for pairs at columns "
+            f"{list(zip(c1[bad].tolist(), c2[bad].tolist()))} "
+            f"(keys {list(zip(k1[bad].tolist(), k2[bad].tolist()))})")
+    hosts = np.where(claim == c1, lead, partner)
     survivors = np.concatenate([hosts, loose])
-    columns = np.concatenate([*col_l, loose_cols])
+    columns = np.concatenate([claim, state.col[loose]])
     uniq, counts = np.unique(columns, return_counts=True)
     if (counts > 1).any():
         raise OrientationError(
             f"bottom slots claimed twice at columns {uniq[counts > 1][:8].tolist()}")
 
-    return OrientationKey(key=key, plan_host=hosts, plan_absorbed=np.concatenate(abs_l),
-                          survivors=survivors, columns=columns, from_top=row_a[survivors] == 0)
+    return OrientationKey(key=key, plan_host=hosts,
+                          plan_absorbed=np.where(claim == c1, partner, lead),
+                          survivors=survivors, columns=columns)
 
 
-def _cycle_next_of(k):
-    out = np.full(k.shape, NONE, dtype=np.int64)
-    m = k != NONE
-    out[m] = _CYCLE_NEXT[k[m]]
-    return out
-
-
-def contract_along_orientation(machine: Machine, plan: OrientationKey, at_succ, phase="pack"):
-    """Merge every pair into its host, on the sides the pass's side
-    register at_succ gives, then drop every top-row survivor into the
-    bottom cell of its column in one move. The hosts keep their pair
-    and color: nothing reads them before the next pass's coloring and
-    pairing rewrite both."""
-    merge_pairs(machine, plan.plan_absorbed, plan.plan_host, at_succ, phase)
-    top, cols = plan.survivors[plan.from_top], plan.columns[plan.from_top]
-    move_nodes(machine, top, machine.cell(0, cols), machine.cell(1, cols), f"{phase}/drop")
+def contract_along_orientation(machine: Machine, plan: OrientationKey, state: PassState,
+                               phase="pack"):
+    """Merge every pair into its host, on the sides the side register
+    state.at_succ gives, then drop every top-row survivor into the
+    bottom cell of its column in one move; the registers follow both.
+    The hosts keep their pair and color: nothing reads them before the
+    next pass's coloring and pairing rewrite both."""
+    merge_pairs(machine, plan.plan_absorbed, plan.plan_host, state, phase)
+    from_top = state.row[plan.survivors] == 0
+    top, cols = plan.survivors[from_top], plan.columns[from_top]
+    move_nodes(machine, top, machine.cell(0, cols), machine.cell(1, cols), f"{phase}/drop", state)
     rows = machine.peek("row")[machine.in_array_ids()]
     if rows.size and (rows != 1).any():
         raise OrientationError("survivors left outside the bottom row")
@@ -235,6 +212,12 @@ class PassReport:
     survivors_in_bottom_row: bool
     halved: bool
 
+    @property
+    def degraded(self):
+        """Whether the pass left more than half of its nodes; the
+        columns halve on every pass, so halved does not show it."""
+        return 2 * self.survivors > self.pre_active
+
 
 def uniform_contraction_pass(machine: Machine, min_run=MIN_RUN, phase="pass") -> PassReport:
     """One full contraction pass over the current two-row placement.
@@ -245,9 +228,10 @@ def uniform_contraction_pass(machine: Machine, min_run=MIN_RUN, phase="pass") ->
     the both columns (both_columns), which a columns placement loses
     with a row to localization; the aligned-stack shortcut, the
     uniformity coupling and the orientation keys run over them alone.
-    Without them every pair claims its 0-colored member's column. Of
-    the registers only the side of each node's partner stays, for the
-    merges. min_run must be at least 2.
+    Without them every pair claims its 0-colored member's column. The
+    pass registers carry each node's partner, partner column, color and
+    partner side from pairing to the pack; the links go after pairing.
+    min_run must be at least 2.
     """
     check_min_run(min_run)
     cols_before = machine.columns
@@ -256,19 +240,17 @@ def uniform_contraction_pass(machine: Machine, min_run=MIN_RUN, phase="pass") ->
     if pre_active == 0:
         return PassReport(0, pooled, 0, cols_before, cols_before, 0, 0, True, True)
     pooled += localize(machine, state, min_run=min_run, phase=f"{phase}/localize")
-    pairs = color_and_pair(machine, state, phase=f"{phase}/rows")[1]
-    # the side register: whether each node's partner is its successor
-    at_succ = np.zeros(machine.n, dtype=bool)
-    at_succ[pairs.ids] = pairs.at_succ
+    color_and_pair(machine, state, phase=f"{phase}/rows")
+    # the merges take their sides from at_succ: no phase reads a link
+    state.sv = state.pv = state.row_s = state.row_p = None
     live = state.live()
     both = both_columns(machine, live, state.row[live], state.col, f"{phase}/both")
-    del state, pairs   # no phase reads the other registers after pairing
     shortcut = odd_cycles = 0
     if both.cols.size:
-        shortcut = opposite_pair_shortcut(machine, at_succ, both, phase=f"{phase}/shortcut")
-        odd_cycles = enforce_uniformity(machine, at_succ, both, phase=f"{phase}/uniform")
-    plan = derive_orientation(machine, both, phase=f"{phase}/orient")
-    contract_along_orientation(machine, plan, at_succ, phase=f"{phase}/pack")
+        shortcut = opposite_pair_shortcut(machine, state, both, phase=f"{phase}/shortcut")
+        odd_cycles = enforce_uniformity(machine, state, both, phase=f"{phase}/uniform")
+    plan = derive_orientation(machine, state, both, phase=f"{phase}/orient")
+    contract_along_orientation(machine, plan, state, phase=f"{phase}/pack")
     survivors = plan.survivors.size
     in_bottom = bool((machine.peek("row")[plan.survivors] == 1).all())
     fold_array(machine, plan.survivors, plan.columns, phase=f"{phase}/fold")

@@ -5,21 +5,22 @@ propose to adjacent 0-nodes, address ties are broken toward the larger
 node id, and leftover unpaired nodes are absorbed into a neighboring
 pair.
 
-Pairing clears no scratch: every cell a step reads has exactly one
-writer in the step before. A 1-node writes its id into prop_p at its
-successor, into prop_s at its predecessor its id when it has no
-successor and NONE otherwise, and NONE into its own pair cell. A
-0-node reads prop_p only when its registers show a predecessor and
-prop_s only when they show a successor, and writes its own pair cell,
-its winner or NONE. Each node then knows, without a read, on which side
-its partner sits: a 0-node took its winner from one side, and a 1-node
-proposed to its successor when it has one. That bit reaches the merges
-of the pass in a register.
+Pairing clears no scratch: every cell a step reads has one writer in
+the step before or in the same step's snapshot. A 1-node writes its
+proposal, its id and column packed, into prop_p at its successor, into
+prop_s at its predecessor its proposal when it has no successor and
+NONE otherwise, and NONE into its own pair cell. A 0-node reads prop_p
+only when its registers show a predecessor and prop_s only when they
+show a successor, writes its own pair cell, its winner or NONE, and
+hands the winner its own column in the winner's prop_p cell, which no
+proposal reaches: a 1-node's neighbors are 0-nodes. Each node then
+knows, without a further read, its partner, its partner's column and
+on which side its partner sits: a 0-node took its winner from one
+side, and a 1-node proposed to its successor when it has one. All of
+that stays in the pass registers.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,13 +29,6 @@ from .model import INBOX, Machine, PRED_SIDE, SUCC_SIDE
 from .pram import NONE
 # restricted_neighbors stays importable here for bench/tracing.py
 from .steps import PassState, contract_batch, restricted_neighbors, scratch  # noqa: F401
-
-
-@dataclass
-class PairAssignment:
-    ids: np.ndarray        # the live tasks after pairing
-    pair_of: np.ndarray    # partner id per node, NONE when unpaired
-    at_succ: np.ndarray    # per node, whether its partner is its successor
 
 
 def eliminate_twos(machine: Machine, state: PassState, colors, phase="elim2"):
@@ -80,49 +74,56 @@ def form_pairs(machine: Machine, state: PassState, colors, phase="pairs"):
     1-node proposes to an adjacent 0-node (successor preferred); the
     larger proposer id wins a contested 0-node; unpaired nodes are
     contracted into a neighboring pair. Singleton lists stay unpaired.
-    Returns the live tasks, their partners and the side of each
-    partner, from the registers.
+    Fills the pair, pcol, color and at_succ registers of state.
     """
     eng = machine.engine
     ids = state.live()
-    sv, pv, colors = state.sv[ids], state.pv[ids], colors[ids]
-    k = ids.size
-    if not np.isin(colors, (0, 1)).all():
+    sv, pv, c = state.sv[ids], state.pv[ids], colors[ids]
+    if not np.isin(c, (0, 1)).all():
         raise ImproperColoringError("form_pairs needs colors in {0, 1}")
 
-    # a proposal arrives from the target's predecessor or successor.
-    # Each task keeps its partner and that partner's side in registers:
-    # a 0-node picks them, a 1-node reads whether its proposal won
+    # a proposal arrives from the target's predecessor or successor,
+    # packed as (id << bits) + col, so the larger id still wins the max
+    bits = int(machine.columns).bit_length()
     prop_p, prop_s = (scratch(machine, st) for st in INBOX)
-    my_pair = np.full(k, NONE, dtype=np.int64)
-    at_succ = np.zeros(k, dtype=bool)
-    ones = np.flatnonzero(colors == 1)
+    n = state.row.size
+    state.pair, state.pcol = np.full(n, NONE, dtype=np.int64), np.full(n, NONE, dtype=np.int64)
+    state.color, state.at_succ = colors, np.zeros(n, dtype=bool)
+    ones = np.flatnonzero(c == 1)
     o_ids, o_sv, o_pv = ids[ones], sv[ones], pv[ones]
     to_succ = o_sv != NONE
     with eng.step(f"{phase}/propose", ones.size) as s:
-        s.write(prop_p, o_sv, o_ids)
-        s.write(prop_s, o_pv, np.where(to_succ, NONE, o_ids))
+        msg = (o_ids << bits) + state.col[o_ids]
+        s.write(prop_p, o_sv, msg)
+        s.write(prop_s, o_pv, np.where(to_succ, NONE, msg))
         s.write("pair", o_ids, NONE)
 
-    zeros = np.flatnonzero(colors == 0)
+    zeros = np.flatnonzero(c == 0)
     z_ids = ids[zeros]
     with eng.step(f"{phase}/resolve", zeros.size) as s:
         a = s.read(prop_p, np.where(pv[zeros] != NONE, z_ids, NONE))
         b = s.read(prop_s, np.where(sv[zeros] != NONE, z_ids, NONE))
         win = np.maximum(a, b)
-        s.write("pair", z_ids, win)
-        s.write("pair", win, z_ids)
-    my_pair[zeros] = win
-    at_succ[zeros] = (win == b) & (win != NONE)
+        won = win != NONE
+        w_id = np.where(won, win >> bits, NONE)
+        s.write("pair", z_ids, w_id)
+        s.write("pair", w_id, z_ids)
+        s.write(prop_p, w_id, state.col[z_ids])
+    state.pair[z_ids] = w_id
+    state.pcol[z_ids] = np.where(won, win & ((1 << bits) - 1), NONE)
+    state.at_succ[z_ids] = (win == b) & won
     with eng.step(f"{phase}/won", ones.size) as s:
-        my_pair[ones] = s.read("pair", o_ids)
-    at_succ[ones] = to_succ
+        o_pair = s.read("pair", o_ids)
+        o_pcol = s.read(prop_p, o_ids)
+    state.pair[o_ids] = o_pair
+    state.pcol[o_ids] = np.where(o_pair != NONE, o_pcol, NONE)
+    state.at_succ[o_ids] = to_succ
 
     # absorb the unpaired into neighboring pairs; two waves cover
-    # chains of two unpaired nodes
+    # chains of two unpaired nodes. Absorbing one changes no partner
     for wave in range(2):
         sv, pv = state.sv[ids], state.pv[ids]
-        unpaired = (state.row[ids] >= 0) & (my_pair == NONE) & ((sv != NONE) | (pv != NONE))
+        unpaired = (state.row[ids] >= 0) & (state.pair[ids] == NONE) & (np.maximum(sv, pv) != NONE)
         if not unpaired.any():
             break
         u = np.flatnonzero(unpaired)
@@ -138,9 +139,3 @@ def form_pairs(machine: Machine, state: PassState, colors, phase="pairs"):
         # opposite sides, which contract_batch cannot tell in one step
         for side, on in ((PRED_SIDE, use_s), (SUCC_SIDE, use_p)):
             contract_batch(machine, u_ids[on], host[on], side, f"{phase}/abs{wave}", state)
-
-    # absorbing an unpaired node changes no partner, so the registers
-    # of the tasks still live hold every pair
-    live = state.row[ids] >= 0
-    return PairAssignment(ids[live], my_pair[live], at_succ[live])
-

@@ -128,6 +128,9 @@ class Memory:
     def has(self, name):
         return name in self._stores
 
+    def size(self, name):
+        return self._stores[name].size
+
     def peek(self, name):
         """Host-side view for orchestration; not metered.
 

@@ -100,15 +100,6 @@ def _gather(k, run, v, chunks, at):
     return out
 
 
-def pair_leaders(machine: Machine, row):
-    """Leader node of every pair on one row: the smaller-column member."""
-    rw, pair, col = (machine.peek(n) for n in ("row", "pair", "col"))
-    ids = np.flatnonzero((rw == row) & (pair != NONE))
-    if ids.size == 0:
-        return ids
-    return ids[col[ids] < col[pair[ids]]]
-
-
 def restricted_neighbors(machine: Machine, ids, phase):
     """Metered read of each node's neighbors in one step: the
     successor and predecessor node ids, NONE at a list end. Memory
@@ -127,9 +118,14 @@ class PassState:
     """Task registers of one pass, indexed by node id: the virtual
     successor and predecessor (NONE at a list end or across a cut
     link), the row, the rows of those two neighbors (NONE where they
-    are) and the column, which no step changes while they live; memory
-    holds no cut. contract_batch keeps them current and, as in memory,
-    retires the row of every task it absorbs, as pool_nodes pools it.
+    are) and the column; memory holds no cut. contract_batch keeps them
+    current and, as in memory, retires the row of every task it
+    absorbs, as pool_nodes pools it.
+
+    form_pairs adds each node's partner (pair), the partner's column
+    (pcol), the node's color and at_succ, True where the partner is the
+    successor. The pass drops the link registers after pairing; the
+    merges, moves, swaps and exempt steps patch the rest.
     """
 
     ids: np.ndarray
@@ -139,6 +135,10 @@ class PassState:
     row_s: np.ndarray
     row_p: np.ndarray
     col: np.ndarray
+    pair: np.ndarray = None
+    pcol: np.ndarray = None
+    color: np.ndarray = None
+    at_succ: np.ndarray = None
     live_ids: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -299,13 +299,16 @@ def pool_nodes(machine: Machine, nodes, cells, phase, state=None):
         state.drop(nodes, POOLED)
 
 
-def move_nodes(machine: Machine, nodes, frm, to, phase):
+def move_nodes(machine: Machine, nodes, frm, to, phase, state=None):
     """Move each node from the slot cell frm[i] that holds it to the
     vacant cell to[i], in one step: the caller already holds both
-    cells, from the read or the plan that chose the node."""
+    cells, from the read or the plan that chose the node. With a
+    PassState, each node's row and col registers follow it."""
     row, col = np.divmod(to, machine.columns)
     with machine.engine.step(f"{phase}/move_wr", np.size(nodes)) as s:
         s.write("slot", frm, NONE)
         s.write("slot", to, nodes)
         s.write("row", nodes, row)
         s.write("col", nodes, col)
+    if state is not None:
+        state.row[nodes], state.col[nodes] = row, col

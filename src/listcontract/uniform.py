@@ -59,7 +59,7 @@ import numpy as np
 
 from .coloring import three_color
 from .errors import UncoveredCaseError
-from .model import Machine, PRED_SIDE, SUCC_SIDE
+from .model import Machine, PRED_SIDE, RETIRED, SUCC_SIDE
 from .pram import NONE
 # restricted_neighbors stays importable here for bench/tracing.py
 from .steps import (PassState, contract_batch, double, move_nodes,  # noqa: F401
@@ -127,7 +127,7 @@ def publish_mailboxes(machine: Machine, both: BothColumns, phase):
     node, its partner and the partner's column."""
     eng = machine.engine
     for st in ("mb_color", "mb_pcol"):
-        scratch(machine, st, machine.peek("slot").size)
+        scratch(machine, st, machine.memory.size("slot"))
     cells = [machine.cell(r, both.cols) for r in (0, 1)]
     with eng.step(f"{phase}/mb_self", both.cols.size) as s:
         color = np.array([s.read("color", v) for v in both.node])
@@ -142,7 +142,8 @@ def publish_mailboxes(machine: Machine, both: BothColumns, phase):
 
 # -- the sweep ------------------------------------------------------------
 
-def enforce_uniformity(machine: Machine, at_succ, both: BothColumns, phase="uniform"):
+def enforce_uniformity(machine: Machine, state: PassState, both: BothColumns,
+                       phase="uniform"):
     """Make the two other-row cells over every pair of either row
     equal-colored.
 
@@ -152,8 +153,8 @@ def enforce_uniformity(machine: Machine, at_succ, both: BothColumns, phase="unif
     must be gone (opposite_pair_shortcut). Publishes the mailboxes of
     the both columns and leaves them current for the orientation keys;
     without a both column no pair can be marked, and no step runs.
-    at_succ is the pass's side register, True at a node whose partner
-    is its successor. Returns the number of chains shortened.
+    state holds the pass registers from pairing on, which the merges,
+    moves and swaps patch. Returns the number of chains shortened.
     """
     if both.cols.size == 0:
         return 0
@@ -162,11 +163,15 @@ def enforce_uniformity(machine: Machine, at_succ, both: BothColumns, phase="unif
         return 0
     odd = plan["odd_cols"].size
     if odd:
-        _shorten_odd_chains(machine, plan, at_succ, both, f"{phase}/odd")
+        _shorten_odd_chains(machine, plan, state, both, f"{phase}/odd")
         replan = f"{phase}/replan"
-        plan = _plan_swaps(machine, both, publish_mailboxes(machine, both, replan), replan)
+        published = publish_mailboxes(machine, both, replan)
+        # the moved tops' partners learn their partner's new column from
+        # the reads of the publish, which covers every both-column node
+        state.pcol[both.node] = published[2]
+        plan = _plan_swaps(machine, both, published, replan)
     if plan is not None:
-        swap_positions(machine, plan["swap_a"], plan["swap_b"], f"{phase}/swap")
+        swap_positions(machine, plan["swap_a"], plan["swap_b"], state, f"{phase}/swap")
     return odd
 
 
@@ -257,31 +262,34 @@ def _plan_swaps(machine, both, published, phase):
             "odd_a": st_node[odd], "odd_b": st_pnode[odd]}
 
 
-def merge_pairs(machine: Machine, absorbed, host, at_succ, phase):
+def merge_pairs(machine: Machine, absorbed, host, state: PassState, phase):
     """Contract each pair into its host member, with no read: the side
-    register at_succ, indexed by node, tells whether each absorbed node
-    precedes its host. It holds from pairing to the merge, since
-    partners stay adjacent: swaps move cells, not links, and only whole
-    pairs merge. The host keeps its pair and color; a caller whose
-    later steps read them clears them with exempt."""
+    register state.at_succ tells whether each absorbed node precedes
+    its host. It holds from pairing to the merge, since partners stay
+    adjacent: swaps move cells, not links, and only whole pairs merge.
+    The absorbed nodes leave the live tasks. The host keeps its pair
+    and color; a caller whose later steps read them clears them with
+    exempt."""
     a = np.asarray(absorbed, dtype=np.int64)
     h = np.asarray(host, dtype=np.int64)
-    precedes = at_succ[a]
+    precedes = state.at_succ[a]
     # one side at a time: two merged members can be adjacent
     for side, on in ((PRED_SIDE, precedes), (SUCC_SIDE, ~precedes)):
         contract_batch(machine, a[on], h[on], side, phase)
+    state.drop(a, RETIRED)
 
 
-def exempt(machine: Machine, hosts, phase):
+def exempt(machine: Machine, hosts, state: PassState, phase):
     """Take merged hosts out of the pairing in one step: their pair and
-    color are cleared, so the mailboxes and the orientation keys see
-    uncolored, unpaired nodes."""
+    color are cleared, in memory and in the registers, so the mailboxes
+    and the orientation keys see uncolored, unpaired nodes."""
     with machine.engine.step(f"{phase}/exempt", np.size(hosts)) as s:
         s.write("pair", hosts, NONE)
         s.write("color", hosts, NONE)
+    state.pair[hosts] = state.pcol[hosts] = state.color[hosts] = NONE
 
 
-def _shorten_odd_chains(machine, plan, at_succ, both, phase):
+def _shorten_odd_chains(machine, plan, state, both, phase):
     """Take one top pair out of each odd closed chain.
 
     The root's top pair (ca, cb) merges at cb into an exempt node; the
@@ -301,18 +309,18 @@ def _shorten_odd_chains(machine, plan, at_succ, both, phase):
     cell_cc = machine.cell(0, cc)
     with eng.step(f"{phase}/top_cc", k) as s:
         top_cc = s.read("slot", cell_cc)
-    merge_pairs(machine, plan["odd_a"], plan["odd_b"], at_succ, phase)
-    exempt(machine, plan["odd_b"], phase)
-    move_nodes(machine, top_cc, cell_cc, machine.cell(0, plan["odd_cols"]), phase)
+    merge_pairs(machine, plan["odd_a"], plan["odd_b"], state, phase)
+    exempt(machine, plan["odd_b"], state, phase)
+    move_nodes(machine, top_cc, cell_cc, machine.cell(0, plan["odd_cols"]), phase, state)
     both.drop(cc)
     both.node[0, both.at(plan["odd_cols"])] = top_cc
 
 
-def swap_positions(machine: Machine, nodes_a, nodes_b, phase):
+def swap_positions(machine: Machine, nodes_a, nodes_b, state: PassState, phase):
     """Exchange the cells of the two members of each pair (a[i], b[i]),
     which share a row, and the mb_color entries of those two cells; the
     cells' mb_pcol entries stay, since each member's partner is the
-    other one."""
+    other one. The col and pcol registers of a and b swap with them."""
     a = np.asarray(nodes_a, dtype=np.int64)
     b = np.asarray(nodes_b, dtype=np.int64)
     if a.size == 0:
@@ -330,6 +338,8 @@ def swap_positions(machine: Machine, nodes_a, nodes_b, phase):
         s.write("col", b, ca)
         s.write("mb_color", cell_a, wb)
         s.write("mb_color", cell_b, wa)
+    state.col[a], state.col[b] = cb, ca
+    state.pcol[a], state.pcol[b] = ca, cb
 
 
 # -- coloring and pairing ----------------------------------------------
@@ -339,7 +349,8 @@ def color_and_pair(machine: Machine, state: PassState, phase="rows"):
 
     After localization every uncut link joins two nodes of one row, so
     each chain lies on one row and one call serves both. The chains
-    come from the pass state.
+    come from the pass state, and the pairs go into its registers.
+    Returns the coloring.
     """
     ids = state.live()
     coloring = three_color(machine.engine, machine.memory, ids, state.sv[ids], state.pv[ids],
@@ -347,11 +358,12 @@ def color_and_pair(machine: Machine, state: PassState, phase="rows"):
     colors = np.full(state.row.size, NONE, dtype=np.int64)
     colors[ids] = coloring.final_color
     colors = _pairing.eliminate_twos(machine, state, colors, f"{phase}/elim2")
-    pairs = _pairing.form_pairs(machine, state, colors, f"{phase}/pairs")
-    return coloring, pairs
+    _pairing.form_pairs(machine, state, colors, f"{phase}/pairs")
+    return coloring
 
 
-def opposite_pair_shortcut(machine: Machine, at_succ, both: BothColumns, phase="shortcut"):
+def opposite_pair_shortcut(machine: Machine, state: PassState, both: BothColumns,
+                           phase="shortcut"):
     """Consume column-aligned pair stacks directly.
 
     A stack is a pair of each row over the same two both columns. The
@@ -362,15 +374,13 @@ def opposite_pair_shortcut(machine: Machine, at_succ, both: BothColumns, phase="
     lands in the bottom row slot of the 0-colored bottom member's
     column, the merged bottom pair in the other; both merged nodes
     leave the pairing in one exempt step, and both columns leave both.
-    at_succ is the pass's side register. Returns the number of aligned
-    stacks consumed.
+    Each pair's columns and colors come from the pass registers in
+    state. Returns the number of aligned stacks consumed.
     """
-    col, pair, colr = machine.peek("col"), machine.peek("pair"), machine.peek("color")
     # per row, the positions in both of each such pair's two columns
     spans = []
     for v in both.node:
-        partner = pair[v]
-        hi = both.at(np.where(partner != NONE, col[partner], NONE))
+        hi = both.at(state.pcol[v])
         lo = np.flatnonzero(hi > np.arange(hi.size))
         spans.append((lo, hi[lo]))
     r = int(spans[1][0].size <= spans[0][0].size)
@@ -389,16 +399,16 @@ def opposite_pair_shortcut(machine: Machine, at_succ, both: BothColumns, phase="
     lo, hi = lo[order], hi[order]
     b_lead, b_part = both.node[1, lo], both.node[1, hi]
     t_lo, t_hi = both.node[0, lo], both.node[0, hi]
-    zero_first = colr[b_lead] == 0
+    zero_first = state.color[b_lead] == 0
     b_zero = np.where(zero_first, b_lead, b_part)
     b_one = np.where(zero_first, b_part, b_lead)
     ci = np.where(zero_first, both.cols[lo], both.cols[hi])
     top_i = np.where(zero_first, t_lo, t_hi)
     top_j = np.where(zero_first, t_hi, t_lo)
 
-    merge_pairs(machine, b_zero, b_one, at_succ, f"{phase}/bot")
-    merge_pairs(machine, top_j, top_i, at_succ, f"{phase}/top")
-    exempt(machine, np.concatenate([b_one, top_i]), phase)
-    move_nodes(machine, top_i, machine.cell(0, ci), machine.cell(1, ci), f"{phase}/drop")
+    merge_pairs(machine, b_zero, b_one, state, f"{phase}/bot")
+    merge_pairs(machine, top_j, top_i, state, f"{phase}/top")
+    exempt(machine, np.concatenate([b_one, top_i]), state, phase)
+    move_nodes(machine, top_i, machine.cell(0, ci), machine.cell(1, ci), f"{phase}/drop", state)
     both.drop(both.cols[np.r_[lo, hi]])
     return int(lo.size)

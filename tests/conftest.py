@@ -69,9 +69,12 @@ def check_consistency(machine):
     assert int(machine.peek("weight")[ids].sum()) == machine.n
 
 
-def validate_pairs(machine, assignment):
-    """Pairs form an involution of adjacent nodes colored 0 and 1."""
-    ids, pair = assignment.ids, assignment.pair_of
+def validate_pairs(machine, state):
+    """The pair registers of the live tasks of state equal memory, and
+    the pairs form an involution of adjacent nodes colored 0 and 1."""
+    ids = state.live()
+    pair = state.pair[ids]
+    assert np.array_equal(pair, machine.peek("pair")[ids])
     paired = pair != NONE
     me, p = ids[paired], pair[paired]
     assert (machine.peek("pair")[p] == me).all()
@@ -80,11 +83,38 @@ def validate_pairs(machine, assignment):
     assert (col[me] + col[p] == 1).all()
 
 
-def pair_sides(machine):
-    """The side register a pass hands to its merges, from memory: True
-    at a node whose partner is its successor."""
-    pair = machine.peek("pair")
-    return (pair != NONE) & (machine.peek("succ") == pair)
+def pair_state(machine):
+    """The PassState a pass holds once pairing ends, from memory: the
+    rows and columns of the nodes in the array, each one's partner,
+    that partner's column and its color, and the side register, True
+    at a node whose partner is its successor; no link register."""
+    ids = machine.in_array_ids()
+    pair, col = machine.peek("pair"), machine.peek("col")
+    regs = {name: np.full(machine.n, NONE, dtype=np.int64)
+            for name in ("row", "col", "pair", "pcol", "color")}
+    partner = pair[ids]
+    for name, got in (("row", machine.peek("row")[ids]), ("col", col[ids]), ("pair", partner),
+                      ("pcol", np.where(partner != NONE, col[partner], NONE)),
+                      ("color", machine.peek("color")[ids])):
+        regs[name][ids] = got
+    at_succ = (pair != NONE) & (machine.peek("succ") == pair)
+    return PassState(ids, None, None, regs["row"], None, None, regs["col"], pair=regs["pair"],
+                     pcol=regs["pcol"], color=regs["color"], at_succ=at_succ)
+
+
+def assert_pair_registers(machine, state):
+    """The live tasks are exactly the nodes in the array, and their
+    row, col, pair and color registers equal memory; so does pcol,
+    wherever the partner is still in the array (a merged pair's
+    absorbed node is retired, and nothing reads the host's pcol)."""
+    ids = state.live()
+    assert np.array_equal(np.sort(ids), machine.in_array_ids())
+    for name in ("row", "col", "pair", "color"):
+        assert np.array_equal(getattr(state, name)[ids], machine.peek(name)[ids]), name
+    partner = state.pair[ids]
+    placed = np.flatnonzero(partner != NONE)
+    placed = placed[machine.peek("row")[partner[placed]] >= 0]
+    assert np.array_equal(state.pcol[ids[placed]], machine.peek("col")[partner[placed]])
 
 
 def read_state(machine, ids=None):

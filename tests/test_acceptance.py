@@ -20,7 +20,7 @@ from listcontract.pram import NONE
 from listcontract.ranking import contract_to_threshold
 from listcontract.steps import restricted_neighbors
 from listcontract.uniform import enforce_uniformity, opposite_pair_shortcut
-from conftest import enumerated_states, marked_pairs, pair_sides, paired_state, read_both
+from conftest import enumerated_states, marked_pairs, pair_state, paired_state, read_both
 
 
 def report(name, ok, detail=""):
@@ -231,16 +231,17 @@ def test_criterion_8_uniformity_case_coverage():
             # pipeline order: aligned stacks are consumed before the
             # uniformity step, which assumes them gone
             both = read_both(m)
-            opposite_pair_shortcut(m, pair_sides(m), both)
-            enforce_uniformity(m, pair_sides(m), both)
+            state = pair_state(m)
+            opposite_pair_shortcut(m, state, both)
+            enforce_uniformity(m, state, both)
         except UncoveredCaseError as exc:
             uncovered.append((name, exc.snapshot.get("columns_lo")))
             continue
         if marked_pairs(m):
             broken.append((name, "residual mismatch"))
         try:
-            plan = derive_orientation(m, both)
-            contract_along_orientation(m, plan, pair_sides(m))
+            plan = derive_orientation(m, state, both)
+            contract_along_orientation(m, plan, state)
         except (OrientationError, UncoveredCaseError) as exc:
             broken.append((name, str(exc)[:60]))
             continue

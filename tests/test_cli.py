@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
+from listcontract import cli
 from listcontract.cli import main
-from listcontract import ErewViolationError, LinkedForest, UncoveredCaseError
+from listcontract import ErewViolationError, LinkedForest, UncoveredCaseError, generate, Workload
 
 
 def run_cli(args):
@@ -34,7 +36,8 @@ def test_generate_fixed_divisibility_rejected(tmp_path, capsys):
     ["generate", "--n", "10", "--lists", "0"],
     ["sweep", "--spec", "1,2"],
     ["run", "FOREST", "--p", "0"],
-], ids=["n0", "bogus_dist", "lists0", "spec_pair", "p0"])
+    ["sweep", "--spec", "64,16,4", "--algo", "uniform,bogus"],
+], ids=["n0", "bogus_dist", "lists0", "spec_pair", "p0", "sweep_bogus_algo"])
 def test_bad_arguments_exit_2_with_one_error_line(args, tmp_path, capsys):
     forest = tmp_path / "w.forest"
     forest.write_text("0 1\n1 -1\n")
@@ -137,6 +140,21 @@ def test_run_reports_no_degraded_pass_on_fixed_forest(tmp_path, capsys):
     data = json.loads(report.read_text())
     assert data["passes"] >= 1 and data["degraded_passes"] == 0
     assert "degraded_passes: 0" in capsys.readouterr().out
+
+
+def test_run_report_counts_a_pass_that_fails_to_halve(monkeypatch):
+    # the columns halve on every pass, so only the survivor count shows
+    # a pass that left more than half of its nodes; here pass 0 reports
+    # that it kept every node
+    def kept_all(forest, p):
+        run = list_rank(forest, p=p)
+        run.passes[0] = dataclasses.replace(run.passes[0], survivors=run.passes[0].pre_active)
+        return run
+    list_rank = cli.list_rank
+    monkeypatch.setattr(cli, "list_rank", kept_all)
+    forest = generate(Workload(n=4096, length_distribution="FIXED", fixed_length=64))
+    report, _, _ = cli.run_report(forest, "uniform", 64)
+    assert report["passes"] == 2 and report["degraded_passes"] == 1
 
 
 def test_run_sequential_unit_work_model(tmp_path, capsys):

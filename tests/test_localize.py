@@ -214,8 +214,9 @@ def test_walk_classifies_short_runs_as_doubling_does(seed, n, lists, mode, min_r
     absorb = localize_mod._absorb_short_runs
 
     def compared(machine, state, target_row, min_run, phase):
-        walk = localize_mod.classify_by_walk(machine, state, target_row, min_run, "cmp/w")
-        dbl = localize_mod.classify_by_doubling(machine, state, target_row, min_run, "cmp/d")
+        ends = localize_mod._run_ends(state, target_row)
+        walk = localize_mod.classify_by_walk(machine, state, target_row, ends, min_run, "cmp/w")
+        dbl = localize_mod.classify_by_doubling(machine, state, ends, min_run, "cmp/d")
         assert_same_classes(walk, dbl)
         return absorb(machine, state, target_row, min_run, phase)
 
@@ -242,10 +243,11 @@ def test_walk_and_doubling_agree_on_dense_random_runs():
         random_rows(m, forest, rng, 0.3)
         state = read_state(m)
         for target_row in (1, 0):
-            dbl = localize_mod.classify_by_doubling(m, state, target_row, min_run, "d")
+            ends = localize_mod._run_ends(state, target_row)
+            dbl = localize_mod.classify_by_doubling(m, state, ends, min_run, "d")
             assert dbl[4].sum() > 0
-            assert_same_classes(localize_mod.classify_by_walk(m, state, target_row, min_run, "w"),
-                                dbl)
+            assert_same_classes(
+                localize_mod.classify_by_walk(m, state, target_row, ends, min_run, "w"), dbl)
         assert m.engine.metrics().erew_violations == 0
 
 

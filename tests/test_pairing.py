@@ -93,9 +93,13 @@ def test_no_active_color2_after_pass():
 
 def test_two_node_path_forms_one_pair():
     m, state, col = machine_with_colors([[0, 1]], {0: 1, 1: 0})
-    pa = form_pairs(m, state, col)
+    form_pairs(m, state, col)
     assert m.peek("pair")[0] == 1 and m.peek("pair")[1] == 0
-    validate_pairs(m, pa)
+    validate_pairs(m, state)
+    # each member holds its partner's column and whether that partner
+    # is its successor
+    assert state.pcol[[0, 1]].tolist() == m.peek("col")[[1, 0]].tolist()
+    assert state.at_succ[[0, 1]].tolist() == [True, False]
 
 
 def test_larger_address_wins_contested_zero():
@@ -106,13 +110,14 @@ def test_larger_address_wins_contested_zero():
                                               {i: 0 for i in range(10)}
                                               | {10: 1, 11: 0, 12: 1})
     sel = np.isin(state.ids, (10, 11, 12))
-    pa = form_pairs(m, read_state(m, state.ids[sel]), col)
+    state = read_state(m, state.ids[sel])
+    form_pairs(m, state, col)
     assert m.peek("pair")[11] == 12          # larger address won
     assert m.peek("pair")[12] == 11
     assert m.peek("row")[10] == RETIRED      # loser absorbed into the pair
     assert m.log[-1].absorbed.tolist() == [10]
     assert m.log[-1].host.tolist() == [11]
-    validate_pairs(m, pa)
+    validate_pairs(m, state)
 
 
 def test_hundred_node_random_coloring_full_cover():
@@ -127,8 +132,8 @@ def test_hundred_node_random_coloring_full_cover():
         colors[v] = c
         prev = c
     m, state, col = machine_with_colors([list(range(n))], colors)
-    pa = form_pairs(m, state, col)
-    validate_pairs(m, pa)
+    form_pairs(m, state, col)
+    validate_pairs(m, state)
     live = m.active_ids()
     live = live[live < n]
     pair = m.peek("pair")[live]
@@ -139,7 +144,7 @@ def test_hundred_node_random_coloring_full_cover():
 
 def test_singleton_list_stays_unpaired_without_error():
     m, state, col = machine_with_colors([[0]], {0: 0})
-    pa = form_pairs(m, state, col)
+    form_pairs(m, state, col)
     assert m.peek("pair")[0] == NONE
     assert m.peek("row")[0] != RETIRED
 
@@ -163,13 +168,18 @@ def test_pairing_ignores_stale_scratch(seed):
         if stale:
             for st in (*INBOX, "pair"):
                 m.memory.poke(st, slice(None), rng.integers(0, n, size=m.peek(st).size))
-        runs.append((m, form_pairs(m, state, col)))
+        form_pairs(m, state, col)
+        runs.append((m, state))
     (m, clean), (dirty_m, dirty) = runs
-    for name in ("ids", "pair_of", "at_succ"):
-        assert np.array_equal(getattr(clean, name), getattr(dirty, name)), name
+    ids = clean.live()
+    assert np.array_equal(ids, dirty.live())
+    for name in ("pair", "pcol", "color", "at_succ"):
+        assert np.array_equal(getattr(clean, name)[ids], getattr(dirty, name)[ids]), name
     assert np.array_equal(m.peek("pair")[:n], dirty_m.peek("pair")[:n])
-    # the side bits name each partner's side in memory
-    paired = clean.pair_of != NONE
-    succ = m.peek("succ")[clean.ids[paired]]
-    assert np.array_equal(clean.at_succ[paired], succ == clean.pair_of[paired])
-    assert not clean.at_succ[~paired].any()
+    # the side bits name each partner's side in memory, and pcol its column
+    partner = clean.pair[ids]
+    paired = partner != NONE
+    succ = m.peek("succ")[ids[paired]]
+    assert np.array_equal(clean.at_succ[ids[paired]], succ == partner[paired])
+    assert not clean.at_succ[ids[~paired]].any()
+    assert np.array_equal(clean.pcol[ids[paired]], m.peek("col")[partner[paired]])

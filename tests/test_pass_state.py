@@ -1,25 +1,33 @@
 import importlib
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from listcontract import (Machine, PramConfig, Workload, generate, layout, list_rank,
+from listcontract import (Machine, Memory, PramConfig, Workload, generate, layout, list_rank,
                           sequential_rank)
 from listcontract import orientation, pairing
 from listcontract.orientation import PassReport, uniform_contraction_pass
 from listcontract.model import POOLED
 from listcontract.pram import NONE
 from listcontract.steps import PassState
-from conftest import forest_from_lists, list_order, read_state
+from conftest import (assert_pair_registers, forest_from_lists, list_order, odd_chain_forest,
+                      read_state)
 
 
 def assert_registers(machine, state, cut):
     """The live tasks are exactly the nodes in the array, and their
     registers equal what restricted_neighbors and peek("row") give,
-    without the links that cross rows once localization has cut them."""
+    without the links that cross rows once localization has cut them.
+    Once pairing has filled them, the pair registers equal memory too,
+    and after pairing the pass keeps no link register."""
     ids = state.live()
     assert np.array_equal(np.sort(ids), machine.in_array_ids())
+    if state.pair is not None:
+        assert_pair_registers(machine, state)
+    if state.sv is None:
+        return
     want = read_state(machine, ids)
     if cut:
         for nbr, row in ((want.sv, want.row_s), (want.pv, want.row_p)):
@@ -50,27 +58,87 @@ localize_mod = importlib.import_module("listcontract.localize")
 PHASES = ((orientation, "pool_short_lists"), (localize_mod, "_absorb_short_runs"),
           (orientation, "localize"), (localize_mod, "contract_batch"),
           (pairing, "eliminate_twos"), (pairing, "form_pairs"),
-          (pairing, "contract_batch"))
+          (pairing, "contract_batch"), (orientation, "opposite_pair_shortcut"),
+          (orientation, "enforce_uniformity"), (orientation, "contract_along_orientation"))
+
+# named inputs whose pass 0 runs the two-row phases, as (forest, layout
+# mode, min_run, p) and the phases that must run
+SHORTCUT_FOREST = dict(n=4096, num_lists=16, seed=3)   # ids in order, 1009 shortcut pairs
+GEO_ROWS_FOREST = dict(n=4096, num_lists=16, length_distribution="GEOMETRIC", seed=3,
+                       layout_shuffle=True)            # the uniformity step swaps
+NAMED_PASSES = {
+    "shortcut": (lambda: generate(Workload(**SHORTCUT_FOREST)), "rows", 8, 512,
+                 "opposite_pair_shortcut"),
+    "odd_chain": (odd_chain_forest, "columns", 100, 4, "enforce_uniformity"),
+    "geo_rows": (lambda: generate(Workload(**GEO_ROWS_FOREST)), "rows", 8, 512,
+                 "enforce_uniformity"),
+}
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**31), n=st.integers(2, 160), lists=st.integers(1, 6),
        mode=st.sampled_from(["columns", "rows"]), min_run=st.sampled_from([2, 8, 100]),
-       p=st.integers(1, 8))
-def test_registers_match_memory_after_every_phase(seed, n, lists, mode, min_run, p):
-    forest = generate(Workload(n=n, num_lists=min(lists, n), length_distribution="GEOMETRIC",
-                               seed=seed, layout_shuffle=True))
+       p=st.integers(1, 8), named=st.none())
+@example(seed=0, n=0, lists=0, mode="", min_run=0, p=0, named="shortcut")
+@example(seed=0, n=0, lists=0, mode="", min_run=0, p=0, named="odd_chain")
+@example(seed=0, n=0, lists=0, mode="", min_run=0, p=0, named="geo_rows")
+def test_registers_match_memory_after_every_phase(seed, n, lists, mode, min_run, p, named):
+    # a named input replaces the generated one
+    if named:
+        make, mode, min_run, p, phase = NAMED_PASSES[named]
+        forest = make()
+    else:
+        forest = generate(Workload(n=n, num_lists=min(lists, n),
+                                   length_distribution="GEOMETRIC", seed=seed,
+                                   layout_shuffle=True))
     m = Machine(forest, PramConfig(num_processors=p))
     layout(m, mode=mode)
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         for mod, name in PHASES:
             mp.setattr(mod, name, checked(getattr(mod, name), calls))
-        uniform_contraction_pass(m, min_run=min_run)
+        rep = uniform_contraction_pass(m, min_run=min_run)
     # a pass that pools every list stops after the pool
     assert calls[0] == "pool_short_lists"
     assert "form_pairs" in calls or m.in_array_ids().size == 0
+    assert ("form_pairs" in calls) == (calls[-1] == "contract_along_orientation")
+    if named:
+        assert phase in calls
+        assert rep.shortcut_pairs == (1009 if named == "shortcut" else 0)
+        assert rep.odd_cycles == (named == "odd_chain")
     assert m.engine.metrics().erew_violations == 0
+
+
+# the stores that hold a node's facts, and each function outside the
+# engine that may peek one during a ranking call, with its store: the
+# task-set scans, the pack's bottom-row guard and the report's in_bottom
+CORE_STORES = {"succ", "pred", "row", "col", "pair", "color", "slot"}
+PEEKERS = {("active_ids", "row"), ("in_array_ids", "row"),
+           ("contract_along_orientation", "row"), ("uniform_contraction_pass", "row")}
+
+
+def test_pipeline_peeks_no_core_store_outside_the_engine(monkeypatch):
+    # every fact the plan uses between the layout and the replay comes
+    # from a metered step or from the pass registers
+    peek = Memory.peek
+    seen = set()
+
+    def audited(memory, name):
+        caller = sys._getframe(1)
+        if caller.f_code is Machine.peek.__code__:
+            caller = caller.f_back
+        if name in CORE_STORES and caller.f_globals["__name__"] != "listcontract.pram":
+            seen.add((caller.f_code.co_name, name))
+        return peek(memory, name)
+
+    monkeypatch.setattr(Memory, "peek", audited)
+    for make, mode, min_run, p, _ in NAMED_PASSES.values():
+        forest = make()
+        run = list_rank(forest, p=p, min_run=min_run, layout_mode=mode)
+        assert run.result.same_as(sequential_rank(forest))
+        assert run.metrics.erew_violations == 0
+    assert seen <= PEEKERS, seen - PEEKERS
+    assert ("contract_along_orientation", "row") in seen
 
 
 @pytest.mark.parametrize("mode", ["columns", "rows"])

@@ -15,7 +15,7 @@ from listcontract.steps import pool_nodes
 from listcontract.uniform import (both_columns, color_and_pair, enforce_uniformity,
                                   opposite_pair_shortcut, publish_mailboxes)
 from conftest import (check_inverse, enumerated_states, marked_pairs, odd_chain_forest,
-                      pair_sides, paired_state, path_forest, place, read_both, read_state,
+                      pair_state, paired_state, path_forest, place, read_both, read_state,
                       snapshot, states_equal, validate_pairs)
 
 
@@ -34,8 +34,9 @@ def step_rounds(machine, suffix):
 def test_row_pipeline_pairs_all_bottom_nodes():
     m = Machine(path_forest(8), PramConfig(num_processors=8))
     place(m, {v: (1, v) for v in range(8)})
-    coloring, pairs = color_and_pair(m, read_state(m))
-    validate_pairs(m, pairs)
+    state = read_state(m)
+    color_and_pair(m, state)
+    validate_pairs(m, state)
     live = m.in_array_ids()
     assert (m.peek("pair")[live] != NONE).all()
 
@@ -43,8 +44,9 @@ def test_row_pipeline_pairs_all_bottom_nodes():
 def test_row_pipeline_single_pair_idempotent_shape():
     m = Machine(path_forest(2), PramConfig(num_processors=4))
     place(m, {0: (1, 0), 1: (1, 1)})
-    _, pairs = color_and_pair(m, read_state(m))
-    assert pairs.ids.size == 2
+    state = read_state(m)
+    color_and_pair(m, state)
+    assert state.live().size == 2
     assert m.peek("pair")[0] == 1
 
 
@@ -55,12 +57,13 @@ def test_row_pipelines_independent_rows():
     # first, in the registers, as localization does
     state = read_state(m)
     state.sv[3] = state.row_s[3] = state.pv[4] = state.row_p[4] = NONE
-    _, pairs = color_and_pair(m, state)
-    validate_pairs(m, pairs)
+    color_and_pair(m, state)
+    validate_pairs(m, state)
     # both rows in one call: every node paired, no pair crosses the cut
-    pair = m.peek("pair")[pairs.ids]
+    ids = state.live()
+    pair = m.peek("pair")[ids]
     assert (pair != NONE).all()
-    assert ((pairs.ids <= 3) == (pair <= 3)).all()
+    assert ((ids <= 3) == (pair <= 3)).all()
 
 
 # -- opposite_pair_shortcut ---------------------------------------------------
@@ -76,7 +79,7 @@ def aligned_stack(c1=4, c2=5):
 def test_shortcut_consumes_aligned_stack():
     m, pairs = aligned_stack()
     both = read_both(m)
-    consumed = opposite_pair_shortcut(m, pair_sides(m), both)
+    consumed = opposite_pair_shortcut(m, pair_state(m), both)
     assert consumed == 1
     assert both.cols.size == 0          # the stack's columns leave both
     b0, b1 = pairs[(1, 0)]
@@ -98,7 +101,7 @@ def test_shortcut_noop_without_top_pair():
         top=[((5, 6), (1, 0))],   # offset by one: not aligned
         columns=8,
     )
-    assert opposite_pair_shortcut(m, pair_sides(m), read_both(m)) == 0
+    assert opposite_pair_shortcut(m, pair_state(m), read_both(m)) == 0
     assert m.in_array_ids().size == 4
 
 
@@ -112,7 +115,7 @@ def test_shortcut_from_the_top_row_merges_stacks_in_bottom_leader_order():
         top=[((0, 1), (1, 0)), ((2, 3), (1, 0)), ((4, 6), (0, 1)), ((5, 7), (0, 1))],
         columns=8,
     )
-    assert opposite_pair_shortcut(m, pair_sides(m), read_both(m)) == 2
+    assert opposite_pair_shortcut(m, pair_state(m), read_both(m)) == 2
     assert m.engine.metrics().phase_work["shortcut/rd_pair"] == 2
     # the bottom merge hosts the 1-colored members: pair 0 (columns 2,
     # 3) has the smaller leader id, though pair 1 has the smaller column
@@ -122,13 +125,13 @@ def test_shortcut_from_the_top_row_merges_stacks_in_bottom_leader_order():
 def test_aligned_stack_left_for_uniformity_is_refused():
     m, _ = aligned_stack()
     with pytest.raises(UncoveredCaseError):
-        enforce_uniformity(m, pair_sides(m), read_both(m))
+        enforce_uniformity(m, pair_state(m), read_both(m))
 
 
 def test_shortcut_weight_conservation():
     m, pairs = aligned_stack()
     total = int(m.peek("weight")[m.active_ids()].sum())
-    opposite_pair_shortcut(m, pair_sides(m), read_both(m))
+    opposite_pair_shortcut(m, pair_state(m), read_both(m))
     assert int(m.peek("weight")[m.active_ids()].sum()) == total
 
 
@@ -159,7 +162,7 @@ def c_configuration():
 
 def test_s_and_c_configurations_take_one_swap_batch():
     for m, _ in (s_configuration(), c_configuration()):
-        assert enforce_uniformity(m, pair_sides(m), read_both(m)) == 0
+        assert enforce_uniformity(m, pair_state(m), read_both(m)) == 0
         assert not marked_pairs(m)
         assert len(step_rounds(m, "/swap_wr")) == 1
         assert not m.log and not step_rounds(m, "/move_wr")
@@ -184,7 +187,8 @@ def test_odd_closed_chain_is_shortened_once(k, seed):
     m, _ = closed_chain(k, seed)
     pre_weight = int(m.peek("weight")[m.active_ids()].sum())
     both = read_both(m)
-    assert enforce_uniformity(m, pair_sides(m), both) == 1
+    state = pair_state(m)
+    assert enforce_uniformity(m, state, both) == 1
     assert all(m.memory.has(st) for st in SWEEP_STORES)
     assert len(m.log) == 1 and m.log[0].absorbed.size == 1
     assert list(step_rounds(m, "/move_wr").values()) == [1]
@@ -192,7 +196,7 @@ def test_odd_closed_chain_is_shortened_once(k, seed):
     assert not marked_pairs(m)
     # the shortening kept the column set current: one column less
     assert np.array_equal(both.cols, read_both(m).cols) and both.cols.size == 2 * k - 1
-    contract_along_orientation(m, derive_orientation(m, both), pair_sides(m))
+    contract_along_orientation(m, derive_orientation(m, state, both), state)
     survivors = m.in_array_ids()
     assert (m.peek("row")[survivors] == 1).all()
     assert int(m.peek("weight")[m.active_ids()].sum()) == pre_weight
@@ -204,12 +208,13 @@ def checked_merges(seen):
     otherwise its predecessor is. Appends each merge's phase."""
     merge = uniform.merge_pairs
 
-    def run(machine, absorbed, host, at_succ, phase):
+    def run(machine, absorbed, host, state, phase):
         succ, pred = machine.peek("succ")[absorbed], machine.peek("pred")[absorbed]
-        assert np.array_equal(at_succ[absorbed], succ == host), phase
-        assert np.array_equal(np.where(at_succ[absorbed], succ, pred), host), phase
+        at_succ = state.at_succ[absorbed]
+        assert np.array_equal(at_succ, succ == host), phase
+        assert np.array_equal(np.where(at_succ, succ, pred), host), phase
         seen.append(phase)
-        merge(machine, absorbed, host, at_succ, phase)
+        merge(machine, absorbed, host, state, phase)
     return run
 
 
@@ -222,7 +227,7 @@ def test_odd_chain_merge_takes_its_sides_from_the_register(k, seed, monkeypatch)
     m, _ = closed_chain(k, seed)
     seen = []
     monkeypatch.setattr(uniform, "merge_pairs", checked_merges(seen))
-    assert enforce_uniformity(m, pair_sides(m), read_both(m)) == 1
+    assert enforce_uniformity(m, pair_state(m), read_both(m)) == 1
     assert seen == ["uniform/odd"]
 
 
@@ -250,7 +255,7 @@ def test_side_register_matches_memory_at_every_merge(seed, n, lists, mode, min_r
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_even_closed_chain_takes_swaps_only(k, seed):
     m, _ = closed_chain(k, seed)
-    assert enforce_uniformity(m, pair_sides(m), read_both(m)) == 0
+    assert enforce_uniformity(m, pair_state(m), read_both(m)) == 0
     assert not m.log and not step_rounds(m, "/move_wr")
     assert not marked_pairs(m)
 
@@ -297,7 +302,7 @@ def test_sweep_doubling_runs_only_the_closed_chain_once_open_chains_finish(seed)
     m, _ = closed_chain(k, seed, bottom=[((o, o + 1), (0, 1)), ((o + 2, o + 3), (1, 0))],
                         top=[((o + 1, o + 2), (1, 0))], columns=4)
     assert marked_pairs(m)
-    assert enforce_uniformity(m, pair_sides(m), read_both(m)) == 0
+    assert enforce_uniformity(m, pair_state(m), read_both(m)) == 0
     assert not marked_pairs(m)
     d = [(r.label.rsplit("/", 1)[1], r.tasks) for r in m.engine.trace if "/plan/d/" in r.label]
     limit = int(np.ceil(np.log2(4 * k + 4)))
@@ -338,7 +343,7 @@ def test_matched_pairs_are_left_alone():
         columns=4,
     )
     before = snapshot(m)
-    assert enforce_uniformity(m, pair_sides(m), read_both(m)) == 0
+    assert enforce_uniformity(m, pair_state(m), read_both(m)) == 0
     assert states_equal(before, snapshot(m))
     assert not m.log and not step_rounds(m, "/swap_wr")
     # nothing marked: the sweep's doubling stores are never allocated
@@ -354,7 +359,7 @@ def test_chain_case_clears_long_mismatch_runs():
     top.append(((0, 2 * k), (0, 1)))        # endpoints pair off-chain
     top.append(((2 * k - 1, 2 * k + 1), (1, 0)))
     m, pairs = paired_state(bottom=bottom, top=top, columns=2 * k + 2)
-    enforce_uniformity(m, pair_sides(m), read_both(m))
+    enforce_uniformity(m, pair_state(m), read_both(m))
     assert not marked_pairs(m)
 
 
@@ -364,7 +369,7 @@ def test_mismatched_bottoms_under_matched_tops_cleared_in_one_call():
         top=[((0, 1), (0, 1)), ((2, 3), (1, 0)), ((4, 5), (0, 1))],
         columns=6,
     )
-    enforce_uniformity(m, pair_sides(m), read_both(m))
+    enforce_uniformity(m, pair_state(m), read_both(m))
     assert not marked_pairs(m)
 
 
@@ -384,7 +389,7 @@ def test_orientation_keys_full_period():
     m, pairs = full_period_state()
     both = read_both(m)
     publish_mailboxes(m, both, "setup")
-    plan = derive_orientation(m, both)
+    plan = derive_orientation(m, pair_state(m), both)
     assert plan.key[:4].tolist() == [0, 1, 3, 2]
 
 
@@ -396,7 +401,7 @@ def test_orientation_reversed_pattern_is_backward():
     )
     both = read_both(m)
     publish_mailboxes(m, both, "setup")
-    plan = derive_orientation(m, both)
+    plan = derive_orientation(m, pair_state(m), both)
     assert plan.key[:4].tolist() == [2, 3, 1, 0]
 
 
@@ -406,22 +411,23 @@ def test_single_row_pairs_claim_their_zero_colored_column(row):
     # mailbox, and each pair claims its 0-colored member's column
     pairs = [((0, 1), (1, 0)), ((2, 5), (0, 1)), ((4, 3), (0, 1))]
     m, nodes = paired_state(bottom=pairs if row else [], top=[] if row else pairs, columns=6)
-    plan = derive_orientation(m, read_both(m))
+    plan = derive_orientation(m, pair_state(m), read_both(m))
     assert not m.engine.metrics().phase_breakdown
     assert (plan.key == NONE).all()
     claimed = dict(zip(plan.survivors.tolist(), plan.columns.tolist()))
     zero_cols = {nodes[(row, i)][colors.index(0)]: cols[colors.index(0)]
                  for i, (cols, colors) in enumerate(pairs)}
     assert claimed == zero_cols
-    assert (plan.from_top == (row == 0)).all()
+    assert (m.peek("row")[plan.survivors] == row).all()
 
 
 def test_contract_along_orientation_packs_full_period():
     m, pairs = full_period_state()
     both = read_both(m)
     publish_mailboxes(m, both, "setup")
-    plan = derive_orientation(m, both)
-    contract_along_orientation(m, plan, pair_sides(m))
+    state = pair_state(m)
+    plan = derive_orientation(m, state, both)
+    contract_along_orientation(m, plan, state)
     survivors = m.in_array_ids()
     assert survivors.size == 4           # each pair merged once
     assert (m.peek("row")[survivors] == 1).all()
@@ -433,12 +439,13 @@ def test_contract_along_orientation_packs_full_period():
 def test_aligned_shortcut_survivors_left_untouched_by_packing():
     m, pairs = aligned_stack()
     both = read_both(m)
-    opposite_pair_shortcut(m, pair_sides(m), both)
+    state = pair_state(m)
+    opposite_pair_shortcut(m, state, both)
     publish_mailboxes(m, both, "setup")
     before = {int(v): (int(m.peek("row")[v]), int(m.peek("col")[v]))
               for v in m.in_array_ids()}
-    plan = derive_orientation(m, both)
-    contract_along_orientation(m, plan, pair_sides(m))
+    plan = derive_orientation(m, state, both)
+    contract_along_orientation(m, plan, state)
     after = {int(v): (int(m.peek("row")[v]), int(m.peek("col")[v]))
              for v in m.in_array_ids()}
     assert before == after
@@ -461,8 +468,9 @@ def test_fold_halves_columns_and_keeps_inverse():
     m, pairs = full_period_state()
     both = read_both(m)
     publish_mailboxes(m, both, "setup")
-    plan = derive_orientation(m, both)
-    contract_along_orientation(m, plan, pair_sides(m))
+    state = pair_state(m)
+    plan = derive_orientation(m, state, both)
+    contract_along_orientation(m, plan, state)
     fold_array(m, plan.survivors, plan.columns)
     assert m.columns == 2
     check_inverse(m)
@@ -492,11 +500,12 @@ def test_random_geometry_uniformity_and_packing(seed):
     m, _ = random_two_row_state(rng)
     pre_weight = int(m.peek("weight")[m.active_ids()].sum())
     both = read_both(m)
-    opposite_pair_shortcut(m, pair_sides(m), both)
-    enforce_uniformity(m, pair_sides(m), both)
+    state = pair_state(m)
+    opposite_pair_shortcut(m, state, both)
+    enforce_uniformity(m, state, both)
     assert not marked_pairs(m)
-    plan = derive_orientation(m, both)
-    contract_along_orientation(m, plan, pair_sides(m))
+    plan = derive_orientation(m, state, both)
+    contract_along_orientation(m, plan, state)
     survivors = m.in_array_ids()
     if survivors.size:
         assert (m.peek("row")[survivors] == 1).all()
@@ -564,9 +573,10 @@ def test_swaps_keep_mailboxes_equal_to_a_fresh_publish():
         reads = []
         with checked_mailbox_reads(reads):
             both = read_both(m)
-            opposite_pair_shortcut(m, pair_sides(m), both)
-            enforce_uniformity(m, pair_sides(m), both)
-            derive_orientation(m, both)
+            state = pair_state(m)
+            opposite_pair_shortcut(m, state, both)
+            enforce_uniformity(m, state, both)
+            derive_orientation(m, state, both)
         if step_rounds(m, "/swap_wr"):
             swapped += 1
             assert reads[-1] == "orient/keys"
@@ -594,9 +604,9 @@ def test_every_uniformity_publish_matches_the_grid(monkeypatch):
     monkeypatch.setattr(uniform, "publish_mailboxes", checked_publish(calls))
     with checked_mailbox_reads(reads):
         for m, _ in uniformity_states():
-            both = read_both(m)
-            opposite_pair_shortcut(m, pair_sides(m), both)
-            enforce_uniformity(m, pair_sides(m), both)
+            both, state = read_both(m), pair_state(m)
+            opposite_pair_shortcut(m, state, both)
+            enforce_uniformity(m, state, both)
     replans = [stale for phase, stale in calls if phase.endswith("/replan")]
     assert len(replans) > 10 and sum(replans) > 0
 
@@ -629,15 +639,17 @@ def test_stale_mailbox_cells_outside_the_both_columns_are_never_read():
     assert not np.isin([6, 7], both.cols).any()
     assert stale_cells(m) == 2
     reads = []
+    state = pair_state(m)
     with checked_mailbox_reads(reads):
-        enforce_uniformity(m, pair_sides(m), both)
-        plan = derive_orientation(m, both)
+        enforce_uniformity(m, state, both)
+        plan = derive_orientation(m, state, both)
     assert reads and not marked_pairs(m)
     # the run matches the same state that no earlier publish touched
     ref, _ = s_configuration()
     ref_both = read_both(ref)
-    enforce_uniformity(ref, pair_sides(ref), ref_both)
-    assert np.array_equal(plan.key, derive_orientation(ref, ref_both).key)
+    ref_state = pair_state(ref)
+    enforce_uniformity(ref, ref_state, ref_both)
+    assert np.array_equal(plan.key, derive_orientation(ref, ref_state, ref_both).key)
     grids = [machine.grid() for machine in (m, ref)]
     colors = [np.where(g != NONE, machine.peek("color")[g], NONE)
               for g, machine in zip(grids, (m, ref))]
@@ -650,7 +662,7 @@ def test_marked_pair_raises_uncovered_case_with_snapshot():
     both = read_both(m)
     publish_mailboxes(m, both, "setup")
     with pytest.raises(UncoveredCaseError) as exc:
-        derive_orientation(m, both)
+        derive_orientation(m, pair_state(m), both)
     assert set(exc.value.snapshot) == {"target_row", "reference_row", "columns_lo",
                                        "columns_hi", "grid", "colors"}
     # the first row with a marked pair is reported, all of its marks
@@ -675,4 +687,4 @@ def test_unclaimed_pair_that_is_not_marked_raises_orientation_error():
     publish_mailboxes(m, both, "setup")
     assert not marked_pairs(m)
     with pytest.raises(OrientationError, match="no forward column"):
-        derive_orientation(m, both)
+        derive_orientation(m, pair_state(m), both)

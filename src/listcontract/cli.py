@@ -98,7 +98,7 @@ def run_report(forest, algo, p, verify=False):
         result = sequential_rank(forest)
         report.update(rounds=n, total_work=n, erew_violations=0,
                       passes=0, degraded_passes=0, survivor_counts=[],
-                      jump_rounds=0)
+                      stopped_by=None, jump_rounds=0)
     else:
         if algo == "uniform":
             run = list_rank(forest, p=p)
@@ -114,7 +114,7 @@ def run_report(forest, algo, p, verify=False):
                       passes=len(run.passes),
                       degraded_passes=sum(r.degraded for r in run.passes),
                       survivor_counts=[r.survivors for r in run.passes],
-                      jump_rounds=run.jump_rounds)
+                      stopped_by=run.stopped_by, jump_rounds=run.jump_rounds)
     report["wall_seconds"] = round(time.perf_counter() - t0, 6)
     if verify:
         oracle = sequential_rank(forest)

@@ -10,16 +10,17 @@ measurements from the same functions against these within +-10%.
 PASS_OVER_COLORING_K = {10: 3.0714, 12: 3.0714, 14: 3.0714, 16: 3.0714, 18: 3.0714}
 
 # list_rank rounds, l = 64 fixed, p = n / 6, n = 2**e
-FIXED_L_ROUNDS = {12: 69, 13: 69, 14: 69, 15: 69, 16: 69, 17: 69, 18: 69}
+FIXED_L_ROUNDS = {12: 61, 13: 61, 14: 61, 15: 61, 16: 61, 17: 61, 18: 61}
 
 # list_rank rounds, single list of length n = 2**e, p = n / 6
-SINGLE_LIST_ROUNDS = {12: 86, 14: 88, 16: 90, 18: 103}
+SINGLE_LIST_ROUNDS = {12: 73, 14: 77, 16: 79, 18: 81}
 
 # total_work(wyllie) / total_work(list_rank), n = 2**16, lists of length l
-WORK_RATIO = {4: 0.3929, 16: 0.6325, 64: 0.7653, 256: 0.971}
+WORK_RATIO = {4: 0.3929, 16: 0.6325, 64: 0.8531, 256: 1.045}
 
 # the work-advantage threshold at l = 256 is recorded, not asserted
-# against a theoretical target: per-step accounting puts the
-# contraction pipeline's work near pointer jumping's at l = 256 and
-# desk scales, and the ratio is held to its recorded value, not to 1
+# against a theoretical target: with contraction stopped once a pass
+# costs more rounds than the jumping it saves, the pipeline does less
+# work than pointer jumping at l = 256 (a ratio above 1), and the ratio
+# is held to its recorded value within +-10%
 WORK_RATIO_AT_256 = WORK_RATIO[256]

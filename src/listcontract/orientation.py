@@ -210,12 +210,11 @@ class PassReport:
     shortcut_pairs: int
     odd_cycles: int                  # odd closed chains the uniformity step shortened
     survivors_in_bottom_row: bool
-    halved: bool
 
     @property
     def degraded(self):
         """Whether the pass left more than half of its nodes; the
-        columns halve on every pass, so halved does not show it."""
+        columns halve on every pass, so they do not show it."""
         return 2 * self.survivors > self.pre_active
 
 
@@ -238,7 +237,7 @@ def uniform_contraction_pass(machine: Machine, min_run=MIN_RUN, phase="pass") ->
     pooled, state = pool_short_lists(machine, phase=f"{phase}/pool")
     pre_active = state.ids.size
     if pre_active == 0:
-        return PassReport(0, pooled, 0, cols_before, cols_before, 0, 0, True, True)
+        return PassReport(0, pooled, 0, cols_before, cols_before, 0, 0, True)
     pooled += localize(machine, state, min_run=min_run, phase=f"{phase}/localize")
     color_and_pair(machine, state, phase=f"{phase}/rows")
     # the merges take their sides from at_succ: no phase reads a link
@@ -259,5 +258,4 @@ def uniform_contraction_pass(machine: Machine, min_run=MIN_RUN, phase="pass") ->
         columns_before=cols_before, columns_after=machine.columns,
         shortcut_pairs=shortcut, odd_cycles=odd_cycles,
         survivors_in_bottom_row=in_bottom,
-        halved=machine.columns <= -(-cols_before // 2),
     )

@@ -1,14 +1,16 @@
 """End-to-end list ranking pipelines and the rank-recovery replay.
 
-list_rank contracts with repeated uniform passes until the active
-count crosses the pointer-jumping threshold, ranks the survivors by
-weighted pointer jumping, then replays the contraction log backward to
-assign every original node its rank. wyllie_rank and sequential_rank
-are the baselines the pipeline is checked against.
+list_rank contracts with uniform passes until the active count crosses
+the pointer-jumping threshold, or until the next pass is priced dearer
+than the jumping it saves, ranks the survivors by weighted pointer
+jumping, then replays the contraction log backward to assign every
+original node its rank. wyllie_rank and sequential_rank are the
+baselines the pipeline is checked against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +45,7 @@ class RankRun:
     metrics: object
     passes: list = field(default_factory=list)
     jump_rounds: int = 0
+    stopped_by: str = None    # why contraction stopped, as contract_to_threshold says
 
     @property
     def trace(self):
@@ -96,26 +99,69 @@ def pointer_jump(machine: Machine, phase="jump"):
     return ids, d - w, head, rounds
 
 
+def jump_price(x, l, n, p):
+    """Rounds of pointer jumping over x of the n nodes, l the longest
+    list: a uniform pass shrinks every list by the same factor, so the
+    longest then has about l x / n nodes, and the jump takes ceil(log2)
+    of that in rounds plus its init step, each of ceil(x / p) rounds."""
+    return (math.ceil(math.log2(max(1.0, l * x / n))) + 1) * math.ceil(x / p)
+
+
+def pass_price(records, active, before, p):
+    """Rounds of the next pass over active nodes, priced from the step
+    records of the previous one, which started with before of them:
+    every step's tasks scale by active / before."""
+    tasks = (-(-r.tasks * active // before) for r in records)
+    return sum(-(-t // p) for t in tasks)
+
+
 def contract_to_threshold(machine: Machine, threshold=None, max_passes=64,
                           min_run=MIN_RUN, phase="contract"):
     """Repeat uniform contraction passes until the active count is at
-    or below the threshold (default n / ceil(log2 l)). min_run must be
-    at least 2, so that localization leaves every node a link."""
+    or below the threshold. min_run must be at least 2, so that
+    localization leaves every node a link.
+
+    The default threshold, the paper's n / ceil(log2 l), is a ceiling:
+    after the first pass, the next one runs only while its price, the
+    previous pass's step records scaled to the nodes now active, plus
+    jumping over the nodes it would leave, is below jumping over the
+    nodes now active. A pass that kept a fraction s of its nodes is
+    expected to keep s of the next one's too. An explicit threshold
+    contracts until at or below it, whatever the price.
+
+    Returns the pass reports and why contraction stopped: "threshold"
+    (the active count is at or below it), "priced" (the next pass costs
+    more rounds than it saves) or "stalled" (the last pass neither
+    contracted nor pooled a node, no node is left in the array, or
+    max_passes ran out)."""
     check_min_run(min_run)
-    if threshold is None:
-        l = machine.forest.longest()
+    forest = machine.forest
+    priced = threshold is None
+    if priced:
+        l = forest.longest()
         denom = max(1, int(np.ceil(np.log2(l)))) if l >= 2 else 1
-        threshold = machine.forest.n / denom
-    reports = []
+        threshold = forest.n / denom
+    p = machine.engine.config.num_processors
+    trace = machine.engine.trace
+    reports, last, before = [], [], 0
     for i in range(max_passes):
         active = machine.active_ids().size
-        if active <= threshold or machine.in_array_ids().size == 0:
-            break
+        if active <= threshold:
+            return reports, "threshold"
+        if machine.in_array_ids().size == 0:
+            return reports, "stalled"
+        if priced and last:
+            kept = active * active / before
+            if (pass_price(last, active, before, p) + jump_price(kept, l, forest.n, p)
+                    >= jump_price(active, l, forest.n, p)):
+                return reports, "priced"
+        start = len(trace)
         rep = uniform_contraction_pass(machine, min_run=min_run, phase=f"{phase}/p{i}")
         reports.append(rep)
+        last, before = trace[start:], active
         if rep.survivors >= rep.pre_active and rep.pooled == 0:
-            break
-    return reports
+            return reports, "stalled"
+    return reports, "stalled"
 
 
 def replay_groups(log, n):
@@ -179,7 +225,7 @@ def list_rank(forest: LinkedForest, p=1, *, min_run=MIN_RUN,
     machine = Machine(forest, PramConfig(num_processors=p))
     run = RankRun(result=None, metrics=None)
     layout(machine, mode=layout_mode)
-    run.passes = contract_to_threshold(machine, min_run=min_run)
+    run.passes, run.stopped_by = contract_to_threshold(machine, min_run=min_run)
     ids, before, head, rounds = pointer_jump(machine)
     run.jump_rounds = rounds
     run.result = replay_ranks(machine, ids, before, head)

@@ -41,14 +41,14 @@ Everything runs as checked engine steps; all cross-pair information
 flows through the slot array and two cell mailboxes beside it, the
 color of each cell's node (mb_color) and its partner's column
 (mb_pcol), so no cell is ever read twice in one step. The step
-publishes the mailboxes of the both columns when it starts, and again
-only after shortening odd chains, and plans from the colors, partners
-and partner columns that the publish read. Each swap patches the
-colors of its own two cells, so they stay current for the orientation
-keys, which are the check that the step left no pair marked. A
-mailbox cell outside the both columns may still hold what an earlier
-pass wrote there, so no step reads one: such a cell is known to be
-vacant.
+publishes the mailboxes of the both columns from the pass registers
+when it starts, and again only after shortening odd chains, and plans
+from the colors, partners and partner columns it published. Each swap
+patches the colors of its own two cells, so they stay current for the
+orientation keys, which are the check that the step left no pair
+marked. A mailbox cell outside the both columns may still hold what an
+earlier pass wrote there, so no step reads one: such a cell is known
+to be vacant.
 """
 
 from __future__ import annotations
@@ -115,28 +115,24 @@ def both_columns(machine: Machine, ids, rows, col, phase):
 
 # -- cell mailboxes -----------------------------------------------------
 
-def publish_mailboxes(machine: Machine, both: BothColumns, phase):
+def publish_mailboxes(machine: Machine, state: PassState, both: BothColumns, phase):
     """Write the color of each both-column cell's node into mb_color
     and the column of its partner into mb_pcol, NONE at a missing
-    partner. Two steps of one task per both column: read the column's
-    two nodes' color and pair, then the partners' col, and write both
-    cells. Each task owns its column, so every access is exclusive.
-    The nodes come from both, so no step reads a slot; the cells of the
-    other columns keep whatever they held. Returns what the tasks read,
+    partner, in one step of one task per both column, which reads
+    nothing: the column's two nodes, from both, hold their color and
+    partner column in the pass registers state. Each task owns its
+    column, so every access is exclusive; the cells of the other
+    columns keep whatever they held. Returns what the tasks published,
     each indexed [row, position in both]: the color of each cell's
     node, its partner and the partner's column."""
-    eng = machine.engine
     for st in ("mb_color", "mb_pcol"):
         scratch(machine, st, machine.memory.size("slot"))
-    cells = [machine.cell(r, both.cols) for r in (0, 1)]
-    with eng.step(f"{phase}/mb_self", both.cols.size) as s:
-        color = np.array([s.read("color", v) for v in both.node])
-        partner = np.array([s.read("pair", v) for v in both.node])
-    with eng.step(f"{phase}/mb_pub", both.cols.size) as s:
-        pcol = np.array([s.read("col", v) for v in partner])
-        for c, w, pc in zip(cells, color, pcol):
-            s.write("mb_color", c, w)
-            s.write("mb_pcol", c, pc)
+    color, partner, pcol = state.color[both.node], state.pair[both.node], state.pcol[both.node]
+    with machine.engine.step(f"{phase}/mb_pub", both.cols.size) as s:
+        for r in (0, 1):
+            cells = machine.cell(r, both.cols)
+            s.write("mb_color", cells, color[r])
+            s.write("mb_pcol", cells, pcol[r])
     return color, partner, pcol
 
 
@@ -158,18 +154,16 @@ def enforce_uniformity(machine: Machine, state: PassState, both: BothColumns,
     """
     if both.cols.size == 0:
         return 0
-    plan = _plan_swaps(machine, both, publish_mailboxes(machine, both, phase), f"{phase}/plan")
+    published = publish_mailboxes(machine, state, both, phase)
+    plan = _plan_swaps(machine, both, published, f"{phase}/plan")
     if plan is None:
         return 0
     odd = plan["odd_cols"].size
     if odd:
         _shorten_odd_chains(machine, plan, state, both, f"{phase}/odd")
         replan = f"{phase}/replan"
-        published = publish_mailboxes(machine, both, replan)
-        # the moved tops' partners learn their partner's new column from
-        # the reads of the publish, which covers every both-column node
-        state.pcol[both.node] = published[2]
-        plan = _plan_swaps(machine, both, published, replan)
+        plan = _plan_swaps(machine, both, publish_mailboxes(machine, state, both, replan),
+                           replan)
     if plan is not None:
         swap_positions(machine, plan["swap_a"], plan["swap_b"], state, f"{phase}/swap")
     return odd
@@ -177,7 +171,7 @@ def enforce_uniformity(machine: Machine, state: PassState, both: BothColumns,
 
 def _plan_swaps(machine, both, published, phase):
     """Pick the pairs to swap and the odd chains to shorten, from what
-    publish_mailboxes read and returned (published).
+    publish_mailboxes published and returned (published).
 
     State 2c + r stands for both column c leaving along its row-r pair;
     its predecessor is the state that arrives at c along c's other-row
@@ -312,6 +306,11 @@ def _shorten_odd_chains(machine, plan, state, both, phase):
     merge_pairs(machine, plan["odd_a"], plan["odd_b"], state, phase)
     exempt(machine, plan["odd_b"], state, phase)
     move_nodes(machine, top_cc, cell_cc, machine.cell(0, plan["odd_cols"]), phase, state)
+    # the moved tops' partners, both-column nodes of the chain, read
+    # their partner's new column for the replan publish
+    mates = state.pair[top_cc]
+    with eng.step(f"{phase}/pcol", k) as s:
+        state.pcol[mates] = s.read("col", top_cc)
     both.drop(cc)
     both.node[0, both.at(plan["odd_cols"])] = top_cc
 
@@ -320,18 +319,17 @@ def swap_positions(machine: Machine, nodes_a, nodes_b, state: PassState, phase):
     """Exchange the cells of the two members of each pair (a[i], b[i]),
     which share a row, and the mb_color entries of those two cells; the
     cells' mb_pcol entries stay, since each member's partner is the
-    other one. The col and pcol registers of a and b swap with them."""
+    other one. The rows, columns and colors come from the pass
+    registers in state, so the step reads nothing; the col and pcol
+    registers of a and b swap with the cells."""
     a = np.asarray(nodes_a, dtype=np.int64)
     b = np.asarray(nodes_b, dtype=np.int64)
     if a.size == 0:
         return
-    eng = machine.engine
-    with eng.step(f"{phase}/swap_rd", a.size) as s:
-        row = s.read("row", a)
-        ca, cb = s.read("col", a), s.read("col", b)
-        wa, wb = s.read("color", a), s.read("color", b)
+    row, ca, cb = state.row[a], state.col[a], state.col[b]
+    wa, wb = state.color[a], state.color[b]
     cell_a, cell_b = machine.cell(row, ca), machine.cell(row, cb)
-    with eng.step(f"{phase}/swap_wr", a.size) as s:
+    with machine.engine.step(f"{phase}/swap_wr", a.size) as s:
         s.write("slot", cell_a, b)
         s.write("slot", cell_b, a)
         s.write("col", a, cb)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from listcontract import LinkedForest, Machine, PramConfig, sequential_rank
+from listcontract import (LinkedForest, Machine, PramConfig, contract_to_threshold, layout,
+                          pointer_jump, ranking, sequential_rank)
+from listcontract.localize import MIN_RUN
 from listcontract.pram import NONE
 from listcontract.steps import PassState, restricted_neighbors
 from listcontract.uniform import both_columns
@@ -28,6 +30,17 @@ def odd_chain_forest():
     chain with an odd number of top pairs, which the uniformity step
     must shorten before it can swap."""
     return forest_from_lists([[12, 2, 0, 10, 4, 6, 8], [1, 13, 9, 3, 5, 7, 11]])
+
+
+def contract_fully(f, p, min_run=MIN_RUN, layout_mode="columns", max_passes=64):
+    """list_rank with every pass contraction can make, up to
+    max_passes: contract with threshold 0, then jump and replay.
+    Returns the machine, the pass reports and the ranks."""
+    m = Machine(f, PramConfig(num_processors=p))
+    layout(m, mode=layout_mode)
+    reports, _ = contract_to_threshold(m, threshold=0, max_passes=max_passes, min_run=min_run)
+    ids, before, head, _ = pointer_jump(m)
+    return m, reports, ranking.replay_ranks(m, ids, before, head)
 
 
 def list_order(forest):

@@ -142,17 +142,32 @@ def test_run_reports_no_degraded_pass_on_fixed_forest(tmp_path, capsys):
     assert "degraded_passes: 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("dist, n, p, stopped_by", [
+    ("FIXED:16", 1024, 64, "threshold"),   # pass 0 crosses n / ceil(log2 l)
+    ("FIXED:64", 4096, 682, "priced"),     # pass 1 would cost more than it saves
+    ("FIXED:3", 96, 8, "stalled"),         # pass 0 pools every list
+])
+def test_run_reports_why_contraction_stopped(dist, n, p, stopped_by, tmp_path, capsys):
+    forest = tmp_path / "w.forest"
+    report = tmp_path / "report.json"
+    run_cli(["generate", "--n", str(n), "--dist", dist, "--out", str(forest)])
+    assert run_cli(["run", str(forest), "--p", str(p), "--verify", "--out", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert data["stopped_by"] == stopped_by and data["verified"]
+    assert f"stopped_by: {stopped_by}" in capsys.readouterr().out
+
+
 def test_run_report_counts_a_pass_that_fails_to_halve(monkeypatch):
     # the columns halve on every pass, so only the survivor count shows
-    # a pass that left more than half of its nodes; here pass 0 reports
-    # that it kept every node
+    # a pass that left more than half of its nodes; here pass 0 of the
+    # two a single list of 4096 takes reports that it kept every node
     def kept_all(forest, p):
         run = list_rank(forest, p=p)
         run.passes[0] = dataclasses.replace(run.passes[0], survivors=run.passes[0].pre_active)
         return run
     list_rank = cli.list_rank
     monkeypatch.setattr(cli, "list_rank", kept_all)
-    forest = generate(Workload(n=4096, length_distribution="FIXED", fixed_length=64))
+    forest = generate(Workload(n=4096, length_distribution="SINGLE"))
     report, _, _ = cli.run_report(forest, "uniform", 64)
     assert report["passes"] == 2 and report["degraded_passes"] == 1
 

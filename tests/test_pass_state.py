@@ -207,11 +207,11 @@ def test_pass_reads_links_and_rows_once():
     # no step reads neighbors or rows again and the fold clears no slot
     # range; localization leaves one row, so no mailbox is published
     rep, labels = fixed64_pass()
-    assert rep.shortcut_pairs == 0 and rep.halved
+    assert rep.shortcut_pairs == 0 and rep.columns_after == rep.columns_before // 2
     assert labels[:2] == ["pass/pool/send", "pass/pool/recv"]
     rereads = ("/nbr", "/row_s", "/row_p", "fold/clear")
     assert not [label for label in labels if label.endswith(rereads)]
-    assert not [label for label in labels if label.endswith("/mb_self")]
+    assert not [label for label in labels if label.endswith("/mb_pub")]
 
 
 def test_pass_rereads_no_pair_side_and_clears_no_pairing_scratch():
@@ -241,16 +241,16 @@ def test_two_row_steps_run_only_when_both_rows_hold_a_node():
                 or "/uniform/" in label or "/orient/keys" in label]
     assert rep == PassReport(pre_active=4096, pooled=0, survivors=1024, columns_before=2048,
                              columns_after=1024, shortcut_pairs=0, odd_cycles=0,
-                             survivors_in_bottom_row=True, halved=True)
+                             survivors_in_bottom_row=True)
     # the rows layout of unshuffled ids keeps both rows: one read of
     # the both columns, one publish and one key step
     forest = generate(Workload(n=4096, num_lists=16, seed=3))
     rep, labels = recorded_pass(forest, 512, "rows", min_run=8)
-    for suffix in ("/both/opp", "/uniform/mb_self", "/orient/keys"):
+    for suffix in ("/both/opp", "/uniform/mb_pub", "/orient/keys"):
         assert [label for label in labels if label.endswith(suffix)] == ["pass" + suffix]
     assert rep == PassReport(pre_active=4096, pooled=0, survivors=2039, columns_before=2048,
                              columns_after=1024, shortcut_pairs=1009, odd_cycles=0,
-                             survivors_in_bottom_row=True, halved=True)
+                             survivors_in_bottom_row=True)
 
 
 @pytest.mark.parametrize("min_run", [1, 0])

@@ -10,7 +10,8 @@ from listcontract import (ForestFormatError, LinkedForest, Machine, PramConfig,
 from listcontract.model import PRED_SIDE, SUCC_SIDE, ContractBatch
 from listcontract.pram import NONE
 from listcontract.steps import contract_batch
-from conftest import check_inverse, forest_from_lists, odd_chain_forest, path_forest
+from conftest import (check_inverse, contract_fully, forest_from_lists, odd_chain_forest,
+                      path_forest)
 
 
 # -- sequential oracle -------------------------------------------------------
@@ -89,8 +90,8 @@ def test_threshold_1024_nodes_lists_of_16():
                           fixed_length=16, seed=0))
     m = Machine(f, PramConfig(num_processors=64))
     layout(m)
-    reports = contract_to_threshold(m)   # threshold 1024/4 = 256
-    assert len(reports) <= 2
+    reports, stopped_by = contract_to_threshold(m)   # threshold 1024/4 = 256
+    assert len(reports) <= 2 and stopped_by == "threshold"
     assert m.active_ids().size <= 256
 
 
@@ -99,8 +100,7 @@ def test_threshold_all_singletons_zero_passes():
                           fixed_length=1, seed=0))
     m = Machine(f, PramConfig(num_processors=8))
     layout(m)
-    reports = contract_to_threshold(m)
-    assert reports == []
+    assert contract_to_threshold(m) == ([], "threshold")
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -110,8 +110,48 @@ def test_threshold_met_on_random_forests(seed):
     m = Machine(f, PramConfig(num_processors=32))
     layout(m)
     threshold = f.n / max(1, int(np.ceil(np.log2(l))))
-    contract_to_threshold(m)
+    # the default stops where a pass costs more than it saves; an
+    # explicit threshold is contracted to
+    _, stopped_by = contract_to_threshold(m, threshold=threshold)
+    assert m.active_ids().size <= threshold and stopped_by == "threshold"
+
+
+@pytest.mark.parametrize("dist, passes", [("SINGLE", 2), ("FIXED", 1)])
+def test_default_stops_once_a_pass_costs_more_rounds_than_it_saves(dist, passes):
+    # a later pass costs about a pass's narrow steps and saves one
+    # doubling step of the jump per halving; the price picks the pass
+    # count with the fewest rounds
+    n = 2 ** 16
+    f = generate(Workload(n=n, length_distribution=dist, fixed_length=64, seed=2))
+    run = list_rank(f, p=n // 6)
+    assert run.result.same_as(sequential_rank(f))
+    assert (len(run.passes), run.stopped_by) == (passes, "priced")
+    for k in (passes - 1, passes, passes + 1):
+        if k:
+            m, reports, result = contract_fully(f, n // 6, max_passes=k)
+            assert result.same_as(run.result) and len(reports) == k
+            rounds = m.engine.metrics().rounds
+            assert rounds == run.metrics.rounds if k == passes else rounds > run.metrics.rounds
+    # the paper's threshold stays a ceiling, and an explicit one is met
+    # whatever the price
+    threshold = n / int(np.ceil(np.log2(f.longest())))
+    assert run.passes[-1].survivors > threshold
+    m = Machine(f, PramConfig(num_processors=n // 6))
+    layout(m)
+    reports, stopped_by = contract_to_threshold(m, threshold=threshold)
+    assert stopped_by == "threshold" and len(reports) > passes
     assert m.active_ids().size <= threshold
+
+
+def test_contraction_that_leaves_the_array_empty_reports_a_stall():
+    # lists of three leave the array in pass 0's pool; no node is left
+    # for a pass, though every one is still active
+    f = generate(Workload(n=96, length_distribution="FIXED", fixed_length=3, seed=1))
+    m = Machine(f, PramConfig(num_processors=8))
+    layout(m)
+    reports, stopped_by = contract_to_threshold(m)
+    assert [r.pooled for r in reports] == [96] and stopped_by == "stalled"
+    assert m.in_array_ids().size == 0
 
 
 # -- log replay -------------------------------------------------------------------
@@ -162,14 +202,15 @@ def log_digest(log):
 
 
 @pytest.mark.parametrize("n, seed, digest", [
-    (4096, 3, (21, "e4667b761dda3a8c2353aadd03379be6d764cc57")),
-    (2 ** 14, 1, (26, "78680ab371deba08551cc1d5d20edfff74dae6d3")),
+    (4096, 3, (14, "47ce3fdb37ccb430367e5428e176786001f72b55")),
+    (2 ** 14, 1, (16, "fe0a6a0f2c845444d6e6d22f667d1e86d703d028")),
 ])
 def test_contraction_log_matches_recorded_run(n, seed, digest, monkeypatch):
     # GEOMETRIC lists of mean 256, shuffled, rows layout, min_run 8,
     # p = n/8; the entries (absorbed, host, side, weight) were recorded
-    # when the layout placed nodes by id and localization pooled the
-    # lists it left as one node
+    # when the layout placed nodes by id, localization pooled the lists
+    # it left as one node, and the priced stop ran pass 0 alone (the
+    # log of the two passes run before was this one and 7 and 10 more)
     logs = []
     replay = ranking.replay_ranks
     monkeypatch.setattr(ranking, "replay_ranks",
@@ -267,8 +308,8 @@ def test_grid_and_placement_agree_after_every_pass(mode, min_run, seed, monkeypa
 
     monkeypatch.setattr(ranking, "uniform_contraction_pass", checked)
     f = generate(Workload(n=1500, num_lists=6, seed=seed, layout_shuffle=True))
-    run = list_rank(f, p=32, min_run=min_run, layout_mode=mode)
-    assert run.result.same_as(sequential_rank(f))
+    _, _, result = contract_fully(f, 32, min_run, mode)
+    assert result.same_as(sequential_rank(f))
     assert len(reports) >= 2
 
 
@@ -289,17 +330,15 @@ def test_every_step_label_belongs_to_a_known_layer():
     assert seen == PASS_LAYERS | {"jump", "replay"}
 
 
-def test_list_rank_keeps_cuts_and_retirement_out_of_memory(monkeypatch):
+def test_list_rank_keeps_cuts_and_retirement_out_of_memory():
     # the pass registers hold every cut and row marks every absorbed
     # node, so no store or step keeps either
-    made = []
-    monkeypatch.setattr(ranking, "Machine", lambda *a, **k: made.append(Machine(*a, **k)) or made[-1])
     f = generate(Workload(n=1000, num_lists=8, seed=5, layout_shuffle=True))
-    run = list_rank(f, p=32, min_run=8, layout_mode="rows")
-    assert run.result.same_as(sequential_rank(f))
-    assert len(run.passes) >= 2 and made[0].log
-    assert not [s for s in ("cut", "status") if made[0].memory.has(s)]
-    assert not [label for label in run.metrics.phase_breakdown
+    m, reports, result = contract_fully(f, 32, 8, "rows")
+    assert result.same_as(sequential_rank(f))
+    assert len(reports) >= 2 and m.log
+    assert not [s for s in ("cut", "status") if m.memory.has(s)]
+    assert not [label for label in m.engine.metrics().phase_breakdown
                 if label.endswith(("/cut/mark", "/uncut/clear", "/nbr2"))]
 
 

@@ -14,9 +14,9 @@ from listcontract.pram import NONE
 from listcontract.steps import pool_nodes
 from listcontract.uniform import (both_columns, color_and_pair, enforce_uniformity,
                                   opposite_pair_shortcut, publish_mailboxes)
-from conftest import (check_inverse, enumerated_states, marked_pairs, odd_chain_forest,
-                      pair_state, paired_state, path_forest, place, read_both, read_state,
-                      snapshot, states_equal, validate_pairs)
+from conftest import (check_inverse, contract_fully, enumerated_states, marked_pairs,
+                      odd_chain_forest, pair_state, paired_state, path_forest, place, read_both,
+                      read_state, snapshot, states_equal, validate_pairs)
 
 
 # the pointer and the three value stores of the sweep's doubling, both buffers
@@ -387,9 +387,9 @@ def full_period_state():
 
 def test_orientation_keys_full_period():
     m, pairs = full_period_state()
-    both = read_both(m)
-    publish_mailboxes(m, both, "setup")
-    plan = derive_orientation(m, pair_state(m), both)
+    both, state = read_both(m), pair_state(m)
+    publish_mailboxes(m, state, both, "setup")
+    plan = derive_orientation(m, state, both)
     assert plan.key[:4].tolist() == [0, 1, 3, 2]
 
 
@@ -399,9 +399,9 @@ def test_orientation_reversed_pattern_is_backward():
         top=[((1, 2), (1, 0)), ((3, 0), (0, 1))],
         columns=4,
     )
-    both = read_both(m)
-    publish_mailboxes(m, both, "setup")
-    plan = derive_orientation(m, pair_state(m), both)
+    both, state = read_both(m), pair_state(m)
+    publish_mailboxes(m, state, both, "setup")
+    plan = derive_orientation(m, state, both)
     assert plan.key[:4].tolist() == [2, 3, 1, 0]
 
 
@@ -423,9 +423,8 @@ def test_single_row_pairs_claim_their_zero_colored_column(row):
 
 def test_contract_along_orientation_packs_full_period():
     m, pairs = full_period_state()
-    both = read_both(m)
-    publish_mailboxes(m, both, "setup")
-    state = pair_state(m)
+    both, state = read_both(m), pair_state(m)
+    publish_mailboxes(m, state, both, "setup")
     plan = derive_orientation(m, state, both)
     contract_along_orientation(m, plan, state)
     survivors = m.in_array_ids()
@@ -441,7 +440,7 @@ def test_aligned_shortcut_survivors_left_untouched_by_packing():
     both = read_both(m)
     state = pair_state(m)
     opposite_pair_shortcut(m, state, both)
-    publish_mailboxes(m, both, "setup")
+    publish_mailboxes(m, state, both, "setup")
     before = {int(v): (int(m.peek("row")[v]), int(m.peek("col")[v]))
               for v in m.in_array_ids()}
     plan = derive_orientation(m, state, both)
@@ -460,15 +459,14 @@ def test_full_pass_packs_random_instance():
     assert rep.odd_cycles == 0
     assert rep.survivors_in_bottom_row
     assert rep.survivors <= rep.pre_active / 2
-    assert rep.halved
+    assert m.columns == -(-rep.columns_before // 2) == rep.columns_after
     assert int(m.peek("weight")[m.active_ids()].sum()) == m.n
 
 
 def test_fold_halves_columns_and_keeps_inverse():
     m, pairs = full_period_state()
-    both = read_both(m)
-    publish_mailboxes(m, both, "setup")
-    state = pair_state(m)
+    both, state = read_both(m), pair_state(m)
+    publish_mailboxes(m, state, both, "setup")
     plan = derive_orientation(m, state, both)
     contract_along_orientation(m, plan, state)
     fold_array(m, plan.survivors, plan.columns)
@@ -586,8 +584,8 @@ def test_swaps_keep_mailboxes_equal_to_a_fresh_publish():
 def checked_publish(calls):
     """publish_mailboxes that checks the cells it publishes against
     fresh() and appends (phase, stale cells it leaves)."""
-    def publish(m, both, phase):
-        published = publish_mailboxes(m, both, phase)
+    def publish(m, state, both, phase):
+        published = publish_mailboxes(m, state, both, phase)
         cells = np.sort(m.cell([[0], [1]], both.cols).ravel())
         for st in MAILBOXES:
             assert np.array_equal(m.peek(st)[cells], fresh(m.memory, st, cells)), st
@@ -614,11 +612,12 @@ def test_every_uniformity_publish_matches_the_grid(monkeypatch):
 def test_second_publish_of_a_list_rank_matches_the_grid(monkeypatch):
     calls, reads = [], []
     monkeypatch.setattr(uniform, "publish_mailboxes", checked_publish(calls))
-    # unshuffled ids keep both rows of the rows layout through passes
+    # unshuffled ids keep both rows of the rows layout through passes;
+    # every pass runs, as the default stops after the first here
     f = generate(Workload(n=2000, num_lists=8, seed=3))
     with checked_mailbox_reads(reads):
-        run = list_rank(f, p=64, min_run=8, layout_mode="rows")
-    assert run.result.same_as(sequential_rank(f))
+        _, _, result = contract_fully(f, 64, 8, "rows")
+    assert result.same_as(sequential_rank(f))
     # later publishes leave cells that earlier passes filled vacant and
     # stale, and every read still finds a fresh value
     assert len(calls) >= 2 and sum(stale for _, stale in calls[1:]) > 0
@@ -633,7 +632,7 @@ def test_stale_mailbox_cells_outside_the_both_columns_are_never_read():
     bottom = [((0, 1), (0, 1)), ((2, 3), (0, 1)), ((4, 5), (0, 1))]
     top = [((1, 2), (1, 0)), ((3, 4), (0, 1)), ((0, 6), (0, 1)), ((5, 7), (0, 1))]
     m, pairs = paired_state(bottom=bottom + [((6, 7), (1, 0))], top=top, columns=8)
-    publish_mailboxes(m, read_both(m), "earlier")
+    publish_mailboxes(m, pair_state(m), read_both(m), "earlier")
     pool_nodes(m, list(pairs[(1, 3)]), m.cell(1, [6, 7]), "pool")
     both = read_both(m)
     assert not np.isin([6, 7], both.cols).any()
@@ -659,10 +658,10 @@ def test_stale_mailbox_cells_outside_the_both_columns_are_never_read():
 
 def test_marked_pair_raises_uncovered_case_with_snapshot():
     m, _ = s_configuration()
-    both = read_both(m)
-    publish_mailboxes(m, both, "setup")
+    both, state = read_both(m), pair_state(m)
+    publish_mailboxes(m, state, both, "setup")
     with pytest.raises(UncoveredCaseError) as exc:
-        derive_orientation(m, pair_state(m), both)
+        derive_orientation(m, state, both)
     assert set(exc.value.snapshot) == {"target_row", "reference_row", "columns_lo",
                                        "columns_hi", "grid", "colors"}
     # the first row with a marked pair is reported, all of its marks
@@ -683,8 +682,8 @@ def test_unclaimed_pair_that_is_not_marked_raises_orientation_error():
     exempt = list(pairs[(0, 1)])
     m.memory.poke("pair", exempt, NONE)
     m.memory.poke("color", exempt, NONE)
-    both = read_both(m)
-    publish_mailboxes(m, both, "setup")
+    both, state = read_both(m), pair_state(m)
+    publish_mailboxes(m, state, both, "setup")
     assert not marked_pairs(m)
     with pytest.raises(OrientationError, match="no forward column"):
-        derive_orientation(m, pair_state(m), both)
+        derive_orientation(m, state, both)

@@ -173,8 +173,11 @@ def cmd_sweep(args):
             rows.append({"n": n, "l": l, "p": p, "algorithm": "-",
                          "status": "FAILED"})
             continue
-        forest = generate(Workload(n=n, length_distribution="FIXED",
-                                   fixed_length=l, seed=args.seed))
+        try:
+            forest = generate(Workload(n=n, length_distribution="FIXED",
+                                       fixed_length=l, seed=args.seed))
+        except ValueError as exc:
+            return _usage_error(exc)
         for algo in algos:
             try:
                 report, _, _ = run_report(forest, algo, p)

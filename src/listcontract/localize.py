@@ -8,20 +8,29 @@ flanked. A one-node run reads all of that in its own registers.
 Longer runs get one of two classifiers, whichever the host's counts
 price lower:
 
-- the flank walk: one walker per run of two or more nodes starts at
-  the run's first node and hops along it, one step per hop, writing
-  its hop count into every node it stands on. It stops at the run's
-  far end, or once min_run nodes show the run is long. A short run's
-  walker then walks back, writing the run length and the two flank
-  flags into every node. Walkers of different runs touch disjoint
-  cells, and a run starting at a list head walks too, since its end
-  cannot tell locally whether its start is flanked;
+- the flank walk: two walkers per run of two or more nodes, one from
+  each end, hop toward the other end at once, one step per hop. A
+  walker marks every node it reaches with its hop count and its end's
+  flank flag, and learns the next node and its row from the node's own
+  neighbor message: the start walker reads inbox_s, the end walker
+  inbox_p, so the two never read one cell, even on the middle node of
+  an odd run, which both reach in one step. A walker stops at the
+  run's far end, or after min_run - 2 steps, which reach every node of
+  a run shorter than min_run. A node both walkers reached knows its run
+  length and both flank flags, so a run of L nodes is classified in
+  L - 1 steps. Walkers of different runs touch disjoint cells, and a
+  run ending at a list end walks too, since its other end cannot tell
+  locally whether that end is flanked;
 - run-distance doubling: every target-row node finds its distance to
   both ends of its run by pointer doubling capped at
   ceil(log2 min_run) rounds, so a node whose end lies farther is on a
   long run.
 
-Both classify any min_run exactly. A short run then goes into its
+Both classify any min_run exactly. The walk needs every node's
+inbox_s and inbox_p cells to name its successor and predecessor and
+their rows (no neighbor at a list end): pool/send leaves them so, and
+each contract step sends a host and the far neighbor of the node it
+absorbs their new neighbors. A short run then goes into its
 flanks in log-depth waves: each half counts its nodes q = 1, 2, ...
 from its flank, and wave j absorbs the nodes whose q has lowest set
 bit 2**j into their register neighbor toward the flank, so a half of
@@ -36,10 +45,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Machine, PRED_SIDE, SUCC_SIDE
+from .model import INBOX, Machine, PRED_SIDE, SUCC_SIDE
 from .pram import NONE
 # restricted_neighbors stays importable here for bench/tracing.py
-from .steps import (PassState, contract_batch, double, pool_nodes,  # noqa: F401
+from .steps import (PassState, contract_batch, double, pool_nodes, read_neighbor,  # noqa: F401
                     restricted_neighbors, scratch)
 
 MIN_RUN = 100
@@ -90,17 +99,17 @@ def _run_ends(state: PassState, target_row):
 
 
 def _walkers(start, end, min_run):
-    """Positions of the run starts that walk: every run of two or more
-    nodes, when such a run can be short."""
-    return np.flatnonzero(start & ~end) if min_run > 2 else np.empty(0, dtype=np.int64)
+    """Positions of the run ends that walk: both ends of every run of
+    two or more nodes, when such a run can be short."""
+    return np.flatnonzero(start ^ end) if min_run > 2 else np.empty(0, dtype=np.int64)
 
 
 def walk_is_cheaper(walkers, tasks, p, min_run):
-    """Whether the flank walk's rounds bound, 2 (min_run - 1) + 1 steps
-    of walkers tasks, is at most the doubling's, two doublings of
+    """Whether the flank walk's rounds bound, min_run - 2 steps of
+    walkers tasks, is at most the doubling's, two doublings of
     (min_run - 1).bit_length() + 1 steps of tasks each."""
     limit = max(0, min_run - 1).bit_length()
-    return (2 * (min_run - 1) + 1) * -(-walkers // p) <= 2 * (limit + 1) * -(-tasks // p)
+    return (min_run - 2) * -(-walkers // p) <= 2 * (limit + 1) * -(-tasks // p)
 
 
 def _absorb_short_runs(machine: Machine, state: PassState, target_row, min_run, phase):
@@ -151,8 +160,8 @@ def _plan_waves(pos, rem, head_flag, tail_flag, short, target_row):
 
 
 def classify_by_walk(machine: Machine, state: PassState, target_row, ends, min_run, phase):
-    """Classify the target-row runs with one walker per run; ends is
-    what _run_ends gives for target_row.
+    """Classify the target-row runs with two walkers per run, one from
+    each end; ends is what _run_ends gives for target_row.
 
     Returns (pos, rem, head_flag, tail_flag, short) over the live
     target-row nodes, in the order of ends: the distances to the run's
@@ -160,59 +169,53 @@ def classify_by_walk(machine: Machine, state: PassState, target_row, ends, min_r
     set, which it is on every node of a flanked run of fewer than
     min_run nodes.
 
-    Each step serves every walker still going. A forward walker stands
-    on hop k of its run and knows the next node from the last read
-    (from its registers at the start); it reads that node's row and
-    successor, and writes k into the node it stands on. A next node
-    off the row makes this one the run's far end: a short run's walker
-    writes the run word 4 L + 2 tail + head (length, end and start
-    flank flags) here in the same step, then walks back, one step per
-    hop, reading the pred of the node it stands on and writing the
-    word there. No link is cut while localization runs, so memory's
-    succ and pred are the state's links.
+    A run end knows its own distance and flank flag from its registers,
+    and its walker the first node to reach. Step k serves every walker
+    still going: the walker k + 1 hops from its end writes k + 1 and its
+    end's flank flag into the node it has reached (walk_pos from the
+    start, walk_rem from the end) and reads that node's neighbor message
+    on its side (inbox_s from the start, inbox_p from the end) for the
+    next node and its row. A next node off the row, or none, makes the
+    node the run's far end, and the walker stops. Each mark carries the
+    ledger index of the walk's first step, so a mark an earlier walk
+    left in the store never passes for one of this walk.
     """
     eng = machine.engine
     nodes, start, end, start_flank, end_flank = ends
-    hop = np.where(start, 0, NONE)
-    word = np.where(start & end & (start_flank | end_flank), 4 + 2 * end_flank + start_flank, NONE)
-    fwd = nodes[_walkers(start, end, min_run)]
-    if fwd.size:   # the loop below runs only then; its stores cost n cells each
-        hop_st, run_st = scratch(machine, "walk_hop"), scratch(machine, "walk_run")
+    pos, rem = np.where(start, 0, NONE), np.where(end, 0, NONE)
+    head_flag, tail_flag = start & start_flank, end & end_flank
+    walk = _walkers(start, end, min_run)
+    first, last = walk[start[walk]], walk[end[walk]]   # the walking run ends
+    fwd_flag, bwd_flag = start_flank[first], end_flank[last]
+    fwd, bwd = state.sv[nodes[first]], state.pv[nodes[last]]   # each walker's next node
+    if walk.size:   # the loop below runs only then; its stores cost n cells each
+        marks = [scratch(machine, "walk_pos"), scratch(machine, "walk_rem")]
+        inbox = [scratch(machine, st) for st in INBOX]
         index = np.full(state.row.size, NONE, dtype=np.int64)   # node -> place in nodes
         index[nodes] = np.arange(nodes.size)
-        nxt, head = state.sv[fwd], start_flank[index[fwd]].astype(np.int64)
-    back = back_word = np.empty(0, dtype=np.int64)
-    k = 0
-    while fwd.size or back.size:
-        f, b = fwd.size, back.size
+        stamp = len(eng.trace) * machine.n
+    # a run shorter than min_run has at most min_run - 2 hops
+    for k in range(min_run - 2):
+        f, b = fwd.size, bwd.size
+        if f + b == 0:
+            break
         with eng.step(f"{phase}/walk{k}", f + b) as s:
-            ahead, behind = np.r_[nxt, np.full(b, NONE)], np.r_[np.full(f, NONE), back]
-            row = s.read("row", ahead)[:f]
-            link = s.read("succ", ahead)[:f]
-            prv = s.read("pred", behind)[f:]
-            on = row == target_row
-            ends = ~on & ((nxt != NONE) | (head == 1))
-            end_word = 4 * (k + 1) + 2 * (nxt != NONE) + head
-            s.write(hop_st, np.r_[fwd, np.full(b, NONE)], k)
-            s.write(run_st, np.r_[np.where(ends, fwd, NONE), prv],
-                    np.r_[end_word, back_word])
-        hop[index[fwd]] = k
-        word[index[fwd[ends]]] = end_word[ends]
-        word[index[prv]] = back_word
-        # a walker k + 1 hops in with the next node on the row has seen
-        # k + 2 nodes; at min_run of them the run is long
-        go = on & (k + 2 < min_run)
-        back_more = prv[hop[index[prv]] > 0]
-        back_word = np.r_[word[index[back_more]], end_word[ends & (k > 0)]]
-        back = np.r_[back_more, fwd[ends & (k > 0)]]
-        fwd, nxt, head = nxt[go], link[go], head[go]
-        k += 1
+            at_f, at_b = np.r_[fwd, np.full(b, NONE)], np.r_[np.full(f, NONE), bwd]
+            mark = (stamp + k + 1) * 2 + np.r_[fwd_flag, bwd_flag]
+            s.write(marks[0], at_f, mark)
+            s.write(marks[1], at_b, mark)
+            nxt_f, row_f = read_neighbor(machine, s.read(inbox[SUCC_SIDE], at_f)[:f])
+            nxt_b, row_b = read_neighbor(machine, s.read(inbox[PRED_SIDE], at_b)[f:])
+        i, j = index[fwd], index[bwd]
+        pos[i], head_flag[i] = k + 1, fwd_flag
+        rem[j], tail_flag[j] = k + 1, bwd_flag
+        go_f, go_b = row_f == target_row, row_b == target_row
+        fwd, fwd_flag, bwd, bwd_flag = nxt_f[go_f], fwd_flag[go_f], nxt_b[go_b], bwd_flag[go_b]
 
-    short = word != NONE
-    length = word >> 2
-    pos = np.where(short, hop, NONE)
-    return (pos, np.where(short, length - 1 - hop, NONE),
-            short & (word & 1 == 1), short & (word >> 1 & 1 == 1), short)
+    known = (pos != NONE) & (rem != NONE)
+    short = known & (pos + rem + 1 < min_run) & (head_flag | tail_flag)
+    return (np.where(short, pos, NONE), np.where(short, rem, NONE),
+            short & head_flag, short & tail_flag, short)
 
 
 def classify_by_doubling(machine: Machine, state: PassState, ends, min_run, phase):

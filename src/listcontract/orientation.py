@@ -17,10 +17,11 @@ import numpy as np
 from .errors import OrientationError, UncoveredCaseError
 # clear_cuts stays importable here for bench/tracing.py
 from .localize import MIN_RUN, check_min_run, clear_cuts, localize  # noqa: F401
-from .model import INBOX, Machine, SUCC_SIDE
+from .model import INBOX, Machine, PRED_SIDE, SUCC_SIDE
 from .pram import NONE
 # contract_batch stays importable here for bench/tracing.py
-from .steps import PassState, contract_batch, move_nodes, pool_nodes, scratch  # noqa: F401
+from .steps import (PassState, contract_batch, move_nodes, neighbor_message,  # noqa: F401
+                    pool_nodes, scratch)
 from .uniform import (BothColumns, both_columns, color_and_pair, enforce_uniformity,
                       merge_pairs, opposite_pair_shortcut)
 
@@ -155,37 +156,51 @@ def pool_short_lists(machine: Machine, phase="pool"):
     jumping will finish them. Their links stay intact. Returns the
     count and the PassState of the rest (memory holds no cut).
 
-    Two full-width steps read the state and see two hops each way: in
-    the send step each node reads its cell and links and hands its
-    successor and row to its predecessor's inbox_s cell, and in the
-    recv step it reads the row and predecessor of its predecessor and
-    that cell. The nodes that still see fewer than POOL_MIN_LEN - 1
-    others, the ones near a list end, then walk one hop further out
-    per narrow step until they do or their walks run out."""
+    Two full-width steps read the state and see two hops each way. In
+    the send step each node reads its cell and links and sends its id
+    and row to both neighbors, into its successor's inbox_p cell and
+    its predecessor's inbox_s cell. In the recv step it reads its two
+    inbox cells for its neighbors' rows, and the predecessor of its
+    predecessor and the successor of its successor. The nodes that
+    still see fewer than POOL_MIN_LEN - 1 others, the ones near a list
+    end, then walk one hop further out per narrow step until they do or
+    their walks run out. Every end of a list the pool keeps walks in
+    the first of those steps, and writes there no neighbor into its own
+    inbox cell on the side it lacks.
+
+    So every kept node's inbox_p and inbox_s cells name its neighbors
+    and their rows, and each contract step of localization keeps them
+    so by sending a host and the far neighbor of the node it absorbs
+    their new ones: localization's walk reads them."""
     eng = machine.engine
     ids = machine.in_array_ids()
-    inbox_s = scratch(machine, INBOX[SUCC_SIDE])
+    inbox = [scratch(machine, st) for st in INBOX]
     with eng.step(f"{phase}/send", ids.size) as s:
         row = s.read("row", ids)
         col = s.read("col", ids)
         pv = s.read("pred", ids)
         sv = s.read("succ", ids)
-        s.write(inbox_s, pv, (sv + 1) * 2 + row)
-    has_s = sv != NONE
+        me = neighbor_message(ids, row)
+        s.write(inbox[PRED_SIDE], sv, me)
+        s.write(inbox[SUCC_SIDE], pv, me)
     with eng.step(f"{phase}/recv", ids.size) as s:
-        row_p = s.read("row", pv)
+        # a message's low bit is its sender's row
+        row_p = np.where(pv != NONE, s.read(inbox[PRED_SIDE], ids) & 1, NONE)
+        row_s = np.where(sv != NONE, s.read(inbox[SUCC_SIDE], ids) & 1, NONE)
         up = s.read("pred", pv)
-        msg = s.read(inbox_s, np.where(has_s, ids, NONE))
-    down = np.where(has_s, (msg >> 1) - 1, NONE)
-    row_s = np.where(has_s, msg & 1, NONE)
+        down = s.read("succ", sv)
     seen = (pv != NONE).astype(np.int64) + (sv != NONE) + (up != NONE) + (down != NONE)
-    for _ in range(2, POOL_MIN_LEN - 1):
+    for k in range(2, POOL_MIN_LEN - 1):
         walk = np.flatnonzero((seen < POOL_MIN_LEN - 1) & ((up != NONE) | (down != NONE)))
         if walk.size == 0:
             break
         with eng.step(f"{phase}/far", walk.size) as s:
             up[walk] = s.read("pred", up[walk])
             down[walk] = s.read("succ", down[walk])
+            if k == 2:   # every end of a kept list has seen two others
+                for d, nbr in ((PRED_SIDE, pv), (SUCC_SIDE, sv)):
+                    s.write(inbox[d], np.where(nbr[walk] == NONE, ids[walk], NONE),
+                            neighbor_message(NONE, 0))
         seen[walk] += (up[walk] != NONE).astype(np.int64) + (down[walk] != NONE)
     keep = np.flatnonzero(seen >= POOL_MIN_LEN - 1)
     out = np.flatnonzero(seen < POOL_MIN_LEN - 1)

@@ -197,7 +197,20 @@ def contract_batch(machine: Machine, absorbed, host, side, phase, state=None, me
 # a receiver's new neighbor on side d arrives in its inbox[d] cell,
 # packed with that neighbor's row (0 or 1) and, for a host, the
 # absorbed weight w, as ((w << bits) + id + 1) * 2 + row, where
-# id + 1 <= n < 2**bits
+# id + 1 <= n < 2**bits; no neighbor packs as id NONE, row 0
+def neighbor_message(nbr, row):
+    """The inbox message naming neighbor nbr, on row row; nbr NONE
+    names no neighbor."""
+    return (nbr + 1) * 2 + np.where(nbr != NONE, row, 0)
+
+
+def read_neighbor(machine: Machine, msg):
+    """The neighbor and its row an inbox message names, NONE for both
+    where it names none; a host's weight bits are masked off."""
+    rest = (msg >> 1) & ((1 << machine.n.bit_length()) - 1)   # id + 1
+    return rest - 1, np.where(rest > 0, msg & 1, NONE)
+
+
 def _contract_step(machine: Machine, a, h, ps, meet_row, phase, state):
     """The contract step of contract_batch, ps marking its pred-side
     tasks; returns the absorbed weights and, with a state, each task's
@@ -233,8 +246,8 @@ def _contract_step(machine: Machine, a, h, ps, meet_row, phase, state):
             # in a meeting the host's new neighbor is the other host,
             # and the far neighbor, absorbed too, hears nothing
             new, new_row = _pick(meet, link, far), _pick(meet, meet_row, far_row)
-            to_host = ((wa << bits) + new + 1) * 2 + np.where(new != NONE, new_row, 0)
-            to_far = (h + 1) * 2 + _at(ps, a, state.row_s, state.row_p)
+            to_host = (wa << (bits + 1)) + neighbor_message(new, new_row)
+            to_far = neighbor_message(h, _at(ps, a, state.row_s, state.row_p))
             far = _pick(meet, skip, far)
             inbox = [scratch(machine, st) for st in INBOX]
             s.write(inbox[PRED_SIDE], _pick(ps, h, far), _pick(ps, to_host, to_far))
@@ -261,10 +274,8 @@ def _refresh_step(machine: Machine, state: PassState, h, sd, far, phase):
             on = (got >> d) & 1 == 1
             msg = s.read(store, t if on.all() else np.where(on, t, NONE))[on]
             nbr, row = state.side(d)
-            rest = (msg >> 1) & ((1 << bits) - 1)   # id + 1, 0 for NONE
             tt = t[on]
-            nbr[tt] = rest - 1
-            row[tt] = np.where(rest > 0, msg & 1, NONE)
+            nbr[tt], row[tt] = read_neighbor(machine, msg)
             add[on] += msg >> (bits + 1)
         hosts = np.where(add > 0, t, NONE)
         s.write("weight", hosts, s.read("weight", hosts) + add)

@@ -32,6 +32,8 @@ def generate(workload: Workload) -> LinkedForest:
         raise ValueError("n must be >= 1")
     if w.num_lists < 1:
         raise ValueError("num_lists must be >= 1")
+    if not 0 <= w.seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {w.seed}")
     rng = np.random.default_rng(np.uint64(w.seed))
     if w.length_distribution == SINGLE:
         lengths = [w.n]

@@ -4,8 +4,9 @@ import pytest
 from listcontract import (LinkedForest, Machine, PramConfig, contract_to_threshold, layout,
                           pointer_jump, ranking, sequential_rank)
 from listcontract.localize import MIN_RUN
+from listcontract.model import INBOX
 from listcontract.pram import NONE
-from listcontract.steps import PassState, restricted_neighbors
+from listcontract.steps import PassState, neighbor_message, restricted_neighbors, scratch
 from listcontract.uniform import both_columns
 
 
@@ -133,7 +134,8 @@ def assert_pair_registers(machine, state):
 def read_state(machine, ids=None):
     """The PassState of tasks ids, every node in the array by default,
     as memory gives it: links by restricted_neighbors, rows and columns
-    by peek."""
+    by peek. Each task's inbox_p and inbox_s cells name its neighbors
+    and their rows, as the pool leaves them for localization."""
     ids = machine.in_array_ids() if ids is None else ids
     sv, pv = restricted_neighbors(machine, ids, "state")
     row = machine.peek("row")
@@ -141,7 +143,11 @@ def read_state(machine, ids=None):
     for reg, got in zip(regs, (sv, pv, row[ids], np.where(sv != NONE, row[sv], NONE),
                                np.where(pv != NONE, row[pv], NONE), machine.peek("col")[ids])):
         reg[ids] = got
-    return PassState(ids, *regs)
+    state = PassState(ids, *regs)
+    for store, nbr, nbr_row in zip(INBOX, (state.pv, state.sv), (state.row_p, state.row_s)):
+        machine.memory.poke(scratch(machine, store), ids,
+                            neighbor_message(nbr[ids], nbr_row[ids]))
+    return state
 
 
 def read_both(machine):

@@ -37,7 +37,10 @@ def test_generate_fixed_divisibility_rejected(tmp_path, capsys):
     ["sweep", "--spec", "1,2"],
     ["run", "FOREST", "--p", "0"],
     ["sweep", "--spec", "64,16,4", "--algo", "uniform,bogus"],
-], ids=["n0", "bogus_dist", "lists0", "spec_pair", "p0", "sweep_bogus_algo"])
+    ["generate", "--n", "8", "--seed", "-1"],
+    ["sweep", "--spec", "64,4,8", "--seed", "-1"],
+], ids=["n0", "bogus_dist", "lists0", "spec_pair", "p0", "sweep_bogus_algo", "seed_neg",
+        "sweep_seed_neg"])
 def test_bad_arguments_exit_2_with_one_error_line(args, tmp_path, capsys):
     forest = tmp_path / "w.forest"
     forest.write_text("0 1\n1 -1\n")
@@ -47,6 +50,12 @@ def test_bad_arguments_exit_2_with_one_error_line(args, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_generate_rejects_a_seed_outside_uint64(seed):
+    with pytest.raises(ValueError, match="seed must be in"):
+        generate(Workload(n=8, seed=seed))
 
 
 @pytest.mark.parametrize("command", [

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from listcontract import (Machine, PramConfig, Workload, generate, layout, list_rank,
-                          sequential_rank)
+                          orientation, sequential_rank)
 from listcontract.localize import localize
-from listcontract.model import POOLED
+from listcontract.model import INBOX, POOLED
 from listcontract.pram import NONE
 from listcontract.ranking import pointer_jump, replay_ranks
-from conftest import list_order, path_forest, place, read_state
+from listcontract.steps import read_neighbor
+from conftest import forest_from_lists, list_order, path_forest, place, read_state
 
 # the package's localize function hides the module of that name
 localize_mod = importlib.import_module("listcontract.localize")
@@ -252,13 +253,167 @@ def test_walk_and_doubling_agree_on_dense_random_runs():
 
 
 def test_walk_rule_prices_both_classifiers():
-    # min_run 8: a walk of at most 15 steps of the walkers against two
-    # doublings of 4 steps of every target-row node
-    assert localize_mod.walk_is_cheaper(walkers=1, tasks=1000, p=100, min_run=8)
-    assert localize_mod.walk_is_cheaper(walkers=500, tasks=1000, p=100, min_run=8)   # 75 <= 80
-    assert not localize_mod.walk_is_cheaper(walkers=600, tasks=1000, p=100, min_run=8)
+    # min_run 8: a walk of at most 6 steps of the walkers against two
+    # doublings of 4 steps of every target-row node, so it always walks
+    assert localize_mod.walk_is_cheaper(walkers=2, tasks=1000, p=100, min_run=8)
+    assert localize_mod.walk_is_cheaper(walkers=1000, tasks=1000, p=100, min_run=8)   # 60 <= 80
+    # min_run 100: at most 98 walk steps against two doublings of 8
     assert localize_mod.walk_is_cheaper(walkers=0, tasks=10, p=1, min_run=100)
-    assert not localize_mod.walk_is_cheaper(walkers=1, tasks=30, p=16, min_run=100)
+    assert localize_mod.walk_is_cheaper(walkers=100, tasks=1000, p=100, min_run=100)  # 98 <= 160
+    assert not localize_mod.walk_is_cheaper(walkers=200, tasks=1000, p=100, min_run=100)
+    assert not localize_mod.walk_is_cheaper(walkers=2, tasks=30, p=16, min_run=100)
+
+
+def runs_machine(lists, p=None):
+    """A machine whose lists are laid out as consecutive single-row
+    runs, lists a sequence of run lists [(row, length), ...], node ids
+    in list order; p is the node count by default."""
+    chains, pos, col, v = [], {}, [0, 0], 0
+    for runs in lists:
+        chain = []
+        for row, length in runs:
+            for _ in range(length):
+                pos[v] = (row, col[row])
+                col[row] += 1
+                chain.append(v)
+                v += 1
+        chains.append(chain)
+    m = Machine(forest_from_lists(chains), PramConfig(num_processors=p or v))
+    place(m, pos)
+    return m
+
+
+def short_run_nodes(m, target_row, min_run):
+    """The target-row nodes of flanked runs shorter than min_run, in
+    id order, by walking memory on the host."""
+    row, succ, pred = m.peek("row"), m.peek("succ"), m.peek("pred")
+    out = []
+    for v in m.in_array_ids():
+        if row[v] != target_row or (pred[v] != NONE and row[pred[v]] == target_row):
+            continue
+        run, u = [], v
+        while u != NONE and row[u] == target_row:
+            run.append(int(u))
+            u = succ[u]
+        if (pred[v] != NONE or u != NONE) and len(run) < min_run:
+            out += run
+    return sorted(out)
+
+
+def walk_steps(machine, phase):
+    return sum(r.label.startswith(f"{phase}/walk") for r in machine.engine.trace)
+
+
+def classify_both(m, state, target_row, min_run):
+    """Both classifiers on the target-row runs of state, compared; the
+    walk's step count."""
+    ends = localize_mod._run_ends(state, target_row)
+    dbl = localize_mod.classify_by_doubling(m, state, ends, min_run, "d")
+    walk = localize_mod.classify_by_walk(m, state, target_row, ends, min_run, f"w{target_row}")
+    assert_same_classes(walk, dbl)
+    return walk, walk_steps(m, f"w{target_row}")
+
+
+@pytest.mark.parametrize("min_run", [3, 4, 5, 6, 7, 8, 9, 100])
+@pytest.mark.parametrize("p", [1, 3, None])
+def test_walk_agrees_with_doubling_around_min_run(min_run, p):
+    # odd and even run lengths around min_run, each between flanks, at
+    # a list head, at a list tail and as a whole list on one row (on
+    # both rows); the short upper runs of 2 and 3 between them are
+    # classified in the second phase
+    lengths = sorted({1, 2, 3} | {L for L in range(min_run - 2, min_run + 2) if L > 0})
+    lists = []
+    for L in lengths:
+        lists += [[(0, 3), (1, L), (0, 2)], [(1, L), (0, 3)], [(0, 2), (1, L)], [(1, L)], [(0, L)]]
+    m = runs_machine(lists, p)
+    state = read_state(m)
+    walk, steps = classify_both(m, state, 1, min_run)
+    # every flanked lower run shorter than min_run is short, between
+    # flanks, at the head and at the tail; no whole list is
+    nodes = localize_mod._run_ends(state, 1)[0]
+    assert walk[4].sum() == 3 * sum(L for L in lengths if L < min_run)
+    assert nodes[walk[4]].tolist() == short_run_nodes(m, 1, min_run)
+    # one step per hop of the longest run, up to min_run - 2 steps
+    assert steps == min(max(lengths) - 1, min_run - 2)
+    walk, steps = classify_both(m, state, 0, min_run)
+    assert steps == min(max(lengths) - 1, min_run - 2)
+    assert localize_mod._run_ends(state, 0)[0][walk[4]].tolist() == short_run_nodes(m, 0, min_run)
+    assert m.engine.metrics().erew_violations == 0
+
+
+@pytest.mark.parametrize("min_run", [3, 4, 7, 8, 9, 100])
+@pytest.mark.parametrize("L", [1, 2, 3, 6, 7, 8, 9, 98, 99, 100, 101])
+def test_walk_takes_one_step_per_hop_up_to_min_run_minus_two(L, min_run):
+    # a flanked lower run of L < min_run nodes takes L - 1 steps of two
+    # walkers; a longer one stops after min_run - 2 steps, long
+    m = runs_machine([[(0, 3), (1, L), (0, 3)]], p=4)
+    state = read_state(m)
+    walk, steps = classify_both(m, state, 1, min_run)
+    assert steps == (L - 1 if L < min_run else min_run - 2)
+    assert walk[4].all() == (L < min_run) and walk[4].size == L
+    tasks = [r.tasks for r in m.engine.trace if r.label.startswith("w1/walk")]
+    assert tasks == [2] * steps if L > 1 else tasks == []
+    if L < min_run:
+        assert walk[0].tolist() == list(range(L)) and walk[1].tolist() == list(range(L))[::-1]
+        assert walk[2].all() and walk[3].all()
+    assert m.engine.metrics().erew_violations == 0
+
+
+def test_marks_of_an_earlier_walk_never_pass_for_fresh_ones():
+    # one walk, then another of the same runs at a smaller min_run that
+    # stops earlier: every mark carries its walk's first ledger index
+    m = runs_machine([[(0, 3), (1, 12), (0, 3)], [(1, 5), (0, 2)]], p=2)
+    state = read_state(m)
+    ends = localize_mod._run_ends(state, 1)
+    nodes = ends[0]
+    stamps = []
+    for min_run in (100, 5):
+        stamps.append(len(m.engine.trace))
+        localize_mod.classify_by_walk(m, state, 1, ends, min_run, f"w{min_run}")
+    for store in ("walk_pos", "walk_rem"):
+        mark = m.peek(store)[nodes] >> 1
+        stamp, hop = np.divmod(mark, m.n)
+        # the second walk reaches 3 hops from each end, the first all
+        fresh = np.isin(stamp, stamps[1])
+        assert (hop[fresh] <= 3).all() and (hop[~fresh & (mark >= 0)] > 3).all()
+        assert set(stamp[mark > 0].tolist()) <= set(stamps)
+
+
+def test_inbox_names_every_neighbor_after_the_pool_and_each_contract(monkeypatch):
+    # the walk reads the neighbor messages: after pool/send and after
+    # every contract step of localization, each live node's inbox_p and
+    # inbox_s name its pv and sv and their rows, no neighbor at a list end
+    checked = []
+    localize_fn, batch = orientation.localize, localize_mod.contract_batch
+
+    def check(machine, state):
+        ids = state.live()
+        for store, nbr, nbr_row in zip(INBOX, (state.pv, state.sv), (state.row_p, state.row_s)):
+            # read_neighbor masks off a host message's weight bits
+            got, got_row = read_neighbor(machine, machine.peek(store)[ids])
+            assert np.array_equal(got, nbr[ids]) and np.array_equal(got_row, nbr_row[ids])
+        checked.append(ids.size)
+
+    def localize_checked(machine, state, **kwargs):
+        check(machine, state)
+        return localize_fn(machine, state, **kwargs)
+
+    def batch_checked(machine, *args):
+        batch(machine, *args)
+        check(machine, args[4])
+
+    monkeypatch.setattr(orientation, "localize", localize_checked)
+    monkeypatch.setattr(localize_mod, "contract_batch", batch_checked)
+    for seed in range(6):
+        for mode in ("columns", "rows"):
+            forest = generate(Workload(n=600 + 37 * seed, num_lists=3 + seed,
+                                       length_distribution="GEOMETRIC", seed=seed,
+                                       layout_shuffle=True))
+            checked.clear()
+            run = list_rank(forest, p=1 + 5 * seed, min_run=(2, 4, 8)[seed % 3],
+                            layout_mode=mode)
+            assert run.result.same_as(sequential_rank(forest))
+            assert len(checked) > 1 and run.metrics.erew_violations == 0
 
 
 def localize_labels(positions, n, p, min_run):
@@ -270,7 +425,7 @@ def localize_labels(positions, n, p, min_run):
 
 
 def test_localize_walks_few_runs_and_doubles_many():
-    # one 5-node lower run inside a 2000-node upper run: one walker
+    # one 5-node lower run inside a 2000-node upper run: two walkers
     # against 5 target-row tasks, so min_run 8 walks
     pos = {v: (0, v) for v in range(1000)}
     pos.update({1000 + i: (1, i) for i in range(5)})
@@ -279,8 +434,8 @@ def test_localize_walks_few_runs_and_doubles_many():
     assert [k for k in labels if k.startswith("localize/a/walk")]
     assert not [k for k in labels if "/dhead" in k or "/dtail" in k]
     assert m.peek("weight")[999] == 1 + 3 and m.peek("weight")[1005] == 1 + 2
-    # 300 two-node lower runs between two-node upper runs: 300 walkers
-    # of up to 199 steps against two 8-step doublings of 600 tasks
+    # 300 two-node lower runs between two-node upper runs: 600 walkers
+    # of up to 98 steps against two 8-step doublings of 600 tasks
     pos = {v: ((v // 2) % 2, (v // 4) * 2 + v % 2) for v in range(1200)}
     m, labels = localize_labels(pos, 1200, 16, 100)
     assert [k for k in labels if k.startswith("localize/a/dhead")]

@@ -169,7 +169,7 @@ def cmd_sweep(args):
     if unknown:
         return _usage_error(f"unknown algorithm {unknown[0]!r}, not one of {ALGORITHMS}")
     for n, l, p in triples:
-        if n < 1 or l < 1 or n % l:
+        if n < 1 or l < 1 or n % l or p < 1:
             rows.append({"n": n, "l": l, "p": p, "algorithm": "-",
                          "status": "FAILED"})
             continue

@@ -28,10 +28,11 @@ price lower:
 
 Both classify any min_run exactly. The walk needs every node's
 inbox_s and inbox_p cells to name its successor and predecessor and
-their rows (no neighbor at a list end): pool/send leaves them so, and
-each contract step sends a host and the far neighbor of the node it
-absorbs their new neighbors. A short run then goes into its
-flanks in log-depth waves: each half counts its nodes q = 1, 2, ...
+their rows (no neighbor at a list end): the pool's wide step leaves
+them so, written by each node itself after the layout and by the
+previous pass's fold after a fold, and each contract step sends a host
+and the far neighbor of the node it absorbs their new neighbors. A
+short run then goes into its flanks in log-depth waves: each half counts its nodes q = 1, 2, ...
 from its flank, and wave j absorbs the nodes whose q has lowest set
 bit 2**j into their register neighbor toward the flank, so a half of
 h nodes takes ceil(log2(h + 1)) waves, both halves of every run in one

@@ -44,6 +44,9 @@ INBOX = ("inbox_p", "inbox_s")
 
 STORES = ("succ", "pred", "weight", "color", "row", "col", "slot", "pair")
 
+# Machine.placed_by once fold_array has placed the survivors
+FOLDED = "fold"
+
 
 class LinkedForest:
     """Immutable host-side forest: dense node ids, succ/pred arrays.
@@ -162,6 +165,11 @@ class Machine:
             n += 1
         self.n = n
         self.columns = n // 2
+        # where the placement came from: the layout mode, which places
+        # each node by its id, FOLDED once fold_array has left every
+        # survivor's neighbor messages in the inbox cells, None before
+        # either; the pool refuses None
+        self.placed_by = None
 
         m = self.memory
         m.alloc("succ", n)
@@ -212,12 +220,20 @@ def layout(machine: Machine, mode="columns"):
     """
     m = machine.memory
     v = np.arange(machine.n)
-    if mode == "columns":
-        rows, cols = v % 2, v // 2
-    elif mode == "rows":
-        rows, cols = np.divmod(v, machine.columns)
-    else:
-        raise ValueError(f"unknown layout mode {mode!r}")
+    rows = layout_row(mode, machine.columns, v)
+    cols = v >> 1 if mode == "columns" else v - rows * machine.columns
     m.poke("row", v, rows)
     m.poke("col", v, cols)
     m.poke("slot", machine.cell(rows, cols), v)
+    machine.placed_by = mode
+
+
+def layout_row(mode, columns, v):
+    """The row where layout mode puts each node v over columns columns
+    (v below 2 * columns); the pool computes its neighbors' rows from
+    their ids with it."""
+    if mode == "columns":
+        return v & 1
+    if mode == "rows":
+        return (v >= columns).astype(np.int64)
+    raise ValueError(f"unknown layout mode {mode!r}")

@@ -17,17 +17,17 @@ import numpy as np
 from .errors import OrientationError, UncoveredCaseError
 # clear_cuts stays importable here for bench/tracing.py
 from .localize import MIN_RUN, check_min_run, clear_cuts, localize  # noqa: F401
-from .model import INBOX, Machine, PRED_SIDE, SUCC_SIDE
+from .model import FOLDED, INBOX, Machine, PRED_SIDE, SUCC_SIDE, layout_row
 from .pram import NONE
 # contract_batch stays importable here for bench/tracing.py
 from .steps import (PassState, contract_batch, move_nodes, neighbor_message,  # noqa: F401
-                    pool_nodes, scratch)
+                    pool_writes, read_neighbor, scratch)
 from .uniform import (BothColumns, both_columns, color_and_pair, enforce_uniformity,
                       merge_pairs, opposite_pair_shortcut)
 
-# lists shorter than this leave the array at the start of a pass; the
-# pool sees two hops each way in its two wide steps, and only the nodes
-# near a list end walk the hops past that
+# lists shorter than this leave the array at the start of a pass: the
+# pool's one wide step gives every node its neighbors, and the list
+# heads alone walk the POOL_MIN_LEN - 2 hops past that
 POOL_MIN_LEN = 4
 
 # the key after each key along the pattern 0, 1, 3, 2; NONE after NONE
@@ -138,17 +138,33 @@ def contract_along_orientation(machine: Machine, plan: OrientationKey, state: Pa
 def fold_array(machine: Machine, ids, cols, phase="fold"):
     """Halve the array in one write step: survivor ids[i], packed at
     bottom column cols[i] (the plan's column), moves to
-    (cols[i] % 2, cols[i] // 2)."""
+    (cols[i] % 2, cols[i] // 2).
+
+    In the same step each survivor reads its links and sends its id
+    and new row to its neighbors, into its successor's inbox_p cell and
+    its predecessor's inbox_s cell, and writes no neighbor into its own
+    cell on a side it lacks. The survivors' neighbors are survivors
+    (the pool and localization take out whole lists), so every
+    survivor's inbox cells then name its neighbors and their new rows,
+    and the next pass's pool reads them there (placed_by FOLDED)."""
     # the top row is empty, and a new slot (below C) never meets an
     # old one (C + oc), so each survivor vacates its old slot itself
     nr, nc = cols % 2, cols // 2
     old = machine.cell(1, cols)
     machine.columns = -(-machine.columns // 2)   # cell() now gives the folded indices
+    inbox = [scratch(machine, st) for st in INBOX]
     with machine.engine.step(f"{phase}/wr", ids.size) as s:
+        pv = s.read("pred", ids)
+        sv = s.read("succ", ids)
         s.write("row", ids, nr)
         s.write("col", ids, nc)
         s.write("slot", old, NONE)
         s.write("slot", machine.cell(nr, nc), ids)
+        me = neighbor_message(ids, nr)
+        for d, to, mine in ((PRED_SIDE, sv, pv), (SUCC_SIDE, pv, sv)):
+            s.write(inbox[d], to, me)
+            s.write(inbox[d], np.where(mine == NONE, ids, NONE), neighbor_message(NONE, 0))
+    machine.placed_by = FOLDED
 
 
 def pool_short_lists(machine: Machine, phase="pool"):
@@ -156,63 +172,81 @@ def pool_short_lists(machine: Machine, phase="pool"):
     jumping will finish them. Their links stay intact. Returns the
     count and the PassState of the rest (memory holds no cut).
 
-    Two full-width steps read the state and see two hops each way. In
-    the send step each node reads its cell and links and sends its id
-    and row to both neighbors, into its successor's inbox_p cell and
-    its predecessor's inbox_s cell. In the recv step it reads its two
-    inbox cells for its neighbors' rows, and the predecessor of its
-    predecessor and the successor of its successor. The nodes that
-    still see fewer than POOL_MIN_LEN - 1 others, the ones near a list
-    end, then walk one hop further out per narrow step until they do or
-    their walks run out. Every end of a list the pool keeps walks in
-    the first of those steps, and writes there no neighbor into its own
-    inbox cell on the side it lacks.
+    One step over every node in the array reads its cell and links and
+    learns its neighbors' rows, and leaves its inbox_p and inbox_s
+    cells naming its predecessor and successor and their rows (no
+    neighbor at a list end), which localization's walk reads. Where the
+    rows come from depends on machine.placed_by. layout places a node
+    by its id alone, so after it a node computes its neighbors' rows
+    from their ids and writes its own two inbox cells; fold_array has
+    written those cells already, so after it a node reads them. Any
+    other placement raises ValueError: one made by neither, a node off
+    the row its layout gives it, or an inbox cell that names another
+    neighbor than memory's link.
 
-    So every kept node's inbox_p and inbox_s cells name its neighbors
-    and their rows, and each contract step of localization keeps them
-    so by sending a host and the far neighbor of the node it absorbs
-    their new ones: localization's walk reads them."""
+    A node alone in its list pools itself in that step. Only the list
+    heads then walk outward, one narrow step per hop, each reading the
+    next node's link and cell. A head that reaches its list's tail
+    before POOL_MIN_LEN nodes has seen the whole list and pools it in
+    that step, so at most POOL_MIN_LEN - 2 steps run, none wider than
+    the list count. Interior nodes never learn their list's length:
+    the rest are the nodes no head pooled."""
     eng = machine.engine
     ids = machine.in_array_ids()
+    source = machine.placed_by
+    if source is None:
+        raise ValueError("the pool needs a placement made by layout or fold_array")
     inbox = [scratch(machine, st) for st in INBOX]
-    with eng.step(f"{phase}/send", ids.size) as s:
+    with eng.step(f"{phase}/links", ids.size) as s:
         row = s.read("row", ids)
         col = s.read("col", ids)
         pv = s.read("pred", ids)
         sv = s.read("succ", ids)
-        me = neighbor_message(ids, row)
-        s.write(inbox[PRED_SIDE], sv, me)
-        s.write(inbox[SUCC_SIDE], pv, me)
-    with eng.step(f"{phase}/recv", ids.size) as s:
-        # a message's low bit is its sender's row
-        row_p = np.where(pv != NONE, s.read(inbox[PRED_SIDE], ids) & 1, NONE)
-        row_s = np.where(sv != NONE, s.read(inbox[SUCC_SIDE], ids) & 1, NONE)
-        up = s.read("pred", pv)
-        down = s.read("succ", sv)
-    seen = (pv != NONE).astype(np.int64) + (sv != NONE) + (up != NONE) + (down != NONE)
-    for k in range(2, POOL_MIN_LEN - 1):
-        walk = np.flatnonzero((seen < POOL_MIN_LEN - 1) & ((up != NONE) | (down != NONE)))
-        if walk.size == 0:
+        if source == FOLDED:
+            (got_p, row_p), (got_s, row_s) = (read_neighbor(machine, s.read(st, ids))
+                                              for st in inbox)
+            if not (np.array_equal(got_p, pv) and np.array_equal(got_s, sv)):
+                raise ValueError("an inbox cell names another neighbor than its node's "
+                                 "link: the placement did not come from fold_array")
+        else:
+            if not np.array_equal(row, layout_row(source, machine.columns, ids)):
+                raise ValueError(f"a node sits off the row the {source!r} layout gives it")
+            row_p, row_s = (np.where(nbr != NONE, layout_row(source, machine.columns, nbr), NONE)
+                            for nbr in (pv, sv))
+            s.write(inbox[PRED_SIDE], ids, neighbor_message(pv, row_p))
+            s.write(inbox[SUCC_SIDE], ids, neighbor_message(sv, row_s))
+        lone = (pv == NONE) & (sv == NONE)
+        if lone.any():
+            pool_writes(s, np.where(lone, ids, NONE),
+                        machine.cell(np.where(lone, row, NONE), col))
+    out = [ids[lone]]
+    # each walking head's nodes so far, with their rows and columns, and
+    # the next node it reads
+    head = np.flatnonzero((pv == NONE) & (sv != NONE))
+    seen = [(ids[head], row[head], col[head])]
+    at = sv[head]
+    for k in range(1, POOL_MIN_LEN - 1):
+        if at.size == 0:
             break
-        with eng.step(f"{phase}/far", walk.size) as s:
-            up[walk] = s.read("pred", up[walk])
-            down[walk] = s.read("succ", down[walk])
-            if k == 2:   # every end of a kept list has seen two others
-                for d, nbr in ((PRED_SIDE, pv), (SUCC_SIDE, sv)):
-                    s.write(inbox[d], np.where(nbr[walk] == NONE, ids[walk], NONE),
-                            neighbor_message(NONE, 0))
-        seen[walk] += (up[walk] != NONE).astype(np.int64) + (down[walk] != NONE)
-    keep = np.flatnonzero(seen >= POOL_MIN_LEN - 1)
-    out = np.flatnonzero(seen < POOL_MIN_LEN - 1)
+        with eng.step(f"{phase}/walk{k}", at.size) as s:
+            nxt = s.read("succ", at)
+            seen.append((at, s.read("row", at), s.read("col", at)))
+            end = nxt == NONE   # the whole list, fewer than POOL_MIN_LEN nodes
+            for v, r, c in seen:
+                pool_writes(s, np.where(end, v, NONE), machine.cell(np.where(end, r, NONE), c))
+        out += [v[end] for v, _, _ in seen]
+        seen = [(v[~end], r[~end], c[~end]) for v, r, c in seen]
+        at = nxt[~end]
+    out = np.concatenate(out)
+    pooled = np.zeros(machine.n, dtype=bool)
+    pooled[out] = True
+    keep = np.flatnonzero(~pooled[ids])
     regs = [np.full(machine.n, NONE, dtype=dt)
             for dt in [np.int64] * 2 + [np.int8] * 3 + [np.int64]]
     kept = ids[keep]
     for reg, got in zip(regs, (sv, pv, row, row_s, row_p, col)):
         reg[kept] = got[keep]
-    state = PassState(kept, *regs)
-    # the pooled nodes' cells, from the send step's reads
-    pool_nodes(machine, ids[out], machine.cell(row[out], col[out]), phase)
-    return int(out.size), state
+    return int(out.size), PassState(kept, *regs)
 
 
 @dataclass

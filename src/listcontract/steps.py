@@ -118,9 +118,11 @@ class PassState:
     """Task registers of one pass, indexed by node id: the virtual
     successor and predecessor (NONE at a list end or across a cut
     link), the row, the rows of those two neighbors (NONE where they
-    are) and the column; memory holds no cut. contract_batch keeps them
-    current and, as in memory, retires the row of every task it
-    absorbs, as pool_nodes pools it.
+    are) and the column; memory holds no cut. The pool fills them in
+    its one wide step, the neighbors' rows from their ids after the
+    layout and from the fold's inbox messages after a fold.
+    contract_batch keeps them current and, as in memory, retires the
+    row of every task it absorbs, as pool_nodes pools it.
 
     form_pairs adds each node's partner (pair), the partner's column
     (pcol), the node's color and at_succ, True where the partner is the
@@ -298,16 +300,22 @@ def _at(mask, a, x, y):
 
 
 def pool_nodes(machine: Machine, nodes, cells, phase, state=None):
-    """Take nodes out of the array in one write step: clear their cells
-    and set their row and col to POOLED. Their links stay intact, and
-    pointer jumping finishes their lists; with a PassState, they leave
-    its live tasks too."""
+    """Take nodes out of the array in one write step (pool_writes).
+    Their links stay intact, and pointer jumping finishes their lists;
+    with a PassState, they leave its live tasks too."""
     with machine.engine.step(f"{phase}/out_wr", np.size(nodes)) as s:
-        s.write("slot", cells, NONE)
-        s.write("row", nodes, POOLED)
-        s.write("col", nodes, POOLED)
+        pool_writes(s, nodes, cells)
     if state is not None:
         state.drop(nodes, POOLED)
+
+
+def pool_writes(s, nodes, cells):
+    """The writes of step s that take nodes[i] out of the array: clear
+    its slot cell cells[i] and set its row and col to POOLED; a NONE
+    entry skips its task."""
+    s.write("slot", cells, NONE)
+    s.write("row", nodes, POOLED)
+    s.write("col", nodes, POOLED)
 
 
 def move_nodes(machine: Machine, nodes, frm, to, phase, state=None):

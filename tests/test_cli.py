@@ -253,3 +253,18 @@ def test_sweep_bad_row_marked_failed_and_continues(tmp_path):
     assert "FAILED" in lines[1]
     assert "FAILED" in lines[2]
     assert lines[3].endswith("OK")
+
+
+def test_sweep_bad_p_is_one_failed_row_before_any_forest(tmp_path, monkeypatch):
+    # a bad p is refused with n and l: one "-" row, and no forest is
+    # built for it, where it used to fail once per algorithm
+    def no_forest(*args, **kwargs):
+        raise AssertionError("forest built for a bad triple")
+
+    monkeypatch.setattr(cli, "generate", no_forest)
+    out = tmp_path / "sweep.csv"
+    rc = run_cli(["sweep", "--spec", "64,4,0;64,4,-3", "--algo", "uniform,wyllie",
+                  "--out", str(out)])
+    assert rc == 0
+    assert out.read_text().strip().splitlines()[1:] == ["64,4,0,-,,,,,,FAILED",
+                                                        "64,4,-3,-,,,,,,FAILED"]

@@ -9,11 +9,11 @@ from listcontract import (Machine, Memory, PramConfig, Workload, generate, layou
                           sequential_rank)
 from listcontract import orientation, pairing
 from listcontract.orientation import PassReport, uniform_contraction_pass
-from listcontract.model import POOLED
+from listcontract.model import INBOX, POOLED
 from listcontract.pram import NONE
-from listcontract.steps import PassState
-from conftest import (assert_pair_registers, forest_from_lists, list_order, odd_chain_forest,
-                      read_state)
+from listcontract.steps import PassState, read_neighbor
+from conftest import (assert_pair_registers, contract_fully, forest_from_lists, list_order,
+                      odd_chain_forest, place, read_state)
 
 
 def assert_registers(machine, state, cut):
@@ -153,9 +153,7 @@ def test_pool_takes_out_short_lists_in_two_wide_steps(mode, p):
     m = Machine(forest, PramConfig(num_processors=p or n))
     layout(m, mode=mode)
     row, col = m.peek("row").copy(), m.peek("col").copy()
-    steps = []
-    step = m.engine.step
-    m.engine.step = lambda label, n_tasks: steps.append((label, n_tasks)) or step(label, n_tasks)
+    steps = recorded(m)
     pooled, state = orientation.pool_short_lists(m)
 
     length = np.empty(n, dtype=np.int64)
@@ -172,28 +170,118 @@ def test_pool_takes_out_short_lists_in_two_wide_steps(mode, p):
         got = getattr(state, name)
         assert np.array_equal(got[keep], reg[keep]), name
         assert (np.delete(got, keep) == NONE).all(), name
-    # two steps over every node in the array, then one narrower walk
-    # from the list ends; the out step clears the pooled nodes' cells,
-    # which the send step read
-    walks = [(label, t) for label, t in steps if not label.endswith("/out_wr")]
-    assert walks[:2] == [("pool/send", n), ("pool/recv", n)]
-    assert [label for label, _ in walks[2:]] == ["pool/far"] and walks[2][1] < n
-    assert steps[-1] == ("pool/out_wr", 6) and len(steps) == len(walks) + 1
+    # one step over every node in the array, then at most
+    # POOL_MIN_LEN - 2 walk steps, none wider than the list count; the
+    # steps that find a list short pool it, so no out step runs
+    assert_pool_shape(steps, "pool", n, forest.list_count)
+    assert not [label for label, _ in steps if label.endswith("/out_wr")]
     out = length < orientation.POOL_MIN_LEN
     slot = m.peek("slot")
     assert (slot[m.cell(row[out], col[out])] == NONE).all()
     assert np.array_equal(slot[m.cell(row[keep], col[keep])], keep)
+    # the kept nodes' inbox cells name their neighbors and those rows
+    for store, nbr, nbr_row in zip(INBOX, (state.pv, state.sv), (state.row_p, state.row_s)):
+        got, got_row = read_neighbor(m, m.peek(store)[keep])
+        assert np.array_equal(got, nbr[keep]) and np.array_equal(got_row, nbr_row[keep])
     assert m.engine.metrics().erew_violations == 0
 
 
+def test_pool_refuses_a_placement_it_cannot_trust():
+    # the pool learns the neighbors' rows from their ids after layout
+    # and from the fold's messages after fold_array; any other
+    # placement leaves inbox cells it cannot trust (an unwritten one
+    # decodes as a neighbor on row 1), so it raises before any write
+    forest = generate(Workload(n=256, length_distribution="FIXED", fixed_length=16))
+
+    def refused(m, match):
+        rounds, placed = m.engine.metrics().rounds, m.in_array_ids()
+        with pytest.raises(ValueError, match=match):
+            orientation.pool_short_lists(m)
+        assert m.engine.metrics().rounds == rounds
+        assert np.array_equal(m.in_array_ids(), placed)
+
+    m = Machine(forest, PramConfig(num_processors=8))
+    place(m, {v: (v % 2, v // 2) for v in range(forest.n)})
+    refused(m, "placement made by layout or fold_array")
+    # two nodes swapped by hand after the layout
+    m = Machine(forest, PramConfig(num_processors=8))
+    layout(m)
+    m.memory.poke("row", [0, 1], [1, 0])
+    m.memory.poke("slot", [m.cell(1, 0), m.cell(0, 0)], [0, 1])
+    refused(m, "off the row the 'columns' layout gives it")
+    # an inbox cell overwritten after the fold
+    m = Machine(forest, PramConfig(num_processors=8))
+    layout(m)
+    uniform_contraction_pass(m)
+    v = m.in_array_ids()
+    v = v[m.peek("pred")[v] != NONE][0]
+    m.memory.poke("inbox_p", v, NONE)
+    refused(m, "another neighbor than its node's link")
+
+
+@pytest.mark.parametrize("mode", ["columns", "rows"])
+@pytest.mark.parametrize("p", [1, 3, None])
+def test_fold_leaves_each_survivor_its_neighbor_messages(mode, p, monkeypatch):
+    # after every fold of a run forced through every pass, each
+    # survivor's inbox_p and inbox_s cells name its memory pred and succ
+    # and their rows, which the next pass's pool reads; odd n pads a
+    # sentinel, and the ids are shuffled
+    forest = generate(Workload(n=999, num_lists=5, length_distribution="GEOMETRIC", seed=11,
+                               layout_shuffle=True))
+    folds, fold = [], orientation.fold_array
+
+    def checked(machine, ids, *args, **kwargs):
+        fold(machine, ids, *args, **kwargs)
+        assert np.array_equal(np.sort(ids), machine.in_array_ids())
+        row = machine.peek("row")
+        for store, link in zip(INBOX, ("pred", "succ")):
+            nbr = machine.peek(link)[ids]
+            got, got_row = read_neighbor(machine, machine.peek(store)[ids])
+            assert np.array_equal(got, nbr), store
+            assert np.array_equal(got_row, np.where(nbr != NONE, row[nbr], NONE)), store
+        folds.append(ids.size)
+
+    monkeypatch.setattr(orientation, "fold_array", checked)
+    m, reports, result = contract_fully(forest, p or forest.n, min_run=8, layout_mode=mode)
+    assert result.same_as(sequential_rank(forest))
+    assert m.sentinel is not None and m.engine.metrics().erew_violations == 0
+    # a last pass that pools every list leaves the array without a fold
+    assert len(reports) - 1 <= len(folds) <= len(reports) and len(folds) >= 3
+    # every pass pools in one step over the nodes in the array, which a
+    # fold leaves to the next pass, then in narrow steps alone
+    trace = [(r.label, r.tasks) for r in m.engine.trace]
+    for i, wide in enumerate([m.n] + folds[:len(reports) - 1]):
+        steps = [step for step in trace if step[0].startswith(f"contract/p{i}/")]
+        assert_pool_shape(steps, f"contract/p{i}/pool", wide, forest.list_count)
+
+
+def assert_pool_shape(steps, phase, wide, lists):
+    """steps, as (label, tasks), open with the pool's one step over the
+    wide nodes in the array, then at most POOL_MIN_LEN - 2 steps of the
+    pool, each over at most lists tasks, and no other pool step."""
+    pool = [(label, t) for label, t in steps if label.startswith(f"{phase}/")]
+    assert steps[0] == pool[0] == (f"{phase}/links", wide)
+    assert len(pool) - 1 <= orientation.POOL_MIN_LEN - 2
+    assert all(t <= lists for _, t in pool[1:])
+    assert steps[:len(pool)] == pool
+
+
+def recorded(machine):
+    """The (label, tasks) of every step machine opens from now on."""
+    steps = []
+    step = machine.engine.step
+    machine.engine.step = lambda label, n_tasks: steps.append((label, n_tasks)) or step(
+        label, n_tasks)
+    return steps
+
+
 def recorded_pass(forest, p, mode, **kwargs):
-    """One pass over forest; returns its report and its step labels."""
+    """One pass over forest; returns its report, its step labels and
+    its steps as (label, tasks)."""
     m = Machine(forest, PramConfig(num_processors=p))
     layout(m, mode=mode)
-    labels = []
-    step = m.engine.step
-    m.engine.step = lambda label, n_tasks: labels.append(label) or step(label, n_tasks)
-    return uniform_contraction_pass(m, **kwargs), labels
+    steps = recorded(m)
+    return uniform_contraction_pass(m, **kwargs), [label for label, _ in steps], steps
 
 
 def fixed64_pass():
@@ -203,12 +291,13 @@ def fixed64_pass():
 
 
 def test_pass_reads_links_and_rows_once():
-    # one FIXED l=64 pass: after the two wide pool steps read the state,
-    # no step reads neighbors or rows again and the fold clears no slot
-    # range; localization leaves one row, so no mailbox is published
-    rep, labels = fixed64_pass()
+    # one FIXED l=64 pass: after the one wide pool step reads the state
+    # and the heads walk, no step reads neighbors or rows again and the
+    # fold clears no slot range; localization leaves one row, so no
+    # mailbox is published
+    rep, labels, steps = fixed64_pass()
     assert rep.shortcut_pairs == 0 and rep.columns_after == rep.columns_before // 2
-    assert labels[:2] == ["pass/pool/send", "pass/pool/recv"]
+    assert_pool_shape(steps, "pass/pool", 4096, 4096 // 64)
     rereads = ("/nbr", "/row_s", "/row_p", "fold/clear")
     assert not [label for label in labels if label.endswith(rereads)]
     assert not [label for label in labels if label.endswith("/mb_pub")]
@@ -218,7 +307,7 @@ def test_pass_rereads_no_pair_side_and_clears_no_pairing_scratch():
     # pairing writes every cell it reads, the merges take each pair's
     # side from a register, the pack leaves its hosts' pair and color
     # to the next pass, and color-2 elimination is one step
-    _, labels = fixed64_pass()
+    _, labels, _ = fixed64_pass()
     gone = ("/pairs/clear", "/side", "pack/exempt", "elim2/read_colors")
     assert not [label for label in labels if label.endswith(gone)]
     assert "pass/rows/pairs/propose" in labels
@@ -226,7 +315,7 @@ def test_pass_rereads_no_pair_side_and_clears_no_pairing_scratch():
     # the uniformity step's mailboxes read, in one step for both rows;
     # unshuffled ids keep long runs on both rows of the rows layout
     forest = generate(Workload(n=4096, num_lists=16, seed=3))
-    rep, labels = recorded_pass(forest, 512, "rows", min_run=8)
+    rep, labels, _ = recorded_pass(forest, 512, "rows", min_run=8)
     assert rep.shortcut_pairs > 0
     assert [label for label in labels if label.endswith("/exempt")] == ["pass/shortcut/exempt"]
     assert not [label for label in labels if label.endswith("/side")]
@@ -236,7 +325,7 @@ def test_two_row_steps_run_only_when_both_rows_hold_a_node():
     # the columns layout loses its lower row to localization, so the
     # pass reads no both column and takes no shortcut, uniformity or key
     # step, and packs as before
-    rep, labels = fixed64_pass()
+    rep, labels, _ = fixed64_pass()
     assert not [label for label in labels if "/both/" in label or "/shortcut/" in label
                 or "/uniform/" in label or "/orient/keys" in label]
     assert rep == PassReport(pre_active=4096, pooled=0, survivors=1024, columns_before=2048,
@@ -245,7 +334,7 @@ def test_two_row_steps_run_only_when_both_rows_hold_a_node():
     # the rows layout of unshuffled ids keeps both rows: one read of
     # the both columns, one publish and one key step
     forest = generate(Workload(n=4096, num_lists=16, seed=3))
-    rep, labels = recorded_pass(forest, 512, "rows", min_run=8)
+    rep, labels, _ = recorded_pass(forest, 512, "rows", min_run=8)
     for suffix in ("/both/opp", "/uniform/mb_pub", "/orient/keys"):
         assert [label for label in labels if label.endswith(suffix)] == ["pass" + suffix]
     assert rep == PassReport(pre_active=4096, pooled=0, survivors=2039, columns_before=2048,

@@ -313,6 +313,33 @@ def test_grid_and_placement_agree_after_every_pass(mode, min_run, seed, monkeypa
     assert len(reports) >= 2
 
 
+@pytest.mark.parametrize("e", [16, 18])
+def test_pass_price_bounds_the_pass_it_prices(e, monkeypatch):
+    # every pass runs one pool shape, so the records of pass i - 1,
+    # scaled to the nodes pass i starts with, price pass i from above
+    # and within 2 rounds; ordered single lists, p = n / 6
+    n = 2 ** e
+    p = n // 6
+    forest = generate(Workload(n=n, length_distribution="SINGLE", seed=2))
+    m = Machine(forest, PramConfig(num_processors=p))
+    layout(m)
+    trace, starts, active = m.engine.trace, [], []
+    contract_pass = ranking.uniform_contraction_pass
+
+    def marked(machine, *args, **kwargs):
+        starts.append(len(trace))
+        active.append(machine.active_ids().size)
+        return contract_pass(machine, *args, **kwargs)
+
+    monkeypatch.setattr(ranking, "uniform_contraction_pass", marked)
+    contract_to_threshold(m, threshold=0, max_passes=3)
+    starts.append(len(trace))
+    for i in (1, 2):
+        price = ranking.pass_price(trace[starts[i - 1]:starts[i]], active[i], active[i - 1], p)
+        rounds = sum(r.rounds for r in trace[starts[i]:starts[i + 1]])
+        assert rounds <= price <= rounds + 2, (i, price, rounds)
+
+
 # the layers under a pass, as the second part of contract/p<i>/<layer>/...
 PASS_LAYERS = {"pool", "localize", "rows", "both", "shortcut", "uniform", "orient", "pack",
                "fold"}

@@ -10,13 +10,13 @@ measurements from the same functions against these within +-10%.
 PASS_OVER_COLORING_K = {10: 2.6429, 12: 2.6429, 14: 2.6429, 16: 2.6429, 18: 2.6429}
 
 # list_rank rounds, l = 64 fixed, p = n / 6, n = 2**e
-FIXED_L_ROUNDS = {12: 55, 13: 55, 14: 55, 15: 55, 16: 55, 17: 55, 18: 55}
+FIXED_L_ROUNDS = {12: 53, 13: 53, 14: 53, 15: 53, 16: 53, 17: 53, 18: 53}
 
 # list_rank rounds, single list of length n = 2**e, p = n / 6
-SINGLE_LIST_ROUNDS = {12: 67, 14: 71, 16: 72, 18: 74}
+SINGLE_LIST_ROUNDS = {12: 65, 14: 69, 16: 71, 18: 73}
 
 # total_work(wyllie) / total_work(list_rank), n = 2**16, lists of length l
-WORK_RATIO = {4: 0.4583, 16: 0.7327, 64: 0.9792, 256: 1.189}
+WORK_RATIO = {4: 0.4783, 16: 0.7629, 64: 1.0168, 256: 1.2315}
 
 # the work-advantage threshold at l = 256 is recorded, not asserted
 # against a theoretical target: with contraction stopped once a pass

@@ -147,6 +147,10 @@ def fold_array(machine: Machine, ids, cols, phase="fold"):
     (the pool and localization take out whole lists), so every
     survivor's inbox cells then name its neighbors and their new rows,
     and the next pass's pool reads them there (placed_by FOLDED)."""
+    # in id order, the engine proves the row, col, pred and succ
+    # accesses at once
+    order = np.argsort(ids)
+    ids, cols = ids[order], cols[order]
     # the top row is empty, and a new slot (below C) never meets an
     # old one (C + oc), so each survivor vacates its old slot itself
     nr, nc = cols % 2, cols // 2

@@ -20,7 +20,7 @@ from .model import LinkedForest, Machine, layout, PRED_SIDE
 from .localize import MIN_RUN, check_min_run
 from .orientation import uniform_contraction_pass
 from .pram import NONE, PramConfig
-from .steps import double, scratch
+from .steps import double
 
 
 @dataclass
@@ -80,23 +80,23 @@ def pointer_jump(machine: Machine, phase="jump"):
 
     Each active node learns its list head and the total weight of the
     active nodes before it, in ceil(log2 l) synchronous rounds of
-    jumps along predecessor pointers. Returns (ids, before, head,
-    rounds).
+    jumps along predecessor pointers. The doubling is seeded
+    exclusively: each node starts from the weight of its predecessor
+    (0 at a head), which no other node reads, so its value ends as
+    that total itself. Returns the stores holding the totals and the
+    heads, indexed by node id, and the rounds.
     """
     ids = machine.active_ids()
-    w = None
 
     def seed(s):
-        # the weight folds inclusively, so before = d - weight
-        nonlocal w
         pv = s.read("pred", ids)
-        first = s.read("first", ids)
-        w = s.read("weight", ids)
-        return pv, [w, np.where(pv == NONE, first, NONE)]
+        at_head = pv == NONE
+        return pv, [np.where(at_head, 0, s.read("weight", pv)),
+                    np.where(at_head, s.read("first", ids), NONE)]
 
-    _, (d, head), _, rounds = double(machine, "pj", ids, seed, (np.add, np.maximum),
-                                     phase=phase)
-    return ids, d - w, head, rounds
+    _, _, (_, rank, head), rounds = double(machine, "pj", ids, seed, (np.add, np.maximum),
+                                           phase=phase)
+    return (rank, head), rounds
 
 
 def jump_price(x, l, n, p):
@@ -181,42 +181,42 @@ def replay_groups(log, n):
     return groups
 
 
-def replay_ranks(machine: Machine, ids, before, head, phase="replay"):
+def replay_ranks(machine: Machine, stores, phase="replay"):
     """Walk the contraction log backward, assigning each absorbed node
     its rank interval start from its host's.
 
-    A log entry reads its hosts' rank, weight and head and writes its
-    hosts and absorbed nodes, which are distinct, so it replays in one
-    step; each group of replay_groups shares that step.
+    The replay works in the rank and head stores pointer_jump returns
+    and in the weight store. No step writes a retired node's weight, so
+    when an entry replays, its absorbed nodes still hold the weights it
+    logged; the entry takes them off its hosts' again, and the weight
+    store ends at its original ones. A log entry reads its hosts' rank,
+    weight and head and writes its hosts and absorbed nodes, which are
+    distinct, so it replays in one step; each group of replay_groups
+    shares that step.
     """
     eng = machine.engine
-    n = machine.n
-    rnk = scratch(machine, "rp_rank", n)
-    wgt = scratch(machine, "rp_w", n)
-    hed = scratch(machine, "rp_h", n)
-    if ids.size:
-        with eng.step(f"{phase}/seed", ids.size) as s:
-            w_now = s.read("weight", ids)
-            s.write(rnk, ids, before)
-            s.write(hed, ids, head)
-            s.write(wgt, ids, w_now)
-    for group in replay_groups(machine.log, n):
+    rnk, hed = stores
+    for group in replay_groups(machine.log, machine.n):
         # a lone entry's arrays serve as they are, without a copy
         fields = [[getattr(b, f) for b in group] for f in ("absorbed", "host", "side", "weight")]
         a, h, side, w = (x[0] if len(x) == 1 else np.concatenate(x) for x in fields)
         pred_side = side == PRED_SIDE
         with eng.step(f"{phase}/group", a.size) as s:
             rh = s.read(rnk, h)
-            wh = s.read(wgt, h)
+            wh = s.read("weight", h)
             hh = s.read(hed, h)
             s.write(rnk, a, np.where(pred_side, rh, rh + wh - w))
             s.write(rnk, np.where(pred_side, h, NONE), rh + w)
-            s.write(wgt, h, wh - w)
-            s.write(wgt, a, w)
+            s.write("weight", h, wh - w)
             s.write(hed, a, hh)
-    rank = machine.peek(rnk)[: machine.forest.n].copy()
-    heads = machine.peek(hed)[: machine.forest.n].copy()
-    return RankResult(rank=rank, list_id=heads)
+    return read_result(machine, stores)
+
+
+def read_result(machine: Machine, stores):
+    """The RankResult of the original nodes from the rank and head
+    stores, read on the host."""
+    rank, head = (machine.peek(st)[: machine.forest.n].copy() for st in stores)
+    return RankResult(rank=rank, list_id=head)
 
 
 def list_rank(forest: LinkedForest, p=1, *, min_run=MIN_RUN,
@@ -226,9 +226,8 @@ def list_rank(forest: LinkedForest, p=1, *, min_run=MIN_RUN,
     run = RankRun(result=None, metrics=None)
     layout(machine, mode=layout_mode)
     run.passes, run.stopped_by = contract_to_threshold(machine, min_run=min_run)
-    ids, before, head, rounds = pointer_jump(machine)
-    run.jump_rounds = rounds
-    run.result = replay_ranks(machine, ids, before, head)
+    stores, run.jump_rounds = pointer_jump(machine)
+    run.result = replay_ranks(machine, stores)
     run.metrics = machine.engine.metrics()
     return run
 
@@ -238,10 +237,6 @@ def wyllie_rank(forest: LinkedForest, p=1) -> RankRun:
     runs the nodes whose pointer was live the round before, as double
     does."""
     machine = Machine(forest, PramConfig(num_processors=p))
-    ids, before, head, rounds = pointer_jump(machine, phase="wyllie")
-    rank = np.full(machine.n, NONE, dtype=np.int64)
-    heads = np.full(machine.n, NONE, dtype=np.int64)
-    rank[ids] = before
-    heads[ids] = head
-    result = RankResult(rank=rank[: forest.n], list_id=heads[: forest.n])
-    return RankRun(result=result, metrics=machine.engine.metrics(), jump_rounds=rounds)
+    stores, rounds = pointer_jump(machine, phase="wyllie")
+    return RankRun(result=read_result(machine, stores), metrics=machine.engine.metrics(),
+                   jump_rounds=rounds)

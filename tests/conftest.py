@@ -40,8 +40,8 @@ def contract_fully(f, p, min_run=MIN_RUN, layout_mode="columns", max_passes=64):
     m = Machine(f, PramConfig(num_processors=p))
     layout(m, mode=layout_mode)
     reports, _ = contract_to_threshold(m, threshold=0, max_passes=max_passes, min_run=min_run)
-    ids, before, head, _ = pointer_jump(m)
-    return m, reports, ranking.replay_ranks(m, ids, before, head)
+    stores, _ = pointer_jump(m)
+    return m, reports, ranking.replay_ranks(m, stores)
 
 
 def list_order(forest):

@@ -50,9 +50,17 @@ def test_sequential_detects_cycle():
 
 # -- pointer jumping ----------------------------------------------------------
 
+def jumped(m):
+    """pointer_jump over machine m: the active ids, the totals and heads
+    its stores hold for them, and its rounds."""
+    (rank, head), rounds = pointer_jump(m)
+    ids = m.active_ids()
+    return ids, m.peek(rank)[ids], m.peek(head)[ids], rounds
+
+
 def test_jump_single_node():
     m = Machine(path_forest(1), PramConfig())
-    ids, before, head, rounds = pointer_jump(m)
+    ids, before, head, rounds = jumped(m)
     real = ids < 1
     assert before[real].tolist() == [0]
     assert head[real].tolist() == [0]
@@ -60,7 +68,7 @@ def test_jump_single_node():
 
 def test_jump_path_of_four_two_rounds():
     m = Machine(path_forest(4), PramConfig(num_processors=4))
-    ids, before, head, rounds = pointer_jump(m)
+    ids, before, head, rounds = jumped(m)
     assert rounds == 2
     assert before.tolist() == [0, 1, 2, 3]
     assert (head == 0).all()
@@ -68,7 +76,7 @@ def test_jump_path_of_four_two_rounds():
 
 def test_jump_path_of_five_three_rounds():
     m = Machine(path_forest(5), PramConfig(num_processors=8))
-    ids, before, head, rounds = pointer_jump(m)
+    ids, before, head, rounds = jumped(m)
     order = np.argsort(ids)
     assert rounds == 3
     assert before[order][:5].tolist() == [0, 1, 2, 3, 4]
@@ -78,9 +86,34 @@ def test_jump_weighted_distances():
     m = Machine(path_forest(4), PramConfig(num_processors=4))
     layout(m)
     contract_batch(m, [1], [0], SUCC_SIDE, "test")    # weight(0) = 2
-    ids, before, head, rounds = pointer_jump(m)
+    ids, before, head, rounds = jumped(m)
     got = dict(zip(ids.tolist(), before.tolist()))
     assert got[0] == 0 and got[2] == 2 and got[3] == 3
+
+
+@pytest.mark.parametrize("mode", ["columns", "rows"])
+def test_exclusive_seed_gives_each_node_the_weight_before_it(mode):
+    # after passes of real contraction the active nodes carry weights
+    # above 1; each one's total is the weight of the active nodes
+    # before it in its list, as walking the links on the host sums it
+    f = generate(Workload(n=999, num_lists=5, length_distribution="GEOMETRIC", seed=4,
+                          layout_shuffle=True))
+    m = Machine(f, PramConfig(num_processors=7))
+    layout(m, mode=mode)
+    contract_to_threshold(m, threshold=0, max_passes=2)
+    succ, weight, first = m.peek("succ"), m.peek("weight"), m.peek("first")
+    assert weight.max() > 1
+    want_before, want_head = {}, {}
+    for h in m.active_ids()[m.peek("pred")[m.active_ids()] == NONE]:
+        v, total = int(h), 0
+        while v != NONE:
+            want_before[v], want_head[v] = total, int(first[h])
+            total += int(weight[v])
+            v = int(succ[v])
+    ids, before, head, _ = jumped(m)
+    assert dict(zip(ids.tolist(), before.tolist())) == want_before
+    assert dict(zip(ids.tolist(), head.tolist())) == want_head
+    assert m.engine.metrics().erew_violations == 0
 
 
 # -- contraction to threshold --------------------------------------------------
@@ -199,6 +232,31 @@ def log_digest(log):
         for arr in (b.absorbed, b.host, b.side, b.weight):
             h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
     return len(log), h.hexdigest()
+
+
+@pytest.mark.parametrize("mode", ["columns", "rows"])
+@pytest.mark.parametrize("p", [1, 3, None])
+def test_replay_works_in_the_jump_stores_and_restores_weight(mode, p, monkeypatch):
+    # the replay reads and writes the jump's rank and head stores and
+    # the weight store: no seed step copies them, no rp_* store exists,
+    # each absorbed node is one task of one group step, and every sum
+    # the contraction made is taken off again
+    machines = []
+    replay = ranking.replay_ranks
+    monkeypatch.setattr(ranking, "replay_ranks",
+                        lambda machine, *a: machines.append(machine) or replay(machine, *a))
+    f = generate(Workload(n=999, num_lists=5, length_distribution="GEOMETRIC", seed=11,
+                          layout_shuffle=True))
+    run = list_rank(f, p=p or f.n, min_run=8, layout_mode=mode)
+    assert run.result.same_as(sequential_rank(f))
+    assert run.metrics.erew_violations == 0
+    (m,) = machines
+    assert m.sentinel is not None and m.log
+    assert "replay/seed" not in run.metrics.phase_breakdown
+    assert not [s for s in ("rp_rank", "rp_w", "rp_h") if m.memory.has(s)]
+    assert (sum(r.tasks for r in run.trace if r.label == "replay/group")
+            == sum(b.absorbed.size for b in m.log))
+    assert (m.peek("weight") == 1).all()
 
 
 @pytest.mark.parametrize("n, seed, digest", [

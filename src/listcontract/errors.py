@@ -30,7 +30,7 @@ class ImproperColoringError(ListContractError):
 
 
 class OrientationError(ListContractError):
-    """A pair has no forward column, or survivors miss the bottom row."""
+    """A pair has no forward column, or two survivors claim one column."""
 
 
 class UncoveredCaseError(ListContractError):

@@ -247,9 +247,10 @@ def _boundary_distance(machine: Machine, ids, back, boundary_flag, limit, phase)
     if (back == NONE).all():
         # every node is its own boundary
         return np.zeros(ids.size, dtype=np.int64), boundary_flag
-    j, (d, f), _, _ = double(machine, "run", ids,
-                             (back, [np.where(back != NONE, 1, 0), boundary_flag.astype(np.int64)]),
-                             (np.add, np.maximum), limit, phase)
+    stores, _ = double(machine, "run", ids,
+                       (back, [np.where(back != NONE, 1, 0), boundary_flag.astype(np.int64)]),
+                       (np.add, np.maximum), limit, phase)
+    j, d, f = (machine.peek(st)[ids] for st in stores)
     done = j == NONE
     return np.where(done, d, NONE), done & (f == 1)
 

@@ -12,7 +12,7 @@ weight   number of original nodes this node represents
 color    working color, -1 when unset
 row      0 or 1 while placed; -1 unplaced, -2 retired, -3 pooled
 col      column while placed
-slot     flattened 2 x columns array of node ids, -1 when vacant
+slot     node id at each cell (Machine.cell), -1 when vacant
 pair     pairing partner, -1 when unpaired
 mb_color scratch, indexed like slot: color of the cell's node
 mb_pcol  scratch, indexed like slot: column of that node's partner
@@ -165,6 +165,9 @@ class Machine:
             n += 1
         self.n = n
         self.columns = n // 2
+        # cell(r, c) = r * row_step + c * col_step; row_step is the
+        # column count until a fold first doubles col_step
+        self.col_step = 1
         # where the placement came from: the layout mode, which places
         # each node by its id, FOLDED once fold_array has left every
         # survivor's neighbor messages in the inbox cells, None before
@@ -197,15 +200,33 @@ class Machine:
         return np.flatnonzero(self.peek("row") >= 0)
 
     def grid(self):
-        """Copy of the 2 x columns slot array."""
-        return self.peek("slot")[: 2 * self.columns].reshape(2, self.columns).copy()
+        """The 2 x columns array of the slot cells' node ids."""
+        return self.peek("slot")[self.cell([[0], [1]], np.arange(self.columns))]
+
+    @property
+    def row_step(self):
+        return self.columns if self.col_step == 1 else self.col_step >> 1
 
     def cell(self, row, col):
-        """Slot index of each (row, col) under the current column count;
-        NONE wherever the row or the column is negative (unplaced,
-        retired or pooled nodes, missing partners)."""
+        """Slot index of each (row, col), row * row_step + col *
+        col_step; NONE wherever the row or the column is negative
+        (unplaced, retired or pooled nodes, missing partners).
+
+        Before any fold the cells are row-major, (row_step, col_step) =
+        (columns, 1). Each fold of two or more columns sets them to
+        (col_step, 2 * col_step), so folded column c // 2 at row c % 2
+        is column c's old top cell, c * col_step: a survivor on the top
+        row keeps its cell, and every cell stays in the slot store the
+        machine allocated."""
         row, col = np.asarray(row, dtype=np.int64), np.asarray(col, dtype=np.int64)
-        return np.where((row >= 0) & (col >= 0), row * self.columns + col, NONE)
+        return np.where((row >= 0) & (col >= 0), row * self.row_step + col * self.col_step,
+                        NONE)
+
+    def fold(self):
+        """Halve the column count, as fold_array places the survivors."""
+        if self.columns > 1:
+            self.col_step *= 2
+        self.columns = -(-self.columns // 2)
 
 
 def layout(machine: Machine, mode="columns"):

@@ -3,9 +3,11 @@
 After the uniformity step the column keys 2*top_color + bottom_color
 repeat 0, 1, 3, 2 along each column chain, so every pair can tell
 locally which of its two columns is the forward one. Each pair merges
-into the bottom slot of its forward column; merged exempt nodes and
-boundary pairs resolve by vacancy instead. Survivors end up packed in
-the bottom row and the array folds to half the columns.
+into its member at its forward column; merged exempt nodes and
+boundary pairs resolve by vacancy instead. That leaves at most one
+survivor per column, on either row, and the array folds to half the
+columns: each survivor lands in its column's old top cell
+(Machine.cell), so a top-row survivor keeps its cell.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import OrientationError, UncoveredCaseError
 from .localize import MIN_RUN, check_min_run, clear_cuts, localize  # noqa: F401
 from .model import FOLDED, INBOX, Machine, PRED_SIDE, SUCC_SIDE, layout_row
 from .pram import NONE
-# contract_batch stays importable here for bench/tracing.py
+# contract_batch and move_nodes stay importable here for bench/tracing.py
 from .steps import (PassState, contract_batch, move_nodes, neighbor_message,  # noqa: F401
                     pool_writes, read_neighbor, scratch)
 from .uniform import (BothColumns, both_columns, color_and_pair, enforce_uniformity,
@@ -40,7 +42,7 @@ class OrientationKey:
     plan_host: np.ndarray            # each pair's member at its claimed column
     plan_absorbed: np.ndarray        # the member merged into it
     survivors: np.ndarray            # the pair hosts, then the unpaired nodes
-    columns: np.ndarray              # each survivor's bottom column
+    columns: np.ndarray              # each survivor's column, one survivor each
 
 
 def derive_orientation(machine: Machine, state: PassState, both: BothColumns,
@@ -109,10 +111,9 @@ def derive_orientation(machine: Machine, state: PassState, both: BothColumns,
     hosts = np.where(claim == c1, lead, partner)
     survivors = np.concatenate([hosts, loose])
     columns = np.concatenate([claim, state.col[loose]])
-    uniq, counts = np.unique(columns, return_counts=True)
-    if (counts > 1).any():
-        raise OrientationError(
-            f"bottom slots claimed twice at columns {uniq[counts > 1][:8].tolist()}")
+    twice = np.flatnonzero(np.bincount(columns, minlength=machine.columns) > 1)
+    if twice.size:
+        raise OrientationError(f"columns claimed twice at {twice[:8].tolist()}")
 
     return OrientationKey(key=key, plan_host=hosts,
                           plan_absorbed=np.where(claim == c1, partner, lead),
@@ -122,23 +123,23 @@ def derive_orientation(machine: Machine, state: PassState, both: BothColumns,
 def contract_along_orientation(machine: Machine, plan: OrientationKey, state: PassState,
                                phase="pack"):
     """Merge every pair into its host, on the sides the side register
-    state.at_succ gives, then drop every top-row survivor into the
-    bottom cell of its column in one move; the registers follow both.
-    The hosts keep their pair and color: nothing reads them before the
-    next pass's coloring and pairing rewrite both."""
+    state.at_succ gives; each survivor stays in its cell, alone in its
+    column (derive_orientation refuses a column claimed twice). The
+    hosts keep their pair and color: nothing reads them before the next
+    pass's coloring and pairing rewrite both."""
     merge_pairs(machine, plan.plan_absorbed, plan.plan_host, state, phase)
-    from_top = state.row[plan.survivors] == 0
-    top, cols = plan.survivors[from_top], plan.columns[from_top]
-    move_nodes(machine, top, machine.cell(0, cols), machine.cell(1, cols), f"{phase}/drop", state)
-    rows = machine.peek("row")[machine.in_array_ids()]
-    if rows.size and (rows != 1).any():
-        raise OrientationError("survivors left outside the bottom row")
 
 
-def fold_array(machine: Machine, ids, cols, phase="fold"):
-    """Halve the array in one write step: survivor ids[i], packed at
-    bottom column cols[i] (the plan's column), moves to
-    (cols[i] % 2, cols[i] // 2).
+def fold_array(machine: Machine, ids, cols, state: PassState, phase="fold"):
+    """Halve the array in one write step: survivor ids[i], alone in
+    column cols[i] (the plan's column) on the row its pass register
+    state.row gives, moves to (cols[i] % 2, cols[i] // 2).
+
+    Machine.fold makes that cell the column's old top cell, so a top-row
+    survivor writes no slot cell, and a bottom-row one clears its cell
+    and writes its id into the top cell above it, which is vacant: the
+    column holds no other survivor, and the merges cleared the absorbed
+    nodes' cells.
 
     In the same step each survivor reads its links and sends its id
     and new row to its neighbors, into its successor's inbox_p cell and
@@ -151,19 +152,19 @@ def fold_array(machine: Machine, ids, cols, phase="fold"):
     # accesses at once
     order = np.argsort(ids)
     ids, cols = ids[order], cols[order]
-    # the top row is empty, and a new slot (below C) never meets an
-    # old one (C + oc), so each survivor vacates its old slot itself
-    nr, nc = cols % 2, cols // 2
-    old = machine.cell(1, cols)
-    machine.columns = -(-machine.columns // 2)   # cell() now gives the folded indices
+    bottom = state.row[ids] == 1
+    frm = machine.cell(np.where(bottom, 1, NONE), cols)
+    top = machine.cell(np.where(bottom, 0, NONE), cols)
+    machine.fold()
+    nr = cols % 2
     inbox = [scratch(machine, st) for st in INBOX]
     with machine.engine.step(f"{phase}/wr", ids.size) as s:
         pv = s.read("pred", ids)
         sv = s.read("succ", ids)
         s.write("row", ids, nr)
-        s.write("col", ids, nc)
-        s.write("slot", old, NONE)
-        s.write("slot", machine.cell(nr, nc), ids)
+        s.write("col", ids, cols // 2)
+        s.write("slot", frm, NONE)
+        s.write("slot", top, ids)
         me = neighbor_message(ids, nr)
         for d, to, mine in ((PRED_SIDE, sv, pv), (SUCC_SIDE, pv, sv)):
             s.write(inbox[d], to, me)
@@ -262,7 +263,7 @@ class PassReport:
     columns_after: int
     shortcut_pairs: int
     odd_cycles: int                  # odd closed chains the uniformity step shortened
-    survivors_in_bottom_row: bool
+    one_survivor_per_column: bool    # in the plan the fold placed from
 
     @property
     def degraded(self):
@@ -303,12 +304,10 @@ def uniform_contraction_pass(machine: Machine, min_run=MIN_RUN, phase="pass") ->
         odd_cycles = enforce_uniformity(machine, state, both, phase=f"{phase}/uniform")
     plan = derive_orientation(machine, state, both, phase=f"{phase}/orient")
     contract_along_orientation(machine, plan, state, phase=f"{phase}/pack")
-    survivors = plan.survivors.size
-    in_bottom = bool((machine.peek("row")[plan.survivors] == 1).all())
-    fold_array(machine, plan.survivors, plan.columns, phase=f"{phase}/fold")
+    fold_array(machine, plan.survivors, plan.columns, state, phase=f"{phase}/fold")
     return PassReport(
-        pre_active=pre_active, pooled=pooled, survivors=survivors,
+        pre_active=pre_active, pooled=pooled, survivors=plan.survivors.size,
         columns_before=cols_before, columns_after=machine.columns,
         shortcut_pairs=shortcut, odd_cycles=odd_cycles,
-        survivors_in_bottom_row=in_bottom,
+        one_survivor_per_column=bool(np.bincount(plan.columns).max(initial=0) <= 1),
     )

@@ -94,8 +94,8 @@ def pointer_jump(machine: Machine, phase="jump"):
         return pv, [np.where(at_head, 0, s.read("weight", pv)),
                     np.where(at_head, s.read("first", ids), NONE)]
 
-    _, _, (_, rank, head), rounds = double(machine, "pj", ids, seed, (np.add, np.maximum),
-                                           phase=phase)
+    (_, rank, head), rounds = double(machine, "pj", ids, seed, (np.add, np.maximum),
+                                     phase=phase)
     return (rank, head), rounds
 
 

@@ -26,9 +26,9 @@ def double(machine: Machine, name, ids, seed, ufuncs, limit=None, phase="double"
     at ids into the other buffer. A value only the root should pass on
     is folded by np.maximum from the root's value, NONE elsewhere.
     Stops when every pointer has run out, or after limit rounds.
-    Returns (j, values, stores, rounds); stores names the pointer store
-    and the value stores holding the result, for every task. Pointers
-    must stay within ids.
+    Returns (stores, rounds): stores names the pointer store and the
+    value stores holding the result, for every task at its id, where
+    each caller reads its own. Pointers must stay within ids.
 
     Round 0 runs every task, and round r > 0 those whose pointer was
     live at the start of round r - 1: a task whose pointer runs out
@@ -37,21 +37,18 @@ def double(machine: Machine, name, ids, seed, ufuncs, limit=None, phase="double"
     either buffer. The step's tasks stay a superset of those: the
     finished ones leave the registers only when that lowers the step's
     ceil(t / p), and until then keep rewriting their final state,
-    reading nothing. Their results wait in chunks until the end.
+    reading nothing.
     """
     eng = machine.engine
     p = eng.config.num_processors
-    k = ids.size
     size = max(machine.n, int(ids.max(initial=-1)) + 1)
     bufs = [[scratch(machine, f"{name}_{f}{b}", size)
              for f in ["j"] + [f"v{i}" for i in range(len(ufuncs))]] for b in (0, 1)]
-    with eng.step(f"{phase}/init", k) as s:
+    with eng.step(f"{phase}/init", ids.size) as s:
         j, values = seed(s) if callable(seed) else seed
         for st, v in zip(bufs[0], [j, *values]):
             s.write(st, ids, v)
-    # the registers hold the tasks at positions run of ids, all while
-    # run is None; the dropped tasks' positions and values, in chunks
-    run, tid, gone_at, gone_values = None, ids, [], []
+    tid = ids
     need = None   # pointer live at the start of the last round
     rounds = 0
     while limit is None or rounds < limit:
@@ -59,14 +56,9 @@ def double(machine: Machine, name, ids, seed, ufuncs, limit=None, phase="double"
         if not live.any():
             break
         if need is not None and -(-np.count_nonzero(need) // p) < -(-j.size // p):
-            keep, gone = np.flatnonzero(need), np.flatnonzero(~need)
-            gone_at.append(gone if run is None else run[gone])
-            gone_values.append([v[gone] for v in values])
-            run = keep if run is None else run[keep]
-            tid, j = ids[run], j[keep]
-            live = j != NONE
+            tid, j, live = tid[need], j[need], live[need]
             for i, v in enumerate(values):   # each old register goes as it is replaced
-                values[i] = v[keep]
+                values[i] = v[need]
         src, dst = bufs[rounds % 2], bufs[(rounds + 1) % 2]
         with eng.step(f"{phase}/r{rounds}", j.size) as s:
             # a finished task's pointer is NONE, so it reads nothing
@@ -82,22 +74,7 @@ def double(machine: Machine, name, ids, seed, ufuncs, limit=None, phase="double"
                 s.write(st, tid, v)
         need = live
         rounds += 1
-    if run is not None:
-        j_all = np.full(k, NONE, dtype=np.int64)
-        j_all[run] = j
-        j, values = j_all, [_gather(k, run, v, [g[i] for g in gone_values], gone_at)
-                            for i, v in enumerate(values)]
-    return j, values, bufs[rounds % 2], rounds
-
-
-def _gather(k, run, v, chunks, at):
-    """The k results of one value register: v at positions run, each
-    chunk at its positions in at."""
-    out = np.empty(k, dtype=v.dtype)
-    out[run] = v
-    for pos, c in zip(at, chunks):
-        out[pos] = c
-    return out
+    return bufs[rounds % 2], rounds
 
 
 def restricted_neighbors(machine: Machine, ids, phase):
@@ -318,15 +295,14 @@ def pool_writes(s, nodes, cells):
     s.write("col", nodes, POOLED)
 
 
-def move_nodes(machine: Machine, nodes, frm, to, phase, state=None):
+def move_nodes(machine: Machine, nodes, frm, row, col, phase, state=None):
     """Move each node from the slot cell frm[i] that holds it to the
-    vacant cell to[i], in one step: the caller already holds both
-    cells, from the read or the plan that chose the node. With a
+    vacant cell at (row[i], col[i]), in one step: the caller already
+    holds the cell it leaves, from the read that chose the node. With a
     PassState, each node's row and col registers follow it."""
-    row, col = np.divmod(to, machine.columns)
     with machine.engine.step(f"{phase}/move_wr", np.size(nodes)) as s:
         s.write("slot", frm, NONE)
-        s.write("slot", to, nodes)
+        s.write("slot", machine.cell(row, col), nodes)
         s.write("row", nodes, row)
         s.write("col", nodes, col)
     if state is not None:

@@ -218,9 +218,9 @@ def _plan_swaps(machine, both, published, phase):
     # prefix XOR, root and the smallest top-row state by doubling over
     # the predecessors; a pointer still live after limit rounds is on
     # a closed chain
-    j, (x, rt, mn), stores, _ = double(
-        machine, "cs", em, (prv, [x0, rank, key]),
-        (np.bitwise_xor, np.maximum, np.minimum), limit, f"{phase}/d")
+    stores, _ = double(machine, "cs", em, (prv, [x0, rank, key]),
+                       (np.bitwise_xor, np.maximum, np.minimum), limit, f"{phase}/d")
+    j, x, rt, mn = (machine.peek(st)[em] for st in stores)
     cyc = j != NONE
     roots = cyc & (mn == em)
     c_stores = stores
@@ -230,10 +230,11 @@ def _plan_swaps(machine, both, published, phase):
         # closed-chain cells, so the open chains' results stay put
         c_ids = em[cyc]
         c_prv = np.where(roots, NONE, prv)[cyc]
-        _, (x[cyc], rt[cyc]), c_stores, _ = double(
+        c_stores, _ = double(
             machine, "cs", c_ids,
             (c_prv, [np.where(c_prv != NONE, x0[cyc], 0), np.where(c_prv == NONE, c_ids, NONE)]),
             (np.bitwise_xor, np.maximum), limit, f"{phase}/c")
+        x[cyc], rt[cyc] = (machine.peek(st)[c_ids] for st in c_stores[1:])
 
     # each chain is walked from the end whose root has the smaller
     # rank. Either end of an open chain serves: its other-row cell is
@@ -305,7 +306,7 @@ def _shorten_odd_chains(machine, plan, state, both, phase):
         top_cc = s.read("slot", cell_cc)
     merge_pairs(machine, plan["odd_a"], plan["odd_b"], state, phase)
     exempt(machine, plan["odd_b"], state, phase)
-    move_nodes(machine, top_cc, cell_cc, machine.cell(0, plan["odd_cols"]), phase, state)
+    move_nodes(machine, top_cc, cell_cc, 0, plan["odd_cols"], phase, state)
     # the moved tops' partners, both-column nodes of the chain, read
     # their partner's new column for the replan publish
     mates = state.pair[top_cc]
@@ -369,9 +370,10 @@ def opposite_pair_shortcut(machine: Machine, state: PassState, both: BothColumns
     the pair of the other row's node at their smaller column, in one
     step: the stack is aligned when that is the other row's node at
     the larger one. Both pairs then merge at once: the merged top pair
-    lands in the bottom row slot of the 0-colored bottom member's
-    column, the merged bottom pair in the other; both merged nodes
-    leave the pairing in one exempt step, and both columns leave both.
+    keeps its cell at the 0-colored bottom member's column, which that
+    member leaves, and the merged bottom pair its cell at the other, so
+    each is alone in its column; both merged nodes leave the pairing in
+    one exempt step, and both columns leave both.
     Each pair's columns and colors come from the pass registers in
     state. Returns the number of aligned stacks consumed.
     """
@@ -400,13 +402,11 @@ def opposite_pair_shortcut(machine: Machine, state: PassState, both: BothColumns
     zero_first = state.color[b_lead] == 0
     b_zero = np.where(zero_first, b_lead, b_part)
     b_one = np.where(zero_first, b_part, b_lead)
-    ci = np.where(zero_first, both.cols[lo], both.cols[hi])
     top_i = np.where(zero_first, t_lo, t_hi)
     top_j = np.where(zero_first, t_hi, t_lo)
 
     merge_pairs(machine, b_zero, b_one, state, f"{phase}/bot")
     merge_pairs(machine, top_j, top_i, state, f"{phase}/top")
     exempt(machine, np.concatenate([b_one, top_i]), state, phase)
-    move_nodes(machine, top_i, machine.cell(0, ci), machine.cell(1, ci), f"{phase}/drop", state)
     both.drop(both.cols[np.r_[lo, hi]])
     return int(lo.size)

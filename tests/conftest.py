@@ -61,8 +61,8 @@ def states_equal(a, b):
 
 
 def check_inverse(machine):
-    """Every slot holds the node placed there, and every placed node's
-    row and column name its slot."""
+    """Every slot holds the node placed there, every placed node's row
+    and column name its slot, and no cell off the grid holds a node."""
     grid = machine.grid()
     row, col = machine.peek("row"), machine.peek("col")
     r, c = np.nonzero(grid != NONE)
@@ -70,6 +70,18 @@ def check_inverse(machine):
     assert (row[v] == r).all() and (col[v] == c).all()
     placed = np.flatnonzero(row >= 0)
     assert (grid[row[placed], col[placed]] == placed).all()
+    assert np.count_nonzero(machine.peek("slot") != NONE) == placed.size
+
+
+def check_packed(machine, plan, weight):
+    """What the fold needs of the pack: the nodes in the array are the
+    plan's survivors, each in the column the plan gives it, on either
+    row, and alone there; the active weights still add up to weight."""
+    ids = machine.in_array_ids()
+    assert np.array_equal(np.sort(plan.survivors), ids)
+    assert np.array_equal(machine.peek("col")[plan.survivors], plan.columns)
+    assert np.unique(plan.columns).size == ids.size
+    assert int(machine.peek("weight")[machine.active_ids()].sum()) == weight
 
 
 def check_consistency(machine):

@@ -11,11 +11,11 @@ import pytest
 from listcontract import (Machine, PramConfig, UncoveredCaseError, Workload,
                           generate, layout, list_rank, sequential_rank,
                           wyllie_rank)
-from listcontract import benchmarks, measured, ranking
+from listcontract import benchmarks, measured, orientation, ranking
 from listcontract.coloring import three_color
 from listcontract.errors import OrientationError
 from listcontract.orientation import (contract_along_orientation,
-                                      derive_orientation)
+                                      derive_orientation, fold_array)
 from listcontract.pram import NONE
 from listcontract.ranking import contract_to_threshold
 from listcontract.steps import restricted_neighbors
@@ -110,32 +110,48 @@ def test_criterion_2_uniform_packing(monkeypatch):
         cases.append((Workload(n=512 + 128 * s, length_distribution="FIXED",
                                fixed_length=(4, 8, 32)[s % 3], seed=40 + s,
                                layout_shuffle=True), "rows", 4))
-    contract_pass, placed = ranking.uniform_contraction_pass, []
+    contract_pass, fold = ranking.uniform_contraction_pass, orientation.fold_array
+    placed, columns = [], []
+
+    def checked_fold(machine, ids, cols, *args, **kwargs):
+        # before the fold the survivors are exactly the in-array nodes,
+        # each alone in the column the plan gives it, on either row
+        col = machine.peek("col")
+        columns.append(np.array_equal(np.sort(ids), machine.in_array_ids())
+                       and np.array_equal(col[ids], cols) and np.unique(cols).size == ids.size)
+        return fold(machine, ids, cols, *args, **kwargs)
 
     def checked_pass(machine, *args, **kwargs):
-        # the occupied cells are exactly the in-array nodes, each at its
-        # own row and column
+        # after it the occupied cells are exactly the in-array nodes,
+        # each at its own row and column, and the weights still add up
+        # to n
         rep = contract_pass(machine, *args, **kwargs)
         grid, ids = machine.grid(), machine.in_array_ids()
         r, c = np.nonzero(grid != NONE)
         order = np.argsort(grid[r, c])
         placed.append(np.array_equal(grid[r, c][order], ids)
+                      and np.count_nonzero(machine.peek("slot") != NONE) == ids.size
                       and np.array_equal(machine.peek("row")[ids], r[order])
-                      and np.array_equal(machine.peek("col")[ids], c[order]))
+                      and np.array_equal(machine.peek("col")[ids], c[order])
+                      and int(machine.peek("weight")[machine.active_ids()].sum()) == machine.n)
         return rep
 
     monkeypatch.setattr(ranking, "uniform_contraction_pass", checked_pass)
+    monkeypatch.setattr(orientation, "fold_array", checked_fold)
     for w, mode, min_run in cases:
         forest = generate(w)
         m = Machine(forest, PramConfig(num_processors=64))
         layout(m, mode=mode)
         placed.clear()
+        columns.clear()
         reports, _ = contract_to_threshold(m, threshold=0, max_passes=6,
                                            min_run=min_run)
+        # a pass that pools every list folds nothing
+        folded = iter(columns)
         for i, (rep, ok) in enumerate(zip(reports, placed)):
             checked += 1
-            if not rep.survivors_in_bottom_row:
-                bad.append((w.seed, i, "survivors outside bottom row"))
+            if rep.pre_active and not (rep.one_survivor_per_column and next(folded)):
+                bad.append((w.seed, i, "two survivors share a column"))
             if rep.pre_active and rep.survivors > rep.pre_active / 2:
                 bad.append((w.seed, i, "survivors exceed half"))
             if not ok:
@@ -261,9 +277,20 @@ def test_criterion_8_uniformity_case_coverage():
         except (OrientationError, UncoveredCaseError) as exc:
             broken.append((name, str(exc)[:60]))
             continue
-        survivors = m.in_array_ids()
-        if survivors.size and not (m.peek("row")[survivors] == 1).all():
-            broken.append((name, "survivor outside bottom row"))
+        survivors, col = m.in_array_ids(), m.peek("col")
+        if not (np.array_equal(np.sort(plan.survivors), survivors)
+                and np.array_equal(col[plan.survivors], plan.columns)
+                and np.unique(plan.columns).size == survivors.size):
+            broken.append((name, "two survivors share a column"))
+            continue
+        fold_array(m, plan.survivors, plan.columns, state)
+        grid = m.grid()
+        r, c = np.nonzero(grid != NONE)
+        if not (np.array_equal(np.sort(grid[r, c]), survivors)
+                and np.count_nonzero(m.peek("slot") != NONE) == survivors.size
+                and np.array_equal(m.peek("row")[grid[r, c]], r)
+                and np.array_equal(col[grid[r, c]], c)):
+            broken.append((name, "grid and in-array nodes disagree after the fold"))
         if int(m.peek("weight")[m.active_ids()].sum()) != pre_weight:
             broken.append((name, "weight lost"))
     report("criterion 8 (uniformity case coverage)",

@@ -117,9 +117,27 @@ def test_cell_is_none_off_the_grid():
     rows = [UNPLACED, RETIRED, POOLED, RETIRED, 0, 1, 1]
     cols = [UNPLACED, RETIRED, POOLED, 2, NONE, NONE, 3]
     assert m.cell(rows, cols).tolist() == [NONE] * 6 + [7]
-    # the index follows the current column count
+    # before any fold the index follows the current column count
     m.columns = 2
     assert m.cell([1, 1], [0, 1]).tolist() == [2, 3]
+
+
+def test_fold_steps_the_cells_onto_the_old_top_cells():
+    # each fold of two or more columns sets (row_step, col_step) to
+    # (col_step, 2 * col_step), so folded cell (c % 2, c // 2) is
+    # column c's old top cell; a fold of one column changes nothing
+    m = Machine(path_forest(16), PramConfig())
+    assert (m.row_step, m.col_step) == (8, 1)
+    for steps in ((1, 2), (2, 4), (4, 8)):
+        old_top = m.cell(0, np.arange(m.columns))
+        m.fold()
+        assert (m.row_step, m.col_step) == steps
+        c = np.arange(old_top.size)
+        assert np.array_equal(m.cell(c % 2, c // 2), old_top)
+    assert m.columns == 1
+    m.fold()
+    assert m.columns == 1 and (m.row_step, m.col_step) == (4, 8)
+    assert m.cell([0, 1, RETIRED], [0, 0, 0]).tolist() == [0, 4, NONE]
 
 
 @pytest.mark.parametrize("mode", ["columns", "rows"])

@@ -7,13 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from listcontract import (Machine, Memory, PramConfig, Workload, generate, layout, list_rank,
                           sequential_rank)
-from listcontract import orientation, pairing
-from listcontract.orientation import PassReport, uniform_contraction_pass
+from listcontract import orientation, pairing, pram
+from listcontract.orientation import PassReport, fold_array, uniform_contraction_pass
 from listcontract.model import INBOX, POOLED
 from listcontract.pram import NONE
+from listcontract.ranking import contract_to_threshold
 from listcontract.steps import PassState, read_neighbor
-from conftest import (assert_pair_registers, contract_fully, forest_from_lists, list_order,
-                      odd_chain_forest, place, read_state)
+from conftest import (assert_pair_registers, check_inverse, contract_fully, forest_from_lists,
+                      list_order, odd_chain_forest, place, read_state)
 
 
 def assert_registers(machine, state, cut):
@@ -111,17 +112,16 @@ def test_registers_match_memory_after_every_phase(seed, n, lists, mode, min_run,
 
 # the stores that hold a node's facts, and each function outside the
 # engine that may peek one during a ranking call, with its store: the
-# task-set scans, the pack's bottom-row guard and the report's in_bottom
+# task-set scans
 CORE_STORES = {"succ", "pred", "row", "col", "pair", "color", "slot"}
-PEEKERS = {("active_ids", "row"), ("in_array_ids", "row"),
-           ("contract_along_orientation", "row"), ("uniform_contraction_pass", "row")}
+PEEKERS = {("active_ids", "row"), ("in_array_ids", "row")}
 
 
 def test_pipeline_peeks_no_core_store_outside_the_engine(monkeypatch):
     # every fact the plan uses between the layout and the replay comes
     # from a metered step or from the pass registers
     peek = Memory.peek
-    seen = set()
+    seen, packers = set(), set()
 
     def audited(memory, name):
         caller = sys._getframe(1)
@@ -129,6 +129,8 @@ def test_pipeline_peeks_no_core_store_outside_the_engine(monkeypatch):
             caller = caller.f_back
         if name in CORE_STORES and caller.f_globals["__name__"] != "listcontract.pram":
             seen.add((caller.f_code.co_name, name))
+        if caller.f_code.co_name in ("contract_along_orientation", "fold_array"):
+            packers.add((caller.f_code.co_name, name))
         return peek(memory, name)
 
     monkeypatch.setattr(Memory, "peek", audited)
@@ -138,7 +140,8 @@ def test_pipeline_peeks_no_core_store_outside_the_engine(monkeypatch):
         assert run.result.same_as(sequential_rank(forest))
         assert run.metrics.erew_violations == 0
     assert seen <= PEEKERS, seen - PEEKERS
-    assert ("contract_along_orientation", "row") in seen
+    # the pack and the fold peek no store at all, scratch ones included
+    assert not packers, packers
 
 
 @pytest.mark.parametrize("mode", ["columns", "rows"])
@@ -266,6 +269,102 @@ def assert_pool_shape(steps, phase, wide, lists):
     assert steps[:len(pool)] == pool
 
 
+def assert_no_drop(trace):
+    """No step of the ledger moves a survivor between rows: no /drop
+    phase (the coloring's dropN steps are another thing), and every
+    node move is the uniformity step's odd-chain shortening."""
+    labels = [r.label for r in trace]
+    assert not [label for label in labels if "/drop/" in label]
+    assert all("/uniform/odd/" in label for label in labels if label.endswith("/move_wr"))
+
+
+@pytest.mark.parametrize("mode", ["columns", "rows"])
+@pytest.mark.parametrize("p", [1, 3, None])
+def test_fold_places_each_survivor_in_its_column_top_cell(mode, p, monkeypatch):
+    # every pass of a run forced through every pass, on shuffled ids
+    # with the sentinel: no pass drops its top-row survivors, and in
+    # fold/wr a top-row survivor writes no slot cell, while a
+    # bottom-row one clears its cell and ends in its column's old top
+    # cell, where the stepped cells put every survivor
+    forest = generate(Workload(n=999, num_lists=5, length_distribution="GEOMETRIC", seed=11,
+                               layout_shuffle=True))
+    writes, rows, fold, write = [], [], orientation.fold_array, pram._StepContext.write
+
+    def recorded_write(ctx, store, idx, values):
+        if store == "slot" and ctx.label.endswith("/fold/wr"):
+            writes.append(np.asarray(idx).copy())
+        write(ctx, store, idx, values)
+
+    def checked(machine, ids, cols, state, *args, **kwargs):
+        bottom = machine.peek("row")[ids] == 1
+        top, low = machine.cell(0, cols), machine.cell(1, cols)
+        writes.clear()
+        fold(machine, ids, cols, state, *args, **kwargs)
+        written = np.concatenate(writes)
+        assert np.array_equal(np.sort(written[written != NONE]),
+                              np.sort(np.r_[top[bottom], low[bottom]]))
+        slot = machine.peek("slot")
+        assert np.array_equal(slot[top], ids) and (slot[low[bottom]] == NONE).all()
+        assert np.array_equal(machine.cell(machine.peek("row")[ids], machine.peek("col")[ids]),
+                              top)
+        rows.append(bottom)
+
+    monkeypatch.setattr(pram._StepContext, "write", recorded_write)
+    monkeypatch.setattr(orientation, "fold_array", checked)
+    m, reports, result = contract_fully(forest, p or forest.n, min_run=8, layout_mode=mode)
+    assert result.same_as(sequential_rank(forest))
+    assert m.sentinel is not None and m.engine.metrics().erew_violations == 0
+    assert_no_drop(m.engine.trace)
+    # survivors of both rows reached a fold
+    rows = np.concatenate(rows)
+    assert len(reports) >= 3 and rows.any() and not rows.all()
+
+
+@pytest.mark.parametrize("named", sorted(NAMED_PASSES))
+def test_list_rank_drops_no_survivor(named):
+    # the inputs whose pass 0 takes the shortcut, shortens an odd chain
+    # or swaps: the shortcut's merged top pair stays on the top row, and
+    # only the odd chain moves a node
+    make, mode, min_run, p, _ = NAMED_PASSES[named]
+    forest = make()
+    m = Machine(forest, PramConfig(num_processors=p))
+    layout(m, mode=mode)
+    contract_to_threshold(m, threshold=0, min_run=min_run)
+    assert_no_drop(m.engine.trace)
+    moves = [r.label for r in m.engine.trace if r.label.endswith("/move_wr")]
+    assert bool(moves) == (named == "odd_chain")
+    run = list_rank(forest, p=p, min_run=min_run, layout_mode=mode)
+    assert run.result.same_as(sequential_rank(forest)) and run.metrics.erew_violations == 0
+    assert_no_drop(run.metrics.trace)
+
+
+def test_folds_down_to_one_column_keep_every_cell_in_the_slot_store(monkeypatch):
+    # an 8-node list on shuffled ids, rows layout, forced through every
+    # pass, folds 4 -> 2 -> 1 columns; every cell any phase computes
+    # stays below the slot store's 2 * 4 cells
+    cells, cell = [], Machine.cell
+
+    def recorded_cell(machine, row, col):
+        got = cell(machine, row, col)
+        cells.append(int(np.max(got, initial=NONE)))
+        return got
+
+    monkeypatch.setattr(Machine, "cell", recorded_cell)
+    forest = generate(Workload(n=8, length_distribution="SINGLE", seed=3, layout_shuffle=True))
+    m, reports, result = contract_fully(forest, 3, min_run=2, layout_mode="rows", max_passes=99)
+    assert result.same_as(sequential_rank(forest)) and m.engine.metrics().erew_violations == 0
+    assert [r.columns_after for r in reports] == [2, 1, 1]
+    assert (m.row_step, m.col_step) == (2, 4)
+    assert max(cells) < m.memory.size("slot") == 8
+    # a fold of the one column moves a bottom-row survivor into its top
+    # cell, and the steps stay as they are
+    place(m, {5: (1, 0)})
+    fold_array(m, np.array([5]), np.array([0]), read_state(m))
+    assert m.columns == 1 and (m.row_step, m.col_step) == (2, 4)
+    check_inverse(m)
+    assert m.peek("slot")[0] == 5 and max(cells) < 8
+
+
 def recorded(machine):
     """The (label, tasks) of every step machine opens from now on."""
     steps = []
@@ -330,7 +429,7 @@ def test_two_row_steps_run_only_when_both_rows_hold_a_node():
                 or "/uniform/" in label or "/orient/keys" in label]
     assert rep == PassReport(pre_active=4096, pooled=0, survivors=1024, columns_before=2048,
                              columns_after=1024, shortcut_pairs=0, odd_cycles=0,
-                             survivors_in_bottom_row=True)
+                             one_survivor_per_column=True)
     # the rows layout of unshuffled ids keeps both rows: one read of
     # the both columns, one publish and one key step
     forest = generate(Workload(n=4096, num_lists=16, seed=3))
@@ -339,13 +438,13 @@ def test_two_row_steps_run_only_when_both_rows_hold_a_node():
         assert [label for label in labels if label.endswith(suffix)] == ["pass" + suffix]
     assert rep == PassReport(pre_active=4096, pooled=0, survivors=2039, columns_before=2048,
                              columns_after=1024, shortcut_pairs=1009, odd_cycles=0,
-                             survivors_in_bottom_row=True)
+                             one_survivor_per_column=True)
 
 
 @pytest.mark.parametrize("min_run", [1, 0])
 def test_pass_rejects_min_run_below_two(min_run):
     # with min_run 1 this columns-layout pass used to end in
-    # OrientationError: bottom slots claimed twice
+    # OrientationError: a column claimed twice
     forest = generate(Workload(n=4096, length_distribution="FIXED", fixed_length=256))
     m = Machine(forest, PramConfig(num_processors=64))
     layout(m)

@@ -46,17 +46,15 @@ def run_case(ptr, ids, limit, seed, p=4):
     n = ptr.size
     seeds = random_seeds(rng, n, ptr)
     m, calls = recording_machine(n, p)
-    j, values, stores, rounds = double(m, "t", ids, (ptr[ids], [s[ids] for s in seeds]),
-                                       UFUNCS, limit, "dbl")
+    stores, rounds = double(m, "t", ids, (ptr[ids], [s[ids] for s in seeds]), UFUNCS, limit,
+                            "dbl")
     assert m.engine.metrics().erew_violations == 0
+    # the result stores hold every task's pointer and values at its id
+    j, *values = (m.peek(st)[ids] for st in stores)
     want_j, want = reference(ptr, seeds, UFUNCS, ids, rounds)
     assert np.array_equal(j, want_j)
     for got, exp in zip(values, want):
         assert np.array_equal(got, exp)
-    # the result stores hold what was returned
-    assert np.array_equal(m.peek(stores[0])[ids], j)
-    for st, got in zip(stores[1:], values):
-        assert np.array_equal(m.peek(st)[ids], got)
     # one init step, then one step per round of the tasks task_counts gives
     assert calls == ([("dbl/init", ids.size)]
                      + [(f"dbl/r{r}", t) for r, t in enumerate(task_counts(ptr, ids, rounds, p))])
@@ -156,9 +154,9 @@ def test_limit_leaves_live_tasks_their_pointers(p):
 def test_empty_ids():
     m, calls = recording_machine(4, 2)
     empty = np.empty(0, dtype=np.int64)
-    j, values, _, rounds = double(m, "t", empty, (empty, [empty, empty]),
-                                  (np.add, np.maximum), None, "dbl")
-    assert rounds == 0 and j.size == 0 and all(v.size == 0 for v in values)
+    stores, rounds = double(m, "t", empty, (empty, [empty, empty]), (np.add, np.maximum), None,
+                            "dbl")
+    assert rounds == 0 and len(stores) == 3
     assert m.engine.metrics().rounds == 0
     assert calls == [("dbl/init", 0)]
 
@@ -171,7 +169,8 @@ def test_seed_function_reads_inside_the_init_step():
         pv = s.read("pred", ids)
         return pv, [s.read("weight", ids)]
 
-    j, (d,), _, rounds = double(m, "t", ids, seed, (np.add,), None, "dbl")
+    stores, rounds = double(m, "t", ids, seed, (np.add,), None, "dbl")
+    j, d = (m.peek(st)[ids] for st in stores)
     assert (j == NONE).all() and rounds == 3
     assert d.tolist() == list(range(1, 9))
     assert len(calls) == 1 + rounds
@@ -179,11 +178,18 @@ def test_seed_function_reads_inside_the_init_step():
 
 def test_move_nodes_writes_from_the_cells_it_is_given():
     # nodes 0 and 1 at (0, 2) and (0, 3) move to (1, 2) and (0, 1); the
-    # caller holds both cells, so the move is one write step
-    m, calls = recording_machine(8, 4)
-    place(m, {0: (0, 2), 1: (0, 3)})
-    move_nodes(m, np.array([0, 1]), m.cell(0, [2, 3]), m.cell([1, 0], [2, 1]), "mv")
-    assert calls == [("mv/move_wr", 2)]
-    assert m.peek("row")[[0, 1]].tolist() == [1, 0]
-    assert m.peek("col")[[0, 1]].tolist() == [2, 1]
-    check_inverse(m)
+    # caller holds the cells they leave, so the move is one write step,
+    # which finds the target cells under the current steps, before a
+    # fold and after two
+    for folds in (0, 2):
+        m, calls = recording_machine(32, 4)
+        for _ in range(folds):
+            m.fold()
+        assert m.columns == 16 >> folds
+        place(m, {0: (0, 2), 1: (0, 3)})
+        move_nodes(m, np.array([0, 1]), m.cell(0, [2, 3]), [1, 0], [2, 1], "mv")
+        assert calls == [("mv/move_wr", 2)]
+        assert m.peek("row")[[0, 1]].tolist() == [1, 0]
+        assert m.peek("col")[[0, 1]].tolist() == [2, 1]
+        assert m.peek("slot")[m.cell([1, 0], [2, 1])].tolist() == [0, 1]
+        check_inverse(m)

@@ -14,7 +14,7 @@ from listcontract.pram import NONE
 from listcontract.steps import pool_nodes
 from listcontract.uniform import (both_columns, color_and_pair, enforce_uniformity,
                                   opposite_pair_shortcut, publish_mailboxes)
-from conftest import (check_inverse, contract_fully, enumerated_states, marked_pairs,
+from conftest import (check_inverse, check_packed, contract_fully, enumerated_states, marked_pairs,
                       odd_chain_forest, pair_state, paired_state, path_forest, place, read_both,
                       read_state, snapshot, states_equal, validate_pairs)
 
@@ -84,15 +84,14 @@ def test_shortcut_consumes_aligned_stack():
     assert both.cols.size == 0          # the stack's columns leave both
     b0, b1 = pairs[(1, 0)]
     t0, t1 = pairs[(0, 0)]
-    grid = m.grid()
-    assert grid[0, 4] == NONE and grid[0, 5] == NONE     # tops vacant
-    survivors = m.in_array_ids()
-    rows = m.peek("row")[survivors]
-    assert (rows == 1).all()
-    # the merged top pair sits at the 0-colored bottom member's column,
-    # the merged bottom pair at the other; each carries weight 2
-    assert sorted(m.peek("weight")[survivors].tolist()) == [2, 2]
-    assert {int(grid[1, 4]), int(grid[1, 5])} == set(survivors.tolist())
+    # the merged top pair keeps its cell at the 0-colored bottom
+    # member's column, which that member left, and the merged bottom
+    # pair its cell at the other: one survivor per column, no move step
+    assert m.grid().tolist()[0][4:6] == [t0, NONE] and m.grid().tolist()[1][4:6] == [NONE, b1]
+    assert np.array_equal(m.in_array_ids(), np.sort([t0, b1]))
+    assert m.peek("weight")[[t0, b1]].tolist() == [2, 2]
+    assert not step_rounds(m, "/move_wr")
+    check_inverse(m)
 
 
 def test_shortcut_noop_without_top_pair():
@@ -196,10 +195,11 @@ def test_odd_closed_chain_is_shortened_once(k, seed):
     assert not marked_pairs(m)
     # the shortening kept the column set current: one column less
     assert np.array_equal(both.cols, read_both(m).cols) and both.cols.size == 2 * k - 1
-    contract_along_orientation(m, derive_orientation(m, state, both), state)
-    survivors = m.in_array_ids()
-    assert (m.peek("row")[survivors] == 1).all()
-    assert int(m.peek("weight")[m.active_ids()].sum()) == pre_weight
+    plan = derive_orientation(m, state, both)
+    contract_along_orientation(m, plan, state)
+    check_packed(m, plan, pre_weight)
+    fold_array(m, plan.survivors, plan.columns, state)
+    check_inverse(m)
 
 
 def checked_merges(seen):
@@ -426,13 +426,13 @@ def test_contract_along_orientation_packs_full_period():
     both, state = read_both(m), pair_state(m)
     publish_mailboxes(m, state, both, "setup")
     plan = derive_orientation(m, state, both)
+    cells = {int(v): (int(state.row[v]), int(state.col[v])) for v in plan.survivors}
     contract_along_orientation(m, plan, state)
-    survivors = m.in_array_ids()
-    assert survivors.size == 4           # each pair merged once
-    assert (m.peek("row")[survivors] == 1).all()
-    assert int(m.peek("weight")[survivors].sum()) == 8
-    cols = np.sort(m.peek("col")[survivors])
-    assert np.unique(cols).size == survivors.size
+    assert plan.survivors.size == 4      # each pair merged once
+    check_packed(m, plan, 8)
+    # the hosts stay where they are, on both rows
+    assert {v: (int(m.peek("row")[v]), int(m.peek("col")[v])) for v in cells} == cells
+    assert {r for r, _ in cells.values()} == {0, 1}
 
 
 def test_aligned_shortcut_survivors_left_untouched_by_packing():
@@ -457,7 +457,7 @@ def test_full_pass_packs_random_instance():
     layout(m, mode="rows")
     rep = uniform_contraction_pass(m, min_run=8)
     assert rep.odd_cycles == 0
-    assert rep.survivors_in_bottom_row
+    assert rep.one_survivor_per_column
     assert rep.survivors <= rep.pre_active / 2
     assert m.columns == -(-rep.columns_before // 2) == rep.columns_after
     assert int(m.peek("weight")[m.active_ids()].sum()) == m.n
@@ -469,9 +469,15 @@ def test_fold_halves_columns_and_keeps_inverse():
     publish_mailboxes(m, state, both, "setup")
     plan = derive_orientation(m, state, both)
     contract_along_orientation(m, plan, state)
-    fold_array(m, plan.survivors, plan.columns)
-    assert m.columns == 2
+    check_packed(m, plan, 8)
+    top = m.cell(0, plan.columns)
+    fold_array(m, plan.survivors, plan.columns, state)
+    assert m.columns == 2 and (m.row_step, m.col_step) == (1, 2)
     check_inverse(m)
+    # each survivor sits in its column's old top cell
+    assert np.array_equal(m.cell(m.peek("row")[plan.survivors], m.peek("col")[plan.survivors]),
+                          top)
+    assert np.array_equal(m.peek("slot")[top], plan.survivors)
 
 
 def random_two_row_state(rng, columns=12):
@@ -504,12 +510,9 @@ def test_random_geometry_uniformity_and_packing(seed):
     assert not marked_pairs(m)
     plan = derive_orientation(m, state, both)
     contract_along_orientation(m, plan, state)
-    survivors = m.in_array_ids()
-    if survivors.size:
-        assert (m.peek("row")[survivors] == 1).all()
-        cols = m.peek("col")[survivors]
-        assert np.unique(cols).size == survivors.size
-    assert int(m.peek("weight")[m.active_ids()].sum()) == pre_weight
+    check_packed(m, plan, pre_weight)
+    fold_array(m, plan.survivors, plan.columns, state)
+    check_inverse(m)
     assert m.engine.metrics().erew_violations == 0
 
 
@@ -540,7 +543,7 @@ def fresh(memory, store, cells):
 def stale_cells(m):
     """Vacant cells of the grid whose mailbox still holds a color: an
     earlier publish filled them, and no publish since covered them."""
-    cells = np.arange(2 * m.columns)
+    cells = m.cell([[0], [1]], np.arange(m.columns))
     return int(((m.peek("slot")[cells] == NONE) & (m.peek("mb_color")[cells] != NONE)).sum())
 
 
@@ -686,4 +689,18 @@ def test_unclaimed_pair_that_is_not_marked_raises_orientation_error():
     publish_mailboxes(m, state, both, "setup")
     assert not marked_pairs(m)
     with pytest.raises(OrientationError, match="no forward column"):
+        derive_orientation(m, state, both)
+
+
+def test_two_survivors_over_one_column_raise_orientation_error():
+    # two unpaired nodes over column 1 would both survive there, and the
+    # fold places one survivor per column
+    m, pairs = paired_state(bottom=[((2, 3), (0, 1))], top=[((0, 1), (0, 1))], columns=4)
+    loose = [*pairs[(0, 0)], *pairs[(1, 0)]]
+    m.memory.poke("pair", loose, NONE)
+    m.memory.poke("color", loose, NONE)
+    place(m, {pairs[(0, 0)][0]: (0, 1), pairs[(1, 0)][0]: (1, 1)})
+    both, state = read_both(m), pair_state(m)
+    publish_mailboxes(m, state, both, "setup")
+    with pytest.raises(OrientationError, match=r"columns claimed twice at \[1\]"):
         derive_orientation(m, state, both)

@@ -4,11 +4,14 @@ Colors start as the unique node ids and shrink by comparing each
 node's color with its successor's: the new color packs the position of
 the lowest differing bit with the node's own bit there. Coin tossing
 stops once dropping the colors above 2 costs no more than going on
-would, and then one drop step per color present, highest first,
-recolors the nodes of that color; with every color in {0..5} these are
-the drops of 5, 4 and 3. The first iteration runs on the task registers
-and each later one is one engine step. The step that ends coin tossing,
-and each drop, write a node's color straight into its neighbors' inbox
+would. The step that stops ranks the color classes by size and maps
+them to the published colors: the two largest become 0 and 1, the
+third 2 and the rest 3, 4, ..., so the drops recolor the smallest
+classes. Then one drop step per color above 2, highest first, recolors
+the nodes of that color; with at most six classes these are at most
+three drops. The first iteration runs on the task registers and each
+later one is one engine step. The step that ends coin tossing, and
+each drop, write a node's color straight into its neighbors' inbox
 cells, where the drops and the color-2 elimination read it.
 
 Callers pass explicit id, successor and predecessor arrays, so the
@@ -52,11 +55,30 @@ def dct_new_colors(color, succ_color, has_succ):
     return np.where(has_succ, new, color & 1)
 
 
+def class_table(color, heads):
+    """Published color of each coin-tossing color class, indexed by
+    class: classes by descending size (ties by label) take 0, 1, 2,
+    3, ... Of the two largest, the one holding more chain heads (heads
+    is a mask over the tasks) takes 1, so a chain's head proposes to
+    its successor when pairs form and is not left unpaired."""
+    counts = np.bincount(color)
+    order = np.argsort(-counts, kind="stable")
+    if order.size > 1 and counts[order[1]]:
+        at_head = np.bincount(color[heads], minlength=counts.size)
+        if at_head[order[0]] > at_head[order[1]]:
+            order[:2] = order[1::-1]
+    table = np.empty_like(order)
+    table[order] = np.arange(order.size)
+    return table
+
+
 def drops_are_cheaper(color, p):
-    """Whether one drop step per color above 2, each of the tasks that
-    hold it, costs at most the ceil(k/p) + 3 rounds that going on pays:
-    one more full-width iteration, then drops of 5, 4 and 3. Every
-    color in {0..5} passes, so coin tossing always ends."""
+    """Whether one drop step per published color above 2, each of the
+    tasks that hold it, costs at most the ceil(k/p) + 3 rounds that
+    going on pays: one more full-width iteration, then at most three
+    drops, since it leaves at most six classes and the three largest
+    are kept. A coloring of at most six classes passes, so coin
+    tossing always ends."""
     counts = np.bincount(color)[3:]
     k = color.size
     return int((-(-counts // p)).sum()) <= -(-k // p) + 3
@@ -71,11 +93,13 @@ def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color")
     inbox_p and inbox_s cells hold its predecessor's and successor's
     final colors.
 
-    Coin tossing publishes after the first iteration whose colors
-    drops_are_cheaper accepts: one more iteration costs a full-width
-    step and still leaves colors 5, 4 and 3 to drop, so stopping pays
-    off once the drops of every color above 2 cost at most that. The
-    colors above 2 are then dropped in any number, highest first.
+    Coin tossing publishes after the first iteration whose colors,
+    mapped through class_table, drops_are_cheaper accepts: one more
+    iteration costs a full-width step and still leaves up to three
+    classes to drop, so stopping pays off once the drops of every
+    published color above 2 cost at most that. The publishing step
+    maps each task's color in its registers, and the colors above 2
+    are then dropped in any number, highest first.
     """
     ids = np.asarray(ids, dtype=np.int64)
     k = ids.size
@@ -110,7 +134,9 @@ def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color")
                 store, _, read_at = bufs[1 - t % 2]
                 color = dct_new_colors(color, s.read(store, read_at), has_succ)
                 iterations += 1
-            if drops_are_cheaper(color, p):
+            ranked = class_table(color, ~has_pred)[color]
+            if drops_are_cheaper(ranked, p):
+                color = ranked
                 s.write("color", ids, color)
                 s.write(inb_p, succ_ids, color)
                 s.write(inb_s, pred_ids, color)

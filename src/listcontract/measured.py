@@ -7,16 +7,16 @@ measurements from the same functions against these within +-10%.
 """
 
 # rounds of one contraction pass vs one 3-coloring, single list of 2**e
-PASS_OVER_COLORING_K = {10: 2.5, 12: 2.5, 14: 2.5, 16: 2.5, 18: 2.5}
+PASS_OVER_COLORING_K = {10: 2.2857, 12: 2.2857, 14: 2.2857, 16: 2.2857, 18: 2.2857}
 
 # list_rank rounds, l = 64 fixed, p = n / 6, n = 2**e
-FIXED_L_ROUNDS = {12: 51, 13: 51, 14: 51, 15: 51, 16: 51, 17: 51, 18: 51}
+FIXED_L_ROUNDS = {12: 48, 13: 48, 14: 48, 15: 48, 16: 48, 17: 48, 18: 48}
 
 # list_rank rounds, single list of length n = 2**e, p = n / 6
-SINGLE_LIST_ROUNDS = {12: 63, 14: 67, 16: 69, 18: 71}
+SINGLE_LIST_ROUNDS = {12: 60, 14: 63, 16: 65, 18: 67}
 
 # total_work(wyllie) / total_work(list_rank), n = 2**16, lists of length l
-WORK_RATIO = {4: 0.5, 16: 0.7957, 64: 1.0574, 256: 1.277}
+WORK_RATIO = {4: 0.5238, 16: 0.8506, 64: 1.1429, 256: 1.3774}
 
 # the work-advantage threshold at l = 256 is recorded, not asserted
 # against a theoretical target: with contraction stopped once a pass

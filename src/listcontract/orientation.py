@@ -263,7 +263,6 @@ class PassReport:
     columns_after: int
     shortcut_pairs: int
     odd_cycles: int                  # odd closed chains the uniformity step shortened
-    one_survivor_per_column: bool    # in the plan the fold placed from
 
     @property
     def degraded(self):
@@ -291,7 +290,7 @@ def uniform_contraction_pass(machine: Machine, min_run=MIN_RUN, phase="pass") ->
     pooled, state = pool_short_lists(machine, phase=f"{phase}/pool")
     pre_active = state.ids.size
     if pre_active == 0:
-        return PassReport(0, pooled, 0, cols_before, cols_before, 0, 0, True)
+        return PassReport(0, pooled, 0, cols_before, cols_before, 0, 0)
     pooled += localize(machine, state, min_run=min_run, phase=f"{phase}/localize")
     color_and_pair(machine, state, phase=f"{phase}/rows")
     # the merges take their sides from at_succ: no phase reads a link
@@ -309,5 +308,4 @@ def uniform_contraction_pass(machine: Machine, min_run=MIN_RUN, phase="pass") ->
         pre_active=pre_active, pooled=pooled, survivors=plan.survivors.size,
         columns_before=cols_before, columns_after=machine.columns,
         shortcut_pairs=shortcut, odd_cycles=odd_cycles,
-        one_survivor_per_column=bool(np.bincount(plan.columns).max(initial=0) <= 1),
     )

@@ -128,9 +128,12 @@ def form_pairs(machine: Machine, state: PassState, colors, phase="pairs"):
             break
         u = np.flatnonzero(unpaired)
         u_ids, u_sv, u_pv = ids[u], sv[u], pv[u]
-        with eng.step(f"{phase}/abs{wave}_ps", u.size) as s:
+        # one step reads both neighbors' pair cells. No cell is read
+        # twice: a paired node between two unpaired ones would be
+        # paired with one of them, and pairing never leaves three
+        # unpaired nodes in a row
+        with eng.step(f"{phase}/abs{wave}_nbr", u.size) as s:
             succ_pair = s.read("pair", u_sv)
-        with eng.step(f"{phase}/abs{wave}_pp", u.size) as s:
             pred_pair = s.read("pair", u_pv)
         use_s = (u_sv != NONE) & (succ_pair != NONE)
         use_p = ~use_s & (u_pv != NONE) & (pred_pair != NONE)

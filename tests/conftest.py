@@ -27,10 +27,11 @@ def forest_from_lists(lists):
 
 
 def odd_chain_forest():
-    """Two lists of 7 whose columns-layout pass 0 closes one column
-    chain with an odd number of top pairs, which the uniformity step
-    must shorten before it can swap."""
-    return forest_from_lists([[12, 2, 0, 10, 4, 6, 8], [1, 13, 9, 3, 5, 7, 11]])
+    """Two lists of 7, the even ids on row 0 of the columns layout and
+    the odd ids on row 1, whose pass 0 closes one column chain with an
+    odd number of top pairs, which the uniformity step must shorten
+    before it can swap."""
+    return forest_from_lists([[4, 8, 12, 2, 6, 10, 0], [9, 5, 1, 7, 13, 11, 3]])
 
 
 def contract_fully(f, p, min_run=MIN_RUN, layout_mode="columns", max_passes=64):

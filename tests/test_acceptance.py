@@ -150,7 +150,7 @@ def test_criterion_2_uniform_packing(monkeypatch):
         folded = iter(columns)
         for i, (rep, ok) in enumerate(zip(reports, placed)):
             checked += 1
-            if rep.pre_active and not (rep.one_survivor_per_column and next(folded)):
+            if rep.pre_active and not next(folded):
                 bad.append((w.seed, i, "two survivors share a column"))
             if rep.pre_active and rep.survivors > rep.pre_active / 2:
                 bad.append((w.seed, i, "survivors exceed half"))

@@ -169,7 +169,7 @@ def test_run_reports_why_contraction_stopped(dist, n, p, stopped_by, tmp_path, c
 def test_run_report_counts_a_pass_that_fails_to_halve(monkeypatch):
     # the columns halve on every pass, so only the survivor count shows
     # a pass that left more than half of its nodes; here pass 0 of the
-    # two a single list of 4096 takes reports that it kept every node
+    # three a single list of 4096 takes reports that it kept every node
     def kept_all(forest, p):
         run = list_rank(forest, p=p)
         run.passes[0] = dataclasses.replace(run.passes[0], survivors=run.passes[0].pre_active)
@@ -178,7 +178,7 @@ def test_run_report_counts_a_pass_that_fails_to_halve(monkeypatch):
     monkeypatch.setattr(cli, "list_rank", kept_all)
     forest = generate(Workload(n=4096, length_distribution="SINGLE"))
     report, _, _ = cli.run_report(forest, "uniform", 64)
-    assert report["passes"] == 2 and report["degraded_passes"] == 1
+    assert report["passes"] == 3 and report["degraded_passes"] == 1
 
 
 def test_run_sequential_unit_work_model(tmp_path, capsys):

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from listcontract import ImproperColoringError, Machine, PramConfig, Workload, generate
+from listcontract import (ImproperColoringError, Machine, PramConfig, Workload, generate,
+                          list_rank, sequential_rank)
 from listcontract import coloring
 from listcontract.coloring import dct_new_colors, three_color
 from listcontract.pram import NONE
 from listcontract.steps import restricted_neighbors
-from conftest import list_order, path_forest
+from conftest import forest_from_lists, list_order, path_forest
 
 
 def color_forest(n, shuffle_seed=None):
@@ -175,22 +176,35 @@ def test_colors_final_range_and_properness_random_chains():
 
 def reference_colors(ids, sv, pv, p):
     """Host model of three_color: one coin-tossing iteration from the
-    ids when one is above 5, then more while dropping the colors above
-    2 would cost more than ceil(k/p) + 3 rounds at p processors; then
-    each color above 2, highest first, drops to the least color neither
-    neighbor has, one node at a time."""
+    ids when one is above 5, then more while dropping the published
+    colors above 2 would cost more than ceil(k/p) + 3 rounds at p
+    processors. The published colors rank the classes by size, ties by
+    color, with the one of the two largest that holds more heads taking
+    1. Then each color above 2, highest first, drops to the least color
+    neither neighbor has, one node at a time."""
     pos = np.full(int(ids.max()) + 1, NONE, dtype=np.int64)
     pos[ids] = np.arange(ids.size)
-    has_s = sv != NONE
+    has_s, head = sv != NONE, pv == NONE
     c = ids.copy()
 
     def toss(c):
         return dct_new_colors(c, c[pos[np.where(has_s, sv, ids)]], has_s)
 
+    def published(c):
+        size = {x: int((c == x).sum()) for x in set(c.tolist())}
+        order = sorted(size, key=lambda x: (-size[x], x))
+        if len(order) > 1 and (head & (c == order[0])).sum() > (head & (c == order[1])).sum():
+            order[:2] = order[1::-1]
+        return np.array([order.index(x) for x in c.tolist()], dtype=np.int64)
+
+    def drop_rounds(c):
+        return sum(-(-int((c == x).sum()) // p) for x in set(c.tolist()) if x > 2)
+
     if int(c.max()) > 5:
         c = toss(c)
-    while sum(-(-int((c == x).sum()) // p) for x in set(c.tolist()) if x > 2) > -(-c.size // p) + 3:
+    while drop_rounds(published(c)) > -(-c.size // p) + 3:
         c = toss(c)
+    c = published(c)
     for drop in sorted({x for x in c.tolist() if x > 2}, reverse=True):
         for i in np.flatnonzero(c == drop):
             taken = {int(c[pos[v]]) for v in (sv[i], pv[i]) if v != NONE}
@@ -220,6 +234,91 @@ def test_colors_and_inboxes_match_host_reference(n, lists, seed, p, keep, dist):
     for inbox, nbr in (("inbox_p", pv), ("inbox_s", sv)):
         has = nbr != NONE
         assert np.array_equal(m.peek(inbox)[ids[has]], color[nbr[has]])
+
+
+# -- the class table ---------------------------------------------------------
+
+def test_class_table_ranks_classes_by_size_and_gives_heads_1():
+    # classes 7 (4 nodes), 2 (3 nodes, one head), 4 and 5 (2 nodes
+    # each) and 0 (1): by size, ties by color, but of the two largest
+    # the one with more heads takes 1
+    color = np.array([7, 7, 7, 7, 2, 2, 2, 5, 5, 4, 4, 0])
+    heads = np.zeros(color.size, dtype=bool)
+    heads[4] = True
+    assert coloring.class_table(color, heads)[[7, 2, 4, 5, 0]].tolist() == [0, 1, 2, 3, 4]
+    heads[:2] = True
+    assert coloring.class_table(color, heads)[[7, 2]].tolist() == [1, 0]
+    # a tie in heads leaves the larger class on 0
+    heads[5] = True
+    assert coloring.class_table(color, heads)[[7, 2]].tolist() == [0, 1]
+    # a lone class keeps 0, whatever it holds
+    assert coloring.class_table(np.array([3]), np.array([True]))[3] == 0
+
+
+def test_largest_classes_publish_as_0_and_1_with_the_heads_on_1():
+    # two chains of ids in steps of 2: coin tossing alternates colors 2
+    # and 3 along both (the ids differ first at bit 1), with both heads
+    # on 2 and the tails on 0 and 1. Kept as 1 and 0, the two large
+    # classes need no drop: the tails take 2 and 3, and only the one
+    # on 3 drops
+    chains = [list(range(0, 512, 2)), list(range(1, 512, 2))]
+    m = Machine(forest_from_lists(chains), PramConfig(num_processors=64))
+    ids = m.active_ids()
+    sv, pv = restricted_neighbors(m, ids, "nbr")
+    ca = three_color(m.engine, m.memory, ids, sv, pv, phase="tc")
+    assert ca.dct_iterations == 1
+    assert set(coloring_rounds(m)) == {"dct", "drop3"}
+    assert ca.final_color[chains[0]].tolist() == [1, 0] * 127 + [1, 2]
+    assert ca.final_color[chains[1]].tolist() == [1, 0] * 128
+
+
+@pytest.mark.parametrize("mode", ["columns", "rows"])
+@pytest.mark.parametrize("l", [4, 16, 64])
+def test_ordered_fixed_lists_color_with_no_drop(l, mode):
+    # ids in list order give every row chain two alternating classes;
+    # kept as 0 and 1, they leave no class above 2 to drop, and only
+    # the chain tails can hold color 2, one per list at most
+    n = 2**12
+    f = generate(Workload(n=n, length_distribution="FIXED", fixed_length=l, seed=0))
+    run = list_rank(f, p=n // 6, layout_mode=mode)
+    assert run.result.same_as(sequential_rank(f)) and run.metrics.erew_violations == 0
+    labels = [r.label for r in run.trace]
+    assert [x for x in labels if x.endswith("/rows/color/dct")]
+    assert not [x for x in labels if "/rows/color/drop" in x]
+    assert sum(r.tasks for r in run.trace if "/rows/elim2/" in r.label) <= n // l
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 600), chains=st.integers(1, 30), seed=st.integers(0, 2**16),
+       p=st.integers(1, 700))
+def test_sparse_shuffled_chains_color_properly_within_five_iterations(k, chains, seed, p):
+    # k ids drawn from 2^14 nodes, shuffled into chains; the nodes'
+    # memory links play no part, only the arrays handed in
+    rng = np.random.default_rng(seed)
+    m = Machine(path_forest(2**14), PramConfig(num_processors=p))
+    ids = np.sort(rng.choice(2**14, size=k, replace=False))
+    order = rng.permutation(ids)
+    sv, pv = np.full(2**14, NONE), np.full(2**14, NONE)
+    for chain in np.array_split(order, min(chains, k)):
+        sv[chain[:-1]], pv[chain[1:]] = chain[1:], chain[:-1]
+    sv, pv = sv[ids], pv[ids]
+    ca = three_color(m.engine, m.memory, ids, sv, pv, phase="tc")
+    assert ca.dct_iterations <= 5
+    assert set(ca.final_color.tolist()) <= {0, 1, 2}
+    assert proper(ca.final_color, ids, sv)
+    assert m.engine.metrics().erew_violations == 0
+
+
+def test_at_most_five_iterations_on_a_shuffled_2_16_chain():
+    # with p = k every class above 2 drops in one round, so coin
+    # tossing runs longest
+    fo = generate(Workload(n=2**16, length_distribution="SINGLE", seed=1, layout_shuffle=True))
+    m = Machine(fo, PramConfig(num_processors=2**16))
+    ids = m.active_ids()
+    sv, pv = restricted_neighbors(m, ids, "nbr")
+    ca = three_color(m.engine, m.memory, ids, sv, pv, phase="tc")
+    assert 1 <= ca.dct_iterations <= 5
+    assert proper(ca.final_color, ids, sv) and ca.final_color.max() <= 2
 
 
 def test_improper_final_coloring_raises(monkeypatch):

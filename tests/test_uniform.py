@@ -457,7 +457,7 @@ def test_full_pass_packs_random_instance():
     layout(m, mode="rows")
     rep = uniform_contraction_pass(m, min_run=8)
     assert rep.odd_cycles == 0
-    assert rep.one_survivor_per_column
+    check_inverse(m)
     assert rep.survivors <= rep.pre_active / 2
     assert m.columns == -(-rep.columns_before // 2) == rep.columns_after
     assert int(m.peek("weight")[m.active_ids()].sum()) == m.n

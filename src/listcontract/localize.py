@@ -5,37 +5,30 @@ other row next to one of their ends, a *flank*) are contracted into
 their flanks, split at the run midpoint. Each node of a short run
 needs its distance to both ends of its run and whether each end is
 flanked. A one-node run reads all of that in its own registers.
-Longer runs get one of two classifiers, whichever the host's counts
-price lower:
+Longer runs are classified by the flank walk: two walkers per run of
+two or more nodes, one from each end, hop toward the other end at
+once, one step per hop. A walker marks every node it reaches with its
+hop count and its end's flank flag, and learns the next node and its
+row from the node's own neighbor message: the start walker reads
+inbox_s, the end walker inbox_p, so the two never read one cell, even
+on the middle node of an odd run, which both reach in one step. A
+walker stops at the run's far end, or after min_run - 2 steps, which
+reach every node of a run shorter than min_run. A node both walkers
+reached knows its run length and both flank flags, so a run of L nodes
+is classified in L - 1 steps. Walkers of different runs touch disjoint
+cells, and a run ending at a list end walks too, since its other end
+cannot tell locally whether that end is flanked.
 
-- the flank walk: two walkers per run of two or more nodes, one from
-  each end, hop toward the other end at once, one step per hop. A
-  walker marks every node it reaches with its hop count and its end's
-  flank flag, and learns the next node and its row from the node's own
-  neighbor message: the start walker reads inbox_s, the end walker
-  inbox_p, so the two never read one cell, even on the middle node of
-  an odd run, which both reach in one step. A walker stops at the
-  run's far end, or after min_run - 2 steps, which reach every node of
-  a run shorter than min_run. A node both walkers reached knows its run
-  length and both flank flags, so a run of L nodes is classified in
-  L - 1 steps. Walkers of different runs touch disjoint cells, and a
-  run ending at a list end walks too, since its other end cannot tell
-  locally whether that end is flanked;
-- run-distance doubling: every target-row node finds its distance to
-  both ends of its run by pointer doubling capped at
-  ceil(log2 min_run) rounds, so a node whose end lies farther is on a
-  long run.
-
-Both classify any min_run exactly. The walk needs every node's
-inbox_s and inbox_p cells to name its successor and predecessor and
-their rows (no neighbor at a list end): the pool's wide step leaves
-them so, written by each node itself after the layout and by the
-previous pass's fold after a fold, and each contract step sends a host
-and the far neighbor of the node it absorbs their new neighbors. A
-short run then goes into its flanks in log-depth waves: each half counts its nodes q = 1, 2, ...
-from its flank, and wave j absorbs the nodes whose q has lowest set
-bit 2**j into their register neighbor toward the flank, so a half of
-h nodes takes ceil(log2(h + 1)) waves, both halves of every run in one
+The walk needs every node's inbox_s and inbox_p cells to name its
+successor and predecessor and their rows (no neighbor at a list end):
+the pool's wide step leaves them so, written by each node itself after
+the layout and by the previous pass's fold after a fold, and each
+contract step sends a host and the far neighbor of the node it absorbs
+their new neighbors. A short run then goes into its flanks in
+log-depth waves: each half counts its nodes q = 1, 2, ... from its
+flank, and wave j absorbs the nodes whose q has lowest set bit 2**j
+into their register neighbor toward the flank, so a half of h nodes
+takes ceil(log2(h + 1)) waves, both halves of every run in one
 contract step and one refresh step per wave. A list the waves leave
 as one node is pooled. Links that still cross rows afterwards are
 virtually deleted: both ends drop them from their pass registers,
@@ -49,7 +42,7 @@ import numpy as np
 from .model import INBOX, Machine, PRED_SIDE, SUCC_SIDE
 from .pram import NONE
 # restricted_neighbors stays importable here for bench/tracing.py
-from .steps import (PassState, contract_batch, double, pool_nodes, read_neighbor,  # noqa: F401
+from .steps import (PassState, contract_batch, pool_nodes, read_neighbor,  # noqa: F401
                     restricted_neighbors, scratch)
 
 MIN_RUN = 100
@@ -99,30 +92,13 @@ def _run_ends(state: PassState, target_row):
     return nodes, start, end, start & (row_p != NONE), end & (row_s != NONE)
 
 
-def _walkers(start, end, min_run):
-    """Positions of the run ends that walk: both ends of every run of
-    two or more nodes, when such a run can be short."""
-    return np.flatnonzero(start ^ end) if min_run > 2 else np.empty(0, dtype=np.int64)
-
-
-def walk_is_cheaper(walkers, tasks, p, min_run):
-    """Whether the flank walk's rounds bound, min_run - 2 steps of
-    walkers tasks, is at most the doubling's, two doublings of
-    (min_run - 1).bit_length() + 1 steps of tasks each."""
-    limit = max(0, min_run - 1).bit_length()
-    return (min_run - 2) * -(-walkers // p) <= 2 * (limit + 1) * -(-tasks // p)
-
-
 def _absorb_short_runs(machine: Machine, state: PassState, target_row, min_run, phase):
-    nodes, start, end, start_flank, end_flank = ends = _run_ends(state, target_row)
+    nodes, _, _, start_flank, end_flank = ends = _run_ends(state, target_row)
     # a run without a flank is never short
     if not (start_flank | end_flank).any():
         return
-    walk = walk_is_cheaper(_walkers(start, end, min_run).size, nodes.size,
-                           machine.config.num_processors, min_run)
     to_left, wave, meet_row = _plan_waves(
-        *(classify_by_walk(machine, state, target_row, ends, min_run, phase) if walk
-          else classify_by_doubling(machine, state, ends, min_run, phase)), target_row)
+        *classify_by_walk(machine, state, target_row, ends, min_run, phase), target_row)
     for j in range(int(wave.max()) + 1):
         on = wave == j
         a = nodes[on]
@@ -185,7 +161,8 @@ def classify_by_walk(machine: Machine, state: PassState, target_row, ends, min_r
     nodes, start, end, start_flank, end_flank = ends
     pos, rem = np.where(start, 0, NONE), np.where(end, 0, NONE)
     head_flag, tail_flag = start & start_flank, end & end_flank
-    walk = _walkers(start, end, min_run)
+    # both ends of every run of two or more nodes walk, when such a run can be short
+    walk = np.flatnonzero(start ^ end) if min_run > 2 else np.empty(0, dtype=np.int64)
     first, last = walk[start[walk]], walk[end[walk]]   # the walking run ends
     fwd_flag, bwd_flag = start_flank[first], end_flank[last]
     fwd, bwd = state.sv[nodes[first]], state.pv[nodes[last]]   # each walker's next node
@@ -217,42 +194,6 @@ def classify_by_walk(machine: Machine, state: PassState, target_row, ends, min_r
     short = known & (pos + rem + 1 < min_run) & (head_flag | tail_flag)
     return (np.where(short, pos, NONE), np.where(short, rem, NONE),
             short & head_flag, short & tail_flag, short)
-
-
-def classify_by_doubling(machine: Machine, state: PassState, ends, min_run, phase):
-    """Classify the target-row runs by run-distance doubling over
-    every node of ends, what _run_ends gives for the target row;
-    returns what classify_by_walk returns."""
-    nodes, start, end, start_flank, end_flank = ends
-    # a run shorter than min_run has every node within min_run - 2
-    # hops of both its ends, which ceil(log2 min_run) rounds resolve
-    limit = max(0, min_run - 1).bit_length()
-    pos, head_flag = _boundary_distance(machine, nodes, np.where(start, NONE, state.pv[nodes]),
-                                        start_flank, limit, f"{phase}/dhead")
-    rem, tail_flag = _boundary_distance(machine, nodes, np.where(end, NONE, state.sv[nodes]),
-                                        end_flank, limit, f"{phase}/dtail")
-    resolved = (pos != NONE) & (rem != NONE)
-    length = np.where(resolved, pos + rem + 1, NONE)
-    short = resolved & (length < min_run) & (head_flag | tail_flag)
-    return pos, rem, head_flag, tail_flag, short
-
-
-def _boundary_distance(machine: Machine, ids, back, boundary_flag, limit, phase):
-    """Distance to the run boundary and the boundary's flank flag.
-
-    back[i] is the in-run neighbor toward the boundary (NONE at the
-    boundary itself). Entries more than 2**limit - 1 hops from the
-    boundary return NONE, which classifies the run as long.
-    """
-    if (back == NONE).all():
-        # every node is its own boundary
-        return np.zeros(ids.size, dtype=np.int64), boundary_flag
-    stores, _ = double(machine, "run", ids,
-                       (back, [np.where(back != NONE, 1, 0), boundary_flag.astype(np.int64)]),
-                       (np.add, np.maximum), limit, phase)
-    j, d, f = (machine.peek(st)[ids] for st in stores)
-    done = j == NONE
-    return np.where(done, d, NONE), done & (f == 1)
 
 
 def _cut_cross_links(state: PassState):

@@ -30,17 +30,13 @@ def double(machine: Machine, name, ids, seed, ufuncs, limit=None, phase="double"
     value stores holding the result, for every task at its id, where
     each caller reads its own. Pointers must stay within ids.
 
-    Round 0 runs every task, and round r > 0 those whose pointer was
-    live at the start of round r - 1: a task whose pointer runs out
-    writes its final state once more, into the buffer it did not just
-    write, so a task that reaches it later reads that state from
-    either buffer. The step's tasks stay a superset of those: the
-    finished ones leave the registers only when that lowers the step's
-    ceil(t / p), and until then keep rewriting their final state,
-    reading nothing.
+    Round 0 runs every task, and round r > 0 exactly those whose
+    pointer was live at the start of round r - 1: a task whose pointer
+    runs out writes its final state once more, into the buffer it did
+    not just write, so a task that reaches it later reads that state
+    from either buffer, and then leaves the registers.
     """
     eng = machine.engine
-    p = eng.config.num_processors
     size = max(machine.n, int(ids.max(initial=-1)) + 1)
     bufs = [[scratch(machine, f"{name}_{f}{b}", size)
              for f in ["j"] + [f"v{i}" for i in range(len(ufuncs))]] for b in (0, 1)]
@@ -55,7 +51,7 @@ def double(machine: Machine, name, ids, seed, ufuncs, limit=None, phase="double"
         live = j != NONE
         if not live.any():
             break
-        if need is not None and -(-np.count_nonzero(need) // p) < -(-j.size // p):
+        if need is not None and not need.all():
             tid, j, live = tid[need], j[need], live[need]
             for i, v in enumerate(values):   # each old register goes as it is replaced
                 values[i] = v[need]

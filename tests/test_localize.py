@@ -165,32 +165,50 @@ def test_min_run_above_1024_absorbs_whole_short_runs():
 def test_no_flank_skips_run_distances():
     # columns layout of FIXED l=64: phase (a) absorbs the whole lower
     # row, so no upper run has a flank and phase (b) has nothing short;
-    # every lower run is one node long, so phase (a) has no distance to
-    # double either
+    # every lower run is one node long, so phase (a) has no run to walk
+    # either
     n = 4096
     m = Machine(generate(Workload(n=n, length_distribution="FIXED", fixed_length=64)),
                 PramConfig(num_processors=n // 6))
     layout(m)
     localize(m, read_state(m))
     labels = m.engine.metrics().phase_breakdown
-    assert not [k for k in labels if k.startswith(("localize/b/dhead", "localize/b/dtail",
-                                                   "localize/b/walk"))]
-    assert not [k for k in labels if k.startswith(("localize/a/dhead", "localize/a/dtail",
-                                                   "localize/a/walk"))]
+    assert not [k for k in labels if k.startswith(("localize/a/walk", "localize/b/walk"))]
     assert [k for k in labels if k.startswith("localize/a/")]
     assert (m.peek("row")[m.in_array_ids()] == 0).all()
     assert int(m.peek("weight")[m.in_array_ids()].sum()) == n
 
 
-# -- flank walk against run-distance doubling ------------------------------
+# -- flank walk against a host walk of the pass registers ------------------
 
-def assert_same_classes(walk, dbl):
-    """Equal short flags, and equal distances and flank flags on every
-    short-run node."""
-    short = dbl[4]
-    assert np.array_equal(walk[4], short)
-    for got, want in zip(walk[:4], dbl[:4]):
-        assert np.array_equal(got[short], want[short])
+def host_classes(state, target_row, min_run):
+    """What classify_by_walk returns, by walking the pass registers on
+    the host: each live target-row node's distance to the start and to
+    the end of its run, the flank flags of those ends, and short, in
+    the order of _run_ends; distances NONE and flags False off short
+    runs."""
+    nodes = localize_mod._run_ends(state, target_row)[0]
+    out = {}
+    for v in nodes:
+        if state.row_p[v] == target_row:
+            continue   # not a run start
+        run = [int(v)]
+        while state.row_s[run[-1]] == target_row:
+            run.append(int(state.sv[run[-1]]))
+        # an end is flanked when it has a neighbor, which is then off the row
+        head, tail = state.row_p[v] != NONE, state.row_s[run[-1]] != NONE
+        short = len(run) < min_run and (head or tail)
+        for i, u in enumerate(run):
+            out[u] = ((i, len(run) - 1 - i, head, tail, True) if short
+                      else (NONE, NONE, False, False, False))
+    cols = np.array([out[int(v)] for v in nodes], dtype=np.int64).reshape(-1, 5).T
+    return cols[0], cols[1], cols[2] == 1, cols[3] == 1, cols[4] == 1
+
+
+def assert_same_classes(walk, want):
+    """Equal distances, flank flags and short flags on every node."""
+    for got, exp in zip(walk, want):
+        assert got.dtype == exp.dtype and np.array_equal(got, exp)
 
 
 def random_rows(machine, forest, rng, q):
@@ -207,9 +225,9 @@ def random_rows(machine, forest, rng, q):
 @given(seed=st.integers(0, 2**31), n=st.integers(2, 400), lists=st.integers(1, 8),
        mode=st.sampled_from(["columns", "rows", "random"]),
        min_run=st.sampled_from([2, 3, 8, 100, 1025]), p=st.integers(1, 16))
-def test_walk_classifies_short_runs_as_doubling_does(seed, n, lists, mode, min_run, p):
+def test_walk_classifies_short_runs_as_the_host_does(seed, n, lists, mode, min_run, p):
     # every localization of a whole ranking call, and of a random
-    # placement, runs both classifiers on the same pass state first
+    # placement, checks the walk against the host on its pass state first
     forest = generate(Workload(n=n, num_lists=min(lists, n), length_distribution="GEOMETRIC",
                                seed=seed, layout_shuffle=True))
     absorb = localize_mod._absorb_short_runs
@@ -217,8 +235,7 @@ def test_walk_classifies_short_runs_as_doubling_does(seed, n, lists, mode, min_r
     def compared(machine, state, target_row, min_run, phase):
         ends = localize_mod._run_ends(state, target_row)
         walk = localize_mod.classify_by_walk(machine, state, target_row, ends, min_run, "cmp/w")
-        dbl = localize_mod.classify_by_doubling(machine, state, ends, min_run, "cmp/d")
-        assert_same_classes(walk, dbl)
+        assert_same_classes(walk, host_classes(state, target_row, min_run))
         return absorb(machine, state, target_row, min_run, phase)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -234,7 +251,7 @@ def test_walk_classifies_short_runs_as_doubling_does(seed, n, lists, mode, min_r
             assert run.metrics.erew_violations == 0
 
 
-def test_walk_and_doubling_agree_on_dense_random_runs():
+def test_walk_and_host_agree_on_dense_random_runs():
     # many short and long runs on both rows; min_run 3 walks runs of two
     rng = np.random.default_rng(7)
     for min_run in (3, 8, 100):
@@ -245,23 +262,11 @@ def test_walk_and_doubling_agree_on_dense_random_runs():
         state = read_state(m)
         for target_row in (1, 0):
             ends = localize_mod._run_ends(state, target_row)
-            dbl = localize_mod.classify_by_doubling(m, state, ends, min_run, "d")
-            assert dbl[4].sum() > 0
+            want = host_classes(state, target_row, min_run)
+            assert want[4].sum() > 0
             assert_same_classes(
-                localize_mod.classify_by_walk(m, state, target_row, ends, min_run, "w"), dbl)
+                localize_mod.classify_by_walk(m, state, target_row, ends, min_run, "w"), want)
         assert m.engine.metrics().erew_violations == 0
-
-
-def test_walk_rule_prices_both_classifiers():
-    # min_run 8: a walk of at most 6 steps of the walkers against two
-    # doublings of 4 steps of every target-row node, so it always walks
-    assert localize_mod.walk_is_cheaper(walkers=2, tasks=1000, p=100, min_run=8)
-    assert localize_mod.walk_is_cheaper(walkers=1000, tasks=1000, p=100, min_run=8)   # 60 <= 80
-    # min_run 100: at most 98 walk steps against two doublings of 8
-    assert localize_mod.walk_is_cheaper(walkers=0, tasks=10, p=1, min_run=100)
-    assert localize_mod.walk_is_cheaper(walkers=100, tasks=1000, p=100, min_run=100)  # 98 <= 160
-    assert not localize_mod.walk_is_cheaper(walkers=200, tasks=1000, p=100, min_run=100)
-    assert not localize_mod.walk_is_cheaper(walkers=2, tasks=30, p=16, min_run=100)
 
 
 def runs_machine(lists, p=None):
@@ -305,12 +310,11 @@ def walk_steps(machine, phase):
 
 
 def classify_both(m, state, target_row, min_run):
-    """Both classifiers on the target-row runs of state, compared; the
-    walk's step count."""
+    """The walk on the target-row runs of state, compared with the
+    host; the walk's classes and step count."""
     ends = localize_mod._run_ends(state, target_row)
-    dbl = localize_mod.classify_by_doubling(m, state, ends, min_run, "d")
     walk = localize_mod.classify_by_walk(m, state, target_row, ends, min_run, f"w{target_row}")
-    assert_same_classes(walk, dbl)
+    assert_same_classes(walk, host_classes(state, target_row, min_run))
     return walk, walk_steps(m, f"w{target_row}")
 
 
@@ -424,23 +428,44 @@ def localize_labels(positions, n, p, min_run):
     return m, list(m.engine.metrics().phase_breakdown)
 
 
-def test_localize_walks_few_runs_and_doubles_many():
+def test_localize_walks_few_runs_and_many():
     # one 5-node lower run inside a 2000-node upper run: two walkers
-    # against 5 target-row tasks, so min_run 8 walks
+    # of 4 steps at min_run 8
     pos = {v: (0, v) for v in range(1000)}
     pos.update({1000 + i: (1, i) for i in range(5)})
     pos.update({1005 + i: (0, 1000 + i) for i in range(995)})
     m, labels = localize_labels(pos, 2000, 1, 8)
-    assert [k for k in labels if k.startswith("localize/a/walk")]
-    assert not [k for k in labels if "/dhead" in k or "/dtail" in k]
+    assert [k for k in labels if k.startswith("localize/a/walk")] == [
+        f"localize/a/walk{k}" for k in range(4)]
     assert m.peek("weight")[999] == 1 + 3 and m.peek("weight")[1005] == 1 + 2
-    # 300 two-node lower runs between two-node upper runs: 600 walkers
-    # of up to 98 steps against two 8-step doublings of 600 tasks
+    # 300 two-node lower runs between two-node upper runs, min_run 100:
+    # 600 walkers meet after one step, so localization is that step and
+    # one wave, under half the 230 rounds that doubling run distances
+    # over every lower node costs here
     pos = {v: ((v // 2) % 2, (v // 4) * 2 + v % 2) for v in range(1200)}
     m, labels = localize_labels(pos, 1200, 16, 100)
-    assert [k for k in labels if k.startswith("localize/a/dhead")]
-    assert not [k for k in labels if "/walk" in k]
+    assert [k for k in labels if "/walk" in k] == ["localize/a/walk0"]
+    assert not [k for k in labels if "/dhead" in k or "/dtail" in k]
+    rounds = m.engine.metrics().phase_breakdown
+    assert sum(r for k, r in rounds.items() if k.startswith("localize/")) <= 116
     assert (m.peek("row")[m.in_array_ids()] == 0).all()
+
+
+@pytest.mark.parametrize("fixed_length, doubling_rounds", [(4, 29), (64, 36), (0, 34)])
+def test_list_rank_localizes_shuffled_columns_in_fewer_rounds(fixed_length, doubling_rounds):
+    # shuffled FIXED 4, FIXED 64 and GEOMETRIC (fixed_length 0) at 2^12,
+    # p = n/6: shuffled ids leave runs of a few nodes, which the walk
+    # classifies in fewer rounds than doubling run distances over every
+    # target-row node costs there (doubling_rounds of localization)
+    n = 1 << 12
+    forest = generate(Workload(n=n, num_lists=n // 256, seed=2, layout_shuffle=True,
+                               length_distribution="FIXED" if fixed_length else "GEOMETRIC",
+                               fixed_length=fixed_length))
+    run = list_rank(forest, p=n // 6)
+    assert run.result.same_as(sequential_rank(forest)) and run.metrics.erew_violations == 0
+    trace = run.metrics.trace
+    assert not [r for r in trace if "/dhead" in r.label or "/dtail" in r.label]
+    assert sum(r.rounds for r in trace if "localize/" in r.label) < doubling_rounds
 
 
 # -- log-depth absorption waves --------------------------------------------
@@ -474,7 +499,9 @@ def localize_runs(runs, p=16):
 
 
 def wave_labels(labels):
-    return [k for k in labels if k.startswith("localize/a/w")]
+    """The labels of phase (a)'s absorption waves, without its walk."""
+    return [k for k in labels
+            if k.startswith("localize/a/w") and not k.startswith("localize/a/walk")]
 
 
 @pytest.mark.parametrize("h", [1, 2, 3, 4, 7, 8, 50])

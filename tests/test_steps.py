@@ -57,20 +57,17 @@ def run_case(ptr, ids, limit, seed, p=4):
         assert np.array_equal(got, exp)
     # one init step, then one step per round of the tasks task_counts gives
     assert calls == ([("dbl/init", ids.size)]
-                     + [(f"dbl/r{r}", t) for r, t in enumerate(task_counts(ptr, ids, rounds, p))])
+                     + [(f"dbl/r{r}", t) for r, t in enumerate(task_counts(ptr, ids, rounds))])
     return j, rounds
 
 
-def task_counts(ptr, ids, rounds, p):
-    """Tasks of each round's step: every task in round 0, then those
-    whose pointer was live at the start of the round before, topped up
-    with the last step's finished tasks unless dropping them lowers
-    ceil(t / p)."""
+def task_counts(ptr, ids, rounds):
+    """Tasks of each round's step: every task in round 0, then exactly
+    those whose pointer was live at the start of the round before."""
     counts = [ids.size]
     for r in range(1, rounds):
         was_live, _ = reference(ptr, [], (), ids, r - 1)
-        need = int((was_live != NONE).sum())
-        counts.append(need if -(-need // p) < -(-counts[-1] // p) else counts[-1])
+        counts.append(int((was_live != NONE).sum()))
     return counts
 
 
@@ -124,15 +121,15 @@ def test_limit_cuts_doubling_short():
 def test_task_finished_in_round_r_is_read_in_round_r_plus_2(seed):
     # chain 0 <- 1 <- ... <- 7: node 1's pointer runs out in round 0,
     # and node 5 reads node 1 in round 2, which reads the buffer round
-    # 0 did not write; at p = 1 every drop lowers the step's rounds, so
-    # node 1 runs only its copy-forward round 1. A stale read would
+    # 0 did not write, since node 1 runs only its copy-forward round 1
+    # and then leaves the step. A stale read would
     # leave node 5 a live pointer that a fourth round could follow to
     # the right sums, so the limit stops at the chain's 3 rounds
     n = 8
     ptr = np.arange(-1, n - 1)
     j, rounds = run_case(ptr, np.arange(n), 3, seed, p=1)
     assert rounds == 3 and (j == NONE).all()
-    assert task_counts(ptr, np.arange(n), rounds, 1) == [8, 7, 6]
+    assert task_counts(ptr, np.arange(n), rounds) == [8, 7, 6]
 
 
 @pytest.mark.parametrize("p", [1, 3])

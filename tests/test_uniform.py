@@ -294,9 +294,9 @@ def test_sweep_doubling_runs_only_the_closed_chain_once_open_chains_finish(seed)
     # top pair (17, 18): only 17 and 18 are both columns, so its 4 states
     # walk two 2-state chains, each rooted at the state its bottom pair's
     # far end would have fed, and their pointers have all run out by the
-    # start of round 1. At p = 1 every drop lowers the step's rounds, so
-    # round 1 adds only the two states whose pointer ran out in round 0,
-    # and later rounds run the closed chain's states alone
+    # start of round 1. Round 1 adds only the two states whose pointer
+    # ran out in round 0, and later rounds run the closed chain's states
+    # alone
     k = 8
     o = 2 * k
     m, _ = closed_chain(k, seed, bottom=[((o, o + 1), (0, 1)), ((o + 2, o + 3), (1, 0))],

@@ -16,7 +16,7 @@ import numpy as np
 
 from .coloring import three_color
 from .model import Machine, layout
-from .orientation import uniform_contraction_pass
+from .orientation import fold_array, uniform_contraction_pass
 from .pram import PramConfig
 from .ranking import list_rank, wyllie_rank
 from .steps import restricted_neighbors
@@ -24,13 +24,15 @@ from .workloads import Workload, generate
 
 
 def pass_vs_coloring_rounds(exponent, seed=4):
-    """Rounds of one contraction pass and of one 3-coloring of the
-    same single-list instance; their ratio is the recorded K."""
+    """Rounds of one contraction pass, its pending fold included, and
+    of one 3-coloring of the same single-list instance; their ratio is
+    the recorded K, the paper's contract and pack against coloring."""
     n = 2 ** exponent
     fo = generate(Workload(n=n, length_distribution="SINGLE", seed=seed))
     m = Machine(fo, PramConfig(num_processors=max(1, n // 6)))
     layout(m)
     uniform_contraction_pass(m)
+    fold_array(m, *m.pending_fold)
     pass_rounds = m.engine.metrics().rounds
 
     m2 = Machine(fo, PramConfig(num_processors=max(1, n // 6)))

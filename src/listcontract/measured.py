@@ -7,16 +7,16 @@ measurements from the same functions against these within +-10%.
 """
 
 # rounds of one contraction pass vs one 3-coloring, single list of 2**e
-PASS_OVER_COLORING_K = {10: 2.2857, 12: 2.2857, 14: 2.2857, 16: 2.2857, 18: 2.2857}
+PASS_OVER_COLORING_K = {10: 2.1429, 12: 2.1429, 14: 2.1429, 16: 2.1429, 18: 2.1429}
 
 # list_rank rounds, l = 64 fixed, p = n / 6, n = 2**e
-FIXED_L_ROUNDS = {12: 48, 13: 48, 14: 48, 15: 48, 16: 48, 17: 48, 18: 48}
+FIXED_L_ROUNDS = {12: 44, 13: 44, 14: 44, 15: 44, 16: 44, 17: 44, 18: 44}
 
 # list_rank rounds, single list of length n = 2**e, p = n / 6
-SINGLE_LIST_ROUNDS = {12: 60, 14: 63, 16: 65, 18: 67}
+SINGLE_LIST_ROUNDS = {12: 56, 14: 58, 16: 60, 18: 62}
 
 # total_work(wyllie) / total_work(list_rank), n = 2**16, lists of length l
-WORK_RATIO = {4: 0.5238, 16: 0.8488, 64: 1.1456, 256: 1.3849}
+WORK_RATIO = {4: 0.6111, 16: 0.9125, 64: 1.2052, 256: 1.4456}
 
 # the work-advantage threshold at l = 256 is recorded, not asserted
 # against a theoretical target: with contraction stopped once a pass

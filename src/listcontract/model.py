@@ -171,8 +171,12 @@ class Machine:
         # where the placement came from: the layout mode, which places
         # each node by its id, FOLDED once fold_array has left every
         # survivor's neighbor messages in the inbox cells, None before
-        # either; the pool refuses None
+        # either and while a pass's fold is pending; the pool refuses
+        # None
         self.placed_by = None
+        # the last pass's survivors, their columns and rows, which the
+        # next pass folds first; None once folded
+        self.pending_fold = None
 
         m = self.memory
         m.alloc("succ", n)

@@ -7,7 +7,9 @@ into its member at its forward column; merged exempt nodes and
 boundary pairs resolve by vacancy instead. That leaves at most one
 survivor per column, on either row, and the array folds to half the
 columns: each survivor lands in its column's old top cell
-(Machine.cell), so a top-row survivor keeps its cell.
+(Machine.cell), so a top-row survivor keeps its cell. A pass leaves
+its fold pending, and the next pass runs it first; pointer jumping and
+the replay read no cell, so after the last pass no fold runs.
 """
 
 from __future__ import annotations
@@ -26,11 +28,6 @@ from .steps import (PassState, contract_batch, move_nodes, neighbor_message,  # 
                     pool_writes, read_neighbor, scratch)
 from .uniform import (BothColumns, both_columns, color_and_pair, enforce_uniformity,
                       merge_pairs, opposite_pair_shortcut)
-
-# lists shorter than this leave the array at the start of a pass: the
-# pool's one wide step gives every node its neighbors, and the list
-# heads alone walk the POOL_MIN_LEN - 2 hops past that
-POOL_MIN_LEN = 4
 
 # the key after each key along the pattern 0, 1, 3, 2; NONE after NONE
 _CYCLE_NEXT = np.array([1, 3, 0, 2, NONE])
@@ -130,10 +127,13 @@ def contract_along_orientation(machine: Machine, plan: OrientationKey, state: Pa
     merge_pairs(machine, plan.plan_absorbed, plan.plan_host, state, phase)
 
 
-def fold_array(machine: Machine, ids, cols, state: PassState, phase="fold"):
+def fold_array(machine: Machine, ids, cols, rows, phase="fold"):
     """Halve the array in one write step: survivor ids[i], alone in
-    column cols[i] (the plan's column) on the row its pass register
-    state.row gives, moves to (cols[i] % 2, cols[i] // 2).
+    column cols[i] (the plan's column) on row rows[i], moves to
+    (cols[i] % 2, cols[i] // 2). A pass leaves these three arrays
+    pending in machine.pending_fold, and the next pass runs the fold as
+    its first step; after the last pass none runs, since pointer
+    jumping and the replay read no cell.
 
     Machine.fold makes that cell the column's old top cell, so a top-row
     survivor writes no slot cell, and a bottom-row one clears its cell
@@ -147,12 +147,12 @@ def fold_array(machine: Machine, ids, cols, state: PassState, phase="fold"):
     cell on a side it lacks. The survivors' neighbors are survivors
     (the pool and localization take out whole lists), so every
     survivor's inbox cells then name its neighbors and their new rows,
-    and the next pass's pool reads them there (placed_by FOLDED)."""
+    and the pool reads them there (placed_by FOLDED)."""
     # in id order, the engine proves the row, col, pred and succ
     # accesses at once
     order = np.argsort(ids)
     ids, cols = ids[order], cols[order]
-    bottom = state.row[ids] == 1
+    bottom = rows[order] == 1
     frm = machine.cell(np.where(bottom, 1, NONE), cols)
     top = machine.cell(np.where(bottom, 0, NONE), cols)
     machine.fold()
@@ -170,39 +170,37 @@ def fold_array(machine: Machine, ids, cols, state: PassState, phase="fold"):
             s.write(inbox[d], to, me)
             s.write(inbox[d], np.where(mine == NONE, ids, NONE), neighbor_message(NONE, 0))
     machine.placed_by = FOLDED
+    machine.pending_fold = None
 
 
 def pool_short_lists(machine: Machine, phase="pool"):
-    """Move lists shorter than POOL_MIN_LEN out of the array; pointer
-    jumping will finish them. Their links stay intact. Returns the
-    count and the PassState of the rest (memory holds no cut).
+    """Move the lists of one node out of the array; pointer jumping
+    will finish them. Returns the count and the PassState of the rest
+    (memory holds no cut).
 
     One step over every node in the array reads its cell and links and
     learns its neighbors' rows, and leaves its inbox_p and inbox_s
     cells naming its predecessor and successor and their rows (no
-    neighbor at a list end), which localization's walk reads. Where the
-    rows come from depends on machine.placed_by. layout places a node
-    by its id alone, so after it a node computes its neighbors' rows
-    from their ids and writes its own two inbox cells; fold_array has
-    written those cells already, so after it a node reads them. Any
-    other placement raises ValueError: one made by neither, a node off
-    the row its layout gives it, or an inbox cell that names another
-    neighbor than memory's link.
+    neighbor at a list end), which localization's walk reads. A node
+    alone in its list pools itself in the same step. Longer lists stay:
+    localization and pairing shorten them like any other, localization
+    pools a list it leaves as one node, and a later pass pools one that
+    pairing leaves so.
 
-    A node alone in its list pools itself in that step. Only the list
-    heads then walk outward, one narrow step per hop, each reading the
-    next node's link and cell. A head that reaches its list's tail
-    before POOL_MIN_LEN nodes has seen the whole list and pools it in
-    that step, so at most POOL_MIN_LEN - 2 steps run, none wider than
-    the list count. Interior nodes never learn their list's length:
-    the rest are the nodes no head pooled."""
-    eng = machine.engine
+    Where the rows come from depends on machine.placed_by. layout places
+    a node by its id alone, so after it a node computes its neighbors'
+    rows from their ids and writes its own two inbox cells; fold_array
+    has written those cells already, so after it a node reads them. Any
+    other placement raises ValueError: one made by neither (a pass that
+    leaves its fold pending resets placed_by), a node off the row its
+    layout gives it, or an inbox cell that names another neighbor than
+    memory's link."""
     ids = machine.in_array_ids()
     source = machine.placed_by
     if source is None:
         raise ValueError("the pool needs a placement made by layout or fold_array")
     inbox = [scratch(machine, st) for st in INBOX]
-    with eng.step(f"{phase}/links", ids.size) as s:
+    with machine.engine.step(f"{phase}/links", ids.size) as s:
         row = s.read("row", ids)
         col = s.read("col", ids)
         pv = s.read("pred", ids)
@@ -224,34 +222,13 @@ def pool_short_lists(machine: Machine, phase="pool"):
         if lone.any():
             pool_writes(s, np.where(lone, ids, NONE),
                         machine.cell(np.where(lone, row, NONE), col))
-    out = [ids[lone]]
-    # each walking head's nodes so far, with their rows and columns, and
-    # the next node it reads
-    head = np.flatnonzero((pv == NONE) & (sv != NONE))
-    seen = [(ids[head], row[head], col[head])]
-    at = sv[head]
-    for k in range(1, POOL_MIN_LEN - 1):
-        if at.size == 0:
-            break
-        with eng.step(f"{phase}/walk{k}", at.size) as s:
-            nxt = s.read("succ", at)
-            seen.append((at, s.read("row", at), s.read("col", at)))
-            end = nxt == NONE   # the whole list, fewer than POOL_MIN_LEN nodes
-            for v, r, c in seen:
-                pool_writes(s, np.where(end, v, NONE), machine.cell(np.where(end, r, NONE), c))
-        out += [v[end] for v, _, _ in seen]
-        seen = [(v[~end], r[~end], c[~end]) for v, r, c in seen]
-        at = nxt[~end]
-    out = np.concatenate(out)
-    pooled = np.zeros(machine.n, dtype=bool)
-    pooled[out] = True
-    keep = np.flatnonzero(~pooled[ids])
+    keep = np.flatnonzero(~lone)
     regs = [np.full(machine.n, NONE, dtype=dt)
             for dt in [np.int64] * 2 + [np.int8] * 3 + [np.int64]]
     kept = ids[keep]
     for reg, got in zip(regs, (sv, pv, row, row_s, row_p, col)):
         reg[kept] = got[keep]
-    return int(out.size), PassState(kept, *regs)
+    return ids.size - kept.size, PassState(kept, *regs)
 
 
 @dataclass
@@ -260,7 +237,7 @@ class PassReport:
     pooled: int
     survivors: int
     columns_before: int
-    columns_after: int
+    columns_after: int               # the columns its pending fold leaves
     shortcut_pairs: int
     odd_cycles: int                  # odd closed chains the uniformity step shortened
 
@@ -274,18 +251,23 @@ class PassReport:
 def uniform_contraction_pass(machine: Machine, min_run=MIN_RUN, phase="pass") -> PassReport:
     """One full contraction pass over the current two-row placement.
 
-    Pools the short lists, localizes the rest (free when one row is
-    empty: no link crosses rows) and pools the lists that leaves as one
-    node, then colors and pairs both rows. The pass registers then give
+    Runs the fold the previous pass left pending, if any, then pools the
+    lists of one node, localizes the rest (free when one row is empty:
+    no link crosses rows) and pools the lists that leaves as one node,
+    then colors and pairs both rows. The pass registers then give
     the both columns (both_columns), which a columns placement loses
     with a row to localization; the aligned-stack shortcut, the
     uniformity coupling and the orientation keys run over them alone.
     Without them every pair claims its 0-colored member's column. The
     pass registers carry each node's partner, partner column, color and
     partner side from pairing to the pack; the links go after pairing.
-    min_run must be at least 2.
+    The pass ends with the pack and leaves its plan pending in
+    machine.pending_fold: the survivors, their columns and their rows,
+    which only the next pass's fold reads. min_run must be at least 2.
     """
     check_min_run(min_run)
+    if machine.pending_fold is not None:
+        fold_array(machine, *machine.pending_fold, phase=f"{phase}/fold")
     cols_before = machine.columns
     pooled, state = pool_short_lists(machine, phase=f"{phase}/pool")
     pre_active = state.ids.size
@@ -303,9 +285,10 @@ def uniform_contraction_pass(machine: Machine, min_run=MIN_RUN, phase="pass") ->
         odd_cycles = enforce_uniformity(machine, state, both, phase=f"{phase}/uniform")
     plan = derive_orientation(machine, state, both, phase=f"{phase}/orient")
     contract_along_orientation(machine, plan, state, phase=f"{phase}/pack")
-    fold_array(machine, plan.survivors, plan.columns, state, phase=f"{phase}/fold")
+    machine.pending_fold = (plan.survivors, plan.columns, state.row[plan.survivors])
+    machine.placed_by = None
     return PassReport(
         pre_active=pre_active, pooled=pooled, survivors=plan.survivors.size,
-        columns_before=cols_before, columns_after=machine.columns,
+        columns_before=cols_before, columns_after=-(-cols_before // 2),
         shortcut_pairs=shortcut, odd_cycles=odd_cycles,
     )

@@ -110,9 +110,12 @@ def jump_price(x, l, n, p):
 def pass_price(records, active, before, p):
     """Rounds of the next pass over active nodes, priced from the step
     records of the previous one, which started with before of them:
-    every step's tasks scale by active / before."""
-    tasks = (-(-r.tasks * active // before) for r in records)
-    return sum(-(-t // p) for t in tasks)
+    the next pass opens with the previous one's fold, one step over its
+    survivors, at most the active nodes, and every other step's tasks
+    scale by active / before (a fold the records open with is the one
+    of the pass before, and is not scaled)."""
+    tasks = (-(-r.tasks * active // before) for r in records if "/fold/" not in r.label)
+    return -(-active // p) + sum(-(-t // p) for t in tasks)
 
 
 def contract_to_threshold(machine: Machine, threshold=None, max_passes=64,
@@ -122,18 +125,20 @@ def contract_to_threshold(machine: Machine, threshold=None, max_passes=64,
     localization leaves every node a link.
 
     The default threshold, the paper's n / ceil(log2 l), is a ceiling:
-    after the first pass, the next one runs only while its price, the
-    previous pass's step records scaled to the nodes now active, plus
-    jumping over the nodes it would leave, is below jumping over the
-    nodes now active. A pass that kept a fraction s of its nodes is
-    expected to keep s of the next one's too. An explicit threshold
-    contracts until at or below it, whatever the price.
+    after the first pass, the next one runs only while its price
+    (pass_price: its opening fold, plus the previous pass's other step
+    records scaled to the nodes now active), plus jumping over the
+    nodes it would leave, is below jumping over the nodes now active. A
+    pass that kept a fraction s of its nodes is expected to keep s of
+    the next one's too. An explicit threshold contracts until at or
+    below it, whatever the price.
 
     Returns the pass reports and why contraction stopped: "threshold"
     (the active count is at or below it), "priced" (the next pass costs
     more rounds than it saves) or "stalled" (the last pass neither
     contracted nor pooled a node, no node is left in the array, or
-    max_passes ran out)."""
+    max_passes ran out). The last pass's fold stays pending in
+    machine.pending_fold."""
     check_min_run(min_run)
     forest = machine.forest
     priced = threshold is None
@@ -226,6 +231,7 @@ def list_rank(forest: LinkedForest, p=1, *, min_run=MIN_RUN,
     run = RankRun(result=None, metrics=None)
     layout(machine, mode=layout_mode)
     run.passes, run.stopped_by = contract_to_threshold(machine, min_run=min_run)
+    machine.pending_fold = None   # no pass follows to read it
     stores, run.jump_rounds = pointer_jump(machine)
     run.result = replay_ranks(machine, stores)
     run.metrics = machine.engine.metrics()

@@ -113,12 +113,15 @@ def test_criterion_2_uniform_packing(monkeypatch):
     contract_pass, fold = ranking.uniform_contraction_pass, orientation.fold_array
     placed, columns = [], []
 
-    def checked_fold(machine, ids, cols, *args, **kwargs):
-        # before the fold the survivors are exactly the in-array nodes,
-        # each alone in the column the plan gives it, on either row
+    def packed(machine, ids, cols):
+        # the survivors are exactly the in-array nodes, each alone in
+        # the column the plan gives it, on either row
         col = machine.peek("col")
-        columns.append(np.array_equal(np.sort(ids), machine.in_array_ids())
-                       and np.array_equal(col[ids], cols) and np.unique(cols).size == ids.size)
+        return (np.array_equal(np.sort(ids), machine.in_array_ids())
+                and np.array_equal(col[ids], cols) and np.unique(cols).size == ids.size)
+
+    def checked_fold(machine, ids, cols, *args, **kwargs):
+        columns.append(packed(machine, ids, cols))
         return fold(machine, ids, cols, *args, **kwargs)
 
     def checked_pass(machine, *args, **kwargs):
@@ -146,7 +149,11 @@ def test_criterion_2_uniform_packing(monkeypatch):
         columns.clear()
         reports, _ = contract_to_threshold(m, threshold=0, max_passes=6,
                                            min_run=min_run)
-        # a pass that pools every list folds nothing
+        # the next pass folds a pass's survivors, and no pass follows
+        # the last one, whose plan is still pending; a pass that pools
+        # every list leaves none
+        if m.pending_fold is not None:
+            columns.append(packed(m, *m.pending_fold[:2]))
         folded = iter(columns)
         for i, (rep, ok) in enumerate(zip(reports, placed)):
             checked += 1
@@ -283,7 +290,7 @@ def test_criterion_8_uniformity_case_coverage():
                 and np.unique(plan.columns).size == survivors.size):
             broken.append((name, "two survivors share a column"))
             continue
-        fold_array(m, plan.survivors, plan.columns, state)
+        fold_array(m, plan.survivors, plan.columns, state.row[plan.survivors])
         grid = m.grid()
         r, c = np.nonzero(grid != NONE)
         if not (np.array_equal(np.sort(grid[r, c]), survivors)

@@ -154,12 +154,26 @@ def test_run_reports_no_degraded_pass_on_fixed_forest(tmp_path, capsys):
 @pytest.mark.parametrize("dist, n, p, stopped_by", [
     ("FIXED:16", 1024, 64, "threshold"),   # pass 0 crosses n / ceil(log2 l)
     ("FIXED:64", 4096, 682, "priced"),     # pass 1 would cost more than it saves
-    ("FIXED:3", 96, 8, "stalled"),         # pass 0 pools every list
 ])
 def test_run_reports_why_contraction_stopped(dist, n, p, stopped_by, tmp_path, capsys):
     forest = tmp_path / "w.forest"
-    report = tmp_path / "report.json"
     run_cli(["generate", "--n", str(n), "--dist", dist, "--out", str(forest)])
+    assert_stopped_by(forest, p, stopped_by, tmp_path, capsys)
+
+
+def test_run_reports_a_stall_once_pass_0_empties_the_array(tmp_path, capsys):
+    # 93 lists of one node, which the pool takes out, and the list
+    # 1 -> 0 -> 3, whose two ends sit on row 1 of the columns layout
+    # and go into its middle node, which localization then pools; the
+    # 94 pooled nodes stay above the threshold n / 2
+    forest = tmp_path / "w.forest"
+    succ = {1: 0, 0: 3}
+    forest.write_text("".join(f"{v} {succ.get(v, -1)}\n" for v in range(96)))
+    assert_stopped_by(forest, 8, "stalled", tmp_path, capsys)
+
+
+def assert_stopped_by(forest, p, stopped_by, tmp_path, capsys):
+    report = tmp_path / "report.json"
     assert run_cli(["run", str(forest), "--p", str(p), "--verify", "--out", str(report)]) == 0
     data = json.loads(report.read_text())
     assert data["stopped_by"] == stopped_by and data["verified"]

@@ -147,7 +147,9 @@ def test_pipeline_peeks_no_core_store_outside_the_engine(monkeypatch):
 @pytest.mark.parametrize("mode", ["columns", "rows"])
 @pytest.mark.parametrize("p", [1, 3, None])
 def test_pool_takes_out_short_lists_in_two_wide_steps(mode, p):
-    # lists of every length from 1 to 6 plus a long one, on shuffled ids
+    # lists of every length from 1 to 6 plus a long one, on shuffled ids;
+    # the one step takes out the list of one node alone, and the lists
+    # of two and three stay for localization and pairing
     lengths = [1, 2, 3, 4, 5, 6, 41]
     ids = np.random.default_rng(7).permutation(sum(lengths))
     ends = np.cumsum(lengths)
@@ -161,10 +163,10 @@ def test_pool_takes_out_short_lists_in_two_wide_steps(mode, p):
 
     length = np.empty(n, dtype=np.int64)
     length[list_order(forest)] = np.repeat(forest.lengths, forest.lengths)
-    keep = np.flatnonzero(length >= orientation.POOL_MIN_LEN)
-    assert pooled == n - keep.size == 6
+    keep = np.flatnonzero(length > 1)
+    assert pooled == n - keep.size == 1
     assert np.array_equal(state.ids, keep) and np.array_equal(m.in_array_ids(), keep)
-    assert (m.peek("row")[length < orientation.POOL_MIN_LEN] == POOLED).all()
+    assert (m.peek("row")[length == 1] == POOLED).all()
     succ, pred = forest.succ, forest.pred
     want = {"sv": succ, "pv": pred, "row": row,
             "row_s": np.where(succ != NONE, row[succ], NONE),
@@ -173,12 +175,10 @@ def test_pool_takes_out_short_lists_in_two_wide_steps(mode, p):
         got = getattr(state, name)
         assert np.array_equal(got[keep], reg[keep]), name
         assert (np.delete(got, keep) == NONE).all(), name
-    # one step over every node in the array, then at most
-    # POOL_MIN_LEN - 2 walk steps, none wider than the list count; the
-    # steps that find a list short pool it, so no out step runs
-    assert_pool_shape(steps, "pool", n, forest.list_count)
-    assert not [label for label, _ in steps if label.endswith("/out_wr")]
-    out = length < orientation.POOL_MIN_LEN
+    # one step over every node in the array, which pools the list of
+    # one node itself, so no out step runs
+    assert steps == [("pool/links", n)]
+    out = length == 1
     slot = m.peek("slot")
     assert (slot[m.cell(row[out], col[out])] == NONE).all()
     assert np.array_equal(slot[m.cell(row[keep], col[keep])], keep)
@@ -187,6 +187,12 @@ def test_pool_takes_out_short_lists_in_two_wide_steps(mode, p):
         got, got_row = read_neighbor(m, m.peek(store)[keep])
         assert np.array_equal(got, nbr[keep]) and np.array_equal(got_row, nbr_row[keep])
     assert m.engine.metrics().erew_violations == 0
+    # every pass of a full run pools in that one step, and the ranks
+    # are exact
+    run = list_rank(forest, p=p or n, layout_mode=mode)
+    assert run.result.same_as(sequential_rank(forest)) and run.metrics.erew_violations == 0
+    pool = [r.label for r in run.trace if "/pool/" in r.label]
+    assert run.passes and pool == [f"contract/p{i}/pool/links" for i in range(len(run.passes))]
 
 
 def test_pool_refuses_a_placement_it_cannot_trust():
@@ -212,10 +218,16 @@ def test_pool_refuses_a_placement_it_cannot_trust():
     m.memory.poke("row", [0, 1], [1, 0])
     m.memory.poke("slot", [m.cell(1, 0), m.cell(0, 0)], [0, 1])
     refused(m, "off the row the 'columns' layout gives it")
-    # an inbox cell overwritten after the fold
+    # a pass's fold still pending: the pack left the survivors where
+    # no layout puts them, and wrote no inbox cell
     m = Machine(forest, PramConfig(num_processors=8))
     layout(m)
     uniform_contraction_pass(m)
+    assert m.pending_fold is not None
+    refused(m, "placement made by layout or fold_array")
+    # an inbox cell overwritten after the fold
+    fold_array(m, *m.pending_fold)
+    assert m.pending_fold is None
     v = m.in_array_ids()
     v = v[m.peek("pred")[v] != NONE][0]
     m.memory.poke("inbox_p", v, NONE)
@@ -248,25 +260,27 @@ def test_fold_leaves_each_survivor_its_neighbor_messages(mode, p, monkeypatch):
     m, reports, result = contract_fully(forest, p or forest.n, min_run=8, layout_mode=mode)
     assert result.same_as(sequential_rank(forest))
     assert m.sentinel is not None and m.engine.metrics().erew_violations == 0
-    # a last pass that pools every list leaves the array without a fold
-    assert len(reports) - 1 <= len(folds) <= len(reports) and len(folds) >= 3
-    # every pass pools in one step over the nodes in the array, which a
-    # fold leaves to the next pass, then in narrow steps alone
+    # each pass folds the survivors of the one before it, and no pass
+    # follows the last one
+    assert len(folds) == len(reports) - 1 >= 3
+    # every pass after the first opens with that fold, then pools in one
+    # step over the nodes in the array, which the fold leaves
     trace = [(r.label, r.tasks) for r in m.engine.trace]
-    for i, wide in enumerate([m.n] + folds[:len(reports) - 1]):
+    for i, wide in enumerate([m.n] + folds):
         steps = [step for step in trace if step[0].startswith(f"contract/p{i}/")]
-        assert_pool_shape(steps, f"contract/p{i}/pool", wide, forest.list_count)
+        assert_pool_shape(steps, f"contract/p{i}", wide)
 
 
-def assert_pool_shape(steps, phase, wide, lists):
-    """steps, as (label, tasks), open with the pool's one step over the
-    wide nodes in the array, then at most POOL_MIN_LEN - 2 steps of the
-    pool, each over at most lists tasks, and no other pool step."""
-    pool = [(label, t) for label, t in steps if label.startswith(f"{phase}/")]
-    assert steps[0] == pool[0] == (f"{phase}/links", wide)
-    assert len(pool) - 1 <= orientation.POOL_MIN_LEN - 2
-    assert all(t <= lists for _, t in pool[1:])
-    assert steps[:len(pool)] == pool
+def assert_pool_shape(steps, phase, wide):
+    """steps, as (label, tasks), open with the previous pass's fold
+    over wide survivors where phase is not pass 0's, then the pool's
+    one step over the wide nodes in the array, and hold no other fold
+    or pool step."""
+    fold = [(label, t) for label, t in steps if label.startswith(f"{phase}/fold/")]
+    pool = [(label, t) for label, t in steps if label.startswith(f"{phase}/pool/")]
+    assert fold in ([], [(f"{phase}/fold/wr", wide)])
+    assert pool == [(f"{phase}/pool/links", wide)]
+    assert steps[:len(fold) + 1] == fold + pool
 
 
 def assert_no_drop(trace):
@@ -320,6 +334,43 @@ def test_fold_places_each_survivor_in_its_column_top_cell(mode, p, monkeypatch):
     assert len(reports) >= 3 and rows.any() and not rows.all()
 
 
+def test_last_pass_leaves_its_fold_undone():
+    # pointer jumping and the replay read no cell, so no fold follows
+    # the last pass's pack, whether list_rank runs one pass or two
+    for dist, passes in (("FIXED", 1), ("SINGLE", 2)):
+        n = 2 ** 14
+        forest = generate(Workload(n=n, length_distribution=dist, fixed_length=64, seed=2))
+        run = list_rank(forest, p=n // 6)
+        assert run.result.same_as(sequential_rank(forest)) and len(run.passes) == passes
+        labels = [r.label for r in run.trace]
+        last_pack = max(i for i, label in enumerate(labels) if "/pack/" in label)
+        assert not [label for label in labels[last_pack:] if "/fold/" in label]
+        assert [label for label in labels if "/fold/" in label] == [
+            f"contract/p{i}/fold/wr" for i in range(1, passes)]
+
+
+def test_forced_second_pass_opens_with_the_first_pass_fold():
+    # pass 0 leaves its plan pending, and pass 1 folds it once, in the
+    # step right before its pool's, over pass 0's survivors
+    n = 4096
+    forest = generate(Workload(n=n, length_distribution="FIXED", fixed_length=64, seed=2))
+    m = Machine(forest, PramConfig(num_processors=n // 6))
+    layout(m)
+    reports, _ = contract_to_threshold(m, threshold=0, max_passes=2)
+    assert len(reports) == 2
+    steps = [(r.label, r.tasks) for r in m.engine.trace]
+    folds = [i for i, (label, _) in enumerate(steps) if "/fold/" in label]
+    assert [steps[i] for i in folds] == [("contract/p1/fold/wr", reports[0].survivors)]
+    assert steps[folds[0] + 1][0] == "contract/p1/pool/links"
+    assert reports[1].columns_before == reports[0].columns_after == m.columns
+    # pass 1's plan is left pending, with one survivor per column
+    ids, cols, rows = m.pending_fold
+    assert ids.size == reports[1].survivors == np.unique(cols).size
+    assert np.array_equal(np.sort(ids), m.in_array_ids())
+    assert np.array_equal(rows, m.peek("row")[ids])
+    assert m.engine.metrics().erew_violations == 0
+
+
 @pytest.mark.parametrize("named", sorted(NAMED_PASSES))
 def test_list_rank_drops_no_survivor(named):
     # the inputs whose pass 0 takes the shortcut, shortens an odd chain
@@ -359,7 +410,7 @@ def test_folds_down_to_one_column_keep_every_cell_in_the_slot_store(monkeypatch)
     # a fold of the one column moves a bottom-row survivor into its top
     # cell, and the steps stay as they are
     place(m, {5: (1, 0)})
-    fold_array(m, np.array([5]), np.array([0]), read_state(m))
+    fold_array(m, np.array([5]), np.array([0]), np.array([1]))
     assert m.columns == 1 and (m.row_step, m.col_step) == (2, 4)
     check_inverse(m)
     assert m.peek("slot")[0] == 5 and max(cells) < 8
@@ -390,15 +441,15 @@ def fixed64_pass():
 
 
 def test_pass_reads_links_and_rows_once():
-    # one FIXED l=64 pass: after the one wide pool step reads the state
-    # and the heads walk, no step reads neighbors or rows again and the
-    # fold clears no slot range; localization leaves one row, so no
-    # mailbox is published
+    # one FIXED l=64 pass: after the one wide pool step reads the state,
+    # no step reads neighbors or rows again, and the pass leaves its
+    # fold pending; localization leaves one row, so no mailbox is
+    # published
     rep, labels, steps = fixed64_pass()
     assert rep.shortcut_pairs == 0 and rep.columns_after == rep.columns_before // 2
-    assert_pool_shape(steps, "pass/pool", 4096, 4096 // 64)
-    rereads = ("/nbr", "/row_s", "/row_p", "fold/clear")
-    assert not [label for label in labels if label.endswith(rereads)]
+    assert_pool_shape(steps, "pass", 4096)
+    rereads = ("/nbr", "/row_s", "/row_p")
+    assert not [label for label in labels if label.endswith(rereads) or "/fold/" in label]
     assert not [label for label in labels if label.endswith("/mb_pub")]
 
 

@@ -177,14 +177,23 @@ def test_default_stops_once_a_pass_costs_more_rounds_than_it_saves(dist, passes)
 
 
 def test_contraction_that_leaves_the_array_empty_reports_a_stall():
-    # lists of three leave the array in pass 0's pool; no node is left
-    # for a pass, though every one is still active
+    # lists of one node leave the array in pass 0's pool; no node is
+    # left for a pass, though every one is still active (the default
+    # threshold, n for l = 1, would run no pass)
+    f = generate(Workload(n=96, length_distribution="FIXED", fixed_length=1, seed=1))
+    m = Machine(f, PramConfig(num_processors=8))
+    layout(m)
+    reports, stopped_by = contract_to_threshold(m, threshold=0)
+    assert [r.pooled for r in reports] == [96] and stopped_by == "stalled"
+    assert m.in_array_ids().size == 0 and m.pending_fold is None
+    # lists of three stay in the array: pass 0 contracts each to one
+    # node, which pass 1's pool takes out
     f = generate(Workload(n=96, length_distribution="FIXED", fixed_length=3, seed=1))
     m = Machine(f, PramConfig(num_processors=8))
     layout(m)
-    reports, stopped_by = contract_to_threshold(m)
-    assert [r.pooled for r in reports] == [96] and stopped_by == "stalled"
-    assert m.in_array_ids().size == 0
+    reports, stopped_by = contract_to_threshold(m, threshold=0)
+    assert [(r.pooled, r.survivors) for r in reports] == [(16, 16), (16, 0)]
+    assert stopped_by == "stalled" and m.in_array_ids().size == 0
 
 
 # -- log replay -------------------------------------------------------------------
@@ -405,11 +414,15 @@ PASS_LAYERS = {"pool", "localize", "rows", "both", "shortcut", "uniform", "orien
 
 
 def test_every_step_label_belongs_to_a_known_layer():
-    # per-layer accounting groups the step labels by these prefixes
+    # per-layer accounting groups the step labels by these prefixes; a
+    # fold runs only in a pass after the first, so a run forced through
+    # two passes joins the default runs
     seen = set()
     for mode in ("columns", "rows"):
         f = generate(Workload(n=1000, num_lists=8, seed=5, layout_shuffle=True))
-        for label in list_rank(f, p=32, min_run=8, layout_mode=mode).metrics.phase_breakdown:
+        forced, _, _ = contract_fully(f, 32, min_run=8, layout_mode=mode, max_passes=2)
+        for label in [*list_rank(f, p=32, min_run=8, layout_mode=mode).metrics.phase_breakdown,
+                      *forced.engine.metrics().phase_breakdown]:
             m = re.fullmatch(r"contract/p\d+/(\w+)/.+|(jump|replay)/.+", label)
             assert m and (m[2] or m[1] in PASS_LAYERS), label
             seen.add(m[1] or m[2])

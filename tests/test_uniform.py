@@ -198,7 +198,7 @@ def test_odd_closed_chain_is_shortened_once(k, seed):
     plan = derive_orientation(m, state, both)
     contract_along_orientation(m, plan, state)
     check_packed(m, plan, pre_weight)
-    fold_array(m, plan.survivors, plan.columns, state)
+    fold_array(m, plan.survivors, plan.columns, state.row[plan.survivors])
     check_inverse(m)
 
 
@@ -459,6 +459,11 @@ def test_full_pass_packs_random_instance():
     assert rep.odd_cycles == 0
     check_inverse(m)
     assert rep.survivors <= rep.pre_active / 2
+    # the pass leaves its fold to the next one; run here, it halves the
+    # columns as the report says
+    assert m.columns == rep.columns_before
+    fold_array(m, *m.pending_fold)
+    check_inverse(m)
     assert m.columns == -(-rep.columns_before // 2) == rep.columns_after
     assert int(m.peek("weight")[m.active_ids()].sum()) == m.n
 
@@ -471,7 +476,7 @@ def test_fold_halves_columns_and_keeps_inverse():
     contract_along_orientation(m, plan, state)
     check_packed(m, plan, 8)
     top = m.cell(0, plan.columns)
-    fold_array(m, plan.survivors, plan.columns, state)
+    fold_array(m, plan.survivors, plan.columns, state.row[plan.survivors])
     assert m.columns == 2 and (m.row_step, m.col_step) == (1, 2)
     check_inverse(m)
     # each survivor sits in its column's old top cell
@@ -511,7 +516,7 @@ def test_random_geometry_uniformity_and_packing(seed):
     plan = derive_orientation(m, state, both)
     contract_along_orientation(m, plan, state)
     check_packed(m, plan, pre_weight)
-    fold_array(m, plan.survivors, plan.columns, state)
+    fold_array(m, plan.survivors, plan.columns, state.row[plan.survivors])
     check_inverse(m)
     assert m.engine.metrics().erew_violations == 0
 

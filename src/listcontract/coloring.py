@@ -59,8 +59,8 @@ def class_table(color, heads):
     """Published color of each coin-tossing color class, indexed by
     class: classes by descending size (ties by label) take 0, 1, 2,
     3, ... Of the two largest, the one holding more chain heads (heads
-    is a mask over the tasks) takes 1, so a chain's head proposes to
-    its successor when pairs form and is not left unpaired."""
+    is a mask over the tasks) takes 1: a 1-colored head pairs with its
+    successor, where a 0-colored one is left loose."""
     counts = np.bincount(color)
     order = np.argsort(-counts, kind="stable")
     if order.size > 1 and counts[order[1]]:

@@ -27,7 +27,7 @@ from .pram import NONE
 from .steps import (PassState, contract_batch, move_nodes, neighbor_message,  # noqa: F401
                     pool_writes, read_neighbor, scratch)
 from .uniform import (BothColumns, both_columns, color_and_pair, enforce_uniformity,
-                      merge_pairs, opposite_pair_shortcut)
+                      merge_pairs, opposite_pair_shortcut, partner_columns)
 
 # the key after each key along the pattern 0, 1, 3, 2; NONE after NONE
 _CYCLE_NEXT = np.array([1, 3, 0, 2, NONE])
@@ -55,16 +55,19 @@ def derive_orientation(machine: Machine, state: PassState, both: BothColumns,
     both column, as when a row is empty, no step runs, and every pair
     claims its 0-colored member's column by the vacancy rule.
 
-    The rest comes from the pass registers in state: a pair's leader
-    is the member whose col is below its pcol, and holds both columns
-    and its own color. The leaders go row 0 first, each row in id
-    order, then the unpaired live nodes, in a pass only exempt merged
-    hosts, which survive in their own column. A pair whose two keys are
-    defined but neither follows the other is marked, which the
-    uniformity step should have cleared: it raises UncoveredCaseError
-    with a snapshot of the first such row. Conflicting or other
-    underivable claims, a column claimed twice among them, raise
-    OrientationError.
+    The rest comes from the pass registers in state. A pair's leader
+    is a member at a both column, which knows its partner's column
+    (pcol), the one at the lower column where both are; it holds both
+    columns and its own color. A pair with no member at a both column
+    has both opposite cells vacant, and its 0-colored member leads and
+    claims its own column, which needs no pcol. The leaders go row 0
+    first, each row in id order, then the unpaired live nodes, in a
+    pass only exempt merged hosts, which survive in their own column.
+    A pair whose two keys are defined but neither follows the other is
+    marked, which the uniformity step should have cleared: it raises
+    UncoveredCaseError with a snapshot of the first such row.
+    Conflicting or other underivable claims, a column claimed twice
+    among them, raise OrientationError.
     """
     key = np.full(machine.columns, NONE, dtype=np.int64)
     if both.cols.size:
@@ -74,12 +77,18 @@ def derive_orientation(machine: Machine, state: PassState, both: BothColumns,
 
     live = state.live()
     paired = state.pair[live] != NONE
-    loose = live[~paired]
-    lead = live[paired & (state.col[live] < state.pcol[live])]
+    loose, me = live[~paired], live[paired]
+    col_both, at_both = np.zeros(machine.columns, dtype=bool), np.zeros(state.row.size, dtype=bool)
+    col_both[both.cols] = True
+    at_both[me] = col_both[state.col[me]]
+    mate_at = at_both[state.pair[me]]
+    lead = me[np.where(at_both[me], ~mate_at | (state.col[me] < state.pcol[me]),
+                       ~mate_at & (state.color[me] == 0))]
+    del paired, me, at_both, mate_at   # the call's memory peaks below
     lead = lead[np.argsort(state.row[lead], kind="stable")]
     partner = state.pair[lead]
-    c1, c2 = state.col[lead], state.pcol[lead]
-    k1, k2 = key[c1], key[c2]
+    c1, c2 = state.col[lead], np.where(col_both[state.col[lead]], state.pcol[lead], NONE)
+    k1, k2 = key[c1], np.where(c2 != NONE, key[c2], NONE)
     # pattern claim: the member whose key follows the other's
     follows_1 = (k1 != NONE) & (k1 == _CYCLE_NEXT[k2])
     follows_2 = (k2 != NONE) & (k2 == _CYCLE_NEXT[k1])
@@ -256,11 +265,13 @@ def uniform_contraction_pass(machine: Machine, min_run=MIN_RUN, phase="pass") ->
     no link crosses rows) and pools the lists that leaves as one node,
     then colors and pairs both rows. The pass registers then give
     the both columns (both_columns), which a columns placement loses
-    with a row to localization; the aligned-stack shortcut, the
+    with a row to localization; their nodes alone read their partners'
+    columns (partner_columns), and the aligned-stack shortcut, the
     uniformity coupling and the orientation keys run over them alone.
     Without them every pair claims its 0-colored member's column. The
-    pass registers carry each node's partner, partner column, color and
-    partner side from pairing to the pack; the links go after pairing.
+    pass registers carry each node's partner, color and partner side,
+    and at the both columns its partner's column, from pairing to the
+    pack; the links go after pairing.
     The pass ends with the pack and leaves its plan pending in
     machine.pending_fold: the survivors, their columns and their rows,
     which only the next pass's fold reads. min_run must be at least 2.
@@ -281,6 +292,7 @@ def uniform_contraction_pass(machine: Machine, min_run=MIN_RUN, phase="pass") ->
     both = both_columns(machine, live, state.row[live], state.col, f"{phase}/both")
     shortcut = odd_cycles = 0
     if both.cols.size:
+        partner_columns(machine, state, both, f"{phase}/both")
         shortcut = opposite_pair_shortcut(machine, state, both, phase=f"{phase}/shortcut")
         odd_cycles = enforce_uniformity(machine, state, both, phase=f"{phase}/uniform")
     plan = derive_orientation(machine, state, both, phase=f"{phase}/orient")

@@ -25,7 +25,10 @@ def double(machine: Machine, name, ids, seed, ufuncs, limit=None, phase="double"
     the associative ufunc, and every task of the step writes its state
     at ids into the other buffer. A value only the root should pass on
     is folded by np.maximum from the root's value, NONE elsewhere.
-    Stops when every pointer has run out, or after limit rounds.
+    Stops when every pointer has run out, after limit rounds, or after
+    a round in which none ran out (only closed chains are left: an open
+    one loses a pointer every round) once the 2**rounds states each
+    task has folded cover the live tasks, so every window has wrapped.
     Returns (stores, rounds): stores names the pointer store and the
     value stores holding the result, for every task at its id, where
     each caller reads its own. Pointers must stay within ids.
@@ -45,13 +48,14 @@ def double(machine: Machine, name, ids, seed, ufuncs, limit=None, phase="double"
         for st, v in zip(bufs[0], [j, *values]):
             s.write(st, ids, v)
     tid = ids
-    need = None   # pointer live at the start of the last round
+    need, was = None, 0   # pointer live at the start of the last round, and how many
     rounds = 0
     while limit is None or rounds < limit:
         live = j != NONE
-        if not live.any():
+        left = int(np.count_nonzero(live))
+        if left == 0 or (left == was and 2 ** rounds >= left):
             break
-        if need is not None and not need.all():
+        if need is not None and was < need.size:
             tid, j, live = tid[need], j[need], live[need]
             for i, v in enumerate(values):   # each old register goes as it is replaced
                 values[i] = v[need]
@@ -68,7 +72,7 @@ def double(machine: Machine, name, ids, seed, ufuncs, limit=None, phase="double"
             values = got
             for st, v in zip(dst, [j, *values]):
                 s.write(st, tid, v)
-        need = live
+        need, was = live, left
         rounds += 1
     return bufs[rounds % 2], rounds
 
@@ -97,10 +101,11 @@ class PassState:
     contract_batch keeps them current and, as in memory, retires the
     row of every task it absorbs, as pool_nodes pools it.
 
-    form_pairs adds each node's partner (pair), the partner's column
-    (pcol), the node's color and at_succ, True where the partner is the
-    successor. The pass drops the link registers after pairing; the
-    merges, moves, swaps and exempt steps patch the rest.
+    form_pairs adds each node's partner (pair), color and at_succ, True
+    where the partner is the successor; the partner's column (pcol) is
+    filled at the both columns alone (uniform.partner_columns). The
+    pass drops the link registers after pairing; the merges, moves,
+    swaps and exempt steps patch the rest.
     """
 
     ids: np.ndarray

@@ -113,6 +113,20 @@ def both_columns(machine: Machine, ids, rows, col, phase):
     return BothColumns(c[has], node)
 
 
+def partner_columns(machine: Machine, state: PassState, both: BothColumns, phase):
+    """Give each both-column node its partner's column, in one step of
+    one task per such node: a paired one reads its partner's col into
+    its pcol register, and every one writes its partner, NONE where it
+    has none, into its pair cell, which the shortcut reads. Pairing
+    leaves pcol NONE, and no node outside the both columns needs it
+    (derive_orientation)."""
+    nodes = both.node.ravel()
+    partner = state.pair[nodes]
+    with machine.engine.step(f"{phase}/pcol", nodes.size) as s:
+        state.pcol[nodes] = s.read("col", partner)
+        s.write("pair", nodes, partner)
+
+
 # -- cell mailboxes -----------------------------------------------------
 
 def publish_mailboxes(machine: Machine, state: PassState, both: BothColumns, phase):
@@ -367,15 +381,16 @@ def opposite_pair_shortcut(machine: Machine, state: PassState, both: BothColumns
 
     A stack is a pair of each row over the same two both columns. The
     pairs over two both columns of the row that has fewer of them read
-    the pair of the other row's node at their smaller column, in one
-    step: the stack is aligned when that is the other row's node at
-    the larger one. Both pairs then merge at once: the merged top pair
-    keeps its cell at the 0-colored bottom member's column, which that
-    member leaves, and the merged bottom pair its cell at the other, so
-    each is alone in its column; both merged nodes leave the pairing in
-    one exempt step, and both columns leave both.
-    Each pair's columns and colors come from the pass registers in
-    state. Returns the number of aligned stacks consumed.
+    the pair cell of the other row's node at their smaller column,
+    which partner_columns wrote, in one step: the stack is aligned when
+    that is the other row's node at the larger one. Both pairs then
+    merge at once: the merged top pair keeps its cell at the 0-colored
+    bottom member's column, which that member leaves, and the merged
+    bottom pair its cell at the other, so each is alone in its column;
+    both merged nodes leave the pairing in one exempt step, and both
+    columns leave both. Each pair's columns and colors come from the
+    pass registers in state. Returns the number of aligned stacks
+    consumed.
     """
     # per row, the positions in both of each such pair's two columns
     spans = []

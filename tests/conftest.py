@@ -96,18 +96,20 @@ def check_consistency(machine):
     assert int(machine.peek("weight")[ids].sum()) == machine.n
 
 
-def validate_pairs(machine, state):
-    """The pair registers of the live tasks of state equal memory, and
-    the pairs form an involution of adjacent nodes colored 0 and 1."""
-    ids = state.live()
+def validate_pairs(machine, state, ids=None):
+    """The pair registers of tasks ids, the live tasks of state by
+    default, form an involution of adjacent nodes colored 0 and 1, and
+    at_succ is True exactly where the partner is the successor in
+    memory."""
+    ids = state.live() if ids is None else ids
     pair = state.pair[ids]
-    assert np.array_equal(pair, machine.peek("pair")[ids])
     paired = pair != NONE
     me, p = ids[paired], pair[paired]
-    assert (machine.peek("pair")[p] == me).all()
-    assert ((machine.peek("succ")[me] == p) | (machine.peek("pred")[me] == p)).all()
-    col = machine.peek("color")
-    assert (col[me] + col[p] == 1).all()
+    assert (state.pair[p] == me).all()
+    succ = machine.peek("succ")[me]
+    assert ((succ == p) | (machine.peek("pred")[me] == p)).all()
+    assert np.array_equal(state.at_succ[me], succ == p)
+    assert (state.color[me] + state.color[p] == 1).all()
 
 
 def pair_state(machine):
@@ -131,17 +133,22 @@ def pair_state(machine):
 
 def assert_pair_registers(machine, state):
     """The live tasks are exactly the nodes in the array, and their
-    row, col, pair and color registers equal memory; so does pcol,
-    wherever the partner is still in the array (a merged pair's
-    absorbed node is retired, and nothing reads the host's pcol)."""
+    row, col and color registers equal memory. Among the partners still
+    in the array (a merged pair's absorbed node is retired, and nothing
+    reads the host's pair) the pair registers join adjacent nodes of
+    opposite colors on the sides at_succ gives, and pcol, wherever a
+    step has filled it, is the partner's column."""
     ids = state.live()
     assert np.array_equal(np.sort(ids), machine.in_array_ids())
-    for name in ("row", "col", "pair", "color"):
+    for name in ("row", "col", "color"):
         assert np.array_equal(getattr(state, name)[ids], machine.peek(name)[ids]), name
     partner = state.pair[ids]
     placed = np.flatnonzero(partner != NONE)
     placed = placed[machine.peek("row")[partner[placed]] >= 0]
-    assert np.array_equal(state.pcol[ids[placed]], machine.peek("col")[partner[placed]])
+    me, mate = ids[placed], partner[placed]
+    validate_pairs(machine, state, me)
+    known = state.pcol[me] != NONE
+    assert np.array_equal(state.pcol[me[known]], machine.peek("col")[mate[known]])
 
 
 def read_state(machine, ids=None):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from listcontract import Machine, PramConfig, layout
 from listcontract.model import INBOX, RETIRED
@@ -9,12 +10,12 @@ from listcontract.steps import scratch
 from conftest import forest_from_lists, read_state, validate_pairs
 
 
-def machine_with_colors(lists, colors, p=8):
-    """A laid-out machine with the given colors, each also in its
-    neighbors' inboxes, as three_color leaves them."""
+def machine_with_colors(lists, colors, p=8, mode="columns"):
+    """A machine laid out in mode with the given colors, each also in
+    its neighbors' inboxes, as three_color leaves them."""
     f = forest_from_lists(lists)
     m = Machine(f, PramConfig(num_processors=p))
-    layout(m)
+    layout(m, mode=mode)
     for node, c in colors.items():
         m.memory.poke("color", node, c)
     ids = m.active_ids()
@@ -94,29 +95,38 @@ def test_no_active_color2_after_pass():
 def test_two_node_path_forms_one_pair():
     m, state, col = machine_with_colors([[0, 1]], {0: 1, 1: 0})
     form_pairs(m, state, col)
-    assert m.peek("pair")[0] == 1 and m.peek("pair")[1] == 0
+    assert state.pair[[0, 1]].tolist() == [1, 0]
     validate_pairs(m, state)
-    # each member holds its partner's column and whether that partner
-    # is its successor
-    assert state.pcol[[0, 1]].tolist() == m.peek("col")[[1, 0]].tolist()
+    # each member knows on which side its partner sits; only a both
+    # column needs the partner's column, which pairing does not read
     assert state.at_succ[[0, 1]].tolist() == [True, False]
+    assert (state.pcol[[0, 1]] == NONE).all()
+    assert not [r for r in m.engine.trace if r.label.startswith("pairs/")]
 
 
-def test_larger_address_wins_contested_zero():
-    # path 10 -> 11 -> 12 colored (1, 0, 1): both ones want node 11
-    lists = [[10, 11, 12]]
-    filler = [[i] for i in range(10)]
-    m, state, col = machine_with_colors(filler + lists,
-                                              {i: 0 for i in range(10)}
-                                              | {10: 1, 11: 0, 12: 1})
-    sel = np.isin(state.ids, (10, 11, 12))
-    state = read_state(m, state.ids[sel])
+def test_two_node_path_with_its_zero_first_pairs_by_marks():
+    # 0 then 1 leaves a loose head facing a loose end, which find each
+    # other in two steps and pair up instead of being absorbed
+    m, state, col = machine_with_colors([[0, 1]], {0: 0, 1: 1})
     form_pairs(m, state, col)
-    assert m.peek("pair")[11] == 12          # larger address won
-    assert m.peek("pair")[12] == 11
-    assert m.peek("row")[10] == RETIRED      # loser absorbed into the pair
-    assert m.log[-1].absorbed.tolist() == [10]
-    assert m.log[-1].host.tolist() == [11]
+    assert state.pair[[0, 1]].tolist() == [1, 0]
+    assert state.at_succ[[0, 1]].tolist() == [True, False]
+    validate_pairs(m, state)
+    labels = [r.label for r in m.engine.trace if r.label.startswith("pairs/")]
+    assert labels == ["pairs/mark", "pairs/facing"]
+    assert not m.log
+
+
+def test_loose_head_and_end_go_into_their_neighbors_pairs():
+    # 0 1 0 1: the 0-colored head and the 1-colored end are loose, and
+    # each goes into the pair beside it, one side per contract call
+    m, state, col = machine_with_colors([[0, 1, 2, 3]], {0: 0, 1: 1, 2: 0, 3: 1})
+    form_pairs(m, state, col)
+    assert m.peek("row")[[0, 3]].tolist() == [RETIRED, RETIRED]
+    assert state.live().tolist() == [1, 2]
+    assert state.pair[[1, 2]].tolist() == [2, 1]
+    assert [(b.absorbed.tolist(), b.host.tolist()) for b in m.log] == [([0], [1]), ([3], [2])]
+    assert m.peek("weight")[[1, 2]].tolist() == [2, 2]
     validate_pairs(m, state)
 
 
@@ -134,10 +144,8 @@ def test_hundred_node_random_coloring_full_cover():
     m, state, col = machine_with_colors([list(range(n))], colors)
     form_pairs(m, state, col)
     validate_pairs(m, state)
-    live = m.active_ids()
-    live = live[live < n]
-    pair = m.peek("pair")[live]
-    assert (pair != NONE).all()              # every active node paired
+    live = state.live()
+    assert (state.pair[live] != NONE).all()   # every active node paired
     assert live.size % 2 == 0
     assert live.size // 2 >= -(-live.size // 4)
 
@@ -145,41 +153,72 @@ def test_hundred_node_random_coloring_full_cover():
 def test_singleton_list_stays_unpaired_without_error():
     m, state, col = machine_with_colors([[0]], {0: 0})
     form_pairs(m, state, col)
-    assert m.peek("pair")[0] == NONE
+    assert state.pair[0] == NONE
     assert m.peek("row")[0] != RETIRED
+
+
+def pair_chains(lengths, firsts, order, mode, p, stale_seed=None):
+    """form_pairs over chains of the given lengths, node ids in the
+    given order, each chain's proper {0, 1} coloring starting at its
+    first color, in layout mode with p processors; stale_seed fills the
+    inbox and pair stores with garbage first. Returns the machine, the
+    state and n."""
+    lists = np.split(order, np.cumsum(lengths)[:-1])
+    colors = {int(v): (int(first) + i) % 2
+              for chain, first in zip(lists, firsts) for i, v in enumerate(chain)}
+    m, state, col = machine_with_colors(lists, colors, p=p, mode=mode)
+    if stale_seed is not None:
+        rng = np.random.default_rng(stale_seed)
+        for st in (*INBOX, "pair"):
+            m.memory.poke(st, slice(None), rng.integers(0, 4 * m.n, size=m.peek(st).size))
+    form_pairs(m, state, col)
+    return m, state
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_pairing_ignores_stale_scratch(seed):
-    # every cell pairing reads has one writer in the step before, so
-    # garbage left in the inboxes and the pair store changes nothing
+    # a loose node reads only a mark stamped by its step, and pairing
+    # writes no pair cell, so garbage left in the inboxes and the pair
+    # store changes nothing
     rng = np.random.default_rng(seed)
     lengths = rng.integers(1, 10, size=12)
-    n = int(lengths.sum())
-    order = rng.permutation(n)
-    lists = np.split(order, np.cumsum(lengths)[:-1])
-    # a proper {0, 1} coloring alternates along each list
-    colors = {int(v): (int(first) + i) % 2
-              for chain, first in zip(lists, rng.integers(0, 2, size=len(lists)))
-              for i, v in enumerate(chain)}
-    runs = []
-    for stale in (False, True):
-        m, state, col = machine_with_colors(lists, colors)
-        if stale:
-            for st in (*INBOX, "pair"):
-                m.memory.poke(st, slice(None), rng.integers(0, n, size=m.peek(st).size))
-        form_pairs(m, state, col)
-        runs.append((m, state))
-    (m, clean), (dirty_m, dirty) = runs
+    firsts = rng.integers(0, 2, size=lengths.size)
+    order = rng.permutation(int(lengths.sum()))
+    (m, clean), (dirty_m, dirty) = (pair_chains(lengths, firsts, order, "columns", 8, stale)
+                                    for stale in (None, seed))
     ids = clean.live()
     assert np.array_equal(ids, dirty.live())
     for name in ("pair", "pcol", "color", "at_succ"):
         assert np.array_equal(getattr(clean, name)[ids], getattr(dirty, name)[ids]), name
-    assert np.array_equal(m.peek("pair")[:n], dirty_m.peek("pair")[:n])
-    # the side bits name each partner's side in memory, and pcol its column
-    partner = clean.pair[ids]
-    paired = partner != NONE
-    succ = m.peek("succ")[ids[paired]]
-    assert np.array_equal(clean.at_succ[ids[paired]], succ == partner[paired])
-    assert not clean.at_succ[ids[~paired]].any()
-    assert np.array_equal(clean.pcol[ids[paired]], m.peek("col")[partner[paired]])
+    assert np.array_equal(m.peek("weight"), dirty_m.peek("weight"))
+    # the side bits name each partner's side in memory, and no partner
+    # column is filled
+    validate_pairs(m, clean)
+    assert (clean.pcol[ids] == NONE).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths=st.lists(st.integers(1, 6), min_size=1, max_size=10), data=st.data(),
+       mode=st.sampled_from(["columns", "rows"]), p=st.integers(1, 8))
+def test_alternation_rule_pairs_every_colored_node(lengths, data, mode, p):
+    # random short chains, two-node ones with either color first among
+    # them: every pair joins adjacent nodes of opposite colors, every
+    # live node of a chain of two or more is paired, and garbage left
+    # in the inboxes and the pair store changes no register
+    n = sum(lengths)
+    firsts = data.draw(st.lists(st.integers(0, 1), min_size=len(lengths),
+                                max_size=len(lengths)))
+    order = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+    runs = [pair_chains(lengths, firsts, order, mode, p, stale)
+            for stale in (None, data.draw(st.integers(0, 2**31)))]
+    (m, clean), (dirty_m, dirty) = runs
+    validate_pairs(m, clean)
+    ids = clean.live()
+    alone = (clean.sv[ids] == NONE) & (clean.pv[ids] == NONE)
+    assert np.array_equal(clean.pair[ids] == NONE, alone)
+    assert np.array_equal(ids, dirty.live())
+    for name in ("pair", "pcol", "color", "at_succ", "sv", "pv", "row_s", "row_p"):
+        assert np.array_equal(getattr(clean, name)[ids], getattr(dirty, name)[ids]), name
+    for store in ("succ", "pred", "weight", "row"):
+        assert np.array_equal(m.peek(store), dirty_m.peek(store)), store
+    assert m.engine.metrics().erew_violations == 0

@@ -59,12 +59,13 @@ localize_mod = importlib.import_module("listcontract.localize")
 PHASES = ((orientation, "pool_short_lists"), (localize_mod, "_absorb_short_runs"),
           (orientation, "localize"), (localize_mod, "contract_batch"),
           (pairing, "eliminate_twos"), (pairing, "form_pairs"),
-          (pairing, "contract_batch"), (orientation, "opposite_pair_shortcut"),
+          (pairing, "contract_batch"), (orientation, "partner_columns"),
+          (orientation, "opposite_pair_shortcut"),
           (orientation, "enforce_uniformity"), (orientation, "contract_along_orientation"))
 
 # named inputs whose pass 0 runs the two-row phases, as (forest, layout
 # mode, min_run, p) and the phases that must run
-SHORTCUT_FOREST = dict(n=4096, num_lists=16, seed=3)   # ids in order, 1008 shortcut pairs
+SHORTCUT_FOREST = dict(n=4096, num_lists=16, seed=3)   # ids in order, 1016 shortcut pairs
 GEO_ROWS_FOREST = dict(n=4096, num_lists=16, length_distribution="GEOMETRIC", seed=3,
                        layout_shuffle=True)            # the uniformity step swaps
 NAMED_PASSES = {
@@ -105,7 +106,7 @@ def test_registers_match_memory_after_every_phase(seed, n, lists, mode, min_run,
     assert ("form_pairs" in calls) == (calls[-1] == "contract_along_orientation")
     if named:
         assert phase in calls
-        assert rep.shortcut_pairs == (1008 if named == "shortcut" else 0)
+        assert rep.shortcut_pairs == (1016 if named == "shortcut" else 0)
         assert rep.odd_cycles == (named == "odd_chain")
     assert m.engine.metrics().erew_violations == 0
 
@@ -454,13 +455,13 @@ def test_pass_reads_links_and_rows_once():
 
 
 def test_pass_rereads_no_pair_side_and_clears_no_pairing_scratch():
-    # pairing writes every cell it reads, the merges take each pair's
-    # side from a register, the pack leaves its hosts' pair and color
-    # to the next pass, and color-2 elimination is one step
+    # pairing takes partners from the registers, the merges take each
+    # pair's side from a register, the pack leaves its hosts' pair and
+    # color to the next pass, and color-2 elimination is one step
     _, labels, _ = fixed64_pass()
     gone = ("/pairs/clear", "/side", "pack/exempt", "elim2/read_colors")
     assert not [label for label in labels if label.endswith(gone)]
-    assert "pass/rows/pairs/propose" in labels
+    assert "pass/rows/elim2/recolor" in labels
     # the shortcut still clears its merged nodes' pair and color, which
     # the uniformity step's mailboxes read, in one step for both rows;
     # unshuffled ids keep long runs on both rows of the rows layout
@@ -481,13 +482,58 @@ def test_two_row_steps_run_only_when_both_rows_hold_a_node():
     assert rep == PassReport(pre_active=4096, pooled=0, survivors=1024, columns_before=2048,
                              columns_after=1024, shortcut_pairs=0, odd_cycles=0)
     # the rows layout of unshuffled ids keeps both rows: one read of
-    # the both columns, one publish and one key step
+    # the both columns and one step giving their nodes partner columns;
+    # the aligned stacks fill every both column, so the shortcut empties
+    # them and no publish or key step runs
     forest = generate(Workload(n=4096, num_lists=16, seed=3))
     rep, labels, _ = recorded_pass(forest, 512, "rows", min_run=8)
-    for suffix in ("/both/opp", "/uniform/mb_pub", "/orient/keys"):
+    for suffix in ("/both/opp", "/both/pcol"):
         assert [label for label in labels if label.endswith(suffix)] == ["pass" + suffix]
+    assert not [label for label in labels if label.endswith(("/mb_pub", "/orient/keys"))]
     assert rep == PassReport(pre_active=4096, pooled=0, survivors=2040, columns_before=2048,
-                             columns_after=1024, shortcut_pairs=1008, odd_cycles=0)
+                             columns_after=1024, shortcut_pairs=1016, odd_cycles=0)
+
+
+def test_pairing_runs_only_narrow_steps():
+    # the alternation rule pairs every node of FIXED lists from its
+    # registers, so that pass runs no pairing step; on the shuffled
+    # GEOMETRIC rows benchmark input only the loose nodes and the both
+    # columns run any, each narrower than p
+    _, labels, _ = fixed64_pass()
+    assert not [label for label in labels if "/pairs/" in label]
+    n = 2 ** 16
+    forest = generate(Workload(n=n, num_lists=n // 256, length_distribution="GEOMETRIC",
+                               seed=3, layout_shuffle=True))
+    run = list_rank(forest, p=n // 8, layout_mode="rows", min_run=8)
+    assert run.result.same_as(sequential_rank(forest))
+    steps = [r for r in run.trace if "/pairs/" in r.label or r.label.endswith("/both/pcol")]
+    assert [r for r in steps if r.label.endswith("/both/pcol")]
+    assert max(r.tasks for r in steps) < n // 8
+
+
+def test_partner_columns_fill_the_both_columns_alone(monkeypatch):
+    # the both-column nodes read their partners' columns and write
+    # their pair cells, which the shortcut reads; pairing filled no
+    # partner column
+    seen = []
+    partner_columns = orientation.partner_columns
+
+    def checked(machine, state, both, phase):
+        assert (state.pcol == NONE).all()
+        partner_columns(machine, state, both, phase)
+        nodes = both.node.ravel()
+        partner = state.pair[nodes]
+        assert np.array_equal(machine.peek("pair")[nodes], partner)
+        assert np.array_equal(state.pcol[nodes],
+                              np.where(partner != NONE, machine.peek("col")[partner], NONE))
+        off = np.setdiff1d(state.live(), nodes)
+        assert (state.pcol[off] == NONE).all()
+        seen.append(nodes.size)
+    monkeypatch.setattr(orientation, "partner_columns", checked)
+    forest = generate(Workload(**GEO_ROWS_FOREST))
+    run = list_rank(forest, p=512, layout_mode="rows", min_run=8)
+    assert run.result.same_as(sequential_rank(forest))
+    assert seen and all(seen)
 
 
 @pytest.mark.parametrize("min_run", [1, 0])

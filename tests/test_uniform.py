@@ -37,8 +37,7 @@ def test_row_pipeline_pairs_all_bottom_nodes():
     state = read_state(m)
     color_and_pair(m, state)
     validate_pairs(m, state)
-    live = m.in_array_ids()
-    assert (m.peek("pair")[live] != NONE).all()
+    assert (state.pair[state.live()] != NONE).all()
 
 
 def test_row_pipeline_single_pair_idempotent_shape():
@@ -47,7 +46,7 @@ def test_row_pipeline_single_pair_idempotent_shape():
     state = read_state(m)
     color_and_pair(m, state)
     assert state.live().size == 2
-    assert m.peek("pair")[0] == 1
+    assert state.pair[[0, 1]].tolist() == [1, 0]
 
 
 def test_row_pipelines_independent_rows():
@@ -61,7 +60,7 @@ def test_row_pipelines_independent_rows():
     validate_pairs(m, state)
     # both rows in one call: every node paired, no pair crosses the cut
     ids = state.live()
-    pair = m.peek("pair")[ids]
+    pair = state.pair[ids]
     assert (pair != NONE).all()
     assert ((ids <= 3) == (pair <= 3)).all()
 
@@ -267,6 +266,12 @@ def test_list_rank_meets_a_closed_chain_and_matches_the_oracle():
     f = generate(Workload(n=600, num_lists=9, seed=2, layout_shuffle=True))
     run = list_rank(f, p=64, min_run=2, layout_mode="rows")
     assert [k for k in run.metrics.phase_breakdown if "/uniform/plan/c/" in k]
+    # the sweep's doubling ends after the first round in which no
+    # pointer runs out, when only the 8 closed-chain states are live:
+    # round 4 runs them and the 4 whose pointers ran out in round 3,
+    # where the limit would have run to round 7
+    d = [(r.label.rsplit("/", 1)[1], r.tasks) for r in run.trace if "/uniform/plan/d/r" in r.label]
+    assert d[-1] == ("r4", 12)
     assert run.result.same_as(sequential_rank(f))
     assert run.metrics.erew_violations == 0
     assert sum(rep.odd_cycles for rep in run.passes) == 0
@@ -296,7 +301,7 @@ def test_sweep_doubling_runs_only_the_closed_chain_once_open_chains_finish(seed)
     # far end would have fed, and their pointers have all run out by the
     # start of round 1. Round 1 adds only the two states whose pointer
     # ran out in round 0, and later rounds run the closed chain's states
-    # alone
+    # alone, until each has folded all 32 of them
     k = 8
     o = 2 * k
     m, _ = closed_chain(k, seed, bottom=[((o, o + 1), (0, 1)), ((o + 2, o + 3), (1, 0))],
@@ -305,9 +310,8 @@ def test_sweep_doubling_runs_only_the_closed_chain_once_open_chains_finish(seed)
     assert enforce_uniformity(m, pair_state(m), read_both(m)) == 0
     assert not marked_pairs(m)
     d = [(r.label.rsplit("/", 1)[1], r.tasks) for r in m.engine.trace if "/plan/d/" in r.label]
-    limit = int(np.ceil(np.log2(4 * k + 4)))
     assert d == [("init", 36), ("r0", 36), ("r1", 34)] + [
-        (f"r{r}", 4 * k) for r in range(2, limit)]
+        (f"r{r}", 4 * k) for r in range(2, int(np.log2(4 * k)))]
     assert m.engine.metrics().erew_violations == 0
 
 

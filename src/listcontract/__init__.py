@@ -9,9 +9,8 @@ from .coloring import ColorAssignment, dct_new_colors, three_color
 from .pairing import eliminate_twos, form_pairs
 from .localize import localize
 from .uniform import (BothColumns, both_columns, color_and_pair, enforce_uniformity,
-                      opposite_pair_shortcut, publish_mailboxes)
-from .orientation import (OrientationKey, contract_along_orientation,
-                          derive_orientation, fold_array, pool_short_lists,
+                      merge_pairs, opposite_pair_shortcut, partner_columns)
+from .orientation import (OrientationKey, derive_orientation, fold_array, pool_short_lists,
                           uniform_contraction_pass)
 from .ranking import (RankResult, RankRun, contract_to_threshold, list_rank,
                       pointer_jump, replay_ranks, sequential_rank, wyllie_rank)

@@ -165,6 +165,8 @@ def cmd_sweep(args):
                 return _usage_error(f"sweep spec entry {part!r} is not an n,l,p triple")
             triples.append((n, l, p))
     algos = [a for a in args.algo.split(",") if a]
+    if not algos:
+        return _usage_error(f"--algo names no algorithm, give one or more of {ALGORITHMS}")
     unknown = [a for a in algos if a not in ALGORITHMS]
     if unknown:
         return _usage_error(f"unknown algorithm {unknown[0]!r}, not one of {ALGORITHMS}")

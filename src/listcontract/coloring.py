@@ -89,9 +89,9 @@ def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color")
 
     ids are machine node ids; succ_ids/pred_ids give each node's chain
     neighbors as node ids (-1 for none) and must describe disjoint
-    simple chains. Final colors land in color[ids], and each node's
-    inbox_p and inbox_s cells hold its predecessor's and successor's
-    final colors.
+    simple chains. Returns the final colors, which memory keeps only in
+    each node's neighbors' cells: its inbox_p and inbox_s cells hold its
+    predecessor's and successor's final colors.
 
     Coin tossing publishes after the first iteration whose colors,
     mapped through class_table, drops_are_cheaper accepts: one more
@@ -107,9 +107,9 @@ def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color")
         return ColorAssignment(ids, np.empty(0, dtype=np.int64), 0)
 
     p = engine.config.num_processors
-    size = memory.size("color")
+    size = memory.size("succ")
     has_succ, has_pred = succ_ids >= 0, pred_ids >= 0
-    inb_p, inb_s = (memory.scratch(st, size) for st in INBOX)
+    buf, inb_p, inb_s = (memory.scratch(st, size) for st in ("dct", *INBOX))
 
     # colors live in registers. The initial colors are the ids, so a
     # task already holds its successor's and the first iteration needs
@@ -121,12 +121,12 @@ def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color")
         iterations = 1
     # Each later iteration is one step: a task reads its successor's
     # color from the buffer the previous step wrote and writes its own
-    # into the other, as (store, write cells, read cells). In color a
+    # into the other, as (store, write cells, read cells). In dct a
     # node's color goes to its predecessor's cell, in inbox_p to its
     # own. Either way no other task writes the cell a task reads when
-    # the step publishes (color[own], inbox_p[succ], inbox_s[pred]), so
-    # any iteration can be the last and no store is added.
-    bufs = (("color", pred_ids, np.where(has_succ, ids, NONE)),
+    # the step publishes (inbox_p[succ], inbox_s[pred]), so any
+    # iteration can be the last.
+    bufs = ((buf, pred_ids, np.where(has_succ, ids, NONE)),
             (inb_p, ids, succ_ids))
     for t in itertools.count():
         with engine.step(f"{phase}/dct", k) as s:
@@ -137,7 +137,6 @@ def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color")
             ranked = class_table(color, ~has_pred)[color]
             if drops_are_cheaper(ranked, p):
                 color = ranked
-                s.write("color", ids, color)
                 s.write(inb_p, succ_ids, color)
                 s.write(inb_s, pred_ids, color)
                 break
@@ -159,7 +158,6 @@ def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color")
                 used[m, arr[m]] = True
             new = np.where(~used[:, 0], 0, np.where(~used[:, 1], 1, 2))
             color[sel] = new
-            s.write("color", t_ids, new)
             s.write(inb_p, succ_ids[sel], new)
             s.write(inb_s, pred_ids[sel], new)
 

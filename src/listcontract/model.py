@@ -9,17 +9,17 @@ store    meaning
 succ     next node id, -1 at a list tail
 pred     previous node id, -1 at a list head
 weight   number of original nodes this node represents
-color    working color, -1 when unset
 row      0 or 1 while placed; -1 unplaced, -2 retired, -3 pooled
 col      column while placed
 slot     node id at each cell (Machine.cell), -1 when vacant
-pair     pairing partner, -1 when unpaired
 mb_color scratch, indexed like slot: color of the cell's node
 mb_pcol  scratch, indexed like slot: column of that node's partner
 ======== ===================================================
 
 row alone records an absorbed (retired) node, and memory keeps every
 link: a pass cuts cross-row links in its registers (steps.PassState).
+Colors and partners live in those registers alone; the two mailboxes
+copy them at the cells where both rows hold a node (uniform).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ SUCC_SIDE = 1   # absorbed node followed its host
 # predecessor side and from its successor side; indexed by side
 INBOX = ("inbox_p", "inbox_s")
 
-STORES = ("succ", "pred", "weight", "color", "row", "col", "slot", "pair")
+STORES = ("succ", "pred", "weight", "row", "col", "slot")
 
 # Machine.placed_by once fold_array has placed the survivors
 FOLDED = "fold"
@@ -182,11 +182,9 @@ class Machine:
         m.alloc("succ", n)
         m.alloc("pred", n)
         m.alloc("weight", n, fill=1)
-        m.alloc("color", n, fill=NONE)
         m.alloc("row", n, fill=UNPLACED)
         m.alloc("col", n, fill=UNPLACED)
         m.alloc("slot", 2 * self.columns, fill=NONE)
-        m.alloc("pair", n, fill=NONE)
         m.alloc("first", n)   # first original node of this node's segment
         m.poke("succ", np.arange(forest.n), forest.succ)
         m.poke("pred", np.arange(forest.n), forest.pred)

@@ -105,7 +105,7 @@ def derive_orientation(machine: Machine, state: PassState, both: BothColumns,
         sel = np.flatnonzero(in_row)[:8]
         snap = {"target_row": 1 - row, "reference_row": row, "columns_lo": c1[sel].tolist(),
                 "columns_hi": c2[sel].tolist(), "grid": machine.grid().tolist(),
-                "colors": machine.peek("color").tolist()}
+                "colors": state.color.tolist()}
         raise UncoveredCaseError(f"{int(in_row.sum())} reference pair(s) left non-uniform",
                                  snapshot=snap)
     if (claim == NONE).any():
@@ -124,16 +124,6 @@ def derive_orientation(machine: Machine, state: PassState, both: BothColumns,
     return OrientationKey(key=key, plan_host=hosts,
                           plan_absorbed=np.where(claim == c1, partner, lead),
                           survivors=survivors, columns=columns)
-
-
-def contract_along_orientation(machine: Machine, plan: OrientationKey, state: PassState,
-                               phase="pack"):
-    """Merge every pair into its host, on the sides the side register
-    state.at_succ gives; each survivor stays in its cell, alone in its
-    column (derive_orientation refuses a column claimed twice). The
-    hosts keep their pair and color: nothing reads them before the next
-    pass's coloring and pairing rewrite both."""
-    merge_pairs(machine, plan.plan_absorbed, plan.plan_host, state, phase)
 
 
 def fold_array(machine: Machine, ids, cols, rows, phase="fold"):
@@ -296,7 +286,9 @@ def uniform_contraction_pass(machine: Machine, min_run=MIN_RUN, phase="pass") ->
         shortcut = opposite_pair_shortcut(machine, state, both, phase=f"{phase}/shortcut")
         odd_cycles = enforce_uniformity(machine, state, both, phase=f"{phase}/uniform")
     plan = derive_orientation(machine, state, both, phase=f"{phase}/orient")
-    contract_along_orientation(machine, plan, state, phase=f"{phase}/pack")
+    # every pair merges into its host, which stays in its cell, alone in
+    # its column; the hosts keep pair and color registers nothing reads
+    merge_pairs(machine, plan.plan_absorbed, plan.plan_host, state, f"{phase}/pack")
     machine.pending_fold = (plan.survivors, plan.columns, state.row[plan.survivors])
     machine.placed_by = None
     return PassReport(

@@ -9,10 +9,11 @@ every other one is absorbed into its neighbor's pair. A loose node
 cannot see whether its neighbor is loose too, so the loose nodes alone
 run two steps: each marks its neighbor's inbox cell, then reads its own.
 
-Pairing clears no scratch and writes no pair cell: partners, partner
-sides and colors stay in the pass registers. A mark is -2 minus the
-ledger index of its step; a fresh inbox cell holds NONE and every other
-step writes 0 or more there, so a stale cell never passes for a mark.
+Pairing clears no scratch, and memory keeps no partner or color:
+partners, partner sides and colors stay in the pass registers. A mark
+is -2 minus the ledger index of its step; a fresh inbox cell holds NONE
+and every other step writes 0 or more there, so a stale cell never
+passes for a mark.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ def eliminate_twos(machine: Machine, state: PassState, colors, phase="elim2"):
     colors, indexed by node id, holds the colors of the tasks in their
     registers, and each task's inbox_p and inbox_s cells its
     predecessor's and successor's, as three_color leaves them. One step
-    reads both inbox cells of every color-2 task and writes the colors
-    of the recolored ones, a different store. Returns the colors
-    updated.
+    reads both inbox cells of every color-2 task; the new colors stay
+    in the registers. Returns the colors updated.
     """
     eng = machine.engine
     ids = state.live()
@@ -55,8 +55,7 @@ def eliminate_twos(machine: Machine, state: PassState, colors, phase="elim2"):
         # neighbor the color it lacks, and 0 alone
         new = np.where(both, np.where(mixed, NONE, 1 - cp),
                        np.where(has_s, 1 - cn, np.where(has_p, 1 - cp, 0)))
-        rec = new != NONE
-        s.write("color", np.where(rec, t_ids, NONE), new)
+    rec = new != NONE
     colors[t_ids[rec]] = new[rec]
     contract_batch(machine, t_ids[mixed], t_sv[mixed], PRED_SIDE, phase, state)
     return colors

@@ -103,9 +103,10 @@ class PassState:
 
     form_pairs adds each node's partner (pair), color and at_succ, True
     where the partner is the successor; the partner's column (pcol) is
-    filled at the both columns alone (uniform.partner_columns). The
-    pass drops the link registers after pairing; the merges, moves,
-    swaps and exempt steps patch the rest.
+    filled at the both columns alone (uniform.partner_columns). Memory
+    keeps no copy of them outside the uniformity step's cell mailboxes.
+    The pass drops the link registers after pairing; the merges, moves,
+    swaps and exempt patch the rest.
     """
 
     ids: np.ndarray
@@ -300,11 +301,17 @@ def move_nodes(machine: Machine, nodes, frm, row, col, phase, state=None):
     """Move each node from the slot cell frm[i] that holds it to the
     vacant cell at (row[i], col[i]), in one step: the caller already
     holds the cell it leaves, from the read that chose the node. With a
-    PassState, each node's row and col registers follow it."""
+    PassState, each node's row and col registers follow it, and it
+    writes its color and partner column registers into the mb_color
+    and mb_pcol cells of its new cell (uniform)."""
+    cells = machine.cell(row, col)
     with machine.engine.step(f"{phase}/move_wr", np.size(nodes)) as s:
         s.write("slot", frm, NONE)
-        s.write("slot", machine.cell(row, col), nodes)
+        s.write("slot", cells, nodes)
         s.write("row", nodes, row)
         s.write("col", nodes, col)
+        if state is not None:
+            s.write("mb_color", cells, state.color[nodes])
+            s.write("mb_pcol", cells, state.pcol[nodes])
     if state is not None:
         state.row[nodes], state.col[nodes] = row, col

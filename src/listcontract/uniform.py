@@ -40,15 +40,17 @@ neither marked nor swapped.
 Everything runs as checked engine steps; all cross-pair information
 flows through the slot array and two cell mailboxes beside it, the
 color of each cell's node (mb_color) and its partner's column
-(mb_pcol), so no cell is ever read twice in one step. The step
-publishes the mailboxes of the both columns from the pass registers
-when it starts, and again only after shortening odd chains, and plans
-from the colors, partners and partner columns it published. Each swap
-patches the colors of its own two cells, so they stay current for the
-orientation keys, which are the check that the step left no pair
-marked. A mailbox cell outside the both columns may still hold what an
-earlier pass wrote there, so no step reads one: such a cell is known
-to be vacant.
+(mb_pcol), so no cell is ever read twice in one step. The pass
+registers are the only record of colors and partners, and the
+mailboxes the only memory copy of them: partner_columns writes both at
+every both-column cell, and from then on the step that changes a
+mailbox cell writes it: each swap, and the exempt, move and
+partner-column steps of an odd-chain shortening. So the mailboxes stay
+current for the orientation keys, which are the check that the step
+left no pair marked, and the planning takes colors, partners and
+partner columns from the registers. A mailbox cell outside the both
+columns may still hold what an earlier pass wrote there, so no step
+reads one: such a cell is known to be vacant.
 """
 
 from __future__ import annotations
@@ -116,38 +118,19 @@ def both_columns(machine: Machine, ids, rows, col, phase):
 def partner_columns(machine: Machine, state: PassState, both: BothColumns, phase):
     """Give each both-column node its partner's column, in one step of
     one task per such node: a paired one reads its partner's col into
-    its pcol register, and every one writes its partner, NONE where it
-    has none, into its pair cell, which the shortcut reads. Pairing
-    leaves pcol NONE, and no node outside the both columns needs it
-    (derive_orientation)."""
-    nodes = both.node.ravel()
-    partner = state.pair[nodes]
-    with machine.engine.step(f"{phase}/pcol", nodes.size) as s:
-        state.pcol[nodes] = s.read("col", partner)
-        s.write("pair", nodes, partner)
-
-
-# -- cell mailboxes -----------------------------------------------------
-
-def publish_mailboxes(machine: Machine, state: PassState, both: BothColumns, phase):
-    """Write the color of each both-column cell's node into mb_color
-    and the column of its partner into mb_pcol, NONE at a missing
-    partner, in one step of one task per both column, which reads
-    nothing: the column's two nodes, from both, hold their color and
-    partner column in the pass registers state. Each task owns its
-    column, so every access is exclusive; the cells of the other
-    columns keep whatever they held. Returns what the tasks published,
-    each indexed [row, position in both]: the color of each cell's
-    node, its partner and the partner's column."""
+    its pcol register, and every one writes its color and that column,
+    NONE where it has no partner, into the mb_color and mb_pcol cells
+    of its own cell. The cells of the other columns keep whatever they
+    held. Pairing leaves pcol NONE, and no node outside the both
+    columns needs it (derive_orientation)."""
     for st in ("mb_color", "mb_pcol"):
         scratch(machine, st, machine.memory.size("slot"))
-    color, partner, pcol = state.color[both.node], state.pair[both.node], state.pcol[both.node]
-    with machine.engine.step(f"{phase}/mb_pub", both.cols.size) as s:
-        for r in (0, 1):
-            cells = machine.cell(r, both.cols)
-            s.write("mb_color", cells, color[r])
-            s.write("mb_pcol", cells, pcol[r])
-    return color, partner, pcol
+    nodes = both.node.ravel()
+    cells = machine.cell(state.row[nodes], state.col[nodes])
+    with machine.engine.step(f"{phase}/pcol", nodes.size) as s:
+        state.pcol[nodes] = s.read("col", state.pair[nodes])
+        s.write("mb_color", cells, state.color[nodes])
+        s.write("mb_pcol", cells, state.pcol[nodes])
 
 
 # -- the sweep ------------------------------------------------------------
@@ -160,32 +143,31 @@ def enforce_uniformity(machine: Machine, state: PassState, both: BothColumns,
     Shortens every closed chain with an odd number of top pairs by one
     top pair, then swaps the members of the pairs the prefix-parity
     sweep selects, on both rows at once. Column-aligned pair stacks
-    must be gone (opposite_pair_shortcut). Publishes the mailboxes of
-    the both columns and leaves them current for the orientation keys;
-    without a both column no pair can be marked, and no step runs.
-    state holds the pass registers from pairing on, which the merges,
-    moves and swaps patch. Returns the number of chains shortened.
+    must be gone (opposite_pair_shortcut). Reads the mailboxes of the
+    both columns, which partner_columns wrote, and leaves them current
+    for the orientation keys; without a both column no pair can be
+    marked, and no step runs. state holds the pass registers from
+    pairing on, which the merges, moves and swaps patch. Returns the
+    number of chains shortened.
     """
     if both.cols.size == 0:
         return 0
-    published = publish_mailboxes(machine, state, both, phase)
-    plan = _plan_swaps(machine, both, published, f"{phase}/plan")
+    plan = _plan_swaps(machine, state, both, f"{phase}/plan")
     if plan is None:
         return 0
     odd = plan["odd_cols"].size
     if odd:
         _shorten_odd_chains(machine, plan, state, both, f"{phase}/odd")
-        replan = f"{phase}/replan"
-        plan = _plan_swaps(machine, both, publish_mailboxes(machine, state, both, replan),
-                           replan)
+        plan = _plan_swaps(machine, state, both, f"{phase}/replan")
     if plan is not None:
         swap_positions(machine, plan["swap_a"], plan["swap_b"], state, f"{phase}/swap")
     return odd
 
 
-def _plan_swaps(machine, both, published, phase):
-    """Pick the pairs to swap and the odd chains to shorten, from what
-    publish_mailboxes published and returned (published).
+def _plan_swaps(machine, state, both, phase):
+    """Pick the pairs to swap and the odd chains to shorten, from the
+    colors, partners and partner columns of the both-column nodes in
+    the pass registers state and the other row's colors in mb_color.
 
     State 2c + r stands for both column c leaving along its row-r pair;
     its predecessor is the state that arrives at c along c's other-row
@@ -197,7 +179,7 @@ def _plan_swaps(machine, both, published, phase):
     pair's far column and both members.
     """
     eng = machine.engine
-    color, partner, pcol = published
+    color, partner, pcol = (reg[both.node] for reg in (state.color, state.pair, state.pcol))
     # one step reads, across each partner column that is a both column
     # too, the color of the other row; elsewhere that cell is vacant.
     # mark[r, i] is set when the row-r pair at both.cols[i] is marked
@@ -288,13 +270,18 @@ def merge_pairs(machine: Machine, absorbed, host, state: PassState, phase):
     state.drop(a, RETIRED)
 
 
-def exempt(machine: Machine, hosts, state: PassState, phase):
-    """Take merged hosts out of the pairing in one step: their pair and
-    color are cleared, in memory and in the registers, so the mailboxes
-    and the orientation keys see uncolored, unpaired nodes."""
-    with machine.engine.step(f"{phase}/exempt", np.size(hosts)) as s:
-        s.write("pair", hosts, NONE)
-        s.write("color", hosts, NONE)
+def exempt(machine: Machine, hosts, state: PassState, phase=None):
+    """Take merged hosts out of the pairing: their pair, pcol and color
+    registers are cleared, so the orientation keys see uncolored,
+    unpaired nodes. With a phase, hosts that stay in the both columns
+    also clear both mailboxes at their cells, in one step; without one
+    no step runs, for hosts whose columns leave both, where no step
+    reads a mailbox."""
+    if phase is not None:
+        cells = machine.cell(state.row[hosts], state.col[hosts])
+        with machine.engine.step(f"{phase}/exempt", np.size(hosts)) as s:
+            s.write("mb_color", cells, NONE)
+            s.write("mb_pcol", cells, NONE)
     state.pair[hosts] = state.pcol[hosts] = state.color[hosts] = NONE
 
 
@@ -322,10 +309,12 @@ def _shorten_odd_chains(machine, plan, state, both, phase):
     exempt(machine, plan["odd_b"], state, phase)
     move_nodes(machine, top_cc, cell_cc, 0, plan["odd_cols"], phase, state)
     # the moved tops' partners, both-column nodes of the chain, read
-    # their partner's new column for the replan publish
+    # their partner's new column for the replan and write it into
+    # their mb_pcol cells
     mates = state.pair[top_cc]
     with eng.step(f"{phase}/pcol", k) as s:
         state.pcol[mates] = s.read("col", top_cc)
+        s.write("mb_pcol", machine.cell(state.row[mates], state.col[mates]), state.pcol[mates])
     both.drop(cc)
     both.node[0, both.at(plan["odd_cols"])] = top_cc
 
@@ -381,16 +370,16 @@ def opposite_pair_shortcut(machine: Machine, state: PassState, both: BothColumns
 
     A stack is a pair of each row over the same two both columns. The
     pairs over two both columns of the row that has fewer of them read
-    the pair cell of the other row's node at their smaller column,
-    which partner_columns wrote, in one step: the stack is aligned when
-    that is the other row's node at the larger one. Both pairs then
+    the other row's mb_pcol cell at their smaller column, which
+    partner_columns wrote, in one step: partners share a row, so the
+    stack is aligned when that is the larger column. Both pairs then
     merge at once: the merged top pair keeps its cell at the 0-colored
     bottom member's column, which that member leaves, and the merged
-    bottom pair its cell at the other, so each is alone in its column;
-    both merged nodes leave the pairing in one exempt step, and both
-    columns leave both. Each pair's columns and colors come from the
-    pass registers in state. Returns the number of aligned stacks
-    consumed.
+    bottom pair its cell at the other, so each is alone in its column.
+    Both columns leave both, so both merged nodes leave the pairing in
+    their registers alone (exempt), with no step. Each pair's columns
+    and colors come from the pass registers in state. Returns the
+    number of aligned stacks consumed.
     """
     # per row, the positions in both of each such pair's two columns
     spans = []
@@ -402,9 +391,8 @@ def opposite_pair_shortcut(machine: Machine, state: PassState, both: BothColumns
     lo, hi = spans[r]
     if lo.size == 0:
         return 0
-    opp = both.node[1 - r]
     with machine.engine.step(f"{phase}/rd_pair", lo.size) as s:
-        aligned = s.read("pair", opp[lo]) == opp[hi]
+        aligned = s.read("mb_pcol", machine.cell(1 - r, both.cols[lo])) == both.cols[hi]
     if not aligned.any():
         return 0
     # the stacks in their bottom leaders' id order, whichever row was
@@ -422,6 +410,6 @@ def opposite_pair_shortcut(machine: Machine, state: PassState, both: BothColumns
 
     merge_pairs(machine, b_zero, b_one, state, f"{phase}/bot")
     merge_pairs(machine, top_j, top_i, state, f"{phase}/top")
-    exempt(machine, np.concatenate([b_one, top_i]), state, phase)
+    exempt(machine, np.concatenate([b_one, top_i]), state)
     both.drop(both.cols[np.r_[lo, hi]])
     return int(lo.size)

@@ -1,13 +1,15 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from listcontract import (LinkedForest, Machine, PramConfig, contract_to_threshold, layout,
-                          pointer_jump, ranking, sequential_rank)
+                          pointer_jump, pram, ranking, sequential_rank)
 from listcontract.localize import MIN_RUN
 from listcontract.model import INBOX
 from listcontract.pram import NONE
 from listcontract.steps import PassState, neighbor_message, restricted_neighbors, scratch
-from listcontract.uniform import both_columns
+from listcontract.uniform import both_columns, partner_columns
 
 
 def path_forest(n):
@@ -112,35 +114,34 @@ def validate_pairs(machine, state, ids=None):
     assert (state.color[me] + state.color[p] == 1).all()
 
 
-def pair_state(machine):
-    """The PassState a pass holds once pairing ends, from memory: the
-    rows and columns of the nodes in the array, each one's partner,
-    that partner's column and its color, and the side register, True
-    at a node whose partner is its successor; no link register."""
+def pair_state(machine, pair, color):
+    """The PassState a pass holds once pairing ends, for the nodes in
+    the array: their rows and columns from memory, their partners and
+    colors from pair and color (indexed by node), and the side
+    register, True at a node whose partner is its successor. pcol is
+    NONE until partner_columns fills it (read_both), and there is no
+    link register."""
     ids = machine.in_array_ids()
-    pair, col = machine.peek("pair"), machine.peek("col")
     regs = {name: np.full(machine.n, NONE, dtype=np.int64)
             for name in ("row", "col", "pair", "pcol", "color")}
-    partner = pair[ids]
-    for name, got in (("row", machine.peek("row")[ids]), ("col", col[ids]), ("pair", partner),
-                      ("pcol", np.where(partner != NONE, col[partner], NONE)),
-                      ("color", machine.peek("color")[ids])):
+    for name, got in (("row", machine.peek("row")[ids]), ("col", machine.peek("col")[ids]),
+                      ("pair", pair[ids]), ("color", color[ids])):
         regs[name][ids] = got
-    at_succ = (pair != NONE) & (machine.peek("succ") == pair)
+    at_succ = (regs["pair"] != NONE) & (machine.peek("succ") == regs["pair"])
     return PassState(ids, None, None, regs["row"], None, None, regs["col"], pair=regs["pair"],
                      pcol=regs["pcol"], color=regs["color"], at_succ=at_succ)
 
 
 def assert_pair_registers(machine, state):
     """The live tasks are exactly the nodes in the array, and their
-    row, col and color registers equal memory. Among the partners still
-    in the array (a merged pair's absorbed node is retired, and nothing
+    row and col registers equal memory. Among the partners still in
+    the array (a merged pair's absorbed node is retired, and nothing
     reads the host's pair) the pair registers join adjacent nodes of
     opposite colors on the sides at_succ gives, and pcol, wherever a
     step has filled it, is the partner's column."""
     ids = state.live()
     assert np.array_equal(np.sort(ids), machine.in_array_ids())
-    for name in ("row", "col", "color"):
+    for name in ("row", "col"):
         assert np.array_equal(getattr(state, name)[ids], machine.peek(name)[ids]), name
     partner = state.pair[ids]
     placed = np.flatnonzero(partner != NONE)
@@ -170,11 +171,16 @@ def read_state(machine, ids=None):
     return state
 
 
-def read_both(machine):
+def read_both(machine, state=None):
     """The both columns of the nodes in the array, read by the step a
-    pass runs on its registers; no step runs with a row empty."""
+    pass runs on its registers; no step runs with a row empty. With a
+    pass state, partner_columns then runs over them, as in a pass: it
+    fills their pcol registers and writes both mailboxes there."""
     ids = machine.in_array_ids()
-    return both_columns(machine, ids, machine.peek("row")[ids], machine.peek("col"), "both")
+    both = both_columns(machine, ids, machine.peek("row")[ids], machine.peek("col"), "both")
+    if state is not None and both.cols.size:
+        partner_columns(machine, state, both, "both")
+    return both
 
 
 def place(machine, positions):
@@ -198,8 +204,9 @@ def paired_state(bottom, top, columns, p=8):
 
     bottom/top: sequences of ((colA, colB), (colorA, colorB)). Every
     pair is one 2-node list, already 0-1 colored and paired, placed at
-    the given columns of its row. Returns (machine, pairs) where pairs
-    maps (row, index) -> (nodeA, nodeB).
+    the given columns of its row. Returns (machine, pairs, state): pairs
+    maps (row, index) -> (nodeA, nodeB), and state is the pair_state of
+    the pairs and colors, nodeA's partner its successor.
     """
     entries = [(1, cols, colors) for cols, colors in bottom]
     entries += [(0, cols, colors) for cols, colors in top]
@@ -220,24 +227,25 @@ def paired_state(bottom, top, columns, p=8):
     pairs = {}
     positions = {}
     counter = {0: 0, 1: 0}
+    pair, color = (np.full(machine.n, NONE, dtype=np.int64) for _ in range(2))
     for i, (row, (ca, cb), (wa, wb)) in enumerate(entries):
         a, b = nodes[i]
         positions[a] = (row, ca)
         positions[b] = (row, cb)
-        machine.memory.poke("color", [a, b], [wa, wb])
-        machine.memory.poke("pair", [a, b], [b, a])
+        color[[a, b]] = wa, wb
+        pair[[a, b]] = b, a
         pairs[(row, counter[row])] = (a, b)
         counter[row] += 1
     place(machine, positions)
-    return machine, pairs
+    return machine, pairs, pair_state(machine, pair, color)
 
 
-def marked_pairs(machine):
-    """Host-side mark check from the placement alone: (row, c_lo, c_hi)
-    of every pair over whose columns the other row holds two 0/1-colored
-    nodes of different colors."""
+def marked_pairs(machine, state):
+    """Host-side mark check from the placement and the pass registers
+    state: (row, c_lo, c_hi) of every pair over whose columns the other
+    row holds two 0/1-colored nodes of different colors."""
     grid = machine.grid()
-    color, pair, col = (machine.peek(s) for s in ("color", "pair", "col"))
+    color, pair, col = state.color, state.pair, machine.peek("col")
     out = []
     for row in (0, 1):
         nodes = grid[row][grid[row] != NONE]
@@ -250,6 +258,60 @@ def marked_pairs(machine):
         marked = binary & (far_color[0] != far_color[1])
         out += [(row, int(lo), int(hi)) for lo, hi in zip(c_lo[marked], c_hi[marked])]
     return out
+
+
+MAILBOXES = ("mb_color", "mb_pcol")
+
+
+def fresh(memory, state, store, cells):
+    """What the registers of state give mailbox store at cells now:
+    the color of each cell's node in mb_color and its partner column
+    in mb_pcol, NONE at a vacant cell."""
+    node = memory.peek("slot")[cells]
+    reg = state.color if store == "mb_color" else state.pcol
+    return np.where(node != NONE, reg[np.maximum(node, 0)], NONE)
+
+
+class MailboxAudit:
+    """The mailbox cells written since the pass state in use took over
+    (use), and the label of every step that read a mailbox."""
+
+    def __init__(self):
+        self.state, self.written, self.reads = None, set(), []
+
+    def use(self, state):
+        self.state, self.written = state, set()
+
+
+@contextmanager
+def checked_mailbox_reads():
+    """Yield a MailboxAudit, and check every mailbox cell any step reads
+    meanwhile: a step wrote it since the audit's state took over, and
+    it holds fresh() of that state at the start of the reading step."""
+    audit = MailboxAudit()
+    read, write = pram._StepContext.read, pram._StepContext.write
+
+    def checked_read(ctx, store, idx):
+        out = read(ctx, store, idx)
+        if store in MAILBOXES:
+            idx = np.asarray(idx)
+            kept = idx >= 0
+            assert {(store, c) for c in idx[kept].tolist()} <= audit.written, (ctx.label, store)
+            want = fresh(ctx.engine.memory, audit.state, store, idx[kept])
+            assert np.array_equal(out[kept], want), (ctx.label, store)
+            audit.reads.append(ctx.label)
+        return out
+
+    def recorded_write(ctx, store, idx, values):
+        if store in MAILBOXES:
+            idx = np.asarray(idx)
+            audit.written |= {(store, c) for c in idx[idx >= 0].tolist()}
+        return write(ctx, store, idx, values)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pram._StepContext, "read", checked_read)
+        mp.setattr(pram._StepContext, "write", recorded_write)
+        yield audit
 
 
 def enumerated_states():

@@ -14,13 +14,12 @@ from listcontract import (Machine, PramConfig, UncoveredCaseError, Workload,
 from listcontract import benchmarks, measured, orientation, ranking
 from listcontract.coloring import three_color
 from listcontract.errors import OrientationError
-from listcontract.orientation import (contract_along_orientation,
-                                      derive_orientation, fold_array)
+from listcontract.orientation import derive_orientation, fold_array
 from listcontract.pram import NONE
 from listcontract.ranking import contract_to_threshold
 from listcontract.steps import restricted_neighbors
-from listcontract.uniform import enforce_uniformity, opposite_pair_shortcut
-from conftest import enumerated_states, marked_pairs, pair_state, paired_state, read_both
+from listcontract.uniform import enforce_uniformity, merge_pairs, opposite_pair_shortcut
+from conftest import enumerated_states, marked_pairs, paired_state, read_both
 
 
 def report(name, ok, detail=""):
@@ -264,23 +263,22 @@ def test_criterion_8_uniformity_case_coverage():
     total = 0
     for name, bottom, top, cols in enumerated_states():
         total += 1
-        m, _ = paired_state(bottom=bottom, top=top, columns=cols, p=8)
+        m, _, state = paired_state(bottom=bottom, top=top, columns=cols, p=8)
         pre_weight = int(m.peek("weight")[m.active_ids()].sum())
         try:
             # pipeline order: aligned stacks are consumed before the
             # uniformity step, which assumes them gone
-            both = read_both(m)
-            state = pair_state(m)
+            both = read_both(m, state)
             opposite_pair_shortcut(m, state, both)
             enforce_uniformity(m, state, both)
         except UncoveredCaseError as exc:
             uncovered.append((name, exc.snapshot.get("columns_lo")))
             continue
-        if marked_pairs(m):
+        if marked_pairs(m, state):
             broken.append((name, "residual mismatch"))
         try:
             plan = derive_orientation(m, state, both)
-            contract_along_orientation(m, plan, state)
+            merge_pairs(m, plan.plan_absorbed, plan.plan_host, state, "pack")
         except (OrientationError, UncoveredCaseError) as exc:
             broken.append((name, str(exc)[:60]))
             continue

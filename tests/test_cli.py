@@ -39,8 +39,10 @@ def test_generate_fixed_divisibility_rejected(tmp_path, capsys):
     ["sweep", "--spec", "64,16,4", "--algo", "uniform,bogus"],
     ["generate", "--n", "8", "--seed", "-1"],
     ["sweep", "--spec", "64,4,8", "--seed", "-1"],
+    ["sweep", "--spec", "64,16,4", "--algo", ""],
+    ["sweep", "--spec", "64,16,4", "--algo", ","],
 ], ids=["n0", "bogus_dist", "lists0", "spec_pair", "p0", "sweep_bogus_algo", "seed_neg",
-        "sweep_seed_neg"])
+        "sweep_seed_neg", "sweep_empty_algo", "sweep_comma_algo"])
 def test_bad_arguments_exit_2_with_one_error_line(args, tmp_path, capsys):
     forest = tmp_path / "w.forest"
     forest.write_text("0 1\n1 -1\n")

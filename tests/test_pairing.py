@@ -11,17 +11,17 @@ from conftest import forest_from_lists, read_state, validate_pairs
 
 
 def machine_with_colors(lists, colors, p=8, mode="columns"):
-    """A machine laid out in mode with the given colors, each also in
-    its neighbors' inboxes, as three_color leaves them."""
+    """A machine laid out in mode, its PassState, and the color
+    registers (indexed by node, NONE where colors gives none) with each
+    color also in its neighbors' inboxes, as three_color leaves them."""
     f = forest_from_lists(lists)
     m = Machine(f, PramConfig(num_processors=p))
     layout(m, mode=mode)
-    for node, c in colors.items():
-        m.memory.poke("color", node, c)
+    color = np.full(m.n, NONE, dtype=np.int64)
+    color[list(colors)] = list(colors.values())
     ids = m.active_ids()
     ids = ids[ids < f.n]
     state = read_state(m, ids)
-    color = m.peek("color").copy()
     for inbox, nbr in zip(INBOX, (state.sv, state.pv)):
         # a node's color reaches its successor's inbox_p and its
         # predecessor's inbox_s
@@ -34,38 +34,33 @@ def machine_with_colors(lists, colors, p=8, mode="columns"):
 
 def test_color2_between_zero_and_one_contracts_into_successor():
     m, state, col = machine_with_colors([[0, 1, 2]], {0: 0, 1: 2, 2: 1})
-    eliminate_twos(m, state, col)
+    col = eliminate_twos(m, state, col)
     assert m.peek("row")[1] == RETIRED       # absorbed into its successor
     assert m.log[-1].host.tolist() == [2]
     assert m.peek("weight")[2] == 2
-    live = m.active_ids()
-    live = live[live < 3]
-    assert sorted(m.peek("color")[live].tolist()) == [0, 1]
+    assert sorted(col[state.live()].tolist()) == [0, 1]
 
 
 def test_color2_between_zeros_recolors_to_one():
     m, state, col = machine_with_colors([[0, 1, 2]], {0: 0, 1: 2, 2: 0})
-    eliminate_twos(m, state, col)
+    col = eliminate_twos(m, state, col)
     assert m.peek("row")[1] != RETIRED
-    assert m.peek("color")[1] == 1
+    assert col[1] == 1
 
 
 def test_color2_between_ones_recolors_to_zero():
     m, state, col = machine_with_colors([[0, 1, 2]], {0: 1, 1: 2, 2: 1})
-    eliminate_twos(m, state, col)
-    assert m.peek("color")[1] == 0
+    assert eliminate_twos(m, state, col)[1] == 0
 
 
 def test_isolated_color2_recolors_to_zero():
     m, state, col = machine_with_colors([[0]], {0: 2})
-    eliminate_twos(m, state, col)
-    assert m.peek("color")[0] == 0
+    assert eliminate_twos(m, state, col)[0] == 0
 
 
 def test_endpoint_color2_takes_color_unused_by_neighbor():
     m, state, col = machine_with_colors([[0, 1]], {0: 2, 1: 0})
-    eliminate_twos(m, state, col)
-    assert m.peek("color")[0] == 1
+    assert eliminate_twos(m, state, col)[0] == 1
 
 
 def test_no_active_color2_after_pass():
@@ -78,14 +73,11 @@ def test_no_active_color2_after_pass():
         prev = int(rng.choice(choices))
         colors[v] = prev
     m, state, col = machine_with_colors([list(range(n))], colors)
-    eliminate_twos(m, state, col)
-    live = m.active_ids()
-    live = live[live < n]
-    assert (m.peek("color")[live] != 2).all()
+    cc = eliminate_twos(m, state, col)
+    live = state.live()
+    assert (cc[live] != 2).all()
     # properness over surviving links
-    succ = m.peek("succ")
-    cc = m.peek("color")
-    s = succ[live]
+    s = m.peek("succ")[live]
     mask = s != NONE
     assert (cc[live[mask]] != cc[s[mask]]).all()
 
@@ -161,15 +153,15 @@ def pair_chains(lengths, firsts, order, mode, p, stale_seed=None):
     """form_pairs over chains of the given lengths, node ids in the
     given order, each chain's proper {0, 1} coloring starting at its
     first color, in layout mode with p processors; stale_seed fills the
-    inbox and pair stores with garbage first. Returns the machine, the
-    state and n."""
+    inbox stores with garbage first. Returns the machine and the
+    state."""
     lists = np.split(order, np.cumsum(lengths)[:-1])
     colors = {int(v): (int(first) + i) % 2
               for chain, first in zip(lists, firsts) for i, v in enumerate(chain)}
     m, state, col = machine_with_colors(lists, colors, p=p, mode=mode)
     if stale_seed is not None:
         rng = np.random.default_rng(stale_seed)
-        for st in (*INBOX, "pair"):
+        for st in INBOX:
             m.memory.poke(st, slice(None), rng.integers(0, 4 * m.n, size=m.peek(st).size))
     form_pairs(m, state, col)
     return m, state
@@ -177,9 +169,8 @@ def pair_chains(lengths, firsts, order, mode, p, stale_seed=None):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_pairing_ignores_stale_scratch(seed):
-    # a loose node reads only a mark stamped by its step, and pairing
-    # writes no pair cell, so garbage left in the inboxes and the pair
-    # store changes nothing
+    # a loose node reads only a mark stamped by its step, so garbage
+    # left in the inboxes changes nothing
     rng = np.random.default_rng(seed)
     lengths = rng.integers(1, 10, size=12)
     firsts = rng.integers(0, 2, size=lengths.size)
@@ -204,7 +195,7 @@ def test_alternation_rule_pairs_every_colored_node(lengths, data, mode, p):
     # random short chains, two-node ones with either color first among
     # them: every pair joins adjacent nodes of opposite colors, every
     # live node of a chain of two or more is paired, and garbage left
-    # in the inboxes and the pair store changes no register
+    # in the inboxes changes no register
     n = sum(lengths)
     firsts = data.draw(st.lists(st.integers(0, 1), min_size=len(lengths),
                                 max_size=len(lengths)))

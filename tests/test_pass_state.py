@@ -13,16 +13,17 @@ from listcontract.model import INBOX, POOLED
 from listcontract.pram import NONE
 from listcontract.ranking import contract_to_threshold
 from listcontract.steps import PassState, read_neighbor
-from conftest import (assert_pair_registers, check_inverse, contract_fully, forest_from_lists,
-                      list_order, odd_chain_forest, place, read_state)
+from conftest import (assert_pair_registers, check_inverse, checked_mailbox_reads, contract_fully,
+                      forest_from_lists, list_order, odd_chain_forest, place, read_state)
 
 
 def assert_registers(machine, state, cut):
     """The live tasks are exactly the nodes in the array, and their
     registers equal what restricted_neighbors and peek("row") give,
     without the links that cross rows once localization has cut them.
-    Once pairing has filled them, the pair registers equal memory too,
-    and after pairing the pass keeps no link register."""
+    Once pairing has filled them, the pair registers join adjacent
+    nodes (assert_pair_registers), and after pairing the pass keeps no
+    link register."""
     ids = state.live()
     assert np.array_equal(np.sort(ids), machine.in_array_ids())
     if state.pair is not None:
@@ -61,7 +62,7 @@ PHASES = ((orientation, "pool_short_lists"), (localize_mod, "_absorb_short_runs"
           (pairing, "eliminate_twos"), (pairing, "form_pairs"),
           (pairing, "contract_batch"), (orientation, "partner_columns"),
           (orientation, "opposite_pair_shortcut"),
-          (orientation, "enforce_uniformity"), (orientation, "contract_along_orientation"))
+          (orientation, "enforce_uniformity"), (orientation, "merge_pairs"))
 
 # named inputs whose pass 0 runs the two-row phases, as (forest, layout
 # mode, min_run, p) and the phases that must run
@@ -103,7 +104,7 @@ def test_registers_match_memory_after_every_phase(seed, n, lists, mode, min_run,
     # a pass that pools every list stops after the pool
     assert calls[0] == "pool_short_lists"
     assert "form_pairs" in calls or m.in_array_ids().size == 0
-    assert ("form_pairs" in calls) == (calls[-1] == "contract_along_orientation")
+    assert ("form_pairs" in calls) == (calls[-1] == "merge_pairs")
     if named:
         assert phase in calls
         assert rep.shortcut_pairs == (1016 if named == "shortcut" else 0)
@@ -114,7 +115,7 @@ def test_registers_match_memory_after_every_phase(seed, n, lists, mode, min_run,
 # the stores that hold a node's facts, and each function outside the
 # engine that may peek one during a ranking call, with its store: the
 # task-set scans
-CORE_STORES = {"succ", "pred", "row", "col", "pair", "color", "slot"}
+CORE_STORES = {"succ", "pred", "row", "col", "slot"}
 PEEKERS = {("active_ids", "row"), ("in_array_ids", "row")}
 
 
@@ -130,7 +131,7 @@ def test_pipeline_peeks_no_core_store_outside_the_engine(monkeypatch):
             caller = caller.f_back
         if name in CORE_STORES and caller.f_globals["__name__"] != "listcontract.pram":
             seen.add((caller.f_code.co_name, name))
-        if caller.f_code.co_name in ("contract_along_orientation", "fold_array"):
+        if caller.f_code.co_name in ("merge_pairs", "fold_array"):
             packers.add((caller.f_code.co_name, name))
         return peek(memory, name)
 
@@ -445,7 +446,7 @@ def test_pass_reads_links_and_rows_once():
     # one FIXED l=64 pass: after the one wide pool step reads the state,
     # no step reads neighbors or rows again, and the pass leaves its
     # fold pending; localization leaves one row, so no mailbox is
-    # published
+    # written
     rep, labels, steps = fixed64_pass()
     assert rep.shortcut_pairs == 0 and rep.columns_after == rep.columns_before // 2
     assert_pool_shape(steps, "pass", 4096)
@@ -462,14 +463,14 @@ def test_pass_rereads_no_pair_side_and_clears_no_pairing_scratch():
     gone = ("/pairs/clear", "/side", "pack/exempt", "elim2/read_colors")
     assert not [label for label in labels if label.endswith(gone)]
     assert "pass/rows/elim2/recolor" in labels
-    # the shortcut still clears its merged nodes' pair and color, which
-    # the uniformity step's mailboxes read, in one step for both rows;
-    # unshuffled ids keep long runs on both rows of the rows layout
+    # the shortcut clears its merged nodes' pair and color in their
+    # registers alone: their columns leave the both columns, whose
+    # mailboxes alone a step reads. Unshuffled ids keep long runs on
+    # both rows of the rows layout
     forest = generate(Workload(n=4096, num_lists=16, seed=3))
     rep, labels, _ = recorded_pass(forest, 512, "rows", min_run=8)
     assert rep.shortcut_pairs > 0
-    assert [label for label in labels if label.endswith("/exempt")] == ["pass/shortcut/exempt"]
-    assert not [label for label in labels if label.endswith("/side")]
+    assert not [label for label in labels if label.endswith(("/exempt", "/side"))]
 
 
 def test_two_row_steps_run_only_when_both_rows_hold_a_node():
@@ -484,7 +485,7 @@ def test_two_row_steps_run_only_when_both_rows_hold_a_node():
     # the rows layout of unshuffled ids keeps both rows: one read of
     # the both columns and one step giving their nodes partner columns;
     # the aligned stacks fill every both column, so the shortcut empties
-    # them and no publish or key step runs
+    # them and no key step runs
     forest = generate(Workload(n=4096, num_lists=16, seed=3))
     rep, labels, _ = recorded_pass(forest, 512, "rows", min_run=8)
     for suffix in ("/both/opp", "/both/pcol"):
@@ -513,8 +514,9 @@ def test_pairing_runs_only_narrow_steps():
 
 def test_partner_columns_fill_the_both_columns_alone(monkeypatch):
     # the both-column nodes read their partners' columns and write
-    # their pair cells, which the shortcut reads; pairing filled no
-    # partner column
+    # their colors and those columns into the mailboxes at their cells,
+    # which the shortcut and the sweep read; pairing filled no partner
+    # column
     seen = []
     partner_columns = orientation.partner_columns
 
@@ -523,7 +525,10 @@ def test_partner_columns_fill_the_both_columns_alone(monkeypatch):
         partner_columns(machine, state, both, phase)
         nodes = both.node.ravel()
         partner = state.pair[nodes]
-        assert np.array_equal(machine.peek("pair")[nodes], partner)
+        cells = machine.cell(state.row[nodes], state.col[nodes])
+        assert np.array_equal(machine.peek("slot")[cells], nodes)
+        assert np.array_equal(machine.peek("mb_color")[cells], state.color[nodes])
+        assert np.array_equal(machine.peek("mb_pcol")[cells], state.pcol[nodes])
         assert np.array_equal(state.pcol[nodes],
                               np.where(partner != NONE, machine.peek("col")[partner], NONE))
         off = np.setdiff1d(state.live(), nodes)
@@ -534,6 +539,28 @@ def test_partner_columns_fill_the_both_columns_alone(monkeypatch):
     run = list_rank(forest, p=512, layout_mode="rows", min_run=8)
     assert run.result.same_as(sequential_rank(forest))
     assert seen and all(seen)
+
+
+@pytest.mark.parametrize("named", ["odd_chain", "shortcut", "geo_rows"])
+def test_every_mailbox_read_of_a_list_rank_was_written_in_its_pass(named, monkeypatch):
+    # memory keeps no pair or color store, and the mailboxes are the one
+    # memory copy of the registers: each cell a step reads was written
+    # in the same pass, by partner_columns or by the step that last
+    # changed it, and holds the registers of the node now there
+    make, mode, min_run, p, _ = NAMED_PASSES[named]
+    partner_columns = orientation.partner_columns
+
+    def tracked(machine, state, both, phase):
+        audit.use(state)
+        partner_columns(machine, state, both, phase)
+    monkeypatch.setattr(orientation, "partner_columns", tracked)
+    forest = make()
+    with checked_mailbox_reads() as audit:
+        run = list_rank(forest, p=p, min_run=min_run, layout_mode=mode)
+    assert run.result.same_as(sequential_rank(forest))
+    assert run.metrics.erew_violations == 0
+    assert audit.reads
+    assert not [r for r in run.trace if r.label.endswith(("/mb_pub", "/shortcut/exempt"))]
 
 
 @pytest.mark.parametrize("min_run", [1, 0])

@@ -1,22 +1,18 @@
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from listcontract import (Machine, OrientationError, PramConfig, UncoveredCaseError, Workload,
                           generate, layout, list_rank, orientation, sequential_rank, uniform)
-from listcontract.orientation import (contract_along_orientation,
-                                      derive_orientation, fold_array,
-                                      uniform_contraction_pass)
-from listcontract import pram
+from listcontract.orientation import derive_orientation, fold_array, uniform_contraction_pass
 from listcontract.pram import NONE
 from listcontract.steps import pool_nodes
-from listcontract.uniform import (both_columns, color_and_pair, enforce_uniformity,
-                                  opposite_pair_shortcut, publish_mailboxes)
-from conftest import (check_inverse, check_packed, contract_fully, enumerated_states, marked_pairs,
-                      odd_chain_forest, pair_state, paired_state, path_forest, place, read_both,
-                      read_state, snapshot, states_equal, validate_pairs)
+from listcontract.uniform import (both_columns, color_and_pair, enforce_uniformity, merge_pairs,
+                                  opposite_pair_shortcut, partner_columns)
+from conftest import (MAILBOXES, check_inverse, check_packed, checked_mailbox_reads,
+                      contract_fully, enumerated_states, fresh, marked_pairs, odd_chain_forest,
+                      pair_state, paired_state, path_forest, place, read_both, read_state,
+                      snapshot, states_equal, validate_pairs)
 
 
 # the pointer and the three value stores of the sweep's doubling, both buffers
@@ -76,9 +72,9 @@ def aligned_stack(c1=4, c2=5):
 
 
 def test_shortcut_consumes_aligned_stack():
-    m, pairs = aligned_stack()
-    both = read_both(m)
-    consumed = opposite_pair_shortcut(m, pair_state(m), both)
+    m, pairs, state = aligned_stack()
+    both = read_both(m, state)
+    consumed = opposite_pair_shortcut(m, state, both)
     assert consumed == 1
     assert both.cols.size == 0          # the stack's columns leave both
     b0, b1 = pairs[(1, 0)]
@@ -94,12 +90,12 @@ def test_shortcut_consumes_aligned_stack():
 
 
 def test_shortcut_noop_without_top_pair():
-    m, pairs = paired_state(
+    m, _, state = paired_state(
         bottom=[((4, 5), (0, 1))],
         top=[((5, 6), (1, 0))],   # offset by one: not aligned
         columns=8,
     )
-    assert opposite_pair_shortcut(m, pair_state(m), read_both(m)) == 0
+    assert opposite_pair_shortcut(m, state, read_both(m, state)) == 0
     assert m.in_array_ids().size == 4
 
 
@@ -108,12 +104,12 @@ def test_shortcut_from_the_top_row_merges_stacks_in_bottom_leader_order():
     # than the bottom row (three), so the shortcut reads from it; the
     # merges still take the stacks in their bottom leaders' id order, as
     # a read from the bottom row does, and log the same entries
-    m, pairs = paired_state(
+    m, pairs, state = paired_state(
         bottom=[((2, 3), (0, 1)), ((0, 1), (0, 1)), ((4, 5), (0, 1))],
         top=[((0, 1), (1, 0)), ((2, 3), (1, 0)), ((4, 6), (0, 1)), ((5, 7), (0, 1))],
         columns=8,
     )
-    assert opposite_pair_shortcut(m, pair_state(m), read_both(m)) == 2
+    assert opposite_pair_shortcut(m, state, read_both(m, state)) == 2
     assert m.engine.metrics().phase_work["shortcut/rd_pair"] == 2
     # the bottom merge hosts the 1-colored members: pair 0 (columns 2,
     # 3) has the smaller leader id, though pair 1 has the smaller column
@@ -121,15 +117,15 @@ def test_shortcut_from_the_top_row_merges_stacks_in_bottom_leader_order():
 
 
 def test_aligned_stack_left_for_uniformity_is_refused():
-    m, _ = aligned_stack()
+    m, _, state = aligned_stack()
     with pytest.raises(UncoveredCaseError):
-        enforce_uniformity(m, pair_state(m), read_both(m))
+        enforce_uniformity(m, state, read_both(m, state))
 
 
 def test_shortcut_weight_conservation():
-    m, pairs = aligned_stack()
+    m, _, state = aligned_stack()
     total = int(m.peek("weight")[m.active_ids()].sum())
-    opposite_pair_shortcut(m, pair_state(m), read_both(m))
+    opposite_pair_shortcut(m, state, read_both(m, state))
     assert int(m.peek("weight")[m.active_ids()].sum()) == total
 
 
@@ -159,9 +155,9 @@ def c_configuration():
 
 
 def test_s_and_c_configurations_take_one_swap_batch():
-    for m, _ in (s_configuration(), c_configuration()):
-        assert enforce_uniformity(m, pair_state(m), read_both(m)) == 0
-        assert not marked_pairs(m)
+    for m, _, state in (s_configuration(), c_configuration()):
+        assert enforce_uniformity(m, state, read_both(m, state)) == 0
+        assert not marked_pairs(m, state)
         assert len(step_rounds(m, "/swap_wr")) == 1
         assert not m.log and not step_rounds(m, "/move_wr")
 
@@ -182,20 +178,19 @@ def closed_chain(k, seed, bottom=(), top=(), columns=0):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("k", [3, 5, 7])
 def test_odd_closed_chain_is_shortened_once(k, seed):
-    m, _ = closed_chain(k, seed)
+    m, _, state = closed_chain(k, seed)
     pre_weight = int(m.peek("weight")[m.active_ids()].sum())
-    both = read_both(m)
-    state = pair_state(m)
+    both = read_both(m, state)
     assert enforce_uniformity(m, state, both) == 1
     assert all(m.memory.has(st) for st in SWEEP_STORES)
     assert len(m.log) == 1 and m.log[0].absorbed.size == 1
     assert list(step_rounds(m, "/move_wr").values()) == [1]
     check_inverse(m)
-    assert not marked_pairs(m)
+    assert not marked_pairs(m, state)
     # the shortening kept the column set current: one column less
     assert np.array_equal(both.cols, read_both(m).cols) and both.cols.size == 2 * k - 1
     plan = derive_orientation(m, state, both)
-    contract_along_orientation(m, plan, state)
+    merge_pairs(m, plan.plan_absorbed, plan.plan_host, state, "pack")
     check_packed(m, plan, pre_weight)
     fold_array(m, plan.survivors, plan.columns, state.row[plan.survivors])
     check_inverse(m)
@@ -223,10 +218,11 @@ def test_odd_chain_merge_takes_its_sides_from_the_register(k, seed, monkeypatch)
     # closed chains of 3 and 5 pairs a row check the odd-chain merge
     # beyond the one list_rank input below, with the register taken
     # before the step starts
-    m, _ = closed_chain(k, seed)
+    m, _, state = closed_chain(k, seed)
+    both = read_both(m, state)
     seen = []
     monkeypatch.setattr(uniform, "merge_pairs", checked_merges(seen))
-    assert enforce_uniformity(m, pair_state(m), read_both(m)) == 1
+    assert enforce_uniformity(m, state, both) == 1
     assert seen == ["uniform/odd"]
 
 
@@ -253,10 +249,10 @@ def test_side_register_matches_memory_at_every_merge(seed, n, lists, mode, min_r
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_even_closed_chain_takes_swaps_only(k, seed):
-    m, _ = closed_chain(k, seed)
-    assert enforce_uniformity(m, pair_state(m), read_both(m)) == 0
+    m, _, state = closed_chain(k, seed)
+    assert enforce_uniformity(m, state, read_both(m, state)) == 0
     assert not m.log and not step_rounds(m, "/move_wr")
-    assert not marked_pairs(m)
+    assert not marked_pairs(m, state)
 
 
 def test_list_rank_meets_a_closed_chain_and_matches_the_oracle():
@@ -281,7 +277,7 @@ def test_list_rank_meets_a_closed_chain_and_matches_the_oracle():
 def test_list_rank_shortens_an_odd_closed_chain_and_matches_the_oracle(p):
     # pairing in pass 0 closes one column chain with an odd number of
     # top pairs, which no swap can clear: the step shortens it, then
-    # publishes and plans again
+    # plans again
     f = odd_chain_forest()
     run = list_rank(f, p=p)
     labels = list(run.metrics.phase_breakdown)
@@ -304,11 +300,11 @@ def test_sweep_doubling_runs_only_the_closed_chain_once_open_chains_finish(seed)
     # alone, until each has folded all 32 of them
     k = 8
     o = 2 * k
-    m, _ = closed_chain(k, seed, bottom=[((o, o + 1), (0, 1)), ((o + 2, o + 3), (1, 0))],
-                        top=[((o + 1, o + 2), (1, 0))], columns=4)
-    assert marked_pairs(m)
-    assert enforce_uniformity(m, pair_state(m), read_both(m)) == 0
-    assert not marked_pairs(m)
+    m, _, state = closed_chain(k, seed, bottom=[((o, o + 1), (0, 1)), ((o + 2, o + 3), (1, 0))],
+                               top=[((o + 1, o + 2), (1, 0))], columns=4)
+    assert marked_pairs(m, state)
+    assert enforce_uniformity(m, state, read_both(m, state)) == 0
+    assert not marked_pairs(m, state)
     d = [(r.label.rsplit("/", 1)[1], r.tasks) for r in m.engine.trace if "/plan/d/" in r.label]
     assert d == [("init", 36), ("r0", 36), ("r1", 34)] + [
         (f"r{r}", 4 * k) for r in range(2, int(np.log2(4 * k)))]
@@ -341,13 +337,14 @@ def test_two_row_steps_scale_with_the_both_columns(n, monkeypatch):
 
 
 def test_matched_pairs_are_left_alone():
-    m, pairs = paired_state(
+    m, _, state = paired_state(
         bottom=[((0, 1), (0, 1)), ((2, 3), (1, 0))],
         top=[((1, 2), (0, 1)), ((3, 0), (1, 0))],
         columns=4,
     )
+    both = read_both(m, state)
     before = snapshot(m)
-    assert enforce_uniformity(m, pair_state(m), read_both(m)) == 0
+    assert enforce_uniformity(m, state, both) == 0
     assert states_equal(before, snapshot(m))
     assert not m.log and not step_rounds(m, "/swap_wr")
     # nothing marked: the sweep's doubling stores are never allocated
@@ -362,19 +359,19 @@ def test_chain_case_clears_long_mismatch_runs():
     top = [((2 * i + 1, 2 * i + 2), (1, 0)) for i in range(k - 1)]
     top.append(((0, 2 * k), (0, 1)))        # endpoints pair off-chain
     top.append(((2 * k - 1, 2 * k + 1), (1, 0)))
-    m, pairs = paired_state(bottom=bottom, top=top, columns=2 * k + 2)
-    enforce_uniformity(m, pair_state(m), read_both(m))
-    assert not marked_pairs(m)
+    m, _, state = paired_state(bottom=bottom, top=top, columns=2 * k + 2)
+    enforce_uniformity(m, state, read_both(m, state))
+    assert not marked_pairs(m, state)
 
 
 def test_mismatched_bottoms_under_matched_tops_cleared_in_one_call():
-    m, pairs = paired_state(
+    m, _, state = paired_state(
         bottom=[((1, 2), (1, 0)), ((3, 4), (0, 1))],
         top=[((0, 1), (0, 1)), ((2, 3), (1, 0)), ((4, 5), (0, 1))],
         columns=6,
     )
-    enforce_uniformity(m, pair_state(m), read_both(m))
-    assert not marked_pairs(m)
+    enforce_uniformity(m, state, read_both(m, state))
+    assert not marked_pairs(m, state)
 
 
 # -- orientation and packing ---------------------------------------------
@@ -390,22 +387,18 @@ def full_period_state():
 
 
 def test_orientation_keys_full_period():
-    m, pairs = full_period_state()
-    both, state = read_both(m), pair_state(m)
-    publish_mailboxes(m, state, both, "setup")
-    plan = derive_orientation(m, state, both)
+    m, _, state = full_period_state()
+    plan = derive_orientation(m, state, read_both(m, state))
     assert plan.key[:4].tolist() == [0, 1, 3, 2]
 
 
 def test_orientation_reversed_pattern_is_backward():
-    m, pairs = paired_state(
+    m, _, state = paired_state(
         bottom=[((0, 1), (0, 1)), ((2, 3), (1, 0))],
         top=[((1, 2), (1, 0)), ((3, 0), (0, 1))],
         columns=4,
     )
-    both, state = read_both(m), pair_state(m)
-    publish_mailboxes(m, state, both, "setup")
-    plan = derive_orientation(m, state, both)
+    plan = derive_orientation(m, state, read_both(m, state))
     assert plan.key[:4].tolist() == [2, 3, 1, 0]
 
 
@@ -414,8 +407,9 @@ def test_single_row_pairs_claim_their_zero_colored_column(row):
     # with the other row empty every key is NONE: no key step, no
     # mailbox, and each pair claims its 0-colored member's column
     pairs = [((0, 1), (1, 0)), ((2, 5), (0, 1)), ((4, 3), (0, 1))]
-    m, nodes = paired_state(bottom=pairs if row else [], top=[] if row else pairs, columns=6)
-    plan = derive_orientation(m, pair_state(m), read_both(m))
+    m, nodes, state = paired_state(bottom=pairs if row else [], top=[] if row else pairs,
+                                   columns=6)
+    plan = derive_orientation(m, state, read_both(m, state))
     assert not m.engine.metrics().phase_breakdown
     assert (plan.key == NONE).all()
     claimed = dict(zip(plan.survivors.tolist(), plan.columns.tolist()))
@@ -425,13 +419,11 @@ def test_single_row_pairs_claim_their_zero_colored_column(row):
     assert (m.peek("row")[plan.survivors] == row).all()
 
 
-def test_contract_along_orientation_packs_full_period():
-    m, pairs = full_period_state()
-    both, state = read_both(m), pair_state(m)
-    publish_mailboxes(m, state, both, "setup")
-    plan = derive_orientation(m, state, both)
+def test_merge_pairs_packs_full_period():
+    m, _, state = full_period_state()
+    plan = derive_orientation(m, state, read_both(m, state))
     cells = {int(v): (int(state.row[v]), int(state.col[v])) for v in plan.survivors}
-    contract_along_orientation(m, plan, state)
+    merge_pairs(m, plan.plan_absorbed, plan.plan_host, state, "pack")
     assert plan.survivors.size == 4      # each pair merged once
     check_packed(m, plan, 8)
     # the hosts stay where they are, on both rows
@@ -440,15 +432,13 @@ def test_contract_along_orientation_packs_full_period():
 
 
 def test_aligned_shortcut_survivors_left_untouched_by_packing():
-    m, pairs = aligned_stack()
-    both = read_both(m)
-    state = pair_state(m)
+    m, _, state = aligned_stack()
+    both = read_both(m, state)
     opposite_pair_shortcut(m, state, both)
-    publish_mailboxes(m, state, both, "setup")
     before = {int(v): (int(m.peek("row")[v]), int(m.peek("col")[v]))
               for v in m.in_array_ids()}
     plan = derive_orientation(m, state, both)
-    contract_along_orientation(m, plan, state)
+    merge_pairs(m, plan.plan_absorbed, plan.plan_host, state, "pack")
     after = {int(v): (int(m.peek("row")[v]), int(m.peek("col")[v]))
              for v in m.in_array_ids()}
     assert before == after
@@ -473,11 +463,9 @@ def test_full_pass_packs_random_instance():
 
 
 def test_fold_halves_columns_and_keeps_inverse():
-    m, pairs = full_period_state()
-    both, state = read_both(m), pair_state(m)
-    publish_mailboxes(m, state, both, "setup")
-    plan = derive_orientation(m, state, both)
-    contract_along_orientation(m, plan, state)
+    m, _, state = full_period_state()
+    plan = derive_orientation(m, state, read_both(m, state))
+    merge_pairs(m, plan.plan_absorbed, plan.plan_host, state, "pack")
     check_packed(m, plan, 8)
     top = m.cell(0, plan.columns)
     fold_array(m, plan.survivors, plan.columns, state.row[plan.survivors])
@@ -510,15 +498,14 @@ def random_two_row_state(rng, columns=12):
 def test_random_geometry_uniformity_and_packing(seed):
     # arbitrary chain tangles, beyond the systematic enumeration
     rng = np.random.default_rng(seed)
-    m, _ = random_two_row_state(rng)
+    m, _, state = random_two_row_state(rng)
     pre_weight = int(m.peek("weight")[m.active_ids()].sum())
-    both = read_both(m)
-    state = pair_state(m)
+    both = read_both(m, state)
     opposite_pair_shortcut(m, state, both)
     enforce_uniformity(m, state, both)
-    assert not marked_pairs(m)
+    assert not marked_pairs(m, state)
     plan = derive_orientation(m, state, both)
-    contract_along_orientation(m, plan, state)
+    merge_pairs(m, plan.plan_absorbed, plan.plan_host, state, "pack")
     check_packed(m, plan, pre_weight)
     fold_array(m, plan.survivors, plan.columns, state.row[plan.survivors])
     check_inverse(m)
@@ -527,9 +514,6 @@ def test_random_geometry_uniformity_and_packing(seed):
 
 # -- mailboxes and the uniformity check --------------------------------------
 
-MAILBOXES = ("mb_color", "mb_pcol")
-
-
 def uniformity_states():
     for seed in range(60):
         yield random_two_row_state(np.random.default_rng(seed))
@@ -537,166 +521,144 @@ def uniformity_states():
         yield paired_state(bottom=bottom, top=top, columns=cols, p=8)
 
 
-def fresh(memory, store, cells):
-    """What a publish of every cell would hold at cells now: the color
-    of the cell's node in mb_color and its partner's column in mb_pcol,
-    NONE where either is absent."""
-    node = memory.peek("slot")[cells]
-    got = np.where(node != NONE, memory.peek("color" if store == "mb_color" else "pair")[node],
-                   NONE)
-    if store == "mb_color":
-        return got
-    return np.where(got != NONE, memory.peek("col")[got], NONE)
-
-
 def stale_cells(m):
-    """Vacant cells of the grid whose mailbox still holds a color: an
-    earlier publish filled them, and no publish since covered them."""
+    """Vacant cells of the grid whose mailbox still holds a color: a
+    step filled them earlier, and the node left."""
     cells = m.cell([[0], [1]], np.arange(m.columns))
     return int(((m.peek("slot")[cells] == NONE) & (m.peek("mb_color")[cells] != NONE)).sum())
 
 
-@contextmanager
-def checked_mailbox_reads(reads):
-    """Check that every mailbox value any step reads equals fresh() at
-    the start of the step, and append each such read's label."""
-    read = pram._StepContext.read
-
-    def checked(ctx, store, idx):
-        out = read(ctx, store, idx)
-        if store in MAILBOXES:
-            kept = np.asarray(idx) >= 0
-            want = fresh(ctx.engine.memory, store, np.asarray(idx)[kept])
-            assert np.array_equal(out[kept], want), (ctx.label, store)
-            reads.append(ctx.label)
-        return out
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pram._StepContext, "read", checked)
-        yield
+def mailboxes_match_registers(m, state, both):
+    """Both mailboxes of every both-column cell hold fresh(), and each
+    pcol register there names the partner's column in memory. Returns
+    the stale cells of the grid."""
+    cells = m.cell([[0], [1]], both.cols).ravel()
+    for st in MAILBOXES:
+        assert np.array_equal(m.peek(st)[cells], fresh(m.memory, state, st, cells)), st
+    node = m.peek("slot")[cells]
+    partner = state.pair[node]
+    assert np.array_equal(state.pcol[node],
+                          np.where(partner != NONE, m.peek("col")[partner], NONE))
+    return stale_cells(m)
 
 
 def test_swaps_keep_mailboxes_equal_to_a_fresh_publish():
-    # every mailbox value the sweep and the key step read, the key step
-    # after the swaps among them, is what a fresh publish would hold
+    # every mailbox value the shortcut, the sweep and the key step read,
+    # the key step after the swaps among them, was written in the same
+    # pass and is what the registers give the cell's node now
     swapped = 0
-    for m, _ in uniformity_states():
-        reads = []
-        with checked_mailbox_reads(reads):
-            both = read_both(m)
-            state = pair_state(m)
+    for m, _, state in uniformity_states():
+        with checked_mailbox_reads() as audit:
+            audit.use(state)
+            both = read_both(m, state)
             opposite_pair_shortcut(m, state, both)
             enforce_uniformity(m, state, both)
             derive_orientation(m, state, both)
         if step_rounds(m, "/swap_wr"):
             swapped += 1
-            assert reads[-1] == "orient/keys"
+            assert audit.reads[-1] == "orient/keys"
     assert swapped > 1000
 
 
-def checked_publish(calls):
-    """publish_mailboxes that checks the cells it publishes against
-    fresh() and appends (phase, stale cells it leaves)."""
-    def publish(m, state, both, phase):
-        published = publish_mailboxes(m, state, both, phase)
-        cells = np.sort(m.cell([[0], [1]], both.cols).ravel())
-        for st in MAILBOXES:
-            assert np.array_equal(m.peek(st)[cells], fresh(m.memory, st, cells)), st
-        calls.append((phase, stale_cells(m)))
-        return published
-    return publish
-
-
-def test_every_uniformity_publish_matches_the_grid(monkeypatch):
-    # each state's first publish, and the one after an odd-chain replan,
-    # which leaves the top cell the shortening vacated as it was: it is
-    # no longer a both column, and no step reads it
-    calls, reads = [], []
-    monkeypatch.setattr(uniform, "publish_mailboxes", checked_publish(calls))
-    with checked_mailbox_reads(reads):
-        for m, _ in uniformity_states():
-            both, state = read_both(m), pair_state(m)
+def test_every_uniformity_publish_matches_the_grid():
+    # partner_columns fills both mailboxes of the both columns, and every
+    # later step that changes a cell keeps them current; an odd-chain
+    # shortening leaves the top cell it vacated as it was: it is no
+    # longer a both column, and no step reads it
+    shortened = []
+    with checked_mailbox_reads() as audit:
+        for m, _, state in uniformity_states():
+            audit.use(state)
+            both = read_both(m, state)
+            if both.cols.size == 0:
+                continue
+            mailboxes_match_registers(m, state, both)
             opposite_pair_shortcut(m, state, both)
-            enforce_uniformity(m, state, both)
-    replans = [stale for phase, stale in calls if phase.endswith("/replan")]
-    assert len(replans) > 10 and sum(replans) > 0
+            if enforce_uniformity(m, state, both):
+                shortened.append(mailboxes_match_registers(m, state, both))
+    assert len(shortened) > 10 and sum(shortened) > 0
 
 
 def test_second_publish_of_a_list_rank_matches_the_grid(monkeypatch):
-    calls, reads = [], []
-    monkeypatch.setattr(uniform, "publish_mailboxes", checked_publish(calls))
+    stale = []
+
+    def checked(machine, state, both, phase):
+        audit.use(state)
+        partner_columns(machine, state, both, phase)
+        stale.append(mailboxes_match_registers(machine, state, both))
+    monkeypatch.setattr(orientation, "partner_columns", checked)
     # unshuffled ids keep both rows of the rows layout through passes;
     # every pass runs, as the default stops after the first here
     f = generate(Workload(n=2000, num_lists=8, seed=3))
-    with checked_mailbox_reads(reads):
+    with checked_mailbox_reads() as audit:
         _, _, result = contract_fully(f, 64, 8, "rows")
     assert result.same_as(sequential_rank(f))
-    # later publishes leave cells that earlier passes filled vacant and
-    # stale, and every read still finds a fresh value
-    assert len(calls) >= 2 and sum(stale for _, stale in calls[1:]) > 0
-    assert [label for label in reads if label.endswith("/orient/keys")]
+    # later passes leave cells that earlier passes filled vacant and
+    # stale, and every read still finds a value of its own pass
+    assert len(stale) >= 2 and sum(stale[1:]) > 0
+    assert [label for label in audit.reads if label.endswith("/orient/keys")]
 
 
 def test_stale_mailbox_cells_outside_the_both_columns_are_never_read():
-    # an earlier publish fills the bottom cells of columns 6 and 7, then
+    # an earlier pass fills the bottom cells of columns 6 and 7, then
     # their pair leaves the array. Those cells are vacant and outside
     # the both columns, and their colors would mark the top pairs (0, 6)
     # and (5, 7) of the S configuration if a step trusted them
     bottom = [((0, 1), (0, 1)), ((2, 3), (0, 1)), ((4, 5), (0, 1))]
     top = [((1, 2), (1, 0)), ((3, 4), (0, 1)), ((0, 6), (0, 1)), ((5, 7), (0, 1))]
-    m, pairs = paired_state(bottom=bottom + [((6, 7), (1, 0))], top=top, columns=8)
-    publish_mailboxes(m, pair_state(m), read_both(m), "earlier")
+    m, pairs, earlier = paired_state(bottom=bottom + [((6, 7), (1, 0))], top=top, columns=8)
+    read_both(m, earlier)
     pool_nodes(m, list(pairs[(1, 3)]), m.cell(1, [6, 7]), "pool")
-    both = read_both(m)
-    assert not np.isin([6, 7], both.cols).any()
-    assert stale_cells(m) == 2
-    reads = []
-    state = pair_state(m)
-    with checked_mailbox_reads(reads):
+    # the next pass's registers, before partner_columns
+    state = pair_state(m, earlier.pair, earlier.color)
+    with checked_mailbox_reads() as audit:
+        audit.use(state)
+        both = read_both(m, state)
+        assert not np.isin([6, 7], both.cols).any()
+        assert stale_cells(m) == 2
         enforce_uniformity(m, state, both)
         plan = derive_orientation(m, state, both)
-    assert reads and not marked_pairs(m)
-    # the run matches the same state that no earlier publish touched
-    ref, _ = s_configuration()
-    ref_both = read_both(ref)
-    ref_state = pair_state(ref)
+    assert audit.reads and not marked_pairs(m, state)
+    # the run matches the same state that no earlier pass touched
+    ref, _, ref_state = s_configuration()
+    ref_both = read_both(ref, ref_state)
     enforce_uniformity(ref, ref_state, ref_both)
     assert np.array_equal(plan.key, derive_orientation(ref, ref_state, ref_both).key)
-    grids = [machine.grid() for machine in (m, ref)]
-    colors = [np.where(g != NONE, machine.peek("color")[g], NONE)
-              for g, machine in zip(grids, (m, ref))]
+    colors = [np.where(g != NONE, st.color[g], NONE)
+              for g, st in ((m.grid(), state), (ref.grid(), ref_state))]
     assert np.array_equal(*colors)
     assert m.engine.metrics().erew_violations == 0
 
 
 def test_marked_pair_raises_uncovered_case_with_snapshot():
-    m, _ = s_configuration()
-    both, state = read_both(m), pair_state(m)
-    publish_mailboxes(m, state, both, "setup")
+    m, _, state = s_configuration()
+    both = read_both(m, state)
     with pytest.raises(UncoveredCaseError) as exc:
         derive_orientation(m, state, both)
     assert set(exc.value.snapshot) == {"target_row", "reference_row", "columns_lo",
                                        "columns_hi", "grid", "colors"}
-    # the first row with a marked pair is reported, all of its marks
+    # the first row with a marked pair is reported, all of its marks,
+    # and the colors come from the registers
     snap = exc.value.snapshot
     ref = snap["reference_row"]
     assert snap["target_row"] == 1 - ref
-    assert [(ref, lo, hi) for lo, hi in zip(snap["columns_lo"], snap["columns_hi"])] ==         [mk for mk in marked_pairs(m) if mk[0] == ref]
+    assert [(ref, lo, hi) for lo, hi in zip(snap["columns_lo"], snap["columns_hi"])] == \
+        [mk for mk in marked_pairs(m, state) if mk[0] == ref]
+    assert snap["colors"] == state.color.tolist()
 
 
 def test_unclaimed_pair_that_is_not_marked_raises_orientation_error():
     # the bottom pair at 0,1 has an exempt top over column 1: its key
     # there is undefined and neither opposite cell is vacant
-    m, pairs = paired_state(
+    m, pairs, state = paired_state(
         bottom=[((0, 1), (0, 1))],
         top=[((0, 2), (0, 1)), ((1, 3), (0, 1))],
         columns=4,
     )
     exempt = list(pairs[(0, 1)])
-    m.memory.poke("pair", exempt, NONE)
-    m.memory.poke("color", exempt, NONE)
-    both, state = read_both(m), pair_state(m)
-    publish_mailboxes(m, state, both, "setup")
-    assert not marked_pairs(m)
+    state.pair[exempt] = state.color[exempt] = NONE
+    both = read_both(m, state)
+    assert not marked_pairs(m, state)
     with pytest.raises(OrientationError, match="no forward column"):
         derive_orientation(m, state, both)
 
@@ -704,12 +666,11 @@ def test_unclaimed_pair_that_is_not_marked_raises_orientation_error():
 def test_two_survivors_over_one_column_raise_orientation_error():
     # two unpaired nodes over column 1 would both survive there, and the
     # fold places one survivor per column
-    m, pairs = paired_state(bottom=[((2, 3), (0, 1))], top=[((0, 1), (0, 1))], columns=4)
+    m, pairs, state = paired_state(bottom=[((2, 3), (0, 1))], top=[((0, 1), (0, 1))], columns=4)
     loose = [*pairs[(0, 0)], *pairs[(1, 0)]]
-    m.memory.poke("pair", loose, NONE)
-    m.memory.poke("color", loose, NONE)
+    state.pair[loose] = state.color[loose] = NONE
     place(m, {pairs[(0, 0)][0]: (0, 1), pairs[(1, 0)][0]: (1, 1)})
-    both, state = read_both(m), pair_state(m)
-    publish_mailboxes(m, state, both, "setup")
+    state = pair_state(m, state.pair, state.color)
+    both = read_both(m, state)
     with pytest.raises(OrientationError, match=r"columns claimed twice at \[1\]"):
         derive_orientation(m, state, both)

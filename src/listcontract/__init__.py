@@ -1,7 +1,6 @@
 """Uniform linked-list contraction on a checked EREW PRAM simulator."""
 
-from .errors import (BatchDependenceError, ErewViolationError,
-                     ForestFormatError, ImproperColoringError,
+from .errors import (ErewViolationError, ForestFormatError, ImproperColoringError,
                      ListContractError, OrientationError, UncoveredCaseError)
 from .pram import Engine, Memory, PramConfig, RoundMetrics, StepRecord
 from .model import LinkedForest, Machine, layout

@@ -78,9 +78,11 @@ def drops_are_cheaper(color, p):
     going on pays: one more full-width iteration, then at most three
     drops, since it leaves at most six classes and the three largest
     are kept. A coloring of at most six classes passes, so coin
-    tossing always ends."""
+    tossing always ends. A step has at most k tasks, so every p >= k
+    prices as p = k does."""
     counts = np.bincount(color)[3:]
     k = color.size
+    p = min(p, k)
     return int((-(-counts // p)).sum()) <= -(-k // p) + 3
 
 

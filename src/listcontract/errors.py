@@ -6,19 +6,15 @@ class ListContractError(Exception):
 
 
 class ErewViolationError(ListContractError):
-    """Two distinct processors touched the same cell in one round."""
+    """Two distinct tasks of one step touched the same cell.
+
+    The engine refuses such a step at every processor count, before it
+    applies any write; ``violations`` counts the shared cells.
+    """
 
     def __init__(self, message, violations=1):
         super().__init__(message)
         self.violations = violations
-
-
-class BatchDependenceError(ListContractError):
-    """A step read a cell that another task of the same step writes.
-
-    This is an internal consistency failure: step outcomes would depend on
-    the processor count, so the engine refuses to proceed.
-    """
 
 
 class ForestFormatError(ListContractError):

@@ -6,26 +6,24 @@ fixed set of cells, then writes a fixed set of cells. With ``p``
 processors a step with ``t`` tasks costs ``ceil(t / p)`` engine rounds
 (Brent scheduling) and ``t`` units of work. Reads observe the memory
 state at the start of the step; writes become visible when the step
-ends, and a cell written in several rounds keeps the latest round's
-value.
+ends.
 
-Exclusive access is checked per engine round: virtual task ``i`` runs
-in round ``i // p`` on processor ``i % p``, and no cell may be read,
-or written, by two distinct processors of the same round. On top of
-that the engine refuses any step in which one task reads a cell that
-a different task writes, because the outcome of such a step would
-depend on the processor count.
+The engine keeps one access rule: no cell may be touched, read or
+written in any mix, by two distinct tasks of one step. A task may
+touch its own cell several times, and its writes land in call order.
+A step that keeps the rule is exclusive over its tasks, so it runs
+EREW in ``ceil(t / p)`` rounds on any ``p`` processors with the same
+outcome: ``p`` sets the rounds alone, and one run at any ``p`` proves
+each step EREW for every ``p``. A step that breaks the rule is
+refused at every ``p``, with the count of its shared cells.
 
-Both rules can only fail on a cell that two distinct tasks of the step
-touch, so the checks first look for such cells store by store. When
-every access to a store that keeps a cell at all uses one index array
-whose non-negative entries strictly increase, task ``i`` alone touches
-cell ``idx[i]``,
-and one sequential compare proves the store uncontested. The other
-stores scatter each access's task ids into a reusable owner buffer and
-gather them back; a store where some task reads back another task's id
-is *contested*. The exact, sort-based rules then run on the contested
-stores alone, so a step costs O(m) for m accesses when none is.
+The check looks for shared cells store by store. When every access
+to a store that keeps a cell at all uses one index array whose
+non-negative entries strictly increase, task ``i`` alone touches cell
+``idx[i]``, and one sequential compare proves the store has none. The
+other stores scatter each access's task ids into a reusable owner
+buffer and gather them back: a cell where some task reads back
+another task's id is shared. A step costs O(m) for m accesses.
 
 Every step with tasks, one that raises on a violation too, appends
 one ``StepRecord`` to the ledger ``Engine.trace``: its label, tasks,
@@ -33,7 +31,7 @@ rounds, work and the wall seconds of its checks and of applying its
 writes. ``RoundMetrics`` rolls the ledger up per label.
 
 Execution is sequential under the hood; the contract is observational
-equivalence to the synchronous machine, which the access checks make
+equivalence to the synchronous machine, which the access rule makes
 sound.
 """
 
@@ -44,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BatchDependenceError, ErewViolationError
+from .errors import ErewViolationError
 
 NONE = -1
 
@@ -218,22 +216,12 @@ class Engine:
         t = ctx.n_tasks
         if t == 0:
             return
-        p = self.config.num_processors
-        rounds = -(-t // p)
+        rounds = -(-t // self.config.num_processors)
         start = time.perf_counter()
-
-        violations = 0
-        contested = self._contested_stores(ctx)
-        if contested:
-            reads = [(st, ix) for st, ix in ctx._reads if st in contested]
-            writes = [(st, ix) for st, ix, _ in ctx._writes if st in contested]
-            violations = (_check_exclusive(reads, p, rounds)
-                          + _check_exclusive(writes, p, rounds))
-            _check_batch_isolation(ctx.label, reads, writes)
-
+        violations = self._shared_cells(ctx)
         checked = time.perf_counter()
         if not violations:
-            self._apply_writes(ctx, contested)
+            self._apply_writes(ctx)
         m = self._metrics
         m.rounds += rounds
         m.total_work += t
@@ -246,60 +234,42 @@ class Engine:
                 violations=violations,
             )
 
-    def _contested_stores(self, ctx):
-        """Stores in which two distinct tasks of the step touch one cell.
+    def _shared_cells(self, ctx):
+        """Count the cells that two distinct tasks of the step touch.
 
-        A store that ``_one_increasing`` proves is left out at once.
-        Every other store scatters its accesses' task ids into the owner
-        buffer, then every access gathers them back. A cell that tasks
-        i != j both touch keeps only one id, so i or j reads back
-        another: a store left out of the result has no shared cell, and
-        no exclusive-access or isolation rule can fail on it.
+        A store that ``_one_increasing`` proves has none. Every other
+        store scatters its accesses' task ids into the owner buffer,
+        then every access gathers them back. A cell that tasks i != j
+        both touch keeps only one id, so i or j reads back another; a
+        cell that one task alone touches gives back its id every time.
         """
         by_store = _by_store(ctx._reads + [(st, ix) for st, ix, _ in ctx._writes])
         scatter = {st: ixs for st, ixs in by_store.items() if not _one_increasing(ixs)}
         if not scatter:
-            return set()
+            return 0
         need = 1 + max(self.memory.peek(st).size for st in scatter)
         if self._owner.size < need:
             self._owner = np.empty(need, dtype=np.int64)
         owner = self._owner
         tasks = np.arange(ctx.n_tasks, dtype=np.int64)
-        contested = set()
-        for store, idx_list in scatter.items():
+        count = 0
+        for idx_list in scatter.values():
             for ix in idx_list:
                 owner[ix] = tasks
-            for ix in idx_list:
-                if ((owner[ix] != tasks) & (ix >= 0)).any():
-                    contested.add(store)
-                    break
-        return contested
+            shared = [ix[(owner[ix] != tasks) & (ix >= 0)] for ix in idx_list]
+            count += np.unique(np.concatenate(shared)).size
+        return count
 
-    def _apply_writes(self, ctx, contested):
-        """Apply the buffered writes. Only a contested store can have
-        two tasks write one cell; there each cell keeps the write of
-        the latest round, the last one made by its task."""
-        p = self.config.num_processors
-        nrounds = -(-ctx.n_tasks // p) + 1
-        shared = {}
+    def _apply_writes(self, ctx):
+        """Apply the buffered writes in call order. No cell has two
+        writers, so only a task's own writes to one cell can meet, and
+        its last one lands."""
         for store, idx, values in ctx._writes:
-            if store in contested:
-                shared.setdefault(store, []).append((idx, values))
-                continue
             mask = idx >= 0
             if mask.all():
                 self.memory.peek(store)[idx] = values
             elif mask.any():
                 self.memory.peek(store)[idx[mask]] = values[mask]
-        for store, accesses in shared.items():
-            tasks, cells = _flat([ix for ix, _ in accesses])
-            vals = np.concatenate([v[ix >= 0] for ix, v in accesses])
-            if cells.size == 0:
-                continue
-            order = np.argsort(cells * nrounds + tasks // p, kind="stable")
-            cells, vals = cells[order], vals[order]
-            last = np.r_[cells[1:] != cells[:-1], True]
-            self.memory.peek(store)[cells[last]] = vals[last]
 
 
 def _by_store(accesses):
@@ -338,60 +308,3 @@ def _one_increasing(idx_list):
     if skip[0]:
         after = after[1:]   # a leading run of skips has no cell before it
     return bool((ix[after] > ix[before[:after.size]]).all())
-
-
-def _flat(idx_list):
-    """(tasks, cells) of every access that idx_list does not skip,
-    each index array's in task order, back to back."""
-    tasks = np.concatenate([np.flatnonzero(ix >= 0) for ix in idx_list])
-    cells = np.concatenate([ix[ix >= 0] for ix in idx_list])
-    return tasks, cells
-
-
-def _check_exclusive(accesses, p, nrounds):
-    """Count the (cell, round) pairs that two distinct tasks of the
-    round touch, over a step of nrounds rounds."""
-    count = 0
-    for idx_list in _by_store(accesses).values():
-        tasks, cells = _flat(idx_list)
-        if cells.size < 2:
-            continue
-        key = cells * nrounds + tasks // p
-        order = np.argsort(key, kind="stable")
-        k_s = key[order]
-        t_s = tasks[order]
-        # same task touching the same cell twice is allowed
-        bad = (k_s[1:] == k_s[:-1]) & (t_s[1:] != t_s[:-1])
-        count += np.unique(k_s[1:][bad]).size
-    return count
-
-
-def _check_batch_isolation(label, reads, writes):
-    """Refuse a step in which task i reads a cell that any task j != i
-    writes, whatever rounds i and j fall in."""
-    read_stores = {store for store, _ in reads}
-    writes = [(st, ix) for st, ix in writes if st in read_stores]
-    if not writes:
-        return
-    reads = _by_store(reads)
-    for store, idx_list in _by_store(writes).items():
-        w_tasks, w_cells = _flat(idx_list)
-        if w_cells.size == 0:
-            continue
-        order = np.argsort(w_cells, kind="stable")
-        w_tasks, w_cells = w_tasks[order], w_cells[order]
-        r_tasks, r_cells = _flat(reads[store])
-        # one group per written cell, with its lowest and highest writer
-        start = np.flatnonzero(np.r_[True, w_cells[1:] != w_cells[:-1]])
-        cells = w_cells[start]
-        lo = np.minimum.reduceat(w_tasks, start)
-        hi = np.maximum.reduceat(w_tasks, start)
-        pos = np.minimum(np.searchsorted(cells, r_cells), cells.size - 1)
-        hit = cells[pos] == r_cells
-        other = hit & ((lo[pos] != r_tasks) | (hi[pos] != r_tasks))
-        if other.any():
-            cell = int(r_cells[other][0])
-            raise BatchDependenceError(
-                f"phase {label!r}: cell ({store}, {cell}) is read and "
-                "written by different tasks of one step"
-            )

@@ -142,6 +142,14 @@ def test_run_uniform_with_verify(tmp_path, capsys):
     assert "verified: True" in out
 
 
+def test_run_at_a_processor_count_past_int64_verifies(tmp_path, capsys):
+    forest = tmp_path / "w.forest"
+    run_cli(["generate", "--n", "64", "--lists", "4", "--dist", "FIXED:16",
+             "--out", str(forest)])
+    assert run_cli(["run", str(forest), "--p", str(2**63), "--verify"]) == 0
+    assert "verified: True" in capsys.readouterr().out
+
+
 def test_run_reports_no_degraded_pass_on_fixed_forest(tmp_path, capsys):
     forest = tmp_path / "w.forest"
     report = tmp_path / "report.json"

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from listcontract import (BatchDependenceError, Engine, ErewViolationError,
-                          Memory, PramConfig)
+from listcontract import Engine, ErewViolationError, Memory, PramConfig
 from listcontract import pram
 from listcontract.pram import NONE
 
@@ -39,11 +38,11 @@ def test_single_task_many_processors_one_round():
 @pytest.mark.parametrize("t,p", [(1, 1), (5, 2), (16, 4), (17, 4), (100, 7)])
 def test_brent_bound(t, p):
     mem, eng = fresh(p=p)
+    mem.alloc("z", t, fill=0)
     with eng.step("w", t) as s:
-        s.write("x", np.arange(t) % 16, np.zeros(t, dtype=np.int64))
-    # writes to the same cell from different rounds are allowed; just
-    # count rounds here
+        s.write("z", np.arange(t), np.ones(t, dtype=np.int64))
     assert eng.metrics().rounds == -(-t // p)
+    assert mem.peek("z").sum() == t
 
 
 def test_write_conflict_detected_and_counted():
@@ -70,12 +69,14 @@ def test_same_processor_may_touch_cell_twice():
     assert eng.metrics().erew_violations == 0
 
 
-def test_conflict_only_within_a_round():
-    # two tasks share a cell but run in different rounds when p = 1
+def test_read_conflict_across_rounds_detected():
+    # at p = 1 the two tasks run in different rounds; the step is refused
+    # all the same, since at p = 2 they would share a round
     mem, eng = fresh(p=1)
-    with eng.step("r", 2) as s:
-        s.read("x", np.array([5, 5]))
-    assert eng.metrics().erew_violations == 0
+    with pytest.raises(ErewViolationError) as exc:
+        with eng.step("r", 2) as s:
+            s.read("x", np.array([5, 5]))
+    assert exc.value.violations == 1
 
 
 def test_round_isolation_reads_see_step_start():
@@ -89,23 +90,30 @@ def test_round_isolation_reads_see_step_start():
     assert np.array_equal(mem.peek("x")[:4], np.array([11, 12, 13, 14]))
 
 
+def read_x1_x2_write_x2_x3(eng):
+    # task 1 reads x[2], which task 0 writes
+    with eng.step("rw", 2) as s:
+        s.read("x", np.array([1, 2]))
+        s.write("x", np.array([2, 3]), np.array([9, 9]))
+
+
 def test_cross_task_read_write_overlap_rejected():
     mem, eng = fresh(p=4)
-    with pytest.raises(BatchDependenceError):
-        with eng.step("rw", 2) as s:
-            s.read("x", np.array([1, 2]))
-            s.write("x", np.array([2, 3]), np.array([9, 9]))
+    with pytest.raises(ErewViolationError) as exc:
+        read_x1_x2_write_x2_x3(eng)
+    assert exc.value.violations == 1
+    assert not mem.peek("x").any()
 
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_read_of_cell_written_by_other_task_rejected_for_any_p(p):
-    # task 0 reads x[5], tasks 0 and 1 both write it; the outcome would
-    # depend on which writer lands last, so every p refuses the step
+    # task 0 reads x[5], tasks 0 and 1 both write it: one shared cell
     mem, eng = fresh(p=p)
-    with pytest.raises(BatchDependenceError):
+    with pytest.raises(ErewViolationError) as exc:
         with eng.step("rw", 2) as s:
             s.read("x", np.array([5, NONE]))
             s.write("x", np.array([5, 5]), np.array([10, 20]))
+    assert exc.value.violations == 1
     assert mem.peek("x")[5] == 0
 
 
@@ -115,11 +123,13 @@ def write_x0_from_task_1_then_task_0(eng):
         s.write("x", np.array([0, NONE]), np.array([10, 0]))
 
 
-def test_cell_written_in_two_rounds_keeps_the_later_round():
-    # at p=1 task 1 runs in round 1, after task 0, whatever the call order
+def test_cell_written_by_two_tasks_of_two_rounds_rejected():
+    # at p = 1 the two writers run in different rounds, and the step is
+    # refused as at p = 2, where they share one
     mem, eng = fresh(p=1)
-    write_x0_from_task_1_then_task_0(eng)
-    assert mem.peek("x")[0] == 20
+    with pytest.raises(ErewViolationError):
+        write_x0_from_task_1_then_task_0(eng)
+    assert mem.peek("x")[0] == 0
 
 
 def test_cell_written_by_two_tasks_of_one_round_rejected():
@@ -166,16 +176,24 @@ def test_trace_one_record_per_step():
     assert min(a.check_s, a.apply_s, b.check_s, b.apply_s) >= 0
 
 
+def write_x5_twice_of_six_tasks(eng):
+    with eng.step("w", 6) as s:
+        s.write("x", np.array([5, 5, 0, 1, 2, 3]), np.arange(6))
+
+
 def test_a_step_that_raises_keeps_its_record():
-    mem, eng = fresh(p=4)
-    with pytest.raises(ErewViolationError):
-        with eng.step("w", 6) as s:
-            s.write("x", np.array([5, 5, 0, 1, 2, 3]), np.arange(6))
-    (r,) = eng.trace
-    assert (r.label, r.tasks, r.rounds, r.work) == ("w", 6, 2, 6)
-    m = eng.metrics()
-    assert (m.rounds, m.total_work, m.phase_breakdown, m.phase_work) == (2, 6, {"w": 2}, {"w": 6})
-    assert mem.peek("x")[5] == 0
+    # two writers of one cell, then a read of a cell another task writes
+    for bad_step, label, t, rounds in ((write_x5_twice_of_six_tasks, "w", 6, 2),
+                                       (read_x1_x2_write_x2_x3, "rw", 2, 1)):
+        mem, eng = fresh(p=4)
+        with pytest.raises(ErewViolationError):
+            bad_step(eng)
+        (r,) = eng.trace
+        assert (r.label, r.tasks, r.rounds, r.work) == (label, t, rounds, t)
+        m = eng.metrics()
+        assert ((m.rounds, m.total_work, m.phase_breakdown, m.phase_work, m.erew_violations)
+                == (rounds, t, {label: rounds}, {label: t}, 1))
+        assert not mem.peek("x").any()
 
 
 def test_phase_breakdown_accumulates():
@@ -265,69 +283,69 @@ def random_steps(draw):
     return p, t, init, accesses
 
 
-def reference_step(p, t, init, accesses):
-    """Per-cell brute force of the engine's rules: ("isolation", None),
-    ("violation", count) or ("ok", memory after the step)."""
-    readers, writers = {}, {}   # (store, cell) -> tasks touching it
-    for kind, store, idx, _ in accesses:
-        seen = readers if kind == "read" else writers
+def reference_step(init, accesses):
+    """Per-cell brute force of the engine's one rule: ("violation",
+    count of the cells two distinct tasks touch) or ("ok", memory after
+    the step, writes applied in call order)."""
+    touched = {}   # (store, cell) -> tasks touching it
+    for _, store, idx, _ in accesses:
         for task, cell in enumerate(idx):
             if cell >= 0:
-                seen.setdefault((store, cell), set()).add(task)
-    for key, tasks in writers.items():
-        if any(tasks - {i} for i in readers.get(key, ())):
-            return "isolation", None
-    violations = 0
-    for seen in (readers, writers):
-        for tasks in seen.values():
-            rounds = [task // p for task in tasks]
-            violations += sum(rounds.count(r) >= 2 for r in set(rounds))
+                touched.setdefault((store, cell), set()).add(task)
+    violations = sum(len(tasks) >= 2 for tasks in touched.values())
     if violations:
         return "violation", violations
-    # writes land round by round, in call order within a round
     after = {name: list(cells) for name, cells in init.items()}
-    for r in range(-(-t // p)):
-        for kind, store, idx, vals in accesses:
-            if kind == "write":
-                for task, (cell, v) in enumerate(zip(idx, vals)):
-                    if cell >= 0 and task // p == r:
-                        after[store][cell] = v
+    for kind, store, idx, vals in accesses:
+        if kind == "write":
+            for cell, v in zip(idx, vals):
+                if cell >= 0:
+                    after[store][cell] = v
     return "ok", after
+
+
+def engine_step(p, t, init, accesses):
+    """Run one step on a fresh engine at p processors, in the form
+    reference_step returns; a refused step must leave memory as it was.
+    Index arrays go to the engine as they are, so an access that reuses
+    an earlier one's array passes the same object."""
+    mem = Memory()
+    for name, cells in init.items():
+        mem.alloc(name, len(cells))
+        mem.poke(name, np.arange(len(cells)), cells)
+    eng = Engine(mem, PramConfig(num_processors=p))
+    try:
+        with eng.step("s", t) as s:
+            for kind, store, idx, vals in accesses:
+                if kind == "read":
+                    got = s.read(store, np.asarray(idx))
+                    assert got.tolist() == [init[store][c] if c >= 0 else NONE
+                                            for c in idx]
+                else:
+                    s.write(store, np.asarray(idx), np.array(vals))
+    except ErewViolationError as exc:
+        assert eng.metrics().erew_violations == exc.violations
+        assert {name: mem.peek(name).tolist() for name in init} == init
+        return "violation", exc.violations
+    assert eng.metrics().erew_violations == 0
+    return "ok", {name: mem.peek(name).tolist() for name in init}
 
 
 @settings(max_examples=300, deadline=None)
 @given(random_steps())
 def test_engine_matches_per_cell_reference(case):
     p, t, init, accesses = case
-    mem = Memory()
-    for name, cells in init.items():
-        mem.alloc(name, len(cells))
-        mem.poke(name, np.arange(len(cells)), cells)
-    eng = Engine(mem, PramConfig(num_processors=p))
+    assert engine_step(p, t, init, accesses) == reference_step(init, accesses)
 
-    def run():
-        with eng.step("s", t) as s:
-            for kind, store, idx, vals in accesses:
-                if kind == "read":
-                    got = s.read(store, np.array(idx))
-                    assert got.tolist() == [init[store][c] if c >= 0 else NONE
-                                            for c in idx]
-                else:
-                    s.write(store, np.array(idx), np.array(vals))
 
-    outcome, expect = reference_step(p, t, init, accesses)
-    if outcome == "isolation":
-        with pytest.raises(BatchDependenceError):
-            run()
-    elif outcome == "violation":
-        with pytest.raises(ErewViolationError) as exc:
-            run()
-        assert exc.value.violations == expect
-    else:
-        run()
-    assert eng.metrics().erew_violations == (expect if outcome == "violation" else 0)
-    after = expect if outcome == "ok" else init
-    assert {name: mem.peek(name).tolist() for name in SIZES} == after
+@settings(max_examples=300, deadline=None)
+@given(random_steps())
+def test_a_step_has_one_outcome_at_every_p(case):
+    # the same memory after the step, or the same refusal with the same
+    # count, whether the tasks share one round or each runs alone
+    _, t, init, accesses = case
+    outcomes = [engine_step(p, t, init, accesses) for p in (1, 2, t)]
+    assert outcomes[1:] == outcomes[:-1]
 
 
 def one_increasing(draw, t, size):
@@ -376,35 +394,9 @@ def increasing_steps(draw):
 @settings(max_examples=400, deadline=None)
 @given(increasing_steps())
 def test_increasing_index_arrays_match_per_cell_reference(case):
-    # the index arrays go to the engine as they are, so "same" passes one
-    # object to both accesses and "copy" two equal ones
+    # "same" passes one object to both accesses and "copy" two equal ones
     p, t, init, accesses = case
-    mem = Memory()
-    for name, cells in init.items():
-        mem.alloc(name, len(cells))
-        mem.poke(name, np.arange(len(cells)), cells)
-    eng = Engine(mem, PramConfig(num_processors=p))
-
-    def run():
-        with eng.step("s", t) as s:
-            for kind, store, idx, vals in accesses:
-                if kind == "read":
-                    s.read(store, idx)
-                else:
-                    s.write(store, idx, np.array(vals))
-
-    outcome, expect = reference_step(p, t, init, accesses)
-    if outcome == "isolation":
-        with pytest.raises(BatchDependenceError):
-            run()
-    elif outcome == "violation":
-        with pytest.raises(ErewViolationError) as exc:
-            run()
-        assert exc.value.violations == expect
-    else:
-        run()
-    after = expect if outcome == "ok" else init
-    assert {name: mem.peek(name).tolist() for name in SIZES} == after
+    assert engine_step(p, t, init, accesses) == reference_step(init, accesses)
 
 
 @pytest.mark.parametrize("cells, proved", [

@@ -331,6 +331,18 @@ def test_list_rank_row_layout_small_runs(seed):
     assert run.metrics.erew_violations == 0
 
 
+@pytest.mark.parametrize("mode", ["columns", "rows"])
+def test_a_processor_count_past_int64_costs_what_one_per_task_costs(mode):
+    # p = 2n + 2 already runs every step in one round, so p = 2**63
+    # must price and run every step the same
+    f = generate(Workload(n=64, num_lists=4, length_distribution="FIXED", fixed_length=16))
+    big, wide = (list_rank(f, p=p, layout_mode=mode) for p in (2**63, 2 * f.n + 2))
+    assert big.result.same_as(sequential_rank(f)) and wide.result.same_as(big.result)
+    assert ((big.metrics.rounds, big.metrics.total_work)
+            == (wide.metrics.rounds, wide.metrics.total_work))
+    assert big.metrics.erew_violations == 0
+
+
 @pytest.mark.parametrize("p", [1, 8])
 def test_pair_claiming_an_unpaired_nodes_column_takes_its_other_column(p):
     # rows layout: when the layout placed lists in list order, a one-node

@@ -157,13 +157,14 @@ SWEEP_COLUMNS = ["n", "l", "p", "algorithm", "rounds", "total_work",
 def cmd_sweep(args):
     rows = []
     triples = []
-    if args.spec.strip():
-        for part in args.spec.split(";"):
-            try:
-                n, l, p = (int(x) for x in part.split(","))
-            except ValueError:
-                return _usage_error(f"sweep spec entry {part!r} is not an n,l,p triple")
-            triples.append((n, l, p))
+    if not args.spec.strip():
+        return _usage_error("--spec names no n,l,p triple, e.g. '1024,16,8'")
+    for part in args.spec.split(";"):
+        try:
+            n, l, p = (int(x) for x in part.split(","))
+        except ValueError:
+            return _usage_error(f"sweep spec entry {part!r} is not an n,l,p triple")
+        triples.append((n, l, p))
     algos = [a for a in args.algo.split(",") if a]
     if not algos:
         return _usage_error(f"--algo names no algorithm, give one or more of {ALGORITHMS}")

@@ -1,13 +1,22 @@
 """Confine every list to single-row runs of the two-row array.
 
-Short runs (fewer than min_run nodes on one row, with a node of the
-other row next to one of their ends, a *flank*) are contracted into
-their flanks, split at the run midpoint. Each node of a short run
-needs its distance to both ends of its run and whether each end is
-flanked. A one-node run reads all of that in its own registers.
-Longer runs are classified by the flank walk: two walkers per run of
-two or more nodes, one from each end, hop toward the other end at
-once, one step per hop. A walker marks every node it reaches with its
+A run is a maximal stretch of a list on one row; a *flank* is a node
+of the other row next to one of its ends. Short runs are contracted
+into their flanks, split at the run midpoint. Phase (a) takes the
+lower-row runs of fewer than min_run nodes with a flank; phase (b)
+takes only the upper-row runs of one node with a flank. Phase (a) has
+absorbed every short flanked lower run by then, so each flank phase
+(b) sees belongs to a long lower run, and an upper run of two or more
+nodes is cut from its flanks and becomes a chain of its own, which
+pairing and the pack handle like any chain; the cut would leave a
+one-node run without a link, so that one must go.
+
+Each node of a short run needs its distance to both ends of its run
+and whether each end is flanked. A one-node run reads all of that in
+its own registers, so phase (b) walks no run. Longer lower runs are
+classified by the flank walk: two walkers per run of two or more
+nodes, one from each end, hop toward the other end at once, one step
+per hop. A walker marks every node it reaches with its
 hop count and its end's flank flag, and learns the next node and its
 row from the node's own neighbor message: the start walker reads
 inbox_s, the end walker inbox_p, so the two never read one cell, even
@@ -62,15 +71,16 @@ def localize(machine: Machine, state: PassState, min_run=MIN_RUN, phase="localiz
     cut the remaining cross links in the pass registers. Returns the
     number pooled.
 
-    Phase (a) handles lower-row runs, phase (b) upper-row runs; after
-    both, every link left in the registers joins two nodes of the same
-    row. Links, rows and cells come from the pass state, which
+    Phase (a) absorbs the flanked lower-row runs of fewer than min_run
+    nodes, phase (b) the flanked one-node upper-row runs, with no walk;
+    after both, every link left in the registers joins two nodes of the
+    same row. Links, rows and cells come from the pass state, which
     contract_batch keeps current. min_run must be at least 2, so that
     the cut leaves no node without a link.
     """
     check_min_run(min_run)
     _absorb_short_runs(machine, state, target_row=1, min_run=min_run, phase=f"{phase}/a")
-    _absorb_short_runs(machine, state, target_row=0, min_run=min_run, phase=f"{phase}/b")
+    _absorb_short_runs(machine, state, target_row=0, min_run=2, phase=f"{phase}/b")
     ids = state.live()
     lone = ids[(state.sv[ids] == NONE) & (state.pv[ids] == NONE)]
     if lone.size:
@@ -93,6 +103,9 @@ def _run_ends(state: PassState, target_row):
 
 
 def _absorb_short_runs(machine: Machine, state: PassState, target_row, min_run, phase):
+    """Absorb the target-row runs of fewer than min_run nodes that have
+    a flank into their flanks, in log-depth waves; min_run 2 takes only
+    the one-node runs and runs no walk."""
     nodes, _, _, start_flank, end_flank = ends = _run_ends(state, target_row)
     # a run without a flank is never short
     if not (start_flank | end_flank).any():

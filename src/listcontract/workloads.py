@@ -30,8 +30,8 @@ def generate(workload: Workload) -> LinkedForest:
     w = workload
     if w.n < 1:
         raise ValueError("n must be >= 1")
-    if w.num_lists < 1:
-        raise ValueError("num_lists must be >= 1")
+    if not 1 <= w.num_lists <= w.n:
+        raise ValueError(f"num_lists must be in [1, n={w.n}], got {w.num_lists}")
     if not 0 <= w.seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {w.seed}")
     rng = np.random.default_rng(np.uint64(w.seed))
@@ -62,7 +62,6 @@ def generate(workload: Workload) -> LinkedForest:
 
 
 def _partition_uniform(n, k, rng):
-    k = min(k, n)
     if k == 1:
         return [n]
     cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False))
@@ -71,7 +70,6 @@ def _partition_uniform(n, k, rng):
 
 
 def _partition_geometric(n, k, rng):
-    k = min(k, n)
     mean = max(1.0, n / k)
     lengths = []
     left = n

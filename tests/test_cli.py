@@ -41,8 +41,12 @@ def test_generate_fixed_divisibility_rejected(tmp_path, capsys):
     ["sweep", "--spec", "64,4,8", "--seed", "-1"],
     ["sweep", "--spec", "64,16,4", "--algo", ""],
     ["sweep", "--spec", "64,16,4", "--algo", ","],
+    ["sweep", "--spec", "", "--algo", "uniform"],
+    ["sweep", "--spec", "   "],
+    ["generate", "--n", "10", "--lists", "20"],
 ], ids=["n0", "bogus_dist", "lists0", "spec_pair", "p0", "sweep_bogus_algo", "seed_neg",
-        "sweep_seed_neg", "sweep_empty_algo", "sweep_comma_algo"])
+        "sweep_seed_neg", "sweep_empty_algo", "sweep_comma_algo", "sweep_empty_spec",
+        "sweep_blank_spec", "more_lists_than_nodes"])
 def test_bad_arguments_exit_2_with_one_error_line(args, tmp_path, capsys):
     forest = tmp_path / "w.forest"
     forest.write_text("0 1\n1 -1\n")
@@ -52,6 +56,14 @@ def test_bad_arguments_exit_2_with_one_error_line(args, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("dist", ["UNIFORM", "GEOMETRIC", "SINGLE"])
+def test_generate_refuses_more_lists_than_nodes(dist):
+    with pytest.raises(ValueError, match=r"num_lists must be in \[1, n=10\], got 11"):
+        generate(Workload(n=10, num_lists=11, length_distribution=dist))
+    # as many lists as nodes is accepted
+    assert generate(Workload(n=10, num_lists=10, length_distribution=dist)).n == 10
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -257,15 +269,6 @@ def test_sweep_csv(tmp_path):
     assert lines[0].startswith("n,l,p,algorithm,rounds,total_work")
     assert len(lines) == 5
     assert all(row.endswith("OK") for row in lines[1:])
-
-
-def test_sweep_empty_spec_header_only(tmp_path):
-    out = tmp_path / "sweep.csv"
-    rc = run_cli(["sweep", "--spec", "", "--algo", "uniform",
-                  "--out", str(out)])
-    assert rc == 0
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 1
 
 
 def test_sweep_bad_row_marked_failed_and_continues(tmp_path):

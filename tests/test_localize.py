@@ -323,8 +323,8 @@ def classify_both(m, state, target_row, min_run):
 def test_walk_agrees_with_doubling_around_min_run(min_run, p):
     # odd and even run lengths around min_run, each between flanks, at
     # a list head, at a list tail and as a whole list on one row (on
-    # both rows); the short upper runs of 2 and 3 between them are
-    # classified in the second phase
+    # both rows); the walk classifies the upper runs of 2 and 3 between
+    # them too, although localization's phase (b) walks none
     lengths = sorted({1, 2, 3} | {L for L in range(min_run - 2, min_run + 2) if L > 0})
     lists = []
     for L in lengths:
@@ -547,3 +547,65 @@ def test_runs_on_both_sides_of_one_node_absorb_into_it_in_one_step(h):
     assert labels.count("localize/lone/out_wr") == 1 and state.live().size == 0
     assert labels.index("localize/lone/out_wr") > labels.index(wave_labels(labels)[-1])
     assert state.sv[f] == NONE and state.pv[f] == NONE
+
+
+# -- phase (b): one-node upper runs only -----------------------------------
+
+@pytest.mark.parametrize("mode", ["columns", "rows"])
+@pytest.mark.parametrize("min_run", [3, 8, 100])
+def test_phase_b_never_walks(mode, min_run):
+    # GEOMETRIC lists of mean 256, shuffled ids, p = n/8: phase (a)
+    # absorbs the short lower runs, so phase (b) classifies only
+    # one-node upper runs, from their registers; at min_run 100 no
+    # lower run here is long enough to flank one
+    n = 1 << 12
+    labels = []
+    for seed in range(3):
+        forest = generate(Workload(n=n, num_lists=n // 256, length_distribution="GEOMETRIC",
+                                   seed=seed, layout_shuffle=True))
+        run = list_rank(forest, p=n // 8, min_run=min_run, layout_mode=mode)
+        assert run.result.same_as(sequential_rank(forest))
+        assert run.metrics.erew_violations == 0
+        labels += [r.label for r in run.trace]
+    assert not [k for k in labels if "localize/b/walk" in k]
+    assert bool([k for k in labels if "localize/b/w0/" in k]) == (min_run < 100)
+    if mode == "rows":
+        assert [k for k in labels if "localize/a/walk" in k]
+
+
+def test_one_node_upper_run_between_lower_flanks_absorbed_in_phase_b():
+    # long lower runs keep their nodes in phase (a); the one upper node
+    # between them goes into its left flank in one wave, with no walk
+    m, state, labels = localize_runs([(1, 120), (0, 1), (1, 120)])
+    assert [k for k in labels if k.startswith("localize/b/")] == [
+        "localize/b/w0/contract", "localize/b/w0/refresh"]
+    assert m.peek("weight")[119] == 2 and 120 not in state.live()
+    assert state.sv[119] == 121 and state.pv[121] == 119
+    assert (m.peek("row")[m.in_array_ids()] == 1).all()
+
+
+@pytest.mark.parametrize("min_run, L", [(3, 2), (8, 2), (8, 3), (8, 7), (100, 2), (100, 99)])
+def test_upper_run_of_two_or_more_stays_live_with_its_cross_links_cut(min_run, L):
+    # an upper run of 2 to min_run - 1 nodes between two lower runs of
+    # min_run + 20: phase (b) leaves it on its row as a chain of its
+    # own, and the pass pairs and packs it like any chain; the columns
+    # layout puts node v on row v & 1, and the other even ids form a
+    # second list
+    flank = min_run + 20
+    odd, even = np.arange(1, 4 * flank, 2), np.arange(0, 4 * flank, 2)
+    run = even[:L]
+    forest = forest_from_lists([np.r_[odd[:flank], run, odd[flank:]].tolist(),
+                                even[L:].tolist()])
+    m = Machine(forest, PramConfig(num_processors=16))
+    layout(m)
+    state = read_state(m)
+    localize(m, state, min_run=min_run)
+    assert not [r for r in m.engine.trace if r.label.startswith("localize/b/")]
+    assert np.isin(run, state.live()).all() and (m.peek("row")[run] == 0).all()
+    cut_s, cut_p = cut_links(m, state)
+    assert sorted(cut_s.tolist()) == sorted([2 * flank - 1, int(run[-1])])
+    assert sorted(cut_p.tolist()) == sorted([int(run[0]), 2 * flank + 1])
+    ranked = list_rank(forest, p=16, min_run=min_run)
+    assert ranked.result.same_as(sequential_rank(forest))
+    assert ranked.metrics.erew_violations == 0
+    assert [r for r in ranked.trace if "/localize/a/" in r.label]

@@ -38,7 +38,7 @@ def pass_vs_coloring_rounds(exponent, seed=4):
     m2 = Machine(fo, PramConfig(num_processors=max(1, n // 6)))
     ids = m2.active_ids()
     sv, pv = restricted_neighbors(m2, ids, "nbr")
-    ca = three_color(m2.engine, m2.memory, ids, sv, pv, phase="tc")
+    ca = three_color(m2.engine, m2.memory, ids, (sv, pv), phase="tc")
     color_rounds = m2.engine.metrics().rounds
     return pass_rounds, color_rounds, ca.dct_iterations
 

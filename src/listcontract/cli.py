@@ -52,7 +52,10 @@ def _parse_dist(text):
         _, _, val = text.partition(":")
         if not val:
             raise ValueError("FIXED needs a length, e.g. FIXED:16")
-        return "FIXED", int(val)
+        try:
+            return "FIXED", int(val)
+        except ValueError:
+            raise ValueError(f"the FIXED length {val!r} is not an integer") from None
     return text.upper(), 0
 
 

@@ -11,16 +11,17 @@ classes. Then one drop step per color above 2, highest first, recolors
 the nodes of that color; with at most six classes these are at most
 three drops. The first iteration runs on the task registers and each
 later one is one engine step. The step that ends coin tossing, and
-each drop, write a node's color straight into its neighbors' inbox
-cells, where the drops and the color-2 elimination read it.
+each drop, write a node's color straight into its neighbors' cells of
+two stores, inbox_p and inbox_s, or inbox_p and dct when the first
+step publishes, where the drops and the color-2 elimination read it.
 
-Callers pass explicit id, successor and predecessor arrays, so the
-same code colors whole lists and row-restricted lists.
+Callers pass explicit ids and successor and predecessor arrays, or a
+function that reads them in the first step, so the same code colors
+whole lists and the row-restricted chains a pass settles there.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ class ColorAssignment:
     ids: np.ndarray
     final_color: np.ndarray
     dct_iterations: int
+    stores: tuple    # the stores of the predecessor's and the successor's color
 
 
 def dct_new_colors(color, succ_color, has_succ):
@@ -61,7 +63,7 @@ def class_table(color, heads):
     3, ... Of the two largest, the one holding more chain heads (heads
     is a mask over the tasks) takes 1: a 1-colored head pairs with its
     successor, where a 0-colored one is left loose."""
-    counts = np.bincount(color)
+    counts = np.bincount(color, minlength=1)
     order = np.argsort(-counts, kind="stable")
     if order.size > 1 and counts[order[1]]:
         at_head = np.bincount(color[heads], minlength=counts.size)
@@ -82,18 +84,21 @@ def drops_are_cheaper(color, p):
     prices as p = k does."""
     counts = np.bincount(color)[3:]
     k = color.size
-    p = min(p, k)
+    p = max(1, min(p, k))
     return int((-(-counts // p)).sum()) <= -(-k // p) + 3
 
 
-def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color"):
-    """Proper 3-coloring of the chains given by succ_ids/pred_ids.
+def three_color(engine, memory, ids, links, *, phase="three_color"):
+    """Proper 3-coloring of the chains that links gives over ids.
 
-    ids are machine node ids; succ_ids/pred_ids give each node's chain
-    neighbors as node ids (-1 for none) and must describe disjoint
-    simple chains. Returns the final colors, which memory keeps only in
-    each node's neighbors' cells: its inbox_p and inbox_s cells hold its
-    predecessor's and successor's final colors.
+    ids are machine node ids. links is (succ_ids, pred_ids), each
+    node's chain neighbors as node ids (-1 for none), or a function
+    that the first step calls to read them, which returns (keep,
+    succ_ids, pred_ids): the tasks outside the mask keep leave the
+    coloring after that step and name no neighbor. The chains must be
+    disjoint and simple. Returns the final colors, which memory keeps
+    only in each node's neighbors' cells: the returned stores hold at
+    each node its predecessor's and its successor's final colors.
 
     Coin tossing publishes after the first iteration whose colors,
     mapped through class_table, drops_are_cheaper accepts: one more
@@ -104,46 +109,75 @@ def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color")
     are then dropped in any number, highest first.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    k = ids.size
-    if k == 0:
-        return ColorAssignment(ids, np.empty(0, dtype=np.int64), 0)
+    if ids.size == 0:
+        return ColorAssignment(ids, np.empty(0, dtype=np.int64), 0, INBOX)
 
     p = engine.config.num_processors
     size = memory.size("succ")
-    has_succ, has_pred = succ_ids >= 0, pred_ids >= 0
     buf, inb_p, inb_s = (memory.scratch(st, size) for st in ("dct", *INBOX))
 
     # colors live in registers. The initial colors are the ids, so a
     # task already holds its successor's and the first iteration needs
-    # no step.
-    color = ids.copy()
-    iterations = 0
-    if int(color.max()) > 5:
-        color = dct_new_colors(color, succ_ids, has_succ)
-        iterations = 1
+    # no read; by the same token it holds its predecessor's color then.
     # Each later iteration is one step: a task reads its successor's
     # color from the buffer the previous step wrote and writes its own
     # into the other, as (store, write cells, read cells). In dct a
     # node's color goes to its predecessor's cell, in inbox_p to its
     # own. Either way no other task writes the cell a task reads when
     # the step publishes (inbox_p[succ], inbox_s[pred]), so any
-    # iteration can be the last.
-    bufs = ((buf, pred_ids, np.where(has_succ, ids, NONE)),
-            (inb_p, ids, succ_ids))
-    for t in itertools.count():
-        with engine.step(f"{phase}/dct", k) as s:
-            if t > 0:
+    # iteration can be the last. The first step may read the inbox
+    # instead (links), so if it publishes, each task writes its
+    # predecessor's color into its own inbox_p cell and its own color
+    # into its predecessor's dct cell.
+    iterations, stores, t = 0, None, 0
+    while stores is None:
+        with engine.step(f"{phase}/dct", ids.size) as s:
+            if t == 0:
+                keep, succ_ids, pred_ids = (links(s) if callable(links)
+                                            else (np.ones(ids.size, dtype=bool), *links))
+                has_succ, has_pred = succ_ids >= 0, pred_ids >= 0
+                # the tasks that take part, as an index that copies nothing when all do
+                part = slice(None) if keep.all() else keep
+                color = ids
+                if int(ids[part].max(initial=0)) > 5:
+                    color = dct_new_colors(ids, succ_ids, has_succ)
+                    iterations = 1
+                if not keep.all():
+                    color = np.where(keep, color, 0)   # a task that leaves looks up class 0
+            else:
                 store, _, read_at = bufs[1 - t % 2]
                 color = dct_new_colors(color, s.read(store, read_at), has_succ)
                 iterations += 1
-            ranked = class_table(color, ~has_pred)[color]
-            if drops_are_cheaper(ranked, p):
-                color = ranked
+            table = class_table(color[part], ~has_pred[part])
+            done = drops_are_cheaper(table[color[part]], p)
+            if done:
+                color = table[color]
+            if t == 0:
+                # into the predecessor's dct cell: the next step's
+                # buffer, or the published successor colors
+                s.write(buf, pred_ids, color)
+                if done:
+                    # the predecessor's color, from its id and its successor's
+                    before = dct_new_colors(pred_ids, ids, True) if iterations else pred_ids
+                    s.write(inb_p, np.where(has_pred, ids, NONE),
+                            table[np.where(has_pred, before, 0)])
+                    stores = (inb_p, buf)
+            elif done:
                 s.write(inb_p, succ_ids, color)
                 s.write(inb_s, pred_ids, color)
-                break
-            store, write_at, _ = bufs[t % 2]
-            s.write(store, write_at, color)
+                stores = (inb_p, inb_s)
+            else:
+                store, write_at, _ = bufs[t % 2]
+                s.write(store, write_at, color)
+        if t == 0:
+            if not keep.all():
+                ids, color, succ_ids, pred_ids, has_succ, has_pred = (
+                    x[keep] for x in (ids, color, succ_ids, pred_ids, has_succ, has_pred))
+                part = slice(None)
+            bufs = ((buf, pred_ids, np.where(has_succ, ids, NONE)), (inb_p, ids, succ_ids))
+        t += 1
+    k = ids.size
+    inb_p, inb_s = stores
 
     # a proper coloring never recolors two neighbors in one drop, so
     # each recolored node forwards its new color itself. An inbox cell
@@ -171,4 +205,4 @@ def three_color(engine, memory, ids, succ_ids, pred_ids, *, phase="three_color")
     pos_arr[ids] = np.arange(k)
     if (color[has_succ] == color[pos_arr[succ_ids[has_succ]]]).any():
         raise ImproperColoringError("coloring is improper")
-    return ColorAssignment(ids, color, iterations)
+    return ColorAssignment(ids, color, iterations, stores)

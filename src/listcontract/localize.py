@@ -33,25 +33,29 @@ successor and predecessor and their rows (no neighbor at a list end):
 the pool's wide step leaves them so, written by each node itself after
 the layout and by the previous pass's fold after a fold, and each
 contract step sends a host and the far neighbor of the node it absorbs
-their new neighbors. A short run then goes into its flanks in
-log-depth waves: each half counts its nodes q = 1, 2, ... from its
-flank, and wave j absorbs the nodes whose q has lowest set bit 2**j
-into their register neighbor toward the flank, so a half of h nodes
-takes ceil(log2(h + 1)) waves, both halves of every run in one
-contract step and one refresh step per wave. A list the waves leave
-as one node is pooled. Links that still cross rows afterwards are
-virtually deleted: both ends drop them from their pass registers,
-memory keeps them, and the next pass reads them again.
+their new neighbors, which wait there until each receiver drains them.
+A short run then goes into its flanks in log-depth waves: each half
+counts its nodes q = 1, 2, ... from its flank, and wave j absorbs the
+nodes whose q has lowest set bit 2**j into their neighbor toward the
+flank, so a half of h nodes takes ceil(log2(h + 1)) waves, both halves
+of every run in one contract step per wave. In that step each node
+first drains the messages of the earlier waves and reads its own walk
+marks, and takes its host and side from those reads. What still waits
+when localization ends is drained by settle, in the first coloring
+step: a list the waves leave as one node pools itself there, and
+links that still cross rows are virtually deleted: both ends drop
+them from their pass registers, memory keeps them, and the next pass
+reads them again.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import INBOX, Machine, PRED_SIDE, SUCC_SIDE
+from .model import INBOX, Machine, POOLED, PRED_SIDE, SUCC_SIDE
 from .pram import NONE
 # restricted_neighbors stays importable here for bench/tracing.py
-from .steps import (PassState, contract_batch, pool_nodes, read_neighbor,  # noqa: F401
+from .steps import (PassState, contract_batch, drain, pool_writes, read_neighbor,  # noqa: F401
                     restricted_neighbors, scratch)
 
 MIN_RUN = 100
@@ -66,58 +70,115 @@ def check_min_run(min_run):
 
 
 def localize(machine: Machine, state: PassState, min_run=MIN_RUN, phase="localize"):
-    """Absorb short runs into the other row, pool the lists that leaves
-    as one node (pairing would leave them colored and unpaired), then
-    cut the remaining cross links in the pass registers. Returns the
-    number pooled.
+    """Absorb short runs into the other row. The lists this leaves as
+    one node are pooled, and the remaining cross links cut, by settle in
+    the first coloring step, where every task reads the messages still
+    waiting for it.
 
     Phase (a) absorbs the flanked lower-row runs of fewer than min_run
     nodes, phase (b) the flanked one-node upper-row runs, with no walk;
-    after both, every link left in the registers joins two nodes of the
-    same row. Links, rows and cells come from the pass state, which
-    contract_batch keeps current. min_run must be at least 2, so that
-    the cut leaves no node without a link.
+    after both, every link left joins two nodes of the same row or
+    crosses rows. Links, rows and cells come from the pass state, whose
+    registers each task updates from its inbox in its own contract step.
+    min_run must be at least 2, so that the cut leaves no node without
+    a link.
     """
     check_min_run(min_run)
     _absorb_short_runs(machine, state, target_row=1, min_run=min_run, phase=f"{phase}/a")
     _absorb_short_runs(machine, state, target_row=0, min_run=2, phase=f"{phase}/b")
+
+
+def settle(s, machine: Machine, state: PassState):
+    """The end of localization, in step s of the live tasks of state, in
+    their order: each reads the messages still waiting in its inbox, a
+    task then alone in its list pools itself, and every other one cuts
+    the links whose ends sit on different rows, in its registers alone.
+    Returns the mask of the tasks that stay."""
     ids = state.live()
-    lone = ids[(state.sv[ids] == NONE) & (state.pv[ids] == NONE)]
-    if lone.size:
-        pool_nodes(machine, lone, machine.cell(state.row[lone], state.col[lone]),
-                   f"{phase}/lone", state)
+    drain(s, machine, state, ids)
+    lone = (state.sv[ids] == NONE) & (state.pv[ids] == NONE)
+    if lone.any():
+        pool_writes(s, np.where(lone, ids, NONE),
+                    machine.cell(np.where(lone, state.row[ids], NONE), state.col[ids]))
+        state.drop(ids[lone], POOLED)
     _cut_cross_links(state)
-    return int(lone.size)
+    return ~lone
 
 
 def _run_ends(state: PassState, target_row):
     """The live target-row nodes, and per node whether it starts and
     whether it ends its run, and whether that start or end is flanked
     (its neighbor beyond sits on the other row rather than the list
-    ending there); all from the node's registers."""
+    ending there); all from the node's registers. A side whose message
+    waits unread may start or end the run but flanks nothing: it names
+    a target-row node or none (phase (a) absorbs whole lower runs)."""
     nodes = state.live()
     nodes = nodes[state.row[nodes] == target_row]
+    wait_p, wait_s = (((state.pending[nodes] >> d) & 1 == 1) for d in (PRED_SIDE, SUCC_SIDE))
     row_s, row_p = state.row_s[nodes], state.row_p[nodes]   # NONE without a neighbor
-    start, end = row_p != target_row, row_s != target_row
-    return nodes, start, end, start & (row_p != NONE), end & (row_s != NONE)
+    start, end = wait_p | (row_p != target_row), wait_s | (row_s != target_row)
+    return (nodes, start, end, start & ~wait_p & (row_p != NONE),
+            end & ~wait_s & (row_s != NONE))
 
 
 def _absorb_short_runs(machine: Machine, state: PassState, target_row, min_run, phase):
     """Absorb the target-row runs of fewer than min_run nodes that have
     a flank into their flanks, in log-depth waves; min_run 2 takes only
-    the one-node runs and runs no walk."""
+    the one-node runs and runs no walk.
+
+    The walk's classes schedule the waves. Each task of a wave's
+    contract step then drains its inbox and reads its own walk marks,
+    and plans its absorption from those reads and its registers alone
+    (_read_classes); a task that finds it is no short run contracts
+    nothing, as a phase (b) node does whose unread side names a node of
+    its own row."""
     nodes, _, _, start_flank, end_flank = ends = _run_ends(state, target_row)
     # a run without a flank is never short
     if not (start_flank | end_flank).any():
         return
-    to_left, wave, meet_row = _plan_waves(
-        *classify_by_walk(machine, state, target_row, ends, min_run, phase), target_row)
+    *classes, stamp = classify_by_walk(machine, state, target_row, ends, min_run, phase)
+    # without a walk every short run is one node, absorbed in wave 0
+    wave = (_plan_waves(*classes, target_row)[1] if stamp is not None
+            else np.where(classes[4], 0, NONE))
     for j in range(int(wave.max()) + 1):
-        on = wave == j
-        a = nodes[on]
-        contract_batch(machine, a, np.where(to_left[on], state.pv[a], state.sv[a]),
-                       np.where(to_left[on], SUCC_SIDE, PRED_SIDE), f"{phase}/w{j}", state,
-                       meet_row[on])
+        plan = _wave_plan(machine, state, nodes[wave == j], target_row, min_run, stamp)
+        contract_batch(machine, nodes[wave == j], None, plan, f"{phase}/w{j}", state)
+
+
+def _wave_plan(machine: Machine, state: PassState, a, target_row, min_run, stamp):
+    """The side function of a wave's contract step over tasks a: each
+    goes toward the flank of its half, meeting the other half's
+    frontier where _plan_waves says, from its own reads (_read_classes)."""
+    def plan(s):
+        classes = _read_classes(s, machine, state, a, target_row, min_run, stamp)
+        if stamp is None:   # one-node runs alone: each goes to a flank, and none meets
+            to_left, meet_row = classes[2], np.full(a.size, NONE)
+        else:
+            to_left, _, meet_row = _plan_waves(*classes, target_row)
+        return np.where(classes[4], np.where(to_left, SUCC_SIDE, PRED_SIDE), NONE), meet_row
+    return plan
+
+
+def _read_classes(s, machine: Machine, state: PassState, a, target_row, min_run, stamp):
+    """What classify_by_walk gives the target-row tasks a, as each reads
+    it in step s once drained: a run end knows its distance, 0, and its
+    flank flag from its registers, and every other node of a short run
+    from the marks the walk left in its walk_pos and walk_rem cells,
+    which the walk's stamp (None where no walk ran) tells from the
+    marks of earlier walks."""
+    row_p, row_s = state.row_p[a], state.row_s[a]
+    start, end = row_p != target_row, row_s != target_row
+    pos, rem = np.where(start, 0, NONE), np.where(end, 0, NONE)
+    head, tail = start & (row_p != NONE), end & (row_s != NONE)
+    if stamp is not None:
+        for store, dist, flag in (("walk_pos", pos, head), ("walk_rem", rem, tail)):
+            mark = s.read(store, a)
+            hops = (mark >> 1) - stamp
+            fresh = hops > 0
+            dist[fresh], flag[fresh] = hops[fresh], mark[fresh] & 1 == 1
+    short = (pos != NONE) & (rem != NONE) & (pos + rem + 1 < min_run) & (head | tail)
+    return (np.where(short, pos, NONE), np.where(short, rem, NONE), short & head,
+            short & tail, short)
 
 
 def _plan_waves(pos, rem, head_flag, tail_flag, short, target_row):
@@ -157,7 +218,7 @@ def classify_by_walk(machine: Machine, state: PassState, target_row, ends, min_r
     target-row nodes, in the order of ends: the distances to the run's
     start and end and the flags of those ends, exact wherever short is
     set, which it is on every node of a flanked run of fewer than
-    min_run nodes.
+    min_run nodes; then the walk's stamp, None where no walk ran.
 
     A run end knows its own distance and flank flag from its registers,
     and its walker the first node to reach. Step k serves every walker
@@ -167,8 +228,11 @@ def classify_by_walk(machine: Machine, state: PassState, target_row, ends, min_r
     on its side (inbox_s from the start, inbox_p from the end) for the
     next node and its row. A next node off the row, or none, makes the
     node the run's far end, and the walker stops. Each mark carries the
-    ledger index of the walk's first step, so a mark an earlier walk
-    left in the store never passes for one of this walk.
+    stamp, the ledger index of the walk's first step times n, above
+    every hop count, so a mark an earlier walk left in the store never
+    passes for one of this walk.
+    The classes schedule the absorption waves; each node of a short run
+    reads its own marks in its wave's contract step (_read_classes).
     """
     eng = machine.engine
     nodes, start, end, start_flank, end_flank = ends
@@ -184,7 +248,7 @@ def classify_by_walk(machine: Machine, state: PassState, target_row, ends, min_r
         inbox = [scratch(machine, st) for st in INBOX]
         index = np.full(state.row.size, NONE, dtype=np.int64)   # node -> place in nodes
         index[nodes] = np.arange(nodes.size)
-        stamp = len(eng.trace) * machine.n
+    stamp = len(eng.trace) * machine.n if walk.size else None
     # a run shorter than min_run has at most min_run - 2 hops
     for k in range(min_run - 2):
         f, b = fwd.size, bwd.size
@@ -206,7 +270,7 @@ def classify_by_walk(machine: Machine, state: PassState, target_row, ends, min_r
     known = (pos != NONE) & (rem != NONE)
     short = known & (pos + rem + 1 < min_run) & (head_flag | tail_flag)
     return (np.where(short, pos, NONE), np.where(short, rem, NONE),
-            short & head_flag, short & tail_flag, short)
+            short & head_flag, short & tail_flag, short, stamp)
 
 
 def _cut_cross_links(state: PassState):

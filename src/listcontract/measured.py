@@ -7,16 +7,16 @@ measurements from the same functions against these within +-10%.
 """
 
 # rounds of one contraction pass vs one 3-coloring, single list of 2**e
-PASS_OVER_COLORING_K = {10: 1.7143, 12: 1.7143, 14: 1.7143, 16: 1.7143, 18: 1.7143}
+PASS_OVER_COLORING_K = {10: 1.4286, 12: 1.4286, 14: 1.4286, 16: 1.4286, 18: 1.4286}
 
 # list_rank rounds, l = 64 fixed, p = n / 6, n = 2**e
-FIXED_L_ROUNDS = {12: 38, 13: 38, 14: 38, 15: 38, 16: 38, 17: 38, 18: 38}
+FIXED_L_ROUNDS = {12: 34, 13: 34, 14: 34, 15: 34, 16: 34, 17: 34, 18: 34}
 
 # list_rank rounds, single list of length n = 2**e, p = n / 6
-SINGLE_LIST_ROUNDS = {12: 47, 14: 49, 16: 51, 18: 53}
+SINGLE_LIST_ROUNDS = {12: 43, 14: 45, 16: 47, 18: 49}
 
 # total_work(wyllie) / total_work(list_rank), n = 2**16, lists of length l
-WORK_RATIO = {4: 0.7333, 16: 1.0735, 64: 1.3993, 256: 1.6568}
+WORK_RATIO = {4: 0.8462, 16: 1.2167, 64: 1.5677, 256: 1.8096}
 
 # the work-advantage threshold at l = 256 is recorded, not asserted
 # against a theoretical target: with contraction stopped once a pass

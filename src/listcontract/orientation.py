@@ -81,10 +81,16 @@ def derive_orientation(machine: Machine, state: PassState, both: BothColumns,
     col_both, at_both = np.zeros(machine.columns, dtype=bool), np.zeros(state.row.size, dtype=bool)
     col_both[both.cols] = True
     at_both[me] = col_both[state.col[me]]
-    mate_at = at_both[state.pair[me]]
+    # a member's partner is at a both column when that partner names it:
+    # the both-column nodes know their partners (partner_columns), where
+    # a node elsewhere may not have read its own yet (UNREAD)
+    mated = np.zeros(state.row.size, dtype=bool)
+    near = me[at_both[me]]
+    mated[state.pair[near]] = True
+    mate_at = mated[me]
     lead = me[np.where(at_both[me], ~mate_at | (state.col[me] < state.pcol[me]),
                        ~mate_at & (state.color[me] == 0))]
-    del paired, me, at_both, mate_at   # the call's memory peaks below
+    del paired, me, at_both, mated, near, mate_at   # the call's memory peaks below
     lead = lead[np.argsort(state.row[lead], kind="stable")]
     partner = state.pair[lead]
     c1, c2 = state.col[lead], np.where(col_both[state.col[lead]], state.pcol[lead], NONE)
@@ -252,13 +258,14 @@ def uniform_contraction_pass(machine: Machine, min_run=MIN_RUN, phase="pass") ->
 
     Runs the fold the previous pass left pending, if any, then pools the
     lists of one node, localizes the rest (free when one row is empty:
-    no link crosses rows) and pools the lists that leaves as one node,
-    then colors and pairs both rows. The pass registers then give
-    the both columns (both_columns), which a columns placement loses
-    with a row to localization; their nodes alone read their partners'
-    columns (partner_columns), and the aligned-stack shortcut, the
-    uniformity coupling and the orientation keys run over them alone.
-    Without them every pair claims its 0-colored member's column. The
+    no link crosses rows), then colors and pairs both rows, whose first
+    step pools the lists localization leaves as one node. The pass
+    registers then give the both columns (both_columns), which a
+    columns placement loses with a row to localization; their nodes
+    alone read their partners' columns (partner_columns), and the
+    aligned-stack shortcut, the uniformity coupling and the orientation
+    keys run over them alone. Without them every pair claims its
+    0-colored member's column. The
     pass registers carry each node's partner, color and partner side,
     and at the both columns its partner's column, from pairing to the
     pack; the links go after pairing.
@@ -274,8 +281,8 @@ def uniform_contraction_pass(machine: Machine, min_run=MIN_RUN, phase="pass") ->
     pre_active = state.ids.size
     if pre_active == 0:
         return PassReport(0, pooled, 0, cols_before, cols_before, 0, 0)
-    pooled += localize(machine, state, min_run=min_run, phase=f"{phase}/localize")
-    color_and_pair(machine, state, phase=f"{phase}/rows")
+    localize(machine, state, min_run=min_run, phase=f"{phase}/localize")
+    pooled += color_and_pair(machine, state, phase=f"{phase}/rows")
     # the merges take their sides from at_succ: no phase reads a link
     state.sv = state.pv = state.row_s = state.row_p = None
     live = state.live()

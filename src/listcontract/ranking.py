@@ -191,10 +191,12 @@ def replay_ranks(machine: Machine, stores, phase="replay"):
     its rank interval start from its host's.
 
     The replay works in the rank and head stores pointer_jump returns
-    and in the weight store. No step writes a retired node's weight, so
-    when an entry replays, its absorbed nodes still hold the weights it
-    logged; the entry takes them off its hosts' again, and the weight
-    store ends at its original ones. A log entry reads its hosts' rank,
+    and in the weight store. An absorbed node's contract step adds to
+    its weight cell whatever weight still waited in its inbox, and no
+    step writes a retired node's weight, so when an entry replays, its
+    absorbed nodes still hold the weights it logged; the entry takes
+    them off its hosts' again, and the weight store ends at its
+    original ones. A log entry reads its hosts' rank,
     weight and head and writes its hosts and absorbed nodes, which are
     distinct, so it replays in one step; each group of replay_groups
     shares that step.

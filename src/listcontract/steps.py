@@ -90,6 +90,11 @@ def restricted_neighbors(machine: Machine, ids, phase):
         return s.read("succ", ids), s.read("pred", ids)
 
 
+# the pair register of a node whose partner is named only by a message
+# still waiting in its inbox: the node learns it when it drains
+UNREAD = -4
+
+
 @dataclass
 class PassState:
     """Task registers of one pass, indexed by node id: the virtual
@@ -98,15 +103,19 @@ class PassState:
     are) and the column; memory holds no cut. The pool fills them in
     its one wide step, the neighbors' rows from their ids after the
     layout and from the fold's inbox messages after a fold.
-    contract_batch keeps them current and, as in memory, retires the
-    row of every task it absorbs, as pool_nodes pools it.
+    contract_batch retires the row of every task it absorbs, as memory
+    does, and localize.settle pools the row of a task it pools. A
+    contraction's news for the other tasks waits in their inbox cells,
+    with bit d of pending set while the side-d cell holds a message its
+    node has not read; only drain moves it into the registers.
 
-    form_pairs adds each node's partner (pair), color and at_succ, True
-    where the partner is the successor; the partner's column (pcol) is
-    filled at the both columns alone (uniform.partner_columns). Memory
-    keeps no copy of them outside the uniformity step's cell mailboxes.
-    The pass drops the link registers after pairing; the merges, moves,
-    swaps and exempt patch the rest.
+    form_pairs adds each node's partner (pair, UNREAD while a message
+    names it), color and at_succ, True where the partner is the
+    successor; the partner's column (pcol) is filled at the both
+    columns alone (uniform.partner_columns). Memory keeps no copy of
+    them outside the uniformity step's cell mailboxes. The pass drops
+    the link registers after pairing; the merges, moves, swaps and
+    exempt patch the rest.
     """
 
     ids: np.ndarray
@@ -121,9 +130,11 @@ class PassState:
     color: np.ndarray = None
     at_succ: np.ndarray = None
     live_ids: np.ndarray = field(init=False)
+    pending: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.live_ids = self.ids[self.row[self.ids] >= 0]
+        self.pending = np.zeros(self.row.size, dtype=np.int8)
 
     def live(self):
         return self.live_ids
@@ -137,7 +148,42 @@ class PassState:
         return (self.pv, self.row_p) if d == PRED_SIDE else (self.sv, self.row_s)
 
 
-def contract_batch(machine: Machine, absorbed, host, side, phase, state=None, meet_row=None):
+def drain(s, machine: Machine, state: PassState, t):
+    """Tasks t of step s, one node each, read the messages waiting in
+    their inbox cells, as state.pending marks them: each moves the
+    neighbor and row a message names into its link registers while the
+    pass keeps them, takes an UNREAD partner from the message on its
+    partner's side, and adds the weights the messages carry to its
+    weight cell. Returns those weights, 0 where none waits."""
+    t = np.asarray(t, dtype=np.int64)
+    got = state.pending[t]
+    w = np.zeros(t.size, dtype=np.int64)
+    if not got.any():
+        return w
+    bits = machine.n.bit_length()
+    for d, store in zip((PRED_SIDE, SUCC_SIDE), INBOX):
+        on = (got >> d) & 1 == 1
+        if not on.any():
+            continue
+        msg = s.read(store, _pick(on, t, NONE))
+        if not on.all():
+            msg[~on] = 0   # names no neighbor
+        w += msg >> (bits + 1)
+        nbr, row = read_neighbor(machine, msg)
+        if state.sv is not None:
+            reg, reg_row = state.side(d)
+            reg[t[on]], reg_row[t[on]] = nbr[on], row[on]
+        if state.pair is not None:
+            mate = on & (state.pair[t] == UNREAD) & (state.at_succ[t] == (d == SUCC_SIDE))
+            state.pair[t[mate]] = nbr[mate]
+    state.pending[t] = 0
+    if w.any():
+        at = _pick(w > 0, t, NONE)
+        s.write("weight", at, s.read("weight", at) + w)
+    return w
+
+
+def contract_batch(machine: Machine, absorbed, host, side, phase, state=None):
     """Contract absorbed[i] into adjacent host[i] in one step.
 
     side[i] is PRED_SIDE when absorbed[i] precedes its host. The hosts
@@ -145,34 +191,47 @@ def contract_batch(machine: Machine, absorbed, host, side, phase, state=None, me
     overlap. Its row alone records that an absorbed node is retired;
     the log gets one entry per side.
 
-    An absorbed node's far neighbor (the one beyond it from its host)
-    may be absorbed in the same batch only toward the other side, as a
-    meeting pair x, y between hosts hx, hy; meet_row marks both, with
-    the row of the other one's host, NONE elsewhere. Each of x and y
-    reads the other's host from memory and links its own host to it.
+    Without a PassState the hosts must be distinct over the batch, and
+    the step sums each host's weight. With one, each absorbed task
+    first drains its inbox (drain), and then:
 
-    Without a PassState the hosts must be distinct over the batch,
-    and the step sums each host's weight. With one, a host may take one
-    node on each side: each absorbed task forwards its weight, its far
-    neighbor and that neighbor's row to its host, and its host and the
-    host's row to the far neighbor, through inbox cells the receivers
-    own, and the refresh step sums the weights. A far neighbor across a
-    cut link is NONE there, so the link stays cut.
+    - While the pass keeps its link registers, host is None: each
+      absorbed node's host is its successor where it precedes its host,
+      else its predecessor, from its drained registers. side may also
+      be a function that the step calls once the tasks have drained,
+      which returns their sides and meet_row from what they read; a
+      task whose side is NONE contracts nothing. Each absorbed task
+      sends its host its weight, its far neighbor (the one beyond it
+      from its host) and that neighbor's row, and the far neighbor its
+      host and the host's row, into inbox cells the receivers own. A
+      message waits there until its receiver drains it in a step it
+      runs anyway; a task that finds one still waiting in a cell it
+      sends to reads it first and carries its weight on, which no other
+      task touches: a host takes at most one node per side per batch. A
+      far neighbor across a cut link is NONE there, so the link stays
+      cut.
+    - Once the pass has dropped its link registers, every host drains
+      too, an absorbed entry UNREAD is the partner its host reads
+      there, and the step sums each host's weight, as without a state.
+
+    An absorbed node's far neighbor may be absorbed in the same batch
+    only toward the other side, as a meeting pair x, y between hosts
+    hx, hy; meet_row marks both, with the row of the other one's host,
+    NONE elsewhere. Each of x and y reads the other's host from memory
+    and links its own host to it.
     """
     a = np.asarray(absorbed, dtype=np.int64)
-    h = np.asarray(host, dtype=np.int64)
     if a.size == 0:
         return
-    sd = np.broadcast_to(np.asarray(side, dtype=np.int64), a.shape)
-    wa, far = _contract_step(machine, a, h, sd == PRED_SIDE, meet_row, phase, state)
+    with machine.engine.step(f"{phase}/contract", a.size) as s:
+        a, h, sd, wa = _contract_step(s, machine, a, host, side, state)
     for d in (PRED_SIDE, SUCC_SIDE):
         on = sd == d
         if on.any():
             machine.log.append(ContractBatch(absorbed=a[on], host=h[on],
                                              side=np.full(int(on.sum()), d), weight=wa[on]))
     if state is not None:
-        state.drop(a, RETIRED)
-        _refresh_step(machine, state, h, sd, far, phase)
+        state.drop(a[sd != NONE], RETIRED)
 
 
 # a receiver's new neighbor on side d arrives in its inbox[d] cell,
@@ -192,74 +251,71 @@ def read_neighbor(machine: Machine, msg):
     return rest - 1, np.where(rest > 0, msg & 1, NONE)
 
 
-def _contract_step(machine: Machine, a, h, ps, meet_row, phase, state):
-    """The contract step of contract_batch, ps marking its pred-side
-    tasks; returns the absorbed weights and, with a state, each task's
-    far neighbor that hears from it (NONE where none does)."""
+def _contract_step(s, machine: Machine, a, host, side, state):
+    """The body of contract_batch's step s; returns the absorbed nodes,
+    their hosts, their sides (NONE where a task contracts nothing) and
+    their weights."""
     skip = np.full(a.size, NONE)
-    meet_row = skip if meet_row is None else np.asarray(meet_row)
+    w_a = w_h = 0
+    if state is not None and host is not None:
+        w_h = drain(s, machine, state, host)
+        a = np.where(a == UNREAD, state.pair[host], a)
+    if state is not None:
+        w_a = drain(s, machine, state, a)
+    meet_row = skip
+    if callable(side):
+        side, meet_row = side(s)
+    sd = np.broadcast_to(np.asarray(side, dtype=np.int64), a.shape)
+    go, ps = sd != NONE, sd == PRED_SIDE
+    h = (np.asarray(host, dtype=np.int64) if host is not None
+         else _pick(go, _at(ps, a, state.sv, state.pv), skip))
+    ag = _pick(go, a, skip)
     meet = meet_row != NONE
-    far = None
-    with machine.engine.step(f"{phase}/contract", a.size) as s:
-        wa = s.read("weight", a)
-        ra = s.read("row", a)
-        ca = s.read("col", a)
-        # the outer neighbor, and in a meeting the other host beyond it
-        outer = _pick(ps, s.read("pred", _pick(ps, a, skip)), s.read("succ", _pick(ps, skip, a)))
-        link = outer
-        if meet.any():
-            beyond = _pick(ps, s.read("pred", np.where(meet & ps, outer, NONE)),
-                           s.read("succ", np.where(meet & ~ps, outer, NONE)))
-            link, outer = np.where(meet, beyond, outer), np.where(meet, NONE, outer)
-        fa = s.read("first", _pick(ps, a, skip))
-        s.write("succ", _pick(ps, outer, h), _pick(ps, h, link))
-        s.write("pred", _pick(ps, h, outer), _pick(ps, link, h))
-        s.write("first", _pick(ps, h, skip), fa)
-        s.write("slot", machine.cell(ra, ca), NONE)
-        s.write("row", a, RETIRED)
-        s.write("col", a, RETIRED)
-        if state is None:
-            s.write("weight", h, wa + s.read("weight", h))
-        else:
-            bits = machine.n.bit_length()
-            far = _at(ps, a, state.pv, state.sv)
-            far_row = _at(ps, a, state.row_p, state.row_s)
-            # in a meeting the host's new neighbor is the other host,
-            # and the far neighbor, absorbed too, hears nothing
-            new, new_row = _pick(meet, link, far), _pick(meet, meet_row, far_row)
-            to_host = (wa << (bits + 1)) + neighbor_message(new, new_row)
-            to_far = neighbor_message(h, _at(ps, a, state.row_s, state.row_p))
-            far = _pick(meet, skip, far)
-            inbox = [scratch(machine, st) for st in INBOX]
-            s.write(inbox[PRED_SIDE], _pick(ps, h, far), _pick(ps, to_host, to_far))
-            s.write(inbox[SUCC_SIDE], _pick(ps, far, h), _pick(ps, to_far, to_host))
-    return wa, far
-
-
-def _refresh_step(machine: Machine, state: PassState, h, sd, far, phase):
-    """The refresh step of contract_batch: hosts read their side-d
-    inbox and far neighbors the other one (a task that is both, or a
-    host on both sides, reads both) into their registers, and each
-    host adds the weights it took."""
-    got = np.zeros(state.row.size, dtype=np.int8)
-    for d in (PRED_SIDE, SUCC_SIDE):
-        on = sd == d
-        got[h[on]] |= 1 << d
-        got[far[on & (far != NONE)]] |= 1 << (1 - d)
-    t = np.flatnonzero(got)
-    got = got[t]
+    wa = s.read("weight", ag) + w_a
+    ra = s.read("row", ag)
+    ca = s.read("col", ag)
+    # the outer neighbor, and in a meeting the other host beyond it
+    outer = _pick(ps, s.read("pred", _pick(ps, ag, skip)), s.read("succ", _pick(ps, skip, ag)))
+    link = outer
+    if meet.any():
+        beyond = _pick(ps, s.read("pred", np.where(meet & ps, outer, NONE)),
+                       s.read("succ", np.where(meet & ~ps, outer, NONE)))
+        link, outer = np.where(meet, beyond, outer), np.where(meet, NONE, outer)
+    fa = s.read("first", _pick(ps, ag, skip))
+    s.write("succ", _pick(ps, outer, h), _pick(ps, h, link))
+    s.write("pred", _pick(ps, h, outer), _pick(ps, link, h))
+    s.write("first", _pick(ps, h, skip), fa)
+    s.write("slot", machine.cell(ra, ca), NONE)
+    s.write("row", ag, RETIRED)
+    s.write("col", ag, RETIRED)
+    if state is None or state.sv is None:
+        s.write("weight", h, wa + s.read("weight", h) + w_h)
+        return a, h, sd, wa
     bits = machine.n.bit_length()
-    with machine.engine.step(f"{phase}/refresh", t.size) as s:
-        add = np.zeros(t.size, dtype=np.int64)
-        for d, store in zip((PRED_SIDE, SUCC_SIDE), INBOX):
-            on = (got >> d) & 1 == 1
-            msg = s.read(store, t if on.all() else np.where(on, t, NONE))[on]
-            nbr, row = state.side(d)
-            tt = t[on]
-            nbr[tt], row[tt] = read_neighbor(machine, msg)
-            add[on] += msg >> (bits + 1)
-        hosts = np.where(add > 0, t, NONE)
-        s.write("weight", hosts, s.read("weight", hosts) + add)
+    far = _at(ps, a, state.pv, state.sv)
+    far_row = _at(ps, a, state.row_p, state.row_s)
+    # in a meeting the host's new neighbor is the other host, and the
+    # far neighbor, absorbed too, hears nothing
+    new, new_row = _pick(meet, link, far), _pick(meet, meet_row, far_row)
+    host_row = _at(ps, a, state.row_s, state.row_p)
+    far = _pick(go & ~meet, far, skip)
+    # the receivers of the inbox_p and inbox_s messages, and the weight
+    # of a message still waiting in each of those cells
+    to = [_pick(ps, h, far), _pick(ps, far, h)]
+    held = []
+    for d in (PRED_SIDE, SUCC_SIDE):
+        wait = (to[d] != NONE) & ((state.pending[to[d]] >> d) & 1 == 1)
+        held.append(np.where(wait, s.read(INBOX[d], np.where(wait, to[d], NONE)), 0)
+                    >> (bits + 1) if wait.any() else 0)
+    to_host = ((wa + _pick(ps, held[PRED_SIDE], held[SUCC_SIDE])) << (bits + 1)
+               ) + neighbor_message(new, new_row)
+    to_far = (_pick(ps, held[SUCC_SIDE], held[PRED_SIDE]) << (bits + 1)
+              ) + neighbor_message(h, host_row)
+    s.write(INBOX[PRED_SIDE], to[PRED_SIDE], _pick(ps, to_host, to_far))
+    s.write(INBOX[SUCC_SIDE], to[SUCC_SIDE], _pick(ps, to_far, to_host))
+    for d in (PRED_SIDE, SUCC_SIDE):
+        state.pending[to[d][to[d] != NONE]] |= 1 << d
+    return a, h, sd, wa
 
 
 def _pick(mask, x, y):
@@ -276,16 +332,6 @@ def _at(mask, a, x, y):
     if mask.all():
         return x[a]
     return np.where(mask, x[a], y[a]) if mask.any() else y[a]
-
-
-def pool_nodes(machine: Machine, nodes, cells, phase, state=None):
-    """Take nodes out of the array in one write step (pool_writes).
-    Their links stay intact, and pointer jumping finishes their lists;
-    with a PassState, they leave its live tasks too."""
-    with machine.engine.step(f"{phase}/out_wr", np.size(nodes)) as s:
-        pool_writes(s, nodes, cells)
-    if state is not None:
-        state.drop(nodes, POOLED)
 
 
 def pool_writes(s, nodes, cells):

@@ -61,10 +61,11 @@ import numpy as np
 
 from .coloring import three_color
 from .errors import UncoveredCaseError
-from .model import Machine, PRED_SIDE, RETIRED, SUCC_SIDE
+from .model import Machine, PRED_SIDE, SUCC_SIDE
 from .pram import NONE
 # restricted_neighbors stays importable here for bench/tracing.py
-from .steps import (PassState, contract_batch, double, move_nodes,  # noqa: F401
+from .localize import settle
+from .steps import (PassState, contract_batch, double, drain, move_nodes,  # noqa: F401
                     restricted_neighbors, scratch)
 from . import pairing as _pairing
 
@@ -128,6 +129,7 @@ def partner_columns(machine: Machine, state: PassState, both: BothColumns, phase
     nodes = both.node.ravel()
     cells = machine.cell(state.row[nodes], state.col[nodes])
     with machine.engine.step(f"{phase}/pcol", nodes.size) as s:
+        drain(s, machine, state, nodes)
         state.pcol[nodes] = s.read("col", state.pair[nodes])
         s.write("mb_color", cells, state.color[nodes])
         s.write("mb_pcol", cells, state.pcol[nodes])
@@ -254,20 +256,20 @@ def _plan_swaps(machine, state, both, phase):
 
 
 def merge_pairs(machine: Machine, absorbed, host, state: PassState, phase):
-    """Contract each pair into its host member, with no read: the side
-    register state.at_succ tells whether each absorbed node precedes
-    its host. It holds from pairing to the merge, since partners stay
+    """Contract each pair into its host member, with no link read: the
+    side register state.at_succ of the host tells whether its partner
+    precedes it. It holds from pairing to the merge, since partners stay
     adjacent: swaps move cells, not links, and only whole pairs merge.
-    The absorbed nodes leave the live tasks. The host keeps its pair
-    and color; a caller whose later steps read them clears them with
-    exempt."""
+    An absorbed entry may be UNREAD, the partner the host reads from its
+    inbox in the merge step (contract_batch). The absorbed nodes leave
+    the live tasks. The host keeps its pair and color; a caller whose
+    later steps read them clears them with exempt."""
     a = np.asarray(absorbed, dtype=np.int64)
     h = np.asarray(host, dtype=np.int64)
-    precedes = state.at_succ[a]
+    precedes = ~state.at_succ[h]
     # one side at a time: two merged members can be adjacent
     for side, on in ((PRED_SIDE, precedes), (SUCC_SIDE, ~precedes)):
-        contract_batch(machine, a[on], h[on], side, phase)
-    state.drop(a, RETIRED)
+        contract_batch(machine, a[on], h[on], side, phase, state)
 
 
 def exempt(machine: Machine, hosts, state: PassState, phase=None):
@@ -324,8 +326,9 @@ def swap_positions(machine: Machine, nodes_a, nodes_b, state: PassState, phase):
     which share a row, and the mb_color entries of those two cells; the
     cells' mb_pcol entries stay, since each member's partner is the
     other one. The rows, columns and colors come from the pass
-    registers in state, so the step reads nothing; the col and pcol
-    registers of a and b swap with the cells."""
+    registers in state, so the step reads only the messages still
+    waiting in b's inbox (drain); the col and pcol registers of a and b
+    swap with the cells."""
     a = np.asarray(nodes_a, dtype=np.int64)
     b = np.asarray(nodes_b, dtype=np.int64)
     if a.size == 0:
@@ -334,6 +337,9 @@ def swap_positions(machine: Machine, nodes_a, nodes_b, state: PassState, phase):
     wa, wb = state.color[a], state.color[b]
     cell_a, cell_b = machine.cell(row, ca), machine.cell(row, cb)
     with machine.engine.step(f"{phase}/swap_wr", a.size) as s:
+        # b may move into a both column, whose nodes must know their
+        # partners (derive_orientation)
+        drain(s, machine, state, b)
         s.write("slot", cell_a, b)
         s.write("slot", cell_b, a)
         s.write("col", a, cb)
@@ -349,19 +355,26 @@ def swap_positions(machine: Machine, nodes_a, nodes_b, state: PassState, phase):
 def color_and_pair(machine: Machine, state: PassState, phase="rows"):
     """Color the localized lists of both rows and pair them off.
 
-    After localization every uncut link joins two nodes of one row, so
-    each chain lies on one row and one call serves both. The chains
-    come from the pass state, and the pairs go into its registers.
-    Returns the coloring.
+    The first coloring step settles localization (localize.settle):
+    every task reads the messages still waiting for it, the lists left
+    as one node leave the array, and the links that cross rows are cut.
+    Then every uncut link joins two nodes of one row, so each chain lies
+    on one row and one call serves both. The chains come from the pass
+    state, and the pairs go into its registers. Returns the number of
+    lists pooled.
     """
     ids = state.live()
-    coloring = three_color(machine.engine, machine.memory, ids, state.sv[ids], state.pv[ids],
-                           phase=f"{phase}/color")
+
+    def links(s):
+        # a task that pools itself there has no link
+        return settle(s, machine, state), state.sv[ids], state.pv[ids]
+
+    coloring = three_color(machine.engine, machine.memory, ids, links, phase=f"{phase}/color")
     colors = np.full(state.row.size, NONE, dtype=np.int64)
-    colors[ids] = coloring.final_color
-    colors = _pairing.eliminate_twos(machine, state, colors, f"{phase}/elim2")
+    colors[coloring.ids] = coloring.final_color
+    colors = _pairing.eliminate_twos(machine, state, colors, coloring.stores, f"{phase}/elim2")
     _pairing.form_pairs(machine, state, colors, f"{phase}/pairs")
-    return coloring
+    return ids.size - coloring.ids.size
 
 
 def opposite_pair_shortcut(machine: Machine, state: PassState, both: BothColumns,

@@ -1,3 +1,4 @@
+import copy
 from contextlib import contextmanager
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 
 from listcontract import (LinkedForest, Machine, PramConfig, contract_to_threshold, layout,
                           pointer_jump, pram, ranking, sequential_rank)
-from listcontract.localize import MIN_RUN
+from listcontract.localize import MIN_RUN, settle
 from listcontract.model import INBOX
 from listcontract.pram import NONE
-from listcontract.steps import PassState, neighbor_message, restricted_neighbors, scratch
+from listcontract.steps import (UNREAD, PassState, neighbor_message, read_neighbor,
+                                restricted_neighbors, scratch)
 from listcontract.uniform import both_columns, partner_columns
 
 
@@ -98,16 +100,33 @@ def check_consistency(machine):
     assert int(machine.peek("weight")[ids].sum()) == machine.n
 
 
+def read_pairs(machine, state):
+    """The pair registers of state, each UNREAD one replaced by the
+    partner the message waiting in its node's inbox on the at_succ side
+    names, which must be there."""
+    pair = state.pair.copy()
+    v = np.flatnonzero(pair == UNREAD)
+    if v.size == 0:
+        return pair
+    side = state.at_succ[v].astype(np.int64)   # SUCC_SIDE where True
+    assert ((state.pending[v] >> side) & 1 == 1).all()
+    msg = np.where(side == 1, machine.peek(INBOX[1])[v], machine.peek(INBOX[0])[v])
+    pair[v] = read_neighbor(machine, msg)[0]
+    return pair
+
+
 def validate_pairs(machine, state, ids=None):
     """The pair registers of tasks ids, the live tasks of state by
     default, form an involution of adjacent nodes colored 0 and 1, and
     at_succ is True exactly where the partner is the successor in
-    memory."""
+    memory; an UNREAD partner counts as the one its node's inbox names
+    (read_pairs)."""
     ids = state.live() if ids is None else ids
-    pair = state.pair[ids]
+    full = read_pairs(machine, state)
+    pair = full[ids]
     paired = pair != NONE
     me, p = ids[paired], pair[paired]
-    assert (state.pair[p] == me).all()
+    assert (full[p] == me).all()
     succ = machine.peek("succ")[me]
     assert ((succ == p) | (machine.peek("pred")[me] == p)).all()
     assert np.array_equal(state.at_succ[me], succ == p)
@@ -143,7 +162,7 @@ def assert_pair_registers(machine, state):
     assert np.array_equal(np.sort(ids), machine.in_array_ids())
     for name in ("row", "col"):
         assert np.array_equal(getattr(state, name)[ids], machine.peek(name)[ids]), name
-    partner = state.pair[ids]
+    partner = read_pairs(machine, state)[ids]
     placed = np.flatnonzero(partner != NONE)
     placed = placed[machine.peek("row")[partner[placed]] >= 0]
     me, mate = ids[placed], partner[placed]
@@ -152,23 +171,51 @@ def assert_pair_registers(machine, state):
     assert np.array_equal(state.pcol[me[known]], machine.peek("col")[mate[known]])
 
 
-def read_state(machine, ids=None):
-    """The PassState of tasks ids, every node in the array by default,
-    as memory gives it: links by restricted_neighbors, rows and columns
-    by peek. Each task's inbox_p and inbox_s cells name its neighbors
-    and their rows, as the pool leaves them for localization."""
-    ids = machine.in_array_ids() if ids is None else ids
+def memory_state(machine, ids):
+    """The PassState of tasks ids as memory gives it: links by
+    restricted_neighbors, rows and columns by peek."""
     sv, pv = restricted_neighbors(machine, ids, "state")
     row = machine.peek("row")
     regs = [np.full(machine.n, NONE, dtype=np.int64) for _ in range(6)]
     for reg, got in zip(regs, (sv, pv, row[ids], np.where(sv != NONE, row[sv], NONE),
                                np.where(pv != NONE, row[pv], NONE), machine.peek("col")[ids])):
         reg[ids] = got
-    state = PassState(ids, *regs)
+    return PassState(ids, *regs)
+
+
+def read_state(machine, ids=None):
+    """The PassState of tasks ids, every node in the array by default,
+    as memory gives it (memory_state). Each task's inbox_p and inbox_s
+    cells name its neighbors and their rows, as the pool leaves them
+    for localization."""
+    ids = machine.in_array_ids() if ids is None else ids
+    state = memory_state(machine, ids)
     for store, nbr, nbr_row in zip(INBOX, (state.pv, state.sv), (state.row_p, state.row_s)):
         machine.memory.poke(scratch(machine, store), ids,
                             neighbor_message(nbr[ids], nbr_row[ids]))
     return state
+
+
+def read_waiting(machine, state):
+    """A copy of state whose link registers hold what the messages
+    waiting in the inboxes name, as drain would leave them, with no
+    message waiting."""
+    out = copy.deepcopy(state)
+    for d, store in enumerate(INBOX):
+        v = np.flatnonzero((state.pending >> d) & 1 == 1)
+        nbr, row = out.side(d)
+        nbr[v], row[v] = read_neighbor(machine, machine.peek(store)[v])
+    out.pending[:] = 0
+    return out
+
+
+def settle_localization(machine, state):
+    """What the first coloring step of a pass does once localization
+    ends, in a step of its own: every live task reads the messages
+    still waiting in its inbox, the lists left as one node leave the
+    array, and the links that cross rows are cut (localize.settle)."""
+    with machine.engine.step("settle", state.live().size) as s:
+        settle(s, machine, state)
 
 
 def read_both(machine, state=None):

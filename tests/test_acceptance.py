@@ -90,9 +90,12 @@ def test_lone_nodes_over_a_bottom_pair_are_pooled_not_claimed_twice():
     run = list_rank(forest, p=p)
     assert run.result.same_as(sequential_rank(forest))
     assert run.metrics.erew_violations == 0
-    # the lists of four are too long for the pool at the pass start
-    assert run.metrics.phase_breakdown["contract/p0/localize/lone/out_wr"] == 4
-    assert "contract/p0/pool/out_wr" not in run.metrics.phase_breakdown
+    # the lists of four are too long for the pool at the pass start;
+    # the lists localization leaves as one node pool themselves in the
+    # first coloring step, which runs them beside the other live nodes
+    labels = run.metrics.phase_breakdown
+    assert "contract/p0/pool/out_wr" not in labels
+    assert not [k for k in labels if "/lone/" in k]
     assert run.passes[0].pooled > 0
 
 
@@ -240,7 +243,7 @@ def test_criterion_7_coloring_properties():
         m = Machine(fo, PramConfig(num_processors=128))
         ids = m.active_ids()
         sv, pv = restricted_neighbors(m, ids, "nbr")
-        ca = three_color(m.engine, m.memory, ids, sv, pv, phase="tc")
+        ca = three_color(m.engine, m.memory, ids, (sv, pv), phase="tc")
         pos = np.full(m.n, NONE, dtype=np.int64)
         pos[ids] = np.arange(ids.size)
         mask = sv != NONE
@@ -252,7 +255,7 @@ def test_criterion_7_coloring_properties():
     m = Machine(fo, PramConfig(num_processors=2**16))
     ids = m.active_ids()
     sv, pv = restricted_neighbors(m, ids, "nbr")
-    ca = three_color(m.engine, m.memory, ids, sv, pv, phase="tc")
+    ca = three_color(m.engine, m.memory, ids, (sv, pv), phase="tc")
     report("criterion 7 (coloring properties)", ok and ca.dct_iterations <= 5,
            f"proper 3-colorings, dct iterations at 2^20 = {ca.dct_iterations} <= 5")
 

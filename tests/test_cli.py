@@ -44,9 +44,10 @@ def test_generate_fixed_divisibility_rejected(tmp_path, capsys):
     ["sweep", "--spec", "", "--algo", "uniform"],
     ["sweep", "--spec", "   "],
     ["generate", "--n", "10", "--lists", "20"],
+    ["generate", "--n", "8", "--dist", "FIXED:x"],
 ], ids=["n0", "bogus_dist", "lists0", "spec_pair", "p0", "sweep_bogus_algo", "seed_neg",
         "sweep_seed_neg", "sweep_empty_algo", "sweep_comma_algo", "sweep_empty_spec",
-        "sweep_blank_spec", "more_lists_than_nodes"])
+        "sweep_blank_spec", "more_lists_than_nodes", "fixed_not_int"])
 def test_bad_arguments_exit_2_with_one_error_line(args, tmp_path, capsys):
     forest = tmp_path / "w.forest"
     forest.write_text("0 1\n1 -1\n")
@@ -56,6 +57,12 @@ def test_bad_arguments_exit_2_with_one_error_line(args, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("length", ["x", "1.5", " "])
+def test_generate_names_a_fixed_length_that_is_not_an_integer(length, capsys):
+    assert run_cli(["generate", "--n", "8", "--dist", f"FIXED:{length}"]) == 2
+    assert capsys.readouterr().err == f"error: the FIXED length {length!r} is not an integer\n"
 
 
 @pytest.mark.parametrize("dist", ["UNIFORM", "GEOMETRIC", "SINGLE"])

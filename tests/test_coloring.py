@@ -74,14 +74,14 @@ def test_dct_properness_large_random_instance():
 
 def test_single_node_gets_color_zero():
     m, ids, sv, pv = color_forest(1)
-    ca = three_color(m.engine, m.memory, ids[:1], np.array([NONE]),
-                     np.array([NONE]), phase="tc")
+    ca = three_color(m.engine, m.memory, ids[:1], (np.array([NONE]), np.array([NONE])),
+                     phase="tc")
     assert ca.final_color.tolist() == [0]
 
 
 def test_two_node_list_proper():
     m, ids, sv, pv = color_forest(2)
-    ca = three_color(m.engine, m.memory, ids, sv, pv, phase="tc")
+    ca = three_color(m.engine, m.memory, ids, (sv, pv), phase="tc")
     assert set(ca.final_color.tolist()) <= {0, 1, 2}
     assert ca.final_color[0] != ca.final_color[1]
 
@@ -93,7 +93,7 @@ def coloring_rounds(m, phase="tc"):
 
 def test_one_step_per_iteration_on_2_16_path():
     m, ids, sv, pv = color_forest(2**16)
-    ca = three_color(m.engine, m.memory, ids, sv, pv, phase="tc")
+    ca = three_color(m.engine, m.memory, ids, (sv, pv), phase="tc")
     rounds = coloring_rounds(m)
     # the first iteration runs on registers and the last one publishes
     # the colors, so each iteration costs one full-width step
@@ -116,7 +116,7 @@ def test_priced_stop_publishes_above_five_on_shuffled_2_16_chain(monkeypatch):
         m = Machine(fo, PramConfig(num_processors=2**13))
         ids = m.active_ids()
         sv, pv = restricted_neighbors(m, ids, "nbr")
-        ca = three_color(m.engine, m.memory, ids, sv, pv, phase="tc")
+        ca = three_color(m.engine, m.memory, ids, (sv, pv), phase="tc")
         assert proper(ca.final_color, ids, sv) and ca.final_color.max() <= 2
         return ca, coloring_rounds(m)
 
@@ -157,7 +157,7 @@ def test_determinism_identical_forests_identical_colorings():
     outs = []
     for _ in range(2):
         m, ids, sv, pv = color_forest(257)
-        ca = three_color(m.engine, m.memory, ids, sv, pv, phase="tc")
+        ca = three_color(m.engine, m.memory, ids, (sv, pv), phase="tc")
         outs.append(ca.final_color)
     assert np.array_equal(outs[0], outs[1])
 
@@ -169,7 +169,7 @@ def test_colors_final_range_and_properness_random_chains():
     m = Machine(fo, PramConfig(num_processors=64))
     ids = m.active_ids()
     sv, pv = restricted_neighbors(m, ids, "nbr")
-    ca = three_color(m.engine, m.memory, ids, sv, pv, phase="tc")
+    ca = three_color(m.engine, m.memory, ids, (sv, pv), phase="tc")
     assert set(np.unique(ca.final_color).tolist()) <= {0, 1, 2}
     assert proper(ca.final_color, ids, sv)
 
@@ -225,16 +225,20 @@ def test_colors_and_inboxes_match_host_reference(n, lists, seed, p, keep, dist):
     chosen[0] = True
     ids = np.sort(list_order(fo)[np.repeat(chosen, fo.lengths)])
     sv, pv = restricted_neighbors(m, ids, "nbr")
-    ca = three_color(m.engine, m.memory, ids, sv, pv, phase="tc")
+    ca = three_color(m.engine, m.memory, ids, (sv, pv), phase="tc")
     ref = reference_colors(ids, sv, pv, p)
     assert np.array_equal(ca.final_color, ref)
-    # memory keeps the colors in the neighbors' inbox cells alone
+    # memory keeps the colors in the neighbors' cells alone: inbox_p
+    # holds the predecessor's, and inbox_s the successor's, or dct when
+    # the first step publishes, since that step may drain the inbox
     assert not m.memory.has("color")
+    first = [r.label for r in m.engine.trace].count("tc/dct") == 1
+    assert ca.stores == ("inbox_p", "dct" if first else "inbox_s")
     color = np.full(m.n, NONE, dtype=np.int64)
     color[ids] = ref
-    for inbox, nbr in (("inbox_p", pv), ("inbox_s", sv)):
+    for store, nbr in zip(ca.stores, (pv, sv)):
         has = nbr != NONE
-        assert np.array_equal(m.peek(inbox)[ids[has]], color[nbr[has]])
+        assert np.array_equal(m.peek(store)[ids[has]], color[nbr[has]])
 
 
 # -- the class table ---------------------------------------------------------
@@ -266,7 +270,7 @@ def test_largest_classes_publish_as_0_and_1_with_the_heads_on_1():
     m = Machine(forest_from_lists(chains), PramConfig(num_processors=64))
     ids = m.active_ids()
     sv, pv = restricted_neighbors(m, ids, "nbr")
-    ca = three_color(m.engine, m.memory, ids, sv, pv, phase="tc")
+    ca = three_color(m.engine, m.memory, ids, (sv, pv), phase="tc")
     assert ca.dct_iterations == 1
     assert set(coloring_rounds(m)) == {"dct", "drop3"}
     assert ca.final_color[chains[0]].tolist() == [1, 0] * 127 + [1, 2]
@@ -303,7 +307,7 @@ def test_sparse_shuffled_chains_color_properly_within_five_iterations(k, chains,
     for chain in np.array_split(order, min(chains, k)):
         sv[chain[:-1]], pv[chain[1:]] = chain[1:], chain[:-1]
     sv, pv = sv[ids], pv[ids]
-    ca = three_color(m.engine, m.memory, ids, sv, pv, phase="tc")
+    ca = three_color(m.engine, m.memory, ids, (sv, pv), phase="tc")
     assert ca.dct_iterations <= 5
     assert set(ca.final_color.tolist()) <= {0, 1, 2}
     assert proper(ca.final_color, ids, sv)
@@ -317,7 +321,7 @@ def test_at_most_five_iterations_on_a_shuffled_2_16_chain():
     m = Machine(fo, PramConfig(num_processors=2**16))
     ids = m.active_ids()
     sv, pv = restricted_neighbors(m, ids, "nbr")
-    ca = three_color(m.engine, m.memory, ids, sv, pv, phase="tc")
+    ca = three_color(m.engine, m.memory, ids, (sv, pv), phase="tc")
     assert 1 <= ca.dct_iterations <= 5
     assert proper(ca.final_color, ids, sv) and ca.final_color.max() <= 2
 
@@ -328,4 +332,4 @@ def test_improper_final_coloring_raises(monkeypatch):
     monkeypatch.setattr(coloring, "dct_new_colors", lambda color, *_: np.zeros_like(color))
     m, ids, sv, pv = color_forest(64)
     with pytest.raises(ImproperColoringError):
-        three_color(m.engine, m.memory, ids, sv, pv, phase="tc")
+        three_color(m.engine, m.memory, ids, (sv, pv), phase="tc")

@@ -11,10 +11,19 @@ from listcontract.model import INBOX, POOLED
 from listcontract.pram import NONE
 from listcontract.ranking import pointer_jump, replay_ranks
 from listcontract.steps import read_neighbor
-from conftest import forest_from_lists, list_order, path_forest, place, read_state
+from conftest import (forest_from_lists, list_order, path_forest, place, read_state,
+                      read_waiting, settle_localization)
 
 # the package's localize function hides the module of that name
 localize_mod = importlib.import_module("listcontract.localize")
+
+
+def localize_settled(m, state, **kwargs):
+    """localize, then what the first coloring step of a pass does when
+    localization ends (settle_localization); returns state."""
+    localize(m, state, **kwargs)
+    settle_localization(m, state)
+    return state
 
 
 def cut_links(m, state):
@@ -31,8 +40,7 @@ def test_localize_alternating_absorbs_into_upper_row():
     # 200-node alternating list: every length-1 lower run is absorbed up
     m = Machine(path_forest(200), PramConfig(num_processors=16))
     layout(m)
-    state = read_state(m)
-    localize(m, state, min_run=100)
+    state = localize_settled(m, read_state(m), min_run=100)
     ids = m.in_array_ids()
     rows = m.peek("row")[ids]
     assert (rows == 0).all()
@@ -65,8 +73,7 @@ def test_long_lower_run_kept_with_boundary_links_cut():
         pos[300 + i] = (0, 150 + i)
         pos[450 + i] = (1, 150 + i)
     place(m, pos)
-    state = read_state(m)
-    localize(m, state, min_run=100)
+    state = localize_settled(m, read_state(m), min_run=100)
     # nothing absorbed: every run has >= 100 nodes
     assert m.in_array_ids().size == 600
     # the lower run 150..299 keeps its row; its two boundary links cut
@@ -89,7 +96,7 @@ def test_short_interior_run_absorbed_and_split_at_midpoint():
     for i in range(100):
         pos[130 + i] = (0, 100 + i)
     place(m, pos)
-    localize(m, read_state(m), min_run=100)
+    localize_settled(m, read_state(m), min_run=100)
     ids = m.in_array_ids()
     assert (m.peek("row")[ids] == 0).all()
     # flank hosts absorbed half the run each
@@ -101,8 +108,7 @@ def test_short_interior_run_absorbed_and_split_at_midpoint():
 def test_list_on_one_row_is_noop():
     m = Machine(path_forest(8), PramConfig())
     place(m, {v: (0, v) for v in range(8)})
-    state = read_state(m)
-    localize(m, state, min_run=100)
+    state = localize_settled(m, read_state(m), min_run=100)
     cut_s, cut_p = cut_links(m, state)
     assert cut_s.size == 0 and cut_p.size == 0
     assert m.in_array_ids().size == 8
@@ -118,8 +124,7 @@ def test_post_localize_invariants_random_placement():
         r = int(rng.integers(0, 2))
         pos[v] = (r, c[r]); c[r] += 1
     place(m, pos)
-    state = read_state(m)
-    localize(m, state, min_run=20)
+    state = localize_settled(m, read_state(m), min_run=20)
     ids = m.in_array_ids()
     succ, row = m.peek("succ"), m.peek("row")
     # a link is kept exactly when its ends share a row
@@ -155,7 +160,7 @@ def test_min_run_above_1024_absorbs_whole_short_runs():
                                   fixed_length=2800)), PramConfig(num_processors=64))
     layout(m, mode="rows")
     assert sorted(flanked_runs(m)) == [1400, 1400]
-    localize(m, read_state(m), min_run=2000)
+    localize_settled(m, read_state(m), min_run=2000)
     assert not [r for r in flanked_runs(m) if r < 2000]
     absorbed = sum(b.absorbed.size for b in m.log)
     assert absorbed == 1400
@@ -171,7 +176,7 @@ def test_no_flank_skips_run_distances():
     m = Machine(generate(Workload(n=n, length_distribution="FIXED", fixed_length=64)),
                 PramConfig(num_processors=n // 6))
     layout(m)
-    localize(m, read_state(m))
+    localize_settled(m, read_state(m))
     labels = m.engine.metrics().phase_breakdown
     assert not [k for k in labels if k.startswith(("localize/a/walk", "localize/b/walk"))]
     assert [k for k in labels if k.startswith("localize/a/")]
@@ -235,7 +240,13 @@ def test_walk_classifies_short_runs_as_the_host_does(seed, n, lists, mode, min_r
     def compared(machine, state, target_row, min_run, phase):
         ends = localize_mod._run_ends(state, target_row)
         walk = localize_mod.classify_by_walk(machine, state, target_row, ends, min_run, "cmp/w")
-        assert_same_classes(walk, host_classes(state, target_row, min_run))
+        want = host_classes(read_waiting(machine, state), target_row, min_run)
+        # a node whose phase (a) message waits unread may be a one-node
+        # run, whose step then finds out: it is scheduled, and every
+        # other node is classified exactly
+        read = state.pending[ends[0]] == 0
+        assert_same_classes([x[read] for x in walk[:5]], [x[read] for x in want])
+        assert (walk[4] | ~want[4]).all()
         return absorb(machine, state, target_row, min_run, phase)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -384,18 +395,27 @@ def test_marks_of_an_earlier_walk_never_pass_for_fresh_ones():
 
 
 def test_inbox_names_every_neighbor_after_the_pool_and_each_contract(monkeypatch):
-    # the walk reads the neighbor messages: after pool/send and after
-    # every contract step of localization, each live node's inbox_p and
-    # inbox_s name its pv and sv and their rows, no neighbor at a list end
+    # the walk reads the neighbor messages, and a contraction's news
+    # waits in the inbox: after pool/send and after every contract step
+    # of localization, each live node's inbox_p and inbox_s name its
+    # neighbors in memory and their rows, no neighbor at a list end,
+    # and its registers name the same wherever no message waits
     checked = []
     localize_fn, batch = orientation.localize, localize_mod.contract_batch
 
     def check(machine, state):
         ids = state.live()
-        for store, nbr, nbr_row in zip(INBOX, (state.pv, state.sv), (state.row_p, state.row_s)):
+        row = machine.peek("row")
+        for d, (store, link) in enumerate(zip(INBOX, ("pred", "succ"))):
             # read_neighbor masks off a host message's weight bits
             got, got_row = read_neighbor(machine, machine.peek(store)[ids])
-            assert np.array_equal(got, nbr[ids]) and np.array_equal(got_row, nbr_row[ids])
+            nbr = machine.peek(link)[ids]
+            assert np.array_equal(got, nbr)
+            assert np.array_equal(got_row, np.where(nbr != NONE, row[nbr], NONE))
+            reg, reg_row = state.side(d)
+            read = (state.pending[ids] >> d) & 1 == 0
+            assert np.array_equal(reg[ids[read]], got[read])
+            assert np.array_equal(reg_row[ids[read]], got_row[read])
         checked.append(ids.size)
 
     def localize_checked(machine, state, **kwargs):
@@ -423,7 +443,7 @@ def test_inbox_names_every_neighbor_after_the_pool_and_each_contract(monkeypatch
 def localize_labels(positions, n, p, min_run):
     m = Machine(path_forest(n), PramConfig(num_processors=p))
     place(m, positions)
-    localize(m, read_state(m), min_run=min_run)
+    localize_settled(m, read_state(m), min_run=min_run)
     assert int(m.peek("weight")[m.in_array_ids()].sum()) == n
     return m, list(m.engine.metrics().phase_breakdown)
 
@@ -472,8 +492,9 @@ def test_list_rank_localizes_shuffled_columns_in_fewer_rounds(fixed_length, doub
 
 def localize_runs(runs, p=16):
     """Localize one path laid out as consecutive single-row runs, runs
-    a list of (row, length), at min_run 100; returns the machine, its
-    pass state and its step labels in order."""
+    a list of (row, length), at min_run 100, and settle it as the first
+    coloring step does; returns the machine, its pass state and its
+    step labels in order."""
     n = sum(length for _, length in runs)
     m = Machine(path_forest(n), PramConfig(num_processors=p))
     pos, col, v = {}, [0, 0], 0
@@ -483,12 +504,11 @@ def localize_runs(runs, p=16):
             col[row] += 1
             v += 1
     place(m, pos)
-    state = read_state(m)
-    localize(m, state, min_run=100)
+    state = localize_settled(m, read_state(m), min_run=100)
     assert m.engine.metrics().erew_violations == 0
     # the contraction log replays to the path's ranks; the replay
     # returns weight to its ones, so the callers' checks read the
-    # weights localization left, kept from before it
+    # weights localization delivered, kept from before it
     weight = m.peek("weight").copy()
     stores, _ = pointer_jump(m)
     assert replay_ranks(m, stores).rank.tolist() == list(range(n))
@@ -510,8 +530,11 @@ def test_half_run_takes_log_depth_waves(h):
     # of it is one half, flanked by node 9
     m, state, labels = localize_runs([(0, 10), (1, h)])
     waves = int(np.ceil(np.log2(h + 1)))
-    assert wave_labels(labels) == [f"localize/a/w{j}/{step}" for j in range(waves)
-                                   for step in ("contract", "refresh")]
+    # one step per wave: each node of a later wave reads the messages
+    # of the earlier ones in its own contract step, and the flank its
+    # own in the settle step, after the last wave
+    assert wave_labels(labels) == [f"localize/a/w{j}/contract" for j in range(waves)]
+    assert labels.index("settle") > labels.index(wave_labels(labels)[-1])
     assert m.peek("weight")[9] == 1 + h
     assert (m.peek("row")[m.in_array_ids()] == 0).all()
     assert state.live().tolist() == list(range(10))
@@ -529,23 +552,23 @@ def test_meeting_pair_links_both_hosts(k):
     assert succ[9] == 12 and succ[b - 1] == c
     assert state.sv[9] == 12 and state.pv[c] == b - 1
     assert weight[[9, 12, b - 1, c]].tolist() == [2, 2, 1 + long // 2, 1 + long // 2]
-    assert len(wave_labels(labels)) == 2 * int(np.ceil(np.log2(long // 2 + 1)))
+    assert len(wave_labels(labels)) == int(np.ceil(np.log2(long // 2 + 1)))
 
 
 @pytest.mark.parametrize("h", [1, 3])
 def test_runs_on_both_sides_of_one_node_absorb_into_it_in_one_step(h):
     # lower runs open and close the list around a single upper node f,
     # their only flank: both sides go into f in the same waves, and f,
-    # now the whole list, leaves the array in one pool step
+    # now the whole list, pools itself in the settle step, where it
+    # reads that it is alone
     m, state, labels = localize_runs([(1, h), (0, 1), (1, h)])
     f = h
-    assert wave_labels(labels) == [f"localize/a/w{j}/{step}"
-                                   for j in range(int(np.ceil(np.log2(h + 1))))
-                                   for step in ("contract", "refresh")]
+    assert wave_labels(labels) == [f"localize/a/w{j}/contract"
+                                   for j in range(int(np.ceil(np.log2(h + 1))))]
     assert m.peek("weight")[f] == 1 + 2 * h
     assert m.in_array_ids().size == 0 and m.peek("row")[f] == POOLED
-    assert labels.count("localize/lone/out_wr") == 1 and state.live().size == 0
-    assert labels.index("localize/lone/out_wr") > labels.index(wave_labels(labels)[-1])
+    assert not [k for k in labels if "/lone/" in k] and state.live().size == 0
+    assert labels.index("settle") > labels.index(wave_labels(labels)[-1])
     assert state.sv[f] == NONE and state.pv[f] == NONE
 
 
@@ -577,8 +600,7 @@ def test_one_node_upper_run_between_lower_flanks_absorbed_in_phase_b():
     # long lower runs keep their nodes in phase (a); the one upper node
     # between them goes into its left flank in one wave, with no walk
     m, state, labels = localize_runs([(1, 120), (0, 1), (1, 120)])
-    assert [k for k in labels if k.startswith("localize/b/")] == [
-        "localize/b/w0/contract", "localize/b/w0/refresh"]
+    assert [k for k in labels if k.startswith("localize/b/")] == ["localize/b/w0/contract"]
     assert m.peek("weight")[119] == 2 and 120 not in state.live()
     assert state.sv[119] == 121 and state.pv[121] == 119
     assert (m.peek("row")[m.in_array_ids()] == 1).all()
@@ -598,8 +620,7 @@ def test_upper_run_of_two_or_more_stays_live_with_its_cross_links_cut(min_run, L
                                 even[L:].tolist()])
     m = Machine(forest, PramConfig(num_processors=16))
     layout(m)
-    state = read_state(m)
-    localize(m, state, min_run=min_run)
+    state = localize_settled(m, read_state(m), min_run=min_run)
     assert not [r for r in m.engine.trace if r.label.startswith("localize/b/")]
     assert np.isin(run, state.live()).all() and (m.peek("row")[run] == 0).all()
     cut_s, cut_p = cut_links(m, state)

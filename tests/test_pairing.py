@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from listcontract import Machine, PramConfig, layout
-from listcontract.model import INBOX, RETIRED
+from listcontract.model import INBOX, PRED_SIDE, RETIRED, SUCC_SIDE
 from listcontract.pairing import eliminate_twos, form_pairs
 from listcontract.pram import NONE
-from listcontract.steps import scratch
+from listcontract.steps import drain, scratch
 from conftest import forest_from_lists, read_state, validate_pairs
 
 
@@ -30,37 +30,50 @@ def machine_with_colors(lists, colors, p=8, mode="columns"):
     return m, state, color
 
 
+def drained(m, state, ids):
+    """Let tasks ids read the messages waiting in their inboxes, in a
+    step of their own."""
+    with m.engine.step("drain", len(ids)) as s:
+        drain(s, m, state, np.asarray(ids))
+
+
 # -- eliminate_twos --------------------------------------------------------
 
 def test_color2_between_zero_and_one_contracts_into_successor():
     m, state, col = machine_with_colors([[0, 1, 2]], {0: 0, 1: 2, 2: 1})
-    col = eliminate_twos(m, state, col)
+    col = eliminate_twos(m, state, col, INBOX)
     assert m.peek("row")[1] == RETIRED       # absorbed into its successor
     assert m.log[-1].host.tolist() == [2]
-    assert m.peek("weight")[2] == 2
     assert sorted(col[state.live()].tolist()) == [0, 1]
+    # the host's new neighbor and weight wait in its inbox_p cell, and
+    # node 0's in its inbox_s cell, until each drains them
+    assert state.pending[[0, 2]].tolist() == [1 << SUCC_SIDE, 1 << PRED_SIDE]
+    assert m.peek("weight")[2] == 1 and state.pv[2] == 1
+    drained(m, state, [0, 2])
+    assert m.peek("weight")[2] == 2 and state.pv[2] == 0 and state.sv[0] == 2
+    assert not state.pending.any()
 
 
 def test_color2_between_zeros_recolors_to_one():
     m, state, col = machine_with_colors([[0, 1, 2]], {0: 0, 1: 2, 2: 0})
-    col = eliminate_twos(m, state, col)
+    col = eliminate_twos(m, state, col, INBOX)
     assert m.peek("row")[1] != RETIRED
     assert col[1] == 1
 
 
 def test_color2_between_ones_recolors_to_zero():
     m, state, col = machine_with_colors([[0, 1, 2]], {0: 1, 1: 2, 2: 1})
-    assert eliminate_twos(m, state, col)[1] == 0
+    assert eliminate_twos(m, state, col, INBOX)[1] == 0
 
 
 def test_isolated_color2_recolors_to_zero():
     m, state, col = machine_with_colors([[0]], {0: 2})
-    assert eliminate_twos(m, state, col)[0] == 0
+    assert eliminate_twos(m, state, col, INBOX)[0] == 0
 
 
 def test_endpoint_color2_takes_color_unused_by_neighbor():
     m, state, col = machine_with_colors([[0, 1]], {0: 2, 1: 0})
-    assert eliminate_twos(m, state, col)[0] == 1
+    assert eliminate_twos(m, state, col, INBOX)[0] == 1
 
 
 def test_no_active_color2_after_pass():
@@ -73,7 +86,7 @@ def test_no_active_color2_after_pass():
         prev = int(rng.choice(choices))
         colors[v] = prev
     m, state, col = machine_with_colors([list(range(n))], colors)
-    cc = eliminate_twos(m, state, col)
+    cc = eliminate_twos(m, state, col, INBOX)
     live = state.live()
     assert (cc[live] != 2).all()
     # properness over surviving links
@@ -118,6 +131,9 @@ def test_loose_head_and_end_go_into_their_neighbors_pairs():
     assert state.live().tolist() == [1, 2]
     assert state.pair[[1, 2]].tolist() == [2, 1]
     assert [(b.absorbed.tolist(), b.host.tolist()) for b in m.log] == [([0], [1]), ([3], [2])]
+    # the hosts take the weights when they drain their inboxes
+    assert m.peek("weight")[[1, 2]].tolist() == [1, 1]
+    drained(m, state, [1, 2])
     assert m.peek("weight")[[1, 2]].tolist() == [2, 2]
     validate_pairs(m, state)
 
@@ -153,7 +169,7 @@ def pair_chains(lengths, firsts, order, mode, p, stale_seed=None):
     """form_pairs over chains of the given lengths, node ids in the
     given order, each chain's proper {0, 1} coloring starting at its
     first color, in layout mode with p processors; stale_seed fills the
-    inbox stores with garbage first. Returns the machine and the
+    inbox stores and dct, where the marks go, with garbage first. Returns the machine and the
     state."""
     lists = np.split(order, np.cumsum(lengths)[:-1])
     colors = {int(v): (int(first) + i) % 2
@@ -161,7 +177,7 @@ def pair_chains(lengths, firsts, order, mode, p, stale_seed=None):
     m, state, col = machine_with_colors(lists, colors, p=p, mode=mode)
     if stale_seed is not None:
         rng = np.random.default_rng(stale_seed)
-        for st in INBOX:
+        for st in (*INBOX, scratch(m, "dct")):
             m.memory.poke(st, slice(None), rng.integers(0, 4 * m.n, size=m.peek(st).size))
     form_pairs(m, state, col)
     return m, state
@@ -170,7 +186,7 @@ def pair_chains(lengths, firsts, order, mode, p, stale_seed=None):
 @pytest.mark.parametrize("seed", range(6))
 def test_pairing_ignores_stale_scratch(seed):
     # a loose node reads only a mark stamped by its step, so garbage
-    # left in the inboxes changes nothing
+    # left in the inboxes and in dct changes nothing
     rng = np.random.default_rng(seed)
     lengths = rng.integers(1, 10, size=12)
     firsts = rng.integers(0, 2, size=lengths.size)
@@ -195,7 +211,7 @@ def test_alternation_rule_pairs_every_colored_node(lengths, data, mode, p):
     # random short chains, two-node ones with either color first among
     # them: every pair joins adjacent nodes of opposite colors, every
     # live node of a chain of two or more is paired, and garbage left
-    # in the inboxes changes no register
+    # in the inboxes and in dct changes no register
     n = sum(lengths)
     firsts = data.draw(st.lists(st.integers(0, 1), min_size=len(lengths),
                                 max_size=len(lengths)))

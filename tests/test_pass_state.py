@@ -14,29 +14,37 @@ from listcontract.pram import NONE
 from listcontract.ranking import contract_to_threshold
 from listcontract.steps import PassState, read_neighbor
 from conftest import (assert_pair_registers, check_inverse, checked_mailbox_reads, contract_fully,
-                      forest_from_lists, list_order, odd_chain_forest, place, read_state)
+                      forest_from_lists, list_order, memory_state, odd_chain_forest, place)
 
 
 def assert_registers(machine, state, cut):
     """The live tasks are exactly the nodes in the array, and their
     registers equal what restricted_neighbors and peek("row") give,
-    without the links that cross rows once localization has cut them.
-    Once pairing has filled them, the pair registers join adjacent
-    nodes (assert_pair_registers), and after pairing the pass keeps no
-    link register."""
+    without the links that cross rows once localization has cut them;
+    on a side whose message waits unread, the message names that
+    neighbor and its row instead. Once pairing has filled them, the
+    pair registers join adjacent nodes (assert_pair_registers), and
+    after pairing the pass keeps no link register."""
     ids = state.live()
     assert np.array_equal(np.sort(ids), machine.in_array_ids())
     if state.pair is not None:
         assert_pair_registers(machine, state)
     if state.sv is None:
         return
-    want = read_state(machine, ids)
+    want = memory_state(machine, ids)
     if cut:
         for nbr, row in ((want.sv, want.row_s), (want.pv, want.row_p)):
             cross = ids[(row[ids] != NONE) & (row[ids] != want.row[ids])]
             nbr[cross] = row[cross] = NONE
-    for name in ("sv", "pv", "row", "row_s", "row_p", "col"):
+    for name in ("row", "col"):
         assert np.array_equal(getattr(state, name)[ids], getattr(want, name)[ids]), name
+    for d, (nbr, row) in enumerate((("pv", "row_p"), ("sv", "row_s"))):
+        wait = (state.pending[ids] >> d) & 1 == 1
+        got = read_neighbor(machine, machine.peek(INBOX[d])[ids[wait]])
+        for name, msg in zip((nbr, row), got):
+            assert np.array_equal(msg, getattr(want, name)[ids[wait]]), name
+            assert np.array_equal(getattr(state, name)[ids[~wait]],
+                                  getattr(want, name)[ids[~wait]]), name
 
 
 def checked(fn, calls):
@@ -45,8 +53,10 @@ def checked(fn, calls):
     def run(machine, *args, **kwargs):
         out = fn(machine, *args, **kwargs)
         found = [*args, *kwargs.values(), *(out if isinstance(out, tuple) else (out,))]
+        # the first coloring step cuts the cross links (localize.settle)
+        cut = any(r.label.endswith("/color/dct") for r in machine.engine.trace)
         for state in (a for a in found if isinstance(a, PassState)):
-            assert_registers(machine, state, "localize" in [*calls, fn.__name__])
+            assert_registers(machine, state, cut)
             calls.append(fn.__name__)
         return out
     return run

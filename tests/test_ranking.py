@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import re
 
 import numpy as np
@@ -6,12 +7,17 @@ import pytest
 
 from listcontract import (ForestFormatError, LinkedForest, Machine, PramConfig,
                           Workload, contract_to_threshold, generate, layout,
-                          list_rank, pointer_jump, ranking, sequential_rank, wyllie_rank)
+                          list_rank, orientation, pointer_jump, ranking, sequential_rank,
+                          wyllie_rank)
 from listcontract.model import PRED_SIDE, SUCC_SIDE, ContractBatch
 from listcontract.pram import NONE
 from listcontract.steps import contract_batch
 from conftest import (check_inverse, contract_fully, forest_from_lists, odd_chain_forest,
                       path_forest)
+
+
+# the package's localize function hides the module of that name
+localize_mod = importlib.import_module("listcontract.localize")
 
 
 # -- sequential oracle -------------------------------------------------------
@@ -393,6 +399,53 @@ def test_grid_and_placement_agree_after_every_pass(mode, min_run, seed, monkeypa
     _, _, result = contract_fully(f, 32, min_run, mode)
     assert result.same_as(sequential_rank(f))
     assert len(reports) >= 2
+
+
+@pytest.mark.parametrize("min_run", [2, 3, 8])
+@pytest.mark.parametrize("shuffle", [False, True])
+@pytest.mark.parametrize("mode", ["columns", "rows"])
+def test_no_message_waits_past_its_pass(mode, shuffle, min_run, monkeypatch):
+    # a contraction's news waits in its receivers' inboxes until each
+    # drains it in a step it runs anyway; by the time the jump starts
+    # every pass state has read all of it and every weight is in memory
+    states, meetings, jumps = [], [], []
+    pool, plan_waves = orientation.pool_short_lists, localize_mod._plan_waves
+
+    def pooled(machine, *args, **kwargs):
+        out = pool(machine, *args, **kwargs)
+        states.append(out[1])
+        return out
+
+    def planned(*args):
+        out = plan_waves(*args)
+        meetings.append(int(np.count_nonzero(out[2] != NONE)))
+        return out
+
+    def jump(machine, *args, **kwargs):
+        assert not [st for st in states if st.pending.any()]
+        assert int(machine.peek("weight")[machine.active_ids()].sum()) == machine.n
+        jumps.append(machine)
+        return pointer_jump(machine, *args, **kwargs)
+
+    monkeypatch.setattr(orientation, "pool_short_lists", pooled)
+    monkeypatch.setattr(localize_mod, "_plan_waves", planned)
+    monkeypatch.setattr(ranking, "pointer_jump", jump)
+    labels = []
+    for seed in range(3):
+        f = generate(Workload(n=400, num_lists=5, length_distribution="GEOMETRIC", seed=seed,
+                              layout_shuffle=shuffle))
+        run = list_rank(f, p=7, min_run=min_run, layout_mode=mode)
+        assert run.result.same_as(sequential_rank(f))
+        assert run.metrics.erew_violations == 0
+        labels += [r.label for r in run.trace]
+    assert len(jumps) == 3 and not [k for k in labels if "refresh" in k]
+    # loose heads and ends go into their neighbors' pairs on every
+    # input; shuffled ids leave color-2 nodes between a 0 and a 1, and
+    # flanked lower runs whose halves meet once min_run walks them
+    assert [k for k in labels if k.endswith("/pairs/abs/contract")]
+    if shuffle:
+        assert [k for k in labels if k.endswith("/elim2/contract")]
+        assert (sum(meetings) > 0) == (min_run > 2)
 
 
 @pytest.mark.parametrize("e", [16, 18])

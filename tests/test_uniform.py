@@ -6,13 +6,13 @@ from listcontract import (Machine, OrientationError, PramConfig, UncoveredCaseEr
                           generate, layout, list_rank, orientation, sequential_rank, uniform)
 from listcontract.orientation import derive_orientation, fold_array, uniform_contraction_pass
 from listcontract.pram import NONE
-from listcontract.steps import pool_nodes
+from listcontract.steps import UNREAD, pool_writes
 from listcontract.uniform import (both_columns, color_and_pair, enforce_uniformity, merge_pairs,
                                   opposite_pair_shortcut, partner_columns)
 from conftest import (MAILBOXES, check_inverse, check_packed, checked_mailbox_reads,
                       contract_fully, enumerated_states, fresh, marked_pairs, odd_chain_forest,
-                      pair_state, paired_state, path_forest, place, read_both, read_state,
-                      snapshot, states_equal, validate_pairs)
+                      pair_state, paired_state, path_forest, place, read_both, read_pairs,
+                      read_state, snapshot, states_equal, validate_pairs)
 
 
 # the pointer and the three value stores of the sweep's doubling, both buffers
@@ -198,15 +198,20 @@ def test_odd_closed_chain_is_shortened_once(k, seed):
 
 def checked_merges(seen):
     """merge_pairs that first checks the side register against memory:
-    each absorbed node's bit is whether its successor is its host, and
-    otherwise its predecessor is. Appends each merge's phase."""
+    each host's bit is whether its successor is its partner, and
+    otherwise its predecessor is; that partner is the absorbed node,
+    or the one the host's inbox names where that is UNREAD, whose own
+    bit is the other one. Appends each merge's phase."""
     merge = uniform.merge_pairs
 
     def run(machine, absorbed, host, state, phase):
-        succ, pred = machine.peek("succ")[absorbed], machine.peek("pred")[absorbed]
-        at_succ = state.at_succ[absorbed]
-        assert np.array_equal(at_succ, succ == host), phase
-        assert np.array_equal(np.where(at_succ, succ, pred), host), phase
+        succ, pred = machine.peek("succ")[host], machine.peek("pred")[host]
+        at_succ = state.at_succ[host]
+        mate = np.where(at_succ, succ, pred)
+        known = absorbed != UNREAD
+        assert np.array_equal(mate[known], absorbed[known]), phase
+        assert np.array_equal(read_pairs(machine, state)[host], mate), phase
+        assert not (state.at_succ[mate] == at_succ).any(), phase
         seen.append(phase)
         merge(machine, absorbed, host, state, phase)
     return run
@@ -608,7 +613,8 @@ def test_stale_mailbox_cells_outside_the_both_columns_are_never_read():
     top = [((1, 2), (1, 0)), ((3, 4), (0, 1)), ((0, 6), (0, 1)), ((5, 7), (0, 1))]
     m, pairs, earlier = paired_state(bottom=bottom + [((6, 7), (1, 0))], top=top, columns=8)
     read_both(m, earlier)
-    pool_nodes(m, list(pairs[(1, 3)]), m.cell(1, [6, 7]), "pool")
+    with m.engine.step("pool/out_wr", 2) as s:
+        pool_writes(s, np.array(pairs[(1, 3)]), m.cell(1, [6, 7]))
     # the next pass's registers, before partner_columns
     state = pair_state(m, earlier.pair, earlier.color)
     with checked_mailbox_reads() as audit:
